@@ -1,11 +1,11 @@
 #include "autograd/parallel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <unordered_set>
+#include <memory>
+#include <mutex>
 #include <utility>
+#include <vector>
 
-#include "autograd/op.h"
 #include "common/check.h"
 
 namespace metalora {
@@ -13,13 +13,9 @@ namespace autograd {
 
 namespace {
 
-std::atomic<bool> g_dispatch_enabled{true};
-std::atomic<ThreadPool*> g_dispatch_pool{nullptr};
-
-// Free list of scratch arenas for no-grad branches and eval blocks. Arenas
-// keep their grown blocks between uses, so steady-state dispatch does no
-// heap allocation here; the list is tiny (bounded by peak concurrent
-// tasks), so a mutex is fine.
+// Free list of scratch arenas for eval blocks. Arenas keep their grown
+// blocks between uses, so steady-state calls do no heap allocation here; the
+// list is tiny (bounded by peak concurrent tasks), so a mutex is fine.
 std::mutex g_scratch_mu;
 std::vector<std::unique_ptr<WorkspaceArena>> g_scratch_arenas;
 
@@ -43,133 +39,6 @@ void ReleaseScratchArena(std::unique_ptr<WorkspaceArena> arena) {
 
 }  // namespace
 
-void SetParallelDispatchEnabled(bool enabled) {
-  g_dispatch_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool ParallelDispatchEnabled() {
-  return g_dispatch_enabled.load(std::memory_order_relaxed);
-}
-
-void SetParallelDispatchPool(ThreadPool* pool) {
-  g_dispatch_pool.store(pool, std::memory_order_relaxed);
-}
-
-ThreadPool& ParallelDispatchPool() {
-  ThreadPool* pool = g_dispatch_pool.load(std::memory_order_relaxed);
-  return pool != nullptr ? *pool : GlobalThreadPool();
-}
-
-struct ParallelScope::BranchSlot {
-  RuntimeContext ctx;
-  std::unique_ptr<WorkspaceArena> arena;  // no-grad fast path only
-  Variable result;
-};
-
-ParallelScope::ParallelScope(ThreadPool* pool)
-    : pool_(pool != nullptr ? pool : &ParallelDispatchPool()) {}
-
-ParallelScope::~ParallelScope() {
-  for (auto& slot : slots_) {
-    if (slot->arena != nullptr) ReleaseScratchArena(std::move(slot->arena));
-  }
-}
-
-void ParallelScope::Spawn(std::function<Variable()> fn) {
-  ML_CHECK(fn != nullptr);
-  ML_CHECK(!joined_) << "ParallelScope: Spawn after Join";
-  branches_.push_back(std::move(fn));
-}
-
-std::vector<Variable> ParallelScope::Join() {
-  ML_CHECK(!joined_) << "ParallelScope: Join called twice";
-  joined_ = true;
-  const size_t n = branches_.size();
-  std::vector<Variable> results(n);
-
-  // Serial path: no workers, dispatch off, nothing to overlap, already
-  // inside a pool task (a nested fork would schedule behind the very tasks
-  // occupying the workers), or a plan trace is recording (branches must run
-  // in the caller's context so the recorder sees the whole program in
-  // order; serial == parallel bit-identity is this scope's contract, so the
-  // recorded plan reproduces the parallel path's bytes too). Runs in the
-  // caller's context, spawn order — exactly the code the consumers ran
-  // before dispatch existed.
-  if (n <= 1 || !ParallelDispatchEnabled() || pool_->num_threads() == 0 ||
-      ThreadPool::InWorkerThread() ||
-      RuntimeContext::Current().trace_recorder() != nullptr) {
-    for (size_t i = 0; i < n; ++i) results[i] = branches_[i]();
-    return results;
-  }
-
-  RuntimeContext& parent = RuntimeContext::Current();
-  const bool scratch_arenas = !parent.grad_enabled() && parent.arena();
-  slots_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    auto slot = std::make_unique<BranchSlot>();
-    slot->ctx.set_grad_enabled(parent.grad_enabled());
-    slot->ctx.set_profiling(parent.profiling());
-    slot->ctx.set_autocast(parent.autocast());
-    if (scratch_arenas) {
-      slot->arena = AcquireScratchArena();
-      slot->arena->NextGeneration();
-      slot->ctx.set_arena(slot->arena.get());
-    }
-    slots_.push_back(std::move(slot));
-  }
-
-  auto latch = std::make_shared<Latch>(static_cast<int64_t>(n) - 1);
-  for (size_t i = 1; i < n; ++i) {
-    BranchSlot* slot = slots_[i].get();
-    std::function<Variable()>* branch = &branches_[i];
-    pool_->Schedule([slot, branch, latch] {
-      RuntimeContextScope scope(&slot->ctx);
-      slot->result = (*branch)();
-      latch->CountDown();
-    });
-  }
-  // The caller takes the first branch; its kernels may still fan out onto
-  // the pool (the free workers drain those chunks once their branch ends).
-  {
-    RuntimeContextScope scope(&slots_[0]->ctx);
-    slots_[0]->result = branches_[0]();
-  }
-  latch->Wait();
-
-  // Stitch: fold branch recording state into the caller's context in spawn
-  // order, so merged stats never depend on the execution interleaving.
-  for (size_t i = 0; i < n; ++i) {
-    parent.MergeChildStats(slots_[i]->ctx);
-    results[i] = std::move(slots_[i]->result);
-  }
-  return results;
-}
-
-bool BranchesIndependent(const std::vector<Variable>& roots) {
-  std::unordered_set<const Op*> seen;
-  for (const Variable& root : roots) {
-    if (!root.defined() || root.producer() == nullptr) continue;
-    // Collect this root's op nodes, then verify none was reached from an
-    // earlier root. A root may reference its own ops through several paths
-    // (a DAG), so dedupe within the root first.
-    std::unordered_set<const Op*> own;
-    std::vector<const Op*> stack = {root.producer().get()};
-    own.insert(root.producer().get());
-    while (!stack.empty()) {
-      const Op* op = stack.back();
-      stack.pop_back();
-      for (const Variable& in : op->inputs()) {
-        const Op* next = in.producer().get();
-        if (next != nullptr && own.insert(next).second) stack.push_back(next);
-      }
-    }
-    for (const Op* op : own) {
-      if (!seen.insert(op).second) return false;
-    }
-  }
-  return true;
-}
-
 void ParallelApplyNoGrad(
     int64_t begin, int64_t end, int64_t block,
     const std::function<void(int64_t, int64_t, RuntimeContext&)>& fn,
@@ -177,7 +46,7 @@ void ParallelApplyNoGrad(
   ML_CHECK_LE(begin, end);
   ML_CHECK_GT(block, 0);
   if (begin == end) return;
-  ThreadPool& p = pool != nullptr ? *pool : ParallelDispatchPool();
+  ThreadPool& p = pool != nullptr ? *pool : GlobalThreadPool();
   const int64_t nblocks = (end - begin + block - 1) / block;
 
   // One chunk of consecutive blocks per task; a chunk shares one scratch
@@ -198,8 +67,7 @@ void ParallelApplyNoGrad(
   };
 
   const int64_t nchunks =
-      (!ParallelDispatchEnabled() || p.num_threads() == 0 ||
-       ThreadPool::InWorkerThread())
+      (p.num_threads() == 0 || ThreadPool::InWorkerThread())
           ? 1
           : std::min<int64_t>(nblocks, p.num_threads() + 1);
   const int64_t blocks_per_chunk = (nblocks + nchunks - 1) / nchunks;
@@ -229,9 +97,8 @@ void ParallelApplyNoGrad(
   run_chunk(*chunks[0], 0, std::min(nblocks, blocks_per_chunk));
   latch->Wait();
 
-  RuntimeContext& parent = RuntimeContext::Current();
   for (auto& state : chunks) {
-    parent.MergeChildStats(state->ctx);
+    caller.MergeChildStats(state->ctx);
     ReleaseScratchArena(std::move(state->arena));
   }
 }

@@ -1,124 +1,32 @@
-// Intra-graph parallel op dispatch over the typed Op layer.
+// Data-parallel no-grad execution for the dataset-scale eval paths.
 //
-// The typed op layer (op.h) gives every forward a name and explicit input
-// edges, which makes branch independence a checkable property instead of a
-// comment: two subgraphs that share no op nodes — only leaf Variables — can
-// execute concurrently without any synchronization beyond the join. That is
-// exactly the structure of the adapter forwards: LoRA's frozen `W x` path
-// versus `B(A(x))`, Multi-LoRA's per-task branches, and MetaLoRA's
-// mapping-net seed generation versus the base matmul (Eq. 6/7 make the
-// graph wider, not deeper).
-//
-// ParallelScope is the dispatcher. Callers Spawn() closures that each build
-// one independent subgraph; Join() schedules them onto the thread pool
-// (caller thread included) and returns the branch results in spawn order.
-//
-// Determinism guarantee: results and gradients are bit-identical to serial
-// execution, because
-//   1. each branch runs exactly the kernels serial execution would run, on
-//      the same inputs — kernels partition output elements disjointly, so
-//      no float is ever combined across threads;
-//   2. each worker records graph nodes into its own RuntimeContext (the
-//      per-thread current-context slot isolates recording state), and the
-//      recorded segments are stitched back — counters merged, results
-//      returned — in spawn order at the join point, so the resulting graph
-//      is the one serial execution builds;
-//   3. Backward (graph.cc) walks that graph in dependency order with one
-//      accumulation per edge, independent of how the forward was scheduled.
-//
-// Degradation: with a zero-worker pool (single-core machines), dispatch
-// disabled, a single branch, or when already running inside a pool task
-// (nested dispatch), Join() runs every branch inline in the caller's
-// context, in spawn order — byte-for-byte the serial code path.
+// Feature extraction over a dataset and query-blocked KNN split their work
+// into fixed-size blocks that write disjoint outputs. ParallelApplyNoGrad
+// runs those blocks on the thread pool, each task in its own no-grad
+// RuntimeContext with a private scratch arena. Block boundaries depend only
+// on the block size, never on the thread count, so results are identical
+// to running the blocks one after another.
 #ifndef METALORA_AUTOGRAD_PARALLEL_H_
 #define METALORA_AUTOGRAD_PARALLEL_H_
 
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <vector>
 
 #include "autograd/runtime_context.h"
-#include "autograd/variable.h"
 #include "common/thread_pool.h"
 
 namespace metalora {
 namespace autograd {
 
-/// Process-wide switch for the dispatcher (default on). Off forces every
-/// ParallelScope / ParallelApplyNoGrad to the serial path; equivalence
-/// tests and benches diff the two settings.
-void SetParallelDispatchEnabled(bool enabled);
-bool ParallelDispatchEnabled();
-
-/// Overrides the pool the dispatcher uses (nullptr restores
-/// GlobalThreadPool). Lets tests exercise the threaded path on machines
-/// whose global pool has zero workers. Not thread-safe against concurrent
-/// dispatch; set it up front.
-void SetParallelDispatchPool(ThreadPool* pool);
-ThreadPool& ParallelDispatchPool();
-
-/// Fork/join dispatcher for independent forward subgraphs.
-///
-/// Usage:
-///   ParallelScope ps;
-///   ps.Spawn([&] { return base->Forward(x); });
-///   ps.Spawn([&] { return AdapterDelta(x); });
-///   std::vector<Variable> r = ps.Join();
-///   return Add(r[0], Scale(r[1], scaling));
-///
-/// Branch closures must build graphs that are independent of each other
-/// (see BranchesIndependent) and must not touch shared mutable state; leaf
-/// Variables (parameters, inputs) may be shared freely.
-///
-/// On the no-grad arena fast path each parallel branch allocates from its
-/// own scratch arena (the parent's arena is not thread-safe). Those scratch
-/// arenas are recycled when the scope is destroyed, so branch results must
-/// be consumed — combined into a parent-context tensor or Clone()d — before
-/// the ParallelScope goes out of scope. This is the same contract
-/// WorkspaceArena already imposes on results escaping a Reset.
-class ParallelScope {
- public:
-  /// `pool` of nullptr means the dispatch pool (global unless overridden).
-  explicit ParallelScope(ThreadPool* pool = nullptr);
-  ~ParallelScope();
-  ParallelScope(const ParallelScope&) = delete;
-  ParallelScope& operator=(const ParallelScope&) = delete;
-
-  /// Registers a branch. Must be called before Join().
-  void Spawn(std::function<Variable()> fn);
-
-  /// Executes all branches and returns their results in spawn order.
-  /// Parallel when profitable and safe, serial otherwise; either way the
-  /// returned Variables (and later gradients) are bit-identical. Branch
-  /// recording counters are folded into the caller's RuntimeContext in
-  /// spawn order. May be called at most once per scope.
-  std::vector<Variable> Join();
-
- private:
-  struct BranchSlot;
-
-  ThreadPool* pool_;
-  std::vector<std::function<Variable()>> branches_;
-  std::vector<std::unique_ptr<BranchSlot>> slots_;
-  bool joined_ = false;
-};
-
-/// Walks the recorded Op input edges of every root and verifies the op-node
-/// sets are pairwise disjoint (shared leaves are allowed — that is the
-/// fork point). True means the subgraphs were safe to dispatch
-/// concurrently; tests assert this on the wired adapter forwards.
-bool BranchesIndependent(const std::vector<Variable>& roots);
-
-/// Data-parallel no-grad execution for the dataset-scale eval paths
-/// (feature extraction, query-blocked KNN). Splits [begin, end) into
-/// fixed-size blocks of `block` and calls fn(lo, hi, ctx) once per block,
-/// where ctx is a no-grad RuntimeContext whose scratch WorkspaceArena is
-/// private to the executing task and Reset() before every block. Block
-/// boundaries are identical regardless of thread count, and fn must write
-/// only to per-range disjoint outputs, so results never depend on the
-/// schedule. Anything fn keeps beyond the call must be copied out of the
-/// arena. Falls back to sequential block execution with a single scratch
-/// arena on a zero-worker pool or when dispatch is disabled.
+/// Splits [begin, end) into fixed-size blocks of `block` and calls
+/// fn(lo, hi, ctx) once per block, where ctx is a no-grad RuntimeContext
+/// whose scratch WorkspaceArena is private to the executing task and Reset()
+/// before every block. fn must write only to per-range disjoint outputs, so
+/// results never depend on the schedule. Anything fn keeps beyond the call
+/// must be copied out of the arena. `pool` of nullptr means
+/// GlobalThreadPool(). Runs the blocks in order on the caller, with a single
+/// scratch arena, on a zero-worker pool or when called from inside a pool
+/// task.
 void ParallelApplyNoGrad(
     int64_t begin, int64_t end, int64_t block,
     const std::function<void(int64_t, int64_t, RuntimeContext&)>& fn,

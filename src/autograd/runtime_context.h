@@ -152,9 +152,8 @@ class RuntimeContext {
 
   /// Plan-trace recorder (serve layer). Non-null only while a no-grad
   /// forward is being traced for compilation: MakeOpResult reports every
-  /// facade result to it, instrumented facades claim their outputs, and
-  /// ParallelScope runs branches serially so the recorder sees the whole
-  /// program in order. Never set on a grad-recording context.
+  /// facade result to it and instrumented facades claim their outputs, in
+  /// program order. Never set on a grad-recording context.
   TraceRecorder* trace_recorder() const { return trace_recorder_; }
   void set_trace_recorder(TraceRecorder* rec) { trace_recorder_ = rec; }
 
@@ -163,8 +162,7 @@ class RuntimeContext {
 
   /// Autocast policy for this execution (see tensor/autocast.h). Default
   /// is the disabled policy: everything fp32, bit-identical engine.
-  /// Copied into child contexts by the parallel runners, like
-  /// grad_enabled/profiling.
+  /// Copied into the per-task contexts ParallelApplyNoGrad creates.
   const AutocastPolicy& autocast() const { return autocast_; }
   void set_autocast(const AutocastPolicy& policy) { autocast_ = policy; }
 
@@ -288,9 +286,9 @@ class RuntimeContext {
     p.nanos += nanos;
   }
 
-  /// Folds the counters of a child context (a dispatcher branch that ran on
-  /// another thread) into this one. Called at join points in deterministic
-  /// spawn order, so merged stats are independent of execution interleaving.
+  /// Folds the counters of a child context (a ParallelApplyNoGrad task that
+  /// ran on another thread) into this one. Called at the join in fixed task
+  /// order, so merged stats are independent of execution interleaving.
   void MergeChildStats(const RuntimeContext& child) {
     nodes_recorded_ += child.nodes_recorded_;
     saved_bytes_recorded_ += child.saved_bytes_recorded_;

@@ -9,8 +9,8 @@
 namespace metalora {
 
 namespace {
-// Set while a worker executes a task, so nested ParallelFor calls (and the
-// dispatcher's branch bodies) run inline instead of re-entering the queue.
+// Set while a worker executes a task (or a replica lane runs), so nested
+// ParallelFor calls run inline instead of re-entering the queue.
 thread_local bool tls_in_worker_task = false;
 
 // Monotonic process-wide instrumentation (see the header accessors).

@@ -5,8 +5,9 @@
 // Code already running inside a pool task also runs ParallelFor inline:
 // a blocked fork from a worker could otherwise wait on chunks that sit in
 // the queue behind the very tasks occupying every worker (deadlock), and
-// inline nesting keeps per-task work deterministic for the op dispatcher
-// built on Schedule() (src/autograd/parallel.h).
+// inline nesting keeps per-task work deterministic for the eval blocks
+// (autograd::ParallelApplyNoGrad) and the trainer's replica lanes
+// (ForkJoinReplicas) built on Schedule().
 #ifndef METALORA_COMMON_THREAD_POOL_H_
 #define METALORA_COMMON_THREAD_POOL_H_
 
@@ -85,10 +86,11 @@ class ThreadPool {
   /// invocation per replica lane — and blocks until all of them finish.
   /// Lanes 1..n-1 are scheduled onto the pool; lane 0 runs on the calling
   /// thread. Every lane (including lane 0) executes with the worker-inline
-  /// guard set, so kernels called inside a lane (ParallelFor, the op
-  /// dispatcher) run inline on that lane's thread instead of fanning back
-  /// onto the pool — each lane is one deterministic single-threaded stream,
-  /// which is what the data-parallel trainer's bit-identity contract needs.
+  /// guard set, so kernels called inside a lane (ParallelFor,
+  /// ParallelApplyNoGrad) run inline on that lane's thread instead of
+  /// fanning back onto the pool — each lane is one deterministic
+  /// single-threaded stream, which is what the data-parallel trainer's
+  /// bit-identity contract needs.
   ///
   /// Lanes must not block on each other (they only meet at the join) and
   /// must touch pairwise-disjoint mutable state. With zero workers, or when

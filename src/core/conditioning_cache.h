@@ -27,8 +27,9 @@
 // byte-identical to the cold path.
 //
 // Thread safety: Lookup/Insert/Clear are mutex-protected; cached tensors
-// are immutable after insert, so concurrent ParallelScope branches may read
-// the same entry's tensors without synchronization.
+// are immutable after insert, so concurrent readers (server workers,
+// compiled-plan hits) may read the same entry's tensors without
+// synchronization.
 #ifndef METALORA_CORE_CONDITIONING_CACHE_H_
 #define METALORA_CORE_CONDITIONING_CACHE_H_
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/parallel.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -32,17 +31,11 @@ LoraLinear::LoraLinear(std::unique_ptr<nn::Linear> base,
 }
 
 Variable LoraLinear::Forward(const Variable& x) {
-  if (merged_) return base_->Forward(x);
-  // The frozen path W·x and the adapter path B(A(x)) touch disjoint op
-  // nodes, so they dispatch as two independent branches.
-  autograd::ParallelScope ps;
-  ps.Spawn([&] { return base_->Forward(x); });
-  ps.Spawn([&] {
-    Variable h = autograd::Linear(x, lora_a_, Variable());  // [N, R]
-    return autograd::Linear(h, lora_b_, Variable());        // [N, O]
-  });
-  std::vector<Variable> r = ps.Join();
-  return autograd::Add(r[0], autograd::Scale(r[1], scaling_));
+  Variable y = base_->Forward(x);
+  if (merged_) return y;
+  Variable h = autograd::Linear(x, lora_a_, Variable());  // [N, R]
+  Variable d = autograd::Linear(h, lora_b_, Variable());  // [N, O]
+  return autograd::Add(y, autograd::Scale(d, scaling_));
 }
 
 int64_t LoraLinear::AdapterParamCount() const {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/parallel.h"
 #include "autograd/variable.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
@@ -96,21 +95,17 @@ Variable LotrLinear::Forward(const Variable& x) {
     ML_CHECK(features.defined())
         << "LotrLinear: SetFeatures must be called before Forward";
   }
-  autograd::ParallelScope ps;
-  ps.Spawn([&] { return base_->Forward(x); });
-  ps.Spawn([&] {
-    Variable h = autograd::Linear(x, down_, Variable());  // [N, R]
-    if (meta_) {
-      Variable seed = cache_.SeedOrCompute(
-          cache_salt_, features,
-          [&] { return mapping_->Forward(features); });  // [N, R]
-      h = autograd::Mul(h, AlignSeedToRows(seed, x.dim(0)));
-    }
-    h = autograd::Linear(h, core_g_, Variable());      // [N, R]
-    return autograd::Linear(h, up_, Variable());       // [N, O]
-  });
-  std::vector<Variable> r = ps.Join();
-  return autograd::Add(r[0], autograd::Scale(r[1], scaling_));
+  Variable y = base_->Forward(x);
+  Variable h = autograd::Linear(x, down_, Variable());  // [N, R]
+  if (meta_) {
+    Variable seed = cache_.SeedOrCompute(
+        cache_salt_, features,
+        [&] { return mapping_->Forward(features); });  // [N, R]
+    h = autograd::Mul(h, AlignSeedToRows(seed, x.dim(0)));
+  }
+  h = autograd::Linear(h, core_g_, Variable());       // [N, R]
+  Variable d = autograd::Linear(h, up_, Variable());  // [N, O]
+  return autograd::Add(y, autograd::Scale(d, scaling_));
 }
 
 int64_t LotrLinear::AdapterParamCount() const {

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/parallel.h"
 #include "autograd/runtime_context.h"
 #include "autograd/trace.h"
 #include "autograd/variable.h"
@@ -65,27 +64,20 @@ Variable AlignSeedToRows(const Variable& seed, int64_t x_rows) {
 }  // namespace
 
 Variable MetaLoraCpLinear::Forward(const Variable& x) {
-  // Snapshot the calling replica's binding before spawning branches: the
-  // local keeps the branch bodies independent of which thread runs them.
   const Variable features = bound_features();
   ML_CHECK(features.defined())
       << "MetaLoraCpLinear: SetFeatures must be called before Forward";
-  // Branch 1 is the frozen base matmul; branch 2 generates the seed with
-  // the mapping net and applies the CP-factored update (Eq. 6). The two
-  // subgraphs only share leaves (x, parameters, features).
-  autograd::ParallelScope ps;
-  ps.Spawn([&] { return base_->Forward(x); });
-  ps.Spawn([&] {
-    Variable seed = cache_.SeedOrCompute(
-        cache_salt_, features,
-        [&] { return mapping_->Forward(features); });       // [N, R]
-    Variable c = AlignSeedToRows(seed, x.dim(0));
-    Variable h = autograd::Linear(x, lora_a_, Variable());  // [N, R]
-    h = autograd::Mul(h, c);                                // per-sample Eq. 6
-    return autograd::Linear(h, lora_b_, Variable());        // [N, O]
-  });
-  std::vector<Variable> r = ps.Join();
-  return autograd::Add(r[0], autograd::Scale(r[1], scaling_));
+  Variable y = base_->Forward(x);
+  // The mapping net generates the seed; the CP-factored update applies it
+  // per sample (Eq. 6).
+  Variable seed = cache_.SeedOrCompute(
+      cache_salt_, features,
+      [&] { return mapping_->Forward(features); });       // [N, R]
+  Variable c = AlignSeedToRows(seed, x.dim(0));
+  Variable h = autograd::Linear(x, lora_a_, Variable());  // [N, R]
+  h = autograd::Mul(h, c);                                // per-sample Eq. 6
+  Variable d = autograd::Linear(h, lora_b_, Variable());  // [N, O]
+  return autograd::Add(y, autograd::Scale(d, scaling_));
 }
 
 int64_t MetaLoraCpLinear::AdapterParamCount() const {
@@ -150,69 +142,66 @@ Variable MetaLoraTrLinear::Forward(const Variable& x) {
   const int64_t out = base_->out_features();
   const int64_t r = options_.rank;
 
-  // Branch 1: frozen base matmul. Branch 2: mapping-net seed generation
-  // plus the TR contraction chain (Eq. 7). Only leaves are shared.
+  Variable y = base_->Forward(x);
+
+  // The mapping net generates the seed core and the TR contraction chain
+  // applies it (Eq. 7). The chain is ordered so everything that depends
+  // only on (features, factors) — and not on x — contracts into
+  // per-feature recovery weights M[n, (r0,r1), o] = Σ_{r2} C[n,r2,r0]·
+  // B[r1,o,r2] first. M is what the conditioning cache stores: a warm
+  // no-grad forward skips the mapping net and the B-side contraction
+  // entirely.
   //
-  // The chain is ordered so everything that depends only on (features,
-  // factors) — and not on x — contracts into per-feature recovery weights
-  // M[n, (r0,r1), o] = Σ_{r2} C[n,r2,r0]·B[r1,o,r2] first. M is what the
-  // conditioning cache stores: a warm no-grad forward skips the mapping net
-  // and the B-side contraction entirely.
-  autograd::ParallelScope ps;
-  ps.Spawn([&] { return base_->Forward(x); });
-  ps.Spawn([&] {
-    // Recovery weights from a generated core batch [N_f, R(r2), R(r0)].
-    auto contract_recovery = [&](const Variable& core_c) {
-      const int64_t nf = core_c.dim(0);
-      Variable c_t = autograd::Permute(core_c, {0, 2, 1});  // [N_f, r0, r2]
-      Variable c_flat = autograd::Reshape(c_t, Shape{nf * r, r});
-      Variable b_mat = autograd::Reshape(
-          autograd::Permute(core_b_, {2, 0, 1}), Shape{r, r * out});
-      // Row q = r0*R + r1 matches the bond order of U below.
-      return autograd::Reshape(autograd::Matmul(c_flat, b_mat),
-                               Shape{nf, r * r, out});
-    };
+  // Recovery weights from a generated core batch [N_f, R(r2), R(r0)].
+  auto contract_recovery = [&](const Variable& core_c) {
+    const int64_t nf = core_c.dim(0);
+    Variable c_t = autograd::Permute(core_c, {0, 2, 1});  // [N_f, r0, r2]
+    Variable c_flat = autograd::Reshape(c_t, Shape{nf * r, r});
+    Variable b_mat = autograd::Reshape(
+        autograd::Permute(core_b_, {2, 0, 1}), Shape{r, r * out});
+    // Row q = r0*R + r1 matches the bond order of U below.
+    return autograd::Reshape(autograd::Matmul(c_flat, b_mat),
+                             Shape{nf, r * r, out});
+  };
 
-    Variable m;  // [N_f, R*R, O]
-    if (!autograd::GradEnabled()) {
-      const uint64_t key = ConditioningChecksum(features.value(), cache_salt_);
-      autograd::TraceRecorder* rec =
-          autograd::RuntimeContext::Current().trace_recorder();
-      ConditioningEntry e;
-      if (cache_.Lookup(key, features.value(), &e)) {
-        if (rec != nullptr) {
-          rec->NoteCacheFetch(&cache_, cache_salt_, features.value(), e.delta,
-                              /*from_delta=*/true);
-        }
-        m = Variable(e.delta, /*requires_grad=*/false);
-      } else {
-        if (rec != nullptr) {
-          // This forward warms the cache; the retry traces the fetch path.
-          rec->AbortRetryable("conditioning cache miss (cold recovery path)");
-        }
-        // Version captured before the mapping net runs: an optimizer step
-        // landing mid-compute makes this insert a no-op (TOCTOU guard).
-        const uint64_t ver = autograd::GlobalParameterVersion();
-        Variable core_c = mapping_->Forward(features);
-        m = contract_recovery(core_c);
-        cache_.Insert(key, features.value(), core_c.value(), m.value(), ver);
+  Variable m;  // [N_f, R*R, O]
+  if (!autograd::GradEnabled()) {
+    const uint64_t key = ConditioningChecksum(features.value(), cache_salt_);
+    autograd::TraceRecorder* rec =
+        autograd::RuntimeContext::Current().trace_recorder();
+    ConditioningEntry e;
+    if (cache_.Lookup(key, features.value(), &e)) {
+      if (rec != nullptr) {
+        rec->NoteCacheFetch(&cache_, cache_salt_, features.value(), e.delta,
+                            /*from_delta=*/true);
       }
+      m = Variable(e.delta, /*requires_grad=*/false);
     } else {
-      m = contract_recovery(mapping_->Forward(features));
+      if (rec != nullptr) {
+        // This forward warms the cache; the retry traces the fetch path.
+        rec->AbortRetryable("conditioning cache miss (cold recovery path)");
+      }
+      // Version captured before the mapping net runs: an optimizer step
+      // landing mid-compute makes this insert a no-op (TOCTOU guard).
+      const uint64_t ver = autograd::GlobalParameterVersion();
+      Variable core_c = mapping_->Forward(features);
+      m = contract_recovery(core_c);
+      cache_.Insert(key, features.value(), core_c.value(), m.value(), ver);
     }
+  } else {
+    m = contract_recovery(mapping_->Forward(features));
+  }
 
-    // U[n, r0, r1] = Σ_i x[n,i] A[r0, i, r1], flattened to q = r0*R + r1.
-    Variable a_mat = autograd::Reshape(
-        autograd::Permute(core_a_, {1, 0, 2}), Shape{in, r * r});
-    Variable u = autograd::Reshape(autograd::Matmul(x, a_mat),
-                                   Shape{n, 1, r * r});
+  // U[n, r0, r1] = Σ_i x[n,i] A[r0, i, r1], flattened to q = r0*R + r1.
+  Variable a_mat = autograd::Reshape(
+      autograd::Permute(core_a_, {1, 0, 2}), Shape{in, r * r});
+  Variable u = autograd::Reshape(autograd::Matmul(x, a_mat),
+                                 Shape{n, 1, r * r});
 
-    // d[n, o] = Σ_q U[n, q] M[n, q, o].
-    Variable d = autograd::BatchedMatmul(u, AlignSeedToRows(m, n));
-    return autograd::Reshape(d, Shape{n, out});
-  });
-  std::vector<Variable> branch = ps.Join();
-  return autograd::Add(branch[0], autograd::Scale(branch[1], scaling_));
+  // d[n, o] = Σ_q U[n, q] M[n, q, o].
+  Variable d = autograd::Reshape(
+      autograd::BatchedMatmul(u, AlignSeedToRows(m, n)), Shape{n, out});
+  return autograd::Add(y, autograd::Scale(d, scaling_));
 }
 
 int64_t MetaLoraTrLinear::AdapterParamCount() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "autograd/ops.h"
-#include "autograd/parallel.h"
 #include "tensor/random_init.h"
 
 namespace metalora {
@@ -66,12 +65,7 @@ Variable MultiLoraLinear::Forward(const Variable& x) {
   const std::vector<int64_t>& task_ids = bound_task_ids();
   const bool oracle =
       options_.multi_lora_mode == MultiLoraMode::kOracleRouting;
-  // Every per-task adapter branch is independent of the base path and of
-  // its siblings; masks are cheap and computed up front so branches stay
-  // pure. Branch sums are applied in task order at the join, keeping the
-  // result bit-identical to the serial loop.
-  autograd::ParallelScope ps;
-  ps.Spawn([&] { return base_->Forward(x); });
+  Variable y = base_->Forward(x);
   for (int t = 0; t < options_.num_tasks; ++t) {
     Variable mask;
     if (oracle) {
@@ -79,23 +73,16 @@ Variable MultiLoraLinear::Forward(const Variable& x) {
       mask = TaskMask(task_ids, n, t, &count);
       if (count == 0) continue;
     }
-    ps.Spawn([this, &x, t, mask] {
-      Variable h =
-          autograd::Linear(x, lora_a_[static_cast<size_t>(t)], Variable());
-      Variable d =
-          autograd::Linear(h, lora_b_[static_cast<size_t>(t)], Variable());
-      if (mask.defined()) {
-        d = autograd::ScaleRows(d, mask);
-      } else {
-        d = autograd::MulScalarVar(d, branch_scale_[static_cast<size_t>(t)]);
-      }
-      return autograd::Scale(d, scaling_);
-    });
-  }
-  std::vector<Variable> branches = ps.Join();
-  Variable y = branches[0];
-  for (size_t b = 1; b < branches.size(); ++b) {
-    y = autograd::Add(y, branches[b]);
+    Variable h =
+        autograd::Linear(x, lora_a_[static_cast<size_t>(t)], Variable());
+    Variable d =
+        autograd::Linear(h, lora_b_[static_cast<size_t>(t)], Variable());
+    if (mask.defined()) {
+      d = autograd::ScaleRows(d, mask);
+    } else {
+      d = autograd::MulScalarVar(d, branch_scale_[static_cast<size_t>(t)]);
+    }
+    y = autograd::Add(y, autograd::Scale(d, scaling_));
   }
   return y;
 }
@@ -149,8 +136,7 @@ Variable MultiLoraConv::Forward(const Variable& x) {
   ConvGeom pointwise;
   pointwise.kernel_h = 1;
   pointwise.kernel_w = 1;
-  autograd::ParallelScope ps;
-  ps.Spawn([&] { return base_->Forward(x); });
+  Variable y = base_->Forward(x);
   for (int t = 0; t < options_.num_tasks; ++t) {
     Variable mask;
     if (oracle) {
@@ -158,24 +144,17 @@ Variable MultiLoraConv::Forward(const Variable& x) {
       mask = TaskMask(task_ids, n, t, &count);
       if (count == 0) continue;
     }
-    ps.Spawn([this, &x, t, mask, out, pointwise] {
-      Variable h = autograd::Conv2d(x, lora_a_[static_cast<size_t>(t)],
-                                    Variable(), base_->geom());
-      Variable b4 = autograd::Reshape(lora_b_[static_cast<size_t>(t)],
-                                      Shape{out, branch_rank_, 1, 1});
-      Variable d = autograd::Conv2d(h, b4, Variable(), pointwise);
-      if (mask.defined()) {
-        d = autograd::ScaleRows(d, mask);
-      } else {
-        d = autograd::MulScalarVar(d, branch_scale_[static_cast<size_t>(t)]);
-      }
-      return autograd::Scale(d, scaling_);
-    });
-  }
-  std::vector<Variable> branches = ps.Join();
-  Variable y = branches[0];
-  for (size_t b = 1; b < branches.size(); ++b) {
-    y = autograd::Add(y, branches[b]);
+    Variable h = autograd::Conv2d(x, lora_a_[static_cast<size_t>(t)],
+                                  Variable(), base_->geom());
+    Variable b4 = autograd::Reshape(lora_b_[static_cast<size_t>(t)],
+                                    Shape{out, branch_rank_, 1, 1});
+    Variable d = autograd::Conv2d(h, b4, Variable(), pointwise);
+    if (mask.defined()) {
+      d = autograd::ScaleRows(d, mask);
+    } else {
+      d = autograd::MulScalarVar(d, branch_scale_[static_cast<size_t>(t)]);
+    }
+    y = autograd::Add(y, autograd::Scale(d, scaling_));
   }
   return y;
 }

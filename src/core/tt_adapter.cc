@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/parallel.h"
 #include "autograd/variable.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
@@ -98,32 +97,28 @@ Variable TtLinear::Forward(const Variable& x) {
   const int64_t in = base_->in_features();
   const int64_t out = base_->out_features();
   const int64_t r = options_.rank;
-  autograd::ParallelScope ps;
-  ps.Spawn([&] { return base_->Forward(x); });
-  ps.Spawn([&] {
-    // A_down[(a,b), c] = Σ_r G1[a,r]·G2[r,b,c]; row (a,b) is exactly the
-    // i1-major flat input index, so no permute is needed.
-    Variable adown = autograd::Reshape(
-        autograd::Matmul(tt_in_a_,
-                         autograd::Reshape(tt_in_b_, Shape{r, i2_ * r})),
-        Shape{in, r});
-    // B_up[r0, (p,q)] = Σ_r1 G3[r0,p,r1]·G4[r1,q]; col (p,q) is the o1-major
-    // flat output index.
-    Variable bup = autograd::Reshape(
-        autograd::Matmul(autograd::Reshape(tt_out_a_, Shape{r * o1_, r}),
-                         tt_out_b_),
-        Shape{r, out});
-    Variable h = autograd::Matmul(x, adown);  // [N, R]
-    if (meta_) {
-      Variable seed = cache_.SeedOrCompute(
-          cache_salt_, features,
-          [&] { return mapping_->Forward(features); });  // [N, R]
-      h = autograd::Mul(h, AlignSeedToRows(seed, x.dim(0)));
-    }
-    return autograd::Matmul(h, bup);  // [N, O]
-  });
-  std::vector<Variable> b = ps.Join();
-  return autograd::Add(b[0], autograd::Scale(b[1], scaling_));
+  Variable y = base_->Forward(x);
+  // A_down[(a,b), c] = Σ_r G1[a,r]·G2[r,b,c]; row (a,b) is exactly the
+  // i1-major flat input index, so no permute is needed.
+  Variable adown = autograd::Reshape(
+      autograd::Matmul(tt_in_a_,
+                       autograd::Reshape(tt_in_b_, Shape{r, i2_ * r})),
+      Shape{in, r});
+  // B_up[r0, (p,q)] = Σ_r1 G3[r0,p,r1]·G4[r1,q]; col (p,q) is the o1-major
+  // flat output index.
+  Variable bup = autograd::Reshape(
+      autograd::Matmul(autograd::Reshape(tt_out_a_, Shape{r * o1_, r}),
+                       tt_out_b_),
+      Shape{r, out});
+  Variable h = autograd::Matmul(x, adown);  // [N, R]
+  if (meta_) {
+    Variable seed = cache_.SeedOrCompute(
+        cache_salt_, features,
+        [&] { return mapping_->Forward(features); });  // [N, R]
+    h = autograd::Mul(h, AlignSeedToRows(seed, x.dim(0)));
+  }
+  Variable d = autograd::Matmul(h, bup);  // [N, O]
+  return autograd::Add(y, autograd::Scale(d, scaling_));
 }
 
 int64_t TtLinear::AdapterParamCount() const {

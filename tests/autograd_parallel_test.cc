@@ -1,28 +1,27 @@
-// Parallel op dispatch: the whole value of ParallelScope is that switching
-// it on changes wall-clock only, never numbers. Every test here therefore
-// compares bit-for-bit against serial execution — values, gradients, full
-// training runs — on an explicit multi-worker pool (the CI box may report a
-// single core, where the global pool has zero workers).
+// Thread use of the autograd layer. Dataset-scale eval blocks
+// (ParallelApplyNoGrad) are the only autograd code that schedules pool
+// tasks; their results must not depend on whether the blocks ran on the
+// pool or inline. Adapter forwards are plain serial code and schedule
+// nothing themselves.
 #include "autograd/parallel.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
+#include <functional>
 #include <memory>
 #include <vector>
 
-#include "autograd/graph.h"
-#include "autograd/op.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "core/lora_linear.h"
+#include "core/lotr_adapter.h"
 #include "core/metalora_linear.h"
+#include "core/multi_lora.h"
+#include "core/tt_adapter.h"
 #include "eval/knn.h"
+#include "nn/conv2d.h"
 #include "nn/linear.h"
-#include "optim/sgd.h"
 #include "tensor/random_init.h"
-#include "tensor/tensor_ops.h"
 
 namespace metalora {
 namespace autograd {
@@ -30,239 +29,72 @@ namespace {
 
 constexpr int64_t kFeatDim = 6;
 
-// Restores global dispatch state on scope exit so tests can't leak an
-// override into each other.
-struct DispatchGuard {
-  DispatchGuard() = default;
-  ~DispatchGuard() {
-    SetParallelDispatchPool(nullptr);
-    SetParallelDispatchEnabled(true);
-  }
-};
-
-void ExpectBitIdentical(const Tensor& a, const Tensor& b, const char* what) {
-  ASSERT_EQ(a.shape(), b.shape()) << what;
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    ASSERT_EQ(a.flat(i), b.flat(i)) << what << " diverges at flat " << i;
-  }
-}
-
-// Two independent branches over shared leaves; returns (value, grad_w1,
-// grad_w2) after Backward on a scalar loss.
-struct TwoBranchRun {
-  Tensor value;
-  Tensor grad_w1;
-  Tensor grad_w2;
-};
-
-TwoBranchRun RunTwoBranches(ThreadPool* pool) {
-  Rng rng(41);
-  Variable x(RandomNormal(Shape{8, 16}, rng), false);
-  Variable w1(RandomNormal(Shape{4, 16}, rng), true);
-  Variable w2(RandomNormal(Shape{4, 16}, rng), true);
-
-  ParallelScope ps(pool);
-  ps.Spawn([&] { return Linear(x, w1, Variable()); });
-  ps.Spawn([&] { return Relu(Linear(x, w2, Variable())); });
-  std::vector<Variable> r = ps.Join();
-  Variable y = Add(r[0], r[1]);
-  Variable loss = SumAll(Mul(y, y));
-  EXPECT_TRUE(Backward(loss).ok());
-
-  TwoBranchRun out;
-  out.value = y.value().Clone();
-  out.grad_w1 = w1.grad().Clone();
-  out.grad_w2 = w2.grad().Clone();
-  return out;
-}
-
-TEST(ParallelScopeTest, MatchesSerialBitForBit) {
-  DispatchGuard guard;
-  ThreadPool pool(3);
-
-  SetParallelDispatchEnabled(true);
-  TwoBranchRun parallel = RunTwoBranches(&pool);
-
-  SetParallelDispatchEnabled(false);
-  TwoBranchRun serial = RunTwoBranches(&pool);
-
-  ExpectBitIdentical(parallel.value, serial.value, "forward value");
-  ExpectBitIdentical(parallel.grad_w1, serial.grad_w1, "grad w1");
-  ExpectBitIdentical(parallel.grad_w2, serial.grad_w2, "grad w2");
-}
-
-TEST(ParallelScopeTest, ZeroWorkerPoolDegradesToSerial) {
-  DispatchGuard guard;
-  ThreadPool pool(0);
-  // Exercises the explicit single-thread degradation path: every branch
-  // must run inline, in spawn order, in the caller's context.
-  TwoBranchRun inline_run = RunTwoBranches(&pool);
-
-  SetParallelDispatchEnabled(false);
-  TwoBranchRun serial = RunTwoBranches(&pool);
-  ExpectBitIdentical(inline_run.value, serial.value, "forward value");
-  ExpectBitIdentical(inline_run.grad_w1, serial.grad_w1, "grad w1");
-  ExpectBitIdentical(inline_run.grad_w2, serial.grad_w2, "grad w2");
-}
-
-TEST(ParallelScopeTest, BranchesRunInSpawnOrderResults) {
-  DispatchGuard guard;
-  ThreadPool pool(2);
-  ParallelScope ps(&pool);
-  for (int i = 0; i < 5; ++i) {
-    ps.Spawn([i] {
-      return Variable(Tensor::FromVector(Shape{1}, {static_cast<float>(i)}),
-                      false);
-    });
-  }
-  std::vector<Variable> r = ps.Join();
-  ASSERT_EQ(r.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(r[static_cast<size_t>(i)].value().flat(0),
-              static_cast<float>(i));
-  }
-}
-
-TEST(ParallelScopeTest, NestedJoinFromWorkerRunsInline) {
-  DispatchGuard guard;
-  ThreadPool pool(1);
-  // Outer scope occupies the single worker; the inner scope inside a branch
-  // must detect it is on a pool thread and run serially instead of
-  // deadlocking behind itself.
-  ParallelScope outer(&pool);
-  outer.Spawn([&pool] {
-    ParallelScope inner(&pool);
-    inner.Spawn(
-        [] { return Variable(Tensor::Ones(Shape{2}), false); });
-    inner.Spawn(
-        [] { return Variable(Tensor::Ones(Shape{2}), false); });
-    std::vector<Variable> r = inner.Join();
-    return Add(r[0], r[1]);
-  });
-  outer.Spawn([] { return Variable(Tensor::Ones(Shape{2}), false); });
-  std::vector<Variable> r = outer.Join();
-  EXPECT_EQ(r[0].value().flat(0), 2.0f);
-  EXPECT_EQ(r[1].value().flat(1), 1.0f);
-}
-
-TEST(BranchesIndependentTest, DisjointSubgraphsPass) {
-  Rng rng(5);
-  Variable x(RandomNormal(Shape{3, 4}, rng), false);
-  Variable w1(RandomNormal(Shape{2, 4}, rng), true);
-  Variable w2(RandomNormal(Shape{2, 4}, rng), true);
-  Variable a = Linear(x, w1, Variable());
-  Variable b = Relu(Linear(x, w2, Variable()));
-  EXPECT_TRUE(BranchesIndependent({a, b}));
-}
-
-TEST(BranchesIndependentTest, SharedOpNodeFails) {
-  Rng rng(6);
-  Variable x(RandomNormal(Shape{3, 4}, rng), false);
-  Variable w(RandomNormal(Shape{2, 4}, rng), true);
-  Variable h = Linear(x, w, Variable());
-  Variable a = Relu(h);
-  Variable b = Scale(h, 2.0f);  // both roots reach h's producer
-  EXPECT_FALSE(BranchesIndependent({a, b}));
-}
-
-TEST(BranchesIndependentTest, WiredLoraForwardBranchesAreIndependent) {
-  core::AdapterOptions o;
-  o.rank = 3;
-  o.alpha = 3.0f;
-  o.seed = 11;
-  Rng rng(2);
-  core::LoraLinear lora(std::make_unique<nn::Linear>(5, 4, true, rng), o);
-  Variable x(RandomNormal(Shape{3, 5}, rng), false);
-  Variable y = lora.Forward(x);
-  // Forward ends in Add(base, Scale(adapter)); its two input subgraphs are
-  // exactly the dispatched branches and must share only leaves.
-  ASSERT_NE(y.producer(), nullptr);
-  const std::vector<Variable>& in = y.producer()->inputs();
-  ASSERT_EQ(in.size(), 2u);
-  EXPECT_TRUE(BranchesIndependent({in[0], in[1]}));
-}
-
-core::AdapterOptions MetaOpts(core::AdapterKind kind) {
+core::AdapterOptions Opts(core::AdapterKind kind) {
   core::AdapterOptions o;
   o.kind = kind;
   o.rank = 3;
   o.alpha = 3.0f;
   o.feature_dim = kFeatDim;
   o.mapping_hidden = 8;
+  o.num_tasks = 2;
   o.seed = 11;
   return o;
 }
 
-// Trains a freshly constructed adapter for `steps` SGD steps on fixed
-// synthetic data and returns the per-step losses plus final parameters.
-template <typename AdapterT>
-std::pair<std::vector<float>, std::vector<Tensor>> TrainAdapter(
-    core::AdapterKind kind, int steps) {
+std::unique_ptr<nn::Linear> BaseLinear() {
   Rng rng(2);
-  AdapterT meta(std::make_unique<nn::Linear>(5, 4, true, rng),
-                MetaOpts(kind));
-  Rng data_rng(31);
-  Tensor x = RandomNormal(Shape{6, 5}, data_rng);
-  Tensor feats = RandomNormal(Shape{6, kFeatDim}, data_rng);
-  Tensor target = RandomNormal(Shape{6, 4}, data_rng);
-
-  std::vector<Variable> params;
-  for (Variable* p : meta.TrainableParameters()) params.push_back(*p);
-  optim::Sgd sgd(params, optim::SgdOptions{.lr = 0.002, .momentum = 0.9});
-
-  std::vector<float> losses;
-  for (int s = 0; s < steps; ++s) {
-    sgd.ZeroGrad();
-    meta.SetFeatures(Variable(feats, false));
-    Variable y = meta.Forward(Variable(x, false));
-    Variable diff = Sub(y, Variable(target, false));
-    Variable loss = SumAll(Mul(diff, diff));
-    EXPECT_TRUE(std::isfinite(loss.value().flat(0))) << "step " << s;
-    losses.push_back(loss.value().flat(0));
-    EXPECT_TRUE(Backward(loss).ok());
-    sgd.Step();
-  }
-  std::vector<Tensor> final_params;
-  for (const Variable& p : params) final_params.push_back(p.value().Clone());
-  return {losses, final_params};
+  return std::make_unique<nn::Linear>(6, 4, true, rng);
 }
 
-template <typename AdapterT>
-void ExpectTrainingEquivalence(core::AdapterKind kind) {
-  DispatchGuard guard;
-  ThreadPool pool(3);
-  SetParallelDispatchPool(&pool);
-  constexpr int kSteps = 5;
-
-  SetParallelDispatchEnabled(true);
-  auto parallel = TrainAdapter<AdapterT>(kind, kSteps);
-
-  SetParallelDispatchEnabled(false);
-  auto serial = TrainAdapter<AdapterT>(kind, kSteps);
-
-  ASSERT_EQ(parallel.first.size(), serial.first.size());
-  for (size_t s = 0; s < serial.first.size(); ++s) {
-    ASSERT_EQ(parallel.first[s], serial.first[s])
-        << "loss diverges at step " << s;
+TEST(AdapterForwardTest, SchedulesNoPoolTasks) {
+  if (GlobalThreadPool().num_threads() == 0) {
+    GTEST_SKIP() << "zero-worker pool: nothing could be scheduled anyway";
   }
-  ASSERT_EQ(parallel.second.size(), serial.second.size());
-  for (size_t p = 0; p < serial.second.size(); ++p) {
-    ExpectBitIdentical(parallel.second[p], serial.second[p], "parameter");
-  }
-}
+  // Seven adapter forwards, each a base path beside a delta path. Shapes
+  // are small enough that every kernel's ParallelFor runs inline (a
+  // single input channel keeps Im2Col on the caller), so any scheduled task
+  // would come from the adapter forward itself.
+  std::vector<std::unique_ptr<core::Adapter>> adapters;
+  adapters.push_back(std::make_unique<core::LoraLinear>(
+      BaseLinear(), Opts(core::AdapterKind::kLora)));
+  adapters.push_back(std::make_unique<core::MultiLoraLinear>(
+      BaseLinear(), Opts(core::AdapterKind::kMultiLora)));
+  adapters.push_back(std::make_unique<core::MetaLoraCpLinear>(
+      BaseLinear(), Opts(core::AdapterKind::kMetaLoraCp)));
+  adapters.push_back(std::make_unique<core::MetaLoraTrLinear>(
+      BaseLinear(), Opts(core::AdapterKind::kMetaLoraTr)));
+  adapters.push_back(std::make_unique<core::LotrLinear>(
+      BaseLinear(), Opts(core::AdapterKind::kMetaLotr)));
+  adapters.push_back(std::make_unique<core::TtLinear>(
+      BaseLinear(), Opts(core::AdapterKind::kMetaTt)));
+  Rng rng(3);
+  auto conv = std::make_unique<core::MultiLoraConv>(
+      std::make_unique<nn::Conv2d>(1, 4, 3, 1, 1, false, rng),
+      Opts(core::AdapterKind::kMultiLora));
 
-TEST(ParallelTrainingTest, MetaLoraCpBitIdenticalToSerial) {
-  ExpectTrainingEquivalence<core::MetaLoraCpLinear>(
-      core::AdapterKind::kMetaLoraCp);
-}
-
-TEST(ParallelTrainingTest, MetaLoraTrBitIdenticalToSerial) {
-  ExpectTrainingEquivalence<core::MetaLoraTrLinear>(
-      core::AdapterKind::kMetaLoraTr);
+  Variable x(RandomNormal(Shape{2, 6}, rng), false);
+  Variable image(RandomNormal(Shape{2, 1, 5, 5}, rng), false);
+  Variable feats(RandomNormal(Shape{2, kFeatDim}, rng), false);
+  auto expect_no_tasks = [&](const char* mode) {
+    SCOPED_TRACE(mode);
+    for (auto& adapter : adapters) {
+      adapter->SetFeatures(feats);
+      const int64_t before = ThreadPool::TotalTasksScheduled();
+      Variable y = adapter->Forward(x);
+      EXPECT_EQ(ThreadPool::TotalTasksScheduled(), before) << adapter->name();
+      EXPECT_EQ(y.dim(1), 4);
+    }
+    const int64_t before = ThreadPool::TotalTasksScheduled();
+    Variable y = conv->Forward(image);
+    EXPECT_EQ(ThreadPool::TotalTasksScheduled(), before) << conv->name();
+    EXPECT_EQ(y.dim(1), 4);
+  };
+  expect_no_tasks("grad");
+  NoGradGuard no_grad;
+  expect_no_tasks("no-grad");
 }
 
 TEST(ParallelApplyNoGradTest, BlocksCoverRangeWithPrivateContexts) {
-  DispatchGuard guard;
   ThreadPool pool(3);
   std::vector<int> hits(100, 0);
   ParallelApplyNoGrad(
@@ -280,10 +112,6 @@ TEST(ParallelApplyNoGradTest, BlocksCoverRangeWithPrivateContexts) {
 }
 
 TEST(ParallelApplyNoGradTest, KnnClassifyMatchesSerial) {
-  DispatchGuard guard;
-  ThreadPool pool(3);
-  SetParallelDispatchPool(&pool);
-
   Rng rng(12);
   const int64_t m = 400, n = 700, d = 8;  // > kQueryBlock queries
   Tensor ref = RandomNormal(Shape{m, d}, rng);
@@ -294,16 +122,26 @@ TEST(ParallelApplyNoGradTest, KnnClassifyMatchesSerial) {
   eval::KnnOptions o;
   o.k = 7;
 
-  SetParallelDispatchEnabled(true);
-  auto parallel = eval::KnnClassify(ref, ref_labels, query, query_labels, o);
-  ASSERT_TRUE(parallel.ok());
+  // On the main thread the query blocks fan out onto the global pool
+  // (when the machine has more than one core); inside a replica lane they
+  // run inline, one after another.
+  int64_t before = ThreadPool::TotalTasksScheduled();
+  auto pooled = eval::KnnClassify(ref, ref_labels, query, query_labels, o);
+  ASSERT_TRUE(pooled.ok());
+  if (GlobalThreadPool().num_threads() > 0) {
+    EXPECT_GT(ThreadPool::TotalTasksScheduled(), before);
+  }
 
-  SetParallelDispatchEnabled(false);
-  auto serial = eval::KnnClassify(ref, ref_labels, query, query_labels, o);
-  ASSERT_TRUE(serial.ok());
+  before = ThreadPool::TotalTasksScheduled();
+  Result<eval::KnnResult> inline_run = Status::Internal("lane did not run");
+  GlobalThreadPool().ForkJoinReplicas(1, [&](int) {
+    inline_run = eval::KnnClassify(ref, ref_labels, query, query_labels, o);
+  });
+  ASSERT_TRUE(inline_run.ok());
+  EXPECT_EQ(ThreadPool::TotalTasksScheduled(), before);
 
-  EXPECT_EQ(parallel->predictions, serial->predictions);
-  EXPECT_EQ(parallel->accuracy, serial->accuracy);
+  EXPECT_EQ(pooled->predictions, inline_run->predictions);
+  EXPECT_EQ(pooled->accuracy, inline_run->accuracy);
 }
 
 }  // namespace

@@ -105,8 +105,8 @@ TEST(ThreadPoolTest, ParallelForCompletionStress) {
 }
 
 // Concurrent callers from several external threads, each issuing short
-// ParallelFor calls against one shared pool — the pattern the op dispatcher
-// produces when branch bodies fan their kernels out.
+// ParallelFor calls against one shared pool — the pattern server workers
+// produce when their forwards fan GEMM kernels out.
 TEST(ThreadPoolTest, ParallelForConcurrentCallersStress) {
   ThreadPool pool(4);
   constexpr int kCallers = 3;

@@ -12,10 +12,8 @@
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
-#include "autograd/parallel.h"
 #include "autograd/runtime_context.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "core/conditioning_cache.h"
 #include "core/lotr_adapter.h"
 #include "core/metalora_conv.h"
@@ -434,33 +432,62 @@ TEST(MetaLoraCache, ConcurrentStepNeverServesStaleSeed) {
   bumper.join();
 }
 
-TEST(MetaLoraCache, WarmHitsUnderParallelDispatch) {
-  // The CP/TR linear adapters consult the cache from inside a ParallelScope
-  // branch; run the warm path with real worker threads so TSan sees the
-  // lock-protected lookup racing the base-branch work.
-  ThreadPool pool(3);
-  autograd::SetParallelDispatchPool(&pool);
-  autograd::SetParallelDispatchEnabled(true);
-
+TEST(MetaLoraCache, ConcurrentLookupsAndInserts) {
+  // Server workers and compiled-plan hits read one adapter's cache while
+  // another forward inserts into it. Plain threads stand in for them: each
+  // binds its own replica slot, warms its own features (an insert) and
+  // re-reads a shared warm entry (a lookup), so TSan sees lookups racing
+  // inserts under the cache mutex.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
   MetaLoraTrLinear adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   RandomizeFactors(adapter, 13);
-  adapter.SetFeatures(RandFeatures(6, 25));
+  adapter.EnsureReplicaSlots(kThreads);
   Rng rng(39);
-  Variable x(RandomUniform(Shape{6, 5}, rng, -1.0f, 1.0f), false);
+  const Variable x(RandomUniform(Shape{6, 5}, rng, -1.0f, 1.0f), false);
+  const Variable shared = RandFeatures(6, 25);
+  std::vector<Variable> own;
+  for (int t = 0; t < kThreads; ++t) own.push_back(RandFeatures(6, 100 + t));
 
-  Variable first;
+  // Serial references; afterwards only the shared entry stays warm.
+  auto forward = [&](const Variable& features) {
+    adapter.SetFeatures(features);
+    return adapter.Forward(x).value();
+  };
+  std::vector<Tensor> want_own;
+  Tensor want_shared;
   {
     autograd::NoGradGuard ng;
-    first = adapter.Forward(x);
-    for (int i = 0; i < 8; ++i) {
-      Variable y = adapter.Forward(x);
-      ExpectBitIdentical(first.value(), y.value());
+    for (const Variable& f : own) want_own.push_back(forward(f));
+    adapter.conditioning_cache()->Clear();
+    want_shared = forward(shared);
+  }
+  const ConditioningCacheStats before = adapter.conditioning_cache()->stats();
+
+  std::vector<std::vector<Tensor>> got(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      autograd::RuntimeContext ctx;
+      ctx.set_grad_enabled(false);
+      ctx.set_replica_id(t);
+      autograd::RuntimeContextScope scope(&ctx);
+      for (int r = 0; r < kRounds; ++r) {
+        got[t].push_back(forward(r % 2 == 0 ? own[t] : shared));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) {
+      ExpectBitIdentical(r % 2 == 0 ? want_own[t] : want_shared, got[t][r]);
     }
   }
-  EXPECT_EQ(adapter.conditioning_cache()->stats().hits, 8);
-
-  autograd::SetParallelDispatchEnabled(false);
-  autograd::SetParallelDispatchPool(nullptr);
+  // Each thread misses once, on its first own-features forward.
+  const ConditioningCacheStats after = adapter.conditioning_cache()->stats();
+  EXPECT_EQ(after.misses - before.misses, kThreads);
+  EXPECT_EQ(after.hits - before.hits, kThreads * kRounds - kThreads);
 }
 
 }  // namespace
