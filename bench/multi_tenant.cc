@@ -102,8 +102,8 @@ std::unique_ptr<core::Adapter> LoadedTwin(int i, int version) {
   return adapter;
 }
 
-/// Deterministic request stream, unique per id (no repeat traffic: the
-/// serve-level result cache is off, so every request exercises residency).
+/// Deterministic request stream, unique per id (no repeat traffic, so every
+/// request exercises residency).
 Tensor RequestFeatures(int64_t id) {
   Rng rng(30000 + static_cast<uint64_t>(id) * 2);
   return RandomNormal(Shape{1, kFeatureDim}, rng);
@@ -211,8 +211,6 @@ TrafficResult RunSweepRow(int tenants, int clients, int bursts_per_client,
   sopts.num_shards = 2;
   sopts.server_options.num_workers = 2;
   sopts.server_options.queue_capacity = 256;
-  // Residency is the quantity under test: no request-level result caching.
-  sopts.server_options.result_cache_entries = 0;
   serve::ShardRouter router(sopts, &registry);
   for (int i = 0; i < tenants; ++i) {
     Status st = registry.Register(TenantName(i), TenantSpec(i),
@@ -336,7 +334,6 @@ int main(int argc, char** argv) {
     sopts.num_shards = 2;
     sopts.server_options.num_workers = 2;
     sopts.server_options.queue_capacity = 256;
-    sopts.server_options.result_cache_entries = 0;
     serve::ShardRouter router(sopts, &registry);
     for (int i = 0; i < swap_tenants; ++i) {
       Status rs = registry.Register(TenantName(i), TenantSpec(i),

@@ -1,5 +1,5 @@
 // AdapterServer throughput: batched micro-batching vs one-at-a-time
-// serving, and warm result-cache vs cold, under simulated client load.
+// serving under simulated client load.
 //
 // Scenario: a mapping-dominated MetaLoRA-CP linear adapter (conditioning
 // net 256 -> 512 -> R dwarfs the 64x64 base layer) served in-process.
@@ -23,14 +23,7 @@
 //      of the fp32 reference (bf16 <= 0.1, int8 <= 0.5); the measured max
 //      is printed and exported.
 //   3. Throughput (skipped under --smoke so weak CI runners don't flake):
-//      batched >= 2x serial at 8 clients, and a warm result cache >= 2x
-//      a cold one at 8 clients.
-//   4. Compiled plans (serve/plan.h): repeat traffic with the result cache
-//      off, served with plans on vs off at request batch sizes 1/2/4.
-//      Plan outputs must stay bit-identical to the dynamic reference and
-//      at least one batch must be served by direct plan execution
-//      (always); off smoke, plan-on p50 must beat plan-off p50 at every
-//      batch size.
+//      batched >= 2x serial at 8 clients.
 //
 // `--precision=fp32|bf16|int8` wires AutocastPolicy::Serving(p) into the
 // server worker contexts and registers quantized shadows on the adapter at
@@ -38,8 +31,8 @@
 // fp32 is the default and exercises the identical code path as no flag.
 //
 // Writes BENCH_serving.json (throughput + p50/p99 latency per client
-// count, batch-size distribution, cache hit rates and evictions, per-
-// precision GEMM dispatch counts); exits nonzero if any contract fails.
+// count, batch-size distribution, per-precision GEMM dispatch counts);
+// exits nonzero if any contract fails.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -95,18 +88,15 @@ std::unique_ptr<core::MetaLoraCpLinear> BuildAdapter() {
 
 /// Deterministic request stream: request r maps to a unique (features, x)
 /// pair, so both serving modes and the serial reference see identical
-/// inputs. `key_space` folds the stream onto that many distinct requests
-/// (0 = all unique) to model repeat traffic for the warm-cache and
-/// compiled-plan scenarios. `rows` > 1 makes request r carry that many
-/// activation rows (the compiled-plan batch-size sweep).
-Tensor RequestFeatures(int64_t r, int64_t rows = 1) {
+/// inputs.
+Tensor RequestFeatures(int64_t r) {
   Rng rng(10000 + static_cast<uint64_t>(r) * 2);
-  return RandomNormal(Shape{rows, kFeatureDim}, rng);
+  return RandomNormal(Shape{1, kFeatureDim}, rng);
 }
 
-Tensor RequestInput(int64_t r, int64_t rows = 1) {
+Tensor RequestInput(int64_t r) {
   Rng rng(10001 + static_cast<uint64_t>(r) * 2);
-  return RandomNormal(Shape{rows, kBaseDim}, rng);
+  return RandomNormal(Shape{1, kBaseDim}, rng);
 }
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
@@ -133,10 +123,7 @@ struct ScenarioResult {
 /// on the fresh adapter first (quantize-once-at-load, never per request).
 ScenarioResult RunScenario(const std::string& mode, int clients,
                            int per_client, int64_t max_batch_size,
-                           int64_t key_space, int64_t result_cache_entries,
-                           const AutocastPolicy& policy,
-                           bool cold_adapter_cache = false, int64_t rows = 1,
-                           bool enable_plans = false, int num_workers = 2) {
+                           const AutocastPolicy& policy) {
   auto adapter = BuildAdapter();
   std::vector<lowp::ShadowHandle> shadows;
   if (policy.enabled) shadows = core::RegisterModuleShadows(*adapter);
@@ -144,16 +131,8 @@ ScenarioResult RunScenario(const std::string& mode, int clients,
   opts.autocast = policy;
   opts.max_batch_size = max_batch_size;
   opts.flush_deadline_us = 500;
-  opts.num_workers = num_workers;
+  opts.num_workers = 2;
   opts.queue_capacity = 256;
-  opts.result_cache_entries = result_cache_entries;
-  opts.enable_plans = enable_plans;
-  if (cold_adapter_cache) {
-    // Fully cold serving: every batch pays the mapping network (mirrors
-    // arena_cache's cold eval mode, which clears before every forward).
-    core::ConditioningCache* cache = adapter->conditioning_cache();
-    opts.worker_batch_hook = [cache] { cache->Clear(); };
-  }
   serve::AdapterServer server(opts);
   const int sid =
       server.RegisterSession(adapter.get(), adapter->conditioning_cache());
@@ -168,9 +147,8 @@ ScenarioResult RunScenario(const std::string& mode, int clients,
     threads.emplace_back([&, c] {
       for (int i = 0; i < per_client; ++i) {
         const int64_t id = static_cast<int64_t>(c) * per_client + i;
-        const int64_t r = key_space > 0 ? id % key_space : id;
         futures[static_cast<size_t>(id)] =
-            server.Submit(sid, RequestFeatures(r, rows), RequestInput(r, rows));
+            server.Submit(sid, RequestFeatures(id), RequestInput(id));
       }
     });
   }
@@ -200,12 +178,6 @@ std::string Fmt(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.1f", v);
   return buf;
-}
-
-double HitRate(int64_t hits, int64_t misses) {
-  const int64_t total = hits + misses;
-  return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
-                   : 0.0;
 }
 
 }  // namespace
@@ -247,8 +219,7 @@ int main(int argc, char** argv) {
 
   // Serial reference outputs, computed once on a twin adapter: the batched
   // server must reproduce these bytes exactly regardless of how requests
-  // got coalesced. Cold/warm scenarios reuse the same key space. The
-  // reference runs under the same autocast policy as the servers (with its
+  // got coalesced. The reference runs under the same autocast policy as the servers (with its
   // own shadows registered), so bit-identity is asserted per tier; an fp32
   // reference is kept alongside to measure the low-precision error.
   const int max_clients = *std::max_element(client_counts.begin(),
@@ -312,8 +283,8 @@ int main(int argc, char** argv) {
               << "magnitude): " << max_rel_err << "\n\n";
   }
 
-  // Sweep client counts in both modes. Caches are disabled here so the
-  // comparison isolates the micro-batching win (unique requests anyway).
+  // Sweep client counts in both modes. Every request is unique, so the
+  // comparison isolates the micro-batching win.
   std::vector<ScenarioResult> sweep;
   bool bit_identical = true;
   for (int clients : client_counts) {
@@ -321,8 +292,7 @@ int main(int argc, char** argv) {
       ScenarioResult r = RunScenario(batched ? "batched" : "serial", clients,
                                      per_client,
                                      /*max_batch_size=*/batched ? 8 : 1,
-                                     /*key_space=*/0,
-                                     /*result_cache_entries=*/0, policy);
+                                     policy);
       for (int64_t id = 0; id < r.requests; ++id) {
         if (!BitIdentical(r.outputs[static_cast<size_t>(id)],
                           reference[static_cast<size_t>(id)])) {
@@ -336,7 +306,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  TablePrinter table("serving throughput (unique requests, caches off)");
+  TablePrinter table("serving throughput (unique requests)");
   table.SetHeader({"clients", "mode", "req/s", "p50 us", "p99 us",
                    "mean batch"});
   double serial_8c = 0.0, batched_8c = 0.0;
@@ -355,142 +325,6 @@ int main(int argc, char** argv) {
               << "x\n";
   }
 
-  // Warm vs cold caches at the highest client count: the same repeat-heavy
-  // stream (requests fold onto 16 distinct keys) served fully cold (result
-  // cache off, adapter seed cache cleared every batch) vs fully warm.
-  const int cache_clients = max_clients;
-  const int64_t key_space = smoke ? 4 : 16;  // smoke still sees repeats
-  ScenarioResult cold = RunScenario("cold", cache_clients, per_client,
-                                    /*max_batch_size=*/8, key_space,
-                                    /*result_cache_entries=*/0, policy,
-                                    /*cold_adapter_cache=*/true);
-  ScenarioResult warm = RunScenario("warm", cache_clients, per_client,
-                                    /*max_batch_size=*/8, key_space,
-                                    /*result_cache_entries=*/1024, policy);
-  for (int64_t id = 0; id < warm.requests; ++id) {
-    const int64_t r = id % key_space;
-    if (!BitIdentical(warm.outputs[static_cast<size_t>(id)],
-                      reference[static_cast<size_t>(r)]) ||
-        !BitIdentical(cold.outputs[static_cast<size_t>(id)],
-                      reference[static_cast<size_t>(r)])) {
-      std::cerr << "FAIL: cached serving diverged from the reference on "
-                << "request " << id << "\n";
-      bit_identical = false;
-    }
-  }
-  const double cache_speedup =
-      cold.throughput_rps > 0.0 ? warm.throughput_rps / cold.throughput_rps
-                                : 0.0;
-  const double warm_hit_rate = HitRate(warm.stats.result_cache_hits,
-                                       warm.stats.result_cache_misses);
-
-  TablePrinter cache_table("repeat traffic: warm vs cold result cache");
-  cache_table.SetHeader(
-      {"mode", "req/s", "p50 us", "p99 us", "hits", "misses", "evictions"});
-  for (const ScenarioResult* r : {&cold, &warm}) {
-    cache_table.AddRow({r->mode, Fmt(r->throughput_rps), Fmt(r->p50_us),
-                        Fmt(r->p99_us),
-                        std::to_string(r->stats.result_cache_hits),
-                        std::to_string(r->stats.result_cache_misses),
-                        std::to_string(r->stats.result_cache_evictions)});
-  }
-  cache_table.Print(std::cout);
-  std::cout << "\nwarm vs cold: " << Fmt(cache_speedup)
-            << "x, result-cache hit rate " << warm_hit_rate << "\n";
-
-  // Compiled serving plans: the same repeat-heavy stream with the result
-  // cache off — every request runs the serving path — with plans enabled
-  // vs disabled, at request batch sizes 1..4. A single client submitting
-  // n-row requests through max_batch_size=1 keeps every batch's shape and
-  // feature bytes recurring, so after the first pass over the key space
-  // the conditioning cache is warm and plan execution takes over. The
-  // plan must reproduce the dynamic path's bytes exactly and, off smoke,
-  // cut p50 at every batch size.
-  struct PlanPoint {
-    int64_t rows = 0;
-    ScenarioResult off, on;
-  };
-  std::vector<PlanPoint> plan_points;
-  bool plans_served = true;
-  {
-    autograd::NoGradGuard ng;
-    autograd::RuntimeContext& ctx = autograd::RuntimeContext::Current();
-    const AutocastPolicy saved_policy = ctx.autocast();
-    ctx.set_autocast(policy.enabled ? policy : AutocastPolicy::Disabled());
-    // More requests than the other scenarios: each batch is a ~10us
-    // forward, and the p50 must separate plan hits from the (slower)
-    // traced warm-up misses against scheduler noise on small runners.
-    const int plan_requests = smoke ? per_client : 512;
-    for (int64_t rows : {int64_t{1}, int64_t{2}, int64_t{4}}) {
-      // Per-key references at this row count (cold one-at-a-time twin).
-      std::vector<Tensor> refs(static_cast<size_t>(key_space));
-      for (int64_t r = 0; r < key_space; ++r) {
-        ref_adapter->SetFeatures(autograd::Variable(
-            RequestFeatures(r, rows), /*requires_grad=*/false));
-        refs[static_cast<size_t>(r)] =
-            ref_adapter
-                ->Forward(autograd::Variable(RequestInput(r, rows),
-                                             /*requires_grad=*/false))
-                .value()
-                .Clone();
-        ref_adapter->conditioning_cache()->Clear();
-      }
-      PlanPoint point;
-      point.rows = rows;
-      for (bool plans : {false, true}) {
-        // One worker: the comparison isolates per-batch execution cost.
-        // (With several workers the plan path's lock-free hits run
-        // concurrently — a throughput win, but scheduler timeslicing on
-        // small CI runners would drown the latency signal.)
-        ScenarioResult r = RunScenario(
-            plans ? "plan-on" : "plan-off", /*clients=*/1, plan_requests,
-            /*max_batch_size=*/1, key_space, /*result_cache_entries=*/0,
-            policy, /*cold_adapter_cache=*/false, rows, plans,
-            /*num_workers=*/1);
-        for (int64_t id = 0; id < r.requests; ++id) {
-          if (!BitIdentical(r.outputs[static_cast<size_t>(id)],
-                            refs[static_cast<size_t>(id % key_space)])) {
-            std::cerr << "FAIL: " << r.mode << " rows=" << rows << " output "
-                      << id << " diverged from the dynamic reference\n";
-            bit_identical = false;
-          }
-        }
-        (plans ? point.on : point.off) = std::move(r);
-      }
-      if (point.on.stats.plan_hits <= 0) {
-        std::cerr << "FAIL: plan-on rows=" << point.rows
-                  << " served no batch by plan execution\n";
-        plans_served = false;
-      }
-      plan_points.push_back(std::move(point));
-    }
-    ctx.set_autocast(saved_policy);
-  }
-
-  // The asserted metric is the per-batch *forward* p50 (plan execution vs
-  // dynamic graph), not request latency: on small runners request latency
-  // is dominated by scheduler wakeups in the queue plumbing, which plans
-  // cannot touch and which drown the per-op dispatch they eliminate.
-  TablePrinter plan_table("compiled plans: forward p50 with plans on vs off");
-  plan_table.SetHeader({"rows", "off fwd p50 us", "on fwd p50 us", "speedup",
-                        "compiles", "hits", "misses", "fallbacks"});
-  bool plan_p50_ok = true;
-  for (const PlanPoint& p : plan_points) {
-    const double off_fwd = serve::ServeStats::PercentileUs(
-        p.off.stats.forward_us, 50);
-    const double on_fwd = serve::ServeStats::PercentileUs(
-        p.on.stats.forward_us, 50);
-    const double speedup = on_fwd > 0.0 ? off_fwd / on_fwd : 0.0;
-    plan_table.AddRow({std::to_string(p.rows), Fmt(off_fwd), Fmt(on_fwd),
-                       Fmt(speedup),
-                       std::to_string(p.on.stats.plan_compiles),
-                       std::to_string(p.on.stats.plan_hits),
-                       std::to_string(p.on.stats.plan_misses),
-                       std::to_string(p.on.stats.plan_fallbacks)});
-    if (on_fwd >= off_fwd) plan_p50_ok = false;
-  }
-  plan_table.Print(std::cout);
-
   bool ok = bit_identical;
   if (!bit_identical) {
     std::cout << "FAIL: served outputs not bit-identical to one-at-a-time "
@@ -506,29 +340,15 @@ int main(int argc, char** argv) {
               << " vs fp32, expected <= " << rel_err_bound << "\n";
     ok = false;
   }
-  if (!plans_served) ok = false;
-  if (!smoke) {
-    if (batch_speedup < 2.0) {
-      std::cout << "FAIL: batched serving " << Fmt(batch_speedup)
-                << "x serial at 8 clients, expected >= 2x\n";
-      ok = false;
-    }
-    if (cache_speedup < 2.0) {
-      std::cout << "FAIL: warm result cache " << Fmt(cache_speedup)
-                << "x cold, expected >= 2x\n";
-      ok = false;
-    }
-    if (!plan_p50_ok) {
-      std::cout << "FAIL: compiled plans did not cut forward p50 at every "
-                   "batch size (see plan table)\n";
-      ok = false;
-    }
+  if (!smoke && batch_speedup < 2.0) {
+    std::cout << "FAIL: batched serving " << Fmt(batch_speedup)
+              << "x serial at 8 clients, expected >= 2x\n";
+    ok = false;
   }
   if (ok) {
     std::cout << "OK: bit-identical"
               << (smoke ? " (throughput assertions skipped in smoke mode)"
-                        : ", batched >= 2x serial, warm >= 2x cold, plan-on "
-                          "forward p50 < plan-off forward p50")
+                        : ", batched >= 2x serial")
               << "\n";
   }
 
@@ -551,29 +371,6 @@ int main(int argc, char** argv) {
          << (i + 1 < sweep.size() ? "," : "") << "\n";
   }
   json << "  ],\n"
-       << "  \"plans\": [\n";
-  for (size_t i = 0; i < plan_points.size(); ++i) {
-    const PlanPoint& p = plan_points[i];
-    const double off_fwd = serve::ServeStats::PercentileUs(
-        p.off.stats.forward_us, 50);
-    const double on_fwd = serve::ServeStats::PercentileUs(
-        p.on.stats.forward_us, 50);
-    json << "    {\"rows\": " << p.rows
-         << ", \"off_forward_p50_us\": " << off_fwd
-         << ", \"on_forward_p50_us\": " << on_fwd
-         << ", \"forward_p50_speedup\": "
-         << (on_fwd > 0.0 ? off_fwd / on_fwd : 0.0)
-         << ", \"off_p50_us\": " << p.off.p50_us
-         << ", \"on_p50_us\": " << p.on.p50_us
-         << ", \"off_throughput_rps\": " << p.off.throughput_rps
-         << ", \"on_throughput_rps\": " << p.on.throughput_rps
-         << ", \"plan_compiles\": " << p.on.stats.plan_compiles
-         << ", \"plan_hits\": " << p.on.stats.plan_hits
-         << ", \"plan_misses\": " << p.on.stats.plan_misses
-         << ", \"plan_fallbacks\": " << p.on.stats.plan_fallbacks << "}"
-         << (i + 1 < plan_points.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n"
        << "  \"max_rel_err_vs_fp32\": " << max_rel_err << ",\n"
        << "  \"batched_vs_serial_speedup_8c\": ";
   // The 8-client scenario only runs off smoke; emit null, not a bogus 0,
@@ -584,17 +381,6 @@ int main(int argc, char** argv) {
     json << "null";
   }
   json << ",\n"
-       << "  \"warm_vs_cold_speedup\": " << cache_speedup << ",\n"
-       << "  \"result_cache\": {\"hits\": " << warm.stats.result_cache_hits
-       << ", \"misses\": " << warm.stats.result_cache_misses
-       << ", \"hit_rate\": " << warm_hit_rate
-       << ", \"evictions\": " << warm.stats.result_cache_evictions << "},\n"
-       << "  \"adapter_cache\": {\"hits\": " << warm.stats.adapter_cache_hits
-       << ", \"misses\": " << warm.stats.adapter_cache_misses
-       << ", \"hit_rate\": "
-       << HitRate(warm.stats.adapter_cache_hits,
-                  warm.stats.adapter_cache_misses)
-       << ", \"evictions\": " << warm.stats.adapter_cache_evictions << "},\n"
        << "  \"bit_identical\": " << (bit_identical ? "true" : "false")
        << ",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "autograd/runtime_context.h"
-#include "autograd/trace.h"
 #include "autograd/variable.h"
 
 namespace metalora {
@@ -98,13 +97,6 @@ template <typename OpT, typename... Args>
 Variable MakeOpResult(Tensor value, std::vector<Variable> inputs,
                       Args&&... args) {
   if (!AnyRequiresGrad(inputs)) {
-    // Plan-trace coverage guard: every no-grad facade result is reported;
-    // results an instrumented facade did not claim (and that are not pure
-    // aliases of known storage) mark the trace unsupported, so a compiled
-    // plan can never silently skip an op it does not understand.
-    if (TraceRecorder* rec = RuntimeContext::Current().trace_recorder()) {
-      rec->NoteFacadeResult(value);
-    }
     return Variable(std::move(value), /*requires_grad=*/false);
   }
   auto op = std::make_shared<OpT>(std::forward<Args>(args)...);

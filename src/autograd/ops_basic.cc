@@ -309,9 +309,6 @@ Variable Add(const Variable& a, const Variable& b) {
   Tensor out = ctx.AllocResultUninit(a.shape());
   metalora::AddInto(a.value(), b.value(), &out);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kAddTensor, a.value(), &b.value(), out, 0.0f, 0);
-  }
   return MakeOpResult<PassThroughOp>(std::move(out), {a, b}, "Add", 2);
 }
 
@@ -321,9 +318,6 @@ Variable Sub(const Variable& a, const Variable& b) {
   Tensor out = ctx.AllocResultUninit(a.shape());
   metalora::SubInto(a.value(), b.value(), &out);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kSubTensor, a.value(), &b.value(), out, 0.0f, 0);
-  }
   return MakeOpResult<SubOp>(std::move(out), {a, b});
 }
 
@@ -333,9 +327,6 @@ Variable Mul(const Variable& a, const Variable& b) {
   Tensor out = ctx.AllocResultUninit(a.shape());
   metalora::MulInto(a.value(), b.value(), &out);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kMulTensor, a.value(), &b.value(), out, 0.0f, 0);
-  }
   return MakeOpResult<MulOp>(std::move(out), {a, b}, a.value(), b.value());
 }
 
@@ -345,9 +336,6 @@ Variable Scale(const Variable& a, float s) {
   Tensor out = ctx.AllocResultUninit(a.shape());
   metalora::ScaleInto(a.value(), s, &out);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kScale, a.value(), nullptr, out, s, 0);
-  }
   return MakeOpResult<ScaleOp>(std::move(out), {a}, s);
 }
 
@@ -357,9 +345,6 @@ Variable AddScalar(const Variable& a, float s) {
   Tensor out = ctx.AllocResultUninit(a.shape());
   metalora::AddScalarInto(a.value(), s, &out);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kAddScalar, a.value(), nullptr, out, s, 0);
-  }
   return MakeOpResult<PassThroughOp>(std::move(out), {a}, "AddScalar", 1);
 }
 
@@ -390,10 +375,6 @@ Variable MulRowBroadcast(const Variable& a, const Variable& row) {
       for (int64_t j = 0; j < c; ++j) po[i * c + j] = pa[i * c + j] * pr[j];
   }
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kMulBroadcastMod, a.value(), &row.value(), out, 0.0f,
-                  c);
-  }
   return MakeOpResult<MulRowBroadcastOp>(std::move(out), {a, row}, a.value(),
                                          row.value());
 }
@@ -419,10 +400,6 @@ Variable ScaleChannels(const Variable& a, const Variable& s) {
     }
   }
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kMulBroadcastDiv, a.value(), &s.value(), out, 0.0f,
-                  spatial);
-  }
   return MakeOpResult<ScaleChannelsOp>(std::move(out), {a, s}, a.value(),
                                        s.value());
 }
@@ -447,10 +424,6 @@ Variable ScaleRows(const Variable& a, const Variable& s) {
     }
   }
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordEw(EwOp::kMulBroadcastDiv, a.value(), &s.value(), out, 0.0f,
-                  rest);
-  }
   return MakeOpResult<ScaleRowsOp>(std::move(out), {a, s}, a.value(),
                                    s.value());
 }
@@ -463,16 +436,6 @@ Variable MulScalarVar(const Variable& a, const Variable& s) {
   Tensor out = ctx.AllocResultUninit(a.shape());
   metalora::ScaleInto(a.value(), sv, &out);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    // The scalar is baked into the plan, which is only valid when it is a
-    // parameter (plans die on version bumps) — a per-request scalar would
-    // need re-reading at execution time.
-    if (rec->IsTemp(s.value())) {
-      rec->MarkUnsupported("MulScalarVar with a traced scalar");
-    } else {
-      rec->RecordEw(EwOp::kScale, a.value(), nullptr, out, sv, 0);
-    }
-  }
   return MakeOpResult<MulScalarVarOp>(std::move(out), {a, s}, a.value(), sv,
                                       s.shape());
 }
@@ -529,22 +492,13 @@ inline float GeluBwd(float x) {
 }
 
 // Shared facade body for elementwise activations saving their input.
-// `traced` activations have a fused-elementwise stage replicating their
-// forward expression; the rest stay dynamic-only (an installed trace
-// recorder rejects them via the unclaimed-result guard).
 template <float (*Dfn)(float), typename FwdFn>
-Variable UnaryFromInput(const Variable& a, const char* name, FwdFn fwd,
-                        bool traced = false, EwOp trace_op = EwOp::kRelu) {
+Variable UnaryFromInput(const Variable& a, const char* name, FwdFn fwd) {
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, name);
   Tensor out = ctx.AllocResultUninit(a.shape());
   MapInto(a.value(), fwd, &out);
   prof.set_output(out);
-  if (traced) {
-    if (TraceRecorder* rec = ctx.trace_recorder()) {
-      rec->RecordEw(trace_op, a.value(), nullptr, out, 0.0f, 0);
-    }
-  }
   return MakeOpResult<UnaryFromInputOp<Dfn>>(std::move(out), {a}, name,
                                              a.value());
 }
@@ -566,13 +520,11 @@ Variable UnaryFromOutput(const Variable& a, const char* name, FwdFn fwd) {
 
 Variable Relu(const Variable& a) {
   return UnaryFromInput<ReluBwd>(a, "Relu",
-                                 [](float v) { return v > 0 ? v : 0.0f; },
-                                 /*traced=*/true, EwOp::kRelu);
+                                 [](float v) { return v > 0 ? v : 0.0f; });
 }
 
 Variable Gelu(const Variable& a) {
-  return UnaryFromInput<GeluBwd>(a, "Gelu", GeluFwd, /*traced=*/true,
-                                 EwOp::kGelu);
+  return UnaryFromInput<GeluBwd>(a, "Gelu", GeluFwd);
 }
 
 Variable Tanh(const Variable& a) {

@@ -94,10 +94,6 @@ Variable Conv2d(const Variable& x, const Variable& weight,
   Conv2dForwardInto(x.value(), weight.value(),
                     has_bias ? bias.value() : Tensor(), geom, &out, prec);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordConv2d(x.value(), weight.value(),
-                      has_bias ? &bias.value() : nullptr, out, geom, prec);
-  }
   std::vector<Variable> inputs =
       has_bias ? std::vector<Variable>{x, weight, bias}
                : std::vector<Variable>{x, weight};

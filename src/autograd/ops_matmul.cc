@@ -180,9 +180,6 @@ Variable Matmul(const Variable& a, const Variable& b) {
     MatmulInto(a.value(), b.value(), &out);
   }
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordMatmul(a.value(), b.value(), out, prec);
-  }
   return MakeOpResult<MatmulOp>(std::move(out), {a, b}, a.value(), b.value());
 }
 
@@ -203,8 +200,7 @@ Variable Linear(const Variable& x, const Variable& weight,
   const int64_t rows = x.dim(0);
   const int64_t in = weight.dim(1);
   const int64_t out_ch = weight.dim(0);
-  const OpPrecision req_prec = ForwardGemmPrecision(ctx, /*int8_capable=*/true);
-  OpPrecision prec = req_prec;
+  OpPrecision prec = ForwardGemmPrecision(ctx, /*int8_capable=*/true);
   Tensor out = ctx.AllocResultUninit(Shape{rows, out_ch});
   if (prec == OpPrecision::kInt8) {
     const auto shadow = lowp::FindInt8Shadow(weight.value().data(), in, out_ch);
@@ -239,12 +235,6 @@ Variable Linear(const Variable& x, const Variable& weight,
       for (int64_t j = 0; j < c; ++j) po[i * c + j] += pb[j];
   }
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    // Pass the requested precision; the recorder replays this facade's
-    // shadow resolution (including the int8 -> bf16 downgrade) itself.
-    rec->RecordLinear(x.value(), weight.value(),
-                      has_bias ? &bias.value() : nullptr, out, req_prec);
-  }
   std::vector<Variable> inputs = has_bias
                                      ? std::vector<Variable>{x, weight, bias}
                                      : std::vector<Variable>{x, weight};
@@ -273,9 +263,6 @@ Variable BatchedMatmul(const Variable& a, const Variable& b) {
     BatchedMatmulRawInto(a.value(), b.value(), false, false, &out);
   }
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordBatchedMatmul(a.value(), b.value(), out, prec);
-  }
   return MakeOpResult<BatchedMatmulOp>(std::move(out), {a, b}, a.value(),
                                        b.value());
 }
@@ -315,9 +302,6 @@ Variable PerSamplePointwiseConv(const Variable& x, const Variable& w) {
     }
   }
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    rec->RecordPerSamplePointwiseConv(x.value(), w.value(), out, prec);
-  }
   return MakeOpResult<PerSamplePointwiseConvOp>(std::move(out), {x, w},
                                                 x.value(), w.value());
 }

@@ -76,11 +76,6 @@ class ConcatRowsOp final : public Op {
 Variable Reshape(const Variable& a, Shape shape) {
   // The result aliases the input buffer: no allocation on any path.
   Tensor out = a.value().Reshape(shape);
-  if (TraceRecorder* rec = RuntimeContext::Current().trace_recorder()) {
-    // Pure alias: make sure the storage is a known buffer (a reshaped
-    // parameter enters the trace here) so the coverage guard passes.
-    rec->NoteAlias(a.value());
-  }
   return MakeOpResult<ReshapeOp>(std::move(out), {a}, a.shape());
 }
 
@@ -96,12 +91,6 @@ Variable Permute(const Variable& a, const std::vector<int>& perm) {
   ProfileScope prof(ctx, "Permute");
   Tensor out = metalora::Permute(a.value(), perm);
   prof.set_output(out);
-  if (TraceRecorder* rec = ctx.trace_recorder()) {
-    // A permute of parameters (TR's core unfolding) is the same bytes on
-    // every request: fold it into a pinned constant. A permute of a
-    // per-request temp has no plan encoding and rejects the trace.
-    rec->FoldConstant(a.value(), out);
-  }
   // Inverse permutation for the backward pass.
   std::vector<int> inv(perm.size());
   for (size_t i = 0; i < perm.size(); ++i)

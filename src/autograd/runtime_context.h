@@ -29,7 +29,6 @@ namespace metalora {
 namespace autograd {
 
 struct VariableImpl;
-class TraceRecorder;
 
 /// A generation-tagged bump allocator for intermediate tensors. Allocate()
 /// carves zero-initialized views out of geometrically grown blocks; Reset()
@@ -149,13 +148,6 @@ class RuntimeContext {
 
   WorkspaceArena* arena() const { return arena_; }
   void set_arena(WorkspaceArena* arena) { arena_ = arena; }
-
-  /// Plan-trace recorder (serve layer). Non-null only while a no-grad
-  /// forward is being traced for compilation: MakeOpResult reports every
-  /// facade result to it and instrumented facades claim their outputs, in
-  /// program order. Never set on a grad-recording context.
-  TraceRecorder* trace_recorder() const { return trace_recorder_; }
-  void set_trace_recorder(TraceRecorder* rec) { trace_recorder_ = rec; }
 
   bool profiling() const { return profiling_; }
   void set_profiling(bool enabled) { profiling_ = enabled; }
@@ -351,7 +343,6 @@ class RuntimeContext {
   int replica_id_ = 0;
   WorkspaceArena* arena_ = nullptr;
   GradSink* grad_sink_ = nullptr;
-  TraceRecorder* trace_recorder_ = nullptr;
   AutocastPolicy autocast_;
   int64_t gemm_dispatch_[kNumOpPrecisions] = {0, 0, 0};
   int64_t nodes_recorded_ = 0;

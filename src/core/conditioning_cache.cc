@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "autograd/runtime_context.h"
-#include "autograd/trace.h"
 #include "autograd/variable.h"
 
 namespace metalora {
@@ -135,21 +134,9 @@ autograd::Variable ConditioningCache::SeedOrCompute(
     const std::function<autograd::Variable()>& compute) {
   if (autograd::GradEnabled()) return compute();
   const uint64_t key = ConditioningChecksum(features.value(), salt);
-  autograd::TraceRecorder* rec =
-      autograd::RuntimeContext::Current().trace_recorder();
   ConditioningEntry hit;
   if (Lookup(key, features.value(), &hit)) {
-    if (rec != nullptr) {
-      rec->NoteCacheFetch(this, salt, features.value(), hit.seed,
-                          /*from_delta=*/false);
-    }
     return autograd::Variable(hit.seed, /*requires_grad=*/false);
-  }
-  if (rec != nullptr) {
-    // A cold mapping-net pass has no plan encoding. Abort as retryable —
-    // this very forward warms the cache, so the next trace attempt for the
-    // same features takes the fetch path above.
-    rec->AbortRetryable("conditioning cache miss (cold mapping path)");
   }
   // Capture the version before running compute(): if an optimizer Step()
   // lands while the seed is being generated, Insert sees the mismatch and
@@ -158,6 +145,25 @@ autograd::Variable ConditioningCache::SeedOrCompute(
   autograd::Variable seed = compute();
   Insert(key, features.value(), seed.value(), Tensor(), version);
   return seed;
+}
+
+autograd::Variable ConditioningCache::DeltaOrCompute(
+    uint64_t salt, const autograd::Variable& features,
+    const std::function<autograd::Variable()>& seed_fn,
+    const std::function<autograd::Variable(const autograd::Variable&)>&
+        contract) {
+  if (autograd::GradEnabled()) return contract(seed_fn());
+  const uint64_t key = ConditioningChecksum(features.value(), salt);
+  ConditioningEntry hit;
+  if (Lookup(key, features.value(), &hit)) {
+    return autograd::Variable(hit.delta, /*requires_grad=*/false);
+  }
+  // Same before-compute version capture as SeedOrCompute.
+  const uint64_t version = autograd::GlobalParameterVersion();
+  autograd::Variable seed = seed_fn();
+  autograd::Variable delta = contract(seed);
+  Insert(key, features.value(), seed.value(), delta.value(), version);
+  return delta;
 }
 
 }  // namespace core

@@ -27,9 +27,8 @@
 // byte-identical to the cold path.
 //
 // Thread safety: Lookup/Insert/Clear are mutex-protected; cached tensors
-// are immutable after insert, so concurrent readers (server workers,
-// compiled-plan hits) may read the same entry's tensors without
-// synchronization.
+// are immutable after insert, so concurrent readers (server workers) may
+// read the same entry's tensors without synchronization.
 #ifndef METALORA_CORE_CONDITIONING_CACHE_H_
 #define METALORA_CORE_CONDITIONING_CACHE_H_
 
@@ -104,6 +103,17 @@ class ConditioningCache {
   autograd::Variable SeedOrCompute(
       uint64_t salt, const autograd::Variable& features,
       const std::function<autograd::Variable()>& compute);
+
+  /// Seed-plus-ΔW convenience used by the TR adapters: returns the cached
+  /// `delta` (the contracted recovery weights) for `features` when valid,
+  /// otherwise generates the seed via `seed_fn`, contracts it via
+  /// `contract`, and inserts both. Grad-enabled calls bypass the cache and
+  /// return contract(seed_fn()), as in SeedOrCompute.
+  autograd::Variable DeltaOrCompute(
+      uint64_t salt, const autograd::Variable& features,
+      const std::function<autograd::Variable()>& seed_fn,
+      const std::function<autograd::Variable(const autograd::Variable&)>&
+          contract);
 
  private:
   /// Drops FIFO-oldest entries until a new key fits. Caller holds mu_.

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/runtime_context.h"
-#include "autograd/trace.h"
 #include "autograd/variable.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -149,33 +147,9 @@ Variable MetaLoraTrConv::Forward(const Variable& x) {
     return autograd::Reshape(w2, Shape{n, out, r * r});         // q = r0*R + r1
   };
 
-  Variable w2;  // [N, O, R*R]
-  if (!autograd::GradEnabled()) {
-    const uint64_t key = ConditioningChecksum(features.value(), cache_salt_);
-    autograd::TraceRecorder* rec =
-        autograd::RuntimeContext::Current().trace_recorder();
-    ConditioningEntry e;
-    if (cache_.Lookup(key, features.value(), &e)) {
-      if (rec != nullptr) {
-        rec->NoteCacheFetch(&cache_, cache_salt_, features.value(), e.delta,
-                            /*from_delta=*/true);
-      }
-      w2 = Variable(e.delta, /*requires_grad=*/false);
-    } else {
-      if (rec != nullptr) {
-        // This forward warms the cache; the retry traces the fetch path.
-        rec->AbortRetryable("conditioning cache miss (cold recovery path)");
-      }
-      // Version captured before the mapping net runs: an optimizer step
-      // landing mid-compute makes this insert a no-op (TOCTOU guard).
-      const uint64_t ver = autograd::GlobalParameterVersion();
-      Variable core_c = mapping_->Forward(features);  // [N, r2, r0]
-      w2 = contract_recovery(core_c);
-      cache_.Insert(key, features.value(), core_c.value(), w2.value(), ver);
-    }
-  } else {
-    w2 = contract_recovery(mapping_->Forward(features));
-  }
+  Variable w2 = cache_.DeltaOrCompute(  // [N, O, R*R]
+      cache_salt_, features, [&] { return mapping_->Forward(features); },
+      contract_recovery);
 
   // U[n, (r0,r1), h, w]: conv with the first ring core.
   Variable u = autograd::Conv2d(x, core_a_, Variable(), base_->geom());

@@ -3,8 +3,6 @@
 #include <cmath>
 
 #include "autograd/ops.h"
-#include "autograd/runtime_context.h"
-#include "autograd/trace.h"
 #include "autograd/variable.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
@@ -164,33 +162,9 @@ Variable MetaLoraTrLinear::Forward(const Variable& x) {
                              Shape{nf, r * r, out});
   };
 
-  Variable m;  // [N_f, R*R, O]
-  if (!autograd::GradEnabled()) {
-    const uint64_t key = ConditioningChecksum(features.value(), cache_salt_);
-    autograd::TraceRecorder* rec =
-        autograd::RuntimeContext::Current().trace_recorder();
-    ConditioningEntry e;
-    if (cache_.Lookup(key, features.value(), &e)) {
-      if (rec != nullptr) {
-        rec->NoteCacheFetch(&cache_, cache_salt_, features.value(), e.delta,
-                            /*from_delta=*/true);
-      }
-      m = Variable(e.delta, /*requires_grad=*/false);
-    } else {
-      if (rec != nullptr) {
-        // This forward warms the cache; the retry traces the fetch path.
-        rec->AbortRetryable("conditioning cache miss (cold recovery path)");
-      }
-      // Version captured before the mapping net runs: an optimizer step
-      // landing mid-compute makes this insert a no-op (TOCTOU guard).
-      const uint64_t ver = autograd::GlobalParameterVersion();
-      Variable core_c = mapping_->Forward(features);
-      m = contract_recovery(core_c);
-      cache_.Insert(key, features.value(), core_c.value(), m.value(), ver);
-    }
-  } else {
-    m = contract_recovery(mapping_->Forward(features));
-  }
+  Variable m = cache_.DeltaOrCompute(  // [N_f, R*R, O]
+      cache_salt_, features, [&] { return mapping_->Forward(features); },
+      contract_recovery);
 
   // U[n, r0, r1] = Σ_i x[n,i] A[r0, i, r1], flattened to q = r0*R + r1.
   Variable a_mat = autograd::Reshape(

@@ -7,9 +7,9 @@
 //   B_up  [R, O]  = G3[R, o1, R] ·_R G4[R, o2]
 //   y = base(x) + (alpha/R) · (x · A_down) · B_up
 // The contraction chains are pure parameter matmul+reshape in the layout
-// i = i1·i2-major / o = o1·o2-major, so no activation permutes are needed
-// and the whole forward is compiled-plan traceable. G4 is zero-initialized
-// (pre-trained start point); the G1/G2 stds multiply out to Kaiming over I.
+// i = i1·i2-major / o = o1·o2-major, so no activation permutes are needed.
+// G4 is zero-initialized (pre-trained start point); the G1/G2 stds multiply
+// out to Kaiming over I.
 //
 // Conv: the Conv-LoRA down kernel [R, I, K, K] is TT-factorized into a
 // channel core Gc[R, I, R] and spatial core Gs[R, K²] (materialized per

@@ -165,9 +165,9 @@ Status AdapterRegistry::Publish(const std::string& name,
       InstallLocked(entry, std::move(loaded).value());
     }
   }
-  // Everything cached against the old weights — serve-level result caches,
-  // conditioning-cache entries — is stamped with the pre-swap parameter
-  // version; one bump retires it all atomically with the swap.
+  // Every conditioning-cache entry computed against the old weights is
+  // stamped with the pre-swap parameter version; one bump retires them all
+  // atomically with the swap.
   autograd::BumpParameterVersion();
   return Status::OK();
 }

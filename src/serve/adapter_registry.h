@@ -30,13 +30,12 @@
 // (BuildAdapter is deterministic and checkpoints round-trip bitwise).
 //
 // Cache consistency across swaps: Publish bumps the global parameter
-// version after the swap. Serve-level result caches and any surviving
-// conditioning-cache entries are stamped with the version they were
-// computed under, so everything computed against the old weights goes
-// stale atomically with the swap; the new instance starts with an empty
-// ConditioningCache. Each entry carries a version counter (bumped per
-// Publish) surfaced on the handle, which makes the swap point observable
-// in tests and benches.
+// version after the swap. Any surviving conditioning-cache entries are
+// stamped with the version they were computed under, so everything
+// computed against the old weights goes stale atomically with the swap;
+// the new instance starts with an empty ConditioningCache. Each entry
+// carries a version counter (bumped per Publish) surfaced on the handle,
+// which makes the swap point observable in tests and benches.
 //
 // Failure isolation: a torn or missing checkpoint fails the Acquire with
 // Corruption/IOError and leaves the entry non-resident (load_failures

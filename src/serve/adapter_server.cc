@@ -1,12 +1,10 @@
 #include "serve/adapter_server.h"
 
 #include <algorithm>
-#include <cstring>
 #include <ctime>
 #include <utility>
 
 #include "autograd/runtime_context.h"
-#include "autograd/trace.h"
 #include "autograd/variable.h"
 #include "common/check.h"
 #include "eval/batch_assembly.h"
@@ -15,24 +13,6 @@ namespace metalora {
 namespace serve {
 
 namespace {
-
-/// Flattens a request's (features, x) bytes into one tensor: the key (and
-/// bytewise-verified payload guard) of the serve-level result cache. Two
-/// requests collide only if both tensors match byte-for-byte, in which
-/// case their outputs are byte-identical too.
-Tensor PackRequestKey(const Tensor& features, const Tensor& x) {
-  Tensor packed{Shape{features.numel() + x.numel() + 2}};
-  float* dst = packed.data();
-  // Fold the ranks in so [2,6] features never alias [12] features.
-  dst[0] = static_cast<float>(features.rank());
-  dst[1] = static_cast<float>(x.rank());
-  dst += 2;
-  std::memcpy(dst, features.data(),
-              static_cast<size_t>(features.numel()) * sizeof(float));
-  dst += features.numel();
-  std::memcpy(dst, x.data(), static_cast<size_t>(x.numel()) * sizeof(float));
-  return packed;
-}
 
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
@@ -43,7 +23,7 @@ double MicrosSince(std::chrono::steady_clock::time_point start) {
 /// CPU time consumed by the calling thread, in microseconds. The forward
 /// cost samples (ServeStats::forward_us) use this instead of wall time so
 /// that client threads preempting a worker mid-forward on small machines
-/// do not pollute the plan-vs-dynamic comparison.
+/// do not inflate the forward's measured cost.
 double ThreadCpuMicros() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
   timespec ts;
@@ -56,10 +36,6 @@ double ThreadCpuMicros() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-/// Worker-local binding map bound: well above any live plan-cache working
-/// set; wholesale clear on overflow just re-binds (cheap) on next hit.
-constexpr size_t kMaxPlanBindings = 64;
 
 }  // namespace
 
@@ -84,15 +60,6 @@ int AdapterServer::RegisterSession(core::Adapter* adapter,
   auto session = std::make_unique<Session>();
   session->adapter = adapter;
   session->adapter_cache = adapter_cache;
-  if (options_.result_cache_entries > 0) {
-    session->result_cache = std::make_unique<core::ConditioningCache>(
-        options_.result_cache_entries);
-    session->result_salt = core::NextAdapterCacheSalt();
-  }
-  if (options_.enable_plans) {
-    session->plan_cache =
-        std::make_unique<PlanCache>(options_.plan_cache_entries);
-  }
   sessions_.push_back(std::move(session));
   return static_cast<int>(sessions_.size()) - 1;
 }
@@ -108,15 +75,6 @@ int AdapterServer::RegisterTenantSession(AdapterRegistry* registry,
   auto session = std::make_unique<Session>();
   session->registry = registry;
   session->tenant = tenant;
-  if (options_.result_cache_entries > 0) {
-    session->result_cache = std::make_unique<core::ConditioningCache>(
-        options_.result_cache_entries);
-    session->result_salt = core::NextAdapterCacheSalt();
-  }
-  if (options_.enable_plans) {
-    session->plan_cache =
-        std::make_unique<PlanCache>(options_.plan_cache_entries);
-  }
   sessions_.push_back(std::move(session));
   return static_cast<int>(sessions_.size()) - 1;
 }
@@ -291,14 +249,12 @@ void AdapterServer::WorkerLoop() {
   // Per-precision GEMM dispatch counts, folded into stats_ incrementally
   // (delta since the last fold) so stats() stays fresh while workers live.
   int64_t folded[kNumOpPrecisions] = {0, 0, 0};
-  // This worker's executable instances of the sessions' shared plans.
-  PlanBindingMap plan_bindings;
   for (;;) {
     Batch batch;
     if (batch_queue_.Pop(&batch) != QueuePopStatus::kItem) return;
     if (options_.worker_batch_hook) options_.worker_batch_hook();
     arena.NextGeneration();
-    ExecuteBatch(std::move(batch), &plan_bindings);
+    ExecuteBatch(std::move(batch));
     std::lock_guard<std::mutex> lock(stats_mu_);
     for (int p = 0; p < kNumOpPrecisions; ++p) {
       const int64_t now = ctx.gemm_dispatch(static_cast<OpPrecision>(p));
@@ -308,56 +264,16 @@ void AdapterServer::WorkerLoop() {
   }
 }
 
-void AdapterServer::ExecuteBatch(Batch batch, PlanBindingMap* bindings) {
+void AdapterServer::ExecuteBatch(Batch batch) {
   Session& session = *sessions_[static_cast<size_t>(batch.session_id)];
+  std::vector<Request>& requests = batch.requests;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.batches_executed;
-    stats_.batched_rows += static_cast<int64_t>(batch.requests.size());
+    stats_.batched_rows += static_cast<int64_t>(requests.size());
     stats_.max_batch_size =
-        std::max(stats_.max_batch_size,
-                 static_cast<int64_t>(batch.requests.size()));
+        std::max(stats_.max_batch_size, static_cast<int64_t>(requests.size()));
   }
-
-  // Pass 1: serve repeats from the result cache. The packed (features, x)
-  // bytes are verified bytewise on hit, and the cached rows are the exact
-  // bytes a forward produced, so a hit is indistinguishable from running
-  // the forward again.
-  std::vector<Request> misses;
-  std::vector<Tensor> miss_keys;
-  misses.reserve(batch.requests.size());
-  for (Request& req : batch.requests) {
-    if (session.result_cache == nullptr) {
-      misses.push_back(std::move(req));
-      miss_keys.emplace_back();
-      continue;
-    }
-    Tensor packed = PackRequestKey(req.features, req.x);
-    const uint64_t key =
-        core::ConditioningChecksum(packed, session.result_salt);
-    core::ConditioningEntry entry;
-    if (session.result_cache->Lookup(key, packed, &entry)) {
-      CompleteRequest(&req, entry.seed);
-    } else {
-      misses.push_back(std::move(req));
-      miss_keys.push_back(std::move(packed));
-    }
-  }
-  if (misses.empty()) return;
-
-  // Pass 2: one coalesced forward for everything the cache could not serve.
-  std::vector<Tensor> feature_parts, x_parts;
-  std::vector<int64_t> row_counts;
-  feature_parts.reserve(misses.size());
-  x_parts.reserve(misses.size());
-  row_counts.reserve(misses.size());
-  for (const Request& req : misses) {
-    feature_parts.push_back(req.features);
-    x_parts.push_back(req.x);
-    row_counts.push_back(req.x.dim(0));
-  }
-  const Tensor features_cat = eval::ConcatRows(feature_parts);
-  const Tensor x_cat = eval::ConcatRows(x_parts);
 
   // Registry-backed sessions resolve their adapter per batch: the acquired
   // shared_ptr snapshot pins the instance (RCU) for the duration of the
@@ -367,11 +283,11 @@ void AdapterServer::ExecuteBatch(Batch batch, PlanBindingMap* bindings) {
   std::mutex* forward_mu = &session.forward_mu;
   if (session.registry != nullptr) {
     auto acquired = session.registry->Acquire(
-        session.tenant, static_cast<int64_t>(misses.size()));
+        session.tenant, static_cast<int64_t>(requests.size()));
     if (!acquired.ok()) {
       // Unregistered tenant or torn/unreadable checkpoint: the batch cannot
       // run. Fail its requests rather than hang their futures.
-      FailRequests(&misses);
+      FailRequests(&requests);
       return;
     }
     handle = std::move(acquired).value();
@@ -379,115 +295,39 @@ void AdapterServer::ExecuteBatch(Batch batch, PlanBindingMap* bindings) {
     forward_mu = &handle->forward_mu;
   }
 
-  // Captured before the forward: if an optimizer Step() lands while the
-  // batch is in flight, the result-cache and plan-cache inserts below
-  // become no-ops (same TOCTOU discipline as ConditioningCache::
-  // SeedOrCompute). For registry sessions Publish bumps this too, so
-  // results computed on a just-swapped-out version cannot be cached as
-  // current — and neither can a plan compiled against it.
-  const uint64_t param_version = autograd::GlobalParameterVersion();
+  // One coalesced forward for the whole batch.
+  std::vector<Tensor> feature_parts, x_parts;
+  std::vector<int64_t> row_counts;
+  feature_parts.reserve(requests.size());
+  x_parts.reserve(requests.size());
+  row_counts.reserve(requests.size());
+  for (const Request& req : requests) {
+    feature_parts.push_back(req.features);
+    x_parts.push_back(req.x);
+    row_counts.push_back(req.x.dim(0));
+  }
+  const Tensor features_cat = eval::ConcatRows(feature_parts);
+  const Tensor x_cat = eval::ConcatRows(x_parts);
+
   const double forward_start_cpu = ThreadCpuMicros();
   Tensor output;
-  bool ran_plan = false;
-  PlanKey plan_key;
-  PlanCache::Probe probe = PlanCache::Probe::kMiss;
-  std::shared_ptr<const CompiledPlan> plan;
-  if (session.plan_cache != nullptr) {
-    plan_key.adapter = adapter;
-    plan_key.features_shape = features_cat.shape();
-    plan_key.x_shape = x_cat.shape();
-    probe = session.plan_cache->Lookup(plan_key, &plan);
-  }
-  if (probe == PlanCache::Probe::kHit) {
-    // Direct plan execution needs no forward_mu: it touches only pinned
-    // constants, the conditioning cache (internally locked), and this
-    // worker's private pool — never the adapter's bound-features state,
-    // so plan batches run concurrently with each other and with dynamic
-    // forwards on other workers.
-    if (bindings->size() > kMaxPlanBindings &&
-        bindings->find(plan.get()) == bindings->end()) {
-      bindings->clear();
-    }
-    std::unique_ptr<PlanBinding>& slot = (*bindings)[plan.get()];
-    if (slot == nullptr) slot = std::make_unique<PlanBinding>(plan);
-    autograd::RuntimeContext& ctx = autograd::RuntimeContext::Current();
-    autograd::ProfileScope prof(ctx, "CompiledPlan");
-    if (slot->Execute(features_cat, x_cat, &output)) {
-      prof.set_output(output);
-      ran_plan = true;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.plan_hits;
-    } else {
-      // A conditioning entry the plan depends on was evicted or
-      // invalidated: fall back — the dynamic forward re-warms it.
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.plan_fallbacks;
-    }
-  } else if (probe == PlanCache::Probe::kNegative) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.plan_fallbacks;
-  }
-  if (!ran_plan) {
+  {
     // Adapters bind features statefully; one forward per instance at a time.
     std::lock_guard<std::mutex> lock(*forward_mu);
-    if (probe == PlanCache::Probe::kMiss && session.plan_cache != nullptr) {
-      // Trace the very forward that serves this batch; a successful
-      // recording compiles into the plan later same-shape batches hit.
-      {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        ++stats_.plan_misses;
-      }
-      autograd::TraceRecorder rec;
-      rec.RegisterInput(features_cat, 0);
-      rec.RegisterInput(x_cat, 1);
-      autograd::RuntimeContext& ctx = autograd::RuntimeContext::Current();
-      ctx.set_trace_recorder(&rec);
-      adapter->SetFeatures(
-          autograd::Variable(features_cat, /*requires_grad=*/false));
-      autograd::Variable y = adapter->Forward(
-          autograd::Variable(x_cat, /*requires_grad=*/false));
-      ctx.set_trace_recorder(nullptr);
-      output = y.value();
-      rec.SetOutput(output);
-      if (rec.ok()) {
-        auto compiled = CompilePlan(rec.TakeTrace());
-        // `handle` pins registry-backed instances against eviction-and-
-        // realloc at the same address (ABA) for the entry's lifetime.
-        session.plan_cache->Insert(plan_key, compiled, param_version, handle);
-        if (compiled != nullptr) {
-          std::lock_guard<std::mutex> slock(stats_mu_);
-          ++stats_.plan_compiles;
-        }
-      } else if (rec.unsupported()) {
-        // Permanent for this key: remember the refusal so every later
-        // batch skips straight to the dynamic path.
-        session.plan_cache->Insert(plan_key, nullptr, param_version, handle);
-      }
-      // Retryable abort (cold conditioning cache): cache nothing — this
-      // forward just warmed it, so the next same-shape batch can trace.
-    } else {
-      adapter->SetFeatures(
-          autograd::Variable(features_cat, /*requires_grad=*/false));
-      autograd::Variable y = adapter->Forward(
-          autograd::Variable(x_cat, /*requires_grad=*/false));
-      output = y.value();
-    }
+    adapter->SetFeatures(
+        autograd::Variable(features_cat, /*requires_grad=*/false));
+    output =
+        adapter->Forward(autograd::Variable(x_cat, /*requires_grad=*/false))
+            .value();
   }
-
   {
     const double forward_us = ThreadCpuMicros() - forward_start_cpu;
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.forward_us.push_back(forward_us);
   }
   std::vector<Tensor> outputs = eval::SplitRows(output, row_counts);
-  for (size_t i = 0; i < misses.size(); ++i) {
-    if (session.result_cache != nullptr) {
-      const uint64_t key =
-          core::ConditioningChecksum(miss_keys[i], session.result_salt);
-      session.result_cache->Insert(key, miss_keys[i], outputs[i], Tensor(),
-                                   param_version);
-    }
-    CompleteRequest(&misses[i], outputs[i]);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    CompleteRequest(&requests[i], outputs[i]);
   }
 }
 
@@ -516,12 +356,6 @@ ServeStats AdapterServer::stats() const {
   snapshot.request_queue_peak = request_queue_.peak_size();
   snapshot.batch_queue_peak = batch_queue_.peak_size();
   for (const auto& session : sessions_) {
-    if (session->result_cache != nullptr) {
-      const core::ConditioningCacheStats s = session->result_cache->stats();
-      snapshot.result_cache_hits += s.hits;
-      snapshot.result_cache_misses += s.misses;
-      snapshot.result_cache_evictions += s.evictions;
-    }
     if (auto* cache = session->adapter_cache) {
       const core::ConditioningCacheStats s = cache->stats();
       snapshot.adapter_cache_hits += s.hits;

@@ -20,15 +20,10 @@
 // outputs are bit-identical to one-at-a-time execution — the serving tests
 // and bench assert it.
 //
-// Two cache levels serve a warm request without touching the mapping net:
-//  - the adapters' own ConditioningCache (keyed on the batch's feature
-//    tensor), shared across whatever batch compositions recur, and
-//  - a serve-level result cache reusing core::ConditioningCache with the
-//    request's packed (features, x) bytes as the key and the output rows as
-//    the payload. Hits skip the forward entirely; parameter-version
-//    invalidation (optimizer Step()) applies to both levels, as does the
-//    before-compute version capture that keeps a Step() landing mid-forward
-//    from stamping stale bytes.
+// A warm request skips the mapping net through the adapters' own
+// ConditioningCache (keyed on the batch's feature tensor); there is no
+// serve-level result cache, since MetaLoRA traffic rarely repeats a request
+// byte for byte. Every batch runs one adapter forward.
 //
 // Shutdown is drain-based: Shutdown() closes the request queue, the
 // batcher flushes everything it holds, the workers finish every queued
@@ -44,14 +39,12 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bounded_queue.h"
 #include "core/adapter_config.h"
 #include "core/conditioning_cache.h"
 #include "serve/adapter_registry.h"
-#include "serve/plan_cache.h"
 #include "serve/serve_stats.h"
 #include "tensor/autocast.h"
 #include "tensor/tensor.h"
@@ -72,8 +65,6 @@ struct AdapterServerOptions {
   int64_t queue_capacity = 64;
   /// Assembled-batch queue bound between the batcher and the workers.
   int64_t batch_queue_capacity = 16;
-  /// Serve-level (features, x) -> output-rows cache; 0 entries disables it.
-  int64_t result_cache_entries = 1024;
   /// Autocast policy installed on every worker's RuntimeContext (workers
   /// run no-grad, so the policy actually takes effect). Default-disabled:
   /// all forwards fp32, byte-identical to pre-tier behavior. Set to
@@ -82,17 +73,6 @@ struct AdapterServerOptions {
   /// on, or the Linear facade downgrades int8 -> bf16 (no prepacked
   /// scales). Per-precision dispatch counts land in ServeStats.
   AutocastPolicy autocast;
-  /// Compile each (adapter, shapes) no-grad forward into a serving plan on
-  /// its first warm batch and serve later same-shape batches by direct
-  /// plan execution: ordered kernel calls with fused elementwise chains
-  /// over a preplanned pool — no dispatch, no shape inference, no tensor
-  /// allocation (serve/plan.h). Plan output is bit-identical to the
-  /// dynamic path; plans retire on parameter-version bumps (optimizer
-  /// Step, registry Publish) and fall back to the dynamic graph on shape
-  /// or conditioning-cache misses and on unsupported graphs.
-  bool enable_plans = false;
-  /// Per-session plan cache bound (positive + negative entries, FIFO).
-  int64_t plan_cache_entries = 32;
   /// Test hook: runs on the worker thread before each batch executes.
   /// Lets tests stall the pipeline deterministically (backpressure,
   /// shutdown-with-in-flight coverage). Leave empty in production.
@@ -177,22 +157,11 @@ class AdapterServer {
     /// statefully) across workers. Static sessions only — registry-backed
     /// batches use the acquired handle's forward_mu, which is per version.
     std::mutex forward_mu;
-    /// Serve-level result cache: packed (features, x) bytes -> output rows.
-    std::unique_ptr<core::ConditioningCache> result_cache;
-    uint64_t result_salt = 0;
-    /// Compiled plans for this session (enable_plans only). Shared across
-    /// workers; each worker keeps its own PlanBinding per plan.
-    std::unique_ptr<PlanCache> plan_cache;
   };
-
-  /// Worker-local executable instances of shared plans, keyed by plan
-  /// identity. Bounded: wholesale-cleared when it outgrows the caches.
-  using PlanBindingMap =
-      std::unordered_map<const CompiledPlan*, std::unique_ptr<PlanBinding>>;
 
   void BatcherLoop();
   void WorkerLoop();
-  void ExecuteBatch(Batch batch, PlanBindingMap* bindings);
+  void ExecuteBatch(Batch batch);
   void FlushPending(std::vector<Request>* pending, bool drain,
                     int64_t* flush_counter);
   void CompleteRequest(Request* request, Tensor result);

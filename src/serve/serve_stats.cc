@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace metalora {
 namespace serve {
@@ -26,55 +25,6 @@ double ServeStats::PercentileUs(const std::vector<double>& samples,
 
 double ServeStats::LatencyPercentileUs(double pct) const {
   return PercentileUs(latencies_us, pct);
-}
-
-std::string ServeStats::ExportJson() const {
-  double mean = 0.0, max_us = 0.0;
-  for (double us : latencies_us) {
-    mean += us;
-    max_us = std::max(max_us, us);
-  }
-  if (!latencies_us.empty()) {
-    mean /= static_cast<double>(latencies_us.size());
-  }
-  std::ostringstream os;
-  os << "{";
-  os << "\"requests_completed\": " << requests_completed
-     << ", \"requests_rejected\": " << requests_rejected
-     << ", \"requests_failed\": " << requests_failed
-     << ", \"batches_executed\": " << batches_executed
-     << ", \"batched_rows\": " << batched_rows
-     << ", \"mean_batch_size\": " << MeanBatchSize()
-     << ", \"max_batch_size\": " << max_batch_size
-     << ", \"size_flushes\": " << size_flushes
-     << ", \"deadline_flushes\": " << deadline_flushes
-     << ", \"drain_flushes\": " << drain_flushes
-     << ", \"request_queue_peak\": " << request_queue_peak
-     << ", \"batch_queue_peak\": " << batch_queue_peak
-     << ", \"result_cache_hits\": " << result_cache_hits
-     << ", \"result_cache_misses\": " << result_cache_misses
-     << ", \"result_cache_evictions\": " << result_cache_evictions
-     << ", \"adapter_cache_hits\": " << adapter_cache_hits
-     << ", \"adapter_cache_misses\": " << adapter_cache_misses
-     << ", \"adapter_cache_evictions\": " << adapter_cache_evictions
-     << ", \"plan_compiles\": " << plan_compiles
-     << ", \"plan_hits\": " << plan_hits
-     << ", \"plan_misses\": " << plan_misses
-     << ", \"plan_fallbacks\": " << plan_fallbacks
-     << ", \"gemm_dispatch\": {\"fp32\": "
-     << gemm_dispatch[static_cast<int>(OpPrecision::kFp32)]
-     << ", \"bf16\": " << gemm_dispatch[static_cast<int>(OpPrecision::kBf16)]
-     << ", \"int8\": " << gemm_dispatch[static_cast<int>(OpPrecision::kInt8)]
-     << "}"
-     << ", \"latency\": {\"count\": " << latencies_us.size()
-     << ", \"mean_us\": " << mean << ", \"p50_us\": " << LatencyPercentileUs(50)
-     << ", \"p99_us\": " << LatencyPercentileUs(99)
-     << ", \"max_us\": " << max_us << "}"
-     << ", \"forward\": {\"count\": " << forward_us.size()
-     << ", \"p50_us\": " << PercentileUs(forward_us, 50)
-     << ", \"p99_us\": " << PercentileUs(forward_us, 99) << "}";
-  os << "}";
-  return os.str();
 }
 
 }  // namespace serve

@@ -3,14 +3,12 @@
 // The server books one latency sample per completed request plus counters
 // for every pipeline stage: queue depth high-water marks (the backpressure
 // gauges), batch-size and flush-cause accounting for the micro-batcher,
-// and hit/miss/eviction totals for both cache levels (the serve-level
-// result cache and the adapters' conditioning caches). ExportJson renders
-// the whole snapshot as the BENCH_serving.json "stats" object.
+// hit/miss/eviction totals for the adapters' conditioning caches, and
+// per-precision GEMM dispatch counts.
 #ifndef METALORA_SERVE_SERVE_STATS_H_
 #define METALORA_SERVE_SERVE_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tensor/autocast.h"
@@ -39,21 +37,14 @@ struct ServeStats {
   int64_t request_queue_peak = 0;
   int64_t batch_queue_peak = 0;
 
-  // Serve-level result cache: (features, x) -> output rows.
-  int64_t result_cache_hits = 0;
-  int64_t result_cache_misses = 0;
-  int64_t result_cache_evictions = 0;
-
   // Adapter-level conditioning caches, summed over sessions at snapshot.
   int64_t adapter_cache_hits = 0;
   int64_t adapter_cache_misses = 0;
   int64_t adapter_cache_evictions = 0;
 
-  // Compiled serving plans (AdapterServerOptions::enable_plans).
-  int64_t plan_compiles = 0;   // traces that lowered to a cached plan
-  int64_t plan_hits = 0;       // batches served by direct plan execution
-  int64_t plan_misses = 0;     // batches that ran the traced dynamic path
-  int64_t plan_fallbacks = 0;  // negative entries + execute-time fetch misses
+  // Always zero: the end-to-end benchmark (bench/suite) still reads them.
+  int64_t result_cache_hits = 0, result_cache_misses = 0;
+  int64_t plan_hits = 0, plan_misses = 0, plan_fallbacks = 0;
 
   /// Forward-GEMM dispatches per resolved precision, folded in from the
   /// worker contexts after every batch (indexed by OpPrecision). Under the
@@ -65,13 +56,11 @@ struct ServeStats {
   // One sample per completed request: submit-to-completion wall time.
   std::vector<double> latencies_us;
 
-  // One sample per forwarded batch: worker-thread CPU time of the forward
-  // itself (plan execution or dynamic graph), excluding queueing, batch
-  // assembly, and result splitting. This is the component compiled plans
-  // optimize, so the serving bench asserts its p50. Thread CPU time, not
-  // wall time: request latency on small runners is dominated by scheduler
-  // wakeups and client threads preempting the worker mid-forward — noise
-  // plans cannot touch.
+  // One sample per forwarded batch: worker-thread CPU time of the adapter
+  // forward itself, excluding queueing, batch assembly, and result
+  // splitting. Thread CPU time, not wall time: request latency on small
+  // runners is dominated by scheduler wakeups and client threads
+  // preempting the worker mid-forward.
   std::vector<double> forward_us;
 
   /// Mean rows per executed batch (0 when no batch ran).
@@ -82,10 +71,6 @@ struct ServeStats {
 
   /// PercentileUs over the per-request latency samples.
   double LatencyPercentileUs(double pct) const;
-
-  /// The snapshot as a JSON object (latencies summarized as count/mean/
-  /// p50/p99/max, not dumped raw).
-  std::string ExportJson() const;
 };
 
 }  // namespace serve

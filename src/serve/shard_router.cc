@@ -101,9 +101,6 @@ ServeStats ShardRouter::aggregated_stats() const {
         std::max(total.request_queue_peak, s.request_queue_peak);
     total.batch_queue_peak =
         std::max(total.batch_queue_peak, s.batch_queue_peak);
-    total.result_cache_hits += s.result_cache_hits;
-    total.result_cache_misses += s.result_cache_misses;
-    total.result_cache_evictions += s.result_cache_evictions;
     total.adapter_cache_hits += s.adapter_cache_hits;
     total.adapter_cache_misses += s.adapter_cache_misses;
     total.adapter_cache_evictions += s.adapter_cache_evictions;

@@ -7,8 +7,8 @@
 // AdapterServer pipeline (own batcher, own workers, own queues) backed by
 // the one shared AdapterRegistry. The hash is stable across runs and
 // independent of registration order, so a tenant's requests always land on
-// the same shard — which preserves the per-tenant batching and the serve-
-// level result cache locality — and re-sharding is a pure K change.
+// the same shard — which preserves the per-tenant batching and conditioning-
+// cache locality — and re-sharding is a pure K change.
 //
 // The registry stays global rather than per-shard on purpose: residency is
 // a memory budget, and memory is shared across shards; a global LRU evicts
@@ -32,7 +32,7 @@ namespace serve {
 struct ShardRouterOptions {
   /// Number of AdapterServer instances to spread tenants across.
   int num_shards = 2;
-  /// Applied to every shard (workers, queues, batching, result cache).
+  /// Applied to every shard (workers, queues, batching, autocast).
   AdapterServerOptions server_options;
 };
 

@@ -128,13 +128,6 @@ bool ConvIsPointwise(const ConvGeom& g) {
 void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
                        const Tensor& bias, const ConvGeom& g, Tensor* out,
                        OpPrecision precision) {
-  std::vector<float> columns;
-  Conv2dForwardInto(input, weight, bias, g, out, precision, &columns);
-}
-
-void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
-                       const Tensor& bias, const ConvGeom& g, Tensor* out,
-                       OpPrecision precision, std::vector<float>* scratch) {
   ML_CHECK_EQ(input.rank(), 4);
   ML_CHECK_EQ(weight.rank(), 4);
   const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
@@ -156,10 +149,8 @@ void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
   const int64_t col_cols = ho * wo;
   // A pointwise conv's columns are its input plane: read it in place.
   const bool pointwise = ConvIsPointwise(g);
-  if (!pointwise &&
-      static_cast<int64_t>(scratch->size()) < col_rows * col_cols) {
-    scratch->resize(static_cast<size_t>(col_rows * col_cols));
-  }
+  std::vector<float> columns;
+  if (!pointwise) columns.resize(static_cast<size_t>(col_rows * col_cols));
 
   // weight viewed as [O, C*Kh*Kw]; per-sample: out_n = W_mat · cols.
   const float* wmat = weight.data();
@@ -167,8 +158,8 @@ void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
     const float* in_n = input.data() + i * c * h * w;
     const float* cols = in_n;
     if (!pointwise) {
-      Im2Col(in_n, c, h, w, g, scratch->data());
-      cols = scratch->data();
+      Im2Col(in_n, c, h, w, g, columns.data());
+      cols = columns.data();
     }
     float* out_n = out->data() + i * o * col_cols;
     // out_n is zero-initialized by the caller's allocation.

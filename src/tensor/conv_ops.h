@@ -60,14 +60,6 @@ void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
                        const Tensor& bias, const ConvGeom& g, Tensor* out,
                        OpPrecision precision = OpPrecision::kFp32);
 
-/// Same, with the im2col scratch provided by the caller. `columns` is
-/// resized to the needed extent on first use and reused as-is afterwards,
-/// so a caller that sizes it up front (compiled serving plans) does zero
-/// heap allocation here. Pointwise convs never touch it.
-void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
-                       const Tensor& bias, const ConvGeom& g, Tensor* out,
-                       OpPrecision precision, std::vector<float>* columns);
-
 /// Gradients of Conv2dForward. `grad_bias` is filled only if `has_bias`.
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
                     const Tensor& grad_output, const ConvGeom& g,

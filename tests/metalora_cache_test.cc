@@ -433,11 +433,11 @@ TEST(MetaLoraCache, ConcurrentStepNeverServesStaleSeed) {
 }
 
 TEST(MetaLoraCache, ConcurrentLookupsAndInserts) {
-  // Server workers and compiled-plan hits read one adapter's cache while
-  // another forward inserts into it. Plain threads stand in for them: each
-  // binds its own replica slot, warms its own features (an insert) and
-  // re-reads a shared warm entry (a lookup), so TSan sees lookups racing
-  // inserts under the cache mutex.
+  // Server workers read one adapter's cache while another forward inserts
+  // into it. Plain threads stand in for them: each binds its own replica
+  // slot, warms its own features (an insert) and re-reads a shared warm
+  // entry (a lookup), so TSan sees lookups racing inserts under the cache
+  // mutex.
   constexpr int kThreads = 4;
   constexpr int kRounds = 8;
   MetaLoraTrLinear adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));

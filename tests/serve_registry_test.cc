@@ -647,9 +647,7 @@ TEST(AdapterServer, TenantSessionMatchesOfflineReference) {
 
 TEST(AdapterServer, UnresolvableTenantFailsRequestsNotFutures) {
   AdapterRegistry registry(AdapterRegistryOptions{});
-  AdapterServerOptions options;
-  options.result_cache_entries = 0;
-  AdapterServer server(options);
+  AdapterServer server(AdapterServerOptions{});
   // A session for a tenant nobody registered: accepted requests must still
   // resolve (to an undefined Tensor), counted as failed, not hang.
   const int session = server.RegisterTenantSession(&registry, "ghost");
@@ -675,7 +673,6 @@ TEST(AdapterServer, HotSwapDuringTrafficLosesNothing) {
 
   AdapterServerOptions options;
   options.num_workers = 2;
-  options.result_cache_entries = 0;  // every request exercises a forward
   AdapterServer server(options);
   const int session = server.RegisterTenantSession(&registry, "t0");
   server.Start();
@@ -708,6 +705,71 @@ TEST(AdapterServer, HotSwapDuringTrafficLosesNothing) {
   EXPECT_EQ(server.stats().requests_completed, kBefore + kAfter);
   std::remove(path_v1.c_str());
   std::remove(path_v2.c_str());
+}
+
+// One identical request repeated across Publishes, so the tenant's
+// conditioning cache is warm whenever a version is swapped out: the first
+// round-trip after Publish returns must carry the new version's bytes, and
+// under concurrent flips every response must be byte-exactly one published
+// version or the other, never a stale mix.
+TEST(AdapterServer, PublishFlipsServedBytesUnderRepeatedRequest) {
+  const AdapterSpec spec = TenantSpec(141);
+  const std::string path_a = "/tmp/ml_registry_flip_a.bin";
+  const std::string path_b = "/tmp/ml_registry_flip_b.bin";
+  WriteCheckpoint(spec, 141, path_a);
+  WriteCheckpoint(spec, 142, path_b);
+  const Tensor features = RandFeatures(1, 21);
+  const Tensor x = RandLinearInput(1, 21);
+  const Tensor ref_a = NoGradForward(*LoadedTwin(spec, path_a), features, x);
+  const Tensor ref_b = NoGradForward(*LoadedTwin(spec, path_b), features, x);
+  // The two checkpoints must actually disagree for staleness to show.
+  ASSERT_NE(std::memcmp(ref_a.data(), ref_b.data(),
+                        sizeof(float) * static_cast<size_t>(ref_a.numel())),
+            0);
+
+  AdapterRegistry registry(AdapterRegistryOptions{});
+  ASSERT_TRUE(registry.Register("t0", spec, path_a).ok());
+  AdapterServer server(AdapterServerOptions{});
+  const int session = server.RegisterTenantSession(&registry, "t0");
+  server.Start();
+
+  for (int i = 0; i < 3; ++i) {
+    ExpectBitIdentical(server.Submit(session, features, x).get(), ref_a);
+  }
+  ASSERT_TRUE(registry.Publish("t0", path_b).ok());
+  ExpectBitIdentical(server.Submit(session, features, x).get(), ref_b);
+
+  auto is_ref = [](const Tensor& got, const Tensor& ref) {
+    return got.defined() && got.shape() == ref.shape() &&
+           std::memcmp(got.data(), ref.data(),
+                       sizeof(float) * static_cast<size_t>(ref.numel())) == 0;
+  };
+  constexpr int kClients = 4;
+  std::vector<int> bad_counts(kClients, 0);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int i = 0; i < 20; ++i) {
+        const Tensor got = server.Submit(session, features, x).get();
+        if (!is_ref(got, ref_a) && !is_ref(got, ref_b)) {
+          ++bad_counts[static_cast<size_t>(c)];
+        }
+      }
+    });
+  }
+  for (int flip = 0; flip < 6; ++flip) {
+    ASSERT_TRUE(registry.Publish("t0", flip % 2 == 0 ? path_a : path_b).ok());
+  }
+  for (auto& t : clients) t.join();
+  for (int bad : bad_counts) EXPECT_EQ(bad, 0);
+
+  // Settle on B: the first round-trip after this Publish must be B's.
+  ASSERT_TRUE(registry.Publish("t0", path_b).ok());
+  ExpectBitIdentical(server.Submit(session, features, x).get(), ref_b);
+  server.Shutdown();
+  EXPECT_EQ(server.stats().requests_failed, 0);
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 // --- Shard routing ---------------------------------------------------------

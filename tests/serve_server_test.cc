@@ -15,6 +15,8 @@
 #include <thread>
 #include <vector>
 
+#include "autograd/graph.h"
+#include "autograd/ops.h"
 #include "autograd/runtime_context.h"
 #include "autograd/variable.h"
 #include "common/bounded_queue.h"
@@ -22,11 +24,13 @@
 #include "core/lotr_adapter.h"
 #include "core/metalora_conv.h"
 #include "core/metalora_linear.h"
+#include "core/moe_lora.h"
 #include "core/precision_shadows.h"
 #include "core/tt_adapter.h"
 #include "eval/batch_assembly.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "optim/adam.h"
 #include "serve/adapter_server.h"
 #include "tensor/autocast.h"
 #include "tensor/lowp.h"
@@ -434,45 +438,50 @@ TEST(AdapterServer, AutocastTierMatchesOneAtATimeAndCountsDispatch) {
   }
 }
 
-TEST(AdapterServer, ResultCacheServesRepeats) {
-  core::MetaLoraCpLinear adapter(BaseLinear(),
-                                 MetaOpts(AdapterKind::kMetaLoraCp));
-  RandomizeFactors(adapter, 31);
-  AdapterServerOptions opts;
-  opts.flush_deadline_us = 200;
-  AdapterServer server(opts);
-  const int sid = server.RegisterSession(&adapter, adapter.conditioning_cache());
+// A family with no conditioning cache (MoE routes through a per-row gate
+// softmax) and requests carrying more than one row: each shape, repeated,
+// is served byte-identical to one-at-a-time forwards on a twin.
+TEST(AdapterServer, MoeAndMultiRowRequestsMatchSerial) {
+  AdapterOptions moe_opts = MetaOpts(AdapterKind::kMoeLora);
+  moe_opts.num_tasks = 2;
+  core::MoeLoraLinear adapter(BaseLinear(), moe_opts);
+  core::MoeLoraLinear twin(BaseLinear(), moe_opts);
+  // The per-expert up-projections (lora_b0, lora_b1) start at zero.
+  for (nn::Module* m : {static_cast<nn::Module*>(&adapter),
+                        static_cast<nn::Module*>(&twin)}) {
+    Rng rng(101);
+    for (auto& np : m->NamedParameters()) {
+      if (np.name.rfind("lora_b", 0) == 0) {
+        FillNormal(np.variable->mutable_value(), rng, 0.0f, 0.5f);
+      }
+    }
+  }
+  AdapterServer server(AdapterServerOptions{});
+  const int sid = server.RegisterSession(&adapter);
   server.Start();
 
-  const Tensor f = RandFeatures(1, 41);
-  const Tensor x = RandLinearInput(1, 42);
-  Tensor first = server.Submit(sid, f, x).get();
-  ASSERT_TRUE(first.defined());
-
-  constexpr int kRepeats = 16;
-  std::vector<std::future<Tensor>> futures;
-  futures.reserve(kRepeats);
-  for (int i = 0; i < kRepeats; ++i) {
-    futures.push_back(server.Submit(sid, f, x));
-  }
-  for (auto& fut : futures) {
-    ExpectBitIdentical(fut.get(), first);
+  for (int64_t rows : {1, 2}) {
+    const Tensor f = RandFeatures(rows, 103);
+    const Tensor x = RandLinearInput(rows, 104);
+    const Tensor want = SerialForward(twin, f, x);
+    for (int i = 0; i < 3; ++i) {
+      ExpectBitIdentical(server.Submit(sid, f, x).get(), want);
+    }
   }
   server.Shutdown();
-
-  const ServeStats stats = server.stats();
-  EXPECT_EQ(stats.requests_completed, kRepeats + 1);
-  EXPECT_GE(stats.result_cache_hits, kRepeats);
-  EXPECT_EQ(stats.result_cache_misses, 1);
+  EXPECT_EQ(server.stats().requests_completed, 6);
 }
 
-// An optimizer-style version bump must invalidate the serve-level result
-// cache: the repeat after the bump recomputes (a miss) instead of serving
-// the stamped entry.
-TEST(AdapterServer, VersionBumpInvalidatesResultCache) {
+// An optimizer Step() between two identical requests must change the served
+// bytes: the adapter's conditioning cache entry from before the step is
+// stale, so the repeat recomputes on the new weights instead of replaying
+// the old ones. A twin adapter given the same step is the reference.
+TEST(AdapterServer, OptimizerStepBetweenRepeatsChangesServedBytes) {
   core::MetaLoraTrLinear adapter(BaseLinear(),
                                  MetaOpts(AdapterKind::kMetaLoraTr));
+  core::MetaLoraTrLinear twin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   RandomizeFactors(adapter, 51);
+  RandomizeFactors(twin, 51);
   AdapterServerOptions opts;
   opts.flush_deadline_us = 200;
   AdapterServer server(opts);
@@ -481,18 +490,35 @@ TEST(AdapterServer, VersionBumpInvalidatesResultCache) {
 
   const Tensor f = RandFeatures(1, 61);
   const Tensor x = RandLinearInput(1, 62);
-  Tensor cold = server.Submit(sid, f, x).get();
-  Tensor warm = server.Submit(sid, f, x).get();
+  const Tensor cold = server.Submit(sid, f, x).get();
+  const Tensor warm = server.Submit(sid, f, x).get();
   ExpectBitIdentical(cold, warm);
-  const int64_t misses_before = server.stats().result_cache_misses;
+  ExpectBitIdentical(cold, SerialForward(twin, f, x));
 
-  autograd::BumpParameterVersion();
-  // No parameter actually changed, so the recomputed bytes still match —
-  // but the cache must have treated the entry as stale.
-  Tensor after = server.Submit(sid, f, x).get();
-  ExpectBitIdentical(cold, after);
+  // The same training step on both instances; the server is idle here (every
+  // submitted future has resolved), so the adapter is not mid-forward.
+  for (core::MetaLoraTrLinear* a : {&adapter, &twin}) {
+    a->SetFeatures(Variable(f, /*requires_grad=*/false));
+    Variable loss =
+        autograd::SumAll(a->Forward(Variable(x, /*requires_grad=*/false)));
+    a->ZeroGrad();
+    ASSERT_TRUE(autograd::Backward(loss).ok());
+    std::vector<Variable> params;
+    for (Variable* p : a->TrainableParameters()) params.push_back(*p);
+    optim::AdamOptions adam_opts;
+    adam_opts.lr = 1e-2;
+    optim::Adam adam(params, adam_opts);
+    adam.Step();  // bumps the global parameter version
+  }
+
+  const Tensor after = server.Submit(sid, f, x).get();
   server.Shutdown();
-  EXPECT_GT(server.stats().result_cache_misses, misses_before);
+  ASSERT_TRUE(after.defined());
+  EXPECT_NE(std::memcmp(after.data(), cold.data(),
+                        sizeof(float) * static_cast<size_t>(cold.numel())),
+            0);
+  ExpectBitIdentical(after, SerialForward(twin, f, x));
+  EXPECT_GE(adapter.conditioning_cache()->stats().invalidations, 1);
 }
 
 // Tiny queues + a stalled worker: TrySubmit must start failing (bounded
@@ -579,7 +605,6 @@ TEST(AdapterServer, ShutdownDrainsInFlightRequests) {
   AdapterServerOptions opts;
   opts.max_batch_size = 4;
   opts.num_workers = 2;
-  opts.result_cache_entries = 0;  // force every request through a forward
   opts.worker_batch_hook = [] {
     std::this_thread::sleep_for(std::chrono::microseconds(300));
   };
