@@ -32,8 +32,8 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "core/metalora_linear.h"
-#include "nn/linear.h"
+#include "core/adapter_factory.h"
+#include "core/conditioning_cache.h"
 #include "optim/adam.h"
 #include "tensor/random_init.h"
 
@@ -141,7 +141,7 @@ struct EvalResult {
   int64_t evictions = 0;
 };
 
-EvalResult RunEvalMode(core::MetaLoraCpLinear& adapter,
+EvalResult RunEvalMode(core::Adapter& adapter,
                        const autograd::Variable& x, bool warm, int iters) {
   autograd::NoGradGuard ng;
   adapter.conditioning_cache()->Clear();
@@ -199,16 +199,14 @@ int main(int argc, char** argv) {
   // Mapping-dominated adapter: the conditioning network (256 -> 512 -> R)
   // dwarfs the 64x64 base layer, so a cache hit removes most of the
   // forward's FLOPs.
-  core::AdapterOptions mopts;
-  mopts.kind = core::AdapterKind::kMetaLoraCp;
-  mopts.rank = 8;
-  mopts.alpha = 8.0f;
-  mopts.feature_dim = 256;
-  mopts.mapping_hidden = 512;
-  mopts.seed = 29;
+  core::AdapterSpec spec = core::LinearAdapterSpec(
+      core::AdapterKind::kMetaLoraCp, /*in=*/64, /*out=*/64, /*rank=*/8,
+      /*feature_dim=*/256, /*seed=*/29);
+  spec.options.mapping_hidden = 512;
+  auto built = core::BuildAdapter(spec);
+  ML_CHECK(built.ok()) << built.status().ToString();
+  core::Adapter& adapter = *built.value();
   Rng brng(5);
-  core::MetaLoraCpLinear adapter(
-      std::make_unique<nn::Linear>(64, 64, /*bias=*/true, brng), mopts);
   for (auto& np : adapter.NamedParameters()) {
     if (np.name == "lora_b") {
       FillNormal(np.variable->mutable_value(), brng, 0.0f, 0.05f);
@@ -217,7 +215,7 @@ int main(int argc, char** argv) {
   const int64_t batch = 64;
   Rng frng(6);
   adapter.SetFeatures(autograd::Variable(
-      RandomNormal(Shape{batch, mopts.feature_dim}, frng), false));
+      RandomNormal(Shape{batch, spec.options.feature_dim}, frng), false));
   autograd::Variable x(RandomNormal(Shape{batch, 64}, frng), false);
 
   const int kEvalIters = smoke ? 8 : 50;

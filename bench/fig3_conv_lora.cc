@@ -12,7 +12,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "core/conv_lora.h"
+#include "core/tn_adapter.h"
 #include "nn/conv2d.h"
 #include "tensor/conv_ops.h"
 #include "tensor/random_init.h"
@@ -46,9 +46,14 @@ int main() {
     Rng base_rng(9);
     auto base = std::make_unique<nn::Conv2d>(in_ch, out_ch, k, 1, 1,
                                              /*bias=*/false, base_rng);
-    core::ConvLora lora(std::move(base), opts);
+    const ConvGeom geom = base->geom();
+    core::TnAdapter lora(std::move(base), opts);
     // Nonzero B so the identity is nontrivial.
-    FillNormal(lora.lora_b().mutable_value(), rng, 0.0f, 0.5f);
+    for (auto& np : lora.NamedParameters()) {
+      if (np.name == "lora_b") {
+        FillNormal(np.variable->mutable_value(), rng, 0.0f, 0.5f);
+      }
+    }
 
     autograd::NoGradGuard guard;
     Timer t1;
@@ -60,7 +65,7 @@ int main() {
     Timer t2;
     Tensor delta_w = lora.DeltaWeight();
     Tensor merged =
-        Add(base_out, Conv2dForward(x, delta_w, Tensor(), lora.base()->geom()));
+        Add(base_out, Conv2dForward(x, delta_w, Tensor(), geom));
     const double merged_ms = t2.Millis();
 
     const float diff = MaxAbsDiff(two_stage, merged);

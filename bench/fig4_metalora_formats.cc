@@ -16,6 +16,7 @@
 #include "common/timer.h"
 #include "core/mapping_net.h"
 #include "core/metalora_linear.h"
+#include "core/tn_adapter.h"
 #include "nn/linear.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
@@ -60,7 +61,7 @@ int main() {
       const int reps = 20;
 
       if (!is_tr) {
-        core::MetaLoraCpLinear meta(make_base(), opts);
+        core::TnAdapter meta(make_base(), opts);
         Rng frng(11);
         for (auto& np : meta.NamedParameters()) {
           if (np.name == "lora_b")
@@ -87,7 +88,7 @@ int main() {
             Tensor c{Shape{rank}};
             for (int64_t r = 0; r < rank; ++r)
               c.flat(r) = seeds.flat(s * rank + r);
-            Tensor dw = meta.DeltaWeightFor(c);
+            Tensor dw = meta.DeltaWeight(&c);
             Tensor xs{Shape{1, in}};
             std::copy(x.data() + s * in, x.data() + (s + 1) * in, xs.data());
             Tensor ys = MatmulTransB(xs, dw);

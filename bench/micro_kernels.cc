@@ -6,8 +6,8 @@
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "core/conv_lora.h"
 #include "core/metalora_linear.h"
+#include "core/tn_adapter.h"
 #include "nn/attention.h"
 #include "nn/resnet.h"
 #include "tensor/conv_ops.h"
@@ -97,7 +97,7 @@ void BM_ConvLoraForward(benchmark::State& state) {
   opts.kind = core::AdapterKind::kLora;
   opts.rank = rank;
   opts.seed = 1;
-  core::ConvLora lora(
+  core::TnAdapter lora(
       std::make_unique<nn::Conv2d>(16, 16, 3, 1, 1, false, rng), opts);
   Tensor x = RandomNormal(Shape{4, 16, 16, 16}, rng);
   autograd::NoGradGuard guard;
@@ -115,7 +115,7 @@ void BM_MetaLoraCpForward(benchmark::State& state) {
   opts.rank = rank;
   opts.feature_dim = 32;
   opts.seed = 1;
-  core::MetaLoraCpLinear meta(
+  core::TnAdapter meta(
       std::make_unique<nn::Linear>(64, 64, true, rng), opts);
   Tensor x = RandomNormal(Shape{32, 64}, rng);
   Tensor feats = RandomNormal(Shape{32, 32}, rng);

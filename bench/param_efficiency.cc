@@ -16,7 +16,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "core/inject.h"
-#include "core/lotr_adapter.h"
+#include "core/tn_adapter.h"
 #include "eval/trainer.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -95,14 +95,8 @@ int64_t ClosedFormParams(const core::Adapter* a, const core::AdapterOptions& o,
              map_mat;
     case core::AdapterKind::kLotr:
     case core::AdapterKind::kMetaLotr: {
-      bool owner;
-      if (lin) {
-        owner = static_cast<const core::LotrLinear*>(a)->owns_shared_factors();
-      } else {
-        owner = static_cast<const core::LotrConv*>(a)->owns_shared_factors();
-      }
       int64_t n = tn::LotrCoreParams(r);
-      if (owner) {
+      if (static_cast<const core::TnAdapter*>(a)->owns_shared_factors()) {
         n += lin ? tn::LotrSharedLinearParams(lin->in_features(),
                                               lin->out_features(), r)
                  : tn::LotrSharedConvParams(conv->geom().kernel_h,

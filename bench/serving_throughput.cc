@@ -50,9 +50,8 @@
 #include "common/rng.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
-#include "core/metalora_linear.h"
+#include "core/adapter_factory.h"
 #include "core/precision_shadows.h"
-#include "nn/linear.h"
 #include "serve/adapter_server.h"
 #include "tensor/autocast.h"
 #include "tensor/lowp.h"
@@ -66,18 +65,15 @@ constexpr int64_t kFeatureDim = 256;
 constexpr int64_t kMappingHidden = 512;
 constexpr int64_t kBaseDim = 64;
 
-std::unique_ptr<core::MetaLoraCpLinear> BuildAdapter() {
-  core::AdapterOptions mopts;
-  mopts.kind = core::AdapterKind::kMetaLoraCp;
-  mopts.rank = 8;
-  mopts.alpha = 8.0f;
-  mopts.feature_dim = kFeatureDim;
-  mopts.mapping_hidden = kMappingHidden;
-  mopts.seed = 29;
+std::unique_ptr<core::Adapter> MakeAdapter() {
+  core::AdapterSpec spec = core::LinearAdapterSpec(
+      core::AdapterKind::kMetaLoraCp, kBaseDim, kBaseDim, /*rank=*/8,
+      kFeatureDim, /*seed=*/29);
+  spec.options.mapping_hidden = kMappingHidden;
+  auto built = core::BuildAdapter(spec);
+  ML_CHECK(built.ok()) << built.status().ToString();
+  std::unique_ptr<core::Adapter> adapter = std::move(built).value();
   Rng brng(5);
-  auto adapter = std::make_unique<core::MetaLoraCpLinear>(
-      std::make_unique<nn::Linear>(kBaseDim, kBaseDim, /*bias=*/true, brng),
-      mopts);
   for (auto& np : adapter->NamedParameters()) {
     if (np.name == "lora_b") {
       FillNormal(np.variable->mutable_value(), brng, 0.0f, 0.05f);
@@ -124,7 +120,7 @@ struct ScenarioResult {
 ScenarioResult RunScenario(const std::string& mode, int clients,
                            int per_client, int64_t max_batch_size,
                            const AutocastPolicy& policy) {
-  auto adapter = BuildAdapter();
+  auto adapter = MakeAdapter();
   std::vector<lowp::ShadowHandle> shadows;
   if (policy.enabled) shadows = core::RegisterModuleShadows(*adapter);
   serve::AdapterServerOptions opts;
@@ -226,7 +222,7 @@ int main(int argc, char** argv) {
                                             client_counts.end());
   const int64_t max_requests =
       static_cast<int64_t>(max_clients) * per_client;
-  auto ref_adapter = BuildAdapter();
+  auto ref_adapter = MakeAdapter();
   std::vector<lowp::ShadowHandle> ref_shadows;
   if (policy.enabled) {
     ref_shadows = core::RegisterModuleShadows(*ref_adapter);

@@ -10,8 +10,8 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/conv_lora.h"
 #include "core/inject.h"
+#include "core/tn_adapter.h"
 #include "data/task_suite.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
@@ -95,7 +95,7 @@ int main() {
   // inference pays zero adapter overhead; Forward skips the adapter branch
   // once merged.
   for (core::Adapter* adapter : reinject->adapters) {
-    static_cast<core::ConvLora*>(adapter)->Merge();
+    static_cast<core::TnAdapter*>(adapter)->Merge();
   }
   const double merged_acc = EvalAccuracy(reloaded, target_test);
   std::cout << "accuracy with merged weights (no adapter path): " << merged_acc

@@ -3,14 +3,11 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/conv_lora.h"
-#include "core/lora_linear.h"
-#include "core/lotr_adapter.h"
 #include "core/metalora_conv.h"
 #include "core/metalora_linear.h"
 #include "core/moe_lora.h"
 #include "core/multi_lora.h"
-#include "core/tt_adapter.h"
+#include "core/tn_adapter.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 
@@ -26,28 +23,22 @@ Result<std::unique_ptr<Adapter>> BuildLinearAdapter(const AdapterSpec& spec) {
                                            b.bias, rng);
   switch (spec.options.kind) {
     case AdapterKind::kLora:
+    case AdapterKind::kMetaLoraCp:
+    case AdapterKind::kLotr:
+    case AdapterKind::kMetaLotr:
+    case AdapterKind::kTt:
+    case AdapterKind::kMetaTt:
       return std::unique_ptr<Adapter>(
-          std::make_unique<LoraLinear>(std::move(base), spec.options));
+          std::make_unique<TnAdapter>(std::move(base), spec.options));
     case AdapterKind::kMultiLora:
       return std::unique_ptr<Adapter>(
           std::make_unique<MultiLoraLinear>(std::move(base), spec.options));
     case AdapterKind::kMoeLora:
       return std::unique_ptr<Adapter>(
           std::make_unique<MoeLoraLinear>(std::move(base), spec.options));
-    case AdapterKind::kMetaLoraCp:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MetaLoraCpLinear>(std::move(base), spec.options));
     case AdapterKind::kMetaLoraTr:
       return std::unique_ptr<Adapter>(
           std::make_unique<MetaLoraTrLinear>(std::move(base), spec.options));
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<LotrLinear>(std::move(base), spec.options));
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<TtLinear>(std::move(base), spec.options));
     case AdapterKind::kNone:
       break;
   }
@@ -62,28 +53,22 @@ Result<std::unique_ptr<Adapter>> BuildConvAdapter(const AdapterSpec& spec) {
                                            b.bias, rng);
   switch (spec.options.kind) {
     case AdapterKind::kLora:
+    case AdapterKind::kMetaLoraCp:
+    case AdapterKind::kLotr:
+    case AdapterKind::kMetaLotr:
+    case AdapterKind::kTt:
+    case AdapterKind::kMetaTt:
       return std::unique_ptr<Adapter>(
-          std::make_unique<ConvLora>(std::move(base), spec.options));
+          std::make_unique<TnAdapter>(std::move(base), spec.options));
     case AdapterKind::kMultiLora:
       return std::unique_ptr<Adapter>(
           std::make_unique<MultiLoraConv>(std::move(base), spec.options));
     case AdapterKind::kMoeLora:
       return std::unique_ptr<Adapter>(
           std::make_unique<MoeLoraConv>(std::move(base), spec.options));
-    case AdapterKind::kMetaLoraCp:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MetaLoraCpConv>(std::move(base), spec.options));
     case AdapterKind::kMetaLoraTr:
       return std::unique_ptr<Adapter>(
           std::make_unique<MetaLoraTrConv>(std::move(base), spec.options));
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<LotrConv>(std::move(base), spec.options));
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<TtConv>(std::move(base), spec.options));
     case AdapterKind::kNone:
       break;
   }

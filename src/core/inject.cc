@@ -5,14 +5,11 @@
 #include <memory>
 #include <tuple>
 
-#include "core/conv_lora.h"
-#include "core/lora_linear.h"
-#include "core/lotr_adapter.h"
 #include "core/metalora_conv.h"
 #include "core/metalora_linear.h"
 #include "core/moe_lora.h"
 #include "core/multi_lora.h"
-#include "core/tt_adapter.h"
+#include "core/tn_adapter.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 
@@ -33,18 +30,37 @@ void InjectionResult::PrepareReplicas(int n) const {
 
 namespace {
 
-/// LoTR cross-layer sharing state, keyed by base-layer geometry. The first
-/// layer of a geometry encountered in traversal order becomes the owner of
-/// the group's registered shared factors; its LotrShare (Variable copies
-/// aliasing the owner's storage) is kept here so later members can join.
-/// Traversal order is deterministic (NamedChildren snapshot), so the owner —
-/// and therefore which module's StateDict carries "lotr_down"/"lotr_up" —
-/// is deterministic too.
-struct SharedGroups {
-  std::map<std::tuple<int64_t, int64_t>, LotrShare> linear;  // (in, out)
-  std::map<std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t>, LotrShare>
-      conv;  // (in, out, kernel, stride, padding)
-};
+/// LoTR cross-layer sharing state, keyed by base-layer geometry: (0, in,
+/// out, 0, 0, 0) for linears, (1, in, out, kernel, stride, padding) for
+/// convs. The first layer of a geometry encountered in traversal order
+/// becomes the owner of the group's registered shared factors; its share()
+/// (Variable copies aliasing the owner's storage) is kept here so later
+/// members can join. Traversal order is deterministic (NamedChildren
+/// snapshot), so the owner — and therefore which module's StateDict
+/// carries "lotr_down"/"lotr_up" — is deterministic too.
+using GeometryKey =
+    std::tuple<int64_t, int64_t, int64_t, int64_t, int64_t, int64_t>;
+using SharedGroups = std::map<GeometryKey, TnAdapter::SharedFactors>;
+
+/// Builds the chain adapter for `base`, joining the geometry group of `key`
+/// when the kind shares factors (founding it if this is the first member).
+template <typename Base>
+std::unique_ptr<Adapter> WrapChain(std::unique_ptr<Base> base,
+                                   const AdapterOptions& options,
+                                   const GeometryKey& key,
+                                   SharedGroups* groups,
+                                   InjectionResult* result) {
+  const bool shared = TnAdapter::SharesFactors(options.kind);
+  auto it = shared ? groups->find(key) : groups->end();
+  const TnAdapter::SharedFactors* share =
+      it != groups->end() ? &it->second : nullptr;
+  auto adapter = std::make_unique<TnAdapter>(std::move(base), options, share);
+  if (shared && share == nullptr) {
+    groups->emplace(key, adapter->share());
+    ++result->num_shared_groups;
+  }
+  return adapter;
+}
 
 std::unique_ptr<Adapter> WrapConv(std::unique_ptr<nn::Conv2d> base,
                                   const AdapterOptions& options,
@@ -52,35 +68,25 @@ std::unique_ptr<Adapter> WrapConv(std::unique_ptr<nn::Conv2d> base,
                                   InjectionResult* result) {
   switch (options.kind) {
     case AdapterKind::kLora:
-      return std::make_unique<ConvLora>(std::move(base), options);
+    case AdapterKind::kMetaLoraCp:
+    case AdapterKind::kLotr:
+    case AdapterKind::kMetaLotr:
+    case AdapterKind::kTt:
+    case AdapterKind::kMetaTt: {
+      const GeometryKey key{1,
+                            base->in_channels(),
+                            base->out_channels(),
+                            base->geom().kernel_h,
+                            base->geom().stride,
+                            base->geom().padding};
+      return WrapChain(std::move(base), options, key, groups, result);
+    }
     case AdapterKind::kMultiLora:
       return std::make_unique<MultiLoraConv>(std::move(base), options);
-    case AdapterKind::kMetaLoraCp:
-      return std::make_unique<MetaLoraCpConv>(std::move(base), options);
     case AdapterKind::kMetaLoraTr:
       return std::make_unique<MetaLoraTrConv>(std::move(base), options);
     case AdapterKind::kMoeLora:
       return std::make_unique<MoeLoraConv>(std::move(base), options);
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr: {
-      const auto key = std::make_tuple(
-          base->in_channels(), base->out_channels(),
-          static_cast<int64_t>(base->geom().kernel_h),
-          static_cast<int64_t>(base->geom().stride),
-          static_cast<int64_t>(base->geom().padding));
-      auto it = groups->conv.find(key);
-      if (it != groups->conv.end()) {
-        return std::make_unique<LotrConv>(std::move(base), options,
-                                          &it->second);
-      }
-      auto owner = std::make_unique<LotrConv>(std::move(base), options);
-      groups->conv.emplace(key, owner->share());
-      ++result->num_shared_groups;
-      return owner;
-    }
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt:
-      return std::make_unique<TtConv>(std::move(base), options);
     case AdapterKind::kNone:
       break;
   }
@@ -94,32 +100,21 @@ std::unique_ptr<Adapter> WrapLinear(std::unique_ptr<nn::Linear> base,
                                     InjectionResult* result) {
   switch (options.kind) {
     case AdapterKind::kLora:
-      return std::make_unique<LoraLinear>(std::move(base), options);
+    case AdapterKind::kMetaLoraCp:
+    case AdapterKind::kLotr:
+    case AdapterKind::kMetaLotr:
+    case AdapterKind::kTt:
+    case AdapterKind::kMetaTt: {
+      const GeometryKey key{0, base->in_features(), base->out_features(),
+                            0, 0, 0};
+      return WrapChain(std::move(base), options, key, groups, result);
+    }
     case AdapterKind::kMultiLora:
       return std::make_unique<MultiLoraLinear>(std::move(base), options);
-    case AdapterKind::kMetaLoraCp:
-      return std::make_unique<MetaLoraCpLinear>(std::move(base), options);
     case AdapterKind::kMetaLoraTr:
       return std::make_unique<MetaLoraTrLinear>(std::move(base), options);
     case AdapterKind::kMoeLora:
       return std::make_unique<MoeLoraLinear>(std::move(base), options);
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr: {
-      const auto key =
-          std::make_tuple(base->in_features(), base->out_features());
-      auto it = groups->linear.find(key);
-      if (it != groups->linear.end()) {
-        return std::make_unique<LotrLinear>(std::move(base), options,
-                                            &it->second);
-      }
-      auto owner = std::make_unique<LotrLinear>(std::move(base), options);
-      groups->linear.emplace(key, owner->share());
-      ++result->num_shared_groups;
-      return owner;
-    }
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt:
-      return std::make_unique<TtLinear>(std::move(base), options);
     case AdapterKind::kNone:
       break;
   }

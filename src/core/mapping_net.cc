@@ -39,5 +39,13 @@ Variable MappingNet::Forward(const Variable& features) {
                        autograd::Variable(std::move(eye), /*requires_grad=*/false));
 }
 
+Variable AlignSeedToRows(const Variable& seed, int64_t x_rows) {
+  const int64_t n = seed.dim(0);
+  ML_CHECK(x_rows % n == 0 && x_rows >= n)
+      << "conditioning features batch size mismatch: x has " << x_rows
+      << " rows, features have " << n;
+  return autograd::RepeatRowsInterleaved(seed, x_rows / n);
+}
+
 }  // namespace core
 }  // namespace metalora

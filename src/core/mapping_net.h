@@ -40,6 +40,12 @@ class MappingNet : public nn::Module {
   nn::Mlp* mlp_;
 };
 
+/// Aligns a per-sample seed [N, ...] with the rows of `x`. Layers applied
+/// token-wise (MLP-Mixer) see x flattened to [N*S, D] with sample-major row
+/// order, so the seed is repeated S times per sample; a row count that is
+/// not an exact multiple of N is a caller bug ("batch size mismatch").
+Variable AlignSeedToRows(const Variable& seed, int64_t x_rows);
+
 }  // namespace core
 }  // namespace metalora
 

@@ -10,90 +10,6 @@
 namespace metalora {
 namespace core {
 
-// ---------------------------------------------------------------------------
-// CP variant.
-// ---------------------------------------------------------------------------
-
-MetaLoraCpConv::MetaLoraCpConv(std::unique_ptr<nn::Conv2d> base,
-                               const AdapterOptions& options)
-    : Adapter("MetaLoraCpConv", options) {
-  ML_CHECK(base != nullptr);
-  ML_CHECK_GT(options.rank, 0);
-  ML_CHECK_GT(options.feature_dim, 0);
-  const int64_t in = base->in_channels();
-  const int64_t out = base->out_channels();
-  const int64_t k = base->geom().kernel_h;
-  scaling_ = options.alpha / static_cast<float>(options.rank);
-
-  base_ = RegisterModule("base", std::move(base));
-  base_->SetTrainable(false);
-
-  Rng rng(options.seed);
-  Tensor a{Shape{options.rank, in, k, k}};
-  KaimingNormal(a, rng, in * k * k);
-  lora_a_ = RegisterParameter("lora_a", std::move(a));
-  lora_b_ = RegisterParameter("lora_b",
-                              Tensor::Zeros(Shape{out, options.rank}));
-  mapping_ = RegisterModule(
-      "mapping", std::make_unique<MappingNet>(options.feature_dim,
-                                              options.mapping_hidden,
-                                              options.rank,
-                                              SeedShape::kVector, rng));
-}
-
-Variable MetaLoraCpConv::Forward(const Variable& x) {
-  const Variable features = bound_features();
-  ML_CHECK(features.defined())
-      << "MetaLoraCpConv: SetFeatures must be called before Forward";
-  ML_CHECK_EQ(features.dim(0), x.dim(0));
-  Variable y = base_->Forward(x);
-  Variable c = cache_.SeedOrCompute(
-      cache_salt_, features,
-      [&] { return mapping_->Forward(features); });  // [N, R]
-
-  Variable h = autograd::Conv2d(x, lora_a_, Variable(), base_->geom());
-  h = autograd::ScaleChannels(h, c);  // per-sample rank scaling (Eq. 6)
-  const int64_t out = base_->out_channels();
-  Variable b4 = autograd::Reshape(lora_b_, Shape{out, options_.rank, 1, 1});
-  ConvGeom pointwise;
-  pointwise.kernel_h = 1;
-  pointwise.kernel_w = 1;
-  Variable d = autograd::Conv2d(h, b4, Variable(), pointwise);
-  return autograd::Add(y, autograd::Scale(d, scaling_));
-}
-
-int64_t MetaLoraCpConv::AdapterParamCount() const {
-  return lora_a_.numel() + lora_b_.numel() + mapping_->ParamCount();
-}
-
-Tensor MetaLoraCpConv::DeltaWeightFor(const Tensor& seed_c) const {
-  ML_CHECK_EQ(seed_c.rank(), 1);
-  ML_CHECK_EQ(seed_c.dim(0), options_.rank);
-  const int64_t r = options_.rank;
-  const int64_t in = base_->in_channels();
-  const int64_t out = base_->out_channels();
-  const int64_t k = base_->geom().kernel_h;
-  Tensor delta{Shape{out, in, k, k}};
-  const float* pa = lora_a_.value().data();
-  const float* pb = lora_b_.value().data();
-  float* pd = delta.data();
-  const int64_t filt = in * k * k;
-  for (int64_t o = 0; o < out; ++o) {
-    for (int64_t rr = 0; rr < r; ++rr) {
-      const float bv = scaling_ * pb[o * r + rr] * seed_c.flat(rr);
-      if (bv == 0.0f) continue;
-      const float* arow = pa + rr * filt;
-      float* drow = pd + o * filt;
-      for (int64_t i = 0; i < filt; ++i) drow[i] += bv * arow[i];
-    }
-  }
-  return delta;
-}
-
-// ---------------------------------------------------------------------------
-// TR variant.
-// ---------------------------------------------------------------------------
-
 MetaLoraTrConv::MetaLoraTrConv(std::unique_ptr<nn::Conv2d> base,
                                const AdapterOptions& options)
     : Adapter("MetaLoraTrConv", options) {

@@ -1,12 +1,10 @@
-// MetaLoRA for convolutional layers (paper §III.D).
+// MetaLoRA, TR format, for convolutional layers (paper §III.D): the first
+// ring core is a convolution to R·R bond channels; the generated core
+// C[r2,r0] and the stored core B[r1,o,r2] combine into a per-sample 1×1
+// recovery convolution.
 //
-// CP variant: Conv-LoRA's two-stage path with the R intermediate channels
-// rescaled per input by the generated seed c — exactly
-// ΔW = Λ ×₁ A ×₁ B ×₃ c applied without materializing per-sample kernels.
-//
-// TR variant: the first ring core is a convolution to R·R bond channels; the
-// generated core C[r2,r0] and the stored core B[r1,o,r2] combine into a
-// per-sample 1×1 recovery convolution.
+// The CP format is core::TnAdapter's conv lowering (core/tn_adapter.h); see
+// metalora_linear.h for why TR stays a separate class.
 #ifndef METALORA_CORE_METALORA_CONV_H_
 #define METALORA_CORE_METALORA_CONV_H_
 
@@ -19,32 +17,6 @@
 
 namespace metalora {
 namespace core {
-
-class MetaLoraCpConv : public Adapter {
- public:
-  MetaLoraCpConv(std::unique_ptr<nn::Conv2d> base,
-                 const AdapterOptions& options);
-
-  Variable Forward(const Variable& x) override;
-  int64_t AdapterParamCount() const override;
-
-  /// Materializes ΔW [O, I, K, K] for one seed c [R] (analysis/tests only).
-  Tensor DeltaWeightFor(const Tensor& seed_c) const;
-
-  MappingNet* mapping_net() { return mapping_; }
-
-  /// Seed cache consulted by no-grad forwards (see conditioning_cache.h).
-  ConditioningCache* conditioning_cache() override { return &cache_; }
-
- private:
-  nn::Conv2d* base_;
-  MappingNet* mapping_;
-  Variable lora_a_;  // [R, I, K, K]
-  Variable lora_b_;  // [O, R]
-  float scaling_;
-  ConditioningCache cache_;
-  uint64_t cache_salt_ = NextAdapterCacheSalt();
-};
 
 class MetaLoraTrConv : public Adapter {
  public:

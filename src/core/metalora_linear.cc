@@ -12,97 +12,6 @@
 namespace metalora {
 namespace core {
 
-// ---------------------------------------------------------------------------
-// CP variant.
-// ---------------------------------------------------------------------------
-
-MetaLoraCpLinear::MetaLoraCpLinear(std::unique_ptr<nn::Linear> base,
-                                   const AdapterOptions& options)
-    : Adapter("MetaLoraCpLinear", options) {
-  ML_CHECK(base != nullptr);
-  ML_CHECK_GT(options.rank, 0);
-  ML_CHECK_GT(options.feature_dim, 0)
-      << "MetaLoRA needs options.feature_dim (the extractor embedding size)";
-  const int64_t in = base->in_features();
-  const int64_t out = base->out_features();
-  scaling_ = options.alpha / static_cast<float>(options.rank);
-
-  base_ = RegisterModule("base", std::move(base));
-  base_->SetTrainable(false);
-
-  Rng rng(options.seed);
-  Tensor a{Shape{options.rank, in}};
-  KaimingNormal(a, rng, in);
-  lora_a_ = RegisterParameter("lora_a", std::move(a));
-  // Zero-init B: the adapted model starts at the pre-trained point for every
-  // value of the generated seed.
-  lora_b_ = RegisterParameter("lora_b",
-                              Tensor::Zeros(Shape{out, options.rank}));
-  mapping_ = RegisterModule(
-      "mapping", std::make_unique<MappingNet>(options.feature_dim,
-                                              options.mapping_hidden,
-                                              options.rank,
-                                              SeedShape::kVector, rng));
-}
-
-namespace {
-
-// Aligns a per-sample seed with the rows of `x`. Layers applied token-wise
-// (MLP-Mixer) see x flattened to [N*S, D] with sample-major row order, so
-// the seed is repeated S times per sample; a mismatch that is not an exact
-// multiple is a caller bug.
-Variable AlignSeedToRows(const Variable& seed, int64_t x_rows) {
-  const int64_t n = seed.dim(0);
-  ML_CHECK(x_rows % n == 0 && x_rows >= n)
-      << "conditioning features batch size mismatch: x has " << x_rows
-      << " rows, features have " << n;
-  return autograd::RepeatRowsInterleaved(seed, x_rows / n);
-}
-
-}  // namespace
-
-Variable MetaLoraCpLinear::Forward(const Variable& x) {
-  const Variable features = bound_features();
-  ML_CHECK(features.defined())
-      << "MetaLoraCpLinear: SetFeatures must be called before Forward";
-  Variable y = base_->Forward(x);
-  // The mapping net generates the seed; the CP-factored update applies it
-  // per sample (Eq. 6).
-  Variable seed = cache_.SeedOrCompute(
-      cache_salt_, features,
-      [&] { return mapping_->Forward(features); });       // [N, R]
-  Variable c = AlignSeedToRows(seed, x.dim(0));
-  Variable h = autograd::Linear(x, lora_a_, Variable());  // [N, R]
-  h = autograd::Mul(h, c);                                // per-sample Eq. 6
-  Variable d = autograd::Linear(h, lora_b_, Variable());  // [N, O]
-  return autograd::Add(y, autograd::Scale(d, scaling_));
-}
-
-int64_t MetaLoraCpLinear::AdapterParamCount() const {
-  return lora_a_.numel() + lora_b_.numel() +
-         mapping_->ParamCount();
-}
-
-Tensor MetaLoraCpLinear::DeltaWeightFor(const Tensor& seed_c) const {
-  ML_CHECK_EQ(seed_c.rank(), 1);
-  ML_CHECK_EQ(seed_c.dim(0), options_.rank);
-  // ΔW[o,i] = scaling · Σ_r B[o,r] c[r] A[r,i].
-  Tensor b_scaled = lora_b_.value().Clone();
-  const int64_t out = b_scaled.dim(0), r = b_scaled.dim(1);
-  for (int64_t o = 0; o < out; ++o) {
-    for (int64_t k = 0; k < r; ++k) {
-      b_scaled.flat(o * r + k) *= seed_c.flat(k);
-    }
-  }
-  Tensor delta = Matmul(b_scaled, lora_a_.value());
-  ScaleInPlace(delta, scaling_);
-  return delta;
-}
-
-// ---------------------------------------------------------------------------
-// TR variant.
-// ---------------------------------------------------------------------------
-
 MetaLoraTrLinear::MetaLoraTrLinear(std::unique_ptr<nn::Linear> base,
                                    const AdapterOptions& options)
     : Adapter("MetaLoraTrLinear", options) {

@@ -1,13 +1,11 @@
-// MetaLoRA for linear layers (paper §III.C).
+// MetaLoRA, TR format, for linear layers (paper §III.C, Eq. 7):
+// ΔW = Σ_{r0,r1,r2} A[r0,·,r1]·B[r1,·,r2]·C[r2,r0] with the ring core C
+// generated per input; applied through batched bond contractions.
 //
-// CP variant (Eq. 6): ΔW = Λ ×₁ A ×₂ B ×₃ c, with the seed c generated per
-// input by the mapping net. Because ΔW enters the layer as x·ΔWᵀ, the
-// per-sample update factorizes exactly as (x Aᵀ) ⊙ c → ·Bᵀ — the adapter
-// never materializes a per-sample weight matrix (see DESIGN.md).
-//
-// TR variant (Eq. 7): ΔW = Σ_{r0,r1,r2} A[r0,·,r1]·B[r1,·,r2]·C[r2,r0] with
-// the ring core C generated per input; applied through batched bond
-// contractions.
+// The CP format (Eq. 6) is core::TnAdapter (core/tn_adapter.h). TR stays
+// its own class: its generated factor is a ring core over two bonds, not a
+// rank diagonal, and it is served through a cached per-feature recovery
+// tensor (ConditioningCache::DeltaOrCompute) rather than a cached seed.
 #ifndef METALORA_CORE_METALORA_LINEAR_H_
 #define METALORA_CORE_METALORA_LINEAR_H_
 
@@ -20,34 +18,6 @@
 
 namespace metalora {
 namespace core {
-
-class MetaLoraCpLinear : public Adapter {
- public:
-  MetaLoraCpLinear(std::unique_ptr<nn::Linear> base,
-                   const AdapterOptions& options);
-
-  /// Requires SetFeatures(features) earlier in the same batch.
-  Variable Forward(const Variable& x) override;
-
-  int64_t AdapterParamCount() const override;
-
-  /// Materializes this sample's ΔW = A·diag(c)·B (analysis/tests only).
-  Tensor DeltaWeightFor(const Tensor& seed_c) const;
-
-  MappingNet* mapping_net() { return mapping_; }
-
-  /// Seed cache consulted by no-grad forwards (see conditioning_cache.h).
-  ConditioningCache* conditioning_cache() override { return &cache_; }
-
- private:
-  nn::Linear* base_;
-  MappingNet* mapping_;
-  Variable lora_a_;  // [R, I] (paper's A^{I×R} transposed into Linear layout)
-  Variable lora_b_;  // [O, R] (paper's B^{R×O} transposed)
-  float scaling_;
-  ConditioningCache cache_;
-  uint64_t cache_salt_ = NextAdapterCacheSalt();
-};
 
 class MetaLoraTrLinear : public Adapter {
  public:

@@ -118,15 +118,12 @@ Variable MoeLoraConv::Forward(const Variable& x) {
   Variable y = base_->Forward(x);
   Variable weights = autograd::SoftmaxLastDim(gate_->Forward(features));
   const int64_t out = base_->out_channels();
-  ConvGeom pointwise;
-  pointwise.kernel_h = 1;
-  pointwise.kernel_w = 1;
   for (int e = 0; e < options_.num_tasks; ++e) {
     Variable h = autograd::Conv2d(x, lora_a_[static_cast<size_t>(e)],
                                   Variable(), base_->geom());
     Variable b4 = autograd::Reshape(lora_b_[static_cast<size_t>(e)],
                                     Shape{out, options_.rank, 1, 1});
-    Variable d = autograd::Conv2d(h, b4, Variable(), pointwise);
+    Variable d = autograd::Conv2d(h, b4, Variable(), ConvGeom::Pointwise());
     d = autograd::ScaleRows(d, GateColumn(weights, e, options_.num_tasks));
     y = autograd::Add(y, autograd::Scale(d, scaling_));
   }

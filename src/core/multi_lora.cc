@@ -133,9 +133,6 @@ Variable MultiLoraConv::Forward(const Variable& x) {
   const std::vector<int64_t>& task_ids = bound_task_ids();
   const bool oracle =
       options_.multi_lora_mode == MultiLoraMode::kOracleRouting;
-  ConvGeom pointwise;
-  pointwise.kernel_h = 1;
-  pointwise.kernel_w = 1;
   Variable y = base_->Forward(x);
   for (int t = 0; t < options_.num_tasks; ++t) {
     Variable mask;
@@ -148,7 +145,7 @@ Variable MultiLoraConv::Forward(const Variable& x) {
                                   Variable(), base_->geom());
     Variable b4 = autograd::Reshape(lora_b_[static_cast<size_t>(t)],
                                     Shape{out, branch_rank_, 1, 1});
-    Variable d = autograd::Conv2d(h, b4, Variable(), pointwise);
+    Variable d = autograd::Conv2d(h, b4, Variable(), ConvGeom::Pointwise());
     if (mask.defined()) {
       d = autograd::ScaleRows(d, mask);
     } else {

@@ -89,8 +89,8 @@ class AdapterServer {
 
   /// Registers an adapter-backed model and returns its session id. The
   /// adapter must outlive the server. Call before Start(). Pass the
-  /// adapter's conditioning cache (e.g. MetaLoraCpLinear::
-  /// conditioning_cache()) so stats() can fold its hit/miss/eviction
+  /// adapter's conditioning cache (Adapter::conditioning_cache(), non-null
+  /// for the conditioned kinds) so stats() can fold its hit/miss/eviction
   /// counters into the snapshot; nullptr skips that accounting.
   int RegisterSession(core::Adapter* adapter,
                       core::ConditioningCache* adapter_cache = nullptr);

@@ -21,6 +21,9 @@ struct ConvGeom {
   int64_t stride = 1;
   int64_t padding = 0;
 
+  /// The 1×1, stride-1, unpadded geometry of a channel-mixing conv.
+  static ConvGeom Pointwise() { return ConvGeom{1, 1, 1, 0}; }
+
   /// Output spatial extent for input extent `in`.
   int64_t OutExtent(int64_t in, int64_t kernel) const {
     return (in + 2 * padding - kernel) / stride + 1;

@@ -2,7 +2,10 @@
 // paper (Figs. 3–4, parameter-efficiency discussion in §I).
 //
 // All counts are exact closed forms; bench/param_efficiency and
-// bench/fig3_conv_lora print them next to measured values.
+// bench/fig3_conv_lora print them next to measured values. Adapters derive
+// their own counts from their factors (core::TnAdapter from its chain), so
+// these closed forms are test oracles: core_tn_adapter_test, core_inject_test
+// and bench/param_efficiency pin the derived counts against them.
 #ifndef METALORA_TN_TN_COST_H_
 #define METALORA_TN_TN_COST_H_
 

@@ -13,11 +13,9 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "core/lora_linear.h"
-#include "core/lotr_adapter.h"
 #include "core/metalora_linear.h"
 #include "core/multi_lora.h"
-#include "core/tt_adapter.h"
+#include "core/tn_adapter.h"
 #include "eval/knn.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -55,17 +53,17 @@ TEST(AdapterForwardTest, SchedulesNoPoolTasks) {
   // single input channel keeps Im2Col on the caller), so any scheduled task
   // would come from the adapter forward itself.
   std::vector<std::unique_ptr<core::Adapter>> adapters;
-  adapters.push_back(std::make_unique<core::LoraLinear>(
+  adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kLora)));
   adapters.push_back(std::make_unique<core::MultiLoraLinear>(
       BaseLinear(), Opts(core::AdapterKind::kMultiLora)));
-  adapters.push_back(std::make_unique<core::MetaLoraCpLinear>(
+  adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMetaLoraCp)));
   adapters.push_back(std::make_unique<core::MetaLoraTrLinear>(
       BaseLinear(), Opts(core::AdapterKind::kMetaLoraTr)));
-  adapters.push_back(std::make_unique<core::LotrLinear>(
+  adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMetaLotr)));
-  adapters.push_back(std::make_unique<core::TtLinear>(
+  adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMetaTt)));
   Rng rng(3);
   auto conv = std::make_unique<core::MultiLoraConv>(

@@ -1,12 +1,13 @@
+// Static LoRA / Conv-LoRA specifics of core::TnAdapter. The properties
+// every chain family shares (start point, forward == ΔW, the Fig. 3
+// two-stage == merged identity, parameter counts, Merge round trips) are
+// checked over the full case table in core_tn_adapter_test.cc.
 #include <gtest/gtest.h>
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "core/conv_lora.h"
-#include "tensor/matmul.h"
-#include "core/lora_linear.h"
-#include "tensor/conv_ops.h"
+#include "core/tn_adapter.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
 #include "tn/tn_cost.h"
@@ -35,78 +36,8 @@ std::unique_ptr<nn::Conv2d> MakeBaseConv(int64_t in, int64_t out, int64_t k) {
                                       rng);
 }
 
-TEST(LoraLinearTest, StartsAtPretrainedPoint) {
-  // Zero-initialized B means the adapter is a no-op before training.
-  auto base = MakeBaseLinear(6, 4);
-  nn::Linear* base_raw = base.get();
-  Rng rng(1);
-  Tensor x = RandomNormal(Shape{3, 6}, rng);
-  autograd::NoGradGuard g;
-  Tensor base_out = base_raw->Forward(Variable(x, false)).value();
-  LoraLinear lora(std::move(base), Opts());
-  Tensor lora_out = lora.Forward(Variable(x, false)).value();
-  EXPECT_TRUE(AllClose(lora_out, base_out, 1e-6f, 1e-6f));
-}
-
-TEST(LoraLinearTest, BaseIsFrozenAdapterIsTrainable) {
-  LoraLinear lora(MakeBaseLinear(6, 4), Opts());
-  EXPECT_EQ(lora.base()->TrainableParamCount(), 0);
-  EXPECT_EQ(lora.TrainableParamCount(), lora.AdapterParamCount());
-  EXPECT_EQ(lora.AdapterParamCount(), tn::LoraLinearParams(6, 4, 4));
-}
-
-TEST(LoraLinearTest, DeltaWeightMatchesForwardDifference) {
-  LoraLinear lora(MakeBaseLinear(5, 3), Opts(2, 4.0f));
-  // Give B nonzero values so the delta is nontrivial.
-  Rng rng(2);
-  for (auto& np : lora.NamedParameters()) {
-    if (np.name == "lora_b") FillNormal(np.variable->mutable_value(), rng, 0, 1);
-  }
-  Tensor x = RandomNormal(Shape{4, 5}, rng);
-  autograd::NoGradGuard g;
-  Tensor with_adapter = lora.Forward(Variable(x, false)).value();
-  Tensor base_only = lora.base()->Forward(Variable(x, false)).value();
-  // difference == x · ΔWᵀ
-  Tensor diff = Sub(with_adapter, base_only);
-  Tensor expected = MatmulTransB(x, lora.DeltaWeight());
-  EXPECT_TRUE(AllClose(diff, expected, 1e-4f, 1e-4f));
-}
-
-TEST(LoraLinearTest, MergeUnmergeRoundTrip) {
-  LoraLinear lora(MakeBaseLinear(5, 3), Opts(2));
-  Rng rng(3);
-  for (auto& np : lora.NamedParameters()) {
-    if (np.name == "lora_b") FillNormal(np.variable->mutable_value(), rng, 0, 1);
-  }
-  Tensor x = RandomNormal(Shape{2, 5}, rng);
-  autograd::NoGradGuard g;
-  Tensor before = lora.Forward(Variable(x, false)).value();
-  Tensor w_before = lora.base()->weight().value().Clone();
-
-  lora.Merge();
-  EXPECT_TRUE(lora.merged());
-  Tensor merged_out = lora.Forward(Variable(x, false)).value();
-  EXPECT_TRUE(AllClose(merged_out, before, 1e-4f, 1e-4f));
-
-  lora.Unmerge();
-  EXPECT_FALSE(lora.merged());
-  EXPECT_TRUE(AllClose(lora.base()->weight().value(), w_before, 1e-5f, 1e-5f));
-  Tensor after = lora.Forward(Variable(x, false)).value();
-  EXPECT_TRUE(AllClose(after, before, 1e-4f, 1e-4f));
-}
-
-TEST(LoraLinearTest, DoubleMergeIsIdempotent) {
-  LoraLinear lora(MakeBaseLinear(4, 4), Opts(2));
-  Tensor w0 = lora.base()->weight().value().Clone();
-  lora.Merge();
-  Tensor w1 = lora.base()->weight().value().Clone();
-  lora.Merge();  // no-op
-  EXPECT_TRUE(AllClose(lora.base()->weight().value(), w1, 0.0f, 0.0f));
-  (void)w0;
-}
-
-TEST(LoraLinearTest, GradientsFlowToAdapterOnly) {
-  LoraLinear lora(MakeBaseLinear(6, 4), Opts());
+TEST(LoraChainTest, GradientsFlowToAdapterOnly) {
+  TnAdapter lora(MakeBaseLinear(6, 4), Opts());
   Rng rng(4);
   Variable x(RandomNormal(Shape{3, 6}, rng), false);
   Variable y = lora.Forward(x);
@@ -118,68 +49,22 @@ TEST(LoraLinearTest, GradientsFlowToAdapterOnly) {
   }
 }
 
-// --------------------------------------------------------------------------
-// Conv-LoRA: the Fig. 3 identity — two-stage path == merged ΔW convolution.
-// --------------------------------------------------------------------------
-
-TEST(ConvLoraTest, StartsAtPretrainedPoint) {
-  auto base = MakeBaseConv(3, 8, 3);
-  nn::Conv2d* base_raw = base.get();
-  Rng rng(5);
-  Tensor x = RandomNormal(Shape{2, 3, 6, 6}, rng);
-  autograd::NoGradGuard g;
-  Tensor base_out = base_raw->Forward(Variable(x, false)).value();
-  ConvLora lora(std::move(base), Opts());
-  Tensor out = lora.Forward(Variable(x, false)).value();
-  EXPECT_TRUE(AllClose(out, base_out, 1e-6f, 1e-6f));
-}
-
-TEST(ConvLoraTest, TwoStagePathEqualsMergedDeltaConv) {
-  ConvLora lora(MakeBaseConv(3, 6, 3), Opts(2, 2.0f));
-  Rng rng(6);
-  FillNormal(lora.lora_b().mutable_value(), rng, 0.0f, 1.0f);
-  Tensor x = RandomNormal(Shape{2, 3, 7, 7}, rng);
-
-  autograd::NoGradGuard g;
-  Tensor two_stage = lora.Forward(Variable(x, false)).value();
-  Tensor base_only = lora.base()->Forward(Variable(x, false)).value();
-  Tensor delta_path = Sub(two_stage, base_only);
-
-  // Direct convolution with the materialized ΔW (Eq. 5 merged form).
-  Tensor direct =
-      Conv2dForward(x, lora.DeltaWeight(), Tensor(), lora.base()->geom());
-  EXPECT_TRUE(AllClose(delta_path, direct, 1e-3f, 1e-3f))
-      << "max diff " << MaxAbsDiff(delta_path, direct);
-}
-
-TEST(ConvLoraTest, MergeUnmergeRoundTrip) {
-  ConvLora lora(MakeBaseConv(2, 4, 3), Opts(2));
-  Rng rng(7);
-  FillNormal(lora.lora_b().mutable_value(), rng, 0.0f, 1.0f);
-  Tensor x = RandomNormal(Shape{1, 2, 5, 5}, rng);
-  autograd::NoGradGuard g;
-  Tensor before = lora.Forward(Variable(x, false)).value();
-  lora.Merge();
-  EXPECT_TRUE(AllClose(lora.Forward(Variable(x, false)).value(), before,
-                       1e-3f, 1e-3f));
-  lora.Unmerge();
-  EXPECT_TRUE(AllClose(lora.Forward(Variable(x, false)).value(), before,
-                       1e-3f, 1e-3f));
-}
-
-TEST(ConvLoraTest, ParamCountMatchesClosedForm) {
-  ConvLora lora(MakeBaseConv(16, 32, 3), Opts(4));
+TEST(ConvLoraChainTest, ParamCountFarBelowDense) {
+  TnAdapter lora(MakeBaseConv(16, 32, 3), Opts(4));
   EXPECT_EQ(lora.AdapterParamCount(), tn::ConvLoraParams(3, 16, 32, 4));
-  // Far below dense fine-tuning.
   EXPECT_LT(lora.AdapterParamCount(), tn::DenseConvParams(3, 16, 32) / 4);
 }
 
-TEST(ConvLoraTest, AlphaScalesDelta) {
+TEST(ConvLoraChainTest, AlphaScalesDelta) {
   // Doubling alpha doubles the adapter path.
   auto make = [](float alpha) {
-    ConvLora lora(MakeBaseConv(2, 3, 3), Opts(2, alpha));
+    TnAdapter lora(MakeBaseConv(2, 3, 3), Opts(2, alpha));
     Rng rng(8);
-    FillNormal(lora.lora_b().mutable_value(), rng, 0.0f, 1.0f);
+    for (auto& np : lora.NamedParameters()) {
+      if (np.name == "lora_b") {
+        FillNormal(np.variable->mutable_value(), rng, 0.0f, 1.0f);
+      }
+    }
     return lora.DeltaWeight();
   };
   Tensor d1 = make(2.0f);

@@ -1,199 +1,40 @@
-// LoTR shared-core adapter correctness: the factored forward must match the
-// materialized ΔW, shared factors must alias one storage across the group
-// (registered and counted exactly once, on the owner), and analytic
-// gradients must match finite differences for every trainable parameter —
-// including gradients reaching the shared factors from non-owner members.
+// LoTR group accounting: summed over a geometry group, AdapterParamCount
+// counts the shared factors exactly once (on the owner) and equals the
+// group's true trainable count. Per-adapter LoTR checks (forward == ΔW,
+// share aliasing, closed-form counts, gradients) run over the case table
+// in core_tn_adapter_test.cc.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <functional>
 #include <memory>
 
-#include "autograd/graph.h"
-#include "autograd/ops.h"
 #include "common/rng.h"
-#include "core/lotr_adapter.h"
-#include "tensor/conv_ops.h"
-#include "tensor/random_init.h"
-#include "tensor/tensor_ops.h"
+#include "core/tn_adapter.h"
 #include "tn/tn_cost.h"
 
 namespace metalora {
 namespace core {
 namespace {
 
-constexpr int64_t kFeatDim = 10;
-constexpr int64_t kHidden = 8;
-
-AdapterOptions LotrOpts(AdapterKind kind, int64_t rank = 3) {
+AdapterOptions LotrOpts(int64_t rank) {
   AdapterOptions o;
-  o.kind = kind;
+  o.kind = AdapterKind::kLotr;
   o.rank = rank;
-  o.alpha = static_cast<float>(rank);  // scaling = 1 for simpler algebra
-  o.feature_dim = kFeatDim;
-  o.mapping_hidden = kHidden;
+  o.alpha = static_cast<float>(rank);
   o.seed = 11;
   return o;
 }
 
-std::unique_ptr<nn::Linear> BaseLinear(int64_t in = 5, int64_t out = 4) {
+std::unique_ptr<nn::Linear> BaseLinear(int64_t in, int64_t out) {
   Rng rng(2);
   return std::make_unique<nn::Linear>(in, out, true, rng);
 }
 
-std::unique_ptr<nn::Conv2d> BaseConv() {
-  Rng rng(2);
-  return std::make_unique<nn::Conv2d>(2, 4, 3, 1, 1, false, rng);
-}
-
-/// The core starts at zero (pre-trained point); give it mass so a wrong
-/// contraction cannot hide behind ΔW = 0.
-void RandomizeCore(nn::Module& m, uint64_t seed) {
-  Rng rng(seed);
-  for (auto& np : m.NamedParameters()) {
-    if (np.name == "lotr_core") {
-      FillNormal(np.variable->mutable_value(), rng, 0.0f, 0.5f);
-    }
-  }
-}
-
-/// Central-difference check over every trainable parameter of `m` against
-/// the analytic gradients of `loss_fn`. Forwards run in grad mode, so the
-/// meta variants recompute seeds instead of consulting their caches.
-void ExpectParamGradsMatchFiniteDifference(
-    nn::Module& m, const std::function<Variable()>& loss_fn) {
-  m.ZeroGrad();
-  ASSERT_TRUE(autograd::Backward(loss_fn()).ok());
-  const double eps = 1e-2, rel_tol = 5e-2, abs_tol = 5e-3;
-  int checked = 0;
-  for (auto& np : m.NamedParameters()) {
-    if (!np.variable->requires_grad()) continue;
-    ASSERT_TRUE(np.variable->grad().defined()) << np.name;
-    Tensor& v = np.variable->mutable_value();
-    const int64_t n = std::min<int64_t>(v.numel(), 16);
-    for (int64_t i = 0; i < n; ++i) {
-      const float saved = v.flat(i);
-      v.flat(i) = saved + static_cast<float>(eps);
-      const double up = loss_fn().value().flat(0);
-      v.flat(i) = saved - static_cast<float>(eps);
-      const double down = loss_fn().value().flat(0);
-      v.flat(i) = saved;
-      const double numeric = (up - down) / (2.0 * eps);
-      const double analytic = np.variable->grad().flat(i);
-      const double tol =
-          abs_tol + rel_tol * std::max(std::abs(analytic), std::abs(numeric));
-      EXPECT_NEAR(analytic, numeric, tol) << np.name << "[" << i << "]";
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 0);
-}
-
-Variable RandFeatures(int64_t n, uint64_t seed) {
-  Rng rng(seed);
-  return Variable(RandomNormal(Shape{n, kFeatDim}, rng), false);
-}
-
-TEST(LotrLinearTest, StartsAtPretrainedPoint) {
-  LotrLinear adapter(BaseLinear(), LotrOpts(AdapterKind::kLotr));
-  Rng rng(3);
-  Tensor x = RandomNormal(Shape{3, 5}, rng);
-  autograd::NoGradGuard g;
-  Tensor out = adapter.Forward(Variable(x, false)).value();
-  Tensor base_out = adapter.Child("base")->Forward(Variable(x, false)).value();
-  EXPECT_TRUE(AllClose(out, base_out, 1e-6f, 1e-6f));
-}
-
-TEST(LotrLinearTest, ForwardMatchesMaterializedDeltaW) {
-  LotrLinear adapter(BaseLinear(), LotrOpts(AdapterKind::kLotr));
-  RandomizeCore(adapter, 13);
-  Rng rng(4);
-  const int64_t n = 3;
-  Tensor x = RandomNormal(Shape{n, 5}, rng);
-  autograd::NoGradGuard g;
-  Tensor out = adapter.Forward(Variable(x, false)).value();
-  Tensor base_out = adapter.Child("base")->Forward(Variable(x, false)).value();
-  Tensor delta = adapter.DeltaWeight();  // [O, I], scaling folded in
-  for (int64_t s = 0; s < n; ++s) {
-    for (int64_t o = 0; o < 4; ++o) {
-      double expected = base_out.flat(s * 4 + o);
-      for (int64_t i = 0; i < 5; ++i) {
-        expected +=
-            static_cast<double>(x.flat(s * 5 + i)) * delta.flat(o * 5 + i);
-      }
-      EXPECT_NEAR(out.flat(s * 4 + o), expected, 2e-4);
-    }
-  }
-}
-
-TEST(LotrLinearTest, MembersAliasTheOwnersFactors) {
-  LotrLinear owner(BaseLinear(), LotrOpts(AdapterKind::kLotr));
-  const LotrShare share = owner.share();
-  LotrLinear member(BaseLinear(), LotrOpts(AdapterKind::kLotr), &share);
-  EXPECT_TRUE(owner.owns_shared_factors());
-  EXPECT_FALSE(member.owns_shared_factors());
-  // Same storage, not a copy.
-  EXPECT_EQ(member.share().down.value().data(),
-            owner.share().down.value().data());
-  EXPECT_EQ(member.share().up.value().data(), owner.share().up.value().data());
-  // The member never registers the shared factors: StateDict and optimizers
-  // see them exactly once, on the owner.
-  bool member_has_shared = false, owner_has_shared = false;
-  for (auto& np : member.NamedParameters()) {
-    if (np.name == "lotr_down" || np.name == "lotr_up") {
-      member_has_shared = true;
-    }
-  }
-  for (auto& np : owner.NamedParameters()) {
-    if (np.name == "lotr_down" || np.name == "lotr_up") {
-      owner_has_shared = true;
-    }
-  }
-  EXPECT_FALSE(member_has_shared);
-  EXPECT_TRUE(owner_has_shared);
-}
-
-TEST(LotrLinearTest, OwnerUpdatePropagatesToMemberDeltaW) {
-  LotrLinear owner(BaseLinear(), LotrOpts(AdapterKind::kLotr));
-  const LotrShare share = owner.share();
-  LotrLinear member(BaseLinear(), LotrOpts(AdapterKind::kLotr), &share);
-  RandomizeCore(member, 17);
-  const Tensor before = member.DeltaWeight().Clone();
-  for (auto& np : owner.NamedParameters()) {
-    if (np.name == "lotr_down") {
-      Rng rng(19);
-      FillNormal(np.variable->mutable_value(), rng, 0.0f, 1.0f);
-    }
-  }
-  EXPECT_FALSE(AllClose(member.DeltaWeight(), before, 1e-6f, 1e-6f))
-      << "mutating the owner's registered factor did not reach the member";
-}
-
-TEST(LotrLinearTest, MemberBackwardReachesSharedFactors) {
-  LotrLinear owner(BaseLinear(), LotrOpts(AdapterKind::kLotr));
-  const LotrShare share = owner.share();
-  LotrLinear member(BaseLinear(), LotrOpts(AdapterKind::kLotr), &share);
-  RandomizeCore(member, 23);
-  Rng rng(5);
-  Variable x(RandomNormal(Shape{3, 5}, rng), false);
-  Variable y = member.Forward(x);
-  ASSERT_TRUE(autograd::Backward(autograd::SumAll(autograd::Mul(y, y))).ok());
-  // The gradient lands in the one shared storage the owner registered.
-  for (auto& np : owner.NamedParameters()) {
-    if (np.name == "lotr_down" || np.name == "lotr_up") {
-      EXPECT_TRUE(np.variable->grad().defined())
-          << np.name << " got no gradient from a member's backward";
-    }
-  }
-}
-
 TEST(LotrParamCountTest, GroupCountsSharedFactorsOnce) {
   const int64_t r = 3, in = 5, out = 4;
-  LotrLinear owner(BaseLinear(in, out), LotrOpts(AdapterKind::kLotr, r));
-  const LotrShare share = owner.share();
-  LotrLinear m1(BaseLinear(in, out), LotrOpts(AdapterKind::kLotr, r), &share);
-  LotrLinear m2(BaseLinear(in, out), LotrOpts(AdapterKind::kLotr, r), &share);
+  TnAdapter owner(BaseLinear(in, out), LotrOpts(r));
+  const TnAdapter::SharedFactors share = owner.share();
+  TnAdapter m1(BaseLinear(in, out), LotrOpts(r), &share);
+  TnAdapter m2(BaseLinear(in, out), LotrOpts(r), &share);
   const int64_t shared = tn::LotrSharedLinearParams(in, out, r);
   const int64_t core = tn::LotrCoreParams(r);
   EXPECT_EQ(owner.AdapterParamCount(), shared + core);
@@ -206,147 +47,6 @@ TEST(LotrParamCountTest, GroupCountsSharedFactorsOnce) {
   EXPECT_EQ(sum, owner.TrainableParamCount() + m1.TrainableParamCount() +
                      m2.TrainableParamCount());
   EXPECT_EQ(sum, shared + 3 * core);
-}
-
-TEST(LotrParamCountTest, MetaAddsExactlyTheMappingNet) {
-  const int64_t r = 3;
-  LotrLinear plain(BaseLinear(), LotrOpts(AdapterKind::kLotr, r));
-  LotrLinear meta(BaseLinear(), LotrOpts(AdapterKind::kMetaLotr, r));
-  const int64_t mapping =
-      kFeatDim * kHidden + kHidden + kHidden * r + r;  // Mlp{F, H, R}, biases
-  EXPECT_EQ(meta.AdapterParamCount(), plain.AdapterParamCount() + mapping);
-}
-
-TEST(LotrParamCountTest, ConvGroupMatchesClosedForm) {
-  const int64_t r = 3;
-  LotrConv owner(BaseConv(), LotrOpts(AdapterKind::kLotr, r));
-  const LotrShare share = owner.share();
-  LotrConv member(BaseConv(), LotrOpts(AdapterKind::kLotr, r), &share);
-  const int64_t shared = tn::LotrSharedConvParams(/*kernel=*/3, /*in_ch=*/2,
-                                                  /*out_ch=*/4, r);
-  EXPECT_EQ(owner.AdapterParamCount(), shared + tn::LotrCoreParams(r));
-  EXPECT_EQ(member.AdapterParamCount(), tn::LotrCoreParams(r));
-}
-
-TEST(MetaLotrLinearTest, ForwardWithoutFeaturesDies) {
-  LotrLinear meta(BaseLinear(), LotrOpts(AdapterKind::kMetaLotr));
-  Variable x(Tensor::Ones(Shape{2, 5}), false);
-  EXPECT_DEATH(meta.Forward(x), "SetFeatures");
-}
-
-TEST(MetaLotrLinearTest, PerSampleForwardMatchesDeltaWeightFor) {
-  LotrLinear meta(BaseLinear(), LotrOpts(AdapterKind::kMetaLotr));
-  RandomizeCore(meta, 29);
-  Rng rng(6);
-  const int64_t n = 4;
-  Tensor x = RandomNormal(Shape{n, 5}, rng);
-  Variable fv = RandFeatures(n, 7);
-
-  autograd::NoGradGuard g;
-  meta.SetFeatures(fv);
-  Tensor out = meta.Forward(Variable(x, false)).value();
-  Tensor base_out = meta.Child("base")->Forward(Variable(x, false)).value();
-  Tensor seeds = meta.mapping_net()->Forward(fv).value();  // [n, R]
-
-  for (int64_t s = 0; s < n; ++s) {
-    Tensor c{Shape{3}};
-    for (int64_t r = 0; r < 3; ++r) c.flat(r) = seeds.flat(s * 3 + r);
-    Tensor delta = meta.DeltaWeightFor(c);  // [O, I]
-    for (int64_t o = 0; o < 4; ++o) {
-      double expected = base_out.flat(s * 4 + o);
-      for (int64_t i = 0; i < 5; ++i) {
-        expected +=
-            static_cast<double>(x.flat(s * 5 + i)) * delta.flat(o * 5 + i);
-      }
-      EXPECT_NEAR(out.flat(s * 4 + o), expected, 2e-4)
-          << "sample " << s << " out " << o;
-    }
-  }
-}
-
-TEST(LotrConvTest, ForwardMatchesMaterializedDeltaW) {
-  LotrConv adapter(BaseConv(), LotrOpts(AdapterKind::kLotr));
-  RandomizeCore(adapter, 31);
-  Rng rng(8);
-  Tensor x = RandomNormal(Shape{2, 2, 5, 5}, rng);
-  autograd::NoGradGuard g;
-  Tensor out = adapter.Forward(Variable(x, false)).value();
-  Tensor base_out = adapter.Child("base")->Forward(Variable(x, false)).value();
-  ConvGeom geom{3, 3, 1, 1};
-  Tensor ds = Conv2dForward(x, adapter.DeltaWeight(), Tensor(), geom);
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    EXPECT_NEAR(out.flat(i), base_out.flat(i) + ds.flat(i), 2e-4);
-  }
-}
-
-TEST(MetaLotrConvTest, PerSampleForwardMatchesDeltaWeightFor) {
-  LotrConv meta(BaseConv(), LotrOpts(AdapterKind::kMetaLotr));
-  RandomizeCore(meta, 37);
-  Rng rng(9);
-  const int64_t n = 2;
-  Tensor x = RandomNormal(Shape{n, 2, 5, 5}, rng);
-  Variable fv = RandFeatures(n, 10);
-
-  autograd::NoGradGuard g;
-  meta.SetFeatures(fv);
-  Tensor out = meta.Forward(Variable(x, false)).value();
-  Tensor base_out = meta.Child("base")->Forward(Variable(x, false)).value();
-  Tensor seeds = meta.mapping_net()->Forward(fv).value();
-
-  ConvGeom geom{3, 3, 1, 1};
-  for (int64_t s = 0; s < n; ++s) {
-    Tensor c{Shape{3}};
-    for (int64_t r = 0; r < 3; ++r) c.flat(r) = seeds.flat(s * 3 + r);
-    Tensor xs{Shape{1, 2, 5, 5}};
-    std::copy(x.data() + s * 50, x.data() + (s + 1) * 50, xs.data());
-    Tensor ds = Conv2dForward(xs, meta.DeltaWeightFor(c), Tensor(), geom);
-    const int64_t plane = 4 * 5 * 5;
-    for (int64_t k = 0; k < plane; ++k) {
-      EXPECT_NEAR(out.flat(s * plane + k),
-                  base_out.flat(s * plane + k) + ds.flat(k), 2e-4);
-    }
-  }
-}
-
-TEST(LotrGradCheck, LinearGradientsMatchFiniteDifference) {
-  LotrLinear adapter(BaseLinear(), LotrOpts(AdapterKind::kLotr, 2));
-  RandomizeCore(adapter, 41);
-  Rng rng(11);
-  Variable x(RandomUniform(Shape{3, 5}, rng, -1.0f, 1.0f), false);
-  ExpectParamGradsMatchFiniteDifference(adapter, [&] {
-    Variable y = adapter.Forward(x);
-    return autograd::SumAll(autograd::Mul(y, y));
-  });
-}
-
-TEST(LotrGradCheck, ConvGradientsMatchFiniteDifference) {
-  LotrConv adapter(BaseConv(), LotrOpts(AdapterKind::kLotr, 2));
-  RandomizeCore(adapter, 43);
-  Rng rng(12);
-  Variable x(RandomUniform(Shape{2, 2, 4, 4}, rng, -1.0f, 1.0f), false);
-  ExpectParamGradsMatchFiniteDifference(adapter, [&] {
-    Variable y = adapter.Forward(x);
-    return autograd::SumAll(autograd::Mul(y, y));
-  });
-}
-
-TEST(LotrGradCheck, MetaLinearGradientsIncludeMappingNet) {
-  LotrLinear adapter(BaseLinear(), LotrOpts(AdapterKind::kMetaLotr, 2));
-  RandomizeCore(adapter, 47);
-  Rng rng(13);
-  Variable x(RandomUniform(Shape{3, 5}, rng, -1.0f, 1.0f), false);
-  adapter.SetFeatures(RandFeatures(3, 14));
-  ExpectParamGradsMatchFiniteDifference(adapter, [&] {
-    Variable y = adapter.Forward(x);
-    return autograd::SumAll(autograd::Mul(y, y));
-  });
-  bool mapping_got_grad = false;
-  for (auto& np : adapter.NamedParameters()) {
-    if (np.name.rfind("mapping/", 0) == 0 && np.variable->grad().defined()) {
-      mapping_got_grad = true;
-    }
-  }
-  EXPECT_TRUE(mapping_got_grad);
 }
 
 }  // namespace

@@ -1,39 +1,27 @@
-// Tensor-train adapter correctness: the per-forward contracted factors must
-// reproduce the explicit 4-core (resp. channel×spatial) contraction, the
-// factored forward must match the materialized ΔW — per sample for the meta
-// variants — parameter counts must hit the tn_cost closed forms, and
-// analytic gradients must match finite differences through the contraction
-// chains.
+// Tensor-train specifics of core::TnAdapter: the mode split, and the
+// contracted D/U factors reproducing the explicit 4-core (resp.
+// channel×spatial) contraction in the documented layouts. Forward == ΔW,
+// closed-form counts and gradient checks run over the case table in
+// core_tn_adapter_test.cc.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <functional>
 #include <memory>
+#include <string>
 
-#include "autograd/graph.h"
-#include "autograd/ops.h"
 #include "common/rng.h"
-#include "core/tt_adapter.h"
-#include "tensor/conv_ops.h"
+#include "core/tn_adapter.h"
 #include "tensor/random_init.h"
-#include "tensor/tensor_ops.h"
 #include "tn/tn_cost.h"
 
 namespace metalora {
 namespace core {
 namespace {
 
-constexpr int64_t kFeatDim = 10;
-constexpr int64_t kHidden = 8;
-
 AdapterOptions TtOpts(AdapterKind kind, int64_t rank = 3) {
   AdapterOptions o;
   o.kind = kind;
   o.rank = rank;
   o.alpha = static_cast<float>(rank);  // scaling = 1 for simpler algebra
-  o.feature_dim = kFeatDim;
-  o.mapping_hidden = kHidden;
   o.seed = 11;
   return o;
 }
@@ -67,43 +55,6 @@ Tensor NamedParam(nn::Module& m, const std::string& name) {
   return Tensor();
 }
 
-/// Central-difference check over every trainable parameter of `m` against
-/// the analytic gradients of `loss_fn`. Forwards run in grad mode, so the
-/// meta variants recompute seeds instead of consulting their caches.
-void ExpectParamGradsMatchFiniteDifference(
-    nn::Module& m, const std::function<Variable()>& loss_fn) {
-  m.ZeroGrad();
-  ASSERT_TRUE(autograd::Backward(loss_fn()).ok());
-  const double eps = 1e-2, rel_tol = 5e-2, abs_tol = 5e-3;
-  int checked = 0;
-  for (auto& np : m.NamedParameters()) {
-    if (!np.variable->requires_grad()) continue;
-    ASSERT_TRUE(np.variable->grad().defined()) << np.name;
-    Tensor& v = np.variable->mutable_value();
-    const int64_t n = std::min<int64_t>(v.numel(), 16);
-    for (int64_t i = 0; i < n; ++i) {
-      const float saved = v.flat(i);
-      v.flat(i) = saved + static_cast<float>(eps);
-      const double up = loss_fn().value().flat(0);
-      v.flat(i) = saved - static_cast<float>(eps);
-      const double down = loss_fn().value().flat(0);
-      v.flat(i) = saved;
-      const double numeric = (up - down) / (2.0 * eps);
-      const double analytic = np.variable->grad().flat(i);
-      const double tol =
-          abs_tol + rel_tol * std::max(std::abs(analytic), std::abs(numeric));
-      EXPECT_NEAR(analytic, numeric, tol) << np.name << "[" << i << "]";
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 0);
-}
-
-Variable RandFeatures(int64_t n, uint64_t seed) {
-  Rng rng(seed);
-  return Variable(RandomNormal(Shape{n, kFeatDim}, rng), false);
-}
-
 TEST(TtSplitDimTest, PicksLargestDivisorUnderSqrt) {
   EXPECT_EQ(tn::TtSplitDim(6), 2);
   EXPECT_EQ(tn::TtSplitDim(12), 3);
@@ -113,44 +64,12 @@ TEST(TtSplitDimTest, PicksLargestDivisorUnderSqrt) {
   EXPECT_EQ(tn::TtSplitDim(1), 1);
 }
 
-TEST(TtLinearTest, StartsAtPretrainedPoint) {
-  TtLinear adapter(BaseLinear(), TtOpts(AdapterKind::kTt));
-  Rng rng(3);
-  Tensor x = RandomNormal(Shape{3, 6}, rng);
-  autograd::NoGradGuard g;
-  Tensor out = adapter.Forward(Variable(x, false)).value();
-  Tensor base_out = adapter.Child("base")->Forward(Variable(x, false)).value();
-  EXPECT_TRUE(AllClose(out, base_out, 1e-6f, 1e-6f));
-}
-
-TEST(TtLinearTest, ForwardMatchesMaterializedDeltaW) {
-  TtLinear adapter(BaseLinear(), TtOpts(AdapterKind::kTt));
-  RandomizeOutputCore(adapter, 13);
-  Rng rng(4);
-  const int64_t n = 3;
-  Tensor x = RandomNormal(Shape{n, 6}, rng);
-  autograd::NoGradGuard g;
-  Tensor out = adapter.Forward(Variable(x, false)).value();
-  Tensor base_out = adapter.Child("base")->Forward(Variable(x, false)).value();
-  Tensor delta = adapter.DeltaWeight();  // [O, I], scaling folded in
-  for (int64_t s = 0; s < n; ++s) {
-    for (int64_t o = 0; o < 4; ++o) {
-      double expected = base_out.flat(s * 4 + o);
-      for (int64_t i = 0; i < 6; ++i) {
-        expected +=
-            static_cast<double>(x.flat(s * 6 + i)) * delta.flat(o * 6 + i);
-      }
-      EXPECT_NEAR(out.flat(s * 4 + o), expected, 2e-4);
-    }
-  }
-}
-
-TEST(TtLinearTest, DeltaWeightMatchesExplicitFourCoreContraction) {
+TEST(TtChainTest, DeltaWeightMatchesExplicitFourCoreContraction) {
   // in = 6 splits 2×3, out = 4 splits 2×2; the mode layouts documented in
   // the header must hold exactly: row (a,b) is the i1-major input index,
   // col (p,q) the o1-major output index.
   const int64_t r = 3, in = 6, out = 4, i1 = 2, i2 = 3, o1 = 2, o2 = 2;
-  TtLinear adapter(BaseLinear(in, out), TtOpts(AdapterKind::kTt, r));
+  TnAdapter adapter(BaseLinear(in, out), TtOpts(AdapterKind::kTt, r));
   RandomizeOutputCore(adapter, 17);
   Tensor g1 = NamedParam(adapter, "tt_in_a");   // [i1, r]
   Tensor g2 = NamedParam(adapter, "tt_in_b");   // [r, i2, r]
@@ -184,60 +103,9 @@ TEST(TtLinearTest, DeltaWeightMatchesExplicitFourCoreContraction) {
   }
 }
 
-TEST(MetaTtLinearTest, ForwardWithoutFeaturesDies) {
-  TtLinear meta(BaseLinear(), TtOpts(AdapterKind::kMetaTt));
-  Variable x(Tensor::Ones(Shape{2, 6}), false);
-  EXPECT_DEATH(meta.Forward(x), "SetFeatures");
-}
-
-TEST(MetaTtLinearTest, PerSampleForwardMatchesDeltaWeightFor) {
-  TtLinear meta(BaseLinear(), TtOpts(AdapterKind::kMetaTt));
-  RandomizeOutputCore(meta, 19);
-  Rng rng(6);
-  const int64_t n = 4;
-  Tensor x = RandomNormal(Shape{n, 6}, rng);
-  Variable fv = RandFeatures(n, 7);
-
-  autograd::NoGradGuard g;
-  meta.SetFeatures(fv);
-  Tensor out = meta.Forward(Variable(x, false)).value();
-  Tensor base_out = meta.Child("base")->Forward(Variable(x, false)).value();
-  Tensor seeds = meta.mapping_net()->Forward(fv).value();  // [n, R]
-
-  for (int64_t s = 0; s < n; ++s) {
-    Tensor c{Shape{3}};
-    for (int64_t r = 0; r < 3; ++r) c.flat(r) = seeds.flat(s * 3 + r);
-    Tensor delta = meta.DeltaWeightFor(c);  // [O, I]
-    for (int64_t o = 0; o < 4; ++o) {
-      double expected = base_out.flat(s * 4 + o);
-      for (int64_t i = 0; i < 6; ++i) {
-        expected +=
-            static_cast<double>(x.flat(s * 6 + i)) * delta.flat(o * 6 + i);
-      }
-      EXPECT_NEAR(out.flat(s * 4 + o), expected, 2e-4)
-          << "sample " << s << " out " << o;
-    }
-  }
-}
-
-TEST(TtConvTest, ForwardMatchesMaterializedDeltaW) {
-  TtConv adapter(BaseConv(), TtOpts(AdapterKind::kTt));
-  RandomizeOutputCore(adapter, 23);
-  Rng rng(8);
-  Tensor x = RandomNormal(Shape{2, 2, 5, 5}, rng);
-  autograd::NoGradGuard g;
-  Tensor out = adapter.Forward(Variable(x, false)).value();
-  Tensor base_out = adapter.Child("base")->Forward(Variable(x, false)).value();
-  ConvGeom geom{3, 3, 1, 1};
-  Tensor ds = Conv2dForward(x, adapter.DeltaWeight(), Tensor(), geom);
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    EXPECT_NEAR(out.flat(i), base_out.flat(i) + ds.flat(i), 2e-4);
-  }
-}
-
-TEST(TtConvTest, DeltaWeightMatchesExplicitContraction) {
+TEST(TtConvChainTest, DeltaWeightMatchesExplicitContraction) {
   const int64_t r = 3, in = 2, out = 4, k = 3;
-  TtConv adapter(BaseConv(), TtOpts(AdapterKind::kTt, r));
+  TnAdapter adapter(BaseConv(), TtOpts(AdapterKind::kTt, r));
   RandomizeOutputCore(adapter, 29);
   Tensor gc = NamedParam(adapter, "tt_channel");  // [r, in, r]
   Tensor gs = NamedParam(adapter, "tt_spatial");  // [r, k·k]
@@ -261,99 +129,10 @@ TEST(TtConvTest, DeltaWeightMatchesExplicitContraction) {
   }
 }
 
-TEST(MetaTtConvTest, PerSampleForwardMatchesDeltaWeightFor) {
-  TtConv meta(BaseConv(), TtOpts(AdapterKind::kMetaTt));
-  RandomizeOutputCore(meta, 31);
-  Rng rng(9);
-  const int64_t n = 2;
-  Tensor x = RandomNormal(Shape{n, 2, 5, 5}, rng);
-  Variable fv = RandFeatures(n, 10);
-
-  autograd::NoGradGuard g;
-  meta.SetFeatures(fv);
-  Tensor out = meta.Forward(Variable(x, false)).value();
-  Tensor base_out = meta.Child("base")->Forward(Variable(x, false)).value();
-  Tensor seeds = meta.mapping_net()->Forward(fv).value();
-
-  ConvGeom geom{3, 3, 1, 1};
-  for (int64_t s = 0; s < n; ++s) {
-    Tensor c{Shape{3}};
-    for (int64_t r = 0; r < 3; ++r) c.flat(r) = seeds.flat(s * 3 + r);
-    Tensor xs{Shape{1, 2, 5, 5}};
-    std::copy(x.data() + s * 50, x.data() + (s + 1) * 50, xs.data());
-    Tensor ds = Conv2dForward(xs, meta.DeltaWeightFor(c), Tensor(), geom);
-    const int64_t plane = 4 * 5 * 5;
-    for (int64_t kk = 0; kk < plane; ++kk) {
-      EXPECT_NEAR(out.flat(s * plane + kk),
-                  base_out.flat(s * plane + kk) + ds.flat(kk), 2e-4);
-    }
-  }
-}
-
-TEST(TtParamCountTest, MatchesClosedForms) {
-  const int64_t r = 3;
-  TtLinear lin(BaseLinear(6, 4), TtOpts(AdapterKind::kTt, r));
-  EXPECT_EQ(lin.AdapterParamCount(), tn::TtLinearParams(6, 4, r));
-  TtConv conv(BaseConv(), TtOpts(AdapterKind::kTt, r));
-  EXPECT_EQ(conv.AdapterParamCount(),
-            tn::TtConvParams(/*kernel=*/3, /*in_ch=*/2, /*out_ch=*/4, r));
-  const int64_t mapping =
-      kFeatDim * kHidden + kHidden + kHidden * r + r;  // Mlp{F, H, R}, biases
-  TtLinear meta_lin(BaseLinear(6, 4), TtOpts(AdapterKind::kMetaTt, r));
-  EXPECT_EQ(meta_lin.AdapterParamCount(), tn::TtLinearParams(6, 4, r) + mapping);
-  TtConv meta_conv(BaseConv(), TtOpts(AdapterKind::kMetaTt, r));
-  EXPECT_EQ(meta_conv.AdapterParamCount(),
-            tn::TtConvParams(3, 2, 4, r) + mapping);
-  // Counts agree with the module's own trainable registry.
-  EXPECT_EQ(lin.AdapterParamCount(), lin.TrainableParamCount());
-  EXPECT_EQ(meta_conv.AdapterParamCount(), meta_conv.TrainableParamCount());
-}
-
 TEST(TtParamCountTest, UndercutsLoraOnSquareLayers) {
   // The efficiency claim that motivates the family: on a 64×64 layer at
   // rank 3, four TT cores store fewer floats than the LoRA pair.
   EXPECT_LT(tn::TtLinearParams(64, 64, 3), tn::LoraLinearParams(64, 64, 3));
-}
-
-TEST(TtGradCheck, LinearGradientsMatchFiniteDifference) {
-  TtLinear adapter(BaseLinear(), TtOpts(AdapterKind::kTt, 2));
-  RandomizeOutputCore(adapter, 41);
-  Rng rng(11);
-  Variable x(RandomUniform(Shape{3, 6}, rng, -1.0f, 1.0f), false);
-  ExpectParamGradsMatchFiniteDifference(adapter, [&] {
-    Variable y = adapter.Forward(x);
-    return autograd::SumAll(autograd::Mul(y, y));
-  });
-}
-
-TEST(TtGradCheck, ConvGradientsMatchFiniteDifference) {
-  TtConv adapter(BaseConv(), TtOpts(AdapterKind::kTt, 2));
-  RandomizeOutputCore(adapter, 43);
-  Rng rng(12);
-  Variable x(RandomUniform(Shape{2, 2, 4, 4}, rng, -1.0f, 1.0f), false);
-  ExpectParamGradsMatchFiniteDifference(adapter, [&] {
-    Variable y = adapter.Forward(x);
-    return autograd::SumAll(autograd::Mul(y, y));
-  });
-}
-
-TEST(TtGradCheck, MetaLinearGradientsIncludeMappingNet) {
-  TtLinear adapter(BaseLinear(), TtOpts(AdapterKind::kMetaTt, 2));
-  RandomizeOutputCore(adapter, 47);
-  Rng rng(13);
-  Variable x(RandomUniform(Shape{3, 6}, rng, -1.0f, 1.0f), false);
-  adapter.SetFeatures(RandFeatures(3, 14));
-  ExpectParamGradsMatchFiniteDifference(adapter, [&] {
-    Variable y = adapter.Forward(x);
-    return autograd::SumAll(autograd::Mul(y, y));
-  });
-  bool mapping_got_grad = false;
-  for (auto& np : adapter.NamedParameters()) {
-    if (np.name.rfind("mapping/", 0) == 0 && np.variable->grad().defined()) {
-      mapping_got_grad = true;
-    }
-  }
-  EXPECT_TRUE(mapping_got_grad);
 }
 
 }  // namespace

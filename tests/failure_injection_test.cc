@@ -8,7 +8,7 @@
 
 #include "common/rng.h"
 #include "core/inject.h"
-#include "core/metalora_linear.h"
+#include "core/tn_adapter.h"
 #include "eval/experiment.h"
 #include "nn/resnet.h"
 #include "tensor/serialize.h"
@@ -74,7 +74,7 @@ TEST(FailureTest, MetaLoraForwardBeforeBindAborts) {
   o.rank = 2;
   o.feature_dim = 8;
   o.seed = 1;
-  core::MetaLoraCpLinear meta(
+  core::TnAdapter meta(
       std::make_unique<nn::Linear>(4, 4, true, rng), o);
   nn::Variable x(Tensor::Ones(Shape{2, 4}), false);
   EXPECT_DEATH(meta.Forward(x), "SetFeatures");

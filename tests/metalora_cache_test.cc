@@ -15,9 +15,9 @@
 #include "autograd/runtime_context.h"
 #include "common/rng.h"
 #include "core/conditioning_cache.h"
-#include "core/lotr_adapter.h"
 #include "core/metalora_conv.h"
 #include "core/metalora_linear.h"
+#include "core/tn_adapter.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "optim/adam.h"
@@ -96,7 +96,7 @@ void ExpectWarmHitBitIdentical(AdapterT& adapter, const Variable& x) {
 }
 
 TEST(MetaLoraCache, CpLinearWarmHitBitIdentical) {
-  MetaLoraCpLinear adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+  TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(adapter, 5);
   Rng rng(31);
   Variable x(RandomUniform(Shape{6, 5}, rng, -1.0f, 1.0f), false);
@@ -112,7 +112,7 @@ TEST(MetaLoraCache, TrLinearWarmHitBitIdentical) {
 }
 
 TEST(MetaLoraCache, CpConvWarmHitBitIdentical) {
-  MetaLoraCpConv adapter(BaseConv(), MetaOpts(AdapterKind::kMetaLoraCp));
+  TnAdapter adapter(BaseConv(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(adapter, 7);
   Rng rng(33);
   Variable x(RandomUniform(Shape{3, 2, 5, 5}, rng, -1.0f, 1.0f), false);
@@ -143,7 +143,7 @@ TEST(MetaLoraCache, TrLinearSeedRepetitionAligns) {
 }
 
 TEST(MetaLoraCache, OptimizerStepInvalidates) {
-  MetaLoraCpLinear adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+  TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(adapter, 10);
   adapter.SetFeatures(RandFeatures(6, 23));
   Rng rng(36);
@@ -184,8 +184,8 @@ TEST(MetaLoraCache, OptimizerStepInvalidates) {
 TEST(MetaLoraCache, PerAdapterIsolation) {
   // Two identically-configured adapters see the same features: each must
   // fill and consult only its own cache.
-  MetaLoraCpLinear a1(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
-  MetaLoraCpLinear a2(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+  TnAdapter a1(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+  TnAdapter a2(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(a1, 11);
   RandomizeFactors(a2, 12);
   Variable feats = RandFeatures(4, 24);
@@ -210,9 +210,9 @@ TEST(MetaLoraCache, SharedFactorStepInvalidatesEveryMemberCache) {
   // conditioning cache too. Per-adapter version stamps keyed on the
   // adapter's own registered parameters would miss this (the member's own
   // params never moved); the global-version stamp catches it.
-  LotrLinear owner(BaseLinear(), MetaOpts(AdapterKind::kMetaLotr));
-  LotrShare share = owner.share();
-  LotrLinear member(BaseLinear(), MetaOpts(AdapterKind::kMetaLotr), &share);
+  TnAdapter owner(BaseLinear(), MetaOpts(AdapterKind::kMetaLotr));
+  TnAdapter::SharedFactors share = owner.share();
+  TnAdapter member(BaseLinear(), MetaOpts(AdapterKind::kMetaLotr), &share);
   Rng core_rng(14);
   for (nn::Module* m : {static_cast<nn::Module*>(&owner),
                         static_cast<nn::Module*>(&member)}) {

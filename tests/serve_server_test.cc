@@ -21,12 +21,11 @@
 #include "autograd/variable.h"
 #include "common/bounded_queue.h"
 #include "common/rng.h"
-#include "core/lotr_adapter.h"
 #include "core/metalora_conv.h"
 #include "core/metalora_linear.h"
 #include "core/moe_lora.h"
 #include "core/precision_shadows.h"
-#include "core/tt_adapter.h"
+#include "core/tn_adapter.h"
 #include "eval/batch_assembly.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -137,17 +136,15 @@ TEST(BatchAssembly, ConcatSplitRoundTrip4d) {
 // byte-identical to one-at-a-time forwards on a twin adapter.
 TEST(AdapterServer, BatchedMatchesSerialBitIdentical) {
   // Served instances.
-  core::MetaLoraCpLinear cp_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter cp_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   core::MetaLoraTrLinear tr_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
-  core::MetaLoraCpConv cp_conv(BaseConv(), MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter cp_conv(BaseConv(), MetaOpts(AdapterKind::kMetaLoraCp));
   core::MetaLoraTrConv tr_conv(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr));
   // Twin instances for the serial reference (identical construction).
-  core::MetaLoraCpLinear cp_lin_ref(BaseLinear(),
-                                    MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter cp_lin_ref(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   core::MetaLoraTrLinear tr_lin_ref(BaseLinear(),
                                     MetaOpts(AdapterKind::kMetaLoraTr));
-  core::MetaLoraCpConv cp_conv_ref(BaseConv(),
-                                   MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter cp_conv_ref(BaseConv(), MetaOpts(AdapterKind::kMetaLoraCp));
   core::MetaLoraTrConv tr_conv_ref(BaseConv(),
                                    MetaOpts(AdapterKind::kMetaLoraTr));
   for (auto* m : std::initializer_list<nn::Module*>{&cp_lin, &cp_lin_ref}) {
@@ -268,15 +265,14 @@ void RandomizeNewFamilyCores(nn::Module& m, uint64_t seed) {
 // meta variants exercise per-sample seeds through the batcher; the plain
 // variants prove unconditioned adapters batch transparently too.
 TEST(AdapterServer, NewFamiliesBatchedMatchesSerialBitIdentical) {
-  core::LotrLinear lotr_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLotr));
-  core::LotrConv lotr_conv(BaseConv(), MetaOpts(AdapterKind::kLotr));
-  core::TtLinear tt_lin(BaseLinear(), MetaOpts(AdapterKind::kTt));
-  core::TtConv tt_conv(BaseConv(), MetaOpts(AdapterKind::kMetaTt));
-  core::LotrLinear lotr_lin_ref(BaseLinear(),
-                                MetaOpts(AdapterKind::kMetaLotr));
-  core::LotrConv lotr_conv_ref(BaseConv(), MetaOpts(AdapterKind::kLotr));
-  core::TtLinear tt_lin_ref(BaseLinear(), MetaOpts(AdapterKind::kTt));
-  core::TtConv tt_conv_ref(BaseConv(), MetaOpts(AdapterKind::kMetaTt));
+  core::TnAdapter lotr_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLotr));
+  core::TnAdapter lotr_conv(BaseConv(), MetaOpts(AdapterKind::kLotr));
+  core::TnAdapter tt_lin(BaseLinear(), MetaOpts(AdapterKind::kTt));
+  core::TnAdapter tt_conv(BaseConv(), MetaOpts(AdapterKind::kMetaTt));
+  core::TnAdapter lotr_lin_ref(BaseLinear(), MetaOpts(AdapterKind::kMetaLotr));
+  core::TnAdapter lotr_conv_ref(BaseConv(), MetaOpts(AdapterKind::kLotr));
+  core::TnAdapter tt_lin_ref(BaseLinear(), MetaOpts(AdapterKind::kTt));
+  core::TnAdapter tt_conv_ref(BaseConv(), MetaOpts(AdapterKind::kMetaTt));
   RandomizeNewFamilyCores(lotr_lin, 31);
   RandomizeNewFamilyCores(lotr_lin_ref, 31);
   RandomizeNewFamilyCores(lotr_conv, 32);
@@ -375,10 +371,8 @@ TEST(AdapterServer, NewFamiliesBatchedMatchesSerialBitIdentical) {
 TEST(AdapterServer, AutocastTierMatchesOneAtATimeAndCountsDispatch) {
   for (OpPrecision prec : {OpPrecision::kBf16, OpPrecision::kInt8}) {
     SCOPED_TRACE(OpPrecisionName(prec));
-    core::MetaLoraCpLinear served(BaseLinear(),
-                                  MetaOpts(AdapterKind::kMetaLoraCp));
-    core::MetaLoraCpLinear twin(BaseLinear(),
-                                MetaOpts(AdapterKind::kMetaLoraCp));
+    core::TnAdapter served(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+    core::TnAdapter twin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
     RandomizeFactors(served, 61);
     RandomizeFactors(twin, 61);
     served.SetTraining(false);
@@ -525,8 +519,7 @@ TEST(AdapterServer, OptimizerStepBetweenRepeatsChangesServedBytes) {
 // memory), Submit-ed requests must all still complete once the worker is
 // released, and rejected requests must be counted.
 TEST(AdapterServer, BackpressureBoundsQueueWithoutLosingRequests) {
-  core::MetaLoraCpLinear adapter(BaseLinear(),
-                                 MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(adapter, 71);
 
   std::mutex gate_mu;
@@ -596,9 +589,8 @@ TEST(AdapterServer, BackpressureBoundsQueueWithoutLosingRequests) {
 // Shutdown with requests still queued and in flight: every accepted
 // request's future resolves with real (correct) bytes — drain, not drop.
 TEST(AdapterServer, ShutdownDrainsInFlightRequests) {
-  core::MetaLoraCpLinear adapter(BaseLinear(),
-                                 MetaOpts(AdapterKind::kMetaLoraCp));
-  core::MetaLoraCpLinear ref(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter ref(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(adapter, 81);
   RandomizeFactors(ref, 81);
 
@@ -636,8 +628,7 @@ TEST(AdapterServer, ShutdownDrainsInFlightRequests) {
 }
 
 TEST(AdapterServer, SubmitAfterShutdownResolvesUndefined) {
-  core::MetaLoraCpLinear adapter(BaseLinear(),
-                                 MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   AdapterServer server(AdapterServerOptions{});
   const int sid = server.RegisterSession(&adapter, adapter.conditioning_cache());
   server.Start();
@@ -655,8 +646,7 @@ TEST(AdapterServer, SubmitAfterShutdownResolvesUndefined) {
 // A partial batch (far below max_batch_size) must still flush once the
 // oldest request crosses the deadline — latency is bounded without load.
 TEST(AdapterServer, DeadlineFlushesPartialBatch) {
-  core::MetaLoraCpLinear adapter(BaseLinear(),
-                                 MetaOpts(AdapterKind::kMetaLoraCp));
+  core::TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(adapter, 91);
   AdapterServerOptions opts;
   opts.max_batch_size = 64;  // never reached by 3 requests

@@ -91,7 +91,7 @@ TEST(GemmPackedTest, BlockedShapesCrossPanelBoundaries) {
 }
 
 TEST(GemmPackedTest, LoraAdapterShapes) {
-  // Rank-R adapter projections as run by LoraLinear: x[b,d]·Aᵀ[d,r] down,
+  // Rank-R adapter projections as run by the LoRA chain (core::TnAdapter): x[b,d]·Aᵀ[d,r] down,
   // then ·Bᵀ[r,d] up, including rank 1 (the GEMV-shaped edge).
   for (int64_t rank : {1, 2, 4, 8}) {
     CheckShape(/*n=*/33, /*k=*/129, /*m=*/rank, false, true, false);
