@@ -3,6 +3,8 @@
 // and the autograd round trip.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
@@ -35,17 +37,59 @@ void BM_Matmul(benchmark::State& state) {
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_Conv2dForward(benchmark::State& state) {
-  const int64_t c = state.range(0);
-  Rng rng(2);
-  Tensor x = RandomNormal(Shape{4, c, 16, 16}, rng);
-  Tensor w = RandomNormal(Shape{c, c, 3, 3}, rng);
-  ConvGeom g{3, 3, 1, 1};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Conv2dForward(x, w, Tensor(), g));
+// The conv layers of the end-to-end `adapt` workload (bench/suite): a
+// ResNet-8 at base width 8 on 16×16 images, batch 32, with a rank-2
+// MetaLoRA-CP adapter on every 3×3 conv. Args are (in, out, plane): the
+// stage convs 3→8 and 8→8 at 16², 16→16 at 8² and 32→32 at 4², and the
+// adapters' rank-2 down convs 8→2 and 32→2.
+void ConvShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"in", "out", "hw"});
+  for (const auto& a : {std::vector<int64_t>{3, 8, 16}, {8, 8, 16},
+                        {16, 16, 8}, {32, 32, 4}, {8, 2, 16}, {32, 2, 4}}) {
+    b->Args(a);
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(16)->Arg(32);
+
+struct ConvInputs {
+  Tensor x, w, gy;
+  ConvGeom g{3, 3, 1, 1};
+};
+
+ConvInputs MakeConvInputs(const benchmark::State& state) {
+  const int64_t in = state.range(0), out = state.range(1);
+  const int64_t hw = state.range(2);
+  Rng rng(2);
+  ConvInputs c;
+  c.x = RandomNormal(Shape{32, in, hw, hw}, rng);
+  c.w = RandomNormal(Shape{out, in, 3, 3}, rng);
+  c.gy = RandomNormal(Shape{32, out, hw, hw}, rng);
+  return c;
+}
+
+void BM_Conv2dForward(benchmark::State& state) {
+  const ConvInputs c = MakeConvInputs(state);
+  for (auto _ : state) {
+    Tensor y = Conv2dForward(c.x, c.w, Tensor(), c.g);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Conv2dForward)->Apply(ConvShapes);
+
+// Input and weight gradients, as for a trainable conv; a frozen base conv
+// skips the weight half.
+void BM_Conv2dBackward(benchmark::State& state) {
+  const ConvInputs c = MakeConvInputs(state);
+  for (auto _ : state) {
+    Tensor gx, gw;
+    Conv2dBackward(c.x, c.w, c.gy, c.g, &gx, &gw, nullptr,
+                   /*has_bias=*/false);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(gw.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Conv2dBackward)->Apply(ConvShapes);
 
 void BM_Contraction3rdOrder(benchmark::State& state) {
   const int64_t d = state.range(0);

@@ -19,10 +19,18 @@ class Conv2dOp final : public Op {
         geom_(geom),
         has_bias_(has_bias) {}
 
+  // Only the gradients the graph consumes are computed: an input that
+  // does not require grad gets an undefined tensor, which the engine
+  // skips, and its GEMMs never run (the frozen base conv under every
+  // adapter needs no weight gradient).
   std::vector<Tensor> Backward(RuntimeContext&, const Tensor& g) override {
+    const std::vector<Variable>& in = inputs();
     Tensor gx, gw, gb;
-    Conv2dBackward(x_.get(), w_.get(), g, geom_, &gx, &gw,
-                   has_bias_ ? &gb : nullptr, has_bias_);
+    Conv2dBackward(x_.get(), w_.get(), g, geom_,
+                   in[0].requires_grad() ? &gx : nullptr,
+                   in[1].requires_grad() ? &gw : nullptr,
+                   has_bias_ && in[2].requires_grad() ? &gb : nullptr,
+                   has_bias_);
     std::vector<Tensor> grads = {gx, gw};
     if (has_bias_) grads.push_back(gb);
     return grads;

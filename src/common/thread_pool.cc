@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -16,10 +18,33 @@ thread_local bool tls_in_worker_task = false;
 // Monotonic process-wide instrumentation (see the header accessors).
 std::atomic<int64_t> g_parallel_for_calls{0};
 std::atomic<int64_t> g_tasks_scheduled{0};
+
+// Every live pool, for the fork handlers. Heap-held and never destroyed,
+// so the handlers stay valid during static destruction.
+std::mutex g_pools_mu;
+std::vector<ThreadPool*>& LivePools() {
+  static auto* pools = new std::vector<ThreadPool*>;
+  return *pools;
+}
+
+// Holding the registry lock across fork() means the child never inherits
+// it mid-update from another thread.
+void LockPoolsForFork() { g_pools_mu.lock(); }
+void UnlockPoolsAfterFork() { g_pools_mu.unlock(); }
+std::once_flag g_atfork_once;
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   ML_CHECK_GE(num_threads, 0);
+  std::call_once(g_atfork_once, [] {
+    ML_CHECK_EQ(pthread_atfork(LockPoolsForFork, UnlockPoolsAfterFork,
+                               ThreadPool::AfterForkInChild),
+                0);
+  });
+  {
+    std::lock_guard<std::mutex> lock(g_pools_mu);
+    LivePools().push_back(this);
+  }
   workers_.reserve(num_threads);
   for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -28,11 +53,38 @@ ThreadPool::ThreadPool(int num_threads) {
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    std::lock_guard<std::mutex> lock(g_pools_mu);
+    std::vector<ThreadPool*>& pools = LivePools();
+    pools.erase(std::find(pools.begin(), pools.end(), this));
   }
-  cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(queue_->mu);
+    queue_->stop = true;
+  }
+  queue_->cv.notify_all();
   for (auto& w : workers_) w.join();
+}
+
+void ThreadPool::AfterForkInChild() {
+  // Only the forking thread exists in the child. Its inherited workers can
+  // be neither joined nor destroyed (a joinable std::thread's destructor
+  // terminates), and their queue can be neither locked nor destroyed (its
+  // mutex may be held by a worker, and destroying a condition variable
+  // waits for waiters that are gone). Both are parked, reachable, for the
+  // child's lifetime, and each pool starts over with an empty queue and
+  // no workers, so it runs its work inline. Tasks still queued belonged to
+  // parent threads; nothing in the child waits for them.
+  struct Parked {
+    std::vector<std::thread> workers;
+    std::unique_ptr<TaskQueue> queue;
+  };
+  static auto* parked = new std::vector<Parked>;
+  for (ThreadPool* pool : LivePools()) {
+    parked->push_back({std::move(pool->workers_), std::move(pool->queue_)});
+    pool->workers_.clear();
+    pool->queue_ = std::make_unique<TaskQueue>();
+  }
+  UnlockPoolsAfterFork();
 }
 
 bool ThreadPool::InWorkerThread() { return tls_in_worker_task; }
@@ -49,11 +101,12 @@ void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
+      TaskQueue& q = *queue_;
+      std::unique_lock<std::mutex> lock(q.mu);
+      q.cv.wait(lock, [&q] { return q.stop || !q.tasks.empty(); });
+      if (q.stop && q.tasks.empty()) return;
+      task = std::move(q.tasks.front());
+      q.tasks.pop();
     }
     tls_in_worker_task = true;
     task();
@@ -69,10 +122,10 @@ void ThreadPool::Schedule(std::function<void()> task) {
   }
   g_tasks_scheduled.fetch_add(1, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
+    std::lock_guard<std::mutex> lock(queue_->mu);
+    queue_->tasks.push(std::move(task));
   }
-  cv_.notify_one();
+  queue_->cv.notify_one();
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
@@ -99,12 +152,12 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   for (int64_t c = 1; c < num_chunks; ++c) {
     const int64_t lo = begin + c * chunk;
     const int64_t hi = std::min(end, lo + chunk);
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push([&fn, latch, lo, hi] {
+    std::lock_guard<std::mutex> lock(queue_->mu);
+    queue_->tasks.push([&fn, latch, lo, hi] {
       fn(lo, hi);
       latch->CountDown();
     });
-    cv_.notify_one();
+    queue_->cv.notify_one();
   }
   // The calling thread takes the first chunk.
   fn(begin, std::min(end, begin + chunk));
@@ -127,12 +180,12 @@ void ThreadPool::ForkJoinReplicas(int n, const std::function<void(int)>& fn) {
   g_tasks_scheduled.fetch_add(n - 1, std::memory_order_relaxed);
   auto latch = std::make_shared<Latch>(n - 1);
   for (int lane = 1; lane < n; ++lane) {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push([&fn, latch, lane] {
+    std::lock_guard<std::mutex> lock(queue_->mu);
+    queue_->tasks.push([&fn, latch, lane] {
       fn(lane);
       latch->CountDown();
     });
-    cv_.notify_one();
+    queue_->cv.notify_one();
   }
   // Lane 0 belongs to the caller. Mark it like a worker task so its kernels
   // run inline — otherwise lane 0's ParallelFor would queue chunks behind

@@ -8,6 +8,11 @@
 // inline nesting keeps per-task work deterministic for the eval blocks
 // (autograd::ParallelApplyNoGrad) and the trainer's replica lanes
 // (ForkJoinReplicas) built on Schedule().
+//
+// Pools are fork-aware: a child process forked after a pool started has
+// none of its worker threads, so a pthread_atfork child handler drops
+// every pool in the child to zero workers and the child's kernels run
+// inline instead of waiting forever on a queue nobody drains.
 #ifndef METALORA_COMMON_THREAD_POOL_H_
 #define METALORA_COMMON_THREAD_POOL_H_
 
@@ -117,11 +122,20 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
+  /// pthread_atfork child handler: drops every live pool to zero workers.
+  static void AfterForkInChild();
+
+  /// What workers wait on. Held by pointer so a forked child can park the
+  /// inherited queue (see AfterForkInChild) and start from a fresh one.
+  struct TaskQueue {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::queue<std::function<void()>> tasks;
+    bool stop = false;
+  };
+
+  std::unique_ptr<TaskQueue> queue_ = std::make_unique<TaskQueue>();
   std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::queue<std::function<void()>> tasks_;
-  bool stop_ = false;
 };
 
 /// Process-wide pool used by tensor kernels. First call creates it with

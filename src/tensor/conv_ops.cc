@@ -4,126 +4,145 @@
 #include <cstring>
 #include <limits>
 
-#include "common/thread_pool.h"
 #include "tensor/gemm.h"
-#include "tensor/matmul.h"
+#include "tensor/gemm_detail.h"
 #include "tensor/tensor_ops.h"
 
 namespace metalora {
 
-namespace {
-
-// The output columns [lo, hi) of one kernel column kw whose input column
-// iw = ow·stride + kw − padding lands inside [0, w). Every other output
-// column reads padding. Both ends are clamped to [0, wo] and lo <= hi.
-struct ValidRange {
-  int64_t lo, hi;
-};
-
-ValidRange ValidOutRange(int64_t kw, int64_t w, int64_t wo,
-                         const ConvGeom& g) {
-  const int64_t offset = kw - g.padding;  // iw at ow = 0
-  // Smallest ow with ow·stride + offset >= 0.
-  const int64_t lo =
-      offset >= 0 ? 0 : std::min(wo, (-offset + g.stride - 1) / g.stride);
-  // One past the largest ow with ow·stride + offset <= w − 1.
-  const int64_t last = w - 1 - offset;
-  const int64_t hi = last < 0 ? 0 : std::min(wo, last / g.stride + 1);
-  return {lo, std::max(lo, hi)};
-}
-
-}  // namespace
-
+// The serial oracles of the lowering: plain loops with a bounds test on
+// every element. No kernel calls them; tests check the conv kernels
+// against Im2Col → GEMM → Col2Im built from them.
 void Im2Col(const float* input, int64_t channels, int64_t h, int64_t w,
             const ConvGeom& g, float* columns) {
   const int64_t ho = g.OutExtent(h, g.kernel_h);
   const int64_t wo = g.OutExtent(w, g.kernel_w);
-  const int64_t out_spatial = ho * wo;
-  const int64_t stride = g.stride;
-  // Row r of `columns` corresponds to (c, kh, kw); column to (oh, ow).
-  // Channel c owns rows [c·Kh·Kw, (c+1)·Kh·Kw): writes are disjoint per
-  // channel, so channels fan out onto the pool. Each row computes its
-  // valid ow range once: the interior is a copy (contiguous at stride 1)
-  // and the padding on either side a zero fill.
-  ParallelFor(0, channels, 1, [=, &g](int64_t c_lo, int64_t c_hi) {
-    for (int64_t c = c_lo; c < c_hi; ++c) {
-      const float* chan = input + c * h * w;
-      int64_t row = c * g.kernel_h * g.kernel_w;
-      for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
-        for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-          const ValidRange r = ValidOutRange(kw, w, wo, g);
-          float* out_row = columns + row * out_spatial;
-          for (int64_t oh = 0; oh < ho; ++oh) {
-            float* dst = out_row + oh * wo;
-            const int64_t ih = oh * stride + kh - g.padding;
-            if (ih < 0 || ih >= h) {
-              std::fill(dst, dst + wo, 0.0f);
-              continue;
-            }
-            std::fill(dst, dst + r.lo, 0.0f);
-            if (r.lo < r.hi) {
-              const float* src =
-                  chan + ih * w + r.lo * stride + kw - g.padding;
-              float* d = dst + r.lo;
-              const int64_t count = r.hi - r.lo;
-              if (stride == 1) {
-                std::copy(src, src + count, d);
-              } else {
-                for (int64_t i = 0; i < count; ++i) d[i] = src[i * stride];
-              }
-            }
-            std::fill(dst + r.hi, dst + wo, 0.0f);
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        for (int64_t oh = 0; oh < ho; ++oh) {
+          for (int64_t ow = 0; ow < wo; ++ow) {
+            const int64_t ih = oh * g.stride - g.padding + kh;
+            const int64_t iw = ow * g.stride - g.padding + kw;
+            const bool in = ih >= 0 && ih < h && iw >= 0 && iw < w;
+            columns[row * ho * wo + oh * wo + ow] =
+                in ? input[(c * h + ih) * w + iw] : 0.0f;
           }
         }
       }
     }
-  });
+  }
 }
 
 void Col2Im(const float* columns, int64_t channels, int64_t h, int64_t w,
             const ConvGeom& g, float* input_grad) {
   const int64_t ho = g.OutExtent(h, g.kernel_h);
   const int64_t wo = g.OutExtent(w, g.kernel_w);
-  const int64_t out_spatial = ho * wo;
-  const int64_t stride = g.stride;
-  // Kernel positions of one channel overlap in the input plane, but the
-  // channels themselves write disjoint planes: channel c accumulates only
-  // into input_grad[c·h·w, (c+1)·h·w) from its own row block. Within a
-  // channel the loops keep the serial (kh, kw, oh, ow) order, and one
-  // (kh, kw) row reaches each input element at most once, so every
-  // element sums its contributions in (kh, kw) order: bit-identical to a
-  // serial pass for any thread count. Padding columns are skipped by the
-  // row's valid ow range instead of a per-element test.
-  ParallelFor(0, channels, 1, [=, &g](int64_t c_lo, int64_t c_hi) {
-    for (int64_t c = c_lo; c < c_hi; ++c) {
-      float* chan = input_grad + c * h * w;
-      int64_t row = c * g.kernel_h * g.kernel_w;
-      for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
-        for (int64_t kw = 0; kw < g.kernel_w; ++kw, ++row) {
-          const ValidRange r = ValidOutRange(kw, w, wo, g);
-          const float* in_row = columns + row * out_spatial;
-          for (int64_t oh = 0; oh < ho; ++oh) {
-            const int64_t ih = oh * stride + kh - g.padding;
-            if (ih < 0 || ih >= h || r.lo >= r.hi) continue;
-            const float* src = in_row + oh * wo + r.lo;
-            float* dst = chan + ih * w + r.lo * stride + kw - g.padding;
-            const int64_t count = r.hi - r.lo;
-            if (stride == 1) {
-              for (int64_t i = 0; i < count; ++i) dst[i] += src[i];
-            } else {
-              for (int64_t i = 0; i < count; ++i) dst[i * stride] += src[i];
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        const int64_t row = (c * g.kernel_h + kh) * g.kernel_w + kw;
+        for (int64_t oh = 0; oh < ho; ++oh) {
+          for (int64_t ow = 0; ow < wo; ++ow) {
+            const int64_t ih = oh * g.stride - g.padding + kh;
+            const int64_t iw = ow * g.stride - g.padding + kw;
+            if (ih >= 0 && ih < h && iw >= 0 && iw < w) {
+              input_grad[(c * h + ih) * w + iw] +=
+                  columns[row * ho * wo + oh * wo + ow];
             }
           }
         }
       }
     }
-  });
+  }
 }
 
 bool ConvIsPointwise(const ConvGeom& g) {
   return g.kernel_h == 1 && g.kernel_w == 1 && g.stride == 1 &&
          g.padding == 0;
 }
+
+namespace {
+
+using gemm_detail::Im2ColOperand;
+
+// Per-thread conv scratch, grow-once like the GEMM's pack buffers. The
+// padded buffer holds the zero-padded image of the sample being lowered
+// and, in the input-gradient pass, the padded plane its column gradient
+// folds into; the column-gradient buffer holds that GEMM's output.
+thread_local gemm_detail::AlignedBuffer<float> tls_padded;
+thread_local gemm_detail::AlignedBuffer<float> tls_col_grad;
+
+// The im2col operand of one sample [c, h, w]: the image itself when the
+// conv has no padding, else a zero-padded copy in tls_padded.
+Im2ColOperand LowerSample(const float* in_n, int64_t c, int64_t h, int64_t w,
+                          const ConvGeom& g) {
+  const int64_t ho = g.OutExtent(h, g.kernel_h);
+  const int64_t wo = g.OutExtent(w, g.kernel_w);
+  const int64_t p = g.padding;
+  if (p == 0) return {in_n, c, h, w, g.kernel_h, g.kernel_w, g.stride, ho, wo};
+  const int64_t hp = h + 2 * p, wp = w + 2 * p;
+  tls_padded.Reserve(c * hp * wp);
+  float* padded = tls_padded.data();
+  for (int64_t ch = 0; ch < c; ++ch) {
+    float* plane = padded + ch * hp * wp;
+    const float* src = in_n + ch * h * w;
+    std::fill(plane, plane + p * wp, 0.0f);
+    for (int64_t ih = 0; ih < h; ++ih) {
+      float* row = plane + (ih + p) * wp;
+      std::fill(row, row + p, 0.0f);
+      std::copy(src + ih * w, src + ih * w + w, row + p);
+      std::fill(row + p + w, row + wp, 0.0f);
+    }
+    std::fill(plane + (h + p) * wp, plane + hp * wp, 0.0f);
+  }
+  return {padded, c, hp, wp, g.kernel_h, g.kernel_w, g.stride, ho, wo};
+}
+
+// Adds col_grad [c·Kh·Kw, Ho·Wo] into the input gradient gin_n [c, h, w]
+// in Col2Im's (kh, kw, oh, ow) order, so every element sums its
+// contributions in the same order as the oracle: bit-identical. The sums
+// land in a zero-padded plane (no bounds test; the border is dropped),
+// or straight in gin_n when the conv has no padding. gin_n must be
+// zeroed.
+void FoldColumns(const float* col_grad, int64_t c, int64_t h, int64_t w,
+                 const ConvGeom& g, float* gin_n) {
+  const int64_t ho = g.OutExtent(h, g.kernel_h);
+  const int64_t wo = g.OutExtent(w, g.kernel_w);
+  const int64_t p = g.padding, s = g.stride;
+  const int64_t hp = h + 2 * p, wp = w + 2 * p;
+  float* plane = gin_n;
+  if (p > 0) {
+    tls_padded.Reserve(c * hp * wp);
+    plane = tls_padded.data();
+    std::fill(plane, plane + c * hp * wp, 0.0f);
+  }
+  const float* src = col_grad;
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t kh = 0; kh < g.kernel_h; ++kh) {
+      for (int64_t kw = 0; kw < g.kernel_w; ++kw) {
+        for (int64_t oh = 0; oh < ho; ++oh, src += wo) {
+          float* dst = plane + (ch * hp + oh * s + kh) * wp + kw;
+          if (s == 1) {
+            for (int64_t ow = 0; ow < wo; ++ow) dst[ow] += src[ow];
+          } else {
+            for (int64_t ow = 0; ow < wo; ++ow) dst[ow * s] += src[ow];
+          }
+        }
+      }
+    }
+  }
+  if (p == 0) return;
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t ih = 0; ih < h; ++ih) {
+      const float* row = plane + (ch * hp + ih + p) * wp + p;
+      std::copy(row, row + w, gin_n + (ch * h + ih) * w);
+    }
+  }
+}
+
+}  // namespace
 
 void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
                        const Tensor& bias, const ConvGeom& g, Tensor* out,
@@ -145,37 +164,29 @@ void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
     ML_CHECK_EQ(bias.dim(0), o);
   }
 
-  const int64_t col_rows = c * g.kernel_h * g.kernel_w;
-  const int64_t col_cols = ho * wo;
-  // A pointwise conv's columns are its input plane: read it in place.
-  const bool pointwise = ConvIsPointwise(g);
-  std::vector<float> columns;
-  if (!pointwise) columns.resize(static_cast<size_t>(col_rows * col_cols));
-
-  // weight viewed as [O, C*Kh*Kw]; per-sample: out_n = W_mat · cols.
+  const int64_t out_spatial = ho * wo;
+  // weight viewed as [O, C*Kh*Kw]; per-sample: out_n = W_mat · cols, with
+  // cols lowered from the sample as the GEMM packs it.
   const float* wmat = weight.data();
   for (int64_t i = 0; i < n; ++i) {
-    const float* in_n = input.data() + i * c * h * w;
-    const float* cols = in_n;
-    if (!pointwise) {
-      Im2Col(in_n, c, h, w, g, columns.data());
-      cols = columns.data();
-    }
-    float* out_n = out->data() + i * o * col_cols;
+    const Im2ColOperand cols =
+        LowerSample(input.data() + i * c * h * w, c, h, w, g);
+    float* out_n = out->data() + i * o * out_spatial;
     // out_n is zero-initialized by the caller's allocation.
     if (precision == OpPrecision::kFp32) {
-      MatmulAccumulateRaw(wmat, cols, out_n, o, col_rows, col_cols);
+      gemm_detail::GemmPackedIm2Col(wmat, false, cols, false, out_n, o,
+                                    /*accumulate=*/true);
     } else {
       // bf16 tier (int8 requests land here too: conv caps at bf16).
-      GemmPackedBf16(wmat, false, cols, false, out_n, o, col_rows, col_cols,
-                     /*accumulate=*/true);
+      gemm_detail::GemmPackedBf16Im2Col(wmat, false, cols, false, out_n, o,
+                                        /*accumulate=*/true);
     }
     if (bias.defined()) {
       const float* pb = bias.data();
       for (int64_t oc = 0; oc < o; ++oc) {
-        float* plane = out_n + oc * col_cols;
+        float* plane = out_n + oc * out_spatial;
         const float bv = pb[oc];
-        for (int64_t s = 0; s < col_cols; ++s) plane[s] += bv;
+        for (int64_t s = 0; s < out_spatial; ++s) plane[s] += bv;
       }
     }
   }
@@ -205,56 +216,47 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   ML_CHECK_EQ(grad_output.dim(3), wo);
 
   const int64_t col_rows = c * g.kernel_h * g.kernel_w;
-  const int64_t col_cols = ho * wo;
+  const int64_t out_spatial = ho * wo;
 
   if (grad_input) *grad_input = Tensor::Zeros(input.shape());
   if (grad_weight) *grad_weight = Tensor::Zeros(weight.shape());
   if (grad_bias && has_bias) *grad_bias = Tensor::Zeros(Shape{o});
 
-  // A pointwise conv skips both lowering buffers: its columns are the
-  // input plane, and its column gradient is the input-gradient plane,
-  // which the GEMM writes directly. That write equals Col2Im's
-  // +0 + col_grad bit for bit: a GEMM chain that starts at +0 never
-  // yields −0.
+  // A pointwise conv's column gradient is its input-gradient plane, so the
+  // GEMM writes the plane directly. That equals Col2Im's +0 + col_grad
+  // bit for bit: a GEMM chain that starts at +0 never yields −0.
   const bool pointwise = ConvIsPointwise(g);
-  std::vector<float> columns, col_grad;
-  if (!pointwise) {
-    if (grad_weight) columns.resize(static_cast<size_t>(col_rows * col_cols));
-    if (grad_input) col_grad.resize(static_cast<size_t>(col_rows * col_cols));
-  }
+  if (grad_input && !pointwise) tls_col_grad.Reserve(col_rows * out_spatial);
 
   const float* wmat = weight.data();  // [o, col_rows]
   for (int64_t i = 0; i < n; ++i) {
-    const float* gout = grad_output.data() + i * o * col_cols;
+    const float* gout = grad_output.data() + i * o * out_spatial;
     const float* in_n = input.data() + i * c * h * w;
 
     if (grad_weight) {
-      // dW [o, col_rows] += gout [o, S] · colsᵀ (cols stored [col_rows, S]).
-      const float* cols = in_n;
-      if (!pointwise) {
-        Im2Col(in_n, c, h, w, g, columns.data());
-        cols = columns.data();
-      }
-      GemmPacked(gout, /*trans_a=*/false, cols, /*trans_b=*/true,
-                 grad_weight->data(), o, col_cols, col_rows,
-                 /*accumulate=*/true);
+      // dW [o, col_rows] += gout [o, S] · colsᵀ, cols lowered at pack time.
+      gemm_detail::GemmPackedIm2Col(gout, /*trans_a=*/false,
+                                    LowerSample(in_n, c, h, w, g),
+                                    /*trans_b=*/true, grad_weight->data(), o,
+                                    /*accumulate=*/true);
     }
 
     if (grad_input) {
-      // col_grad [col_rows, S] = Wᵀ (W stored [o, col_rows]) · gout [o, S].
+      // col_grad [col_rows, S] = Wᵀ (W stored [o, col_rows]) · gout [o, S],
+      // then folded back onto the input plane.
       float* gin_n = grad_input->data() + i * c * h * w;
-      float* cgrad = pointwise ? gin_n : col_grad.data();
+      float* cgrad = pointwise ? gin_n : tls_col_grad.data();
       GemmPacked(wmat, /*trans_a=*/true, gout, /*trans_b=*/false, cgrad,
-                 col_rows, o, col_cols, /*accumulate=*/false);
-      if (!pointwise) Col2Im(cgrad, c, h, w, g, gin_n);
+                 col_rows, o, out_spatial, /*accumulate=*/false);
+      if (!pointwise) FoldColumns(cgrad, c, h, w, g, gin_n);
     }
 
     if (grad_bias && has_bias) {
       float* gb = grad_bias->data();
       for (int64_t oc = 0; oc < o; ++oc) {
-        const float* grow = gout + oc * col_cols;
+        const float* grow = gout + oc * out_spatial;
         float acc = 0.0f;
-        for (int64_t s = 0; s < col_cols; ++s) acc += grow[s];
+        for (int64_t s = 0; s < out_spatial; ++s) acc += grow[s];
         gb[oc] += acc;
       }
     }

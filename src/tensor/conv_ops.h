@@ -1,8 +1,10 @@
 // 2-D convolution and pooling kernels (NCHW layout).
 //
-// Convolution uses im2col + matmul; a naive direct kernel is provided as the
-// correctness reference for tests. Backward kernels return gradients w.r.t.
-// input, weight and bias.
+// Convolution lowers to the packed GEMM: each sample's input is padded once
+// and its im2col panels are packed straight from the padded image, so no
+// column matrix is materialized. Im2Col/Col2Im and a naive direct kernel
+// are kept as correctness references for tests. Backward kernels return
+// the gradients w.r.t. input, weight and bias that the caller asks for.
 #ifndef METALORA_TENSOR_CONV_OPS_H_
 #define METALORA_TENSOR_CONV_OPS_H_
 
@@ -31,19 +33,20 @@ struct ConvGeom {
 };
 
 /// Unfolds input [C, H, W] into columns [C*Kh*Kw, Ho*Wo].
-/// Padding positions contribute zeros.
+/// Padding positions contribute zeros. A serial test oracle: the conv
+/// kernels lower their input while the GEMM packs it and never call this.
 void Im2Col(const float* input, int64_t channels, int64_t h, int64_t w,
             const ConvGeom& g, float* columns);
 
 /// Folds columns [C*Kh*Kw, Ho*Wo] back into [C, H, W], accumulating
-/// overlapping contributions. `input_grad` must be pre-zeroed.
+/// overlapping contributions in (kh, kw) order. `input_grad` must be
+/// pre-zeroed. A serial test oracle, like Im2Col.
 void Col2Im(const float* columns, int64_t channels, int64_t h, int64_t w,
             const ConvGeom& g, float* input_grad);
 
-/// True for a 1×1, stride-1, unpadded conv. Its im2col columns are the
-/// input plane itself, so the conv kernels skip Im2Col/Col2Im and their
-/// scratch buffers and run the GEMMs on the planes directly (bit-identical
-/// to the lowered route).
+/// True for a 1×1, stride-1, unpadded conv. Its column gradient is the
+/// input-gradient plane itself, so Conv2dBackward's GEMM writes the plane
+/// directly with no fold (bit-identical to the lowered route).
 bool ConvIsPointwise(const ConvGeom& g);
 
 /// Forward convolution.
@@ -56,14 +59,16 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
 
 /// Same, accumulating into a caller-provided, pre-zeroed [N, O, Ho, Wo]
 /// tensor (workspace-arena fast path; no output allocation). `precision`
-/// selects the im2col GEMM tier: kBf16 runs the bf16-storage engine
+/// selects the lowered GEMM's tier: kBf16 runs the bf16-storage engine
 /// (kInt8 is treated as kBf16 — conv has no quantized-shadow form); the
 /// bias epilogue is fp32 in every tier.
 void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
                        const Tensor& bias, const ConvGeom& g, Tensor* out,
                        OpPrecision precision = OpPrecision::kFp32);
 
-/// Gradients of Conv2dForward. `grad_bias` is filled only if `has_bias`.
+/// Gradients of Conv2dForward. Each of `grad_input`, `grad_weight` and
+/// `grad_bias` may be null, and its GEMMs are then skipped; `grad_bias` is
+/// filled only if `has_bias`.
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
                     const Tensor& grad_output, const ConvGeom& g,
                     Tensor* grad_input, Tensor* grad_weight, Tensor* grad_bias,

@@ -347,10 +347,14 @@ std::once_flag g_autotune_once;
 constexpr double kAutotuneFlopThreshold = 1.7e7;
 
 // One blocked GEMM with an explicit tile triple, on one ISA's kernel.
-template <MicroKernelFn kKernel>
-void GemmPackedTiledOn(const float* a, bool trans_a, const float* b,
-                       bool trans_b, float* c, int64_t n, int64_t k,
-                       int64_t m, bool accumulate, const GemmTiles& tiles) {
+// `pack_b(pc, kc, jc, nc, bp)` packs the kc×nc block of op(B) at
+// (pc, jc) into PackB's panel layout: PackB itself for a dense matrix, or
+// PackIm2ColB for a conv input lowered as it is packed. It runs on the
+// calling thread only.
+template <MicroKernelFn kKernel, typename PackBFn>
+void GemmPackedTiledOn(const float* a, bool trans_a, const PackBFn& pack_b,
+                       float* c, int64_t n, int64_t k, int64_t m,
+                       bool accumulate, const GemmTiles& tiles) {
   for (int64_t jc = 0; jc < m; jc += tiles.nc) {
     const int64_t nc = std::min(tiles.nc, m - jc);
     const int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
@@ -361,7 +365,7 @@ void GemmPackedTiledOn(const float* a, bool trans_a, const float* b,
       // per-element accumulation chain stays p = 0..k-1 in order.
       const bool acc_panel = accumulate || pc > 0;
       tls_pack_b.Reserve(b_panels * kc * kGemmNR);
-      PackB(b, trans_b, k, m, pc, kc, jc, nc, tls_pack_b.data());
+      pack_b(pc, kc, jc, nc, tls_pack_b.data());
       const float* bp = tls_pack_b.data();
       const int64_t tile_mc = tiles.mc;
 
@@ -389,20 +393,28 @@ void GemmPackedTiledOn(const float* a, bool trans_a, const float* b,
   }
 }
 
-// GemmPacked and the autotune sweep both land here; the blocked fp32
-// engine reads the ISA once per call.
-void GemmPackedTiled(const float* a, bool trans_a, const float* b,
-                     bool trans_b, float* c, int64_t n, int64_t k, int64_t m,
+// GemmPacked, GemmPackedIm2Col and the autotune sweep all land here; the
+// blocked fp32 engine reads the ISA once per call.
+template <typename PackBFn>
+void GemmPackedTiled(const float* a, bool trans_a, const PackBFn& pack_b,
+                     float* c, int64_t n, int64_t k, int64_t m,
                      bool accumulate, const GemmTiles& tiles) {
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemmPackedTiledOn<MicroKernelAvx2>(a, trans_a, b, trans_b, c, n, k, m,
+    GemmPackedTiledOn<MicroKernelAvx2>(a, trans_a, pack_b, c, n, k, m,
                                        accumulate, tiles);
     return;
   }
 #endif
-  GemmPackedTiledOn<MicroKernelPortable>(a, trans_a, b, trans_b, c, n, k, m,
+  GemmPackedTiledOn<MicroKernelPortable>(a, trans_a, pack_b, c, n, k, m,
                                          accumulate, tiles);
+}
+
+// The dense B packer: PackB over a stored [k,m] (or [m,k]) matrix.
+auto DensePackB(const float* b, bool trans_b, int64_t k, int64_t m) {
+  return [=](int64_t pc, int64_t kc, int64_t jc, int64_t nc, float* bp) {
+    PackB(b, trans_b, k, m, pc, kc, jc, nc, bp);
+  };
 }
 
 // Candidate triples for the sweep: the compile-time default plus variants
@@ -433,8 +445,8 @@ void RunAutotuneSweep() {
     double fastest = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      GemmPackedTiled(a.data(), false, b.data(), false, c.data(), kDim, kDim,
-                      kDim, /*accumulate=*/false, t);
+      GemmPackedTiled(a.data(), false, DensePackB(b.data(), false, kDim, kDim),
+                      c.data(), kDim, kDim, kDim, /*accumulate=*/false, t);
       const auto t1 = std::chrono::steady_clock::now();
       const double ns =
           std::chrono::duration<double, std::nano>(t1 - t0).count();
@@ -477,6 +489,20 @@ bool GemmTilesAutotuned(OpPrecision precision) {
   return g_autotuned.load(std::memory_order_acquire);
 }
 
+namespace {
+
+// The first GEMM large enough for tiling to matter runs the sweep.
+void AutotuneIfLarge(int64_t n, int64_t k, int64_t m) {
+  if (!g_autotuned.load(std::memory_order_acquire) &&
+      2.0 * static_cast<double>(n) * static_cast<double>(k) *
+              static_cast<double>(m) >=
+          kAutotuneFlopThreshold) {
+    AutotuneGemmTiles();
+  }
+}
+
+}  // namespace
+
 void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
   ML_DCHECK(n >= 0 && k >= 0 && m >= 0);
@@ -489,15 +515,44 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
     GemvPath(a, trans_a, b, c, n, k, accumulate);
     return;
   }
-  if (!g_autotuned.load(std::memory_order_acquire) &&
-      2.0 * static_cast<double>(n) * static_cast<double>(k) *
-              static_cast<double>(m) >=
-          kAutotuneFlopThreshold) {
-    AutotuneGemmTiles();
-  }
-  GemmPackedTiled(a, trans_a, b, trans_b, c, n, k, m, accumulate,
-                  *g_tiles.load(std::memory_order_acquire));
+  AutotuneIfLarge(n, k, m);
+  GemmPackedTiled(a, trans_a, DensePackB(b, trans_b, k, m), c, n, k, m,
+                  accumulate, *g_tiles.load(std::memory_order_acquire));
 }
+
+namespace gemm_detail {
+
+const float* Im2ColVector(const Im2ColOperand& op, bool trans_b) {
+  thread_local AlignedBuffer<float> x;
+  const int64_t k = trans_b ? op.cols() : op.rows();
+  x.Reserve(k);
+  for (int64_t p = 0; p < k; ++p) {
+    x.data()[p] = op.input[trans_b ? op.ColOffset(p) : op.RowOffset(p)];
+  }
+  return x.data();
+}
+
+void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
+                      bool trans_b, float* c, int64_t n, bool accumulate) {
+  const int64_t k = trans_b ? b.cols() : b.rows();
+  const int64_t m = trans_b ? b.rows() : b.cols();
+  ML_DCHECK(n >= 0 && k > 0 && m > 0);
+  if (n == 0) return;
+  if (m == 1) {
+    GemvPath(a, trans_a, Im2ColVector(b, trans_b), c, n, k, accumulate);
+    return;
+  }
+  AutotuneIfLarge(n, k, m);
+  GemmPackedTiled(
+      a, trans_a,
+      [&b, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
+                    float* bp) {
+        PackIm2ColB(b, trans_b, pc, kc, jc, nc, bp, [](float v) { return v; });
+      },
+      c, n, k, m, accumulate, *g_tiles.load(std::memory_order_acquire));
+}
+
+}  // namespace gemm_detail
 
 namespace {
 

@@ -4,6 +4,7 @@
 #ifndef METALORA_TENSOR_GEMM_DETAIL_H_
 #define METALORA_TENSOR_GEMM_DETAIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -68,6 +69,123 @@ inline int64_t BIndex(bool trans_b, int64_t k, int64_t m, int64_t p,
                       int64_t j) {
   return trans_b ? j * k + p : p * m + j;
 }
+
+/// A conv input as a GEMM B operand, lowered while it is packed: the
+/// im2col column matrix cols[rows, cols] of one sample, read straight
+/// from a zero-padded image instead of a materialized buffer. Row
+/// r = (ch, kh, kw), column s = (oh, ow), and
+///   cols(r, s) = input[RowOffset(r) + ColOffset(s)],
+/// with no bounds test: the padding is already in the image. The packed
+/// panels hold exactly the bytes PackB would pack from Im2Col's columns.
+struct Im2ColOperand {
+  const float* input;  // zero-padded image [c, h, w]
+  int64_t c, h, w;     // channels and padded extents
+  int64_t kernel_h, kernel_w, stride;
+  int64_t ho, wo;      // output extents
+
+  int64_t rows() const { return c * kernel_h * kernel_w; }
+  int64_t cols() const { return ho * wo; }
+  int64_t RowOffset(int64_t r) const {
+    const int64_t kk = r % (kernel_h * kernel_w);
+    return (r / (kernel_h * kernel_w)) * h * w + (kk / kernel_w) * w +
+           kk % kernel_w;
+  }
+  int64_t ColOffset(int64_t s) const {
+    return ((s / wo) * w + s % wo) * stride;
+  }
+};
+
+/// Packs the kc×nc block at (pc, jc) of op(B) = cols (or colsᵀ with
+/// trans_b) into the NR-column micro-panels PackB writes, converting each
+/// element with `cvt` (identity for fp32, RNE rounding for bf16). Each
+/// panel builds a table of its columns' offsets once; a k step then
+/// gathers through it. A full panel whose offsets are contiguous (at
+/// stride 1, one inside one output row) copies as a run.
+template <typename T, typename Convert>
+void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
+                 int64_t kc, int64_t jc, int64_t nc, T* bp, Convert cvt) {
+  const int64_t panels = (nc + kGemmNR - 1) / kGemmNR;
+  const int64_t kk = op.kernel_h * op.kernel_w;
+  for (int64_t t = 0; t < panels; ++t) {
+    const int64_t col0 = jc + t * kGemmNR;
+    const int64_t cols = std::min(kGemmNR, nc - t * kGemmNR);
+    T* dst = bp + t * kc * kGemmNR;
+    int64_t table[kGemmNR];
+    if (trans_b) {
+      // Panel columns are rows (ch, kh, kw) of cols; k steps walk the
+      // output positions (oh, ow), whose offset advances by `stride`
+      // along a row and jumps to the next output row at its end.
+      for (int64_t j = 0; j < cols; ++j) table[j] = op.RowOffset(col0 + j);
+      int64_t ow = pc % op.wo;
+      int64_t off = op.ColOffset(pc);
+      const int64_t row_jump = op.stride * op.w - (op.wo - 1) * op.stride;
+      for (int64_t p = 0; p < kc; ++p) {
+        const float* src = op.input + off;
+        T* d = dst + p * kGemmNR;
+        for (int64_t j = 0; j < cols; ++j) d[j] = cvt(src[table[j]]);
+        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = T{};
+        if (++ow < op.wo) {
+          off += op.stride;
+        } else {
+          ow = 0;
+          off += row_jump;
+        }
+      }
+    } else {
+      // Panel columns are output positions; k steps walk the rows
+      // (ch, kh, kw) in order. Offsets rise with the column, so a span of
+      // NR − 1 means the panel is one contiguous run of the image.
+      for (int64_t j = 0; j < cols; ++j) table[j] = op.ColOffset(col0 + j);
+      const bool run =
+          cols == kGemmNR && table[kGemmNR - 1] - table[0] == kGemmNR - 1;
+      const int64_t kh_jump = op.w - (op.kernel_w - 1);
+      const int64_t ch_jump = op.h * op.w - (op.kernel_h - 1) * op.w -
+                              (op.kernel_w - 1);
+      int64_t kw = pc % op.kernel_w;
+      int64_t kh = (pc % kk) / op.kernel_w;
+      int64_t off = op.RowOffset(pc);
+      for (int64_t p = 0; p < kc; ++p) {
+        const float* src = op.input + off;
+        T* d = dst + p * kGemmNR;
+        if (run) {
+          src += table[0];
+          for (int64_t j = 0; j < kGemmNR; ++j) d[j] = cvt(src[j]);
+        } else {
+          for (int64_t j = 0; j < cols; ++j) d[j] = cvt(src[table[j]]);
+          for (int64_t j = cols; j < kGemmNR; ++j) d[j] = T{};
+        }
+        if (++kw < op.kernel_w) {
+          ++off;
+          continue;
+        }
+        kw = 0;
+        if (++kh < op.kernel_h) {
+          off += kh_jump;
+        } else {
+          kh = 0;
+          off += ch_jump;
+        }
+      }
+    }
+  }
+}
+
+/// The single column of an m == 1 im2col operand (one output position
+/// without trans_b, one (ch, kh, kw) row with it), gathered contiguously
+/// into per-thread scratch for the GEMV paths.
+const float* Im2ColVector(const Im2ColOperand& op, bool trans_b);
+
+/// C[n,m] (+)= op(A) · op(B) with B lowered from `b` at pack time:
+/// op(B) is cols [rows, cols] or, with trans_b, colsᵀ. Bit-identical to
+/// GemmPacked over Im2Col's materialized columns.
+void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
+                      bool trans_b, float* c, int64_t n, bool accumulate);
+
+/// The bf16-storage tier of GemmPackedIm2Col: bit-identical to
+/// GemmPackedBf16 over Im2Col's materialized columns.
+void GemmPackedBf16Im2Col(const float* a, bool trans_a,
+                          const Im2ColOperand& b, bool trans_b, float* c,
+                          int64_t n, bool accumulate);
 
 // Whether this build carries the AVX2+FMA kernel clones: x86 GCC/Clang
 // without METALORA_DISABLE_AVX2. The clones are compiled per function

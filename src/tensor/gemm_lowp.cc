@@ -326,11 +326,12 @@ void Bf16GemvPath(const float* a, bool trans_a, const float* x, float* y,
 // One blocked bf16 GEMM with an explicit tile triple, on one ISA's
 // kernel. Structure mirrors gemm.cc GemmPackedTiledOn — fp32 partial sums
 // are stored and reloaded between k panels (exact), so any kc produces
-// the same bits.
-template <MicroKernelBf16Fn kKernel>
-void GemmPackedBf16TiledOn(const float* a, bool trans_a, const float* b,
-                           bool trans_b, float* c, int64_t n, int64_t k,
-                           int64_t m, bool accumulate,
+// the same bits. `pack_b` packs bf16 B panels: PackBBf16 for a dense
+// matrix, or PackIm2ColB for a conv input lowered as it is packed.
+template <MicroKernelBf16Fn kKernel, typename PackBFn>
+void GemmPackedBf16TiledOn(const float* a, bool trans_a,
+                           const PackBFn& pack_b, float* c, int64_t n,
+                           int64_t k, int64_t m, bool accumulate,
                            const GemmTiles& tiles) {
   for (int64_t jc = 0; jc < m; jc += tiles.nc) {
     const int64_t nc = std::min(tiles.nc, m - jc);
@@ -339,7 +340,7 @@ void GemmPackedBf16TiledOn(const float* a, bool trans_a, const float* b,
       const int64_t kc = std::min(tiles.kc, k - pc);
       const bool acc_panel = accumulate || pc > 0;
       tls_pack_b16.Reserve(b_panels * kc * kGemmNR);
-      PackBBf16(b, trans_b, k, m, pc, kc, jc, nc, tls_pack_b16.data());
+      pack_b(pc, kc, jc, nc, tls_pack_b16.data());
       const uint16_t* bp = tls_pack_b16.data();
       const int64_t tile_mc = tiles.mc;
 
@@ -366,20 +367,28 @@ void GemmPackedBf16TiledOn(const float* a, bool trans_a, const float* b,
   }
 }
 
-// GemmPackedBf16 and the bf16 autotune sweep both land here; reads the
-// ISA once per call.
-void GemmPackedBf16Tiled(const float* a, bool trans_a, const float* b,
-                         bool trans_b, float* c, int64_t n, int64_t k,
-                         int64_t m, bool accumulate, const GemmTiles& tiles) {
+// GemmPackedBf16, GemmPackedBf16Im2Col and the bf16 autotune sweep all
+// land here; reads the ISA once per call.
+template <typename PackBFn>
+void GemmPackedBf16Tiled(const float* a, bool trans_a, const PackBFn& pack_b,
+                         float* c, int64_t n, int64_t k, int64_t m,
+                         bool accumulate, const GemmTiles& tiles) {
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemmPackedBf16TiledOn<MicroKernelBf16Avx2>(a, trans_a, b, trans_b, c, n,
-                                               k, m, accumulate, tiles);
+    GemmPackedBf16TiledOn<MicroKernelBf16Avx2>(a, trans_a, pack_b, c, n, k,
+                                               m, accumulate, tiles);
     return;
   }
 #endif
-  GemmPackedBf16TiledOn<MicroKernelBf16Portable>(a, trans_a, b, trans_b, c,
-                                                 n, k, m, accumulate, tiles);
+  GemmPackedBf16TiledOn<MicroKernelBf16Portable>(a, trans_a, pack_b, c, n,
+                                                 k, m, accumulate, tiles);
+}
+
+// The dense bf16 B packer: PackBBf16 over a stored [k,m] (or [m,k]) matrix.
+auto DensePackBBf16(const float* b, bool trans_b, int64_t k, int64_t m) {
+  return [=](int64_t pc, int64_t kc, int64_t jc, int64_t nc, uint16_t* bp) {
+    PackBBf16(b, trans_b, k, m, pc, kc, jc, nc, bp);
+  };
 }
 
 // bf16 tile publication, mirroring the fp32 machinery in gemm.cc. The
@@ -412,8 +421,9 @@ void RunBf16AutotuneSweep() {
     double fastest = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      GemmPackedBf16Tiled(a.data(), false, b.data(), false, c.data(), kDim,
-                          kDim, kDim, /*accumulate=*/false, t);
+      GemmPackedBf16Tiled(a.data(), false,
+                          DensePackBBf16(b.data(), false, kDim, kDim),
+                          c.data(), kDim, kDim, kDim, /*accumulate=*/false, t);
       const auto t1 = std::chrono::steady_clock::now();
       const double ns =
           std::chrono::duration<double, std::nano>(t1 - t0).count();
@@ -447,6 +457,20 @@ bool Bf16GemmTilesAutotuned() {
 
 }  // namespace gemm_detail
 
+namespace {
+
+// The first bf16 GEMM large enough for tiling to matter runs the sweep.
+void Bf16AutotuneIfLarge(int64_t n, int64_t k, int64_t m) {
+  if (!g_bf16_autotuned.load(std::memory_order_acquire) &&
+      2.0 * static_cast<double>(n) * static_cast<double>(k) *
+              static_cast<double>(m) >=
+          kAutotuneFlopThreshold) {
+    gemm_detail::Bf16AutotuneGemmTiles();
+  }
+}
+
+}  // namespace
+
 void GemmPackedBf16(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, int64_t n, int64_t k, int64_t m,
                     bool accumulate) {
@@ -460,15 +484,37 @@ void GemmPackedBf16(const float* a, bool trans_a, const float* b, bool trans_b,
     Bf16GemvPath(a, trans_a, b, c, n, k, accumulate);
     return;
   }
-  if (!g_bf16_autotuned.load(std::memory_order_acquire) &&
-      2.0 * static_cast<double>(n) * static_cast<double>(k) *
-              static_cast<double>(m) >=
-          kAutotuneFlopThreshold) {
-    gemm_detail::Bf16AutotuneGemmTiles();
-  }
-  GemmPackedBf16Tiled(a, trans_a, b, trans_b, c, n, k, m, accumulate,
+  Bf16AutotuneIfLarge(n, k, m);
+  GemmPackedBf16Tiled(a, trans_a, DensePackBBf16(b, trans_b, k, m), c, n, k,
+                      m, accumulate,
                       *g_bf16_tiles.load(std::memory_order_acquire));
 }
+
+namespace gemm_detail {
+
+void GemmPackedBf16Im2Col(const float* a, bool trans_a,
+                          const Im2ColOperand& b, bool trans_b, float* c,
+                          int64_t n, bool accumulate) {
+  const int64_t k = trans_b ? b.cols() : b.rows();
+  const int64_t m = trans_b ? b.rows() : b.cols();
+  ML_DCHECK(n >= 0 && k > 0 && m > 0);
+  if (n == 0) return;
+  if (m == 1) {
+    Bf16GemvPath(a, trans_a, Im2ColVector(b, trans_b), c, n, k, accumulate);
+    return;
+  }
+  Bf16AutotuneIfLarge(n, k, m);
+  GemmPackedBf16Tiled(
+      a, trans_a,
+      [&b, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
+                    uint16_t* bp) {
+        PackIm2ColB(b, trans_b, pc, kc, jc, nc, bp,
+                    [](float v) { return Bf16FromF32(v); });
+      },
+      c, n, k, m, accumulate, *g_bf16_tiles.load(std::memory_order_acquire));
+}
+
+}  // namespace gemm_detail
 
 namespace {
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "tensor/conv_ops.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
 
@@ -104,6 +108,61 @@ TEST(BackwardTest, NoGradInputGetsNoGradient) {
   ASSERT_TRUE(Backward(SumAll(Mul(x, frozen))).ok());
   EXPECT_TRUE(x.grad().defined());
   EXPECT_FALSE(frozen.grad().defined());
+}
+
+bool BytesEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+// Conv2d's backward computes only the gradients the graph consumes. For
+// each requires-grad pattern of (x, w) — the bias follows w, as under a
+// frozen base conv — the defined gradients must be byte-equal to the
+// all-gradients kernel, the others undefined, and the skipped GEMMs must
+// not run: every packed GEMM block passes through ParallelFor, so the two
+// halves' counts must add up to the full pass's.
+TEST(BackwardTest, Conv2dComputesOnlyTheGradientsItsInputsNeed) {
+  Rng rng(17);
+  const ConvGeom g{3, 3, 2, 1};
+  const Tensor x0 = RandomNormal(Shape{3, 4, 9, 7}, rng);
+  const Tensor w0 = RandomNormal(Shape{5, 4, 3, 3}, rng);
+  const Tensor b0 = RandomNormal(Shape{5}, rng);
+  const Tensor gy = RandomNormal(
+      Shape{3, 5, g.OutExtent(9, 3), g.OutExtent(7, 3)}, rng);
+  Tensor gx_all, gw_all, gb_all;
+  Conv2dBackward(x0, w0, gy, g, &gx_all, &gw_all, &gb_all,
+                 /*has_bias=*/true);
+
+  struct Pattern {
+    bool x, w;
+  };
+  int64_t calls[3] = {0, 0, 0};
+  int run = 0;
+  for (const Pattern p : {Pattern{true, false}, Pattern{false, true},
+                          Pattern{true, true}}) {
+    SCOPED_TRACE("x=" + std::to_string(p.x) + " w=" + std::to_string(p.w));
+    Variable x(x0.Clone(), p.x);
+    Variable w(w0.Clone(), p.w);
+    Variable b(b0.Clone(), p.w);
+    Variable y = Conv2d(x, w, b, g);
+    const int64_t before = ThreadPool::TotalParallelForCalls();
+    ASSERT_TRUE(BackwardWithGrad(y, gy).ok());
+    calls[run++] = ThreadPool::TotalParallelForCalls() - before;
+    ASSERT_EQ(x.grad().defined(), p.x);
+    ASSERT_EQ(w.grad().defined(), p.w);
+    ASSERT_EQ(b.grad().defined(), p.w);
+    if (p.x) {
+      EXPECT_TRUE(BytesEqual(x.grad(), gx_all));
+    }
+    if (p.w) {
+      EXPECT_TRUE(BytesEqual(w.grad(), gw_all));
+      EXPECT_TRUE(BytesEqual(b.grad(), gb_all));
+    }
+  }
+  EXPECT_GT(calls[0], 0);
+  EXPECT_GT(calls[1], 0);
+  EXPECT_EQ(calls[2], calls[0] + calls[1]);
 }
 
 TEST(BackwardTest, RootWithoutGraphRejected) {

@@ -49,9 +49,9 @@ TEST(AdapterForwardTest, SchedulesNoPoolTasks) {
     GTEST_SKIP() << "zero-worker pool: nothing could be scheduled anyway";
   }
   // Seven adapter forwards, each a base path beside a delta path. Shapes
-  // are small enough that every kernel's ParallelFor runs inline (a
-  // single input channel keeps Im2Col on the caller), so any scheduled task
-  // would come from the adapter forward itself.
+  // are small enough that every GEMM's ParallelFor runs inline (the conv
+  // lowering packs its panels on the caller), so any scheduled task would
+  // come from the adapter forward itself.
   std::vector<std::unique_ptr<core::Adapter>> adapters;
   adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kLora)));

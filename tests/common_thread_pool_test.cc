@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
@@ -250,6 +254,55 @@ TEST(ForkJoinReplicasTest, ConcurrentWritesToDisjointSlotsStress) {
       ASSERT_EQ(slot[static_cast<size_t>(lane)], kIters);
     }
   }
+}
+
+// A child forked after pools have started inherits none of their worker
+// threads. The atfork child handler drops every pool to zero workers, so
+// the child's ParallelFor runs inline and returns instead of waiting on
+// chunks nobody will run, and deleting an inherited pool does not try to
+// stop workers it does not have. A hang would show as the child's alarm
+// killing it. The parent's pools keep their workers.
+TEST(ThreadPoolForkTest, ForkedChildRunsParallelForInline) {
+  ThreadPool pool(2);
+  auto* doomed = new ThreadPool(2);
+  std::atomic<int64_t> warm{0};
+  pool.ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) { warm += hi - lo; });
+  doomed->ParallelFor(0, 64, 1,
+                      [&](int64_t lo, int64_t hi) { warm += hi - lo; });
+  ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) { warm += hi - lo; });
+  ASSERT_EQ(warm.load(), 192);
+  std::fflush(nullptr);
+
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(60);
+    bool ok = pool.num_threads() == 0 && doomed->num_threads() == 0 &&
+              GlobalThreadPool().num_threads() == 0;
+    int64_t sum = 0;
+    pool.ParallelFor(0, 1000, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) sum += i;
+    });
+    ParallelFor(0, 1000, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t i = lo; i < hi; ++i) sum += i;
+    });
+    delete doomed;
+    ok = ok && sum == 2 * 499500;
+    _exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status)
+                                                         : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+
+  EXPECT_EQ(pool.num_threads(), 2);
+  std::atomic<int64_t> after{0};
+  pool.ParallelFor(0, 64, 1,
+                   [&](int64_t lo, int64_t hi) { after += hi - lo; });
+  EXPECT_EQ(after.load(), 64);
+  delete doomed;
 }
 
 }  // namespace

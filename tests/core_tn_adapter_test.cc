@@ -694,6 +694,36 @@ TEST_P(LotrMemberTest, AliasesTheOwnersFactors) {
   EXPECT_TRUE(Param(owner, "lotr_up").grad().defined());
 }
 
+// The frozen base conv under a MetaLoRA-CP conv adapter gets no weight
+// gradient, so its backward skips that GEMM. Output, input gradient and
+// every adapter parameter gradient must be byte-identical to a pass that
+// also computes the base weight's gradient.
+TEST(FrozenBaseConvTest, SkippedBaseGradientLeavesAdapterGradientsIdentical) {
+  const Case c{Family::kCp, /*conv=*/true};
+  Built b = Build(c);
+  PerturbAll(b, 0.3f);
+  const Tensor x0 = Input(c, 2, 5);
+  b.adapter->SetFeatures(Features(2, 6));
+  auto forward = [&](const Variable& x) { return b.adapter->Forward(x); };
+  Variable base_w = Param(*b.adapter, "base/weight");
+  ASSERT_FALSE(base_w.requires_grad());
+
+  const Pass frozen = RunPass(b, x0, forward);
+  base_w.set_requires_grad(true);
+  const Pass all = RunPass(b, x0, forward);
+  base_w.set_requires_grad(false);
+
+  EXPECT_EQ(frozen.grads.count("base/weight"), 0u);
+  EXPECT_EQ(all.grads.count("base/weight"), 1u);
+  EXPECT_EQ(all.grads.size(), frozen.grads.size() + 1);
+  EXPECT_TRUE(BytesEqual(frozen.y, all.y)) << "forward output";
+  EXPECT_TRUE(BytesEqual(frozen.x_grad, all.x_grad)) << "input gradient";
+  for (const auto& [name, g] : frozen.grads) {
+    ASSERT_EQ(all.grads.count(name), 1u) << name;
+    EXPECT_TRUE(BytesEqual(all.grads.at(name), g)) << name;
+  }
+}
+
 std::vector<Case> Cases(const std::vector<Family>& families) {
   std::vector<Case> cases;
   for (Family f : families) {

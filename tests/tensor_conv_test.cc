@@ -138,87 +138,6 @@ TEST(PoolingTest, GlobalAvgPool) {
   EXPECT_EQ(gx.ToVector(), (std::vector<float>{1, 1, 2, 2}));
 }
 
-// Serial oracles for Im2Col/Col2Im: naive loops with a bounds test on
-// every element and, for Col2Im, the (kh, kw) per-element accumulation
-// order. The library's versions compute each row's valid range once and
-// fan channels out onto the pool; they must match these bit-for-bit — and
-// any cross-channel write overlap is a data race for the TSan job to
-// catch in the stress loops below.
-void Im2ColSerial(const float* input, int64_t channels, int64_t h, int64_t w,
-                  const ConvGeom& g, float* columns) {
-  const int64_t ho = g.OutExtent(h, g.kernel_h);
-  const int64_t wo = g.OutExtent(w, g.kernel_w);
-  for (int64_t c = 0; c < channels; ++c)
-    for (int64_t ki = 0; ki < g.kernel_h; ++ki)
-      for (int64_t kj = 0; kj < g.kernel_w; ++kj) {
-        const int64_t row = (c * g.kernel_h + ki) * g.kernel_w + kj;
-        for (int64_t oi = 0; oi < ho; ++oi)
-          for (int64_t oj = 0; oj < wo; ++oj) {
-            const int64_t ii = oi * g.stride - g.padding + ki;
-            const int64_t jj = oj * g.stride - g.padding + kj;
-            const bool in = ii >= 0 && ii < h && jj >= 0 && jj < w;
-            columns[row * ho * wo + oi * wo + oj] =
-                in ? input[(c * h + ii) * w + jj] : 0.0f;
-          }
-      }
-}
-
-void Col2ImSerial(const float* columns, int64_t channels, int64_t h,
-                  int64_t w, const ConvGeom& g, float* input_grad) {
-  const int64_t ho = g.OutExtent(h, g.kernel_h);
-  const int64_t wo = g.OutExtent(w, g.kernel_w);
-  for (int64_t c = 0; c < channels; ++c)
-    for (int64_t ki = 0; ki < g.kernel_h; ++ki)
-      for (int64_t kj = 0; kj < g.kernel_w; ++kj) {
-        const int64_t row = (c * g.kernel_h + ki) * g.kernel_w + kj;
-        for (int64_t oi = 0; oi < ho; ++oi)
-          for (int64_t oj = 0; oj < wo; ++oj) {
-            const int64_t ii = oi * g.stride - g.padding + ki;
-            const int64_t jj = oj * g.stride - g.padding + kj;
-            if (ii >= 0 && ii < h && jj >= 0 && jj < w) {
-              input_grad[(c * h + ii) * w + jj] +=
-                  columns[row * ho * wo + oi * wo + oj];
-            }
-          }
-      }
-}
-
-TEST(ConvThreadingStressTest, Im2ColMatchesSerialUnderRepetition) {
-  const int64_t c = 8, h = 13, w = 11;
-  const ConvGeom g{3, 3, 2, 1};
-  const int64_t rows = c * 9;
-  const int64_t cols = g.OutExtent(h, 3) * g.OutExtent(w, 3);
-  for (int iter = 0; iter < 50; ++iter) {
-    Rng rng(static_cast<uint64_t>(iter + 1));
-    Tensor x = RandomNormal(Shape{c, h, w}, rng);
-    Tensor got{Shape{rows, cols}};
-    Tensor want{Shape{rows, cols}};
-    Im2Col(x.data(), c, h, w, g, got.data());
-    Im2ColSerial(x.data(), c, h, w, g, want.data());
-    for (int64_t i = 0; i < got.numel(); ++i) {
-      ASSERT_EQ(want.flat(i), got.flat(i)) << "iter " << iter << " idx " << i;
-    }
-  }
-}
-
-TEST(ConvThreadingStressTest, Col2ImMatchesSerialUnderRepetition) {
-  const int64_t c = 8, h = 13, w = 11;
-  const ConvGeom g{3, 3, 2, 1};
-  const int64_t rows = c * 9;
-  const int64_t cols = g.OutExtent(h, 3) * g.OutExtent(w, 3);
-  for (int iter = 0; iter < 50; ++iter) {
-    Rng rng(static_cast<uint64_t>(100 + iter));
-    Tensor y = RandomNormal(Shape{rows, cols}, rng);
-    Tensor got = Tensor::Zeros(Shape{c, h, w});
-    Tensor want = Tensor::Zeros(Shape{c, h, w});
-    Col2Im(y.data(), c, h, w, g, got.data());
-    Col2ImSerial(y.data(), c, h, w, g, want.data());
-    for (int64_t i = 0; i < got.numel(); ++i) {
-      ASSERT_EQ(want.flat(i), got.flat(i)) << "iter " << iter << " idx " << i;
-    }
-  }
-}
-
 // Bitwise float equality: ASSERT_EQ(float) would let -0 pass for +0.
 uint32_t Bits(float v) {
   uint32_t b;
@@ -235,118 +154,113 @@ void ExpectSameBits(const float* want, const float* got, int64_t count,
   }
 }
 
-// Every lowering geometry the valid-range loops branch on: kernels 1/3/5,
-// strides 1-3, padding 0/1/2/k, non-square planes, and planes narrower or
-// shorter than the kernel (whole rows and columns of padding).
-TEST(ConvLoweringTest, ValidRangeLoopsMatchNaiveOraclesBitwise) {
-  const int64_t c = 3;
-  const int64_t planes[][2] = {{7, 5}, {5, 9}, {2, 3}, {1, 4}, {4, 1},
-                               {6, 2}, {11, 8}};
+// The serial route the conv kernels replace, built from its parts: per
+// sample, Im2Col into materialized columns, the packed GEMMs over them,
+// and Col2Im onto a zeroed plane.
+struct RouteResult {
+  Tensor out, gx, gw;
+};
+
+RouteResult SerialRoute(const Tensor& x, const Tensor& wgt, const Tensor& bias,
+                        const Tensor& gy, const ConvGeom& g,
+                        OpPrecision precision) {
+  const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int64_t o = wgt.dim(0);
+  const int64_t rows = c * g.kernel_h * g.kernel_w;
+  const int64_t s = gy.dim(2) * gy.dim(3);
+  std::vector<float> cols(static_cast<size_t>(rows * s));
+  std::vector<float> col_grad(cols.size());
+  RouteResult r{Tensor::Zeros(gy.shape()), Tensor::Zeros(x.shape()),
+                Tensor::Zeros(wgt.shape())};
+  for (int64_t i = 0; i < n; ++i) {
+    Im2Col(x.data() + i * c * h * w, c, h, w, g, cols.data());
+    float* out_n = r.out.data() + i * o * s;
+    if (precision == OpPrecision::kFp32) {
+      GemmPacked(wgt.data(), false, cols.data(), false, out_n, o, rows, s,
+                 /*accumulate=*/true);
+    } else {
+      GemmPackedBf16(wgt.data(), false, cols.data(), false, out_n, o, rows, s,
+                     /*accumulate=*/true);
+    }
+    for (int64_t oc = 0; oc < o; ++oc) {
+      for (int64_t j = 0; j < s; ++j) out_n[oc * s + j] += bias.flat(oc);
+    }
+    const float* gout = gy.data() + i * o * s;
+    GemmPacked(gout, false, cols.data(), true, r.gw.data(), o, s, rows,
+               /*accumulate=*/true);
+    GemmPacked(wgt.data(), true, gout, false, col_grad.data(), rows, o, s,
+               /*accumulate=*/false);
+    Col2Im(col_grad.data(), c, h, w, g, r.gx.data() + i * c * h * w);
+  }
+  return r;
+}
+
+// The conv kernels lower each sample while the GEMM packs it and fold the
+// input gradient through a padded plane; forward (fp32 and bf16),
+// grad_weight and grad_input must be byte-equal to the serial route. The
+// geometries cover kernels 1/3/5, strides 1-3, padding 0/1/2/k,
+// non-square planes, output rows wider than one 16-column panel but not
+// a multiple of it, planes smaller than the kernel (whole rows and
+// columns of padding), one input channel, N of 1 and 3, and O below and
+// above the 6-row micro-tile. Zeros of both signs in every operand check
+// that the padded fold absorbs −0 exactly like Col2Im's +0 + col_grad.
+TEST(ConvLoweringTest, MatchesIm2ColGemmCol2ImRouteBitwise) {
+  struct Sizes {
+    int64_t n, c, o;
+  };
+  const Sizes sizes[] = {{1, 1, 1}, {3, 1, 7}, {1, 3, 13}, {3, 2, 2}};
+  const int64_t planes[][2] = {{7, 5}, {5, 9}, {2, 3}, {11, 21}, {18, 17}};
   int checked = 0;
   for (int64_t k : {1, 3, 5}) {
     for (int64_t stride : {1, 2, 3}) {
       for (int64_t pad : {int64_t{0}, int64_t{1}, int64_t{2}, k}) {
         for (const auto& hw : planes) {
-          const int64_t h = hw[0], w = hw[1];
-          const ConvGeom g{k, k, stride, pad};
-          const int64_t ho = g.OutExtent(h, k), wo = g.OutExtent(w, k);
-          if (h + 2 * pad < k || w + 2 * pad < k) continue;  // no output
-          const std::string what =
-              "k=" + std::to_string(k) + " s=" + std::to_string(stride) +
-              " p=" + std::to_string(pad) + " h=" + std::to_string(h) +
-              " w=" + std::to_string(w);
-          const int64_t rows = c * k * k, cols = ho * wo;
-          Rng rng(static_cast<uint64_t>(checked + 1));
-          Tensor x = RandomNormal(Shape{c, h, w}, rng);
-          // Poison both outputs: every element must be written.
-          Tensor got = Tensor::Full(Shape{rows, cols}, 7.0f);
-          Tensor want = Tensor::Full(Shape{rows, cols}, -7.0f);
-          Im2Col(x.data(), c, h, w, g, got.data());
-          Im2ColSerial(x.data(), c, h, w, g, want.data());
-          ExpectSameBits(want.data(), got.data(), rows * cols,
-                         "Im2Col " + what);
+          for (const Sizes& sz : sizes) {
+            const int64_t h = hw[0], w = hw[1];
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;  // no output
+            const ConvGeom g{k, k, stride, pad};
+            const int64_t ho = g.OutExtent(h, k), wo = g.OutExtent(w, k);
+            const std::string what =
+                "k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                " p=" + std::to_string(pad) + " h=" + std::to_string(h) +
+                " w=" + std::to_string(w) + " n=" + std::to_string(sz.n) +
+                " c=" + std::to_string(sz.c) + " o=" + std::to_string(sz.o);
+            Rng rng(static_cast<uint64_t>(checked + 1));
+            Tensor x = RandomNormal(Shape{sz.n, sz.c, h, w}, rng);
+            Tensor wgt = RandomNormal(Shape{sz.o, sz.c, k, k}, rng);
+            Tensor bias = RandomNormal(Shape{sz.o}, rng);
+            Tensor gy = RandomNormal(Shape{sz.n, sz.o, ho, wo}, rng);
+            for (int64_t i = 0; i < x.numel(); i += 5) x.flat(i) = 0.0f;
+            for (int64_t i = 2; i < x.numel(); i += 7) x.flat(i) = -0.0f;
+            for (int64_t i = 1; i < wgt.numel(); i += 6) wgt.flat(i) = -0.0f;
+            for (int64_t i = 0; i < gy.numel(); i += 3) gy.flat(i) = -0.0f;
 
-          // Col2Im accumulates onto whatever the plane holds; start both
-          // from the same random plane so the order of every sum counts.
-          Tensor y = RandomNormal(Shape{rows, cols}, rng);
-          Tensor base = RandomNormal(Shape{c, h, w}, rng);
-          Tensor got_x = base.Clone();
-          Tensor want_x = base.Clone();
-          Col2Im(y.data(), c, h, w, g, got_x.data());
-          Col2ImSerial(y.data(), c, h, w, g, want_x.data());
-          ExpectSameBits(want_x.data(), got_x.data(), c * h * w,
-                         "Col2Im " + what);
-          ++checked;
+            for (OpPrecision precision :
+                 {OpPrecision::kFp32, OpPrecision::kBf16}) {
+              const RouteResult want =
+                  SerialRoute(x, wgt, bias, gy, g, precision);
+              Tensor out = Tensor::Zeros(gy.shape());
+              Conv2dForwardInto(x, wgt, bias, g, &out, precision);
+              ExpectSameBits(want.out.data(), out.data(), out.numel(),
+                             "forward " +
+                                 std::string(OpPrecisionName(precision)) +
+                                 " " + what);
+              if (precision != OpPrecision::kFp32) continue;
+              Tensor gx, gw;
+              Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr,
+                             /*has_bias=*/true);
+              ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
+                             "grad_weight " + what);
+              ExpectSameBits(want.gx.data(), gx.data(), gx.numel(),
+                             "grad_input " + what);
+            }
+            ++checked;
+          }
         }
       }
     }
   }
-  EXPECT_GT(checked, 150);
-}
-
-// The 1x1 bypass must be bit-identical to the im2col route it skips. The
-// route is rebuilt here from its parts: Im2Col, the same GEMM calls the
-// lowered path makes, and Col2Im onto a zeroed plane. Exact zeros of both
-// signs in the operands produce -0 products, which the GEMM chain (it
-// starts at +0) must absorb exactly like Col2Im's +0 + col_grad does.
-TEST(ConvLoweringTest, PointwiseBypassMatchesIm2ColRouteBitwise) {
-  const int64_t n = 2, c = 5, h = 6, w = 7, o = 4;
-  const ConvGeom g{1, 1, 1, 0};
-  ASSERT_TRUE(ConvIsPointwise(g));
-  ASSERT_FALSE(ConvIsPointwise(ConvGeom{1, 1, 2, 0}));
-  ASSERT_FALSE(ConvIsPointwise(ConvGeom{1, 1, 1, 1}));
-  ASSERT_FALSE(ConvIsPointwise(ConvGeom{3, 3, 1, 1}));
-  Rng rng(41);
-  Tensor x = RandomNormal(Shape{n, c, h, w}, rng);
-  Tensor wgt = RandomNormal(Shape{o, c, 1, 1}, rng);
-  Tensor bias = RandomNormal(Shape{o}, rng);
-  Tensor gy = RandomNormal(Shape{n, o, h, w}, rng);
-  for (int64_t i = 0; i < x.numel(); i += 5) x.flat(i) = 0.0f;
-  for (int64_t i = 2; i < x.numel(); i += 7) x.flat(i) = -0.0f;
-  wgt.flat(1) = -0.0f;
-  wgt.flat(6) = 0.0f;
-  for (int64_t i = 0; i < gy.numel(); i += 3) gy.flat(i) = -0.0f;
-
-  const int64_t s = h * w;
-  std::vector<float> cols(static_cast<size_t>(c * s));
-  std::vector<float> col_grad(static_cast<size_t>(c * s));
-  for (OpPrecision precision : {OpPrecision::kFp32, OpPrecision::kBf16}) {
-    Tensor out = Tensor::Zeros(Shape{n, o, h, w});
-    Conv2dForwardInto(x, wgt, bias, g, &out, precision);
-    Tensor out_ref = Tensor::Zeros(Shape{n, o, h, w});
-    for (int64_t i = 0; i < n; ++i) {
-      Im2Col(x.data() + i * c * s, c, h, w, g, cols.data());
-      float* out_n = out_ref.data() + i * o * s;
-      if (precision == OpPrecision::kFp32) {
-        GemmPacked(wgt.data(), false, cols.data(), false, out_n, o, c, s,
-                   /*accumulate=*/true);
-      } else {
-        GemmPackedBf16(wgt.data(), false, cols.data(), false, out_n, o, c, s,
-                       /*accumulate=*/true);
-      }
-      for (int64_t oc = 0; oc < o; ++oc) {
-        for (int64_t j = 0; j < s; ++j) out_n[oc * s + j] += bias.flat(oc);
-      }
-    }
-    ExpectSameBits(out_ref.data(), out.data(), out.numel(),
-                   std::string("forward ") + OpPrecisionName(precision));
-  }
-
-  Tensor gx, gw, gb;
-  Conv2dBackward(x, wgt, gy, g, &gx, &gw, &gb, /*has_bias=*/true);
-  Tensor gx_ref = Tensor::Zeros(x.shape());
-  Tensor gw_ref = Tensor::Zeros(wgt.shape());
-  for (int64_t i = 0; i < n; ++i) {
-    const float* gout = gy.data() + i * o * s;
-    Im2Col(x.data() + i * c * s, c, h, w, g, cols.data());
-    GemmPacked(gout, false, cols.data(), true, gw_ref.data(), o, s, c,
-               /*accumulate=*/true);
-    GemmPacked(wgt.data(), true, gout, false, col_grad.data(), c, o, s,
-               /*accumulate=*/false);
-    Col2Im(col_grad.data(), c, h, w, g, gx_ref.data() + i * c * s);
-  }
-  ExpectSameBits(gw_ref.data(), gw.data(), gw.numel(), "grad_weight");
-  ExpectSameBits(gx_ref.data(), gx.data(), gx.numel(), "grad_input");
+  EXPECT_GT(checked, 500);
 }
 
 TEST(ConvBackwardTest, GradBiasIsOutputSum) {

@@ -265,9 +265,11 @@ TEST(GemmDispatchTest, ReferenceGemvAndPackedFollowTheActiveIsa) {
   }
 }
 
-// Conv-as-GEMM: unfold real padded/strided geometries with Im2Col, then
-// drive the packed engine over the resulting column matrices exactly as
-// Conv2dForward does (accumulating into a zeroed output).
+// Conv-as-GEMM: unfold real padded/strided geometries with the Im2Col
+// oracle, then drive the packed engine over the materialized column
+// matrices (accumulating into a zeroed output). That is the serial route
+// the conv kernels' pack-time lowering must match byte for byte
+// (tensor_conv_test's ConvLoweringTest).
 TEST(GemmConvTest, PaddedStridedGeometriesBitIdentical) {
   struct Geo {
     int64_t c, h, w, o;
