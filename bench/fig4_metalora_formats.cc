@@ -15,7 +15,6 @@
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "core/mapping_net.h"
-#include "core/metalora_linear.h"
 #include "core/tn_adapter.h"
 #include "nn/linear.h"
 #include "tensor/matmul.h"
@@ -39,11 +38,11 @@ int main() {
                      "factored fwd us", "per-sample dW us", "speedup"});
 
   for (int64_t rank : {2, 4, 8}) {
-    for (int variant = 0; variant < 2; ++variant) {
-      const bool is_tr = variant == 1;
+    for (core::AdapterKind kind :
+         {core::AdapterKind::kMetaLoraCp, core::AdapterKind::kMetaLoraTr}) {
+      const bool is_tr = kind == core::AdapterKind::kMetaLoraTr;
       core::AdapterOptions opts;
-      opts.kind = is_tr ? core::AdapterKind::kMetaLoraTr
-                        : core::AdapterKind::kMetaLoraCp;
+      opts.kind = kind;
       opts.rank = rank;
       opts.alpha = static_cast<float>(rank);
       opts.feature_dim = feat;
@@ -51,87 +50,49 @@ int main() {
       opts.seed = 40 + static_cast<uint64_t>(rank);
 
       Rng brng(7);
-      auto make_base = [&] {
-        return std::make_unique<nn::Linear>(in, out, true, brng);
-      };
-
-      autograd::NoGradGuard guard;
-      double gen_us = 0, factored_us = 0, materialized_us = 0;
-      int64_t params = 0;
+      core::TnAdapter meta(std::make_unique<nn::Linear>(in, out, true, brng),
+                           opts);
+      // The zero-initialized up factor: U for CP, the second ring core for
+      // TR.
+      Rng frng(11);
+      for (auto& np : meta.NamedParameters()) {
+        if (np.name == (is_tr ? "core_b" : "lora_b"))
+          FillNormal(np.variable->mutable_value(), frng, 0, 0.5f);
+      }
+      const int64_t params = meta.AdapterParamCount();
       const int reps = 20;
 
-      if (!is_tr) {
-        core::TnAdapter meta(make_base(), opts);
-        Rng frng(11);
-        for (auto& np : meta.NamedParameters()) {
-          if (np.name == "lora_b")
-            FillNormal(np.variable->mutable_value(), frng, 0, 0.5f);
-        }
-        params = meta.AdapterParamCount();
-        nn::Variable fv(feats, false);
-        Timer tg;
-        Tensor seeds;
-        for (int i = 0; i < reps; ++i)
-          seeds = meta.mapping_net()->Forward(fv).value();
-        gen_us = tg.Micros() / reps;
+      autograd::NoGradGuard guard;
+      nn::Variable fv(feats, false);
+      Timer tg;
+      Tensor seeds;  // c [N, R] (CP) or C [N, R, R] (TR)
+      for (int i = 0; i < reps; ++i)
+        seeds = meta.mapping_net()->Forward(fv).value();
+      const double gen_us = tg.Micros() / reps;
 
-        meta.SetFeatures(fv);
-        Timer tf;
-        for (int i = 0; i < reps; ++i)
-          meta.Forward(nn::Variable(x, false));
-        factored_us = tf.Micros() / reps;
+      meta.SetFeatures(fv);
+      Timer tf;
+      for (int i = 0; i < reps; ++i)
+        meta.Forward(nn::Variable(x, false));
+      const double factored_us = tf.Micros() / reps;
 
-        // Faithful-but-slow path: materialize ΔW per sample and apply.
-        Timer tm;
-        for (int i = 0; i < reps; ++i) {
-          for (int64_t s = 0; s < batch; ++s) {
-            Tensor c{Shape{rank}};
-            for (int64_t r = 0; r < rank; ++r)
-              c.flat(r) = seeds.flat(s * rank + r);
-            Tensor dw = meta.DeltaWeight(&c);
-            Tensor xs{Shape{1, in}};
-            std::copy(x.data() + s * in, x.data() + (s + 1) * in, xs.data());
-            Tensor ys = MatmulTransB(xs, dw);
-            (void)ys;
-          }
+      // Faithful-but-slow path: materialize ΔW per sample and apply.
+      const Shape seed_shape = is_tr ? Shape{rank, rank} : Shape{rank};
+      Timer tm;
+      for (int i = 0; i < reps; ++i) {
+        for (int64_t s = 0; s < batch; ++s) {
+          Tensor seed{seed_shape};
+          const int64_t len = seed.numel();
+          for (int64_t r = 0; r < len; ++r)
+            seed.flat(r) = seeds.flat(s * len + r);
+          Tensor dw = meta.DeltaWeight(&seed);
+          Tensor xs{Shape{1, in}};
+          std::copy(x.data() + s * in, x.data() + (s + 1) * in, xs.data());
+          Tensor ys = MatmulTransB(xs, dw);
+          (void)ys;
         }
-        materialized_us = tm.Micros() / reps;
-      } else {
-        core::MetaLoraTrLinear meta(make_base(), opts);
-        Rng frng(11);
-        for (auto& np : meta.NamedParameters()) {
-          if (np.name == "core_b")
-            FillNormal(np.variable->mutable_value(), frng, 0, 0.5f);
-        }
-        params = meta.AdapterParamCount();
-        nn::Variable fv(feats, false);
-        Timer tg;
-        Tensor seeds;
-        for (int i = 0; i < reps; ++i)
-          seeds = meta.mapping_net()->Forward(fv).value();
-        gen_us = tg.Micros() / reps;
-
-        meta.SetFeatures(fv);
-        Timer tf;
-        for (int i = 0; i < reps; ++i)
-          meta.Forward(nn::Variable(x, false));
-        factored_us = tf.Micros() / reps;
-
-        Timer tm;
-        for (int i = 0; i < reps; ++i) {
-          for (int64_t s = 0; s < batch; ++s) {
-            Tensor core{Shape{rank, rank}};
-            for (int64_t r = 0; r < rank * rank; ++r)
-              core.flat(r) = seeds.flat(s * rank * rank + r);
-            Tensor dw = meta.DeltaWeightFor(core);
-            Tensor xs{Shape{1, in}};
-            std::copy(x.data() + s * in, x.data() + (s + 1) * in, xs.data());
-            Tensor ys = MatmulTransB(xs, dw);
-            (void)ys;
-          }
-        }
-        materialized_us = tm.Micros() / reps;
       }
+      const double materialized_us = tm.Micros() / reps;
 
       printer.AddRow({is_tr ? "MetaLoRA TR (Eq. 7)" : "MetaLoRA CP (Eq. 6)",
                       std::to_string(rank), FormatWithCommas(params),

@@ -8,7 +8,6 @@
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "core/metalora_linear.h"
 #include "core/tn_adapter.h"
 #include "nn/attention.h"
 #include "nn/resnet.h"
@@ -179,8 +178,7 @@ void BM_MetaLoraTrForward(benchmark::State& state) {
   opts.rank = rank;
   opts.feature_dim = 32;
   opts.seed = 1;
-  core::MetaLoraTrLinear meta(
-      std::make_unique<nn::Linear>(64, 64, true, rng), opts);
+  core::TnAdapter meta(std::make_unique<nn::Linear>(64, 64, true, rng), opts);
   Tensor x = RandomNormal(Shape{32, 64}, rng);
   Tensor feats = RandomNormal(Shape{32, 32}, rng);
   autograd::NoGradGuard guard;

@@ -119,11 +119,22 @@ Status ValidateAdapterOptions(const AdapterOptions& options) {
           std::to_string(options.mapping_hidden));
     }
   }
-  if ((options.kind == AdapterKind::kMultiLora ||
-       options.kind == AdapterKind::kMoeLora) &&
-      options.num_tasks < 1) {
-    return Status::InvalidArgument("options.num_tasks: must be >= 1, got " +
-                                   std::to_string(options.num_tasks));
+  if (options.kind == AdapterKind::kMultiLora ||
+      options.kind == AdapterKind::kMoeLora) {
+    // Each task is a branch with its own factors; 4096 caps them as rank
+    // is capped, so a crafted spec cannot request 2^30 branches.
+    if (options.num_tasks <= 0 || options.num_tasks > 4096) {
+      return Status::InvalidArgument(
+          "options.num_tasks: must be in (0, 4096], got " +
+          std::to_string(options.num_tasks));
+    }
+  }
+  if (options.kind == AdapterKind::kMultiLora &&
+      options.multi_lora_mode != MultiLoraMode::kSum &&
+      options.multi_lora_mode != MultiLoraMode::kOracleRouting) {
+    return Status::InvalidArgument(
+        "options.multi_lora_mode: unknown mode " +
+        std::to_string(static_cast<int>(options.multi_lora_mode)));
   }
   return Status::OK();
 }

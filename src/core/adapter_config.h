@@ -60,15 +60,14 @@ struct AdapterOptions {
   int64_t rank = 4;
   /// LoRA scaling: the delta is multiplied by alpha / rank.
   float alpha = 8.0f;
-  /// Multi-LoRA: number of branches (= tasks for oracle routing).
+  /// Multi-LoRA / MoE-LoRA: number of branches (= tasks for oracle
+  /// routing, experts for MoE). Multi-LoRA splits the rank budget across
+  /// its branches — each gets max(1, rank / num_tasks), per the MultiLoRA
+  /// design — so total capacity stays comparable to plain LoRA; every MoE
+  /// expert gets the full rank.
   int num_tasks = 1;
   /// Multi-LoRA: branch combination rule.
   MultiLoraMode multi_lora_mode = MultiLoraMode::kSum;
-  /// Multi-LoRA: if true (default, per the MultiLoRA design) the rank budget
-  /// is split across branches — each branch gets max(1, rank / num_tasks) —
-  /// so total capacity stays comparable to plain LoRA. If false every branch
-  /// gets the full rank (an over-provisioned upper bound).
-  bool multi_lora_split_rank = true;
   /// MetaLoRA: dimensionality of the conditioning feature vector.
   int64_t feature_dim = 0;
   /// MetaLoRA: hidden width of the per-adapter mapping net.
@@ -79,8 +78,9 @@ struct AdapterOptions {
 
 /// Validates an AdapterOptions for construction/injection: known kind,
 /// rank within (0, 4096], feature_dim/mapping_hidden positive for the
-/// conditioned kinds, num_tasks >= 1 for the multi-branch kinds. The error
-/// names the offending field. kNone is valid (freeze-only injection).
+/// conditioned kinds, num_tasks within (0, 4096] for the multi-branch kinds
+/// and a known multi_lora_mode for Multi-LoRA. The error names the
+/// offending field. kNone is valid (freeze-only injection).
 Status ValidateAdapterOptions(const AdapterOptions& options);
 
 /// Base class of all adapters. An adapter is a Module that owns its frozen
@@ -105,20 +105,19 @@ class Adapter : public nn::Module {
   /// frozen base layer).
   virtual int64_t AdapterParamCount() const = 0;
 
-  /// The adapter's conditioning-keyed ΔW/seed cache, when the kind has one
-  /// (the MetaLoRA adapters override this); nullptr otherwise. Lets code
+  /// The adapter's conditioning-keyed cache of generated factors, when the
+  /// kind has one (see core::TnAdapter); nullptr otherwise. Lets code
   /// that handles adapters polymorphically — the serving registry, stats
   /// aggregation — reach the cache without downcasting per kind.
   virtual ConditioningCache* conditioning_cache() { return nullptr; }
 
   /// MetaLoRA / MoE adapters: binds the conditioning features
   /// [N, feature_dim] for the next Forward on the calling replica's slot.
-  /// Virtual so adapters may add validation; the base stores the binding.
-  virtual void SetFeatures(const nn::Variable& features);
+  void SetFeatures(const nn::Variable& features);
 
   /// Multi-LoRA adapters: binds per-sample task ids for the next Forward
   /// on the calling replica's slot.
-  virtual void SetTaskIds(const std::vector<int64_t>& task_ids);
+  void SetTaskIds(const std::vector<int64_t>& task_ids);
 
   /// Grows the binding-slot array to cover replica ids [0, n). Slot 0
   /// always exists. Call from the coordinator before forking replica

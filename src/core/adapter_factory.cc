@@ -3,79 +3,12 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "core/metalora_conv.h"
-#include "core/metalora_linear.h"
-#include "core/moe_lora.h"
-#include "core/multi_lora.h"
 #include "core/tn_adapter.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 
 namespace metalora {
 namespace core {
-
-namespace {
-
-Result<std::unique_ptr<Adapter>> BuildLinearAdapter(const AdapterSpec& spec) {
-  const BaseLayerSpec& b = spec.base;
-  Rng rng(b.init_seed);
-  auto base = std::make_unique<nn::Linear>(b.in_features, b.out_features,
-                                           b.bias, rng);
-  switch (spec.options.kind) {
-    case AdapterKind::kLora:
-    case AdapterKind::kMetaLoraCp:
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr:
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<TnAdapter>(std::move(base), spec.options));
-    case AdapterKind::kMultiLora:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MultiLoraLinear>(std::move(base), spec.options));
-    case AdapterKind::kMoeLora:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MoeLoraLinear>(std::move(base), spec.options));
-    case AdapterKind::kMetaLoraTr:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MetaLoraTrLinear>(std::move(base), spec.options));
-    case AdapterKind::kNone:
-      break;
-  }
-  return Status::InvalidArgument("no adapter to build for kind 'Original'");
-}
-
-Result<std::unique_ptr<Adapter>> BuildConvAdapter(const AdapterSpec& spec) {
-  const BaseLayerSpec& b = spec.base;
-  Rng rng(b.init_seed);
-  auto base = std::make_unique<nn::Conv2d>(b.in_channels, b.out_channels,
-                                           b.kernel, b.stride, b.padding,
-                                           b.bias, rng);
-  switch (spec.options.kind) {
-    case AdapterKind::kLora:
-    case AdapterKind::kMetaLoraCp:
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr:
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<TnAdapter>(std::move(base), spec.options));
-    case AdapterKind::kMultiLora:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MultiLoraConv>(std::move(base), spec.options));
-    case AdapterKind::kMoeLora:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MoeLoraConv>(std::move(base), spec.options));
-    case AdapterKind::kMetaLoraTr:
-      return std::unique_ptr<Adapter>(
-          std::make_unique<MetaLoraTrConv>(std::move(base), spec.options));
-    case AdapterKind::kNone:
-      break;
-  }
-  return Status::InvalidArgument("no adapter to build for kind 'Original'");
-}
-
-}  // namespace
 
 AdapterSpec LinearAdapterSpec(AdapterKind kind, int64_t in_features,
                               int64_t out_features, int64_t rank,
@@ -167,13 +100,18 @@ Status ValidateAdapterSpec(const AdapterSpec& spec) {
 Result<std::unique_ptr<Adapter>> BuildAdapter(const AdapterSpec& spec) {
   Status s = ValidateAdapterSpec(spec);
   if (!s.ok()) return s;
-  switch (spec.base.kind) {
-    case BaseLayerKind::kLinear:
-      return BuildLinearAdapter(spec);
-    case BaseLayerKind::kConv2d:
-      return BuildConvAdapter(spec);
+  const BaseLayerSpec& b = spec.base;
+  Rng rng(b.init_seed);
+  if (b.kind == BaseLayerKind::kLinear) {
+    return std::unique_ptr<Adapter>(std::make_unique<TnAdapter>(
+        std::make_unique<nn::Linear>(b.in_features, b.out_features, b.bias,
+                                     rng),
+        spec.options));
   }
-  return Status::InvalidArgument("unknown base layer kind");
+  return std::unique_ptr<Adapter>(std::make_unique<TnAdapter>(
+      std::make_unique<nn::Conv2d>(b.in_channels, b.out_channels, b.kernel,
+                                   b.stride, b.padding, b.bias, rng),
+      spec.options));
 }
 
 }  // namespace core

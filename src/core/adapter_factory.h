@@ -65,8 +65,9 @@ Status ValidateAdapterSpec(const AdapterSpec& spec);
 /// the adapter path, freshly initialized from the spec's seeds.
 /// InvalidArgument (via ValidateAdapterSpec) for AdapterKind::kNone, an
 /// unknown kind, or degenerate geometry — the error names the field. The
-/// result's conditioning_cache() is non-null exactly for the conditioned
-/// kinds. LoTR adapters are built standalone (each owns its factors);
+/// result is a core::TnAdapter; its conditioning_cache() is non-null
+/// exactly for the kinds with a mapping net (every conditioned kind but
+/// MoE-LoRA). LoTR adapters are built standalone (each owns its factors);
 /// cross-layer sharing is an injection-time concern (see core/inject.h).
 Result<std::unique_ptr<Adapter>> BuildAdapter(const AdapterSpec& spec);
 

@@ -67,7 +67,7 @@ bool ConditioningCache::Lookup(uint64_t key, const Tensor& features,
   }
   if (!SameBytes(it->second.features, features)) {
     // Checksum collision between distinct feature sets: treat as a miss
-    // rather than ever returning a wrong seed.
+    // rather than ever returning a wrong value.
     ++stats_.misses;
     return false;
   }
@@ -77,11 +77,10 @@ bool ConditioningCache::Lookup(uint64_t key, const Tensor& features,
 }
 
 void ConditioningCache::Insert(uint64_t key, const Tensor& features,
-                               const Tensor& seed, const Tensor& delta,
-                               uint64_t param_version) {
+                               const Tensor& value, uint64_t param_version) {
   std::lock_guard<std::mutex> lock(mu_);
   // A Step() landed between the caller's version capture and this insert:
-  // the seed was computed from the old parameters, so caching it under any
+  // the value was computed from the old parameters, so caching it under any
   // stamp would serve stale bytes. Drop it.
   if (autograd::GlobalParameterVersion() != param_version) {
     ++stats_.stale_insert_skips;
@@ -89,8 +88,7 @@ void ConditioningCache::Insert(uint64_t key, const Tensor& features,
   }
   ConditioningEntry entry;
   entry.features = features.Clone();
-  entry.seed = seed.Clone();
-  if (delta.defined()) entry.delta = delta.Clone();
+  entry.value = value.Clone();
   entry.param_version = param_version;
   auto it = entries_.find(key);
   if (it != entries_.end()) {
@@ -129,41 +127,22 @@ int64_t ConditioningCache::size() const {
   return static_cast<int64_t>(entries_.size());
 }
 
-autograd::Variable ConditioningCache::SeedOrCompute(
+autograd::Variable ConditioningCache::GetOrCompute(
     uint64_t salt, const autograd::Variable& features,
     const std::function<autograd::Variable()>& compute) {
   if (autograd::GradEnabled()) return compute();
   const uint64_t key = ConditioningChecksum(features.value(), salt);
   ConditioningEntry hit;
   if (Lookup(key, features.value(), &hit)) {
-    return autograd::Variable(hit.seed, /*requires_grad=*/false);
+    return autograd::Variable(hit.value, /*requires_grad=*/false);
   }
   // Capture the version before running compute(): if an optimizer Step()
-  // lands while the seed is being generated, Insert sees the mismatch and
+  // lands while the value is being generated, Insert sees the mismatch and
   // drops the now-stale result instead of stamping it with the new version.
   const uint64_t version = autograd::GlobalParameterVersion();
-  autograd::Variable seed = compute();
-  Insert(key, features.value(), seed.value(), Tensor(), version);
-  return seed;
-}
-
-autograd::Variable ConditioningCache::DeltaOrCompute(
-    uint64_t salt, const autograd::Variable& features,
-    const std::function<autograd::Variable()>& seed_fn,
-    const std::function<autograd::Variable(const autograd::Variable&)>&
-        contract) {
-  if (autograd::GradEnabled()) return contract(seed_fn());
-  const uint64_t key = ConditioningChecksum(features.value(), salt);
-  ConditioningEntry hit;
-  if (Lookup(key, features.value(), &hit)) {
-    return autograd::Variable(hit.delta, /*requires_grad=*/false);
-  }
-  // Same before-compute version capture as SeedOrCompute.
-  const uint64_t version = autograd::GlobalParameterVersion();
-  autograd::Variable seed = seed_fn();
-  autograd::Variable delta = contract(seed);
-  Insert(key, features.value(), seed.value(), delta.value(), version);
-  return delta;
+  autograd::Variable value = compute();
+  Insert(key, features.value(), value.value(), version);
+  return value;
 }
 
 }  // namespace core

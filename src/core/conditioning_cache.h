@@ -1,12 +1,14 @@
 // Conditioning-keyed cache for MetaLoRA's generated weights.
 //
-// MetaLoRA recomputes the mapping-net seed c/C (paper Eq. 6/7) and the rank
-// contraction on every forward, even when the conditioning features are
-// unchanged — the common case in repeated evaluation sweeps, where the same
-// extracted features drive many adapter forwards. Each adapter instance
-// owns one ConditioningCache keyed on the feature tensor (FNV-1a checksum
-// for the bucket, full byte comparison on hit, so a hash collision can
-// never alias two feature sets) plus a per-adapter salt for isolation.
+// MetaLoRA regenerates its input-conditioned factor (the seed c of Eq. 6,
+// or TR's recovery weights C·B of Eq. 7) on every forward, even when the
+// conditioning features are unchanged — the common case in repeated
+// evaluation sweeps, where the same extracted features drive many adapter
+// forwards. Each adapter instance owns one ConditioningCache keyed on the
+// feature tensor (FNV-1a checksum for the bucket, full byte comparison on
+// hit, so a hash collision can never alias two feature sets) plus a
+// per-adapter salt for isolation, and caches that one value per entry
+// through one entry point, GetOrCompute.
 //
 // Invalidation: entries are stamped with the parameter version captured
 // *before* the cold path computed them (optimizers bump
@@ -14,7 +16,7 @@
 // or factor update makes every cached entry stale. Stale entries are
 // dropped on lookup, and an insert whose captured version is no longer
 // current is skipped outright — a Step() landing between lookup and insert
-// must never stamp a stale seed with the new version.
+// must never stamp a stale value with the new version.
 //
 // Eviction: when the map is full, inserting a new key evicts the single
 // oldest entry (insertion-order FIFO), so a working set at or above
@@ -51,13 +53,12 @@ uint64_t ConditioningChecksum(const Tensor& features, uint64_t salt);
 /// construction so identical features never cross adapter boundaries.
 uint64_t NextAdapterCacheSalt();
 
-/// One cached generation: the mapping-net seed (c [N,R] or core C [N,R,R])
-/// and, for TR variants, the contracted per-sample recovery weights that
-/// only depend on (features, factors).
+/// One cached generation: the value a chain adapter generates from its
+/// features — the seed c [N, R] of the Meta kinds, or TR's recovery
+/// weights M_n = C_n·B, which depend only on (features, factors).
 struct ConditioningEntry {
   Tensor features;  // heap clone; verified bytewise on lookup
-  Tensor seed;      // heap clone of the generated seed
-  Tensor delta;     // heap clone of the contracted ΔW form; may be undefined
+  Tensor value;     // heap clone of the generated value
   uint64_t param_version = 0;
 };
 
@@ -80,14 +81,13 @@ class ConditioningCache {
   /// Stale entries are erased (counted as invalidation + miss).
   bool Lookup(uint64_t key, const Tensor& features, ConditioningEntry* out);
 
-  /// Stores heap clones of (features, seed, delta) under `key`, stamped
-  /// with `param_version` — the GlobalParameterVersion() the caller read
-  /// *before* computing `seed`. If the global version has moved since (an
+  /// Stores heap clones of (features, value) under `key`, stamped with
+  /// `param_version` — the GlobalParameterVersion() the caller read
+  /// *before* computing `value`. If the global version has moved since (an
   /// optimizer Step() landed mid-compute), the entry is stale and the
-  /// insert is skipped (counted in stale_insert_skips). `delta` may be
-  /// undefined.
-  void Insert(uint64_t key, const Tensor& features, const Tensor& seed,
-              const Tensor& delta, uint64_t param_version);
+  /// insert is skipped (counted in stale_insert_skips).
+  void Insert(uint64_t key, const Tensor& features, const Tensor& value,
+              uint64_t param_version);
 
   void Clear();
 
@@ -95,25 +95,15 @@ class ConditioningCache {
   int64_t size() const;
   int64_t max_entries() const { return max_entries_; }
 
-  /// Seed-only convenience used by the CP adapters: returns the cached seed
-  /// for `features` when valid, otherwise computes it via `compute` and
-  /// inserts. Grad-enabled calls bypass the cache entirely — training must
-  /// differentiate through the mapping net, so a detached cached seed would
-  /// be wrong there.
-  autograd::Variable SeedOrCompute(
+  /// The adapters' entry point: returns the cached value for `features`
+  /// when valid, otherwise computes it via `compute` and inserts it. CP
+  /// passes the mapping-net forward; TR passes the mapping-net forward
+  /// followed by the B contraction. Grad-enabled calls bypass the cache
+  /// entirely — training must differentiate through the mapping net, so a
+  /// detached cached value would be wrong there.
+  autograd::Variable GetOrCompute(
       uint64_t salt, const autograd::Variable& features,
       const std::function<autograd::Variable()>& compute);
-
-  /// Seed-plus-ΔW convenience used by the TR adapters: returns the cached
-  /// `delta` (the contracted recovery weights) for `features` when valid,
-  /// otherwise generates the seed via `seed_fn`, contracts it via
-  /// `contract`, and inserts both. Grad-enabled calls bypass the cache and
-  /// return contract(seed_fn()), as in SeedOrCompute.
-  autograd::Variable DeltaOrCompute(
-      uint64_t salt, const autograd::Variable& features,
-      const std::function<autograd::Variable()>& seed_fn,
-      const std::function<autograd::Variable(const autograd::Variable&)>&
-          contract);
 
  private:
   /// Drops FIFO-oldest entries until a new key fits. Caller holds mu_.

@@ -5,10 +5,6 @@
 #include <memory>
 #include <tuple>
 
-#include "core/metalora_conv.h"
-#include "core/metalora_linear.h"
-#include "core/moe_lora.h"
-#include "core/multi_lora.h"
 #include "core/tn_adapter.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -62,66 +58,6 @@ std::unique_ptr<Adapter> WrapChain(std::unique_ptr<Base> base,
   return adapter;
 }
 
-std::unique_ptr<Adapter> WrapConv(std::unique_ptr<nn::Conv2d> base,
-                                  const AdapterOptions& options,
-                                  SharedGroups* groups,
-                                  InjectionResult* result) {
-  switch (options.kind) {
-    case AdapterKind::kLora:
-    case AdapterKind::kMetaLoraCp:
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr:
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt: {
-      const GeometryKey key{1,
-                            base->in_channels(),
-                            base->out_channels(),
-                            base->geom().kernel_h,
-                            base->geom().stride,
-                            base->geom().padding};
-      return WrapChain(std::move(base), options, key, groups, result);
-    }
-    case AdapterKind::kMultiLora:
-      return std::make_unique<MultiLoraConv>(std::move(base), options);
-    case AdapterKind::kMetaLoraTr:
-      return std::make_unique<MetaLoraTrConv>(std::move(base), options);
-    case AdapterKind::kMoeLora:
-      return std::make_unique<MoeLoraConv>(std::move(base), options);
-    case AdapterKind::kNone:
-      break;
-  }
-  ML_CHECK(false) << "WrapConv: bad kind";
-  return nullptr;
-}
-
-std::unique_ptr<Adapter> WrapLinear(std::unique_ptr<nn::Linear> base,
-                                    const AdapterOptions& options,
-                                    SharedGroups* groups,
-                                    InjectionResult* result) {
-  switch (options.kind) {
-    case AdapterKind::kLora:
-    case AdapterKind::kMetaLoraCp:
-    case AdapterKind::kLotr:
-    case AdapterKind::kMetaLotr:
-    case AdapterKind::kTt:
-    case AdapterKind::kMetaTt: {
-      const GeometryKey key{0, base->in_features(), base->out_features(),
-                            0, 0, 0};
-      return WrapChain(std::move(base), options, key, groups, result);
-    }
-    case AdapterKind::kMultiLora:
-      return std::make_unique<MultiLoraLinear>(std::move(base), options);
-    case AdapterKind::kMetaLoraTr:
-      return std::make_unique<MetaLoraTrLinear>(std::move(base), options);
-    case AdapterKind::kMoeLora:
-      return std::make_unique<MoeLoraLinear>(std::move(base), options);
-    case AdapterKind::kNone:
-      break;
-  }
-  ML_CHECK(false) << "WrapLinear: bad kind";
-  return nullptr;
-}
-
 void InjectRecursive(nn::Module* node, const AdapterOptions& options,
                      const InjectionFilter& filter, uint64_t* adapter_index,
                      SharedGroups* groups, InjectionResult* result) {
@@ -144,8 +80,14 @@ void InjectRecursive(nn::Module* node, const AdapterOptions& options,
           static_cast<nn::Conv2d*>(taken.release()));
       AdapterOptions opts = options;
       opts.seed = options.seed + 1000003ull * (*adapter_index)++;
+      const GeometryKey key{1,
+                            conv->in_channels(),
+                            conv->out_channels(),
+                            conv->geom().kernel_h,
+                            conv->geom().stride,
+                            conv->geom().padding};
       std::unique_ptr<Adapter> adapter =
-          WrapConv(std::move(conv), opts, groups, result);
+          WrapChain(std::move(conv), opts, key, groups, result);
       result->adapters.push_back(adapter.get());
       result->adapter_param_count += adapter->AdapterParamCount();
       ++result->num_wrapped_convs;
@@ -156,8 +98,10 @@ void InjectRecursive(nn::Module* node, const AdapterOptions& options,
           static_cast<nn::Linear*>(taken.release()));
       AdapterOptions opts = options;
       opts.seed = options.seed + 1000003ull * (*adapter_index)++;
+      const GeometryKey key{0, lin->in_features(), lin->out_features(),
+                            0, 0, 0};
       std::unique_ptr<Adapter> adapter =
-          WrapLinear(std::move(lin), opts, groups, result);
+          WrapChain(std::move(lin), opts, key, groups, result);
       result->adapters.push_back(adapter.get());
       result->adapter_param_count += adapter->AdapterParamCount();
       ++result->num_wrapped_linears;

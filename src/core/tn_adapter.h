@@ -1,42 +1,64 @@
-// One tensor-network chain adapter for the LoRA-like families:
+// One tensor-network chain adapter for every adapter family:
 //
-//   y = base(x) + (alpha/R) · U · [G] · [diag(c)] · D · x
+//   y = base(x) + Σ_e w_e · (alpha/R) · U_e · [G] · [diag(c)] · D_e · x
 //
 // Paper Eq. 6 is LoRA with a per-input diagonal core, ΔW = A·diag(c)·B, and
 // static LoRA is the case c ≡ 1. LoTR (arXiv:2402.01376) inserts a thin
 // per-layer core G ∈ R^{R×R} and shares D and U across a geometry group;
 // tensor-train adapters (LoRTA / Joint-TT) contract D and U out of smaller
-// cores. The families are points of one chain:
+// cores. MetaLoRA-TR (Eq. 7) is a dense D to R² bond channels followed by a
+// generated U. Multi-LoRA and MoE-LoRA are weighted sums of E LoRA
+// branches. The families are points of one chain:
 //
-//   kind          D (down, R×I)          c     G           U (up, O×R)
-//   kLora         lora_a                 -     -           lora_b
-//   kMetaLoraCp   lora_a                 yes   -           lora_b
-//   kLotr         lotr_down (shared)     -     lotr_core   lotr_up (shared)
-//   kMetaLotr     lotr_down (shared)     yes   lotr_core   lotr_up (shared)
-//   kTt           tt_in_a·tt_in_b        -     -           tt_out_a·tt_out_b
-//   kMetaTt       (conv: tt_channel·     yes   -           (conv: tt_out)
+//   kind          D (down, R×I)        c    G          U (up, O×R)
+//   kLora         lora_a               -    -          lora_b
+//   kMetaLoraCp   lora_a               yes  -          lora_b
+//   kLotr         lotr_down (shared)   -    lotr_core  lotr_up (shared)
+//   kMetaLotr     lotr_down (shared)   yes  lotr_core  lotr_up (shared)
+//   kTt           tt_in_a·tt_in_b      -    -          tt_out_a·tt_out_b
+//   kMetaTt       (conv: tt_channel·   yes  -          (conv: tt_out)
 //                  tt_spatial)
+//   kMetaLoraTr   core_a (R² rows)     -    -          generated M_n
+//   kMultiLora    lora_a{e}            -    -          lora_b{e}
+//   kMoeLora      lora_a{e}            -    -          lora_b{e}
+//
+// Every kind has one branch (E = 1, w_e = 1) except Multi-LoRA and
+// MoE-LoRA: see "Branch sums" below.
 //
 // The last zero-initialized factor pins the pre-trained start point: G when
 // the chain has one (U is then Gaussian, since a zero U on a zero G would
-// never receive gradient), otherwise U or its last TT core. The seed c is
-// generated per input by the MappingNet and served through the
-// ConditioningCache (SeedOrCompute), exactly once per forward.
+// never receive gradient), otherwise U, its last TT core, or TR's core_b.
+//
+// A chain with a MappingNet generates one factor per input and serves it
+// through the ConditioningCache (GetOrCompute), exactly once per forward:
+//   - the seed c [N, R] of the Meta kinds;
+//   - TR's recovery M_n = C_n·B [N, R², O]: the generated ring core C_n
+//     [R, R] contracted with core_b [R, O, R], so a warm no-grad forward
+//     skips both the mapping net and the B contraction.
+//
+// Branch sums: E = num_tasks branches, each with its own factor set, are
+// added to y one by one as Add(y, Scale(w_e·d_e, alpha/R)). Multi-LoRA
+// splits the rank budget (each branch has rank max(1, R / E)) and weights a
+// branch by a learned scalar (kSum) or by the oracle task mask
+// (kOracleRouting, needs SetTaskIds; branches with no sample in the batch
+// are skipped). MoE-LoRA gives every expert the full rank and weights it by
+// one column of softmax(gate(features)), the gate being an nn::Linear child
+// "gate" over the bound features.
 //
 // Linear and conv are two lowerings of the same chain:
 //   - Linear runs it as GEMMs. Dense factors go through Linear (x·Wᵀ, with
-//     D as [R, I] and U as [O, R]); TT factors go through Matmul on their
-//     contracted forms D [I, R] and U [R, O], so no activation transposes
-//     are needed. c scales the R columns (Mul), repeated per token for
-//     token-wise layers.
+//     D as [R, I] and U as [O, R]); TT factors and TR's D go through Matmul
+//     on their contracted forms D [I, R] and U [R, O], so no activation
+//     transposes are needed. c scales the R columns (Mul), repeated per
+//     token for token-wise layers; TR applies M_n with BatchedMatmul.
 //   - Conv (Eq. 5, Fig. 3) makes D a conv to R channels with the base
 //     geometry, applies c with ScaleChannels, and runs G and U as 1×1
-//     convs.
+//     convs; TR applies M_n as a per-sample 1×1 conv.
 //
-// Which factors a chain has is derived from (AdapterKind, base kind) and is
-// not user-settable. Parameter names, Rng draw order and registration order
-// are those of the family, so fresh-init bytes and checkpoints are stable
-// per kind.
+// Which factors a chain has is derived from (AdapterKind, multi_lora_mode,
+// base kind) and is not user-settable. Parameter names, Rng draw order and
+// registration order are those of the family, so fresh-init bytes and
+// checkpoints are stable per kind.
 //
 // LoTR group sharing: the first adapter of a group owns and Registers D
 // and U — StateDict, optimizers and TrainableParamCount see them exactly
@@ -49,6 +71,7 @@
 #define METALORA_CORE_TN_ADAPTER_H_
 
 #include <memory>
+#include <vector>
 
 #include "core/adapter_config.h"
 #include "core/conditioning_cache.h"
@@ -68,68 +91,103 @@ class TnAdapter : public Adapter {
   };
 
   /// True for the kinds whose D and U are shared per geometry group
-  /// (kLotr, kMetaLotr). TnAdapter implements kLora, kMetaLoraCp, kLotr,
-  /// kMetaLotr, kTt and kMetaTt.
+  /// (kLotr, kMetaLotr).
   static bool SharesFactors(AdapterKind kind);
 
-  /// Takes ownership of the frozen base layer. For the group-shared kinds,
-  /// `share == nullptr` makes this adapter the owner of freshly initialized
-  /// D and U; otherwise it joins the group, aliasing `share`'s storage
-  /// without registering it.
+  /// Takes ownership of the frozen base layer. Every kind but kNone is a
+  /// chain. For the group-shared kinds, `share == nullptr` makes this
+  /// adapter the owner of freshly initialized D and U; otherwise it joins
+  /// the group, aliasing `share`'s storage without registering it.
   TnAdapter(std::unique_ptr<nn::Linear> base, const AdapterOptions& options,
             const SharedFactors* share = nullptr);
   TnAdapter(std::unique_ptr<nn::Conv2d> base, const AdapterOptions& options,
             const SharedFactors* share = nullptr);
 
-  /// Seeded kinds require SetFeatures(features) earlier in the same batch.
+  /// Conditioned kinds (AdapterKindNeedsFeatures) require SetFeatures, and
+  /// oracle-routed Multi-LoRA SetTaskIds, earlier in the same batch.
   Variable Forward(const Variable& x) override;
 
   int64_t AdapterParamCount() const override;
 
-  /// The seed cache consulted by no-grad forwards; nullptr for static
-  /// kinds (see conditioning_cache.h).
+  /// The cache of generated factors consulted by no-grad forwards; nullptr
+  /// for the kinds without a mapping net (see conditioning_cache.h).
   ConditioningCache* conditioning_cache() override { return cache_.get(); }
 
-  /// Materializes ΔW = (alpha/R)·U·G·diag(c)·D in the base weight's layout
-  /// ([O, I] or [O, I, K, K]). `seed` is one sample's c [R]; nullptr means
-  /// c ≡ 1 (analysis/tests and Merge).
+  /// Materializes ΔW = (alpha/R)·U·G·diag(c)·D of a single-branch chain in
+  /// the base weight's layout ([O, I] or [O, I, K, K]). `seed` is one
+  /// sample's generated factor: c [R], or TR's ring core C [R, R], which
+  /// TR requires. nullptr means c ≡ 1 (analysis/tests and Merge).
   Tensor DeltaWeight(const Tensor* seed = nullptr) const;
 
   /// Folds ΔW into the base weight (inference fast path); Forward then
-  /// skips the chain until Unmerge(). Seeded kinds cannot merge: their ΔW
-  /// depends on the input.
+  /// skips the chain until Unmerge(). Only static single-branch chains can
+  /// merge: a generated factor depends on the input, and a branch sum has
+  /// no single ΔW.
   void Merge();
   void Unmerge();
   bool merged() const { return merged_; }
 
   /// The group's shared factors, for wiring further members.
-  SharedFactors share() const { return {down_, up_}; }
+  SharedFactors share() const { return {branches_[0].down, branches_[0].up}; }
   bool owns_shared_factors() const { return owns_shared_; }
 
   nn::Module* base() { return base_; }
-  /// nullptr for static kinds.
+  /// nullptr for the kinds without a mapping net.
   MappingNet* mapping_net() { return mapping_; }
 
  private:
-  /// The factors a chain has, derived from (kind, lowering).
+  /// How a branch's delta is weighted before it joins the sum.
+  enum class BranchWeight {
+    kNone,      // one unweighted branch
+    kScale,     // a learned scalar per branch (Multi-LoRA kSum)
+    kTaskMask,  // the oracle task mask (Multi-LoRA kOracleRouting)
+    kGate,      // a softmax gate column over the features (MoE-LoRA)
+  };
+
+  /// The factors a chain has, derived from (kind, multi_lora_mode,
+  /// lowering).
   struct Chain {
     bool tt_down = false;  // D contracted from two TT cores, else dense
     bool tt_up = false;    // U contracted from two TT cores, else dense
     bool core = false;     // LoTR's per-layer G [R, R]
     bool seeded = false;   // c generated per input by the MappingNet
     bool shared = false;   // D and U shared across a geometry group
+    bool generated_up = false;  // U generated per input: TR's M_n = C_n·B
+    int branches = 1;           // E
+    BranchWeight weight = BranchWeight::kNone;
+    int64_t rank = 0;  // R of one branch
   };
-  static Chain ChainFor(AdapterKind kind, bool conv);
+  static Chain ChainFor(const AdapterOptions& options, bool conv);
+
+  /// One branch's factors.
+  struct Factors {
+    Variable down;     // dense D, or the first TT core of D
+    Variable down_tt;  // the second TT core of D
+    Variable up;       // dense U, the first TT core of U, or TR's core_b
+    Variable up_tt;    // the second TT core of U
+    Variable scale;    // the learned branch weight (kScale)
+  };
 
   void Init(std::unique_ptr<nn::Module> base, const SharedFactors* share);
+  /// Draws and registers branch `e`'s factors (all of them on a group
+  /// owner; none of D and U on a member).
+  void InitBranch(int e, Rng& rng, const SharedFactors* share);
 
+  /// The delta U·[G]·[diag(c)]·D·x of one branch, before scaling.
+  Variable BranchDelta(const Factors& f, const Variable& x,
+                       const Variable& features);
   /// D in the layout its lowering consumes: linear dense [R, I] (Linear),
-  /// linear TT [I, R] (Matmul), conv [R, I, K, K] (Conv2d).
-  Variable DownWeight() const;
+  /// linear TT or TR [I, R] (Matmul), conv [R, I, K, K] (Conv2d).
+  Variable DownWeight(const Factors& f) const;
   /// h·Wᵀ over the rank channels: Linear, or a 1×1 conv for the conv
   /// lowering. W is G [R, R] or a dense U [O, R].
   Variable MixRank(const Variable& h, const Variable& w) const;
-  /// Plain-tensor D as [R, I·K·K] and U as [O, R], for DeltaWeight.
+  /// TR's recovery M[n, (r0, r1), o] = Σ_r2 C[n, r2, r0]·B[r1, o, r2] from
+  /// generated cores C [N, R, R]: [N, R², O] for the linear lowering,
+  /// [N, O, R²] for the conv one.
+  Variable Recovery(const Variable& core_b, const Variable& c) const;
+  /// Plain-tensor D as [R, I·K·K] (TR: [R², I·K·K]) and U as [O, R], for
+  /// DeltaWeight.
   Tensor DownMatrix() const;
   Tensor UpMatrix() const;
 
@@ -138,17 +196,15 @@ class TnAdapter : public Adapter {
   nn::Linear* linear_ = nullptr;  // exactly one of linear_/conv_ is set
   nn::Conv2d* conv_ = nullptr;
   MappingNet* mapping_ = nullptr;
+  nn::Linear* gate_ = nullptr;        // kGate only
   int64_t in_ = 0, out_ = 0, k_ = 1;  // k_ = 1 for the linear lowering
   int64_t i2_ = 0, o1_ = 0;           // TT-linear mode splits (tn::TtSplitDim)
-  Variable down_;     // dense D, or the first TT core of D
-  Variable down_tt_;  // the second TT core of D
-  Variable up_;       // dense U, or the first TT core of U
-  Variable up_tt_;    // the second TT core of U
-  Variable core_;     // G [R, R]
+  std::vector<Factors> branches_;
+  Variable core_;  // G [R, R]
   float scaling_ = 1.0f;
   bool owns_shared_ = true;
   bool merged_ = false;
-  std::unique_ptr<ConditioningCache> cache_;  // seeded kinds only
+  std::unique_ptr<ConditioningCache> cache_;  // kinds with a mapping net
   uint64_t cache_salt_ = 0;
 };
 

@@ -13,8 +13,6 @@
 
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "core/metalora_linear.h"
-#include "core/multi_lora.h"
 #include "core/tn_adapter.h"
 #include "eval/knn.h"
 #include "nn/conv2d.h"
@@ -55,18 +53,18 @@ TEST(AdapterForwardTest, SchedulesNoPoolTasks) {
   std::vector<std::unique_ptr<core::Adapter>> adapters;
   adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kLora)));
-  adapters.push_back(std::make_unique<core::MultiLoraLinear>(
+  adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMultiLora)));
   adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMetaLoraCp)));
-  adapters.push_back(std::make_unique<core::MetaLoraTrLinear>(
+  adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMetaLoraTr)));
   adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMetaLotr)));
   adapters.push_back(std::make_unique<core::TnAdapter>(
       BaseLinear(), Opts(core::AdapterKind::kMetaTt)));
   Rng rng(3);
-  auto conv = std::make_unique<core::MultiLoraConv>(
+  auto conv = std::make_unique<core::TnAdapter>(
       std::make_unique<nn::Conv2d>(1, 4, 3, 1, 1, false, rng),
       Opts(core::AdapterKind::kMultiLora));
 
@@ -79,12 +77,14 @@ TEST(AdapterForwardTest, SchedulesNoPoolTasks) {
       adapter->SetFeatures(feats);
       const int64_t before = ThreadPool::TotalTasksScheduled();
       Variable y = adapter->Forward(x);
-      EXPECT_EQ(ThreadPool::TotalTasksScheduled(), before) << adapter->name();
+      EXPECT_EQ(ThreadPool::TotalTasksScheduled(), before)
+          << core::AdapterKindName(adapter->kind());
       EXPECT_EQ(y.dim(1), 4);
     }
     const int64_t before = ThreadPool::TotalTasksScheduled();
     Variable y = conv->Forward(image);
-    EXPECT_EQ(ThreadPool::TotalTasksScheduled(), before) << conv->name();
+    EXPECT_EQ(ThreadPool::TotalTasksScheduled(), before)
+        << core::AdapterKindName(conv->kind());
     EXPECT_EQ(y.dim(1), 4);
   };
   expect_no_tasks("grad");

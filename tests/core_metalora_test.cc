@@ -1,22 +1,21 @@
-// Correctness of the MetaLoRA mapping net and TR adapters: the per-sample
-// factored forward path must agree exactly with materializing each
-// sample's generated ΔW (Eq. 7) — the central algebraic claim of the
-// implementation. The CP format (Eq. 6) is core::TnAdapter; its per-sample
-// forward == ΔW and death tests run over the case table in
-// core_tn_adapter_test.cc.
+// Correctness of the MetaLoRA mapping net and of the TR chain against
+// independent oracles: the per-sample factored forward must agree with the
+// ΔW of Eq. 7 contracted by tn::TrMatrix (linear) and by an explicit triple
+// sum (conv) — the central algebraic claim of the implementation. Both
+// formats are core::TnAdapter chains; their forward == DeltaWeight, replay
+// and death tests run over the case table in core_tn_adapter_test.cc.
 #include <gtest/gtest.h>
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "core/mapping_net.h"
-#include "core/metalora_conv.h"
-#include "core/metalora_linear.h"
 #include "core/tn_adapter.h"
 #include "tensor/conv_ops.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
+#include "tn/tr_format.h"
 
 namespace metalora {
 namespace core {
@@ -134,20 +133,8 @@ TEST(MetaLoraCpTest, GradientFlowsIntoMappingNet) {
       << "meta-learning signal did not reach the mapping net";
 }
 
-TEST(MetaLoraTrLinearTest, StartsAtPretrainedPoint) {
-  MetaLoraTrLinear meta(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
-  Rng rng(6);
-  Tensor x = RandomNormal(Shape{2, 5}, rng);
-  Tensor feats = RandomNormal(Shape{2, kFeatDim}, rng);
-  autograd::NoGradGuard g;
-  meta.SetFeatures(Variable(feats, false));
-  Tensor out = meta.Forward(Variable(x, false)).value();
-  Tensor base_out = meta.Child("base")->Forward(Variable(x, false)).value();
-  EXPECT_TRUE(AllClose(out, base_out, 1e-6f, 1e-6f));
-}
-
 TEST(MetaLoraTrLinearTest, PerSampleForwardMatchesMaterializedDeltaW) {
-  MetaLoraTrLinear meta(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr, 2));
+  TnAdapter meta(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr, 2));
   RandomizeAdapterFactors(meta, 19);
   Rng rng(7);
   const int64_t n = 3;
@@ -160,11 +147,20 @@ TEST(MetaLoraTrLinearTest, PerSampleForwardMatchesMaterializedDeltaW) {
   Tensor out = meta.Forward(Variable(x, false)).value();
   Tensor base_out = meta.Child("base")->Forward(Variable(x, false)).value();
   Tensor seeds = meta.mapping_net()->Forward(fv).value();  // [n, R, R]
+  Tensor core_a, core_b;
+  for (auto& np : meta.NamedParameters()) {
+    if (np.name == "core_a") core_a = np.variable->value();
+    if (np.name == "core_b") core_b = np.variable->value();
+  }
+  ASSERT_TRUE(core_a.defined() && core_b.defined());
 
   for (int64_t s = 0; s < n; ++s) {
     Tensor core{Shape{2, 2}};
     for (int64_t i = 0; i < 4; ++i) core.flat(i) = seeds.flat(s * 4 + i);
-    Tensor delta = meta.DeltaWeightFor(core);  // [O, I]
+    // Scaling is 1 (alpha = rank).
+    auto delta_io = tn::TrMatrix(core_a, core_b, core);  // [I, O]
+    ASSERT_TRUE(delta_io.ok()) << delta_io.status().ToString();
+    const Tensor delta = Transpose2D(delta_io.value());  // [O, I]
     for (int64_t o = 0; o < 4; ++o) {
       double expected = base_out.flat(s * 4 + o);
       for (int64_t i = 0; i < 5; ++i) {
@@ -178,7 +174,7 @@ TEST(MetaLoraTrLinearTest, PerSampleForwardMatchesMaterializedDeltaW) {
 
 TEST(MetaLoraTrConvTest, PerSampleForwardMatchesExplicitSum) {
   const int64_t r = 2;
-  MetaLoraTrConv meta(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr, r));
+  TnAdapter meta(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr, r));
   RandomizeAdapterFactors(meta, 29);
   Rng rng(9);
   const int64_t n = 2;
@@ -231,8 +227,7 @@ TEST(MetaLoraTrConvTest, PerSampleForwardMatchesExplicitSum) {
 
 TEST(MetaLoraParamsTest, TrHasMoreCapacityThanCpAtSameRank) {
   TnAdapter cp(BaseLinear(32, 32), MetaOpts(AdapterKind::kMetaLoraCp, 4));
-  MetaLoraTrLinear tr(BaseLinear(32, 32),
-                      MetaOpts(AdapterKind::kMetaLoraTr, 4));
+  TnAdapter tr(BaseLinear(32, 32), MetaOpts(AdapterKind::kMetaLoraTr, 4));
   EXPECT_GT(tr.AdapterParamCount(), cp.AdapterParamCount());
 }
 

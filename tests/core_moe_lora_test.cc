@@ -1,11 +1,14 @@
-#include "core/moe_lora.h"
-
+// MoE-LoRA as a core::TnAdapter branch sum: the "gate" child, a Linear over
+// the bound features, weights each expert's LoRA delta by one softmax
+// column. The byte-level replay of the forward is in core_tn_adapter_test
+// (Moe rows).
 #include <gtest/gtest.h>
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "core/inject.h"
+#include "core/tn_adapter.h"
 #include "nn/resnet.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -37,8 +40,15 @@ std::unique_ptr<nn::Conv2d> BaseConv() {
   return std::make_unique<nn::Conv2d>(2, 4, 3, 1, 1, false, rng);
 }
 
+/// The gate weights [N, E] for `features`, read through the gate child.
+Tensor GateWeights(TnAdapter& moe, const Tensor& features) {
+  return autograd::SoftmaxLastDim(
+             moe.Child("gate")->Forward(Variable(features, false)))
+      .value();
+}
+
 TEST(MoeLoraLinearTest, StartsAtPretrainedPoint) {
-  MoeLoraLinear moe(BaseLinear(), Opts());
+  TnAdapter moe(BaseLinear(), Opts());
   Rng rng(2);
   Tensor x = RandomNormal(Shape{3, 6}, rng);
   Tensor feats = RandomNormal(Shape{3, kFeatDim}, rng);
@@ -50,12 +60,11 @@ TEST(MoeLoraLinearTest, StartsAtPretrainedPoint) {
 }
 
 TEST(MoeLoraLinearTest, GateWeightsAreADistribution) {
-  MoeLoraLinear moe(BaseLinear(), Opts(4));
+  TnAdapter moe(BaseLinear(), Opts(4));
   Rng rng(3);
   Tensor feats = RandomNormal(Shape{5, kFeatDim}, rng);
   autograd::NoGradGuard g;
-  moe.SetFeatures(Variable(feats, false));
-  Tensor w = moe.GateWeights().value();
+  Tensor w = GateWeights(moe, feats);
   EXPECT_EQ(w.shape(), Shape({5, 4}));
   for (int64_t i = 0; i < 5; ++i) {
     double sum = 0;
@@ -68,24 +77,22 @@ TEST(MoeLoraLinearTest, GateWeightsAreADistribution) {
 }
 
 TEST(MoeLoraLinearTest, GateDependsOnInputFeatures) {
-  MoeLoraLinear moe(BaseLinear(), Opts());
+  TnAdapter moe(BaseLinear(), Opts());
   Rng rng(4);
   autograd::NoGradGuard g;
-  moe.SetFeatures(Variable(RandomNormal(Shape{1, kFeatDim}, rng, 0, 3), false));
-  Tensor w1 = moe.GateWeights().value();
-  moe.SetFeatures(Variable(RandomNormal(Shape{1, kFeatDim}, rng, 0, 3), false));
-  Tensor w2 = moe.GateWeights().value();
+  Tensor w1 = GateWeights(moe, RandomNormal(Shape{1, kFeatDim}, rng, 0, 3));
+  Tensor w2 = GateWeights(moe, RandomNormal(Shape{1, kFeatDim}, rng, 0, 3));
   EXPECT_FALSE(AllClose(w1, w2, 1e-4f, 1e-4f));
 }
 
 TEST(MoeLoraLinearTest, ForwardWithoutFeaturesDies) {
-  MoeLoraLinear moe(BaseLinear(), Opts());
+  TnAdapter moe(BaseLinear(), Opts());
   Variable x(Tensor::Ones(Shape{2, 6}), false);
   EXPECT_DEATH(moe.Forward(x), "SetFeatures");
 }
 
 TEST(MoeLoraLinearTest, GradientsReachGateAndExperts) {
-  MoeLoraLinear moe(BaseLinear(), Opts());
+  TnAdapter moe(BaseLinear(), Opts());
   // Activate expert paths so the gate matters.
   Rng rng(5);
   for (auto& np : moe.NamedParameters()) {
@@ -115,7 +122,7 @@ TEST(MoeLoraLinearTest, GradientsReachGateAndExperts) {
 TEST(MoeLoraLinearTest, ForwardIsGateWeightedSum) {
   // With hand-set one-hot-ish gate and known expert outputs, the adapter
   // delta must equal the weighted expert deltas.
-  MoeLoraLinear moe(BaseLinear(), Opts(2, 1));
+  TnAdapter moe(BaseLinear(), Opts(2, 1));
   Rng rng(6);
   for (auto& np : moe.NamedParameters()) {
     if (np.name.rfind("lora_b", 0) == 0)
@@ -131,7 +138,7 @@ TEST(MoeLoraLinearTest, ForwardIsGateWeightedSum) {
   Tensor feats = RandomNormal(Shape{2, kFeatDim}, rng);
   autograd::NoGradGuard g;
   moe.SetFeatures(Variable(feats, false));
-  Tensor w = moe.GateWeights().value();
+  Tensor w = GateWeights(moe, feats);
   EXPECT_NEAR(w.flat(0), 1.0f, 1e-5);  // expert 0 selected
 
   Tensor out = moe.Forward(Variable(x, false)).value();
@@ -157,7 +164,7 @@ TEST(MoeLoraLinearTest, ForwardIsGateWeightedSum) {
 }
 
 TEST(MoeLoraConvTest, StartsAtPretrainedPoint) {
-  MoeLoraConv moe(BaseConv(), Opts());
+  TnAdapter moe(BaseConv(), Opts());
   Rng rng(7);
   Tensor x = RandomNormal(Shape{2, 2, 5, 5}, rng);
   Tensor feats = RandomNormal(Shape{2, kFeatDim}, rng);
@@ -190,7 +197,7 @@ TEST(MoeLoraTest, InjectionIntoResNet) {
 TEST(MoeLoraTest, RequiresFeatureDim) {
   AdapterOptions o = Opts();
   o.feature_dim = 0;
-  EXPECT_DEATH(MoeLoraLinear(BaseLinear(), o), "feature_dim");
+  EXPECT_DEATH(TnAdapter(BaseLinear(), o), "feature_dim");
 }
 
 }  // namespace

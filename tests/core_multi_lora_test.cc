@@ -1,5 +1,8 @@
-#include "core/multi_lora.h"
-
+// Multi-LoRA as a core::TnAdapter branch sum: oracle routing sends each
+// sample through its task's branch only, sum mode combines every branch
+// with a learned scale, and the frozen base stays the start point. The
+// byte-level replay of the forward is in core_tn_adapter_test (MultiSum and
+// MultiOracle rows).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,6 +10,7 @@
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
+#include "core/tn_adapter.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
 
@@ -46,7 +50,7 @@ void ActivateBranch(nn::Module& m, int t, float value) {
 }
 
 TEST(MultiLoraLinearTest, StartsAtPretrainedPoint) {
-  MultiLoraLinear ml(BaseLinear(), Opts(3));
+  TnAdapter ml(BaseLinear(), Opts(3));
   ml.SetTaskIds({0, 1, 2});
   Rng rng(2);
   Tensor x = RandomNormal(Shape{3, 6}, rng);
@@ -59,7 +63,7 @@ TEST(MultiLoraLinearTest, StartsAtPretrainedPoint) {
 }
 
 TEST(MultiLoraLinearTest, RoutesSamplesToOwnBranch) {
-  MultiLoraLinear ml(BaseLinear(), Opts(2));
+  TnAdapter ml(BaseLinear(), Opts(2));
   ActivateBranch(ml, 1, 0.7f);  // only task 1's branch is nonzero
   Rng rng(3);
   Tensor x = RandomNormal(Shape{4, 6}, rng);
@@ -81,19 +85,19 @@ TEST(MultiLoraLinearTest, RoutesSamplesToOwnBranch) {
 }
 
 TEST(MultiLoraLinearTest, ForwardWithoutTaskIdsDies) {
-  MultiLoraLinear ml(BaseLinear(), Opts(2));
+  TnAdapter ml(BaseLinear(), Opts(2));
   Variable x(Tensor::Ones(Shape{2, 6}), false);
   EXPECT_DEATH(ml.Forward(x), "task ids");
 }
 
 TEST(MultiLoraLinearTest, ParamCountScalesWithTasks) {
-  MultiLoraLinear two(BaseLinear(), Opts(2));
-  MultiLoraLinear four(BaseLinear(), Opts(4));
+  TnAdapter two(BaseLinear(), Opts(2));
+  TnAdapter four(BaseLinear(), Opts(4));
   EXPECT_EQ(four.AdapterParamCount(), 2 * two.AdapterParamCount());
 }
 
 TEST(MultiLoraLinearTest, GradientsOnlyReachActiveBranches) {
-  MultiLoraLinear ml(BaseLinear(), Opts(3));
+  TnAdapter ml(BaseLinear(), Opts(3));
   Rng rng(4);
   Variable x(RandomNormal(Shape{4, 6}, rng), false);
   ml.SetTaskIds({0, 0, 1, 1});  // task 2 absent from the batch
@@ -110,7 +114,7 @@ TEST(MultiLoraLinearTest, GradientsOnlyReachActiveBranches) {
 }
 
 TEST(MultiLoraConvTest, RoutesSamplesToOwnBranch) {
-  MultiLoraConv ml(BaseConv(), Opts(2));
+  TnAdapter ml(BaseConv(), Opts(2));
   ActivateBranch(ml, 0, 0.5f);
   Rng rng(5);
   Tensor x = RandomNormal(Shape{2, 2, 5, 5}, rng);
@@ -129,7 +133,7 @@ TEST(MultiLoraConvTest, RoutesSamplesToOwnBranch) {
 }
 
 TEST(MultiLoraConvTest, StartsAtPretrainedPoint) {
-  MultiLoraConv ml(BaseConv(), Opts(3));
+  TnAdapter ml(BaseConv(), Opts(3));
   ml.SetTaskIds({0, 1});
   Rng rng(6);
   Tensor x = RandomNormal(Shape{2, 2, 5, 5}, rng);
@@ -140,7 +144,7 @@ TEST(MultiLoraConvTest, StartsAtPretrainedPoint) {
 }
 
 TEST(MultiLoraLinearTest, SumModeNeedsNoTaskIds) {
-  MultiLoraLinear ml(BaseLinear(), Opts(3, MultiLoraMode::kSum));
+  TnAdapter ml(BaseLinear(), Opts(3, MultiLoraMode::kSum));
   Rng rng(7);
   Tensor x = RandomNormal(Shape{2, 6}, rng);
   autograd::NoGradGuard g;
@@ -152,7 +156,7 @@ TEST(MultiLoraLinearTest, SumModeNeedsNoTaskIds) {
 }
 
 TEST(MultiLoraLinearTest, SumModeCombinesAllBranches) {
-  MultiLoraLinear ml(BaseLinear(), Opts(2, MultiLoraMode::kSum));
+  TnAdapter ml(BaseLinear(), Opts(2, MultiLoraMode::kSum));
   ActivateBranch(ml, 0, 0.3f);
   ActivateBranch(ml, 1, 0.3f);
   Rng rng(8);
@@ -170,7 +174,7 @@ TEST(MultiLoraLinearTest, SumModeCombinesAllBranches) {
 }
 
 TEST(MultiLoraLinearTest, SumModeBranchScalesAreTrainable) {
-  MultiLoraLinear ml(BaseLinear(), Opts(2, MultiLoraMode::kSum));
+  TnAdapter ml(BaseLinear(), Opts(2, MultiLoraMode::kSum));
   ActivateBranch(ml, 0, 0.5f);
   Rng rng(9);
   Variable x(RandomNormal(Shape{2, 6}, rng), false);
@@ -185,7 +189,7 @@ TEST(MultiLoraLinearTest, SumModeBranchScalesAreTrainable) {
 }
 
 TEST(MultiLoraConvTest, BaseRemainsFrozen) {
-  MultiLoraConv ml(BaseConv(), Opts(2));
+  TnAdapter ml(BaseConv(), Opts(2));
   EXPECT_EQ(ml.Child("base")->TrainableParamCount(), 0);
   EXPECT_GT(ml.TrainableParamCount(), 0);
 }

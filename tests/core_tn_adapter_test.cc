@@ -1,16 +1,17 @@
 // core::TnAdapter over one case table: every chain family (LoRA,
-// MetaLoRA-CP, LoTR owner and member, Meta-LoTR, TT, Meta-TT) × both
-// lowerings (linear, conv).
+// MetaLoRA-CP, LoTR owner and member, Meta-LoTR, TT, Meta-TT, MetaLoRA-TR,
+// Multi-LoRA sum and oracle routing, MoE-LoRA) × both lowerings (linear,
+// conv).
 //
 // Bit identity: a test-local reference replays each family's forward op
 // sequence from the adapter's own parameters (looked up by StateDict key),
 // and redraws the fresh-init state from Rng(seed) in the family's draw
-// order. Forward output, input and parameter gradients, the warm no-grad
-// output (conditioning-cache hit) and the fresh StateDict must match byte
-// for byte.
+// order. Forward output, input and parameter gradients, the cold and warm
+// no-grad outputs (conditioning-cache miss and hit) and the fresh StateDict
+// must match byte for byte.
 //
 // Properties: zero-init start point, factored forward == materialized ΔW
-// (per sample for seeded kinds), AdapterParamCount == the tn_cost closed
+// (per sample for generated kinds), AdapterParamCount == the tn_cost closed
 // forms, gradients == finite differences, SetFeatures / batch-size death
 // tests, Merge round trips, and LoTR share aliasing.
 #include <gtest/gtest.h>
@@ -40,13 +41,20 @@ namespace {
 constexpr int64_t kRank = 3;
 constexpr int64_t kFeatDim = 5;
 constexpr int64_t kHidden = 4;
+// Scaling alpha/R = 5/3 is not a power of two, so a dropped or reordered
+// scale cannot hide in the bytes.
+constexpr float kAlpha = 5.0f;
 // Linear base: I = 6 = 2·3, O = 4 = 2·2 (TT mode splits). Conv base:
 // 2 → 4 channels, 3×3, stride 1, padding 1.
 constexpr int64_t kIn = 6, kOut = 4;
 constexpr int64_t kInCh = 2, kOutCh = 4, kKernel = 3;
+// Branches of the Multi-LoRA and MoE-LoRA cases. Multi-LoRA splits the
+// rank budget: each branch has rank max(1, kRank / kTasks).
+constexpr int kTasks = 2;
+constexpr int64_t kBranchRank = kRank / kTasks;
 
 enum class Family { kLora, kCp, kLotrOwner, kLotrMember, kMetaLotr, kTt,
-                    kMetaTt };
+                    kMetaTt, kTr, kMultiSum, kMultiOracle, kMoe };
 
 struct Case {
   Family family;
@@ -62,12 +70,29 @@ AdapterKind KindOf(Family f) {
     case Family::kMetaLotr: return AdapterKind::kMetaLotr;
     case Family::kTt: return AdapterKind::kTt;
     case Family::kMetaTt: return AdapterKind::kMetaTt;
+    case Family::kTr: return AdapterKind::kMetaLoraTr;
+    case Family::kMultiSum:
+    case Family::kMultiOracle: return AdapterKind::kMultiLora;
+    case Family::kMoe: return AdapterKind::kMoeLora;
   }
   return AdapterKind::kNone;
 }
 
+/// A generated diagonal seed c.
 bool Seeded(Family f) {
   return f == Family::kCp || f == Family::kMetaLotr || f == Family::kMetaTt;
+}
+
+/// A mapping net, and with it a conditioning cache.
+bool Generates(Family f) { return Seeded(f) || f == Family::kTr; }
+
+/// Forward needs SetFeatures.
+bool Conditioned(Family f) { return Generates(f) || f == Family::kMoe; }
+
+/// A weighted sum of kTasks branches.
+bool Branched(Family f) {
+  return f == Family::kMultiSum || f == Family::kMultiOracle ||
+         f == Family::kMoe;
 }
 
 bool Lotr(Family f) {
@@ -76,9 +101,9 @@ bool Lotr(Family f) {
 }
 
 std::string CaseName(const ::testing::TestParamInfo<Case>& info) {
-  static const char* const kNames[] = {"Lora", "MetaLoraCp", "LotrOwner",
-                                       "LotrMember", "MetaLotr", "Tt",
-                                       "MetaTt"};
+  static const char* const kNames[] = {
+      "Lora",   "MetaLoraCp", "LotrOwner", "LotrMember",  "MetaLotr", "Tt",
+      "MetaTt", "MetaLoraTr", "MultiSum",  "MultiOracle", "Moe"};
   return std::string(kNames[static_cast<int>(info.param.family)]) +
          (info.param.conv ? "_conv" : "_linear");
 }
@@ -87,9 +112,13 @@ AdapterOptions Opts(const Case& c, uint64_t seed = 11) {
   AdapterOptions o;
   o.kind = KindOf(c.family);
   o.rank = kRank;
-  o.alpha = 6.0f;  // scaling 2: a dropped scale cannot hide
+  o.alpha = kAlpha;
   o.feature_dim = kFeatDim;
   o.mapping_hidden = kHidden;
+  o.num_tasks = kTasks;
+  if (c.family == Family::kMultiOracle) {
+    o.multi_lora_mode = MultiLoraMode::kOracleRouting;
+  }
   o.seed = seed;
   return o;
 }
@@ -185,21 +214,128 @@ Variable Features(int64_t n, uint64_t seed) {
   return Variable(RandomNormal(Shape{n, kFeatDim}, rng), false);
 }
 
+/// Binds the features and, for oracle routing, task ids alternating over
+/// the `rows` rows of x.
+void Bind(TnAdapter& a, const Variable& features, int64_t rows) {
+  a.SetFeatures(features);
+  std::vector<int64_t> ids;
+  for (int64_t i = 0; i < rows; ++i) ids.push_back(i % kTasks);
+  a.SetTaskIds(ids);
+}
+
 // ---------------------------------------------------------------------------
 // The reference: each family's forward op sequence, replayed.
 // ---------------------------------------------------------------------------
+
+const ConvGeom kGeom{kKernel, kKernel, 1, 1};
+
+ConvGeom Pointwise() {
+  ConvGeom pw;
+  pw.kernel_h = 1;
+  pw.kernel_w = 1;
+  return pw;
+}
+
+/// MetaLoRA-TR's delta as the deleted MetaLoraTr{Linear,Conv} ran it: the
+/// recovery weights from the generated ring core, then the core_a
+/// projection, then the per-sample bond contraction.
+Variable ReplayTr(const Case& c, TnAdapter& a, const Variable& x,
+                  const Variable& features) {
+  auto p = [&](const std::string& name) { return Param(a, name); };
+  const int64_t r = kRank, n = x.dim(0);
+  const int64_t out = c.conv ? kOutCh : kOut;
+  Variable core_c = a.mapping_net()->Forward(features);  // [N_f, r2, r0]
+  const int64_t nf = core_c.dim(0);
+  Variable c_flat = autograd::Reshape(autograd::Permute(core_c, {0, 2, 1}),
+                                      Shape{nf * r, r});
+  Variable b_mat = autograd::Reshape(
+      autograd::Permute(p("core_b"), {2, 0, 1}), Shape{r, r * out});
+  Variable t = autograd::Matmul(c_flat, b_mat);
+  if (c.conv) {
+    Variable w2 = autograd::Reshape(
+        autograd::Permute(autograd::Reshape(t, Shape{nf, r, r, out}),
+                          {0, 3, 1, 2}),
+        Shape{nf, out, r * r});
+    Variable u = autograd::Conv2d(x, p("core_a"), Variable(), kGeom);
+    return autograd::PerSamplePointwiseConv(u, w2);
+  }
+  Variable m = autograd::Reshape(t, Shape{nf, r * r, out});
+  Variable a_mat = autograd::Reshape(
+      autograd::Permute(p("core_a"), {1, 0, 2}), Shape{kIn, r * r});
+  Variable u =
+      autograd::Reshape(autograd::Matmul(x, a_mat), Shape{n, 1, r * r});
+  Variable d = autograd::BatchedMatmul(
+      u, autograd::RepeatRowsInterleaved(m, n / nf));
+  return autograd::Reshape(d, Shape{n, out});
+}
+
+/// The deleted MultiLora{Linear,Conv} and MoeLora{Linear,Conv} forwards:
+/// each branch's LoRA delta, weighted, added to y in branch order.
+Variable ReplayBranches(const Case& c, TnAdapter& a, const Variable& x,
+                        const Variable& features, Variable y) {
+  auto p = [&](const std::string& name) { return Param(a, name); };
+  const float scaling = kAlpha / kRank;
+  const int64_t n = x.dim(0);
+  const int64_t br = c.family == Family::kMoe ? kRank : kBranchRank;
+  Variable gate;
+  if (c.family == Family::kMoe) {
+    gate = autograd::SoftmaxLastDim(a.Child("gate")->Forward(features));
+    if (!c.conv) {
+      gate = autograd::RepeatRowsInterleaved(gate, n / gate.dim(0));
+    }
+  }
+  for (int e = 0; e < kTasks; ++e) {
+    const std::string id = std::to_string(e);
+    Tensor mask{Shape{n}};
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      if (i % kTasks == e) {  // the task ids Bind sets
+        mask.flat(i) = 1.0f;
+        ++count;
+      }
+    }
+    if (c.family == Family::kMultiOracle && count == 0) continue;
+    Variable d;
+    if (c.conv) {
+      Variable h =
+          autograd::Conv2d(x, p("lora_a" + id), Variable(), kGeom);
+      d = autograd::Conv2d(
+          h, autograd::Reshape(p("lora_b" + id), Shape{kOutCh, br, 1, 1}),
+          Variable(), Pointwise());
+    } else {
+      Variable h = autograd::Linear(x, p("lora_a" + id), Variable());
+      d = autograd::Linear(h, p("lora_b" + id), Variable());
+    }
+    if (c.family == Family::kMultiSum) {
+      d = autograd::MulScalarVar(d, p("scale" + id));
+    } else if (c.family == Family::kMultiOracle) {
+      d = autograd::ScaleRows(d, Variable(mask, false));
+    } else {
+      Tensor onehot{Shape{kTasks, 1}};
+      onehot.flat(e) = 1.0f;
+      Variable col = autograd::Reshape(
+          autograd::Matmul(gate, Variable(onehot, false)),
+          Shape{gate.dim(0)});
+      d = autograd::ScaleRows(d, col);
+    }
+    y = autograd::Add(y, autograd::Scale(d, scaling));
+  }
+  return y;
+}
 
 Variable Replay(const Case& c, Built& b, const Variable& x,
                 const Variable& features) {
   TnAdapter& a = *b.adapter;
   auto p = [&](const std::string& name) { return Param(b.Holder(name), name); };
-  const float scaling = 6.0f / kRank;
+  const float scaling = kAlpha / kRank;
   const int64_t r = kRank;
-  ConvGeom pw;
-  pw.kernel_h = 1;
-  pw.kernel_w = 1;
-  const ConvGeom geom{kKernel, kKernel, 1, 1};
+  const ConvGeom pw = Pointwise();
   Variable y = a.base()->Forward(x);
+  if (c.family == Family::kTr) {
+    return autograd::Add(
+        y, autograd::Scale(ReplayTr(c, a, x, features), scaling));
+  }
+  if (Branched(c.family)) return ReplayBranches(c, a, x, features, y);
   // MetaLoRA-CP generates (and, for linear, row-aligns) its seed before
   // the down projection; Meta-LoTR and Meta-TT after it.
   Variable seed;
@@ -254,7 +390,7 @@ Variable Replay(const Case& c, Built& b, const Variable& x,
       down = p("lora_a");
       up = p("lora_b");
     }
-    Variable h = apply_seed(autograd::Conv2d(x, down, Variable(), geom));
+    Variable h = apply_seed(autograd::Conv2d(x, down, Variable(), kGeom));
     if (Lotr(c.family)) {
       h = autograd::Conv2d(
           h, autograd::Reshape(p("lotr_core"), Shape{r, r, 1, 1}), Variable(),
@@ -292,6 +428,7 @@ FreshState OldFreshState(const Case& c, uint64_t seed) {
   const Shape down_shape =
       c.conv ? Shape{r, kInCh, kKernel, kKernel} : Shape{r, kIn};
   Rng rng(seed);
+  std::unique_ptr<nn::Linear> gate;
   switch (c.family) {
     case Family::kLora:
     case Family::kCp: {
@@ -314,6 +451,40 @@ FreshState OldFreshState(const Case& c, uint64_t seed) {
     }
     case Family::kLotrMember:
       s.Add("lotr_core", Tensor::Zeros(Shape{r, r}));
+      break;
+    case Family::kTr: {
+      Tensor a{c.conv ? Shape{r * r, in, kKernel, kKernel}
+                      : Shape{r, in, r}};
+      FillNormal(a, rng, 0.0f, 1.0f / std::sqrt(static_cast<float>(fan)));
+      s.Add("core_a", a);
+      s.Add("core_b", Tensor::Zeros(Shape{r, out, r}));
+      break;
+    }
+    case Family::kMultiSum:
+    case Family::kMultiOracle:
+      for (int e = 0; e < kTasks; ++e) {
+        const std::string id = std::to_string(e);
+        Tensor a{c.conv ? Shape{kBranchRank, in, kKernel, kKernel}
+                        : Shape{kBranchRank, in}};
+        KaimingNormal(a, rng, fan);
+        s.Add("lora_a" + id, a);
+        s.Add("lora_b" + id, Tensor::Zeros(Shape{out, kBranchRank}));
+        if (c.family == Family::kMultiSum) {
+          s.Add("scale" + id, Tensor::Ones(Shape{1}));
+        }
+      }
+      break;
+    case Family::kMoe:
+      // The gate draws first; its parameters list after the base's.
+      gate = std::make_unique<nn::Linear>(kFeatDim, kTasks, /*bias=*/true,
+                                          rng);
+      for (int e = 0; e < kTasks; ++e) {
+        const std::string id = std::to_string(e);
+        Tensor a{down_shape};
+        KaimingNormal(a, rng, fan);
+        s.Add("lora_a" + id, a);
+        s.Add("lora_b" + id, Tensor::Zeros(Shape{out, r}));
+      }
       break;
     case Family::kTt:
     case Family::kMetaTt: {
@@ -344,7 +515,7 @@ FreshState OldFreshState(const Case& c, uint64_t seed) {
     }
   }
   // NamedParameters lists a module's own parameters before its children's
-  // (registration order: base, then mapping).
+  // (registration order: base, then gate or mapping).
   std::unique_ptr<nn::Module> base;
   if (c.conv) {
     base = BaseConv();
@@ -352,8 +523,12 @@ FreshState OldFreshState(const Case& c, uint64_t seed) {
     base = BaseLinear();
   }
   s.AddModule("base/", *base);
-  if (Seeded(c.family)) {
-    MappingNet mapping(kFeatDim, kHidden, r, SeedShape::kVector, rng);
+  if (gate != nullptr) s.AddModule("gate/", *gate);
+  if (Generates(c.family)) {
+    MappingNet mapping(kFeatDim, kHidden, r,
+                       c.family == Family::kTr ? SeedShape::kMatrix
+                                               : SeedShape::kVector,
+                       rng);
     s.AddModule("mapping/", mapping);
   }
   return s;
@@ -420,7 +595,7 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
   PerturbAll(b, 0.3f);
   const Tensor x0 = Input(c, Rows(), 5);
   const Variable features = Features(2, 6);
-  if (Seeded(c.family)) b.adapter->SetFeatures(features);
+  Bind(*b.adapter, features, Rows());
 
   const Pass got_pass =
       RunPass(b, x0, [&](const Variable& x) { return b.adapter->Forward(x); });
@@ -444,7 +619,7 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
   const Tensor warm = b.adapter->Forward(x).value().Clone();
   EXPECT_TRUE(BytesEqual(cold, want_y)) << "cold no-grad output";
   EXPECT_TRUE(BytesEqual(warm, want_y)) << "warm no-grad output";
-  if (Seeded(c.family)) {
+  if (Generates(c.family)) {
     EXPECT_EQ(b.adapter->conditioning_cache()->stats().hits, 1);
   } else {
     EXPECT_EQ(b.adapter->conditioning_cache(), nullptr);
@@ -455,14 +630,17 @@ TEST_P(TnAdapterTest, StartsAtPretrainedPoint) {
   const Case c = GetParam();
   Built b = Build(c);
   const Variable x(Input(c, Rows(), 3), false);
-  b.adapter->SetFeatures(Features(2, 4));
+  Bind(*b.adapter, Features(2, 4), Rows());
   autograd::NoGradGuard g;
   const Tensor out = b.adapter->Forward(x).value();
   const Tensor base_out = b.adapter->base()->Forward(x).value();
   EXPECT_TRUE(AllClose(out, base_out, 1e-6f, 1e-6f));
 }
 
-TEST_P(TnAdapterTest, ForwardMatchesDeltaWeight) {
+/// The single-branch chains: a branch sum has no single ΔW.
+class SingleBranchTnAdapterTest : public TnAdapterTest {};
+
+TEST_P(SingleBranchTnAdapterTest, ForwardMatchesDeltaWeight) {
   const Case c = GetParam();
   Built b = Build(c);
   PerturbAll(b, 0.5f);
@@ -474,8 +652,8 @@ TEST_P(TnAdapterTest, ForwardMatchesDeltaWeight) {
   const Tensor out = b.adapter->Forward(Variable(x, false)).value();
   const Tensor base_out =
       b.adapter->base()->Forward(Variable(x, false)).value();
-  Tensor seeds;
-  if (Seeded(c.family)) {
+  Tensor seeds;  // [N, R], or TR's ring cores [N, R, R]
+  if (Generates(c.family)) {
     seeds = b.adapter->mapping_net()->Forward(features).value();
   }
   // The tighter of the per-family bounds this check had before the chain
@@ -483,13 +661,14 @@ TEST_P(TnAdapterTest, ForwardMatchesDeltaWeight) {
   auto tol = [](double delta) {
     return std::min(2e-4, 1e-4 + 1e-4 * std::abs(delta));
   };
-  const ConvGeom geom{kKernel, kKernel, 1, 1};
   for (int64_t s = 0; s < n; ++s) {
     Tensor delta;
     if (seeds.defined()) {
-      Tensor seed{Shape{kRank}};
-      for (int64_t r = 0; r < kRank; ++r) {
-        seed.flat(r) = seeds.flat(s * kRank + r);
+      Tensor seed{c.family == Family::kTr ? Shape{kRank, kRank}
+                                          : Shape{kRank}};
+      const int64_t len = seed.numel();
+      for (int64_t r = 0; r < len; ++r) {
+        seed.flat(r) = seeds.flat(s * len + r);
       }
       delta = b.adapter->DeltaWeight(&seed);
     } else {
@@ -501,7 +680,7 @@ TEST_P(TnAdapterTest, ForwardMatchesDeltaWeight) {
       Tensor xs{Shape{1, kInCh, 5, 5}};
       std::copy(x.data() + s * in_plane, x.data() + (s + 1) * in_plane,
                 xs.data());
-      const Tensor ds = Conv2dForward(xs, delta, Tensor(), geom);
+      const Tensor ds = Conv2dForward(xs, delta, Tensor(), kGeom);
       for (int64_t k = 0; k < out_plane; ++k) {
         EXPECT_NEAR(out.flat(s * out_plane + k),
                     base_out.flat(s * out_plane + k) + ds.flat(k),
@@ -551,9 +730,27 @@ TEST_P(TnAdapterTest, ParamCountMatchesClosedForm) {
       want = c.conv ? tn::TtConvParams(kKernel, kInCh, kOutCh, r)
                     : tn::TtLinearParams(kIn, kOut, r);
       break;
+    case Family::kTr:
+      want = c.conv ? tn::MetaLoraTrConvParams(kKernel, kInCh, kOutCh, r)
+                    : tn::MetaLoraTrLinearParams(kIn, kOut, r);
+      break;
+    case Family::kMultiSum:
+    case Family::kMultiOracle:
+    case Family::kMoe: {
+      const int64_t br = c.family == Family::kMoe ? r : kBranchRank;
+      want = kTasks * (c.conv ? tn::ConvLoraParams(kKernel, kInCh, kOutCh, br)
+                              : tn::LoraLinearParams(kIn, kOut, br));
+      if (c.family == Family::kMultiSum) want += kTasks;  // branch scales
+      // The gate is a Linear{F, E} with bias.
+      if (c.family == Family::kMoe) want += kFeatDim * kTasks + kTasks;
+      break;
+    }
   }
-  // The mapping net is an Mlp{F, H, R} with biases.
-  if (Seeded(c.family)) want += kFeatDim * kHidden + kHidden + kHidden * r + r;
+  // The mapping net is an Mlp{F, H, R} (TR: R² outputs) with biases.
+  const int64_t seed_len = c.family == Family::kTr ? r * r : r;
+  if (Generates(c.family)) {
+    want += kFeatDim * kHidden + kHidden + kHidden * seed_len + seed_len;
+  }
   EXPECT_EQ(b.adapter->AdapterParamCount(), want);
   // Counts agree with the module's own trainable registry; the base is
   // frozen.
@@ -572,7 +769,7 @@ TEST_P(TnAdapterTest, GradientsMatchFiniteDifference) {
   PerturbAll(b, 0.5f, /*mapping=*/false);
   TnAdapter& a = *b.adapter;
   const Variable x(Input(c, 2, 13), false);
-  a.SetFeatures(Features(2, 14));
+  Bind(a, Features(2, 14), 2);
   auto loss = [&] {
     Variable y = a.Forward(x);
     return autograd::SumAll(autograd::Mul(y, y));
@@ -603,7 +800,7 @@ TEST_P(TnAdapterTest, GradientsMatchFiniteDifference) {
   }
   EXPECT_GT(checked, 0);
   // The meta-learning signal reaches the mapping net.
-  if (Seeded(c.family)) {
+  if (Generates(c.family)) {
     EXPECT_TRUE(Param(a, "mapping/mlp/fc0/weight").grad().defined());
   }
 }
@@ -612,7 +809,7 @@ TEST_P(TnAdapterTest, GradientsMatchFiniteDifference) {
 TEST_P(TnAdapterTest, MergeUnmergeRoundTrip) {
   const Case c = GetParam();
   Built b = Build(c);
-  if (Seeded(c.family)) {
+  if (Conditioned(c.family) || Branched(c.family)) {
     EXPECT_DEATH(b.adapter->Merge(), "cannot merge");
     return;
   }
@@ -638,16 +835,16 @@ TEST_P(TnAdapterTest, MergeUnmergeRoundTrip) {
   EXPECT_TRUE(AllClose(b.adapter->Forward(x).value(), before, tol, tol));
 }
 
-class SeededTnAdapterTest : public TnAdapterTest {};
+class ConditionedTnAdapterTest : public TnAdapterTest {};
 
-TEST_P(SeededTnAdapterTest, ForwardWithoutFeaturesDies) {
+TEST_P(ConditionedTnAdapterTest, ForwardWithoutFeaturesDies) {
   const Case c = GetParam();
   Built b = Build(c);
   const Variable x(Input(c, 2, 1), false);
   EXPECT_DEATH(b.adapter->Forward(x), "SetFeatures");
 }
 
-TEST_P(SeededTnAdapterTest, FeatureBatchMismatchDies) {
+TEST_P(ConditionedTnAdapterTest, FeatureBatchMismatchDies) {
   const Case c = GetParam();
   Built b = Build(c);
   b.adapter->SetFeatures(Features(2, 10));
@@ -736,12 +933,20 @@ INSTANTIATE_TEST_SUITE_P(
     Chains, TnAdapterTest,
     ::testing::ValuesIn(Cases({Family::kLora, Family::kCp, Family::kLotrOwner,
                                Family::kLotrMember, Family::kMetaLotr,
-                               Family::kTt, Family::kMetaTt})),
+                               Family::kTt, Family::kMetaTt, Family::kTr,
+                               Family::kMultiSum, Family::kMultiOracle,
+                               Family::kMoe})),
     CaseName);
 INSTANTIATE_TEST_SUITE_P(
-    Chains, SeededTnAdapterTest,
+    Chains, SingleBranchTnAdapterTest,
+    ::testing::ValuesIn(Cases({Family::kLora, Family::kCp, Family::kLotrOwner,
+                               Family::kLotrMember, Family::kMetaLotr,
+                               Family::kTt, Family::kMetaTt, Family::kTr})),
+    CaseName);
+INSTANTIATE_TEST_SUITE_P(
+    Chains, ConditionedTnAdapterTest,
     ::testing::ValuesIn(Cases({Family::kCp, Family::kMetaLotr,
-                               Family::kMetaTt})),
+                               Family::kMetaTt, Family::kTr, Family::kMoe})),
     CaseName);
 INSTANTIATE_TEST_SUITE_P(Chains, LotrMemberTest,
                          ::testing::ValuesIn(Cases({Family::kLotrMember})),

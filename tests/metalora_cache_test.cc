@@ -1,7 +1,7 @@
-// Conditioning-keyed ΔW/seed cache: repeated no-grad forwards with the same
-// features must hit the cache and return byte-identical outputs; any
-// optimizer step must invalidate; adapters must never share entries; and
-// training-mode forwards must bypass the cache entirely.
+// Conditioning-keyed cache of generated factors: repeated no-grad forwards
+// with the same features must hit the cache and return byte-identical
+// outputs; any optimizer step must invalidate; adapters must never share
+// entries; and training-mode forwards must bypass the cache entirely.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +15,6 @@
 #include "autograd/runtime_context.h"
 #include "common/rng.h"
 #include "core/conditioning_cache.h"
-#include "core/metalora_conv.h"
-#include "core/metalora_linear.h"
 #include "core/tn_adapter.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -73,8 +71,7 @@ Variable RandFeatures(int64_t n, uint64_t seed) {
 
 // Runs `adapter` twice on the same (features, x) in no-grad mode and
 // checks hit/miss accounting plus warm/cold bit-identity.
-template <typename AdapterT>
-void ExpectWarmHitBitIdentical(AdapterT& adapter, const Variable& x) {
+void ExpectWarmHitBitIdentical(TnAdapter& adapter, const Variable& x) {
   adapter.SetFeatures(RandFeatures(x.dim(0), 21));
   autograd::NoGradGuard ng;
   Variable y1 = adapter.Forward(x);
@@ -104,7 +101,7 @@ TEST(MetaLoraCache, CpLinearWarmHitBitIdentical) {
 }
 
 TEST(MetaLoraCache, TrLinearWarmHitBitIdentical) {
-  MetaLoraTrLinear adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
+  TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   RandomizeFactors(adapter, 6);
   Rng rng(32);
   Variable x(RandomUniform(Shape{6, 5}, rng, -1.0f, 1.0f), false);
@@ -120,7 +117,7 @@ TEST(MetaLoraCache, CpConvWarmHitBitIdentical) {
 }
 
 TEST(MetaLoraCache, TrConvWarmHitBitIdentical) {
-  MetaLoraTrConv adapter(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr));
+  TnAdapter adapter(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr));
   RandomizeFactors(adapter, 8);
   Rng rng(34);
   Variable x(RandomUniform(Shape{3, 2, 5, 5}, rng, -1.0f, 1.0f), false);
@@ -130,7 +127,7 @@ TEST(MetaLoraCache, TrConvWarmHitBitIdentical) {
 TEST(MetaLoraCache, TrLinearSeedRepetitionAligns) {
   // Token-wise layers see x with more rows than the feature batch; the
   // cached recovery weights must align the same way the cold path does.
-  MetaLoraTrLinear adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
+  TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   RandomizeFactors(adapter, 9);
   adapter.SetFeatures(RandFeatures(2, 22));
   Rng rng(35);
@@ -288,7 +285,7 @@ TEST(MetaLoraCache, WorkingSetAtCapacityKeepsHitting) {
     feats.push_back(RandFeatures(2, 100 + static_cast<uint64_t>(i)).value());
   }
   for (const Tensor& f : feats) {
-    cache.Insert(ConditioningChecksum(f, salt), f, f, Tensor(), version);
+    cache.Insert(ConditioningChecksum(f, salt), f, f, version);
   }
   for (int round = 0; round < 3; ++round) {
     for (const Tensor& f : feats) {
@@ -317,7 +314,7 @@ TEST(MetaLoraCache, OverflowEvictsOldestEntryOnly) {
     feats.push_back(RandFeatures(2, 200 + static_cast<uint64_t>(i)).value());
   }
   for (const Tensor& f : feats) {
-    cache.Insert(ConditioningChecksum(f, salt), f, f, Tensor(), version);
+    cache.Insert(ConditioningChecksum(f, salt), f, f, version);
   }
   EXPECT_EQ(cache.size(), kCap);
   EXPECT_EQ(cache.stats().evictions, 1);
@@ -345,9 +342,9 @@ TEST(MetaLoraCache, ReinsertOfLiveKeyDoesNotEvict) {
   const uint64_t version = autograd::GlobalParameterVersion();
   Tensor f1 = RandFeatures(2, 301).value();
   Tensor f2 = RandFeatures(2, 302).value();
-  cache.Insert(ConditioningChecksum(f1, salt), f1, f1, Tensor(), version);
-  cache.Insert(ConditioningChecksum(f2, salt), f2, f2, Tensor(), version);
-  cache.Insert(ConditioningChecksum(f1, salt), f1, f1, Tensor(), version);
+  cache.Insert(ConditioningChecksum(f1, salt), f1, f1, version);
+  cache.Insert(ConditioningChecksum(f2, salt), f2, f2, version);
+  cache.Insert(ConditioningChecksum(f1, salt), f1, f1, version);
   EXPECT_EQ(cache.size(), 2);
   EXPECT_EQ(cache.stats().evictions, 0);
 }
@@ -369,7 +366,7 @@ TEST(MetaLoraCache, StepDuringComputeSkipsInsert) {
     autograd::BumpParameterVersion();  // a Step() lands mid-compute
     return RandFeatures(2, 400);
   };
-  cache.SeedOrCompute(salt, feats, compute_with_step);
+  cache.GetOrCompute(salt, feats, compute_with_step);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(cache.size(), 0) << "stale seed must not be cached";
   EXPECT_EQ(cache.stats().stale_insert_skips, 1);
@@ -380,17 +377,17 @@ TEST(MetaLoraCache, StepDuringComputeSkipsInsert) {
     ++computes;
     return RandFeatures(2, 400);
   };
-  cache.SeedOrCompute(salt, feats, compute_clean);
+  cache.GetOrCompute(salt, feats, compute_clean);
   EXPECT_EQ(computes, 2) << "a stale entry was served from the cache";
   EXPECT_EQ(cache.size(), 1);
-  cache.SeedOrCompute(salt, feats, compute_clean);
+  cache.GetOrCompute(salt, feats, compute_clean);
   EXPECT_EQ(computes, 2);
   EXPECT_EQ(cache.stats().hits, 1);
 }
 
 TEST(MetaLoraCache, ConcurrentStepNeverServesStaleSeed) {
   // TSan-facing variant: a thread hammers BumpParameterVersion while the
-  // main thread runs SeedOrCompute in a loop. Each computed seed embeds
+  // main thread runs GetOrCompute in a loop. Each computed seed embeds
   // the version read when its compute started; whenever a call window saw
   // no concurrent bump, a cache hit must return a seed computed at exactly
   // the current version — the pre-fix stamp-after-compute bug could
@@ -411,7 +408,7 @@ TEST(MetaLoraCache, ConcurrentStepNeverServesStaleSeed) {
   for (int i = 0; i < 500; ++i) {
     const uint64_t before = autograd::GlobalParameterVersion();
     const int64_t hits_before = cache.stats().hits;
-    Variable seed = cache.SeedOrCompute(salt, feats, [&] {
+    Variable seed = cache.GetOrCompute(salt, feats, [&] {
       // Pack the raw version bytes (floats can't hold a large counter
       // exactly) so the assertion below can recover it losslessly.
       Tensor t{Shape{1, 2}};
@@ -440,7 +437,7 @@ TEST(MetaLoraCache, ConcurrentLookupsAndInserts) {
   // mutex.
   constexpr int kThreads = 4;
   constexpr int kRounds = 8;
-  MetaLoraTrLinear adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
+  TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   RandomizeFactors(adapter, 13);
   adapter.EnsureReplicaSlots(kThreads);
   Rng rng(39);

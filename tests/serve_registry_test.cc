@@ -218,7 +218,7 @@ TEST(AdapterSpecValidation, OutOfRangeRankRejected) {
 TEST(AdapterSpecValidation, ConditionedKindsRequireFeatureDim) {
   for (AdapterKind kind :
        {AdapterKind::kMetaLoraCp, AdapterKind::kMetaLoraTr,
-        AdapterKind::kMetaLotr, AdapterKind::kMetaTt}) {
+        AdapterKind::kMoeLora, AdapterKind::kMetaLotr, AdapterKind::kMetaTt}) {
     SCOPED_TRACE(core::AdapterKindName(kind));
     AdapterSpec spec = TenantSpec(11);
     spec.options.kind = kind;
@@ -227,6 +227,28 @@ TEST(AdapterSpecValidation, ConditionedKindsRequireFeatureDim) {
     spec.options.feature_dim = kFeatDim;
     spec.options.mapping_hidden = -3;
     ExpectRejectedNaming(spec, "options.mapping_hidden");
+  }
+}
+
+TEST(AdapterSpecValidation, UnknownMultiLoraModeRejected) {
+  // An out-of-range mode used to build with no branch scale registered and
+  // segfault on the first Forward.
+  AdapterSpec spec = LinearAdapterSpec(AdapterKind::kMultiLora, kLinearIn,
+                                       kLinearOut, /*rank=*/2, kFeatDim,
+                                       /*seed=*/11);
+  spec.options.multi_lora_mode = static_cast<core::MultiLoraMode>(7);
+  ExpectRejectedNaming(spec, "options.multi_lora_mode");
+}
+
+TEST(AdapterSpecValidation, OutOfRangeNumTasksRejected) {
+  for (AdapterKind kind : {AdapterKind::kMultiLora, AdapterKind::kMoeLora}) {
+    SCOPED_TRACE(core::AdapterKindName(kind));
+    AdapterSpec spec = LinearAdapterSpec(kind, kLinearIn, kLinearOut,
+                                         /*rank=*/2, kFeatDim, /*seed=*/11);
+    spec.options.num_tasks = 0;
+    ExpectRejectedNaming(spec, "options.num_tasks");
+    spec.options.num_tasks = 1 << 30;  // one factor set per branch
+    ExpectRejectedNaming(spec, "options.num_tasks");
   }
 }
 

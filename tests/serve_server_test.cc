@@ -21,9 +21,6 @@
 #include "autograd/variable.h"
 #include "common/bounded_queue.h"
 #include "common/rng.h"
-#include "core/metalora_conv.h"
-#include "core/metalora_linear.h"
-#include "core/moe_lora.h"
 #include "core/precision_shadows.h"
 #include "core/tn_adapter.h"
 #include "eval/batch_assembly.h"
@@ -137,16 +134,14 @@ TEST(BatchAssembly, ConcatSplitRoundTrip4d) {
 TEST(AdapterServer, BatchedMatchesSerialBitIdentical) {
   // Served instances.
   core::TnAdapter cp_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
-  core::MetaLoraTrLinear tr_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
+  core::TnAdapter tr_lin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   core::TnAdapter cp_conv(BaseConv(), MetaOpts(AdapterKind::kMetaLoraCp));
-  core::MetaLoraTrConv tr_conv(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr));
+  core::TnAdapter tr_conv(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr));
   // Twin instances for the serial reference (identical construction).
   core::TnAdapter cp_lin_ref(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
-  core::MetaLoraTrLinear tr_lin_ref(BaseLinear(),
-                                    MetaOpts(AdapterKind::kMetaLoraTr));
+  core::TnAdapter tr_lin_ref(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   core::TnAdapter cp_conv_ref(BaseConv(), MetaOpts(AdapterKind::kMetaLoraCp));
-  core::MetaLoraTrConv tr_conv_ref(BaseConv(),
-                                   MetaOpts(AdapterKind::kMetaLoraTr));
+  core::TnAdapter tr_conv_ref(BaseConv(), MetaOpts(AdapterKind::kMetaLoraTr));
   for (auto* m : std::initializer_list<nn::Module*>{&cp_lin, &cp_lin_ref}) {
     RandomizeFactors(*m, 21);
   }
@@ -438,8 +433,8 @@ TEST(AdapterServer, AutocastTierMatchesOneAtATimeAndCountsDispatch) {
 TEST(AdapterServer, MoeAndMultiRowRequestsMatchSerial) {
   AdapterOptions moe_opts = MetaOpts(AdapterKind::kMoeLora);
   moe_opts.num_tasks = 2;
-  core::MoeLoraLinear adapter(BaseLinear(), moe_opts);
-  core::MoeLoraLinear twin(BaseLinear(), moe_opts);
+  core::TnAdapter adapter(BaseLinear(), moe_opts);
+  core::TnAdapter twin(BaseLinear(), moe_opts);
   // The per-expert up-projections (lora_b0, lora_b1) start at zero.
   for (nn::Module* m : {static_cast<nn::Module*>(&adapter),
                         static_cast<nn::Module*>(&twin)}) {
@@ -471,9 +466,8 @@ TEST(AdapterServer, MoeAndMultiRowRequestsMatchSerial) {
 // stale, so the repeat recomputes on the new weights instead of replaying
 // the old ones. A twin adapter given the same step is the reference.
 TEST(AdapterServer, OptimizerStepBetweenRepeatsChangesServedBytes) {
-  core::MetaLoraTrLinear adapter(BaseLinear(),
-                                 MetaOpts(AdapterKind::kMetaLoraTr));
-  core::MetaLoraTrLinear twin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
+  core::TnAdapter adapter(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
+  core::TnAdapter twin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraTr));
   RandomizeFactors(adapter, 51);
   RandomizeFactors(twin, 51);
   AdapterServerOptions opts;
@@ -491,7 +485,7 @@ TEST(AdapterServer, OptimizerStepBetweenRepeatsChangesServedBytes) {
 
   // The same training step on both instances; the server is idle here (every
   // submitted future has resolved), so the adapter is not mid-forward.
-  for (core::MetaLoraTrLinear* a : {&adapter, &twin}) {
+  for (core::TnAdapter* a : {&adapter, &twin}) {
     a->SetFeatures(Variable(f, /*requires_grad=*/false));
     Variable loss =
         autograd::SumAll(a->Forward(Variable(x, /*requires_grad=*/false)));
