@@ -9,6 +9,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "core/tn_adapter.h"
+#include "eval/knn.h"
 #include "nn/attention.h"
 #include "nn/resnet.h"
 #include "tensor/conv_ops.h"
@@ -225,6 +226,27 @@ void BM_TuckerReconstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TuckerReconstruct)->Arg(2)->Arg(8);
+
+// The KNN head of the `serve_image` workload (bench/suite): queries
+// against a 1024×32 reference bank at k = 5. One query is a served
+// request, 256 one query block of the Table-I evaluation.
+void BM_KnnClassify(benchmark::State& state) {
+  const int64_t queries = state.range(0);
+  Rng rng(15);
+  Tensor bank = RandomNormal(Shape{1024, 32}, rng);
+  Tensor query = RandomNormal(Shape{queries, 32}, rng);
+  const std::vector<int64_t> query_labels(static_cast<size_t>(queries), 0);
+  std::vector<int64_t> bank_labels(1024);
+  for (size_t i = 0; i < bank_labels.size(); ++i) {
+    bank_labels[i] = static_cast<int64_t>(i % 6);
+  }
+  for (auto _ : state) {
+    auto r = eval::KnnClassify(bank, bank_labels, query, query_labels, {.k = 5});
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations() * queries);
+}
+BENCHMARK(BM_KnnClassify)->ArgName("queries")->Arg(1)->Arg(256);
 
 void BM_ResNetForwardBackward(benchmark::State& state) {
   nn::ResNetConfig c;

@@ -1,5 +1,7 @@
 #include "data/dataloader.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "tensor/tensor_ops.h"
 
@@ -49,6 +51,7 @@ Batch DataLoader::GetBatchSlice(int64_t b, int64_t lo, int64_t hi) const {
     batch.labels.push_back(dataset_->labels[static_cast<size_t>(r)]);
     batch.task_ids.push_back(dataset_->task_ids[static_cast<size_t>(r)]);
   }
+  batch.rows = std::move(rows);
   return batch;
 }
 

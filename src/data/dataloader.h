@@ -15,6 +15,7 @@ struct Batch {
   Tensor images;                  // [B, C, H, W]
   std::vector<int64_t> labels;    // size B
   std::vector<int64_t> task_ids;  // size B
+  std::vector<int64_t> rows;      // size B: each sample's dataset row
   int64_t size() const { return images.defined() ? images.dim(0) : 0; }
 };
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <utility>
+#include <vector>
 
 #include "autograd/parallel.h"
 #include "autograd/runtime_context.h"
@@ -34,14 +35,30 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
   }
   const int k = std::min<int>(options.k, static_cast<int>(m));
 
-  // Row norms, then cross products: dist² = |q|² + |r|² - 2 q·r.
+  // Row norms, then cross products: dist² = |q|² + |r|² - 2 q·r. Norms
+  // run kNormRows rows at a time so their independent chains overlap; each
+  // row still sums j = 0..d-1 in order into its own double.
+  constexpr int64_t kNormRows = 4;
   std::vector<double> ref_norm(static_cast<size_t>(m));
   const float* pr = ref_features.data();
-  for (int64_t i = 0; i < m; ++i) {
+  int64_t i0 = 0;
+  for (; i0 + kNormRows <= m; i0 += kNormRows) {
+    double acc[kNormRows] = {};
+    for (int64_t j = 0; j < d; ++j) {
+      for (int64_t r = 0; r < kNormRows; ++r) {
+        const double v = pr[(i0 + r) * d + j];
+        acc[r] += v * v;
+      }
+    }
+    for (int64_t r = 0; r < kNormRows; ++r) {
+      ref_norm[static_cast<size_t>(i0 + r)] = acc[r];
+    }
+  }
+  for (; i0 < m; ++i0) {
     double acc = 0;
-    const float* row = pr + i * d;
+    const float* row = pr + i0 * d;
     for (int64_t j = 0; j < d; ++j) acc += static_cast<double>(row[j]) * row[j];
-    ref_norm[static_cast<size_t>(i)] = acc;
+    ref_norm[static_cast<size_t>(i0)] = acc;
   }
 
   // Cross products [N, D] x [M, D]ᵀ, computed in query blocks so peak memory
@@ -90,7 +107,10 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
         }
         const float* pd = dots.data();
         int64_t correct = 0;
-        std::vector<std::pair<double, int64_t>> cand;
+        // The k nearest so far, ascending in (dist, index) — the order
+        // partial_sort over all m candidates would give them.
+        std::vector<std::pair<double, int64_t>> nearest;
+        nearest.reserve(static_cast<size_t>(k));
         for (int64_t q = lo; q < hi; ++q) {
           double qn = 0;
           const float* qrow = pq + q * d;
@@ -98,8 +118,7 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
             qn += static_cast<double>(qrow[j]) * qrow[j];
           }
 
-          cand.clear();
-          cand.reserve(static_cast<size_t>(m));
+          nearest.clear();
           const float* drow = pd + (q - lo) * m;
           for (int64_t i = 0; i < m; ++i) {
             double dist;
@@ -111,23 +130,29 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
                   std::sqrt(std::max(ref_norm[static_cast<size_t>(i)], 1e-12));
               dist = 1.0 - static_cast<double>(drow[i]) / denom;
             }
-            cand.emplace_back(dist, i);
+            // Indices rise, so a candidate that ties the current k-th
+            // distance orders after it and stays out.
+            const std::pair<double, int64_t> cand(dist, i);
+            if (static_cast<int>(nearest.size()) == k) {
+              if (!(cand < nearest.back())) continue;
+              nearest.pop_back();
+            }
+            nearest.insert(
+                std::upper_bound(nearest.begin(), nearest.end(), cand), cand);
           }
-          std::partial_sort(cand.begin(), cand.begin() + k, cand.end());
 
           // Majority vote; ties resolved toward the class of the nearest
-          // member.
-          std::map<int64_t, int> votes;
-          for (int i = 0; i < k; ++i) {
-            ++votes[ref_labels[static_cast<size_t>(
-                cand[static_cast<size_t>(i)].second)]];
-          }
-          int best_count = -1;
+          // member: the first label, in nearest order, with the top count.
+          int best_count = 0;
           int64_t best_label = -1;
-          for (int i = 0; i < k; ++i) {
+          for (int a = 0; a < k; ++a) {
             const int64_t label = ref_labels[static_cast<size_t>(
-                cand[static_cast<size_t>(i)].second)];
-            const int count = votes[label];
+                nearest[static_cast<size_t>(a)].second)];
+            int count = 0;
+            for (int b = 0; b < k; ++b) {
+              count += ref_labels[static_cast<size_t>(
+                           nearest[static_cast<size_t>(b)].second)] == label;
+            }
             if (count > best_count) {
               best_count = count;
               best_label = label;

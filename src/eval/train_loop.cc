@@ -36,11 +36,25 @@ bool HasActiveDropout(nn::Module* m) {
   return false;
 }
 
-// The legacy single-replica loop, preserved verbatim: num_replicas == 1
-// must stay bit-identical to the trainer before replicas existed.
+// Binds a batch's adaptation context: its rows of the conditioning table
+// (when the adapters are conditioned) and its oracle task ids. Runs on the
+// context the step's forward will run on, so the binding lands in that
+// replica's slot.
+void BindBatch(const AdaptContext& ctx, const Tensor& cond,
+               const data::Batch& batch) {
+  if (cond.defined()) {
+    ctx.injection.BindFeatures(
+        nn::Variable(GatherRows(cond, batch.rows), /*requires_grad=*/false));
+  }
+  ctx.injection.BindTaskIds(batch.task_ids);
+}
+
+// The single-replica loop: num_replicas == 1 must stay bit-identical to
+// the trainer before replicas existed.
 Result<TrainStats> RunSingle(Backbone& backbone,
                              const data::MultiTaskDataset& train,
-                             const TrainOptions& options, AdaptContext* ctx) {
+                             const TrainOptions& options, AdaptContext* ctx,
+                             const Tensor& cond) {
   const bool adapting = ctx != nullptr;
 
   std::vector<nn::Variable> trainable;
@@ -84,14 +98,7 @@ Result<TrainStats> RunSingle(Backbone& backbone,
       data::Batch batch = loader.GetBatch(b);
       nn::Variable x(batch.images, /*requires_grad=*/false);
 
-      if (adapting) {
-        if (ctx->extractor != nullptr) {
-          Tensor feats = ctx->extractor->Extract(batch.images);
-          ctx->injection.BindFeatures(
-              nn::Variable(std::move(feats), /*requires_grad=*/false));
-        }
-        ctx->injection.BindTaskIds(batch.task_ids);
-      }
+      if (adapting) BindBatch(*ctx, cond, batch);
 
       nn::Variable logits = backbone.forward_logits(x);
       nn::Variable loss = autograd::SoftmaxCrossEntropy(logits, batch.labels);
@@ -161,7 +168,7 @@ void MergeSinks(autograd::GradSink* dst, autograd::GradSink* src) {
 Result<TrainStats> RunReplicated(Backbone& backbone,
                                  const data::MultiTaskDataset& train,
                                  const TrainOptions& options,
-                                 AdaptContext* ctx) {
+                                 AdaptContext* ctx, const Tensor& cond) {
   const bool adapting = ctx != nullptr;
   const int shards = options.grad_shards;
   if (shards < 2) {
@@ -257,14 +264,7 @@ Result<TrainStats> RunReplicated(Backbone& backbone,
 
           data::Batch shard = loader.GetBatchSlice(b, lo, hi);
           nn::Variable x(shard.images, /*requires_grad=*/false);
-          if (adapting) {
-            if (ctx->extractor != nullptr) {
-              Tensor feats = ctx->extractor->Extract(shard.images);
-              ctx->injection.BindFeatures(
-                  nn::Variable(std::move(feats), /*requires_grad=*/false));
-            }
-            ctx->injection.BindTaskIds(shard.task_ids);
-          }
+          if (adapting) BindBatch(*ctx, cond, shard);
 
           nn::Variable logits = backbone.forward_logits(x);
           nn::Variable loss =
@@ -383,9 +383,20 @@ Result<TrainStats> TrainLoop(Backbone& backbone,
   // backbone statistics by staying in eval mode.
   backbone.module->SetTraining(!adapting);
 
+  // The conditioning table: the extractor is frozen and maps each row on
+  // its own, so every training row is embedded once, here, and each step
+  // gathers its rows — the bytes a per-batch Extract would produce. A
+  // fresh context, as Extract uses, keeps the caller's autocast out.
+  Tensor cond;
+  if (adapting && ctx->extractor != nullptr) {
+    autograd::RuntimeContext extract_ctx;
+    autograd::RuntimeContextScope scope(&extract_ctx);
+    cond = ctx->extractor->ExtractAll(train.images, options.batch_size);
+  }
+
   return options.num_replicas == 1
-             ? RunSingle(backbone, train, options, ctx)
-             : RunReplicated(backbone, train, options, ctx);
+             ? RunSingle(backbone, train, options, ctx, cond)
+             : RunReplicated(backbone, train, options, ctx, cond);
 }
 
 }  // namespace eval

@@ -110,12 +110,19 @@ Result<TrainStats> PretrainBackbone(Backbone& backbone,
 /// for MetaLoRA, the frozen extractor producing conditioning features.
 struct AdaptContext {
   core::InjectionResult injection;
-  const core::FeatureExtractor* extractor = nullptr;  // MetaLoRA only
+  /// MetaLoRA only. AdaptModel runs it once per training row, before
+  /// epoch 1, and binds each batch's rows of that table, so it must be a
+  /// pure per-row function: frozen, in eval mode, and mapping each image
+  /// to the same features whatever batch it arrives in.
+  const core::FeatureExtractor* extractor = nullptr;
 };
 
 /// Trains only requires_grad parameters (adapters + mapping nets) with the
-/// backbone in eval mode (frozen batch-norm statistics). Binds conditioning
-/// features / oracle task ids on every batch.
+/// backbone in eval mode (frozen batch-norm statistics). With an
+/// extractor, embeds every training row once before epoch 1
+/// (ExtractAll); each batch then binds its rows of that table as
+/// conditioning features, byte-equal to extracting the batch. Binds
+/// oracle task ids on every batch.
 Result<TrainStats> AdaptModel(Backbone& backbone,
                               const data::MultiTaskDataset& train,
                               const TrainOptions& options, AdaptContext* ctx);

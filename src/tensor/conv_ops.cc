@@ -165,20 +165,27 @@ void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
   }
 
   const int64_t out_spatial = ho * wo;
+  const int64_t col_rows = c * g.kernel_h * g.kernel_w;
   // weight viewed as [O, C*Kh*Kw]; per-sample: out_n = W_mat · cols, with
-  // cols lowered from the sample as the GEMM packs it.
-  const float* wmat = weight.data();
+  // cols lowered from the sample as the GEMM packs it. W_mat is the same
+  // for every sample, so it is packed once for the whole call (bf16 tier
+  // for kBf16, and for kInt8 too: conv caps at bf16).
+  const bool fp32 = precision == OpPrecision::kFp32;
+  const gemm_detail::PackedA wmat =
+      fp32 ? gemm_detail::PackAOnce(weight.data(), false, o, col_rows,
+                                    out_spatial)
+           : gemm_detail::PackAOnceBf16(weight.data(), false, o, col_rows,
+                                        out_spatial);
   for (int64_t i = 0; i < n; ++i) {
     const Im2ColOperand cols =
         LowerSample(input.data() + i * c * h * w, c, h, w, g);
     float* out_n = out->data() + i * o * out_spatial;
     // out_n is zero-initialized by the caller's allocation.
-    if (precision == OpPrecision::kFp32) {
-      gemm_detail::GemmPackedIm2Col(wmat, false, cols, false, out_n, o,
+    if (fp32) {
+      gemm_detail::GemmPackedIm2Col(wmat, cols, false, out_n,
                                     /*accumulate=*/true);
     } else {
-      // bf16 tier (int8 requests land here too: conv caps at bf16).
-      gemm_detail::GemmPackedBf16Im2Col(wmat, false, cols, false, out_n, o,
+      gemm_detail::GemmPackedBf16Im2Col(wmat, cols, false, out_n,
                                         /*accumulate=*/true);
     }
     if (bias.defined()) {
@@ -228,13 +235,20 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   const bool pointwise = ConvIsPointwise(g);
   if (grad_input && !pointwise) tls_col_grad.Reserve(col_rows * out_spatial);
 
-  const float* wmat = weight.data();  // [o, col_rows]
+  // Wᵀ (W stored [o, col_rows]) is the input-gradient GEMM's A for every
+  // sample: packed once for the whole call.
+  gemm_detail::PackedA wt;
+  if (grad_input) {
+    wt = gemm_detail::PackAOnce(weight.data(), /*trans_a=*/true, col_rows, o,
+                                out_spatial);
+  }
   for (int64_t i = 0; i < n; ++i) {
     const float* gout = grad_output.data() + i * o * out_spatial;
     const float* in_n = input.data() + i * c * h * w;
 
     if (grad_weight) {
       // dW [o, col_rows] += gout [o, S] · colsᵀ, cols lowered at pack time.
+      // Its A is this sample's gout, so it packs per sample.
       gemm_detail::GemmPackedIm2Col(gout, /*trans_a=*/false,
                                     LowerSample(in_n, c, h, w, g),
                                     /*trans_b=*/true, grad_weight->data(), o,
@@ -242,12 +256,12 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
     }
 
     if (grad_input) {
-      // col_grad [col_rows, S] = Wᵀ (W stored [o, col_rows]) · gout [o, S],
-      // then folded back onto the input plane.
+      // col_grad [col_rows, S] = Wᵀ · gout [o, S], then folded back onto
+      // the input plane.
       float* gin_n = grad_input->data() + i * c * h * w;
       float* cgrad = pointwise ? gin_n : tls_col_grad.data();
-      GemmPacked(wmat, /*trans_a=*/true, gout, /*trans_b=*/false, cgrad,
-                 col_rows, o, out_spatial, /*accumulate=*/false);
+      gemm_detail::GemmPacked(wt, gout, /*trans_b=*/false, cgrad, out_spatial,
+                              /*accumulate=*/false);
       if (!pointwise) FoldColumns(cgrad, c, h, w, g, gin_n);
     }
 

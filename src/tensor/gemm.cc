@@ -25,7 +25,7 @@ using gemm_detail::AIndex;
 using gemm_detail::BIndex;
 using gemm_detail::MulAddStep;
 
-// Packing scratch, one pair per thread, aligned to a cache line so vector
+// Packing scratch, per thread, aligned to a cache line so vector
 // loads from packed panels never straddle lines (std::vector only
 // guarantees alignof(float) and relied on allocator luck). Workers are
 // long-lived, so the buffers amortize to zero allocations in steady
@@ -33,9 +33,12 @@ using gemm_detail::MulAddStep;
 // WorkspaceArena, held here because the tensor layer sits below autograd
 // and cannot see it. The B buffer belongs to the thread driving the GEMM
 // (workers read it through a captured pointer); the A buffer belongs to
-// whichever thread packs the row panel.
+// whichever thread packs the row panel. The shared-A buffer holds a
+// whole op(A) packed once by PackAOnce for a run of GEMMs; it belongs to
+// the thread that packed it, and workers only read it.
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_a;
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_b;
+thread_local gemm_detail::AlignedBuffer<float> tls_pack_shared_a;
 
 // Packs the mc×kc block of op(A) at (ic, pc) into micro-panels of kGemmMR
 // rows: panel q holds rows [q·MR, q·MR+MR) as kc steps of MR contiguous
@@ -319,12 +322,16 @@ METALORA_AVX2_FMA_TARGET void GemvRowsAvx2(const float* a, bool trans_a,
 // way, so the routing choice cannot change bytes.
 constexpr int64_t kGemvSerialWork = 1 << 18;
 
+GemvRowsFn ActiveGemvRows() {
+#if METALORA_GEMM_AVX2_CLONES
+  if (gemm_detail::FusedMulAdd()) return GemvRowsAvx2;
+#endif
+  return GemvRowsPortable;
+}
+
 void GemvPath(const float* a, bool trans_a, const float* x, float* y,
               int64_t n, int64_t k, bool accumulate) {
-  GemvRowsFn rows = GemvRowsPortable;
-#if METALORA_GEMM_AVX2_CLONES
-  if (gemm_detail::FusedMulAdd()) rows = GemvRowsAvx2;
-#endif
+  const GemvRowsFn rows = ActiveGemvRows();
   if (n * k <= kGemvSerialWork) {
     rows(a, trans_a, x, y, n, k, accumulate, 0, n);
     return;
@@ -347,14 +354,20 @@ std::once_flag g_autotune_once;
 constexpr double kAutotuneFlopThreshold = 1.7e7;
 
 // One blocked GEMM with an explicit tile triple, on one ISA's kernel.
-// `pack_b(pc, kc, jc, nc, bp)` packs the kc×nc block of op(B) at
-// (pc, jc) into PackB's panel layout: PackB itself for a dense matrix, or
-// PackIm2ColB for a conv input lowered as it is packed. It runs on the
-// calling thread only.
-template <MicroKernelFn kKernel, typename PackBFn>
-void GemmPackedTiledOn(const float* a, bool trans_a, const PackBFn& pack_b,
+// `pack_a(ic, mc, pc, kc)` returns the mc×kc block of op(A) at (ic, pc)
+// in PackA's panel layout: packed on the spot into the executing thread's
+// scratch for a dense matrix, or read from a PackAOnce operand. `pack_b(pc,
+// kc, jc, nc, bp)` packs the kc×nc block of op(B) at (pc, jc) into PackB's
+// panel layout: PackB itself for a dense matrix, or PackIm2ColB for a
+// conv input lowered as it is packed. It runs on the calling thread only.
+// Tasks take whole MR-row panels, so every block starts on a panel
+// boundary of op(A); the row split never changes an output element's
+// accumulation chain.
+template <MicroKernelFn kKernel, typename PackAFn, typename PackBFn>
+void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
                        float* c, int64_t n, int64_t k, int64_t m,
                        bool accumulate, const GemmTiles& tiles) {
+  const int64_t row_panels = (n + kGemmMR - 1) / kGemmMR;
   for (int64_t jc = 0; jc < m; jc += tiles.nc) {
     const int64_t nc = std::min(tiles.nc, m - jc);
     const int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
@@ -369,22 +382,20 @@ void GemmPackedTiledOn(const float* a, bool trans_a, const PackBFn& pack_b,
       const float* bp = tls_pack_b.data();
       const int64_t tile_mc = tiles.mc;
 
-      ParallelFor(0, n, tile_mc, [=](int64_t i_lo, int64_t i_hi) {
-        // Worker-local A scratch: re-resolve the TLS inside the task.
-        gemm_detail::AlignedBuffer<float>& abuf = tls_pack_a;
-        for (int64_t ic = i_lo; ic < i_hi; ic += tile_mc) {
+      ParallelFor(0, row_panels, tile_mc / kGemmMR,
+                  [=, &pack_a](int64_t q_lo, int64_t q_hi) {
+        const int64_t i_hi = std::min(n, q_hi * kGemmMR);
+        for (int64_t ic = q_lo * kGemmMR; ic < i_hi; ic += tile_mc) {
           const int64_t mc = std::min(tile_mc, i_hi - ic);
-          const int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-          abuf.Reserve(a_panels * kc * kGemmMR);
-          PackA(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
+          const float* ap = pack_a(ic, mc, pc, kc);
           for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
             const int64_t nr = std::min(kGemmNR, nc - jr);
             const float* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
             for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
               const int64_t mr = std::min(kGemmMR, mc - ir);
-              MicroTile<kKernel>(abuf.data() + (ir / kGemmMR) * kc * kGemmMR,
-                                 bpanel, kc, c + (ic + ir) * m + jc + jr, m,
-                                 mr, nr, acc_panel);
+              MicroTile<kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR, bpanel,
+                                 kc, c + (ic + ir) * m + jc + jr, m, mr, nr,
+                                 acc_panel);
             }
           }
         }
@@ -393,27 +404,55 @@ void GemmPackedTiledOn(const float* a, bool trans_a, const PackBFn& pack_b,
   }
 }
 
-// GemmPacked, GemmPackedIm2Col and the autotune sweep all land here; the
-// blocked fp32 engine reads the ISA once per call.
-template <typename PackBFn>
-void GemmPackedTiled(const float* a, bool trans_a, const PackBFn& pack_b,
-                     float* c, int64_t n, int64_t k, int64_t m,
-                     bool accumulate, const GemmTiles& tiles) {
+// Every fp32 GEMM and the autotune sweep land here; the blocked engine
+// reads the ISA once per call.
+template <typename PackAFn, typename PackBFn>
+void GemmPackedTiled(const PackAFn& pack_a, const PackBFn& pack_b, float* c,
+                     int64_t n, int64_t k, int64_t m, bool accumulate,
+                     const GemmTiles& tiles) {
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemmPackedTiledOn<MicroKernelAvx2>(a, trans_a, pack_b, c, n, k, m,
+    GemmPackedTiledOn<MicroKernelAvx2>(pack_a, pack_b, c, n, k, m,
                                        accumulate, tiles);
     return;
   }
 #endif
-  GemmPackedTiledOn<MicroKernelPortable>(a, trans_a, pack_b, c, n, k, m,
+  GemmPackedTiledOn<MicroKernelPortable>(pack_a, pack_b, c, n, k, m,
                                          accumulate, tiles);
+}
+
+// The dense A source: PackA into the executing thread's scratch (the TLS
+// resolves inside the task, on the worker).
+auto DensePackA(const float* a, bool trans_a, int64_t n, int64_t k) {
+  return [=](int64_t ic, int64_t mc, int64_t pc, int64_t kc) {
+    gemm_detail::AlignedBuffer<float>& abuf = tls_pack_a;
+    abuf.Reserve((mc + kGemmMR - 1) / kGemmMR * kc * kGemmMR);
+    PackA(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
+    return static_cast<const float*>(abuf.data());
+  };
+}
+
+// The A source of a PackAOnce operand: the engine asks only for blocks
+// that start on a panel boundary, which PackedA::BlockOffset locates.
+auto SharedPackA(const gemm_detail::PackedA& a) {
+  return [&a](int64_t ic, int64_t, int64_t pc, int64_t kc) {
+    return a.panels + a.BlockOffset(ic, pc, kc);
+  };
 }
 
 // The dense B packer: PackB over a stored [k,m] (or [m,k]) matrix.
 auto DensePackB(const float* b, bool trans_b, int64_t k, int64_t m) {
   return [=](int64_t pc, int64_t kc, int64_t jc, int64_t nc, float* bp) {
     PackB(b, trans_b, k, m, pc, kc, jc, nc, bp);
+  };
+}
+
+// The im2col B packer: a conv input lowered as it is packed.
+auto Im2ColPackB(const gemm_detail::Im2ColOperand& b, bool trans_b) {
+  return [&b, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
+                       float* bp) {
+    gemm_detail::PackIm2ColB(b, trans_b, pc, kc, jc, nc, bp,
+                             [](float v) { return v; });
   };
 }
 
@@ -445,8 +484,9 @@ void RunAutotuneSweep() {
     double fastest = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      GemmPackedTiled(a.data(), false, DensePackB(b.data(), false, kDim, kDim),
-                      c.data(), kDim, kDim, kDim, /*accumulate=*/false, t);
+      GemmPackedTiled(DensePackA(a.data(), false, kDim, kDim),
+                      DensePackB(b.data(), false, kDim, kDim), c.data(), kDim,
+                      kDim, kDim, /*accumulate=*/false, t);
       const auto t1 = std::chrono::steady_clock::now();
       const double ns =
           std::chrono::duration<double, std::nano>(t1 - t0).count();
@@ -515,9 +555,17 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
     GemvPath(a, trans_a, b, c, n, k, accumulate);
     return;
   }
+  if (n == 1) {
+    // One output row is a GEMV over op(B)ᵀ with op(A)'s row as the vector:
+    // each output keeps the blocked path's p = 0..k-1 chain, and no panel
+    // of B is packed for a single row. It runs on the caller.
+    ActiveGemvRows()(b, !trans_b, a, c, m, k, accumulate, 0, m);
+    return;
+  }
   AutotuneIfLarge(n, k, m);
-  GemmPackedTiled(a, trans_a, DensePackB(b, trans_b, k, m), c, n, k, m,
-                  accumulate, *g_tiles.load(std::memory_order_acquire));
+  GemmPackedTiled(DensePackA(a, trans_a, n, k), DensePackB(b, trans_b, k, m),
+                  c, n, k, m, accumulate,
+                  *g_tiles.load(std::memory_order_acquire));
 }
 
 namespace gemm_detail {
@@ -543,13 +591,55 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
     return;
   }
   AutotuneIfLarge(n, k, m);
-  GemmPackedTiled(
-      a, trans_a,
-      [&b, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
-                    float* bp) {
-        PackIm2ColB(b, trans_b, pc, kc, jc, nc, bp, [](float v) { return v; });
-      },
-      c, n, k, m, accumulate, *g_tiles.load(std::memory_order_acquire));
+  GemmPackedTiled(DensePackA(a, trans_a, n, k), Im2ColPackB(b, trans_b), c, n,
+                  k, m, accumulate, *g_tiles.load(std::memory_order_acquire));
+}
+
+PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
+                  int64_t m) {
+  ML_DCHECK(n > 0 && k > 0 && m > 0);
+  PackedA packed;
+  packed.a = a;
+  packed.trans_a = trans_a;
+  packed.n = n;
+  packed.k = k;
+  if (m == 1) return packed;  // GEMV-shaped: the GEMV reads `a`
+  AutotuneIfLarge(n, k, m);
+  packed.tiles = *g_tiles.load(std::memory_order_acquire);
+  tls_pack_shared_a.Reserve(packed.padded_n() * k);
+  float* panels = tls_pack_shared_a.data();
+  for (int64_t pc = 0; pc < k; pc += packed.tiles.kc) {
+    const int64_t kc = std::min(packed.tiles.kc, k - pc);
+    PackA(a, trans_a, n, k, 0, n, pc, kc,
+           panels + packed.BlockOffset(0, pc, kc));
+  }
+  packed.panels = panels;
+  return packed;
+}
+
+void GemmPacked(const PackedA& a, const float* b, bool trans_b, float* c,
+                int64_t m, bool accumulate) {
+  if (a.panels == nullptr) {
+    ML_DCHECK(m == 1);
+    GemvPath(a.a, a.trans_a, b, c, a.n, a.k, accumulate);
+    return;
+  }
+  GemmPackedTiled(SharedPackA(a), DensePackB(b, trans_b, a.k, m), c, a.n,
+                  a.k, m, accumulate, a.tiles);
+}
+
+void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
+                      float* c, bool accumulate) {
+  const int64_t m = trans_b ? b.rows() : b.cols();
+  ML_DCHECK((trans_b ? b.cols() : b.rows()) == a.k);
+  if (a.panels == nullptr) {
+    ML_DCHECK(m == 1);
+    GemvPath(a.a, a.trans_a, Im2ColVector(b, trans_b), c, a.n, a.k,
+             accumulate);
+    return;
+  }
+  GemmPackedTiled(SharedPackA(a), Im2ColPackB(b, trans_b), c, a.n, a.k, m,
+                  accumulate, a.tiles);
 }
 
 }  // namespace gemm_detail

@@ -107,6 +107,8 @@ bool GemmTilesAutotuned(OpPrecision precision = OpPrecision::kFp32);
 /// `accumulate` the product is added to the existing contents of C;
 /// without it C is overwritten (C may be uninitialized). Parallelizes
 /// over output-row panels via the global thread pool's ParallelFor.
+/// One-column (m == 1) and one-row (n == 1) products run as GEMVs with
+/// the same per-element chains; a one-row GEMV stays on the caller.
 void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate);
 

@@ -181,11 +181,53 @@ const float* Im2ColVector(const Im2ColOperand& op, bool trans_b);
 void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
                       bool trans_b, float* c, int64_t n, bool accumulate);
 
-/// The bf16-storage tier of GemmPackedIm2Col: bit-identical to
+/// op(A) [n, k] shared by a run of GEMMs — one conv call's per-sample
+/// products with its weight — packed once for the whole run. `panels`
+/// holds, for each k block of `tiles.kc` at depth pc, every MR-row
+/// micro-panel of op(A) (see BlockOffset), byte for byte what PackA
+/// writes for those rows. The engines read their A blocks from it
+/// instead of packing them, and every GEMM of the run uses `tiles`,
+/// snapshotted at pack time. A run of GEMV-shaped products (m == 1)
+/// packs nothing: `panels` is null and the GEMV reads `a`. The panels
+/// live in the packing thread's scratch and stay valid until that thread
+/// packs again; pool workers only read them.
+struct PackedA {
+  const float* a = nullptr;
+  bool trans_a = false;
+  int64_t n = 0, k = 0;
+  const float* panels = nullptr;
+  GemmTiles tiles;
+
+  /// Rows rounded up to whole MR-row panels.
+  int64_t padded_n() const { return (n + kGemmMR - 1) / kGemmMR * kGemmMR; }
+  /// Where the kc-deep block at (ic, pc) starts; ic is a panel boundary.
+  int64_t BlockOffset(int64_t ic, int64_t pc, int64_t kc) const {
+    return pc * padded_n() + ic * kc;
+  }
+};
+
+/// Packs op(A) [n, k] for a run of fp32 products with m columns.
+PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
+                  int64_t m);
+
+/// Packs op(A) for a run of bf16-storage products (PackABf16's rounded
+/// values, the bf16 tile triple).
+PackedA PackAOnceBf16(const float* a, bool trans_a, int64_t n, int64_t k,
+                      int64_t m);
+
+/// C[n,m] (+)= op(A) · op(B) over a PackAOnce operand: bit-identical to
+/// GemmPacked(a.a, a.trans_a, b, trans_b, ...).
+void GemmPacked(const PackedA& a, const float* b, bool trans_b, float* c,
+                int64_t m, bool accumulate);
+
+/// GemmPackedIm2Col over a PackAOnce operand.
+void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
+                      float* c, bool accumulate);
+
+/// The bf16-storage tier over a PackAOnceBf16 operand: bit-identical to
 /// GemmPackedBf16 over Im2Col's materialized columns.
-void GemmPackedBf16Im2Col(const float* a, bool trans_a,
-                          const Im2ColOperand& b, bool trans_b, float* c,
-                          int64_t n, bool accumulate);
+void GemmPackedBf16Im2Col(const PackedA& a, const Im2ColOperand& b,
+                          bool trans_b, float* c, bool accumulate);
 
 // Whether this build carries the AVX2+FMA kernel clones: x86 GCC/Clang
 // without METALORA_DISABLE_AVX2. The clones are compiled per function

@@ -51,6 +51,9 @@ using lowp::RoundToBf16;
 // bandwidth term, stays 2 bytes/element.
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_abf;
 thread_local gemm_detail::AlignedBuffer<uint16_t> tls_pack_b16;
+// A whole op(A) packed once by PackAOnceBf16 for a run of GEMMs (see
+// gemm.cc's shared-A buffer): owned by the packing thread, read by workers.
+thread_local gemm_detail::AlignedBuffer<float> tls_pack_shared_abf;
 thread_local gemm_detail::AlignedBuffer<int8_t> tls_pack_a8;
 thread_local std::vector<float> tls_row_scales;
 
@@ -326,13 +329,15 @@ void Bf16GemvPath(const float* a, bool trans_a, const float* x, float* y,
 // One blocked bf16 GEMM with an explicit tile triple, on one ISA's
 // kernel. Structure mirrors gemm.cc GemmPackedTiledOn — fp32 partial sums
 // are stored and reloaded between k panels (exact), so any kc produces
-// the same bits. `pack_b` packs bf16 B panels: PackBBf16 for a dense
-// matrix, or PackIm2ColB for a conv input lowered as it is packed.
-template <MicroKernelBf16Fn kKernel, typename PackBFn>
-void GemmPackedBf16TiledOn(const float* a, bool trans_a,
-                           const PackBFn& pack_b, float* c, int64_t n,
-                           int64_t k, int64_t m, bool accumulate,
-                           const GemmTiles& tiles) {
+// the same bits, and tasks take whole MR-row panels. `pack_a` returns
+// PackABf16 blocks: packed on the spot for a dense matrix, or read from a
+// PackAOnceBf16 operand. `pack_b` packs bf16 B panels: PackBBf16 for a
+// dense matrix, or PackIm2ColB for a conv input lowered as it is packed.
+template <MicroKernelBf16Fn kKernel, typename PackAFn, typename PackBFn>
+void GemmPackedBf16TiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
+                           float* c, int64_t n, int64_t k, int64_t m,
+                           bool accumulate, const GemmTiles& tiles) {
+  const int64_t row_panels = (n + kGemmMR - 1) / kGemmMR;
   for (int64_t jc = 0; jc < m; jc += tiles.nc) {
     const int64_t nc = std::min(tiles.nc, m - jc);
     const int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
@@ -344,21 +349,20 @@ void GemmPackedBf16TiledOn(const float* a, bool trans_a,
       const uint16_t* bp = tls_pack_b16.data();
       const int64_t tile_mc = tiles.mc;
 
-      ParallelFor(0, n, tile_mc, [=](int64_t i_lo, int64_t i_hi) {
-        gemm_detail::AlignedBuffer<float>& abuf = tls_pack_abf;
-        for (int64_t ic = i_lo; ic < i_hi; ic += tile_mc) {
+      ParallelFor(0, row_panels, tile_mc / kGemmMR,
+                  [=, &pack_a](int64_t q_lo, int64_t q_hi) {
+        const int64_t i_hi = std::min(n, q_hi * kGemmMR);
+        for (int64_t ic = q_lo * kGemmMR; ic < i_hi; ic += tile_mc) {
           const int64_t mc = std::min(tile_mc, i_hi - ic);
-          const int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-          abuf.Reserve(a_panels * kc * kGemmMR);
-          PackABf16(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
+          const float* ap = pack_a(ic, mc, pc, kc);
           for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
             const int64_t nr = std::min(kGemmNR, nc - jr);
             const uint16_t* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
             for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
               const int64_t mr = std::min(kGemmMR, mc - ir);
-              MicroTileBf16<kKernel>(
-                  abuf.data() + (ir / kGemmMR) * kc * kGemmMR, bpanel, kc,
-                  c + (ic + ir) * m + jc + jr, m, mr, nr, acc_panel);
+              MicroTileBf16<kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR,
+                                     bpanel, kc, c + (ic + ir) * m + jc + jr,
+                                     m, mr, nr, acc_panel);
             }
           }
         }
@@ -367,21 +371,38 @@ void GemmPackedBf16TiledOn(const float* a, bool trans_a,
   }
 }
 
-// GemmPackedBf16, GemmPackedBf16Im2Col and the bf16 autotune sweep all
-// land here; reads the ISA once per call.
-template <typename PackBFn>
-void GemmPackedBf16Tiled(const float* a, bool trans_a, const PackBFn& pack_b,
+// Every bf16 blocked GEMM and the bf16 autotune sweep land here; reads
+// the ISA once per call.
+template <typename PackAFn, typename PackBFn>
+void GemmPackedBf16Tiled(const PackAFn& pack_a, const PackBFn& pack_b,
                          float* c, int64_t n, int64_t k, int64_t m,
                          bool accumulate, const GemmTiles& tiles) {
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemmPackedBf16TiledOn<MicroKernelBf16Avx2>(a, trans_a, pack_b, c, n, k,
-                                               m, accumulate, tiles);
+    GemmPackedBf16TiledOn<MicroKernelBf16Avx2>(pack_a, pack_b, c, n, k, m,
+                                               accumulate, tiles);
     return;
   }
 #endif
-  GemmPackedBf16TiledOn<MicroKernelBf16Portable>(a, trans_a, pack_b, c, n,
-                                                 k, m, accumulate, tiles);
+  GemmPackedBf16TiledOn<MicroKernelBf16Portable>(pack_a, pack_b, c, n, k, m,
+                                                 accumulate, tiles);
+}
+
+// The dense bf16 A source: PackABf16 into the executing thread's scratch.
+auto DensePackABf16(const float* a, bool trans_a, int64_t n, int64_t k) {
+  return [=](int64_t ic, int64_t mc, int64_t pc, int64_t kc) {
+    gemm_detail::AlignedBuffer<float>& abuf = tls_pack_abf;
+    abuf.Reserve((mc + kGemmMR - 1) / kGemmMR * kc * kGemmMR);
+    PackABf16(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
+    return static_cast<const float*>(abuf.data());
+  };
+}
+
+// The A source of a PackAOnceBf16 operand (see gemm.cc SharedPackA).
+auto SharedPackABf16(const gemm_detail::PackedA& a) {
+  return [&a](int64_t ic, int64_t, int64_t pc, int64_t kc) {
+    return a.panels + a.BlockOffset(ic, pc, kc);
+  };
 }
 
 // The dense bf16 B packer: PackBBf16 over a stored [k,m] (or [m,k]) matrix.
@@ -421,7 +442,7 @@ void RunBf16AutotuneSweep() {
     double fastest = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      GemmPackedBf16Tiled(a.data(), false,
+      GemmPackedBf16Tiled(DensePackABf16(a.data(), false, kDim, kDim),
                           DensePackBBf16(b.data(), false, kDim, kDim),
                           c.data(), kDim, kDim, kDim, /*accumulate=*/false, t);
       const auto t1 = std::chrono::steady_clock::now();
@@ -485,33 +506,53 @@ void GemmPackedBf16(const float* a, bool trans_a, const float* b, bool trans_b,
     return;
   }
   Bf16AutotuneIfLarge(n, k, m);
-  GemmPackedBf16Tiled(a, trans_a, DensePackBBf16(b, trans_b, k, m), c, n, k,
-                      m, accumulate,
+  GemmPackedBf16Tiled(DensePackABf16(a, trans_a, n, k),
+                      DensePackBBf16(b, trans_b, k, m), c, n, k, m, accumulate,
                       *g_bf16_tiles.load(std::memory_order_acquire));
 }
 
 namespace gemm_detail {
 
-void GemmPackedBf16Im2Col(const float* a, bool trans_a,
-                          const Im2ColOperand& b, bool trans_b, float* c,
-                          int64_t n, bool accumulate) {
-  const int64_t k = trans_b ? b.cols() : b.rows();
+PackedA PackAOnceBf16(const float* a, bool trans_a, int64_t n, int64_t k,
+                      int64_t m) {
+  ML_DCHECK(n > 0 && k > 0 && m > 0);
+  PackedA packed;
+  packed.a = a;
+  packed.trans_a = trans_a;
+  packed.n = n;
+  packed.k = k;
+  if (m == 1) return packed;  // GEMV-shaped: the GEMV reads `a`
+  Bf16AutotuneIfLarge(n, k, m);
+  packed.tiles = *g_bf16_tiles.load(std::memory_order_acquire);
+  tls_pack_shared_abf.Reserve(packed.padded_n() * k);
+  float* panels = tls_pack_shared_abf.data();
+  for (int64_t pc = 0; pc < k; pc += packed.tiles.kc) {
+    const int64_t kc = std::min(packed.tiles.kc, k - pc);
+    PackABf16(a, trans_a, n, k, 0, n, pc, kc,
+               panels + packed.BlockOffset(0, pc, kc));
+  }
+  packed.panels = panels;
+  return packed;
+}
+
+void GemmPackedBf16Im2Col(const PackedA& a, const Im2ColOperand& b,
+                          bool trans_b, float* c, bool accumulate) {
   const int64_t m = trans_b ? b.rows() : b.cols();
-  ML_DCHECK(n >= 0 && k > 0 && m > 0);
-  if (n == 0) return;
-  if (m == 1) {
-    Bf16GemvPath(a, trans_a, Im2ColVector(b, trans_b), c, n, k, accumulate);
+  ML_DCHECK((trans_b ? b.cols() : b.rows()) == a.k);
+  if (a.panels == nullptr) {
+    ML_DCHECK(m == 1);
+    Bf16GemvPath(a.a, a.trans_a, Im2ColVector(b, trans_b), c, a.n, a.k,
+                 accumulate);
     return;
   }
-  Bf16AutotuneIfLarge(n, k, m);
   GemmPackedBf16Tiled(
-      a, trans_a,
+      SharedPackABf16(a),
       [&b, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
                     uint16_t* bp) {
         PackIm2ColB(b, trans_b, pc, kc, jc, nc, bp,
                     [](float v) { return Bf16FromF32(v); });
       },
-      c, n, k, m, accumulate, *g_bf16_tiles.load(std::memory_order_acquire));
+      c, a.n, a.k, m, accumulate, a.tiles);
 }
 
 }  // namespace gemm_detail

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "data/dataloader.h"
 #include "data/synthetic_images.h"
@@ -278,6 +280,59 @@ TEST(DataLoaderTest, BatchSliceRowsMatchFullBatchBitwise) {
   }
   // The empty range is a valid (absent) shard.
   EXPECT_EQ(loader.GetBatchSlice(0, 4, 4).size(), 0);
+}
+
+// Batch::rows names the dataset row behind every sample: the trainer
+// gathers conditioning features by it, so it must match the images,
+// labels and task ids the batch carries, in every slice and every epoch.
+TEST(DataLoaderTest, BatchRowsNameTheGatheredSamples) {
+  SyntheticImageGenerator gen(Spec(), 4);
+  const TaskSuite suite(3, 61);
+  MultiTaskDataset ds = MakeMultiTaskDataset(gen, suite, 7, 63);
+  const int64_t row_floats = ds.images.numel() / ds.size();
+  auto expect_rows_match = [&](const Batch& batch) {
+    ASSERT_EQ(static_cast<int64_t>(batch.rows.size()), batch.size());
+    for (int64_t i = 0; i < batch.size(); ++i) {
+      const int64_t r = batch.rows[static_cast<size_t>(i)];
+      ASSERT_TRUE(r >= 0 && r < ds.size());
+      EXPECT_EQ(batch.labels[static_cast<size_t>(i)],
+                ds.labels[static_cast<size_t>(r)]);
+      EXPECT_EQ(batch.task_ids[static_cast<size_t>(i)],
+                ds.task_ids[static_cast<size_t>(r)]);
+      EXPECT_TRUE(std::equal(batch.images.data() + i * row_floats,
+                             batch.images.data() + (i + 1) * row_floats,
+                             ds.images.data() + r * row_floats));
+    }
+  };
+  DataLoader loader(ds, 8, /*shuffle=*/true, 65);
+  std::vector<int64_t> first_epoch;
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    std::vector<int64_t> seen;
+    for (int64_t b = 0; b < loader.num_batches(); ++b) {
+      const Batch full = loader.GetBatch(b);
+      expect_rows_match(full);
+      seen.insert(seen.end(), full.rows.begin(), full.rows.end());
+      for (int s = 0; s < 3; ++s) {
+        int64_t lo = 0, hi = 0;
+        ShardRange(full.size(), 3, s, &lo, &hi);
+        const Batch shard = loader.GetBatchSlice(b, lo, hi);
+        expect_rows_match(shard);
+        EXPECT_TRUE(std::equal(shard.rows.begin(), shard.rows.end(),
+                               full.rows.begin() + lo));
+      }
+    }
+    // Each epoch visits every row once.
+    std::vector<int64_t> sorted = seen;
+    std::sort(sorted.begin(), sorted.end());
+    for (int64_t r = 0; r < ds.size(); ++r) {
+      EXPECT_EQ(sorted[static_cast<size_t>(r)], r);
+    }
+    if (epoch == 0) first_epoch = seen;
+    if (epoch == 1) {
+      EXPECT_NE(seen, first_epoch) << "Reshuffle had no effect";
+    }
+    loader.Reshuffle();
+  }
 }
 
 TEST(ShardRangeTest, PartitionsExactlyWithLargerShardsFirst) {

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
+#include "tensor/gemm.h"
 #include "tensor/random_init.h"
+#include "tensor/tensor_ops.h"
 
 namespace metalora {
 namespace eval {
@@ -126,6 +134,89 @@ TEST(KnnTest, AccuracyCountsCorrectFraction) {
   auto r = KnnClassify(ref, {0, 1}, query, {0, 1, 1, 0}, o);
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->accuracy, 0.5);
+}
+
+// The selection KnnClassify replaced, as an oracle: every distance, a full
+// sort in (dist, index) order, then a majority vote over the first k that
+// breaks ties toward the nearest member's class. Dot products come from
+// GemmReference, which the packed engine matches bit for bit.
+std::vector<int64_t> FullSortKnn(const Tensor& ref,
+                                 const std::vector<int64_t>& ref_labels,
+                                 const Tensor& query, int k,
+                                 KnnMetric metric) {
+  const int64_t m = ref.dim(0), d = ref.dim(1), n = query.dim(0);
+  std::vector<float> dots(static_cast<size_t>(n * m));
+  GemmReference(query.data(), false, ref.data(), true, dots.data(), n, d, m,
+                /*accumulate=*/false);
+  auto norm = [d](const float* row) {
+    double acc = 0;
+    for (int64_t j = 0; j < d; ++j) acc += static_cast<double>(row[j]) * row[j];
+    return acc;
+  };
+  std::vector<int64_t> predictions;
+  for (int64_t q = 0; q < n; ++q) {
+    const double qn = norm(query.data() + q * d);
+    std::vector<std::pair<double, int64_t>> all;
+    for (int64_t i = 0; i < m; ++i) {
+      const double rn = norm(ref.data() + i * d);
+      const double dot = dots[static_cast<size_t>(q * m + i)];
+      all.emplace_back(
+          metric == KnnMetric::kL2
+              ? qn + rn - 2.0 * dot
+              : 1.0 - dot / (std::sqrt(std::max(qn, 1e-12)) *
+                             std::sqrt(std::max(rn, 1e-12))),
+          i);
+    }
+    std::sort(all.begin(), all.end());
+    std::map<int64_t, int> votes;
+    for (int i = 0; i < k; ++i) ++votes[ref_labels[all[i].second]];
+    int best_count = -1;
+    int64_t best = -1;
+    for (int i = 0; i < k; ++i) {
+      const int64_t label = ref_labels[all[i].second];
+      if (votes[label] > best_count) {
+        best_count = votes[label];
+        best = label;
+      }
+    }
+    predictions.push_back(best);
+  }
+  return predictions;
+}
+
+TEST(KnnTest, MatchesFullSortOracleUnderExactTiesAndKEqualsM) {
+  // Rows 0..14 appear twice, under different labels, so equal distances
+  // are decided by index alone; some queries sit exactly on a reference
+  // row. k runs up to m, where every reference row votes.
+  Rng rng(21);
+  const int64_t half = 15, d = 6;
+  Tensor base = RandomNormal(Shape{half, d}, rng);
+  Tensor ref = ConcatRows({base, base});
+  std::vector<int64_t> ref_labels;
+  for (int64_t i = 0; i < 2 * half; ++i) ref_labels.push_back((i * 7) % 4);
+  Tensor query = ConcatRows({RandomNormal(Shape{9, d}, rng),
+                             GatherRows(base, {0, 3, 14})});
+  const std::vector<int64_t> query_labels(12, 0);
+  for (KnnMetric metric : {KnnMetric::kL2, KnnMetric::kCosine}) {
+    for (int k : {1, 2, 3, 5, 8, static_cast<int>(2 * half)}) {
+      KnnOptions o;
+      o.k = k;
+      o.metric = metric;
+      auto r = KnnClassify(ref, ref_labels, query, query_labels, o);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r->predictions,
+                FullSortKnn(ref, ref_labels, query, k, metric))
+          << "k=" << k << " cosine=" << (metric == KnnMetric::kCosine);
+      // One query at a time takes the one-row GEMM route; same answers.
+      for (int64_t q = 0; q < query.dim(0); ++q) {
+        auto one = KnnClassify(ref, ref_labels, query.SliceRows(q, q + 1),
+                               {0}, o);
+        ASSERT_TRUE(one.ok());
+        EXPECT_EQ(one->predictions[0],
+                  r->predictions[static_cast<size_t>(q)]);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // numerical program is fixed by grad_shards, never by scheduling.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <map>
 
@@ -162,6 +163,61 @@ TEST(TrainReplicaTest, AdaptMetaLoraLaneInvariance) {
   };
 
   ExpectBitIdentical(adapt_state(2), adapt_state(4));
+}
+
+TEST(TrainReplicaTest, ConditioningTableTrainsLikePerShardExtract) {
+  // Each shard binds its rows of the conditioning table. The reference
+  // leaves the extractor out of the context and extracts inside
+  // forward_logits instead, which the loop calls once per shard on the
+  // shard's own context: the per-shard Extract the table replaced.
+  ThreadPool pool(3);
+  data::MultiTaskDataset data = TinyData(36, 2);  // last batch: 4 rows
+
+  Backbone extractor_net = MakeResNetBackbone(TinyResNet());
+  extractor_net.module->SetTraining(false);
+  extractor_net.module->SetTrainable(false);
+  core::FeatureExtractor extractor(extractor_net.forward_features,
+                                   extractor_net.feature_dim);
+
+  auto adapt = [&](bool per_shard_extract, std::vector<double>* losses) {
+    Backbone bb = MakeResNetBackbone(TinyResNet());
+    core::AdapterOptions aopts;
+    aopts.kind = core::AdapterKind::kMetaLoraCp;
+    aopts.rank = 2;
+    aopts.feature_dim = extractor.feature_dim();
+    auto injection = core::InjectAdapters(bb.module.get(), aopts);
+    EXPECT_TRUE(injection.ok()) << injection.status().ToString();
+    AdaptContext ctx;
+    ctx.injection = injection.value();
+    if (per_shard_extract) {
+      bb.forward_logits = [&ctx, &extractor,
+                           forward = bb.forward_logits](const nn::Variable& x) {
+        ctx.injection.BindFeatures(nn::Variable(extractor.Extract(x.value()),
+                                                /*requires_grad=*/false));
+        return forward(x);
+      };
+    } else {
+      ctx.extractor = &extractor;
+    }
+    auto stats = AdaptModel(bb, data, ReplicaOptions(2, &pool), &ctx);
+    EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+    *losses = stats->epoch_losses;
+    return bb.module->StateDict();
+  };
+
+  std::vector<double> table_losses, ref_losses;
+  const auto table_state = adapt(false, &table_losses);
+  const auto ref_state = adapt(true, &ref_losses);
+  EXPECT_EQ(table_losses, ref_losses);
+  ASSERT_EQ(ref_state.size(), table_state.size());
+  for (const auto& [name, t] : ref_state) {
+    const Tensor& got = table_state.at(name);
+    ASSERT_EQ(t.shape(), got.shape()) << name;
+    EXPECT_EQ(std::memcmp(t.data(), got.data(),
+                          sizeof(float) * static_cast<size_t>(t.numel())),
+              0)
+        << name << " differs";
+  }
 }
 
 TEST(TrainReplicaTest, AdaptNewFamiliesLaneInvariance) {

@@ -2,7 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "autograd/ops.h"
+#include "common/rng.h"
+#include "core/feature_extractor.h"
+#include "data/dataloader.h"
 #include "data/task_suite.h"
+#include "optim/adam.h"
+#include "optim/grad_clip.h"
 #include "tensor/tensor_ops.h"
 
 namespace metalora {
@@ -168,6 +178,124 @@ TEST(TrainerTest, ExtractFeaturesIsDeterministic) {
   // Batch size must not change the result.
   Tensor c = ExtractDatasetFeatures(bb, data, 5, nullptr);
   EXPECT_TRUE(AllClose(a, c, 1e-5f, 1e-5f));
+}
+
+void ExpectSameBytes(const Tensor& want, const Tensor& got,
+                     const std::string& what) {
+  ASSERT_EQ(want.shape(), got.shape()) << what;
+  EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << what << " differs";
+}
+
+// A frozen tiny ResNet behind a FeatureExtractor: what MetaLoRA
+// conditions on.
+struct FrozenExtractor {
+  FrozenExtractor()
+      : net(MakeResNetBackbone(TinyResNet())),
+        extractor(net.forward_features, net.feature_dim) {
+    net.module->SetTraining(false);
+    net.module->SetTrainable(false);
+  }
+  Backbone net;
+  core::FeatureExtractor extractor;
+};
+
+// The conditioning table rests on this: a row's features do not depend on
+// the batch it is embedded in.
+TEST(FeatureExtractorTest, ExtractAllRowsEqualExtractOfShuffledRows) {
+  FrozenExtractor fx;
+  data::MultiTaskDataset data = TinyData(23, 12);
+  const Tensor table = fx.extractor.ExtractAll(data.images, 8);
+  std::vector<int64_t> rows;
+  for (int64_t r = 0; r < data.size(); r += 2) rows.push_back(r);
+  Rng rng(13);
+  rng.Shuffle(rows);
+  const Tensor feats = fx.extractor.Extract(GatherRows(data.images, rows));
+  ExpectSameBytes(GatherRows(table, rows), feats, "ExtractAll rows");
+}
+
+// MetaLoRA-CP injected into a fresh tiny ResNet, conditioned on `fx`.
+AdaptContext MetaLoraContext(Backbone& bb, const FrozenExtractor& fx) {
+  core::AdapterOptions aopts;
+  aopts.kind = core::AdapterKind::kMetaLoraCp;
+  aopts.rank = 2;
+  aopts.feature_dim = fx.extractor.feature_dim();
+  auto injection = core::InjectAdapters(bb.module.get(), aopts);
+  EXPECT_TRUE(injection.ok()) << injection.status().ToString();
+  AdaptContext ctx;
+  ctx.injection = injection.value();
+  ctx.extractor = &fx.extractor;
+  return ctx;
+}
+
+// The single-replica adaptation loop as it ran before the conditioning
+// table: every batch's features are extracted on the spot. Returns the
+// per-epoch mean losses.
+std::vector<double> AdaptExtractingPerBatch(Backbone& bb,
+                                            const data::MultiTaskDataset& data,
+                                            const TrainOptions& o,
+                                            const AdaptContext& ctx) {
+  bb.module->SetTraining(false);
+  std::vector<nn::Variable> trainable;
+  for (auto* v : bb.module->TrainableParameters()) trainable.push_back(*v);
+  optim::AdamOptions adam_opts;
+  adam_opts.lr = o.lr;
+  adam_opts.weight_decay = o.weight_decay;
+  optim::Adam adam(trainable, adam_opts);
+  data::DataLoader loader(data, o.batch_size, /*shuffle=*/true, o.seed);
+  std::vector<double> losses;
+  for (int epoch = 0; epoch < o.epochs; ++epoch) {
+    double loss_acc = 0.0;
+    int64_t seen = 0;
+    for (int64_t b = 0; b < loader.num_batches(); ++b) {
+      const data::Batch batch = loader.GetBatch(b);
+      ctx.injection.BindFeatures(nn::Variable(
+          ctx.extractor->Extract(batch.images), /*requires_grad=*/false));
+      ctx.injection.BindTaskIds(batch.task_ids);
+      const nn::Variable loss = autograd::SoftmaxCrossEntropy(
+          bb.forward_logits(nn::Variable(batch.images, false)), batch.labels);
+      bb.module->ZeroGrad();
+      EXPECT_TRUE(autograd::Backward(loss).ok());
+      optim::ClipGradNorm(trainable, o.clip_norm);
+      adam.Step();
+      loss_acc += loss.value().flat(0) * static_cast<double>(batch.size());
+      seen += batch.size();
+    }
+    loader.Reshuffle();
+    losses.push_back(loss_acc / static_cast<double>(seen));
+  }
+  return losses;
+}
+
+// AdaptModel embeds each training row once and gathers the table per
+// batch; that must train the same bytes as extracting every batch.
+TEST(TrainerTest, ConditioningTableTrainsLikePerBatchExtract) {
+  FrozenExtractor fx;
+  data::MultiTaskDataset data = TinyData(40, 14);  // last batch: 8 rows
+  TrainOptions o;
+  o.epochs = 2;
+  o.batch_size = 16;
+  o.seed = 15;
+
+  Backbone bb = MakeResNetBackbone(TinyResNet());
+  AdaptContext ctx = MetaLoraContext(bb, fx);
+  auto stats = AdaptModel(bb, data, o, &ctx);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+
+  Backbone ref = MakeResNetBackbone(TinyResNet());
+  const std::vector<double> ref_losses =
+      AdaptExtractingPerBatch(ref, data, o, MetaLoraContext(ref, fx));
+
+  EXPECT_EQ(stats->epoch_losses, ref_losses);
+  const auto want = ref.module->StateDict();
+  const auto got = bb.module->StateDict();
+  ASSERT_EQ(want.size(), got.size());
+  for (const auto& [name, t] : want) {
+    ASSERT_TRUE(got.count(name)) << name;
+    ExpectSameBytes(t, got.at(name), name);
+  }
 }
 
 TEST(TrainerTest, TrainStatsArePopulated) {

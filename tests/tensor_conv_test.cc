@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -261,6 +262,60 @@ TEST(ConvLoweringTest, MatchesIm2ColGemmCol2ImRouteBitwise) {
     }
   }
   EXPECT_GT(checked, 500);
+}
+
+// Forward (fp32 and bf16), grad_weight and grad_input of one case,
+// byte-equal to the serial route.
+void ExpectConvMatchesSerialRoute(int64_t n, int64_t c, int64_t o, int64_t h,
+                                  int64_t w, const ConvGeom& g, uint64_t seed,
+                                  const std::string& what) {
+  Rng rng(seed);
+  Tensor x = RandomNormal(Shape{n, c, h, w}, rng);
+  Tensor wgt = RandomNormal(Shape{o, c, g.kernel_h, g.kernel_w}, rng);
+  Tensor bias = RandomNormal(Shape{o}, rng);
+  Tensor gy = RandomNormal(
+      Shape{n, o, g.OutExtent(h, g.kernel_h), g.OutExtent(w, g.kernel_w)},
+      rng);
+  for (OpPrecision precision : {OpPrecision::kFp32, OpPrecision::kBf16}) {
+    const RouteResult want = SerialRoute(x, wgt, bias, gy, g, precision);
+    Tensor out = Tensor::Zeros(gy.shape());
+    Conv2dForwardInto(x, wgt, bias, g, &out, precision);
+    ExpectSameBits(want.out.data(), out.data(), out.numel(),
+                   "forward " + std::string(OpPrecisionName(precision)) +
+                       " " + what);
+    if (precision != OpPrecision::kFp32) continue;
+    Tensor gx, gw;
+    Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr, /*has_bias=*/true);
+    ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
+                   "grad_weight " + what);
+    ExpectSameBits(want.gx.data(), gx.data(), gx.numel(),
+                   "grad_input " + what);
+  }
+}
+
+// The conv kernels pack the weight once per call for all N samples. With
+// O = 100 > kGemmMC and C·Kh·Kw = 261 > kGemmKC, that pack spans several
+// row blocks and two k blocks, and Wᵀ in the input-gradient GEMM does too.
+TEST(ConvLoweringTest, WeightPackedOnceAcrossCacheBlocksBitwise) {
+  static_assert(100 > kGemmMC && 29 * 3 * 3 > kGemmKC);
+  ExpectConvMatchesSerialRoute(3, 29, 100, 9, 7, ConvGeom{3, 3, 1, 1}, 31,
+                               "s=1 p=1");
+  ExpectConvMatchesSerialRoute(3, 29, 100, 9, 7, ConvGeom{3, 3, 2, 0}, 32,
+                               "s=2 p=0");
+}
+
+// A 1×1 output is a GEMV per sample: the weight is read in place, nothing
+// is packed, and no ParallelFor is entered.
+TEST(ConvLoweringTest, OneByOneOutputTakesTheGemvPathBitwise) {
+  const ConvGeom g{3, 3, 1, 0};
+  ExpectConvMatchesSerialRoute(3, 5, 7, 3, 3, g, 33, "1x1 output");
+  Rng rng(34);
+  Tensor x = RandomNormal(Shape{2, 5, 3, 3}, rng);
+  Tensor wgt = RandomNormal(Shape{7, 5, 3, 3}, rng);
+  Tensor out = Tensor::Zeros(Shape{2, 7, 1, 1});
+  const int64_t before = ThreadPool::TotalParallelForCalls();
+  Conv2dForwardInto(x, wgt, Tensor(), g, &out);
+  EXPECT_EQ(ThreadPool::TotalParallelForCalls(), before);
 }
 
 TEST(ConvBackwardTest, GradBiasIsOutputSum) {

@@ -99,6 +99,24 @@ TEST(GemmPackedTest, LoraAdapterShapes) {
   }
 }
 
+TEST(GemmPackedTest, OneRowRunsAsGemvOnTheCaller) {
+  // n == 1 is a GEMV over op(B)ᵀ: bit-identical to the reference in every
+  // layout, with k past one kGemmKC panel so the blocked path's partial-sum
+  // reload would be in play, and without a ParallelFor.
+  for (int64_t k : {int64_t{1}, int64_t{37}, kGemmKC + 45}) {
+    for (int64_t m : {int64_t{2}, int64_t{33}, int64_t{1024}}) {
+      for (int layout = 0; layout < 4; ++layout) {
+        for (bool accumulate : {false, true}) {
+          const int64_t before = ThreadPool::TotalParallelForCalls();
+          CheckShape(/*n=*/1, k, m, (layout & 2) != 0, (layout & 1) != 0,
+                     accumulate);
+          EXPECT_EQ(ThreadPool::TotalParallelForCalls(), before);
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmPackedTest, KZeroZeroFillsOrPreserves) {
   Tensor c = Tensor::Ones(Shape{3, 5});
   GemmPacked(nullptr, false, nullptr, false, c.data(), 3, 0, 5,
