@@ -9,8 +9,11 @@
 //   * an elastic lane schedule matches the fixed schedule bit-for-bit;
 //   * on machines with >= 4 cores, N=4 achieves >= 2x the N=1 step
 //     throughput (skipped otherwise — a 1-core box can't parallelize).
-// N=1 is the legacy single-replica program and is *expected* to differ
-// numerically from the sharded grid; it is the throughput baseline only.
+// N=1 is the single-replica program. No kernel reaches the pool, so it
+// runs serially on the calling thread by construction, and the 2x bar
+// compares four lanes against that serial program. It is *expected* to
+// differ numerically from the sharded grid; it is the throughput baseline
+// only.
 //
 // Writes BENCH_replicas.json; exits nonzero if any contract fails.
 // --smoke shrinks the workload and skips the timing contract (CI).
@@ -143,7 +146,7 @@ int main(int argc, char** argv) {
 
   TablePrinter table("pre-training step throughput vs replica lanes");
   table.SetHeader({"lanes", "steps/s", "speedup vs N=1"});
-  table.AddRow({"1 (legacy)", std::to_string(n1.steps_per_sec), "1.0"});
+  table.AddRow({"1 (serial)", std::to_string(n1.steps_per_sec), "1.0"});
   table.AddRow({"2", std::to_string(n2.steps_per_sec),
                 std::to_string(speedup_n2)});
   table.AddRow({"4", std::to_string(n4.steps_per_sec),

@@ -49,55 +49,36 @@ void ParallelApplyNoGrad(
   ThreadPool& p = pool != nullptr ? *pool : GlobalThreadPool();
   const int64_t nblocks = (end - begin + block - 1) / block;
 
-  // One chunk of consecutive blocks per task; a chunk shares one scratch
-  // arena, Reset between blocks. Block boundaries — and therefore every
-  // number fn computes — are independent of the chunking.
+  // Each ParallelFor chunk of consecutive blocks runs in its own no-grad
+  // context and shares one scratch arena, Reset between blocks. Block
+  // boundaries — and therefore every number fn computes — are independent
+  // of the chunking. A chunk's state lands in the slot of its first block,
+  // and the join merges the slots in ascending order.
   struct ChunkState {
     RuntimeContext ctx;
     std::unique_ptr<WorkspaceArena> arena;
   };
-  auto run_chunk = [&](ChunkState& state, int64_t blk_lo, int64_t blk_hi) {
-    RuntimeContextScope scope(&state.ctx);
+  std::vector<std::unique_ptr<ChunkState>> slots(static_cast<size_t>(nblocks));
+  RuntimeContext& caller = RuntimeContext::Current();
+  const AutocastPolicy autocast = caller.autocast();
+  p.ParallelFor(0, nblocks, [&](int64_t blk_lo, int64_t blk_hi) {
+    auto state = std::make_unique<ChunkState>();
+    state->ctx.set_grad_enabled(false);
+    state->ctx.set_autocast(autocast);
+    state->arena = AcquireScratchArena();
+    state->ctx.set_arena(state->arena.get());
+    RuntimeContextScope scope(&state->ctx);
     for (int64_t b = blk_lo; b < blk_hi; ++b) {
       const int64_t lo = begin + b * block;
       const int64_t hi = std::min(end, lo + block);
-      state.arena->NextGeneration();
-      fn(lo, hi, state.ctx);
+      state->arena->NextGeneration();
+      fn(lo, hi, state->ctx);
     }
-  };
+    slots[static_cast<size_t>(blk_lo)] = std::move(state);
+  });
 
-  const int64_t nchunks =
-      (p.num_threads() == 0 || ThreadPool::InWorkerThread())
-          ? 1
-          : std::min<int64_t>(nblocks, p.num_threads() + 1);
-  const int64_t blocks_per_chunk = (nblocks + nchunks - 1) / nchunks;
-
-  std::vector<std::unique_ptr<ChunkState>> chunks;
-  chunks.reserve(static_cast<size_t>(nchunks));
-  RuntimeContext& caller = RuntimeContext::Current();
-  for (int64_t c = 0; c < nchunks; ++c) {
-    auto state = std::make_unique<ChunkState>();
-    state->ctx.set_grad_enabled(false);
-    state->ctx.set_autocast(caller.autocast());
-    state->arena = AcquireScratchArena();
-    state->ctx.set_arena(state->arena.get());
-    chunks.push_back(std::move(state));
-  }
-
-  auto latch = std::make_shared<Latch>(nchunks - 1);
-  for (int64_t c = 1; c < nchunks; ++c) {
-    ChunkState* state = chunks[static_cast<size_t>(c)].get();
-    const int64_t blk_lo = c * blocks_per_chunk;
-    const int64_t blk_hi = std::min(nblocks, blk_lo + blocks_per_chunk);
-    p.Schedule([&run_chunk, state, blk_lo, blk_hi, latch] {
-      run_chunk(*state, blk_lo, blk_hi);
-      latch->CountDown();
-    });
-  }
-  run_chunk(*chunks[0], 0, std::min(nblocks, blocks_per_chunk));
-  latch->Wait();
-
-  for (auto& state : chunks) {
+  for (auto& state : slots) {
+    if (state == nullptr) continue;
     caller.MergeChildStats(state->ctx);
     ReleaseScratchArena(std::move(state->arena));
   }

@@ -55,7 +55,7 @@ class WorkspaceArena {
   /// (stale bytes from before the last Reset). For ops that overwrite every
   /// element of their output — zero-filling those would pay one full memset
   /// per intermediate per iteration, which made the "fast" no-grad path
-  /// slower than the grad-recording path (see BENCH_autograd.json history).
+  /// slower than the grad-recording path.
   Tensor AllocateUninitialized(Shape shape);
 
   /// Reclaims every allocation at once; blocks are kept for reuse.

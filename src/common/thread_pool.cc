@@ -11,8 +11,9 @@
 namespace metalora {
 
 namespace {
-// Set while a worker executes a task (or a replica lane runs), so nested
-// ParallelFor calls run inline instead of re-entering the queue.
+// The worker-inline guard: set while a worker executes a task and while a
+// caller runs its own ParallelFor chunk, so nested ParallelFor calls run
+// inline instead of re-entering the queue.
 thread_local bool tls_in_worker_task = false;
 
 // Monotonic process-wide instrumentation (see the header accessors).
@@ -128,72 +129,50 @@ void ThreadPool::Schedule(std::function<void()> task) {
   queue_->cv.notify_one();
 }
 
-void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
+void ThreadPool::ParallelFor(int64_t begin, int64_t end,
                              const std::function<void(int64_t, int64_t)>& fn) {
   ML_CHECK_LE(begin, end);
-  ML_CHECK_GT(grain, 0);
   const int64_t n = end - begin;
   if (n == 0) return;
   g_parallel_for_calls.fetch_add(1, std::memory_order_relaxed);
-  const int nthreads = num_threads();
-  if (nthreads == 0 || n <= grain || tls_in_worker_task) {
-    fn(begin, end);
-    return;
-  }
-  const int64_t max_chunks = (n + grain - 1) / grain;
-  const int64_t num_chunks = std::min<int64_t>(max_chunks, nthreads + 1);
-  const int64_t chunk = (n + num_chunks - 1) / num_chunks;
+  const bool nested = tls_in_worker_task;
+  // Equal chunks, one per worker plus the caller's; the last may be short
+  // but none is empty.
+  const int64_t max_chunks =
+      nested ? 1 : std::min<int64_t>(n, num_threads() + 1);
+  const int64_t chunk = (n + max_chunks - 1) / max_chunks;
+  const int64_t num_chunks = (n + chunk - 1) / chunk;
 
   // The latch is heap-shared with every task: even if the caller wakes and
   // returns the instant the count hits zero, the last worker still holds a
   // live object while it finishes CountDown().
-  g_tasks_scheduled.fetch_add(num_chunks - 1, std::memory_order_relaxed);
-  auto latch = std::make_shared<Latch>(num_chunks - 1);
-  for (int64_t c = 1; c < num_chunks; ++c) {
-    const int64_t lo = begin + c * chunk;
-    const int64_t hi = std::min(end, lo + chunk);
-    std::lock_guard<std::mutex> lock(queue_->mu);
-    queue_->tasks.push([&fn, latch, lo, hi] {
-      fn(lo, hi);
-      latch->CountDown();
-    });
-    queue_->cv.notify_one();
+  std::shared_ptr<Latch> latch;
+  if (num_chunks > 1) {
+    latch = std::make_shared<Latch>(num_chunks - 1);
+    g_tasks_scheduled.fetch_add(num_chunks - 1, std::memory_order_relaxed);
+    for (int64_t c = 1; c < num_chunks; ++c) {
+      const int64_t lo = begin + c * chunk;
+      const int64_t hi = std::min(end, lo + chunk);
+      std::lock_guard<std::mutex> lock(queue_->mu);
+      queue_->tasks.push([&fn, latch, lo, hi] {
+        fn(lo, hi);
+        latch->CountDown();
+      });
+      queue_->cv.notify_one();
+    }
   }
-  // The calling thread takes the first chunk.
-  fn(begin, std::min(end, begin + chunk));
-  latch->Wait();
+  // The calling thread takes the first chunk, marked like a worker task.
+  tls_in_worker_task = true;
+  fn(begin, begin + chunk);
+  tls_in_worker_task = nested;
+  if (latch != nullptr) latch->Wait();
 }
 
 void ThreadPool::ForkJoinReplicas(int n, const std::function<void(int)>& fn) {
   ML_CHECK_GT(n, 0);
-  ML_CHECK(fn != nullptr);
-  // Zero workers or nested fork: one thread runs every lane, in lane order.
-  // The guard is still set so lane bodies see the same inline-kernel
-  // environment as the threaded schedule.
-  if (num_threads() == 0 || tls_in_worker_task) {
-    const bool prev = tls_in_worker_task;
-    tls_in_worker_task = true;
-    for (int lane = 0; lane < n; ++lane) fn(lane);
-    tls_in_worker_task = prev;
-    return;
-  }
-  g_tasks_scheduled.fetch_add(n - 1, std::memory_order_relaxed);
-  auto latch = std::make_shared<Latch>(n - 1);
-  for (int lane = 1; lane < n; ++lane) {
-    std::lock_guard<std::mutex> lock(queue_->mu);
-    queue_->tasks.push([&fn, latch, lane] {
-      fn(lane);
-      latch->CountDown();
-    });
-    queue_->cv.notify_one();
-  }
-  // Lane 0 belongs to the caller. Mark it like a worker task so its kernels
-  // run inline — otherwise lane 0's ParallelFor would queue chunks behind
-  // the very lane tasks occupying the workers.
-  tls_in_worker_task = true;
-  fn(0);
-  tls_in_worker_task = false;
-  latch->Wait();
+  ParallelFor(0, n, [&fn](int64_t lo, int64_t hi) {
+    for (int64_t lane = lo; lane < hi; ++lane) fn(static_cast<int>(lane));
+  });
 }
 
 ThreadPool& GlobalThreadPool() {
@@ -202,11 +181,6 @@ ThreadPool& GlobalThreadPool() {
     return new ThreadPool(std::max(0, hw - 1));
   }();
   return *pool;
-}
-
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn) {
-  GlobalThreadPool().ParallelFor(begin, end, grain, fn);
 }
 
 }  // namespace metalora

@@ -1,17 +1,18 @@
-// A small fixed-size thread pool plus a ParallelFor helper.
+// A small fixed-size thread pool with one fork/join: ParallelFor.
 //
-// Kernels call ParallelFor with a grain size; on single-core machines (or
-// when the pool has no workers) the loop runs inline with zero overhead.
-// Code already running inside a pool task also runs ParallelFor inline:
-// a blocked fork from a worker could otherwise wait on chunks that sit in
-// the queue behind the very tasks occupying every worker (deadlock), and
-// inline nesting keeps per-task work deterministic for the eval blocks
-// (autograd::ParallelApplyNoGrad) and the trainer's replica lanes
-// (ForkJoinReplicas) built on Schedule().
+// The library has one parallel axis: the eval blocks of
+// autograd::ParallelApplyNoGrad and the trainer's replica lanes
+// (ForkJoinReplicas), both built on ParallelFor. Every GEMM, GEMV and conv
+// kernel runs on its caller's thread. Every ParallelFor chunk, the
+// caller's included, runs with the worker-inline guard set, so anything
+// inside a chunk runs serially: a nested ParallelFor runs inline on the
+// chunk's thread. That keeps per-chunk work deterministic, and it keeps a
+// fork from a worker from waiting on chunks queued behind the very tasks
+// occupying every worker (deadlock).
 //
 // Pools are fork-aware: a child process forked after a pool started has
 // none of its worker threads, so a pthread_atfork child handler drops
-// every pool in the child to zero workers and the child's kernels run
+// every pool in the child to zero workers and the child's ParallelFor runs
 // inline instead of waiting forever on a queue nobody drains.
 #ifndef METALORA_COMMON_THREAD_POOL_H_
 #define METALORA_COMMON_THREAD_POOL_H_
@@ -80,38 +81,37 @@ class ThreadPool {
   /// time — pair with a Latch to wait for completion.
   void Schedule(std::function<void()> task);
 
-  /// Runs fn(begin..end) partitioned into contiguous chunks across the pool,
-  /// blocking until all chunks finish. `grain` is the minimum chunk size;
-  /// small ranges, zero-worker pools, and calls made from inside a pool task
-  /// run inline.
-  void ParallelFor(int64_t begin, int64_t end, int64_t grain,
+  /// Runs fn(lo, hi) over contiguous chunks covering [begin, end) — at
+  /// most one per worker plus one for the caller, which runs the first —
+  /// and blocks until all of them finish. Every chunk runs with the
+  /// worker-inline guard set; the caller's own value is restored on
+  /// return. On a zero-worker pool, and when called from inside a chunk or
+  /// pool task, fn(begin, end) runs inline as the only chunk.
+  void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t, int64_t)>& fn);
 
   /// Replica-group fork/join: runs fn(0), fn(1), ..., fn(n-1) — one
-  /// invocation per replica lane — and blocks until all of them finish.
-  /// Lanes 1..n-1 are scheduled onto the pool; lane 0 runs on the calling
-  /// thread. Every lane (including lane 0) executes with the worker-inline
-  /// guard set, so kernels called inside a lane (ParallelFor,
-  /// ParallelApplyNoGrad) run inline on that lane's thread instead of
-  /// fanning back onto the pool — each lane is one deterministic
-  /// single-threaded stream, which is what the data-parallel trainer's
-  /// bit-identity contract needs.
+  /// invocation per replica lane — as a ParallelFor over lanes, and blocks
+  /// until all of them finish. Lane 0 runs on the calling thread. Each
+  /// lane is one single-threaded stream whose kernels run inline, which is
+  /// what the data-parallel trainer's bit-identity contract needs; a chunk
+  /// of several lanes runs them in lane order on one thread.
   ///
   /// Lanes must not block on each other (they only meet at the join) and
   /// must touch pairwise-disjoint mutable state. With zero workers, or when
-  /// already inside a pool task, lanes run sequentially 0..n-1 on the
-  /// caller — the same per-lane instruction streams, so results are
+  /// already inside a chunk or pool task, lanes run sequentially 0..n-1 on
+  /// the caller — the same per-lane instruction streams, so results are
   /// identical to the threaded schedule.
   void ForkJoinReplicas(int n, const std::function<void(int)>& fn);
 
   /// True while the calling thread is executing a task scheduled on *any*
-  /// ThreadPool (workers mark themselves for the duration of each task).
+  /// ThreadPool or its own ParallelFor chunk (the worker-inline guard).
   static bool InWorkerThread();
 
   /// Process-wide count of ParallelFor invocations across every pool,
-  /// including calls that ran inline (small ranges, zero workers, nested).
-  /// Lets tests assert that a kernel routes through ParallelFor without
-  /// depending on the machine's core count.
+  /// including calls that ran inline (one element, zero workers, nested)
+  /// and ForkJoinReplicas calls. Lets tests assert that a path never
+  /// reaches the pool, independently of the machine's core count.
   static int64_t TotalParallelForCalls();
 
   /// Process-wide count of tasks handed to workers across every pool:
@@ -138,13 +138,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Process-wide pool used by tensor kernels. First call creates it with
-/// hardware_concurrency() - 1 workers (0 on single-core machines).
+/// Process-wide pool for eval blocks and replica lanes. First call creates
+/// it with hardware_concurrency() - 1 workers (0 on single-core machines).
 ThreadPool& GlobalThreadPool();
-
-/// Convenience wrapper over GlobalThreadPool().ParallelFor.
-void ParallelFor(int64_t begin, int64_t end, int64_t grain,
-                 const std::function<void(int64_t, int64_t)>& fn);
 
 }  // namespace metalora
 

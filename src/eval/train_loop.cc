@@ -204,9 +204,9 @@ Result<TrainStats> RunReplicated(Backbone& backbone,
 
   // One context + one step arena per micro-shard, persistent across steps
   // (contexts keep cumulative telemetry, arenas keep their blocks warm).
-  // Each shard is one deterministic single-threaded program: its lane runs
-  // with the worker-inline guard set (ForkJoinReplicas), so every kernel
-  // the shard issues stays on the lane's thread.
+  // Each shard is one deterministic single-threaded program: its lane is a
+  // ParallelFor chunk (ForkJoinReplicas), so everything the shard issues
+  // stays on the lane's thread.
   std::vector<std::unique_ptr<autograd::RuntimeContext>> shard_ctxs;
   std::vector<std::unique_ptr<autograd::WorkspaceArena>> shard_arenas;
   for (int s = 0; s < shards; ++s) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "tensor/gemm_detail.h"
 
 #if METALORA_GEMM_AVX2_CLONES
@@ -27,15 +26,13 @@ using gemm_detail::MulAddStep;
 
 // Packing scratch, per thread, aligned to a cache line so vector
 // loads from packed panels never straddle lines (std::vector only
-// guarantees alignof(float) and relied on allocator luck). Workers are
-// long-lived, so the buffers amortize to zero allocations in steady
-// state — the same grow-once-reuse-forever contract as the autograd
-// WorkspaceArena, held here because the tensor layer sits below autograd
-// and cannot see it. The B buffer belongs to the thread driving the GEMM
-// (workers read it through a captured pointer); the A buffer belongs to
-// whichever thread packs the row panel. The shared-A buffer holds a
-// whole op(A) packed once by PackAOnce for a run of GEMMs; it belongs to
-// the thread that packed it, and workers only read it.
+// guarantees alignof(float) and relied on allocator luck). Every GEMM
+// runs on its caller's thread, and callers are long-lived, so the
+// buffers amortize to zero allocations in steady state — the same
+// grow-once-reuse-forever contract as the autograd WorkspaceArena, held
+// here because the tensor layer sits below autograd and cannot see it.
+// The shared-A buffer holds a whole op(A) packed once by PackAOnce for a
+// run of GEMMs; it stays valid until the same thread packs again.
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_a;
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_b;
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_shared_a;
@@ -258,7 +255,7 @@ void MicroTile(const float* ap, const float* bp, int64_t kc, float* c,
 }
 
 // GEMV fast path (m == 1): packing would double the memory traffic of an
-// already bandwidth-bound kernel, so run parallel row dots directly. The
+// already bandwidth-bound kernel, so run the row dots directly. The
 // vector operand is contiguous under both storage layouts ([k,1] and
 // [1,k]). Accumulation order per element is p = 0..k-1, same as the
 // blocked path and the reference. Rows run kGemvRows at a time so their
@@ -270,10 +267,9 @@ template <bool kFused>
 METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
                                             const float* x, float* y,
                                             int64_t n, int64_t k,
-                                            bool accumulate, int64_t lo,
-                                            int64_t hi) {
-  int64_t i = lo;
-  for (; i + kGemvRows <= hi; i += kGemvRows) {
+                                            bool accumulate) {
+  int64_t i = 0;
+  for (; i + kGemvRows <= n; i += kGemvRows) {
     float acc[kGemvRows];
     for (int64_t r = 0; r < kGemvRows; ++r) {
       acc[r] = accumulate ? y[i + r] : 0.0f;
@@ -287,7 +283,7 @@ METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
     }
     for (int64_t r = 0; r < kGemvRows; ++r) y[i + r] = acc[r];
   }
-  for (; i < hi; ++i) {
+  for (; i < n; ++i) {
     float acc = accumulate ? y[i] : 0.0f;
     for (int64_t p = 0; p < k; ++p) {
       acc = MulAddStep<kFused>(a[AIndex(trans_a, n, k, i, p)], x[p], acc);
@@ -296,49 +292,24 @@ METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
   }
 }
 
-using GemvRowsFn = void (*)(const float* a, bool trans_a, const float* x,
-                            float* y, int64_t n, int64_t k, bool accumulate,
-                            int64_t lo, int64_t hi);
-
-void GemvRowsPortable(const float* a, bool trans_a, const float* x, float* y,
-                      int64_t n, int64_t k, bool accumulate, int64_t lo,
-                      int64_t hi) {
-  GemvRows<false>(a, trans_a, x, y, n, k, accumulate, lo, hi);
-}
-
 #if METALORA_GEMM_AVX2_CLONES
 METALORA_AVX2_FMA_TARGET void GemvRowsAvx2(const float* a, bool trans_a,
                                            const float* x, float* y,
                                            int64_t n, int64_t k,
-                                           bool accumulate, int64_t lo,
-                                           int64_t hi) {
-  GemvRows<true>(a, trans_a, x, y, n, k, accumulate, lo, hi);
+                                           bool accumulate) {
+  GemvRows<true>(a, trans_a, x, y, n, k, accumulate);
 }
 #endif
-
-// Below this many multiply-adds the pool dispatch costs more than the dot
-// products it distributes (lora_down_r1, n=64 k=1024, ran 0.92x the serial
-// reference through the pool); the per-element chain is identical either
-// way, so the routing choice cannot change bytes.
-constexpr int64_t kGemvSerialWork = 1 << 18;
-
-GemvRowsFn ActiveGemvRows() {
-#if METALORA_GEMM_AVX2_CLONES
-  if (gemm_detail::FusedMulAdd()) return GemvRowsAvx2;
-#endif
-  return GemvRowsPortable;
-}
 
 void GemvPath(const float* a, bool trans_a, const float* x, float* y,
               int64_t n, int64_t k, bool accumulate) {
-  const GemvRowsFn rows = ActiveGemvRows();
-  if (n * k <= kGemvSerialWork) {
-    rows(a, trans_a, x, y, n, k, accumulate, 0, n);
+#if METALORA_GEMM_AVX2_CLONES
+  if (gemm_detail::FusedMulAdd()) {
+    GemvRowsAvx2(a, trans_a, x, y, n, k, accumulate);
     return;
   }
-  ParallelFor(0, n, 64, [=](int64_t lo, int64_t hi) {
-    rows(a, trans_a, x, y, n, k, accumulate, lo, hi);
-  });
+#endif
+  GemvRows<false>(a, trans_a, x, y, n, k, accumulate);
 }
 
 // Tile publication: readers acquire-load a pointer to an immutable triple,
@@ -359,15 +330,13 @@ constexpr double kAutotuneFlopThreshold = 1.7e7;
 // scratch for a dense matrix, or read from a PackAOnce operand. `pack_b(pc,
 // kc, jc, nc, bp)` packs the kc×nc block of op(B) at (pc, jc) into PackB's
 // panel layout: PackB itself for a dense matrix, or PackIm2ColB for a
-// conv input lowered as it is packed. It runs on the calling thread only.
-// Tasks take whole MR-row panels, so every block starts on a panel
-// boundary of op(A); the row split never changes an output element's
-// accumulation chain.
+// conv input lowered as it is packed. Row blocks start on MR-row panel
+// boundaries of op(A), and k panels accumulate through C in p order, so
+// the blocking never changes an output element's accumulation chain.
 template <MicroKernelFn kKernel, typename PackAFn, typename PackBFn>
 void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
                        float* c, int64_t n, int64_t k, int64_t m,
                        bool accumulate, const GemmTiles& tiles) {
-  const int64_t row_panels = (n + kGemmMR - 1) / kGemmMR;
   for (int64_t jc = 0; jc < m; jc += tiles.nc) {
     const int64_t nc = std::min(tiles.nc, m - jc);
     const int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
@@ -380,29 +349,25 @@ void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
       tls_pack_b.Reserve(b_panels * kc * kGemmNR);
       pack_b(pc, kc, jc, nc, tls_pack_b.data());
       const float* bp = tls_pack_b.data();
-      const int64_t tile_mc = tiles.mc;
-
-      ParallelFor(0, row_panels, tile_mc / kGemmMR,
-                  [=, &pack_a](int64_t q_lo, int64_t q_hi) {
-        const int64_t i_hi = std::min(n, q_hi * kGemmMR);
-        for (int64_t ic = q_lo * kGemmMR; ic < i_hi; ic += tile_mc) {
-          const int64_t mc = std::min(tile_mc, i_hi - ic);
-          const float* ap = pack_a(ic, mc, pc, kc);
-          for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
-            const int64_t nr = std::min(kGemmNR, nc - jr);
-            const float* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
-            for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
-              const int64_t mr = std::min(kGemmMR, mc - ir);
-              MicroTile<kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR, bpanel,
-                                 kc, c + (ic + ir) * m + jc + jr, m, mr, nr,
-                                 acc_panel);
-            }
+      for (int64_t ic = 0; ic < n; ic += tiles.mc) {
+        const int64_t mc = std::min(tiles.mc, n - ic);
+        const float* ap = pack_a(ic, mc, pc, kc);
+        for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
+          const int64_t nr = std::min(kGemmNR, nc - jr);
+          const float* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
+          for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
+            const int64_t mr = std::min(kGemmMR, mc - ir);
+            MicroTile<kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR, bpanel,
+                               kc, c + (ic + ir) * m + jc + jr, m, mr, nr,
+                               acc_panel);
           }
         }
-      });
+      }
     }
   }
 }
+
+thread_local int64_t tls_packed_engine_runs = 0;
 
 // Every fp32 GEMM and the autotune sweep land here; the blocked engine
 // reads the ISA once per call.
@@ -410,6 +375,7 @@ template <typename PackAFn, typename PackBFn>
 void GemmPackedTiled(const PackAFn& pack_a, const PackBFn& pack_b, float* c,
                      int64_t n, int64_t k, int64_t m, bool accumulate,
                      const GemmTiles& tiles) {
+  ++tls_packed_engine_runs;
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
     GemmPackedTiledOn<MicroKernelAvx2>(pack_a, pack_b, c, n, k, m,
@@ -421,8 +387,7 @@ void GemmPackedTiled(const PackAFn& pack_a, const PackBFn& pack_b, float* c,
                                          accumulate, tiles);
 }
 
-// The dense A source: PackA into the executing thread's scratch (the TLS
-// resolves inside the task, on the worker).
+// The dense A source: PackA into the calling thread's scratch.
 auto DensePackA(const float* a, bool trans_a, int64_t n, int64_t k) {
   return [=](int64_t ic, int64_t mc, int64_t pc, int64_t kc) {
     gemm_detail::AlignedBuffer<float>& abuf = tls_pack_a;
@@ -503,8 +468,10 @@ void RunAutotuneSweep() {
 
 }  // namespace
 
+int64_t PackedEngineRuns() { return tls_packed_engine_runs; }
+
 // The bf16 tier keeps its own tile state next to its blocked loop in
-// gemm_lowp.cc (the sweep has to time that loop); the public API fans out
+// gemm_lowp.cc (the sweep has to time that loop); the public API branches
 // per precision here. Int8 has no tile choice (single-pass prepacked
 // pipeline) and reports the fp32 slot.
 GemmTiles CurrentGemmTiles(OpPrecision precision) {
@@ -559,7 +526,7 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
     // One output row is a GEMV over op(B)ᵀ with op(A)'s row as the vector:
     // each output keeps the blocked path's p = 0..k-1 chain, and no panel
     // of B is packed for a single row. It runs on the caller.
-    ActiveGemvRows()(b, !trans_b, a, c, m, k, accumulate, 0, m);
+    GemvPath(b, !trans_b, a, c, m, k, accumulate);
     return;
   }
   AutotuneIfLarge(n, k, m);

@@ -105,12 +105,17 @@ bool GemmTilesAutotuned(OpPrecision precision = OpPrecision::kFp32);
 
 /// C[n,m] (+)= op(A) · op(B) through the packed engine. With
 /// `accumulate` the product is added to the existing contents of C;
-/// without it C is overwritten (C may be uninitialized). Parallelizes
-/// over output-row panels via the global thread pool's ParallelFor.
+/// without it C is overwritten (C may be uninitialized). Runs on the
+/// calling thread, as does every GEMM, GEMV and conv kernel in this layer.
 /// One-column (m == 1) and one-row (n == 1) products run as GEMVs with
-/// the same per-element chains; a one-row GEMV stays on the caller.
+/// the same per-element chains.
 void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate);
+
+/// How many fp32 GEMMs the calling thread has run through the blocked
+/// (packed-panel) engine, counting the autotune sweep's timing runs. The
+/// GEMV paths do not count. Lets tests tell which path a kernel took.
+int64_t PackedEngineRuns();
 
 /// Retained naive reference: a serial i-j-p triple loop with one scalar
 /// accumulator per output element. The correctness oracle for tests and

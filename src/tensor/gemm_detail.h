@@ -190,7 +190,7 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
 /// snapshotted at pack time. A run of GEMV-shaped products (m == 1)
 /// packs nothing: `panels` is null and the GEMV reads `a`. The panels
 /// live in the packing thread's scratch and stay valid until that thread
-/// packs again; pool workers only read them.
+/// packs again.
 struct PackedA {
   const float* a = nullptr;
   bool trans_a = false;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_detail.h"
 #include "tensor/lowp.h"
@@ -52,7 +51,7 @@ using lowp::RoundToBf16;
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_abf;
 thread_local gemm_detail::AlignedBuffer<uint16_t> tls_pack_b16;
 // A whole op(A) packed once by PackAOnceBf16 for a run of GEMMs (see
-// gemm.cc's shared-A buffer): owned by the packing thread, read by workers.
+// gemm.cc's shared-A buffer): valid until the same thread packs again.
 thread_local gemm_detail::AlignedBuffer<float> tls_pack_shared_abf;
 thread_local gemm_detail::AlignedBuffer<int8_t> tls_pack_a8;
 thread_local std::vector<float> tls_row_scales;
@@ -283,9 +282,8 @@ template <bool kFused>
 METALORA_ALWAYS_INLINE inline void Bf16GemvRows(const float* a, bool trans_a,
                                                 const float* x, float* y,
                                                 int64_t n, int64_t k,
-                                                bool accumulate, int64_t lo,
-                                                int64_t hi) {
-  for (int64_t i = lo; i < hi; ++i) {
+                                                bool accumulate) {
+  for (int64_t i = 0; i < n; ++i) {
     float acc = accumulate ? y[i] : 0.0f;
     for (int64_t p = 0; p < k; ++p) {
       acc = MulAddStep<kFused>(RoundToBf16(a[AIndex(trans_a, n, k, i, p)]),
@@ -295,49 +293,38 @@ METALORA_ALWAYS_INLINE inline void Bf16GemvRows(const float* a, bool trans_a,
   }
 }
 
-using Bf16GemvRowsFn = void (*)(const float* a, bool trans_a, const float* x,
-                                float* y, int64_t n, int64_t k,
-                                bool accumulate, int64_t lo, int64_t hi);
-
-void Bf16GemvRowsPortable(const float* a, bool trans_a, const float* x,
-                          float* y, int64_t n, int64_t k, bool accumulate,
-                          int64_t lo, int64_t hi) {
-  Bf16GemvRows<false>(a, trans_a, x, y, n, k, accumulate, lo, hi);
-}
-
 #if METALORA_GEMM_AVX2_CLONES
 METALORA_AVX2_FMA_TARGET void Bf16GemvRowsAvx2(const float* a, bool trans_a,
                                                const float* x, float* y,
                                                int64_t n, int64_t k,
-                                               bool accumulate, int64_t lo,
-                                               int64_t hi) {
-  Bf16GemvRows<true>(a, trans_a, x, y, n, k, accumulate, lo, hi);
+                                               bool accumulate) {
+  Bf16GemvRows<true>(a, trans_a, x, y, n, k, accumulate);
 }
 #endif
 
 void Bf16GemvPath(const float* a, bool trans_a, const float* x, float* y,
                   int64_t n, int64_t k, bool accumulate) {
-  Bf16GemvRowsFn rows = Bf16GemvRowsPortable;
 #if METALORA_GEMM_AVX2_CLONES
-  if (gemm_detail::FusedMulAdd()) rows = Bf16GemvRowsAvx2;
+  if (gemm_detail::FusedMulAdd()) {
+    Bf16GemvRowsAvx2(a, trans_a, x, y, n, k, accumulate);
+    return;
+  }
 #endif
-  ParallelFor(0, n, 64, [=](int64_t lo, int64_t hi) {
-    rows(a, trans_a, x, y, n, k, accumulate, lo, hi);
-  });
+  Bf16GemvRows<false>(a, trans_a, x, y, n, k, accumulate);
 }
 
 // One blocked bf16 GEMM with an explicit tile triple, on one ISA's
 // kernel. Structure mirrors gemm.cc GemmPackedTiledOn — fp32 partial sums
 // are stored and reloaded between k panels (exact), so any kc produces
-// the same bits, and tasks take whole MR-row panels. `pack_a` returns
-// PackABf16 blocks: packed on the spot for a dense matrix, or read from a
-// PackAOnceBf16 operand. `pack_b` packs bf16 B panels: PackBBf16 for a
-// dense matrix, or PackIm2ColB for a conv input lowered as it is packed.
+// the same bits, and row blocks start on MR-row panel boundaries. `pack_a`
+// returns PackABf16 blocks: packed on the spot for a dense matrix, or read
+// from a PackAOnceBf16 operand. `pack_b` packs bf16 B panels: PackBBf16
+// for a dense matrix, or PackIm2ColB for a conv input lowered as it is
+// packed.
 template <MicroKernelBf16Fn kKernel, typename PackAFn, typename PackBFn>
 void GemmPackedBf16TiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
                            float* c, int64_t n, int64_t k, int64_t m,
                            bool accumulate, const GemmTiles& tiles) {
-  const int64_t row_panels = (n + kGemmMR - 1) / kGemmMR;
   for (int64_t jc = 0; jc < m; jc += tiles.nc) {
     const int64_t nc = std::min(tiles.nc, m - jc);
     const int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
@@ -347,26 +334,20 @@ void GemmPackedBf16TiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
       tls_pack_b16.Reserve(b_panels * kc * kGemmNR);
       pack_b(pc, kc, jc, nc, tls_pack_b16.data());
       const uint16_t* bp = tls_pack_b16.data();
-      const int64_t tile_mc = tiles.mc;
-
-      ParallelFor(0, row_panels, tile_mc / kGemmMR,
-                  [=, &pack_a](int64_t q_lo, int64_t q_hi) {
-        const int64_t i_hi = std::min(n, q_hi * kGemmMR);
-        for (int64_t ic = q_lo * kGemmMR; ic < i_hi; ic += tile_mc) {
-          const int64_t mc = std::min(tile_mc, i_hi - ic);
-          const float* ap = pack_a(ic, mc, pc, kc);
-          for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
-            const int64_t nr = std::min(kGemmNR, nc - jr);
-            const uint16_t* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
-            for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
-              const int64_t mr = std::min(kGemmMR, mc - ir);
-              MicroTileBf16<kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR,
-                                     bpanel, kc, c + (ic + ir) * m + jc + jr,
-                                     m, mr, nr, acc_panel);
-            }
+      for (int64_t ic = 0; ic < n; ic += tiles.mc) {
+        const int64_t mc = std::min(tiles.mc, n - ic);
+        const float* ap = pack_a(ic, mc, pc, kc);
+        for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
+          const int64_t nr = std::min(kGemmNR, nc - jr);
+          const uint16_t* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
+          for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
+            const int64_t mr = std::min(kGemmMR, mc - ir);
+            MicroTileBf16<kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR, bpanel,
+                                   kc, c + (ic + ir) * m + jc + jr, m, mr, nr,
+                                   acc_panel);
           }
         }
-      });
+      }
     }
   }
 }
@@ -727,29 +708,27 @@ void GemmInt8PrepackedOn(const int8_t* qa, const float* a_scales,
   const int8_t* wpanels = w.panels.data();
   const float* scales_b = w.scales.data();
   const int64_t a_panels = (n + kGemmMR - 1) / kGemmMR;
-  ParallelFor(0, a_panels, 1, [=](int64_t q_lo, int64_t q_hi) {
-    int32_t acc[kGemmMR * kGemmNR];
-    for (int64_t q = q_lo; q < q_hi; ++q) {
-      const int64_t row0 = q * kGemmMR;
-      const int64_t mr = std::min(kGemmMR, n - row0);
-      const int8_t* apanel = qa + q * k * kGemmMR;
-      for (int64_t jr = 0; jr < m; jr += kGemmNR) {
-        const int64_t nr = std::min(kGemmNR, m - jr);
-        const int8_t* bpanel = wpanels + (jr / kGemmNR) * k * kGemmNR;
-        std::memset(acc, 0, sizeof(acc));
-        kKernel(apanel, bpanel, k, acc);
-        for (int64_t r = 0; r < mr; ++r) {
-          const float sa = a_scales[row0 + r];
-          float* crow = c + (row0 + r) * m + jr;
-          for (int64_t j = 0; j < nr; ++j) {
-            const float v = static_cast<float>(acc[r * kGemmNR + j]) *
-                            (sa * scales_b[jr + j]);
-            crow[j] = accumulate ? crow[j] + v : v;
-          }
+  int32_t acc[kGemmMR * kGemmNR];
+  for (int64_t q = 0; q < a_panels; ++q) {
+    const int64_t row0 = q * kGemmMR;
+    const int64_t mr = std::min(kGemmMR, n - row0);
+    const int8_t* apanel = qa + q * k * kGemmMR;
+    for (int64_t jr = 0; jr < m; jr += kGemmNR) {
+      const int64_t nr = std::min(kGemmNR, m - jr);
+      const int8_t* bpanel = wpanels + (jr / kGemmNR) * k * kGemmNR;
+      std::memset(acc, 0, sizeof(acc));
+      kKernel(apanel, bpanel, k, acc);
+      for (int64_t r = 0; r < mr; ++r) {
+        const float sa = a_scales[row0 + r];
+        float* crow = c + (row0 + r) * m + jr;
+        for (int64_t j = 0; j < nr; ++j) {
+          const float v = static_cast<float>(acc[r * kGemmNR + j]) *
+                          (sa * scales_b[jr + j]);
+          crow[j] = accumulate ? crow[j] + v : v;
         }
       }
     }
-  });
+  }
 }
 
 // Full-depth bf16 pass over a prepacked weight on one ISA's kernel.
@@ -759,26 +738,23 @@ void GemmBf16PrepackedOn(const float* a, const Bf16PackedWeight& w, float* c,
   const int64_t k = w.k;
   const int64_t m = w.m;
   const uint16_t* bp = w.panels.data();
-  const int64_t tile_mc = kGemmMC;
-  ParallelFor(0, n, tile_mc, [=](int64_t i_lo, int64_t i_hi) {
-    gemm_detail::AlignedBuffer<float>& abuf = tls_pack_abf;
-    for (int64_t ic = i_lo; ic < i_hi; ic += tile_mc) {
-      const int64_t mc = std::min(tile_mc, i_hi - ic);
-      const int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
-      abuf.Reserve(a_panels * k * kGemmMR);
-      PackABf16(a, /*trans_a=*/false, n, k, ic, mc, 0, k, abuf.data());
-      for (int64_t jr = 0; jr < m; jr += kGemmNR) {
-        const int64_t nr = std::min(kGemmNR, m - jr);
-        const uint16_t* bpanel = bp + (jr / kGemmNR) * k * kGemmNR;
-        for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
-          const int64_t mr = std::min(kGemmMR, mc - ir);
-          MicroTileBf16<kKernel>(abuf.data() + (ir / kGemmMR) * k * kGemmMR,
-                                 bpanel, k, c + (ic + ir) * m + jr, m, mr, nr,
-                                 accumulate);
-        }
+  gemm_detail::AlignedBuffer<float>& abuf = tls_pack_abf;
+  for (int64_t ic = 0; ic < n; ic += kGemmMC) {
+    const int64_t mc = std::min(kGemmMC, n - ic);
+    const int64_t a_panels = (mc + kGemmMR - 1) / kGemmMR;
+    abuf.Reserve(a_panels * k * kGemmMR);
+    PackABf16(a, /*trans_a=*/false, n, k, ic, mc, 0, k, abuf.data());
+    for (int64_t jr = 0; jr < m; jr += kGemmNR) {
+      const int64_t nr = std::min(kGemmNR, m - jr);
+      const uint16_t* bpanel = bp + (jr / kGemmNR) * k * kGemmNR;
+      for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
+        const int64_t mr = std::min(kGemmMR, mc - ir);
+        MicroTileBf16<kKernel>(abuf.data() + (ir / kGemmMR) * k * kGemmMR,
+                               bpanel, k, c + (ic + ir) * m + jr, m, mr, nr,
+                               accumulate);
       }
     }
-  });
+  }
 }
 
 }  // namespace

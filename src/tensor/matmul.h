@@ -2,8 +2,8 @@
 //
 // Thin shape-checked facades over the packed register-blocked GEMM engine
 // (tensor/gemm.h). All four layouts — plain, transposed-A, transposed-B,
-// and matrix-vector — share the engine's packing + micro-kernel path and
-// its ParallelFor row-panel parallelism.
+// and matrix-vector — share the engine's packing + micro-kernel path, and
+// all of them run on the calling thread.
 #ifndef METALORA_TENSOR_MATMUL_H_
 #define METALORA_TENSOR_MATMUL_H_
 

@@ -77,6 +77,39 @@ TEST(ArenaBackward, GradsAndParamsBitIdenticalToHeap) {
   }
 }
 
+// Once the step arena is warm, a training step — forward, saved tensors
+// and backward scratch — goes to the heap allocator less often than the
+// same step in plain grad mode; only pinned leaf gradients stay off it.
+TEST(ArenaBackward, WarmStepArenaMakesFewerHeapAllocations) {
+  auto heap_allocations = [](bool arena_mode) {
+    WorkspaceArena arena;
+    RuntimeContext ctx;
+    if (arena_mode) {
+      ctx.set_arena(&arena);
+      ctx.set_arena_serves_grad(true);
+    }
+    RuntimeContextScope scope(&ctx);
+    Rng rng(5);
+    Variable w1(RandomUniform(Shape{12, 10}, rng, -0.5f, 0.5f), true);
+    Variable w2(RandomUniform(Shape{4, 12}, rng, -0.5f, 0.5f), true);
+    Variable x(RandomUniform(Shape{6, 10}, rng, -1.0f, 1.0f), false);
+    Tensor target = RandomUniform(Shape{6, 4}, rng, -1.0f, 1.0f);
+    auto step = [&] {
+      arena.NextGeneration();
+      w1.ZeroGrad();
+      w2.ZeroGrad();
+      Variable y = Linear(Relu(Linear(x, w1, Variable())), w2, Variable());
+      EXPECT_TRUE(Backward(MseLoss(y, target)).ok());
+    };
+    step();  // sizes the arena's blocks
+    const int64_t heap0 = Tensor::HeapAllocations();
+    for (int s = 0; s < 3; ++s) step();
+    return Tensor::HeapAllocations() - heap0;
+  };
+  EXPECT_LT(heap_allocations(/*arena_mode=*/true),
+            heap_allocations(/*arena_mode=*/false));
+}
+
 TEST(ArenaBackward, GradcheckPassesUnderStepArena) {
   WorkspaceArena arena;
   RuntimeContext ctx;

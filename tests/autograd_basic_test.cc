@@ -7,8 +7,8 @@
 #include "autograd/graph.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "tensor/conv_ops.h"
+#include "tensor/gemm.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
 
@@ -120,8 +120,8 @@ bool BytesEqual(const Tensor& a, const Tensor& b) {
 // each requires-grad pattern of (x, w) — the bias follows w, as under a
 // frozen base conv — the defined gradients must be byte-equal to the
 // all-gradients kernel, the others undefined, and the skipped GEMMs must
-// not run: every packed GEMM block passes through ParallelFor, so the two
-// halves' counts must add up to the full pass's.
+// not run: the two halves' counts of blocked-engine GEMMs must add up to
+// the full pass's.
 TEST(BackwardTest, Conv2dComputesOnlyTheGradientsItsInputsNeed) {
   Rng rng(17);
   const ConvGeom g{3, 3, 2, 1};
@@ -146,9 +146,9 @@ TEST(BackwardTest, Conv2dComputesOnlyTheGradientsItsInputsNeed) {
     Variable w(w0.Clone(), p.w);
     Variable b(b0.Clone(), p.w);
     Variable y = Conv2d(x, w, b, g);
-    const int64_t before = ThreadPool::TotalParallelForCalls();
+    const int64_t before = PackedEngineRuns();
     ASSERT_TRUE(BackwardWithGrad(y, gy).ok());
-    calls[run++] = ThreadPool::TotalParallelForCalls() - before;
+    calls[run++] = PackedEngineRuns() - before;
     ASSERT_EQ(x.grad().defined(), p.x);
     ASSERT_EQ(w.grad().defined(), p.w);
     ASSERT_EQ(b.grad().defined(), p.w);

@@ -46,9 +46,8 @@ TEST(AdapterForwardTest, SchedulesNoPoolTasks) {
   if (GlobalThreadPool().num_threads() == 0) {
     GTEST_SKIP() << "zero-worker pool: nothing could be scheduled anyway";
   }
-  // Seven adapter forwards, each a base path beside a delta path. Shapes
-  // are small enough that every GEMM's ParallelFor runs inline (the conv
-  // lowering packs its panels on the caller), so any scheduled task would
+  // Seven adapter forwards, each a base path beside a delta path. Every
+  // GEMM and conv kernel runs on its caller, so any scheduled task would
   // come from the adapter forward itself.
   std::vector<std::unique_ptr<core::Adapter>> adapters;
   adapters.push_back(std::make_unique<core::TnAdapter>(

@@ -74,11 +74,18 @@ TEST(ThreadPoolTest, ZeroWorkerPoolRunsParallelForInline) {
   ThreadPool pool(0);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> hits(16, 0);
-  pool.ParallelFor(0, 16, 1, [&](int64_t lo, int64_t hi) {
+  pool.ParallelFor(0, 16, [&](int64_t lo, int64_t hi) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
     for (int64_t i = lo; i < hi; ++i) ++hits[static_cast<size_t>(i)];
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolTest, EmptyRangeIsNoop) {
+  ThreadPool pool(2);
+  bool called = false;
+  pool.ParallelFor(5, 5, [&](int64_t, int64_t) { called = true; });
+  EXPECT_FALSE(called);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
@@ -86,7 +93,7 @@ TEST(ThreadPoolTest, ParallelForCoversRangeExactlyOnce) {
   constexpr int64_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  pool.ParallelFor(0, kN, 64, [&](int64_t lo, int64_t hi) {
+  pool.ParallelFor(0, kN, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) hits[static_cast<size_t>(i)].fetch_add(1);
   });
   for (int64_t i = 0; i < kN; ++i) EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 1);
@@ -101,7 +108,7 @@ TEST(ThreadPoolTest, ParallelForCompletionStress) {
   ThreadPool pool(4);
   std::atomic<int64_t> total{0};
   for (int iter = 0; iter < 4000; ++iter) {
-    pool.ParallelFor(0, 8, 1, [&](int64_t lo, int64_t hi) {
+    pool.ParallelFor(0, 8, [&](int64_t lo, int64_t hi) {
       total.fetch_add(hi - lo, std::memory_order_relaxed);
     });
   }
@@ -109,8 +116,8 @@ TEST(ThreadPoolTest, ParallelForCompletionStress) {
 }
 
 // Concurrent callers from several external threads, each issuing short
-// ParallelFor calls against one shared pool — the pattern server workers
-// produce when their forwards fan GEMM kernels out.
+// ParallelFor calls against one shared pool — the pattern of several
+// threads each running eval blocks through ParallelApplyNoGrad.
 TEST(ThreadPoolTest, ParallelForConcurrentCallersStress) {
   ThreadPool pool(4);
   constexpr int kCallers = 3;
@@ -121,7 +128,7 @@ TEST(ThreadPoolTest, ParallelForConcurrentCallersStress) {
   for (int c = 0; c < kCallers; ++c) {
     callers.emplace_back([&] {
       for (int iter = 0; iter < kIters; ++iter) {
-        pool.ParallelFor(0, 16, 1, [&](int64_t lo, int64_t hi) {
+        pool.ParallelFor(0, 16, [&](int64_t lo, int64_t hi) {
           total.fetch_add(hi - lo, std::memory_order_relaxed);
         });
       }
@@ -155,7 +162,7 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineOnWorker) {
   auto latch = std::make_shared<Latch>(1);
   pool.Schedule([&sum, &pool, latch] {
     const std::thread::id worker = std::this_thread::get_id();
-    pool.ParallelFor(0, 32, 1, [&](int64_t lo, int64_t hi) {
+    pool.ParallelFor(0, 32, [&](int64_t lo, int64_t hi) {
       EXPECT_EQ(std::this_thread::get_id(), worker);
       sum.fetch_add(hi - lo);
     });
@@ -201,7 +208,7 @@ TEST(ForkJoinReplicasTest, LanesRunWithWorkerInlineGuardSet) {
     guard_ok[static_cast<size_t>(lane)].store(
         ThreadPool::InWorkerThread() ? 1 : 0);
     const std::thread::id self = std::this_thread::get_id();
-    pool.ParallelFor(0, 64, 1, [&](int64_t, int64_t) {
+    pool.ParallelFor(0, 64, [&](int64_t, int64_t) {
       EXPECT_EQ(std::this_thread::get_id(), self);
     });
   });
@@ -266,10 +273,10 @@ TEST(ThreadPoolForkTest, ForkedChildRunsParallelForInline) {
   ThreadPool pool(2);
   auto* doomed = new ThreadPool(2);
   std::atomic<int64_t> warm{0};
-  pool.ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) { warm += hi - lo; });
-  doomed->ParallelFor(0, 64, 1,
-                      [&](int64_t lo, int64_t hi) { warm += hi - lo; });
-  ParallelFor(0, 64, 1, [&](int64_t lo, int64_t hi) { warm += hi - lo; });
+  pool.ParallelFor(0, 64, [&](int64_t lo, int64_t hi) { warm += hi - lo; });
+  doomed->ParallelFor(0, 64, [&](int64_t lo, int64_t hi) { warm += hi - lo; });
+  GlobalThreadPool().ParallelFor(
+      0, 64, [&](int64_t lo, int64_t hi) { warm += hi - lo; });
   ASSERT_EQ(warm.load(), 192);
   std::fflush(nullptr);
 
@@ -280,10 +287,10 @@ TEST(ThreadPoolForkTest, ForkedChildRunsParallelForInline) {
     bool ok = pool.num_threads() == 0 && doomed->num_threads() == 0 &&
               GlobalThreadPool().num_threads() == 0;
     int64_t sum = 0;
-    pool.ParallelFor(0, 1000, 1, [&](int64_t lo, int64_t hi) {
+    pool.ParallelFor(0, 1000, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) sum += i;
     });
-    ParallelFor(0, 1000, 1, [&](int64_t lo, int64_t hi) {
+    GlobalThreadPool().ParallelFor(0, 1000, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) sum += i;
     });
     delete doomed;
@@ -299,8 +306,7 @@ TEST(ThreadPoolForkTest, ForkedChildRunsParallelForInline) {
 
   EXPECT_EQ(pool.num_threads(), 2);
   std::atomic<int64_t> after{0};
-  pool.ParallelFor(0, 64, 1,
-                   [&](int64_t lo, int64_t hi) { after += hi - lo; });
+  pool.ParallelFor(0, 64, [&](int64_t lo, int64_t hi) { after += hi - lo; });
   EXPECT_EQ(after.load(), 64);
   delete doomed;
 }

@@ -8,7 +8,6 @@
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace metalora {
@@ -142,30 +141,6 @@ TEST(TablePrinterTest, AlignsColumns) {
   // Every body line has the same width.
   size_t first_bar = out.find('+');
   ASSERT_NE(first_bar, std::string::npos);
-}
-
-TEST(ThreadPoolTest, InlineWhenZeroThreads) {
-  ThreadPool pool(0);
-  std::atomic<int64_t> sum{0};
-  pool.ParallelFor(0, 100, 10,
-                   [&](int64_t lo, int64_t hi) { sum += hi - lo; });
-  EXPECT_EQ(sum.load(), 100);
-}
-
-TEST(ThreadPoolTest, CoversRangeExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(512);
-  pool.ParallelFor(0, 512, 16, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) hits[static_cast<size_t>(i)]++;
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.ParallelFor(5, 5, 1, [&](int64_t, int64_t) { called = true; });
-  EXPECT_FALSE(called);
 }
 
 TEST(TimerTest, MeasuresElapsed) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -305,7 +304,7 @@ TEST(ConvLoweringTest, WeightPackedOnceAcrossCacheBlocksBitwise) {
 }
 
 // A 1×1 output is a GEMV per sample: the weight is read in place, nothing
-// is packed, and no ParallelFor is entered.
+// is packed, and the blocked engine never runs.
 TEST(ConvLoweringTest, OneByOneOutputTakesTheGemvPathBitwise) {
   const ConvGeom g{3, 3, 1, 0};
   ExpectConvMatchesSerialRoute(3, 5, 7, 3, 3, g, 33, "1x1 output");
@@ -313,9 +312,9 @@ TEST(ConvLoweringTest, OneByOneOutputTakesTheGemvPathBitwise) {
   Tensor x = RandomNormal(Shape{2, 5, 3, 3}, rng);
   Tensor wgt = RandomNormal(Shape{7, 5, 3, 3}, rng);
   Tensor out = Tensor::Zeros(Shape{2, 7, 1, 1});
-  const int64_t before = ThreadPool::TotalParallelForCalls();
+  const int64_t before = PackedEngineRuns();
   Conv2dForwardInto(x, wgt, Tensor(), g, &out);
-  EXPECT_EQ(ThreadPool::TotalParallelForCalls(), before);
+  EXPECT_EQ(PackedEngineRuns(), before);
 }
 
 TEST(ConvBackwardTest, GradBiasIsOutputSum) {

@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "tensor/autocast.h"
 #include "tensor/conv_ops.h"
+#include "tensor/lowp.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor.h"
@@ -102,15 +103,15 @@ TEST(GemmPackedTest, LoraAdapterShapes) {
 TEST(GemmPackedTest, OneRowRunsAsGemvOnTheCaller) {
   // n == 1 is a GEMV over op(B)ᵀ: bit-identical to the reference in every
   // layout, with k past one kGemmKC panel so the blocked path's partial-sum
-  // reload would be in play, and without a ParallelFor.
+  // reload would be in play, and without a run of the blocked engine.
   for (int64_t k : {int64_t{1}, int64_t{37}, kGemmKC + 45}) {
     for (int64_t m : {int64_t{2}, int64_t{33}, int64_t{1024}}) {
       for (int layout = 0; layout < 4; ++layout) {
         for (bool accumulate : {false, true}) {
-          const int64_t before = ThreadPool::TotalParallelForCalls();
+          const int64_t before = PackedEngineRuns();
           CheckShape(/*n=*/1, k, m, (layout & 2) != 0, (layout & 1) != 0,
                      accumulate);
-          EXPECT_EQ(ThreadPool::TotalParallelForCalls(), before);
+          EXPECT_EQ(PackedEngineRuns(), before);
         }
       }
     }
@@ -127,66 +128,80 @@ TEST(GemmPackedTest, KZeroZeroFillsOrPreserves) {
   EXPECT_EQ(c.ToVector(), std::vector<float>(15, 0.0f));
 }
 
-// The perf_opt contract for the facades: every layout, including the
-// backward-pass MatmulTransA and the classifier-head MatVec, must route
-// through the engine's ParallelFor row-panel path rather than a private
-// serial loop. ParallelFor counts entries even when it degrades to inline
-// execution, so the assertion holds on single-core machines.
-TEST(GemmRoutingTest, MatmulTransAEntersParallelFor) {
+// Every kernel runs on its caller's thread: with the global pool live, no
+// GEMM, GEMV or conv enters ParallelFor or hands a task to a worker, at
+// shapes where the kernels once split their rows across the pool. (On a
+// one-core host the pool has no workers and the ParallelFor count alone
+// guards this.) Along the way, every fp32 layout and facade still runs
+// the blocked engine, the large MatVec still runs as a GEMV, and every
+// product stays bit-identical to its reference.
+TEST(GemmThreadingTest, KernelsNeverTouchThePool) {
+  GlobalThreadPool();
+  const int64_t calls = ThreadPool::TotalParallelForCalls();
+  const int64_t tasks = ThreadPool::TotalTasksScheduled();
+  const int64_t n = 200, k = 64, m = 48;
+
+  for (int layout = 0; layout < 4; ++layout) {
+    const int64_t runs = PackedEngineRuns();
+    CheckShape(n, k, m, (layout & 2) != 0, (layout & 1) != 0, false);
+    EXPECT_EQ(PackedEngineRuns(), runs + 1) << "layout " << layout;
+  }
   Rng rng(11);
-  Tensor at = RandomNormal(Shape{64, 48}, rng);
-  Tensor b = RandomNormal(Shape{64, 32}, rng);
-  const int64_t before = ThreadPool::TotalParallelForCalls();
+  Tensor a = RandomNormal(Shape{n, k}, rng);
+  Tensor at = RandomNormal(Shape{k, n}, rng);
+  Tensor b = RandomNormal(Shape{k, m}, rng);
+  Tensor bt = RandomNormal(Shape{m, k}, rng);
+  int64_t runs = PackedEngineRuns();
+  Matmul(a, b);
+  MatmulTransB(a, bt);
   Tensor c = MatmulTransA(at, b);
-  EXPECT_GT(ThreadPool::TotalParallelForCalls(), before);
-  Tensor c_ref{Shape{48, 32}};
-  GemmReference(at.data(), true, b.data(), false, c_ref.data(), 48, 64, 32,
+  EXPECT_EQ(PackedEngineRuns(), runs + 3);
+  Tensor c_ref{Shape{n, m}};
+  GemmReference(at.data(), true, b.data(), false, c_ref.data(), n, k, m,
                 false);
   ExpectBitIdentical(c_ref.ToVector(), c.ToVector(), "MatmulTransA facade");
-}
 
-// GEMV routing is work-gated: below the serial threshold the pool
-// dispatch costs more than the row dots it distributes (the lora_down_r1
-// regression), so a small mat-vec must NOT enter ParallelFor, while a
-// large one still must. Both sides stay bit-identical to the reference —
-// the per-element accumulation chain is the same either way.
-TEST(GemmRoutingTest, MatVecRoutesByWorkAndStaysBitIdentical) {
-  Rng rng(12);
-  // 96*80 multiply-adds: well under the serial threshold.
-  Tensor a_small = RandomNormal(Shape{96, 80}, rng);
-  Tensor x_small = RandomNormal(Shape{80}, rng);
-  int64_t before = ThreadPool::TotalParallelForCalls();
-  Tensor y_small = MatVec(a_small, x_small);
-  EXPECT_EQ(ThreadPool::TotalParallelForCalls(), before);
-  Tensor y_small_ref{Shape{96}};
-  GemmReference(a_small.data(), false, x_small.data(), false,
-                y_small_ref.data(), 96, 80, 1, false);
-  ExpectBitIdentical(y_small_ref.ToVector(), y_small.ToVector(),
-                     "small MatVec facade");
-  // 1024*512 multiply-adds: above the threshold, must distribute.
   Tensor a_big = RandomNormal(Shape{1024, 512}, rng);
   Tensor x_big = RandomNormal(Shape{512}, rng);
-  before = ThreadPool::TotalParallelForCalls();
+  runs = PackedEngineRuns();
   Tensor y_big = MatVec(a_big, x_big);
-  EXPECT_GT(ThreadPool::TotalParallelForCalls(), before);
+  EXPECT_EQ(PackedEngineRuns(), runs);
   Tensor y_big_ref{Shape{1024}};
   GemmReference(a_big.data(), false, x_big.data(), false, y_big_ref.data(),
                 1024, 512, 1, false);
-  ExpectBitIdentical(y_big_ref.ToVector(), y_big.ToVector(),
-                     "large MatVec facade");
-}
+  ExpectBitIdentical(y_big_ref.ToVector(), y_big.ToVector(), "large MatVec");
 
-TEST(GemmRoutingTest, MatmulAndTransBEnterParallelFor) {
-  Rng rng(13);
-  Tensor a = RandomNormal(Shape{40, 24}, rng);
-  Tensor b = RandomNormal(Shape{24, 56}, rng);
-  Tensor bt = RandomNormal(Shape{56, 24}, rng);
-  int64_t before = ThreadPool::TotalParallelForCalls();
-  Matmul(a, b);
-  EXPECT_GT(ThreadPool::TotalParallelForCalls(), before);
-  before = ThreadPool::TotalParallelForCalls();
-  MatmulTransB(a, bt);
-  EXPECT_GT(ThreadPool::TotalParallelForCalls(), before);
+  // O = 100 output channels exceed one kGemmMC row block.
+  const ConvGeom g{3, 3, 1, 1};
+  Tensor x = RandomNormal(Shape{2, 29, 9, 7}, rng);
+  Tensor w = RandomNormal(Shape{100, 29, 3, 3}, rng);
+  Tensor y = Conv2dForward(x, w, Tensor(), g);
+  Tensor gx, gw, gb;
+  Conv2dBackward(x, w, Tensor::Ones(y.shape()), g, &gx, &gw, &gb,
+                 /*has_bias=*/false);
+
+  Tensor c16{Shape{n, m}};
+  Tensor c16_ref{Shape{n, m}};
+  GemmPackedBf16(a.data(), false, b.data(), false, c16.data(), n, k, m,
+                 false);
+  GemmReferenceBf16(a.data(), false, b.data(), false, c16_ref.data(), n, k,
+                    m, false);
+  ExpectBitIdentical(c16_ref.ToVector(), c16.ToVector(), "bf16 packed");
+  lowp::GemmBf16Prepacked(a.data(),
+                          lowp::PackBf16Weight(b.data(), false, k, m),
+                          c16.data(), n, false);
+  ExpectBitIdentical(c16_ref.ToVector(), c16.ToVector(), "bf16 prepacked");
+  Tensor c8{Shape{n, m}};
+  Tensor c8_ref{Shape{n, m}};
+  lowp::GemmInt8Prepacked(a.data(),
+                          lowp::PackInt8Weight(b.data(), false, k, m),
+                          c8.data(), n, false);
+  lowp::GemmReferenceInt8(a.data(), b.data(), false, c8_ref.data(), n, k, m,
+                          false);
+  ExpectBitIdentical(c8_ref.ToVector(), c8.ToVector(), "int8 prepacked");
+
+  EXPECT_EQ(ThreadPool::TotalParallelForCalls(), calls);
+  EXPECT_EQ(ThreadPool::TotalTasksScheduled(), tasks);
 }
 
 // Tile autotune under concurrent first-callers: every thread that races
