@@ -81,15 +81,46 @@ BENCHMARK(BM_Conv2dForward)->Apply(ConvShapes);
 void BM_Conv2dBackward(benchmark::State& state) {
   const ConvInputs c = MakeConvInputs(state);
   for (auto _ : state) {
-    Tensor gx, gw;
-    Conv2dBackward(c.x, c.w, c.gy, c.g, &gx, &gw, nullptr,
-                   /*has_bias=*/false);
+    Tensor gx = Tensor::Zeros(c.x.shape()), gw = Tensor::Zeros(c.w.shape());
+    Conv2dBackward(c.x, c.w, c.gy, c.g, &gx, &gw, nullptr);
     benchmark::DoNotOptimize(gx.data());
     benchmark::DoNotOptimize(gw.data());
     benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_Conv2dBackward)->Apply(ConvShapes);
+
+// One training step of a MetaLoRA-CP conv adapter at the `adapt`
+// workload's stage-1 shape: 8 → 8 channels, 3×3, 16×16, batch 32, with x
+// needing its gradient as inside the network. Forward, sum-of-squares
+// loss and backward through the frozen base conv, D, the seed, U and the
+// mapping net.
+void BM_MetaLoraCpConvStep(benchmark::State& state) {
+  const int64_t rank = state.range(0);
+  Rng rng(16);
+  core::AdapterOptions opts;
+  opts.kind = core::AdapterKind::kMetaLoraCp;
+  opts.rank = rank;
+  opts.feature_dim = 32;
+  opts.seed = 1;
+  core::TnAdapter meta(
+      std::make_unique<nn::Conv2d>(8, 8, 3, 1, 1, false, rng), opts);
+  for (auto& np : meta.NamedParameters()) {
+    if (np.name == "lora_b") {
+      FillNormal(np.variable->mutable_value(), rng, 0.0f, 0.5f);
+    }
+  }
+  const Tensor x = RandomNormal(Shape{32, 8, 16, 16}, rng);
+  meta.SetFeatures(nn::Variable(RandomNormal(Shape{32, 32}, rng), false));
+  for (auto _ : state) {
+    meta.ZeroGrad();
+    nn::Variable xv(x, /*requires_grad=*/true);
+    nn::Variable y = meta.Forward(xv);
+    ML_CHECK_OK(autograd::Backward(autograd::SumAll(autograd::Mul(y, y))));
+    benchmark::DoNotOptimize(xv.grad().data());
+  }
+}
+BENCHMARK(BM_MetaLoraCpConvStep)->Arg(2)->Arg(8);
 
 void BM_Contraction3rdOrder(benchmark::State& state) {
   const int64_t d = state.range(0);

@@ -89,6 +89,13 @@ class Op {
 /// True if recording is on and any input needs grad.
 bool AnyRequiresGrad(const std::vector<Variable>& inputs);
 
+/// Resolves the forward-GEMM precision for a facade. Only the forward
+/// facades consult the policy; every Backward() runs fp32 unconditionally
+/// (the policy is no-grad-only anyway — PrecisionFor returns fp32 while
+/// gradients are recorded). Facades whose operand layout can't use the
+/// int8 prepacked form (no x·Wᵀ frozen weight) downgrade int8 to bf16.
+OpPrecision ForwardGemmPrecision(RuntimeContext& ctx, bool int8_capable);
+
 /// Builds the result Variable for an op: when gradients are being recorded
 /// and some input requires them, constructs an OpT node (forwarding `args`
 /// to its constructor), wires the input edges, and books the node on the

@@ -41,7 +41,9 @@ Variable AddRowBroadcast(const Variable& a, const Variable& bias);
 Variable MulRowBroadcast(const Variable& a, const Variable& row);
 
 /// out[n,c,h,w] = a[n,c,h,w] * s[n,c]; per-sample channel scaling — the
-/// faithful per-input MetaLoRA-CP application for conv features.
+/// faithful per-input MetaLoRA-CP application for conv features. Adapters
+/// apply it inside AdaptedConv2d; this op form is the reference the
+/// adapter tests replay.
 Variable ScaleChannels(const Variable& a, const Variable& s);
 
 /// out[i, ...] = a[i, ...] * s[i]; per-row scaling with s of shape [N].
@@ -94,7 +96,8 @@ Variable BatchedMatmul(const Variable& a, const Variable& b);
 /// Per-sample pointwise (1×1) convolution with per-sample weights:
 ///   y[n,o,h,w] = Σ_q w[n,o,q] · x[n,q,h,w]
 /// This is the conv-MetaLoRA integration step where the generated core makes
-/// the recovery weights input-dependent.
+/// the recovery weights input-dependent. Adapters apply it inside
+/// AdaptedConv2d; this op form is the reference the adapter tests replay.
 Variable PerSamplePointwiseConv(const Variable& x, const Variable& w);
 
 // --------------------------------------------------------------------------
@@ -117,6 +120,23 @@ Variable ConcatRows(const std::vector<Variable>& parts);
 /// 2-D convolution, NCHW; weight [O, C, Kh, Kw]; bias [O] or undefined.
 Variable Conv2d(const Variable& x, const Variable& weight,
                 const Variable& bias, const ConvGeom& geom);
+
+/// The conv lowering of an adapted conv (paper Eq. 5–6, Fig. 3) as one op:
+///   y = conv(x, W) + scale · U_n · [G] · [diag(c_n)] · conv(x, D)
+/// for weight W [O, C, Kh, Kw], bias [O] or undefined, down D
+/// [R', C, Kh, Kw], seed c [N, R'] or undefined, core G [R', R'] or
+/// undefined, and up U [O, R'] or, per sample (TR's generated M_n),
+/// [N, O, R']. W and D run as one row-stacked conv (one GEMM per sample
+/// over O + R' rows), and the tail runs on plain tensors with the kernels
+/// and float order of ScaleChannels, 1×1 Conv2d or PerSamplePointwiseConv,
+/// Scale and Add, so y and every parameter gradient equal that op
+/// sequence's byte for byte. x's gradient is one GEMM over [W; D]ᵀ, so its
+/// rounding differs from summing two convs' input gradients. Conv GEMMs run
+/// at the autocast conv tier, a per-sample U at the GEMM tier.
+Variable AdaptedConv2d(const Variable& x, const Variable& weight,
+                       const Variable& bias, const Variable& down,
+                       const Variable& seed, const Variable& core,
+                       const Variable& up, float scale, const ConvGeom& geom);
 
 Variable MaxPool2d(const Variable& x, const ConvGeom& geom);
 Variable AvgPool2d(const Variable& x, const ConvGeom& geom);

@@ -5,6 +5,7 @@
 
 #include "autograd/op.h"
 #include "autograd/ops.h"
+#include "tensor/conv_ops.h"
 #include "tensor/tensor_ops.h"
 
 namespace metalora {
@@ -114,29 +115,9 @@ class ScaleChannelsOp final : public Op {
       : Op("ScaleChannels"), a_(Save(std::move(a))), s_(Save(std::move(s))) {}
 
   std::vector<Tensor> Backward(RuntimeContext& ctx, const Tensor& g) override {
-    const Tensor& av = a_.get();
-    const Tensor& sv = s_.get();
-    const int64_t n = av.dim(0), c = av.dim(1),
-                  spatial = av.dim(2) * av.dim(3);
-    Tensor ga = ctx.AllocBackwardUninit(av.shape());
-    Tensor gs = ctx.AllocBackwardUninit(sv.shape());
-    const float* pg = g.data();
-    const float* pa = av.data();
-    const float* ps = sv.data();
-    float* pga = ga.data();
-    float* pgs = gs.data();
-    for (int64_t i = 0; i < n * c; ++i) {
-      const float scale = ps[i];
-      const float* gplane = pg + i * spatial;
-      const float* aplane = pa + i * spatial;
-      float* gaplane = pga + i * spatial;
-      float acc = 0.0f;
-      for (int64_t k = 0; k < spatial; ++k) {
-        gaplane[k] = gplane[k] * scale;
-        acc += gplane[k] * aplane[k];
-      }
-      pgs[i] = acc;
-    }
+    Tensor ga = ctx.AllocBackwardUninit(a_.get().shape());
+    Tensor gs = ctx.AllocBackwardUninit(s_.get().shape());
+    ScaleChannelsBackward(g, a_.get(), s_.get(), &ga, &gs);
     return {ga, gs};
   }
 
@@ -380,25 +361,10 @@ Variable MulRowBroadcast(const Variable& a, const Variable& row) {
 }
 
 Variable ScaleChannels(const Variable& a, const Variable& s) {
-  ML_CHECK_EQ(a.rank(), 4);
-  ML_CHECK_EQ(s.rank(), 2);
-  ML_CHECK_EQ(a.dim(0), s.dim(0));
-  ML_CHECK_EQ(a.dim(1), s.dim(1));
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "ScaleChannels");
-  const int64_t n = a.dim(0), c = a.dim(1), spatial = a.dim(2) * a.dim(3);
   Tensor out = ctx.AllocResultUninit(a.shape());
-  {
-    const float* pa = a.value().data();
-    const float* ps = s.value().data();
-    float* po = out.data();
-    for (int64_t i = 0; i < n * c; ++i) {
-      const float sv = ps[i];
-      const float* plane = pa + i * spatial;
-      float* oplane = po + i * spatial;
-      for (int64_t k = 0; k < spatial; ++k) oplane[k] = plane[k] * sv;
-    }
-  }
+  ScaleChannelsInto(a.value(), s.value(), &out);
   prof.set_output(out);
   return MakeOpResult<ScaleChannelsOp>(std::move(out), {a, s}, a.value(),
                                        s.value());

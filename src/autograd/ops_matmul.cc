@@ -3,6 +3,7 @@
 
 #include "autograd/op.h"
 #include "autograd/ops.h"
+#include "tensor/conv_ops.h"
 #include "tensor/gemm.h"
 #include "tensor/lowp.h"
 #include "tensor/matmul.h"
@@ -11,19 +12,13 @@
 namespace metalora {
 namespace autograd {
 
-namespace {
-
-// Resolves the forward-GEMM precision for a facade. Only the forward
-// facades consult the policy; every Backward() below runs fp32
-// unconditionally (the policy is no-grad-only anyway — PrecisionFor
-// returns fp32 while gradients are recorded). Facades whose operand
-// layout can't use the int8 prepacked form (no x·Wᵀ frozen weight)
-// downgrade int8 to bf16 here.
 OpPrecision ForwardGemmPrecision(RuntimeContext& ctx, bool int8_capable) {
   OpPrecision p = ctx.PrecisionFor(OpCategory::kGemm);
   if (p == OpPrecision::kInt8 && !int8_capable) p = OpPrecision::kBf16;
   return p;
 }
+
+namespace {
 
 class MatmulOp final : public Op {
  public:
@@ -130,32 +125,10 @@ class PerSamplePointwiseConvOp final : public Op {
         w_(Save(std::move(w))) {}
 
   std::vector<Tensor> Backward(RuntimeContext& ctx, const Tensor& g) override {
-    const Tensor& xv = x_.get();
-    const Tensor& wv = w_.get();
-    const int64_t n = xv.dim(0), q = xv.dim(1),
-                  spatial = xv.dim(2) * xv.dim(3);
-    const int64_t o = wv.dim(1);
-    // Both per-sample GEMMs below accumulate: zeroed buffers required.
-    Tensor gx = ctx.AllocBackward(xv.shape());
-    Tensor gw = ctx.AllocBackward(wv.shape());
-    const float* pg = g.data();
-    const float* px = xv.data();
-    const float* pw = wv.data();
-    float* pgx = gx.data();
-    float* pgw = gw.data();
-    for (int64_t s = 0; s < n; ++s) {
-      const float* gs = pg + s * o * spatial;  // [O, S]
-      const float* xs = px + s * q * spatial;  // [Q, S]
-      const float* ws = pw + s * o * q;        // [O, Q]
-      float* gxs = pgx + s * q * spatial;      // [Q, S]
-      float* gws = pgw + s * o * q;            // [O, Q]
-      // gx [Q,S] = wᵀ (w stored [O,Q]) · g [O,S].
-      GemmPacked(ws, /*trans_a=*/true, gs, /*trans_b=*/false, gxs, q, o,
-                 spatial, /*accumulate=*/true);
-      // gw [O,Q] = g [O,S] · xᵀ (x stored [Q,S]).
-      GemmPacked(gs, /*trans_a=*/false, xs, /*trans_b=*/true, gws, o, spatial,
-                 q, /*accumulate=*/true);
-    }
+    // Both per-sample GEMMs accumulate: zeroed buffers required.
+    Tensor gx = ctx.AllocBackward(x_.get().shape());
+    Tensor gw = ctx.AllocBackward(w_.get().shape());
+    PerSamplePointwiseConvBackward(x_.get(), w_.get(), g, &gx, &gw);
     return {gx, gw};
   }
 
@@ -268,39 +241,13 @@ Variable BatchedMatmul(const Variable& a, const Variable& b) {
 }
 
 Variable PerSamplePointwiseConv(const Variable& x, const Variable& w) {
-  ML_CHECK_EQ(x.rank(), 4);
-  ML_CHECK_EQ(w.rank(), 3);
-  const int64_t n = x.dim(0), q = x.dim(1), h = x.dim(2), wd = x.dim(3);
-  const int64_t o = w.dim(1);
-  ML_CHECK_EQ(w.dim(0), n);
-  ML_CHECK_EQ(w.dim(2), q);
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "PerSamplePointwiseConv");
-  const int64_t spatial = h * wd;
-
-  // y[n] = w[n] [O,Q] · x[n] [Q, S]  (per-sample matmul over flattened space)
   const OpPrecision prec = ForwardGemmPrecision(ctx, /*int8_capable=*/false);
   ctx.RecordGemmDispatch(prec);
-  Tensor out = ctx.AllocResult(Shape{n, o, h, wd});
-  {
-    const float* px = x.value().data();
-    const float* pw = w.value().data();
-    float* py = out.data();
-    for (int64_t s = 0; s < n; ++s) {
-      const float* xs = px + s * q * spatial;
-      const float* ws = pw + s * o * q;
-      float* ys = py + s * o * spatial;
-      if (prec == OpPrecision::kBf16) {
-        // The generated per-sample ΔW weights live in bf16 happily (LoTR's
-        // low-intrinsic-rank argument); dynamic packing, weights change
-        // per request.
-        GemmPackedBf16(ws, false, xs, false, ys, o, q, spatial,
-                       /*accumulate=*/true);
-      } else {
-        MatmulAccumulateRaw(ws, xs, ys, o, q, spatial);
-      }
-    }
-  }
+  // The kernel accumulates: zeroed output required.
+  Tensor out = ctx.AllocResult(Shape{x.dim(0), w.dim(1), x.dim(2), x.dim(3)});
+  PerSamplePointwiseConvInto(x.value(), w.value(), &out, prec);
   prof.set_output(out);
   return MakeOpResult<PerSamplePointwiseConvOp>(std::move(out), {x, w},
                                                 x.value(), w.value());

@@ -206,7 +206,7 @@ class RuntimeContext {
   }
 
   /// AllocResult for ops that assign every element of their output: skips
-  /// the zero-fill on arena reuse. Accumulating kernels (Matmul, Conv2d,
+  /// the zero-fill on arena reuse. Accumulating kernels (Matmul,
   /// BatchedMatmul, PerSamplePointwiseConv) must keep using AllocResult.
   /// The heap path stays zeroed — Tensor(Shape) value-initializes — so this
   /// only changes arena-block reuse, where the saved memset is the win.

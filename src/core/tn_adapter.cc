@@ -292,18 +292,19 @@ Variable TnAdapter::Recovery(const Variable& core_b, const Variable& c) const {
   return autograd::Reshape(t, Shape{nf, out_, r * r});
 }
 
+Variable TnAdapter::Generated(const Factors& f, const Variable& features) {
+  return cache_->GetOrCompute(cache_salt_, features, [&] {
+    Variable c = mapping_->Forward(features);
+    return chain_.generated_up ? Recovery(f.up, c) : c;
+  });
+}
+
 Variable TnAdapter::BranchDelta(const Factors& f, const Variable& x,
                                 const Variable& features) {
   const int64_t r = chain_.rank;
-  // TR's recovery depends only on (features, core_b); it is generated
-  // before D runs.
-  Variable m;
-  if (chain_.generated_up) {
-    m = cache_->GetOrCompute(cache_salt_, features, [&] {
-      return Recovery(f.up, mapping_->Forward(features));
-    });
-  }
-  Variable h;  // [N, R] or [N, R, H', W']
+  const Variable gen =
+      mapping_ != nullptr ? Generated(f, features) : Variable();
+  Variable h;  // [N, R], or [N, R, H', W'] in a conv branch sum
   if (conv_ != nullptr) {
     h = autograd::Conv2d(x, DownWeight(f), Variable(), conv_->geom());
   } else if (chain_.tt_down || chain_.generated_up) {
@@ -312,20 +313,13 @@ Variable TnAdapter::BranchDelta(const Factors& f, const Variable& x,
     h = autograd::Linear(x, f.down, Variable());
   }
   if (chain_.generated_up) {
-    if (conv_ != nullptr) return autograd::PerSamplePointwiseConv(h, m);
     // d[n, o] = Σ_q h[n, q]·M[n, q, o].
     const int64_t n = x.dim(0);
     Variable u = autograd::Reshape(h, Shape{n, 1, r * r});
-    return autograd::Reshape(autograd::BatchedMatmul(u, AlignSeedToRows(m, n)),
-                             Shape{n, out_});
+    return autograd::Reshape(
+        autograd::BatchedMatmul(u, AlignSeedToRows(gen, n)), Shape{n, out_});
   }
-  if (chain_.seeded) {
-    Variable seed = cache_->GetOrCompute(
-        cache_salt_, features,
-        [&] { return mapping_->Forward(features); });  // [N, R]
-    h = conv_ != nullptr ? autograd::ScaleChannels(h, seed)
-                         : autograd::Mul(h, AlignSeedToRows(seed, x.dim(0)));
-  }
+  if (chain_.seeded) h = autograd::Mul(h, AlignSeedToRows(gen, x.dim(0)));
   if (chain_.core) h = MixRank(h, core_);
   if (chain_.tt_up) {
     // U[r0, (p, q)] = Σ_r1 G3[r0, p, r1]·G4[r1, q]; col (p, q) is the
@@ -351,8 +345,19 @@ Variable TnAdapter::Forward(const Variable& x) {
           << "conditioning features batch size mismatch";
     }
   }
+  if (merged_) return base_->Forward(x);
+  if (conv_ != nullptr && chain_.weight == BranchWeight::kNone) {
+    // A single conv chain is one node: the base conv and D share one GEMM
+    // per sample, and the tail runs inside the op.
+    const Factors& f = branches_[0];
+    const Variable gen =
+        mapping_ != nullptr ? Generated(f, features) : Variable();
+    return autograd::AdaptedConv2d(
+        x, conv_->weight(), conv_->bias(), DownWeight(f),
+        chain_.seeded ? gen : Variable(), core_,
+        chain_.generated_up ? gen : f.up, scaling_, conv_->geom());
+  }
   Variable y = base_->Forward(x);
-  if (merged_) return y;
 
   Variable gate;  // [N, E]
   if (chain_.weight == BranchWeight::kGate) {

@@ -52,8 +52,16 @@
 //     transposes are needed. c scales the R columns (Mul), repeated per
 //     token for token-wise layers; TR applies M_n with BatchedMatmul.
 //   - Conv (Eq. 5, Fig. 3) makes D a conv to R channels with the base
-//     geometry, applies c with ScaleChannels, and runs G and U as 1×1
-//     convs; TR applies M_n as a per-sample 1×1 conv.
+//     geometry, applies c per channel, and runs G and U as 1×1 convs; TR
+//     applies M_n as a per-sample 1×1 conv. A single-branch chain runs
+//     all of it, base conv included, as one autograd::AdaptedConv2d: W and
+//     D are row-stacked into one GEMM per sample (the im2col panels are
+//     packed once), and the tail runs inside the op with the kernels of
+//     ScaleChannels, Conv2d and PerSamplePointwiseConv, so y and every
+//     parameter gradient are those of the op sequence; x's gradient is
+//     one GEMM over [W; D]ᵀ. Branch sums keep the op sequence per branch
+//     (D as a Conv2d, U as a 1×1 Conv2d), because their branch weights
+//     need the graph.
 //
 // Which factors a chain has is derived from (AdapterKind, multi_lora_mode,
 // base kind) and is not user-settable. Parameter names, Rng draw order and
@@ -173,7 +181,12 @@ class TnAdapter : public Adapter {
   /// owner; none of D and U on a member).
   void InitBranch(int e, Rng& rng, const SharedFactors* share);
 
-  /// The delta U·[G]·[diag(c)]·D·x of one branch, before scaling.
+  /// The generated factor of a chain with a mapping net, served through
+  /// the conditioning cache: the seed c [N, R], or TR's recovery M_n.
+  Variable Generated(const Factors& f, const Variable& features);
+  /// The delta U·[G]·[diag(c)]·D·x of one branch, before scaling: any
+  /// linear chain, and each branch of a conv branch sum (a plain D → U
+  /// chain). A single conv chain runs as one AdaptedConv2d instead.
   Variable BranchDelta(const Factors& f, const Variable& x,
                        const Variable& features);
   /// D in the layout its lowering consumes: linear dense [R, I] (Linear),

@@ -6,6 +6,7 @@
 
 #include "tensor/gemm.h"
 #include "tensor/gemm_detail.h"
+#include "tensor/matmul.h"
 #include "tensor/tensor_ops.h"
 
 namespace metalora {
@@ -144,51 +145,103 @@ void FoldColumns(const float* col_grad, int64_t c, int64_t h, int64_t w,
 
 }  // namespace
 
-void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
-                       const Tensor& bias, const ConvGeom& g, Tensor* out,
-                       OpPrecision precision) {
+namespace {
+
+// Scratch of the row-stacked kernels, grow-once like the buffers above:
+// the stacked weight matrix, one sample's stacked GEMM output (forward) or
+// output gradient (backward), and the stacked weight gradients.
+thread_local gemm_detail::AlignedBuffer<float> tls_stack_w;
+thread_local gemm_detail::AlignedBuffer<float> tls_stack_rows;
+thread_local gemm_detail::AlignedBuffer<float> tls_stack_gw;
+
+// The weights as one row-major [rows, col_rows] matrix: a lone weight in
+// place, a stack copied row block after row block into tls_stack_w.
+const float* StackWeights(std::span<const Tensor* const> weights,
+                          int64_t rows, int64_t col_rows) {
+  if (weights.size() == 1) return weights[0]->data();
+  tls_stack_w.Reserve(rows * col_rows);
+  float* dst = tls_stack_w.data();
+  for (const Tensor* w : weights) {
+    dst = std::copy(w->data(), w->data() + w->numel(), dst);
+  }
+  return tls_stack_w.data();
+}
+
+// Checks a stack against one input [n, c, h, w] and returns its total row
+// count ΣO_i.
+int64_t TotalRows(std::span<const Tensor* const> weights, int64_t c,
+                  const ConvGeom& g) {
+  ML_CHECK(!weights.empty()) << "conv: empty weight stack";
+  int64_t rows = 0;
+  for (const Tensor* w : weights) {
+    ML_CHECK_EQ(w->rank(), 4);
+    ML_CHECK_EQ(w->dim(1), c) << "conv: channel mismatch";
+    ML_CHECK_EQ(w->dim(2), g.kernel_h);
+    ML_CHECK_EQ(w->dim(3), g.kernel_w);
+    rows += w->dim(0);
+  }
+  return rows;
+}
+
+}  // namespace
+
+void Conv2dForwardInto(const Tensor& input,
+                       std::span<const Tensor* const> weights,
+                       const Tensor& bias, const ConvGeom& g,
+                       std::span<Tensor* const> outs, OpPrecision precision) {
   ML_CHECK_EQ(input.rank(), 4);
-  ML_CHECK_EQ(weight.rank(), 4);
+  ML_CHECK_EQ(weights.size(), outs.size());
   const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                 w = input.dim(3);
-  const int64_t o = weight.dim(0);
-  ML_CHECK_EQ(weight.dim(1), c) << "Conv2dForward: channel mismatch";
-  ML_CHECK_EQ(weight.dim(2), g.kernel_h);
-  ML_CHECK_EQ(weight.dim(3), g.kernel_w);
+  const int64_t rows = TotalRows(weights, c, g);
   const int64_t ho = g.OutExtent(h, g.kernel_h);
   const int64_t wo = g.OutExtent(w, g.kernel_w);
   ML_CHECK(ho > 0 && wo > 0) << "Conv2dForward: empty output";
-  ML_CHECK((out->shape() == Shape{n, o, ho, wo}));
+  for (size_t b = 0; b < weights.size(); ++b) {
+    ML_CHECK((outs[b]->shape() == Shape{n, weights[b]->dim(0), ho, wo}));
+  }
   if (bias.defined()) {
     ML_CHECK_EQ(bias.rank(), 1);
-    ML_CHECK_EQ(bias.dim(0), o);
+    ML_CHECK_EQ(bias.dim(0), weights[0]->dim(0));
   }
 
   const int64_t out_spatial = ho * wo;
   const int64_t col_rows = c * g.kernel_h * g.kernel_w;
-  // weight viewed as [O, C*Kh*Kw]; per-sample: out_n = W_mat · cols, with
-  // cols lowered from the sample as the GEMM packs it. W_mat is the same
-  // for every sample, so it is packed once for the whole call (bf16 tier
-  // for kBf16, and for kInt8 too: conv caps at bf16).
+  // The stack viewed as [rows, C*Kh*Kw]; per sample: out_n = W_mat · cols,
+  // with cols lowered from the sample as the GEMM packs it. W_mat is the
+  // same for every sample, so it is packed once for the whole call (bf16
+  // tier for kBf16, and for kInt8 too: conv caps at bf16).
   const bool fp32 = precision == OpPrecision::kFp32;
+  const float* wdata = StackWeights(weights, rows, col_rows);
   const gemm_detail::PackedA wmat =
-      fp32 ? gemm_detail::PackAOnce(weight.data(), false, o, col_rows,
-                                    out_spatial)
-           : gemm_detail::PackAOnceBf16(weight.data(), false, o, col_rows,
+      fp32 ? gemm_detail::PackAOnce(wdata, false, rows, col_rows, out_spatial)
+           : gemm_detail::PackAOnceBf16(wdata, false, rows, col_rows,
                                         out_spatial);
+  // A lone weight's GEMM writes its output in place; a stack's writes one
+  // sample's rows into scratch, which is then split row block by block.
+  const bool in_place = weights.size() == 1;
+  if (!in_place) tls_stack_rows.Reserve(rows * out_spatial);
   for (int64_t i = 0; i < n; ++i) {
     const Im2ColOperand cols =
         LowerSample(input.data() + i * c * h * w, c, h, w, g);
-    float* out_n = out->data() + i * o * out_spatial;
-    // out_n is zero-initialized by the caller's allocation.
+    float* c_n = in_place ? outs[0]->data() + i * rows * out_spatial
+                          : tls_stack_rows.data();
+    // Overwriting C starts every chain at +0, exactly like accumulating
+    // into a zeroed output.
     if (fp32) {
-      gemm_detail::GemmPackedIm2Col(wmat, cols, false, out_n,
-                                    /*accumulate=*/true);
+      gemm_detail::GemmPackedIm2Col(wmat, cols, false, c_n,
+                                    /*accumulate=*/false);
     } else {
-      gemm_detail::GemmPackedBf16Im2Col(wmat, cols, false, out_n,
-                                        /*accumulate=*/true);
+      gemm_detail::GemmPackedBf16Im2Col(wmat, cols, false, c_n,
+                                        /*accumulate=*/false);
     }
-    if (bias.defined()) {
+    const float* src = c_n;
+    for (size_t b = 0; b < weights.size(); ++b) {
+      const int64_t o = weights[b]->dim(0);
+      float* out_n = outs[b]->data() + i * o * out_spatial;
+      if (!in_place) std::copy(src, src + o * out_spatial, out_n);
+      src += o * out_spatial;
+      if (b > 0 || !bias.defined()) continue;
       const float* pb = bias.data();
       for (int64_t oc = 0; oc < o; ++oc) {
         float* plane = out_n + oc * out_spatial;
@@ -197,6 +250,14 @@ void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
       }
     }
   }
+}
+
+void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
+                       const Tensor& bias, const ConvGeom& g, Tensor* out,
+                       OpPrecision precision) {
+  const Tensor* weights[] = {&weight};
+  Tensor* outs[] = {out};
+  Conv2dForwardInto(input, weights, bias, g, outs, precision);
 }
 
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
@@ -208,26 +269,63 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
   return out;
 }
 
-void Conv2dBackward(const Tensor& input, const Tensor& weight,
-                    const Tensor& grad_output, const ConvGeom& g,
-                    Tensor* grad_input, Tensor* grad_weight, Tensor* grad_bias,
-                    bool has_bias) {
+void Conv2dBackward(const Tensor& input,
+                    std::span<const Tensor* const> weights,
+                    std::span<const Tensor* const> grad_outputs,
+                    const ConvGeom& g, Tensor* grad_input,
+                    std::span<Tensor* const> grad_weights,
+                    Tensor* grad_bias) {
+  ML_CHECK_EQ(input.rank(), 4);
+  ML_CHECK_EQ(weights.size(), grad_outputs.size());
+  ML_CHECK_EQ(weights.size(), grad_weights.size());
   const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
                 w = input.dim(3);
-  const int64_t o = weight.dim(0);
+  const int64_t rows = TotalRows(weights, c, g);
   const int64_t ho = g.OutExtent(h, g.kernel_h);
   const int64_t wo = g.OutExtent(w, g.kernel_w);
-  ML_CHECK_EQ(grad_output.dim(0), n);
-  ML_CHECK_EQ(grad_output.dim(1), o);
-  ML_CHECK_EQ(grad_output.dim(2), ho);
-  ML_CHECK_EQ(grad_output.dim(3), wo);
-
   const int64_t col_rows = c * g.kernel_h * g.kernel_w;
   const int64_t out_spatial = ho * wo;
+  const size_t blocks = weights.size();
 
-  if (grad_input) *grad_input = Tensor::Zeros(input.shape());
-  if (grad_weight) *grad_weight = Tensor::Zeros(weight.shape());
-  if (grad_bias && has_bias) *grad_bias = Tensor::Zeros(Shape{o});
+  // The weight-gradient GEMM runs over rows [lo, hi): from the first to
+  // the last weight that wants a gradient.
+  int64_t lo = 0, hi = 0, row = 0;
+  size_t wanted = 0, first = blocks;
+  for (size_t b = 0; b < blocks; ++b) {
+    const int64_t o = weights[b]->dim(0);
+    ML_CHECK((grad_outputs[b]->shape() == Shape{n, o, ho, wo}));
+    if (grad_weights[b] != nullptr) {
+      ML_CHECK(grad_weights[b]->shape() == weights[b]->shape());
+      if (first == blocks) {
+        first = b;
+        lo = row;
+      }
+      hi = row + o;
+      ++wanted;
+    }
+    row += o;
+  }
+  if (grad_input) {
+    ML_CHECK(grad_input->shape() == input.shape());
+  }
+  if (grad_bias) {
+    ML_CHECK((grad_bias->shape() == Shape{weights[0]->dim(0)}));
+  }
+  // One weight's gradient accumulates straight into its tensor, from that
+  // weight's own output gradient; a span of several accumulates into
+  // scratch from the stacked output gradient and is split at the end.
+  const bool wgrad = wanted > 0;
+  const bool wgrad_in_place = wanted == 1;
+  if (wgrad && !wgrad_in_place) {
+    tls_stack_gw.Reserve((hi - lo) * col_rows);
+    std::fill(tls_stack_gw.data(), tls_stack_gw.data() + (hi - lo) * col_rows,
+              0.0f);
+  }
+  // The stacked output gradient of one sample, [rows, S]: a lone weight's
+  // in place, a stack's copied into scratch when a GEMM reads it whole.
+  const bool stack_copy =
+      blocks > 1 && (grad_input != nullptr || (wgrad && !wgrad_in_place));
+  if (stack_copy) tls_stack_rows.Reserve(rows * out_spatial);
 
   // A pointwise conv's column gradient is its input-gradient plane, so the
   // GEMM writes the plane directly. That equals Col2Im's +0 + col_grad
@@ -235,37 +333,56 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
   const bool pointwise = ConvIsPointwise(g);
   if (grad_input && !pointwise) tls_col_grad.Reserve(col_rows * out_spatial);
 
-  // Wᵀ (W stored [o, col_rows]) is the input-gradient GEMM's A for every
-  // sample: packed once for the whole call.
+  // The stackᵀ (stored [rows, col_rows]) is the input-gradient GEMM's A for
+  // every sample: packed once for the whole call.
   gemm_detail::PackedA wt;
   if (grad_input) {
-    wt = gemm_detail::PackAOnce(weight.data(), /*trans_a=*/true, col_rows, o,
-                                out_spatial);
+    wt = gemm_detail::PackAOnce(StackWeights(weights, rows, col_rows),
+                                /*trans_a=*/true, col_rows, rows, out_spatial);
   }
   for (int64_t i = 0; i < n; ++i) {
-    const float* gout = grad_output.data() + i * o * out_spatial;
     const float* in_n = input.data() + i * c * h * w;
+    const float* gstack = blocks == 1
+                              ? grad_outputs[0]->data() + i * rows * out_spatial
+                              : tls_stack_rows.data();
+    if (stack_copy) {
+      float* dst = tls_stack_rows.data();
+      for (size_t b = 0; b < blocks; ++b) {
+        const int64_t len = weights[b]->dim(0) * out_spatial;
+        const float* src = grad_outputs[b]->data() + i * len;
+        dst = std::copy(src, src + len, dst);
+      }
+    }
 
-    if (grad_weight) {
-      // dW [o, col_rows] += gout [o, S] · colsᵀ, cols lowered at pack time.
-      // Its A is this sample's gout, so it packs per sample.
+    if (wgrad) {
+      // dW [hi − lo, col_rows] += gout [hi − lo, S] · colsᵀ, cols lowered
+      // at pack time. Its A is this sample's gout, so it packs per sample.
+      const int64_t o = weights[first]->dim(0);
+      const float* gout =
+          wgrad_in_place
+              ? grad_outputs[first]->data() + i * o * out_spatial
+              : gstack + lo * out_spatial;
+      float* dst =
+          wgrad_in_place ? grad_weights[first]->data() : tls_stack_gw.data();
       gemm_detail::GemmPackedIm2Col(gout, /*trans_a=*/false,
                                     LowerSample(in_n, c, h, w, g),
-                                    /*trans_b=*/true, grad_weight->data(), o,
+                                    /*trans_b=*/true, dst, hi - lo,
                                     /*accumulate=*/true);
     }
 
     if (grad_input) {
-      // col_grad [col_rows, S] = Wᵀ · gout [o, S], then folded back onto
-      // the input plane.
+      // col_grad [col_rows, S] = stackᵀ · gstack [rows, S], then folded
+      // back onto the input plane.
       float* gin_n = grad_input->data() + i * c * h * w;
       float* cgrad = pointwise ? gin_n : tls_col_grad.data();
-      gemm_detail::GemmPacked(wt, gout, /*trans_b=*/false, cgrad, out_spatial,
-                              /*accumulate=*/false);
+      gemm_detail::GemmPacked(wt, gstack, /*trans_b=*/false, cgrad,
+                              out_spatial, /*accumulate=*/false);
       if (!pointwise) FoldColumns(cgrad, c, h, w, g, gin_n);
     }
 
-    if (grad_bias && has_bias) {
+    if (grad_bias) {
+      const int64_t o = weights[0]->dim(0);
+      const float* gout = grad_outputs[0]->data() + i * o * out_spatial;
       float* gb = grad_bias->data();
       for (int64_t oc = 0; oc < o; ++oc) {
         const float* grow = gout + oc * out_spatial;
@@ -273,6 +390,123 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
         for (int64_t s = 0; s < out_spatial; ++s) acc += grow[s];
         gb[oc] += acc;
       }
+    }
+  }
+  if (wgrad && !wgrad_in_place) {
+    const float* src = tls_stack_gw.data();
+    for (size_t b = first; src < tls_stack_gw.data() + (hi - lo) * col_rows;
+         ++b) {
+      const int64_t len = weights[b]->numel();
+      if (grad_weights[b]) std::copy(src, src + len, grad_weights[b]->data());
+      src += len;
+    }
+  }
+}
+
+void Conv2dBackward(const Tensor& input, const Tensor& weight,
+                    const Tensor& grad_output, const ConvGeom& g,
+                    Tensor* grad_input, Tensor* grad_weight,
+                    Tensor* grad_bias) {
+  const Tensor* weights[] = {&weight};
+  const Tensor* grad_outputs[] = {&grad_output};
+  Tensor* grad_weights[] = {grad_weight};
+  Conv2dBackward(input, weights, grad_outputs, g, grad_input, grad_weights,
+                 grad_bias);
+}
+
+void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out,
+                                OpPrecision precision) {
+  ML_CHECK_EQ(x.rank(), 4);
+  ML_CHECK_EQ(w.rank(), 3);
+  const int64_t n = x.dim(0), q = x.dim(1), spatial = x.dim(2) * x.dim(3);
+  const int64_t o = w.dim(1);
+  ML_CHECK_EQ(w.dim(0), n);
+  ML_CHECK_EQ(w.dim(2), q);
+  ML_CHECK((out->shape() == Shape{n, o, x.dim(2), x.dim(3)}));
+  const float* px = x.data();
+  const float* pw = w.data();
+  float* py = out->data();
+  for (int64_t s = 0; s < n; ++s) {
+    const float* xs = px + s * q * spatial;
+    const float* ws = pw + s * o * q;
+    float* ys = py + s * o * spatial;
+    if (precision != OpPrecision::kFp32) {
+      // The generated per-sample ΔW weights live in bf16 happily (LoTR's
+      // low-intrinsic-rank argument); dynamic packing, weights change
+      // per request.
+      GemmPackedBf16(ws, false, xs, false, ys, o, q, spatial,
+                     /*accumulate=*/true);
+    } else {
+      MatmulAccumulateRaw(ws, xs, ys, o, q, spatial);
+    }
+  }
+}
+
+void PerSamplePointwiseConvBackward(const Tensor& x, const Tensor& w,
+                                    const Tensor& g, Tensor* grad_x,
+                                    Tensor* grad_w) {
+  const int64_t n = x.dim(0), q = x.dim(1), spatial = x.dim(2) * x.dim(3);
+  const int64_t o = w.dim(1);
+  if (grad_x) {
+    ML_CHECK(grad_x->shape() == x.shape());
+  }
+  if (grad_w) {
+    ML_CHECK(grad_w->shape() == w.shape());
+  }
+  for (int64_t s = 0; s < n; ++s) {
+    const float* gs = g.data() + s * o * spatial;  // [O, S]
+    const float* ws = w.data() + s * o * q;        // [O, Q]
+    if (grad_x) {
+      // gx [Q,S] = wᵀ (w stored [O,Q]) · g [O,S].
+      GemmPacked(ws, /*trans_a=*/true, gs, /*trans_b=*/false,
+                 grad_x->data() + s * q * spatial, q, o, spatial,
+                 /*accumulate=*/true);
+    }
+    if (grad_w) {
+      // gw [O,Q] = g [O,S] · xᵀ (x stored [Q,S]).
+      GemmPacked(gs, /*trans_a=*/false, x.data() + s * q * spatial,
+                 /*trans_b=*/true, grad_w->data() + s * o * q, o, spatial, q,
+                 /*accumulate=*/true);
+    }
+  }
+}
+
+void ScaleChannelsInto(const Tensor& a, const Tensor& s, Tensor* out) {
+  ML_CHECK_EQ(a.rank(), 4);
+  ML_CHECK_EQ(s.rank(), 2);
+  ML_CHECK_EQ(a.dim(0), s.dim(0));
+  ML_CHECK_EQ(a.dim(1), s.dim(1));
+  CheckSameShape(a, *out, "ScaleChannelsInto(out)");
+  const int64_t planes = a.dim(0) * a.dim(1), spatial = a.dim(2) * a.dim(3);
+  const float* pa = a.data();
+  const float* ps = s.data();
+  float* po = out->data();
+  for (int64_t i = 0; i < planes; ++i) {
+    const float sv = ps[i];
+    const float* plane = pa + i * spatial;
+    float* oplane = po + i * spatial;
+    for (int64_t k = 0; k < spatial; ++k) oplane[k] = plane[k] * sv;
+  }
+}
+
+void ScaleChannelsBackward(const Tensor& g, const Tensor& a, const Tensor& s,
+                           Tensor* grad_a, Tensor* grad_s) {
+  const int64_t planes = a.dim(0) * a.dim(1), spatial = a.dim(2) * a.dim(3);
+  const float* pg = g.data();
+  const float* pa = a.data();
+  const float* ps = s.data();
+  for (int64_t i = 0; i < planes; ++i) {
+    const float* gplane = pg + i * spatial;
+    if (grad_a) {
+      const float scale = ps[i];
+      float* gaplane = grad_a->data() + i * spatial;
+      for (int64_t k = 0; k < spatial; ++k) gaplane[k] = gplane[k] * scale;
+    }
+    if (grad_s) {
+      const float* aplane = pa + i * spatial;
+      float acc = 0.0f;
+      for (int64_t k = 0; k < spatial; ++k) acc += gplane[k] * aplane[k];
+      grad_s->data()[i] = acc;
     }
   }
 }

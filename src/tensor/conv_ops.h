@@ -3,12 +3,16 @@
 // Convolution lowers to the packed GEMM: each sample's input is padded once
 // and its im2col panels are packed straight from the padded image, so no
 // column matrix is materialized. Im2Col/Col2Im and a naive direct kernel
-// are kept as correctness references for tests. Backward kernels return
-// the gradients w.r.t. input, weight and bias that the caller asks for.
+// are kept as correctness references for tests. The conv kernels take a
+// row-stack of weights sharing one input, so an adapted conv's base weight
+// and down-projection run as one GEMM; a plain conv is the one-weight
+// stack. Backward kernels write the gradients w.r.t. input, weights and
+// bias that the caller asks for into zeroed tensors the caller provides.
 #ifndef METALORA_TENSOR_CONV_OPS_H_
 #define METALORA_TENSOR_CONV_OPS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tensor/autocast.h"
@@ -49,30 +53,76 @@ void Col2Im(const float* columns, int64_t channels, int64_t h, int64_t w,
 /// directly with no fold (bit-identical to the lowered route).
 bool ConvIsPointwise(const ConvGeom& g);
 
-/// Forward convolution.
-///   input  [N, C, H, W]
-///   weight [O, C, Kh, Kw]
-///   bias   [O] or undefined for no bias
-/// Returns [N, O, Ho, Wo].
-Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
-                     const Tensor& bias, const ConvGeom& g);
+/// Forward convolution of one input by a row-stack of weights
+/// W_0 [O_0, C, Kh, Kw], W_1 [O_1, C, Kh, Kw], ...: the weights are packed
+/// once per call as one [ΣO_i, C·Kh·Kw] matrix, and each sample runs one
+/// lowered GEMM over all ΣO_i rows, so the im2col panels are packed once
+/// however many weights share them. `outs[i]` [N, O_i, Ho, Wo] receives
+/// W_i's rows; every element is written (no pre-zeroing). `bias` [O_0], or
+/// undefined for none, belongs to the first weight. Each row keeps the
+/// accumulation chain it has in a conv by its own weight alone, so the
+/// outputs are byte-identical to separate calls. `precision` selects the
+/// GEMM's tier: kBf16 runs the bf16-storage engine (kInt8 is treated as
+/// kBf16 — conv has no quantized-shadow form); the bias epilogue is fp32 in
+/// every tier.
+void Conv2dForwardInto(const Tensor& input,
+                       std::span<const Tensor* const> weights,
+                       const Tensor& bias, const ConvGeom& g,
+                       std::span<Tensor* const> outs,
+                       OpPrecision precision = OpPrecision::kFp32);
 
-/// Same, accumulating into a caller-provided, pre-zeroed [N, O, Ho, Wo]
-/// tensor (workspace-arena fast path; no output allocation). `precision`
-/// selects the lowered GEMM's tier: kBf16 runs the bf16-storage engine
-/// (kInt8 is treated as kBf16 — conv has no quantized-shadow form); the
-/// bias epilogue is fp32 in every tier.
+/// The one-weight stack: a plain conv into a [N, O, Ho, Wo] `out`.
 void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
                        const Tensor& bias, const ConvGeom& g, Tensor* out,
                        OpPrecision precision = OpPrecision::kFp32);
 
-/// Gradients of Conv2dForward. Each of `grad_input`, `grad_weight` and
-/// `grad_bias` may be null, and its GEMMs are then skipped; `grad_bias` is
-/// filled only if `has_bias`.
+/// Same, allocating the output. Returns [N, O, Ho, Wo].
+Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
+                     const Tensor& bias, const ConvGeom& g);
+
+/// Gradients of a row-stacked Conv2dForwardInto, given each weight's output
+/// gradient `grad_outputs[i]` [N, O_i, Ho, Wo]. Every gradient is written
+/// into a zeroed tensor the caller provides, shaped like its operand; a
+/// null one is skipped with its GEMMs.
+///   - grad_input: one GEMM per sample over the stack,
+///     [W_0; W_1; ...]ᵀ · [g_0; g_1; ...] with k = ΣO_i, and one fold.
+///   - grad_weights[i]: one GEMM per sample over the stacked output
+///     gradients of the rows from the first to the last weight that wants
+///     a gradient; each row's chain is the one-weight chain, byte for byte.
+///   - grad_bias [O_0]: the first weight's bias.
+void Conv2dBackward(const Tensor& input,
+                    std::span<const Tensor* const> weights,
+                    std::span<const Tensor* const> grad_outputs,
+                    const ConvGeom& g, Tensor* grad_input,
+                    std::span<Tensor* const> grad_weights, Tensor* grad_bias);
+
+/// The one-weight stack.
 void Conv2dBackward(const Tensor& input, const Tensor& weight,
                     const Tensor& grad_output, const ConvGeom& g,
-                    Tensor* grad_input, Tensor* grad_weight, Tensor* grad_bias,
-                    bool has_bias);
+                    Tensor* grad_input, Tensor* grad_weight,
+                    Tensor* grad_bias);
+
+/// Per-sample pointwise (1×1) conv with per-sample weights:
+///   out[n] [O, S] += w[n] [O, Q] · x[n] [Q, S]
+/// for x [N, Q, H, W] and w [N, O, Q]. `out` [N, O, H, W] must be zeroed.
+/// kBf16 (or kInt8) runs the bf16-storage GEMM with dynamic packing.
+void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out,
+                                OpPrecision precision = OpPrecision::kFp32);
+
+/// Its gradients for output gradient `g` [N, O, H, W], accumulated into
+/// zeroed caller-provided tensors; a null one is skipped.
+void PerSamplePointwiseConvBackward(const Tensor& x, const Tensor& w,
+                                    const Tensor& g, Tensor* grad_x,
+                                    Tensor* grad_w);
+
+/// Per-sample channel scaling, out[n, c, h, w] = a[n, c, h, w] · s[n, c]:
+/// the MetaLoRA-CP seed applied to conv features. `out` may be `a`.
+void ScaleChannelsInto(const Tensor& a, const Tensor& s, Tensor* out);
+
+/// Its gradients for output gradient `g`: grad_a = g · s and
+/// grad_s[n, c] = Σ_hw g · a, each written whole; a null one is skipped.
+void ScaleChannelsBackward(const Tensor& g, const Tensor& a, const Tensor& s,
+                           Tensor* grad_a, Tensor* grad_s);
 
 /// Naive direct convolution; reference implementation for tests.
 Tensor Conv2dDirect(const Tensor& input, const Tensor& weight,

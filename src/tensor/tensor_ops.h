@@ -40,8 +40,9 @@ void ScaleInPlace(Tensor& dst, float s);
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& bias);
 
 // Out-parameter variants writing into a caller-provided tensor of the
-// result shape (workspace-arena fast path; no allocation). `out` may not
-// alias an input.
+// result shape (workspace-arena fast path; no allocation). The elementwise
+// ones (AddInto through AddScalarInto) may write in place over an input;
+// the others' `out` may not alias an input.
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
 void SubInto(const Tensor& a, const Tensor& b, Tensor* out);
 void MulInto(const Tensor& a, const Tensor& b, Tensor* out);

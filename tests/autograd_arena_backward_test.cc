@@ -110,6 +110,44 @@ TEST(ArenaBackward, WarmStepArenaMakesFewerHeapAllocations) {
             heap_allocations(/*arena_mode=*/false));
 }
 
+// A warm conv-adapter step under the step arena: a trainable plain conv
+// feeding an adapted conv (frozen base, trainable D, seed and U). Every
+// conv gradient, input and weight, comes from the arena, so the step's
+// only heap allocations are the pinned leaf gradients and Backward's
+// all-ones seed.
+TEST(ArenaBackward, WarmConvAdapterStepTakesNoConvGradientFromTheHeap) {
+  WorkspaceArena arena;
+  RuntimeContext ctx;
+  ctx.set_arena(&arena);
+  ctx.set_arena_serves_grad(true);
+  RuntimeContextScope scope(&ctx);
+
+  Rng rng(21);
+  const ConvGeom g{3, 3, 1, 1};
+  Variable x(RandomUniform(Shape{2, 3, 6, 6}, rng, -1.0f, 1.0f), false);
+  Variable w0(RandomUniform(Shape{4, 3, 3, 3}, rng, -0.5f, 0.5f), true);
+  Variable w(RandomUniform(Shape{4, 4, 3, 3}, rng, -0.5f, 0.5f), false);
+  Variable down(RandomUniform(Shape{2, 4, 3, 3}, rng, -0.5f, 0.5f), true);
+  Variable seed(RandomUniform(Shape{2, 2}, rng, -1.0f, 1.0f), true);
+  Variable up(RandomUniform(Shape{4, 2}, rng, -0.5f, 0.5f), true);
+  std::vector<Variable> params = {w0, down, seed, up};
+  auto step = [&] {
+    arena.NextGeneration();
+    for (Variable& p : params) p.ZeroGrad();
+    Variable h = Conv2d(x, w0, Variable(), g);
+    Variable y = AdaptedConv2d(h, w, Variable(), down, seed, Variable(), up,
+                               0.5f, g);
+    EXPECT_TRUE(Backward(SumAll(Mul(y, y))).ok());
+  };
+  step();  // sizes the arena's blocks
+  const int64_t heap0 = Tensor::HeapAllocations();
+  const int64_t pins0 = ctx.pin_count();
+  step();
+  const int64_t pins = ctx.pin_count() - pins0;
+  EXPECT_EQ(pins, static_cast<int64_t>(params.size()));
+  EXPECT_EQ(Tensor::HeapAllocations() - heap0, pins + 1);
+}
+
 TEST(ArenaBackward, GradcheckPassesUnderStepArena) {
   WorkspaceArena arena;
   RuntimeContext ctx;

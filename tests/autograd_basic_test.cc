@@ -130,9 +130,9 @@ TEST(BackwardTest, Conv2dComputesOnlyTheGradientsItsInputsNeed) {
   const Tensor b0 = RandomNormal(Shape{5}, rng);
   const Tensor gy = RandomNormal(
       Shape{3, 5, g.OutExtent(9, 3), g.OutExtent(7, 3)}, rng);
-  Tensor gx_all, gw_all, gb_all;
-  Conv2dBackward(x0, w0, gy, g, &gx_all, &gw_all, &gb_all,
-                 /*has_bias=*/true);
+  Tensor gx_all = Tensor::Zeros(x0.shape()),
+         gw_all = Tensor::Zeros(w0.shape()), gb_all = Tensor::Zeros(b0.shape());
+  Conv2dBackward(x0, w0, gy, g, &gx_all, &gw_all, &gb_all);
 
   struct Pattern {
     bool x, w;

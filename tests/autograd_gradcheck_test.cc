@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "tensor/random_init.h"
@@ -153,6 +156,61 @@ TEST(GradCheck, Conv2dStrided) {
     return SumAll(Mul(y, y));
   }, {Rand({1, 2, 7, 7}, 36), Rand({2, 2, 3, 3}, 37)});
 }
+
+// AdaptedConv2d over every combination of: seed c present, core G
+// present, per-sample up (TR's M_n) instead of a shared U, x needing a
+// gradient, and W trainable (its bias with it, else both frozen as under
+// an adapter). Inputs that need no gradient are captured as constants, so
+// the op skips their work; the checked list holds the rest.
+class AdaptedConvGradCheck : public ::testing::TestWithParam<int> {};
+
+TEST_P(AdaptedConvGradCheck, MatchesFiniteDifferences) {
+  const int bits = GetParam();
+  const bool seeded = bits & 1, cored = bits & 2, per_sample = bits & 4;
+  const bool x_grad = bits & 8, w_grad = bits & 16;
+  const int64_t n = 2, c = 2, o = 3, r = 2;
+  const ConvGeom g{3, 3, 1, 1};
+  enum { kX, kW, kBias, kDown, kSeed, kCore, kUp, kSlots };
+  const Tensor values[kSlots] = {
+      Rand({n, c, 5, 5}, 70),     Rand({o, c, 3, 3}, 71),
+      Rand({o}, 72),              Rand({r, c, 3, 3}, 73),
+      Rand({n, r}, 74),           Rand({r, r}, 75),
+      per_sample ? Rand({n, o, r}, 76) : Rand({o, r}, 76)};
+  const bool present[kSlots] = {true, true, true, true, seeded, cored, true};
+  const bool trainable[kSlots] = {x_grad, w_grad, w_grad, true,
+                                  true,   true,   true};
+  int index[kSlots];
+  std::vector<Tensor> checked;
+  for (int i = 0; i < kSlots; ++i) {
+    index[i] = -1;
+    if (present[i] && trainable[i]) {
+      index[i] = static_cast<int>(checked.size());
+      checked.push_back(values[i]);
+    }
+  }
+  ExpectGradOk(
+      [&](const std::vector<Variable>& v) {
+        auto in = [&](int i) {
+          if (!present[i]) return Variable();
+          return index[i] >= 0 ? v[static_cast<size_t>(index[i])]
+                               : Variable(values[i], false);
+        };
+        Variable y = AdaptedConv2d(in(kX), in(kW), in(kBias), in(kDown),
+                                   in(kSeed), in(kCore), in(kUp), 0.7f, g);
+        return SumAll(Mul(y, y));
+      },
+      checked);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedCoreUpXW, AdaptedConvGradCheck, ::testing::Range(0, 32),
+    [](const ::testing::TestParamInfo<int>& info) {
+      const int b = info.param;
+      return std::string(b & 1 ? "Seed" : "NoSeed") +
+             (b & 2 ? "Core" : "NoCore") +
+             (b & 4 ? "PerSampleUp" : "SharedUp") +
+             (b & 8 ? "XGrad" : "XConst") + (b & 16 ? "WGrad" : "WFrozen");
+    });
 
 TEST(GradCheck, Pooling) {
   ConvGeom g{2, 2, 2, 0};

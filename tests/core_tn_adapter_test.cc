@@ -27,8 +27,10 @@
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
+#include "autograd/runtime_context.h"
 #include "common/rng.h"
 #include "core/tn_adapter.h"
+#include "tensor/autocast.h"
 #include "tensor/conv_ops.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -236,11 +238,26 @@ ConvGeom Pointwise() {
   return pw;
 }
 
+/// Where a single conv chain's op sequence meets the adapter's stacked
+/// GEMM: the base conv's output y and the down conv's output h are cut
+/// into leaves, so after backward their gradients are the two row blocks
+/// the stacked input-gradient GEMM contracts with [W; D]ᵀ. `down` is D as
+/// the replay used it.
+struct ConvTap {
+  Variable y, h;
+  Tensor down;
+
+  static Variable Cut(const Variable& v, Variable* leaf) {
+    *leaf = Variable(v.value().Clone(), /*requires_grad=*/true);
+    return *leaf;
+  }
+};
+
 /// MetaLoRA-TR's delta as the deleted MetaLoraTr{Linear,Conv} ran it: the
 /// recovery weights from the generated ring core, then the core_a
 /// projection, then the per-sample bond contraction.
 Variable ReplayTr(const Case& c, TnAdapter& a, const Variable& x,
-                  const Variable& features) {
+                  const Variable& features, ConvTap* tap) {
   auto p = [&](const std::string& name) { return Param(a, name); };
   const int64_t r = kRank, n = x.dim(0);
   const int64_t out = c.conv ? kOutCh : kOut;
@@ -257,6 +274,10 @@ Variable ReplayTr(const Case& c, TnAdapter& a, const Variable& x,
                           {0, 3, 1, 2}),
         Shape{nf, out, r * r});
     Variable u = autograd::Conv2d(x, p("core_a"), Variable(), kGeom);
+    if (tap != nullptr) {
+      tap->down = p("core_a").value();
+      u = ConvTap::Cut(u, &tap->h);
+    }
     return autograd::PerSamplePointwiseConv(u, w2);
   }
   Variable m = autograd::Reshape(t, Shape{nf, r * r, out});
@@ -324,16 +345,17 @@ Variable ReplayBranches(const Case& c, TnAdapter& a, const Variable& x,
 }
 
 Variable Replay(const Case& c, Built& b, const Variable& x,
-                const Variable& features) {
+                const Variable& features, ConvTap* tap = nullptr) {
   TnAdapter& a = *b.adapter;
   auto p = [&](const std::string& name) { return Param(b.Holder(name), name); };
   const float scaling = kAlpha / kRank;
   const int64_t r = kRank;
   const ConvGeom pw = Pointwise();
   Variable y = a.base()->Forward(x);
+  if (tap != nullptr) y = ConvTap::Cut(y, &tap->y);
   if (c.family == Family::kTr) {
     return autograd::Add(
-        y, autograd::Scale(ReplayTr(c, a, x, features), scaling));
+        y, autograd::Scale(ReplayTr(c, a, x, features, tap), scaling));
   }
   if (Branched(c.family)) return ReplayBranches(c, a, x, features, y);
   // MetaLoRA-CP generates (and, for linear, row-aligns) its seed before
@@ -390,7 +412,12 @@ Variable Replay(const Case& c, Built& b, const Variable& x,
       down = p("lora_a");
       up = p("lora_b");
     }
-    Variable h = apply_seed(autograd::Conv2d(x, down, Variable(), kGeom));
+    Variable h = autograd::Conv2d(x, down, Variable(), kGeom);
+    if (tap != nullptr) {
+      tap->down = down.value();
+      h = ConvTap::Cut(h, &tap->h);
+    }
+    h = apply_seed(h);
     if (Lotr(c.family)) {
       h = autograd::Conv2d(
           h, autograd::Reshape(p("lotr_core"), Shape{r, r, 1, 1}), Variable(),
@@ -602,8 +629,30 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
   const Pass want_pass = RunPass(
       b, x0, [&](const Variable& x) { return Replay(c, b, x, features); });
   EXPECT_TRUE(BytesEqual(got_pass.y, want_pass.y)) << "forward output";
-  EXPECT_TRUE(BytesEqual(got_pass.x_grad, want_pass.x_grad))
-      << "input gradient";
+  if (c.conv && !Branched(c.family)) {
+    // A single conv chain's input gradient is one GEMM over [W; D]ᵀ:
+    // replayed byte for byte through the stacked kernel from the output
+    // gradients the op sequence gives the base and down convs, and close
+    // to the op sequence's sum of two conv input gradients.
+    ConvTap tap;
+    const Variable y = Replay(c, b, Variable(x0, false), features, &tap);
+    ASSERT_TRUE(autograd::Backward(autograd::SumAll(autograd::Mul(y, y))).ok());
+    const Tensor& w = Param(*b.adapter, "base/weight").value();
+    const Tensor* weights[] = {&w, &tap.down};
+    const Tensor* grad_outputs[] = {&tap.y.grad(), &tap.h.grad()};
+    Tensor* grad_weights[] = {nullptr, nullptr};
+    Tensor want_x_grad = Tensor::Zeros(x0.shape());
+    Conv2dBackward(x0, weights, grad_outputs, kGeom, &want_x_grad,
+                   grad_weights, nullptr);
+    EXPECT_TRUE(BytesEqual(got_pass.x_grad, want_x_grad))
+        << "input gradient vs the stacked replay";
+    EXPECT_TRUE(AllClose(got_pass.x_grad, want_pass.x_grad, 1e-5f, 1e-5f))
+        << "input gradient vs the two-conv sum, max diff "
+        << MaxAbsDiff(got_pass.x_grad, want_pass.x_grad);
+  } else {
+    EXPECT_TRUE(BytesEqual(got_pass.x_grad, want_pass.x_grad))
+        << "input gradient";
+  }
   ASSERT_EQ(got_pass.grads.size(), want_pass.grads.size());
   for (const auto& [name, g] : want_pass.grads) {
     ASSERT_EQ(got_pass.grads.count(name), 1u) << name;
@@ -624,6 +673,21 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
   } else {
     EXPECT_EQ(b.adapter->conditioning_cache(), nullptr);
   }
+
+  // The serving tiers: convs at bf16, GEMMs at bf16 or int8 (int8 without
+  // shadows runs as bf16). The generated factors are recomputed under the
+  // tier, so the cache is cleared first.
+  autograd::RuntimeContext& ctx = autograd::RuntimeContext::Current();
+  const AutocastPolicy saved = ctx.autocast();
+  for (OpPrecision tier : {OpPrecision::kBf16, OpPrecision::kInt8}) {
+    ctx.set_autocast(AutocastPolicy::Serving(tier));
+    if (Generates(c.family)) b.adapter->conditioning_cache()->Clear();
+    const Tensor want_tier = Replay(c, b, x, features).value().Clone();
+    const Tensor got_tier = b.adapter->Forward(x).value().Clone();
+    EXPECT_TRUE(BytesEqual(got_tier, want_tier))
+        << OpPrecisionName(tier) << " no-grad output";
+  }
+  ctx.set_autocast(saved);
 }
 
 TEST_P(TnAdapterTest, StartsAtPretrainedPoint) {

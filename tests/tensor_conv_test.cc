@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -246,9 +248,9 @@ TEST(ConvLoweringTest, MatchesIm2ColGemmCol2ImRouteBitwise) {
                                  std::string(OpPrecisionName(precision)) +
                                  " " + what);
               if (precision != OpPrecision::kFp32) continue;
-              Tensor gx, gw;
-              Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr,
-                             /*has_bias=*/true);
+              Tensor gx = Tensor::Zeros(x.shape());
+              Tensor gw = Tensor::Zeros(wgt.shape());
+              Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr);
               ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
                              "grad_weight " + what);
               ExpectSameBits(want.gx.data(), gx.data(), gx.numel(),
@@ -283,8 +285,8 @@ void ExpectConvMatchesSerialRoute(int64_t n, int64_t c, int64_t o, int64_t h,
                    "forward " + std::string(OpPrecisionName(precision)) +
                        " " + what);
     if (precision != OpPrecision::kFp32) continue;
-    Tensor gx, gw;
-    Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr, /*has_bias=*/true);
+    Tensor gx = Tensor::Zeros(x.shape()), gw = Tensor::Zeros(wgt.shape());
+    Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr);
     ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
                    "grad_weight " + what);
     ExpectSameBits(want.gx.data(), gx.data(), gx.numel(),
@@ -317,6 +319,132 @@ TEST(ConvLoweringTest, OneByOneOutputTakesTheGemvPathBitwise) {
   EXPECT_EQ(PackedEngineRuns(), before);
 }
 
+// [a[i]; b[i]] for every sample i of a [N, A, ...] and b [N, B, ...] with
+// the same trailing shape: the row-stack the stacked kernels contract.
+Tensor StackSamples(const Tensor& a, const Tensor& b) {
+  const int64_t n = a.dim(0);
+  const int64_t la = a.numel() / n, lb = b.numel() / n;
+  std::vector<int64_t> dims = a.shape().dims();
+  dims[1] = a.dim(1) + b.dim(1);
+  Tensor out{Shape(dims)};
+  float* dst = out.data();
+  for (int64_t i = 0; i < n; ++i) {
+    dst = std::copy(a.data() + i * la, a.data() + (i + 1) * la, dst);
+    dst = std::copy(b.data() + i * lb, b.data() + (i + 1) * lb, dst);
+  }
+  return out;
+}
+
+// The row-stacked kernels over [W; D], as an adapted conv runs its base
+// weight and down-projection: every row of the outputs (fp32 and bf16)
+// and of both weight gradients, and the bias gradient, equal separate
+// one-weight calls byte for byte, with W's gradient wanted, frozen, or
+// alone. The stacked input gradient equals the Im2Col → GEMM → Col2Im
+// route over the stacked weight and output gradient. Kernels 1×1 and 3×3,
+// strides 1 and 2, padding 0 and 1, R' = 1, 2, 4 and 9 (O + R' = 16
+// crosses a 6-row panel boundary that O = 7 alone does not), N = 1 and
+// 3, and 1×1 outputs (S = 1, the GEMV route).
+TEST(ConvStackTest, StackedKernelsMatchOneWeightCallsBitwise) {
+  const int64_t c = 3, o = 7;
+  const int64_t planes[][2] = {{6, 5}, {3, 3}, {1, 1}};
+  int checked = 0, gemv = 0;
+  for (int64_t k : {1, 3}) {
+    for (int64_t stride : {1, 2}) {
+      for (int64_t pad : {0, 1}) {
+        for (const auto& hw : planes) {
+          for (int64_t r : {1, 2, 4, 9}) {
+            for (int64_t n : {1, 3}) {
+              const int64_t h = hw[0], w = hw[1];
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              const ConvGeom g{k, k, stride, pad};
+              const int64_t ho = g.OutExtent(h, k), wo = g.OutExtent(w, k);
+              const std::string what =
+                  "k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                  " p=" + std::to_string(pad) + " h=" + std::to_string(h) +
+                  " w=" + std::to_string(w) + " r=" + std::to_string(r) +
+                  " n=" + std::to_string(n);
+              Rng rng(static_cast<uint64_t>(checked + 101));
+              Tensor x = RandomNormal(Shape{n, c, h, w}, rng);
+              Tensor wgt = RandomNormal(Shape{o, c, k, k}, rng);
+              Tensor down = RandomNormal(Shape{r, c, k, k}, rng);
+              Tensor bias = RandomNormal(Shape{o}, rng);
+              Tensor gy = RandomNormal(Shape{n, o, ho, wo}, rng);
+              Tensor gh = RandomNormal(Shape{n, r, ho, wo}, rng);
+              for (int64_t i = 2; i < x.numel(); i += 7) x.flat(i) = -0.0f;
+              for (int64_t i = 1; i < gh.numel(); i += 5) gh.flat(i) = -0.0f;
+              const Tensor* weights[] = {&wgt, &down};
+
+              for (OpPrecision precision :
+                   {OpPrecision::kFp32, OpPrecision::kBf16}) {
+                const std::string tier =
+                    std::string(OpPrecisionName(precision)) + " " + what;
+                Tensor y_one{gy.shape()}, h_one{gh.shape()};
+                Conv2dForwardInto(x, wgt, bias, g, &y_one, precision);
+                Conv2dForwardInto(x, down, Tensor(), g, &h_one, precision);
+                // NaN-filled outputs: the stacked kernel must write them
+                // whole.
+                const float nan = std::numeric_limits<float>::quiet_NaN();
+                Tensor y = Tensor::Full(gy.shape(), nan);
+                Tensor hd = Tensor::Full(gh.shape(), nan);
+                Tensor* outs[] = {&y, &hd};
+                Conv2dForwardInto(x, weights, bias, g, outs, precision);
+                ExpectSameBits(y_one.data(), y.data(), y.numel(),
+                               "y " + tier);
+                ExpectSameBits(h_one.data(), hd.data(), hd.numel(),
+                               "h " + tier);
+              }
+
+              Tensor gw_one = Tensor::Zeros(wgt.shape());
+              Tensor gd_one = Tensor::Zeros(down.shape());
+              Tensor gb_one = Tensor::Zeros(bias.shape());
+              Conv2dBackward(x, wgt, gy, g, nullptr, &gw_one, &gb_one);
+              Conv2dBackward(x, down, gh, g, nullptr, &gd_one, nullptr);
+              const Tensor* grad_outputs[] = {&gy, &gh};
+              const Tensor wstack = StackSamples(
+                  wgt.Reshape(Shape{1, o, c * k * k}),
+                  down.Reshape(Shape{1, r, c * k * k}))
+                                        .Reshape(Shape{o + r, c, k, k});
+              const RouteResult route =
+                  SerialRoute(x, wstack, Tensor::Zeros(Shape{o + r}),
+                              StackSamples(gy, gh), g, OpPrecision::kFp32);
+              for (int wanted = 0; wanted < 3; ++wanted) {
+                // Both weight gradients, D's alone (a frozen base) and W's
+                // alone.
+                Tensor gx = Tensor::Zeros(x.shape());
+                Tensor gw = Tensor::Zeros(wgt.shape());
+                Tensor gd = Tensor::Zeros(down.shape());
+                Tensor gb = Tensor::Zeros(bias.shape());
+                Tensor* grad_weights[] = {wanted != 1 ? &gw : nullptr,
+                                          wanted != 2 ? &gd : nullptr};
+                Conv2dBackward(x, weights, grad_outputs, g, &gx, grad_weights,
+                               &gb);
+                const std::string tag =
+                    " (wanted " + std::to_string(wanted) + ") " + what;
+                if (wanted != 1) {
+                  ExpectSameBits(gw_one.data(), gw.data(), gw.numel(),
+                                 "grad W" + tag);
+                }
+                if (wanted != 2) {
+                  ExpectSameBits(gd_one.data(), gd.data(), gd.numel(),
+                                 "grad D" + tag);
+                }
+                ExpectSameBits(gb_one.data(), gb.data(), gb.numel(),
+                               "grad bias" + tag);
+                ExpectSameBits(route.gx.data(), gx.data(), gx.numel(),
+                               "grad input" + tag);
+              }
+              gemv += ho * wo == 1;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100);
+  EXPECT_GT(gemv, 10);
+}
+
 TEST(ConvBackwardTest, GradBiasIsOutputSum) {
   Rng rng(8);
   Tensor x = RandomNormal(Shape{2, 2, 5, 5}, rng);
@@ -324,8 +452,9 @@ TEST(ConvBackwardTest, GradBiasIsOutputSum) {
   ConvGeom g{3, 3, 1, 1};
   Tensor y = Conv2dForward(x, w, Tensor(), g);
   Tensor gy = Tensor::Ones(y.shape());
-  Tensor gx, gw, gb;
-  Conv2dBackward(x, w, gy, g, &gx, &gw, &gb, /*has_bias=*/true);
+  Tensor gx = Tensor::Zeros(x.shape()), gw = Tensor::Zeros(w.shape()),
+         gb = Tensor::Zeros(Shape{3});
+  Conv2dBackward(x, w, gy, g, &gx, &gw, &gb);
   // With unit upstream grad, grad_bias[o] = count of output positions.
   const float expected = static_cast<float>(2 * 5 * 5);
   for (int64_t o = 0; o < 3; ++o) EXPECT_NEAR(gb.flat(o), expected, 1e-3);
