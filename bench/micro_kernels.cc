@@ -90,37 +90,47 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Apply(ConvShapes);
 
-// One training step of a MetaLoRA-CP conv adapter at the `adapt`
-// workload's stage-1 shape: 8 → 8 channels, 3×3, 16×16, batch 32, with x
-// needing its gradient as inside the network. Forward, sum-of-squares
-// loss and backward through the frozen base conv, D, the seed, U and the
-// mapping net.
-void BM_MetaLoraCpConvStep(benchmark::State& state) {
-  const int64_t rank = state.range(0);
+// One training step of a conv adapter at the `adapt` workload's stage-1
+// shape: 8 → 8 channels, 3×3, 16×16, batch 32, with x needing its gradient
+// as inside the network. Forward, sum-of-squares loss and backward through
+// the frozen base conv and the chain. Args are (kind, rank): MetaLoRA-CP
+// (D, the generated seed, U and the mapping net), and the branch sums over
+// four branches, Multi-LoRA kSum (rank split to 1 per branch, weighted by
+// learned scales) and MoE-LoRA (rank 2 per expert, gated), each one
+// AdaptedConv2d over the stacked branches.
+void BM_AdaptedConvStep(benchmark::State& state) {
+  const auto kind = static_cast<core::AdapterKind>(state.range(0));
   Rng rng(16);
   core::AdapterOptions opts;
-  opts.kind = core::AdapterKind::kMetaLoraCp;
-  opts.rank = rank;
+  opts.kind = kind;
+  opts.rank = state.range(1);
   opts.feature_dim = 32;
+  opts.num_tasks = 4;
   opts.seed = 1;
-  core::TnAdapter meta(
+  core::TnAdapter adapter(
       std::make_unique<nn::Conv2d>(8, 8, 3, 1, 1, false, rng), opts);
-  for (auto& np : meta.NamedParameters()) {
-    if (np.name == "lora_b") {
+  for (auto& np : adapter.NamedParameters()) {
+    if (np.name.rfind("lora_b", 0) == 0) {
       FillNormal(np.variable->mutable_value(), rng, 0.0f, 0.5f);
     }
   }
   const Tensor x = RandomNormal(Shape{32, 8, 16, 16}, rng);
-  meta.SetFeatures(nn::Variable(RandomNormal(Shape{32, 32}, rng), false));
+  adapter.SetFeatures(nn::Variable(RandomNormal(Shape{32, 32}, rng), false));
+  state.SetLabel(core::AdapterKindName(kind));
   for (auto _ : state) {
-    meta.ZeroGrad();
+    adapter.ZeroGrad();
     nn::Variable xv(x, /*requires_grad=*/true);
-    nn::Variable y = meta.Forward(xv);
+    nn::Variable y = adapter.Forward(xv);
     ML_CHECK_OK(autograd::Backward(autograd::SumAll(autograd::Mul(y, y))));
     benchmark::DoNotOptimize(xv.grad().data());
   }
 }
-BENCHMARK(BM_MetaLoraCpConvStep)->Arg(2)->Arg(8);
+BENCHMARK(BM_AdaptedConvStep)
+    ->ArgNames({"kind", "rank"})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 2})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 8})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMultiLora), 2})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMoeLora), 2});
 
 void BM_Contraction3rdOrder(benchmark::State& state) {
   const int64_t d = state.range(0);

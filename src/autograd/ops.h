@@ -46,14 +46,6 @@ Variable MulRowBroadcast(const Variable& a, const Variable& row);
 /// adapter tests replay.
 Variable ScaleChannels(const Variable& a, const Variable& s);
 
-/// out[i, ...] = a[i, ...] * s[i]; per-row scaling with s of shape [N].
-/// Used for per-sample masking (Multi-LoRA routing).
-Variable ScaleRows(const Variable& a, const Variable& s);
-
-/// c = a * s where s is a trainable scalar Variable (numel 1). Gradient
-/// w.r.t. s is Σ g ⊙ a. Used for learnable branch scales (Multi-LoRA).
-Variable MulScalarVar(const Variable& a, const Variable& s);
-
 /// Repeats each row of a [N, ...] tensor `k` times consecutively:
 /// out[i*k + j] = a[i]. Backward sums the k replicas. Used to broadcast a
 /// per-sample MetaLoRA seed over the per-token rows of a flattened

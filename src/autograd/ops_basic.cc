@@ -125,67 +125,6 @@ class ScaleChannelsOp final : public Op {
   SavedTensor a_, s_;
 };
 
-class ScaleRowsOp final : public Op {
- public:
-  ScaleRowsOp(Tensor a, Tensor s)
-      : Op("ScaleRows"), a_(Save(std::move(a))), s_(Save(std::move(s))) {}
-
-  std::vector<Tensor> Backward(RuntimeContext& ctx, const Tensor& g) override {
-    const Tensor& av = a_.get();
-    const Tensor& sv = s_.get();
-    const int64_t n = av.dim(0);
-    const int64_t rest = av.numel() / std::max<int64_t>(n, 1);
-    Tensor ga = ctx.AllocBackwardUninit(av.shape());
-    Tensor gs = ctx.AllocBackwardUninit(sv.shape());
-    const float* pg = g.data();
-    const float* pa = av.data();
-    const float* ps = sv.data();
-    float* pga = ga.data();
-    float* pgs = gs.data();
-    for (int64_t i = 0; i < n; ++i) {
-      const float scale = ps[i];
-      float acc = 0.0f;
-      for (int64_t k = 0; k < rest; ++k) {
-        pga[i * rest + k] = pg[i * rest + k] * scale;
-        acc += pg[i * rest + k] * pa[i * rest + k];
-      }
-      pgs[i] = acc;
-    }
-    return {ga, gs};
-  }
-
- private:
-  SavedTensor a_, s_;
-};
-
-class MulScalarVarOp final : public Op {
- public:
-  MulScalarVarOp(Tensor a, float sv, Shape s_shape)
-      : Op("MulScalarVar"),
-        a_(Save(std::move(a))),
-        sv_(sv),
-        s_shape_(std::move(s_shape)) {}
-
-  std::vector<Tensor> Backward(RuntimeContext& ctx, const Tensor& g) override {
-    const Tensor& av = a_.get();
-    Tensor gs = ctx.AllocBackwardUninit(s_shape_);
-    double acc = 0;
-    const float* pg = g.data();
-    const float* pa = av.data();
-    for (int64_t i = 0, n = g.numel(); i < n; ++i)
-      acc += static_cast<double>(pg[i]) * pa[i];
-    gs.flat(0) = static_cast<float>(acc);
-    Tensor ga = ctx.AllocBackwardUninit(g.shape());
-    metalora::ScaleInto(g, sv_, &ga);
-    return {ga, gs};
-  }
-
- private:
-  SavedTensor a_;
-  float sv_;
-  Shape s_shape_;
-};
-
 class RepeatRowsInterleavedOp final : public Op {
  public:
   RepeatRowsInterleavedOp(Shape in_shape, int64_t n, int64_t k, int64_t rest)
@@ -368,42 +307,6 @@ Variable ScaleChannels(const Variable& a, const Variable& s) {
   prof.set_output(out);
   return MakeOpResult<ScaleChannelsOp>(std::move(out), {a, s}, a.value(),
                                        s.value());
-}
-
-Variable ScaleRows(const Variable& a, const Variable& s) {
-  ML_CHECK_GE(a.rank(), 1);
-  ML_CHECK_EQ(s.rank(), 1);
-  ML_CHECK_EQ(a.dim(0), s.dim(0));
-  RuntimeContext& ctx = RuntimeContext::Current();
-  ProfileScope prof(ctx, "ScaleRows");
-  const int64_t n = a.dim(0);
-  const int64_t rest = a.numel() / std::max<int64_t>(n, 1);
-  Tensor out = ctx.AllocResultUninit(a.shape());
-  {
-    const float* pa = a.value().data();
-    const float* ps = s.value().data();
-    float* po = out.data();
-    for (int64_t i = 0; i < n; ++i) {
-      const float sv = ps[i];
-      for (int64_t k = 0; k < rest; ++k)
-        po[i * rest + k] = pa[i * rest + k] * sv;
-    }
-  }
-  prof.set_output(out);
-  return MakeOpResult<ScaleRowsOp>(std::move(out), {a, s}, a.value(),
-                                   s.value());
-}
-
-Variable MulScalarVar(const Variable& a, const Variable& s) {
-  ML_CHECK_EQ(s.numel(), 1);
-  RuntimeContext& ctx = RuntimeContext::Current();
-  ProfileScope prof(ctx, "MulScalarVar");
-  const float sv = s.value().flat(0);
-  Tensor out = ctx.AllocResultUninit(a.shape());
-  metalora::ScaleInto(a.value(), sv, &out);
-  prof.set_output(out);
-  return MakeOpResult<MulScalarVarOp>(std::move(out), {a, s}, a.value(), sv,
-                                      s.shape());
 }
 
 Variable RepeatRowsInterleaved(const Variable& a, int64_t k) {

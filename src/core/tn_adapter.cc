@@ -27,34 +27,6 @@ Tensor ScaleColumns(const Tensor& m, const Tensor& c) {
   return out;
 }
 
-// Binary [N] mask selecting the samples of task `t`. Constant (no grad).
-Variable TaskMask(const std::vector<int64_t>& task_ids, int64_t n, int t,
-                  int64_t* count) {
-  ML_CHECK_EQ(static_cast<int64_t>(task_ids.size()), n)
-      << "oracle-routed Multi-LoRA needs SetTaskIds with the batch's task ids";
-  Tensor mask{Shape{n}};
-  int64_t c = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (task_ids[static_cast<size_t>(i)] == t) {
-      mask.flat(i) = 1.0f;
-      ++c;
-    }
-  }
-  *count = c;
-  return Variable(std::move(mask), /*requires_grad=*/false);
-}
-
-// Differentiable column selection: weights[:, e] as a [N] vector, with
-// gradient flowing back into the gate. Implemented as a matmul against a
-// constant one-hot column.
-Variable GateColumn(const Variable& weights, int e, int num_experts) {
-  Tensor onehot{Shape{num_experts, 1}};
-  onehot.flat(e) = 1.0f;
-  Variable col = autograd::Matmul(
-      weights, Variable(std::move(onehot), /*requires_grad=*/false));
-  return autograd::Reshape(col, Shape{weights.dim(0)});
-}
-
 }  // namespace
 
 TnAdapter::Chain TnAdapter::ChainFor(const AdapterOptions& options,
@@ -273,12 +245,6 @@ Variable TnAdapter::DownWeight(const Factors& f) const {
       Shape{in_, r});
 }
 
-Variable TnAdapter::MixRank(const Variable& h, const Variable& w) const {
-  if (conv_ == nullptr) return autograd::Linear(h, w, Variable());
-  Variable w4 = autograd::Reshape(w, Shape{w.dim(0), w.dim(1), 1, 1});
-  return autograd::Conv2d(h, w4, Variable(), ConvGeom::Pointwise());
-}
-
 Variable TnAdapter::Recovery(const Variable& core_b, const Variable& c) const {
   const int64_t nf = c.dim(0), r = chain_.rank;
   Variable c_flat = autograd::Reshape(autograd::Permute(c, {0, 2, 1}),
@@ -299,38 +265,94 @@ Variable TnAdapter::Generated(const Factors& f, const Variable& features) {
   });
 }
 
-Variable TnAdapter::BranchDelta(const Factors& f, const Variable& x,
-                                const Variable& features) {
+TnAdapter::Operands TnAdapter::StackBranches(const Variable& features,
+                                             int64_t rows) {
   const int64_t r = chain_.rank;
-  const Variable gen =
-      mapping_ != nullptr ? Generated(f, features) : Variable();
-  Variable h;  // [N, R], or [N, R, H', W'] in a conv branch sum
-  if (conv_ != nullptr) {
-    h = autograd::Conv2d(x, DownWeight(f), Variable(), conv_->geom());
-  } else if (chain_.tt_down || chain_.generated_up) {
-    h = autograd::Matmul(x, DownWeight(f));
+  // The branches in the graph, and W [·, E'] over them: one row per row of
+  // x (task mask), per feature row (gate), or a single row (scales).
+  std::vector<int> in_graph;
+  Variable w;
+  if (chain_.weight == BranchWeight::kTaskMask) {
+    const std::vector<int64_t>& ids = bound_task_ids();
+    ML_CHECK_EQ(static_cast<int64_t>(ids.size()), rows)
+        << "oracle-routed Multi-LoRA needs SetTaskIds with the batch's "
+           "task ids";
+    for (int e = 0; e < chain_.branches; ++e) {
+      if (std::find(ids.begin(), ids.end(), e) != ids.end()) {
+        in_graph.push_back(e);
+      }
+    }
+    if (in_graph.empty()) return {};
+    const int64_t cols = static_cast<int64_t>(in_graph.size());
+    Tensor mask{Shape{rows, cols}};
+    for (int64_t i = 0; i < rows; ++i) {
+      for (int64_t j = 0; j < cols; ++j) {
+        if (ids[static_cast<size_t>(i)] == in_graph[static_cast<size_t>(j)]) {
+          mask.flat(i * cols + j) = 1.0f;
+        }
+      }
+    }
+    w = Variable(std::move(mask), /*requires_grad=*/false);
   } else {
-    h = autograd::Linear(x, f.down, Variable());
+    for (int e = 0; e < chain_.branches; ++e) in_graph.push_back(e);
+    if (chain_.weight == BranchWeight::kGate) {
+      w = autograd::SoftmaxLastDim(gate_->Forward(features));
+    } else {
+      std::vector<Variable> scales;
+      for (const Factors& f : branches_) scales.push_back(f.scale);
+      w = autograd::Reshape(autograd::ConcatRows(scales),
+                            Shape{1, chain_.branches});
+    }
   }
+  const int64_t n = static_cast<int64_t>(in_graph.size());
+  // P [E', E'·R]: row e is 1 over branch e's rank channels.
+  Tensor expand{Shape{n, n * r}};
+  for (int64_t e = 0; e < n; ++e) {
+    for (int64_t j = 0; j < r; ++j) expand.flat(e * n * r + e * r + j) = 1.0f;
+  }
+  std::vector<Variable> downs, ups;
+  for (int e : in_graph) {
+    downs.push_back(branches_[static_cast<size_t>(e)].down);
+    ups.push_back(branches_[static_cast<size_t>(e)].up);
+  }
+  Operands ops;
+  ops.seed = AlignSeedToRows(
+      autograd::Matmul(w, Variable(std::move(expand), /*requires_grad=*/false)),
+      rows);
+  ops.down = autograd::ConcatRows(downs);
+  // Column block e of U is U_e: [E'·O, R] → [E', O, R] → [O, E', R].
+  ops.up = autograd::Reshape(
+      autograd::Permute(
+          autograd::Reshape(autograd::ConcatRows(ups), Shape{n, out_, r}),
+          {1, 0, 2}),
+      Shape{out_, n * r});
+  return ops;
+}
+
+Variable TnAdapter::LinearDelta(const Variable& x, const Operands& ops) const {
+  const int64_t r = chain_.rank, n = x.dim(0);
+  Variable h = chain_.tt_down || chain_.generated_up
+                   ? autograd::Matmul(x, ops.down)
+                   : autograd::Linear(x, ops.down, Variable());
   if (chain_.generated_up) {
     // d[n, o] = Σ_q h[n, q]·M[n, q, o].
-    const int64_t n = x.dim(0);
     Variable u = autograd::Reshape(h, Shape{n, 1, r * r});
     return autograd::Reshape(
-        autograd::BatchedMatmul(u, AlignSeedToRows(gen, n)), Shape{n, out_});
+        autograd::BatchedMatmul(u, AlignSeedToRows(ops.up, n)),
+        Shape{n, out_});
   }
-  if (chain_.seeded) h = autograd::Mul(h, AlignSeedToRows(gen, x.dim(0)));
-  if (chain_.core) h = MixRank(h, core_);
+  if (ops.seed.defined()) h = autograd::Mul(h, AlignSeedToRows(ops.seed, n));
+  if (chain_.core) h = autograd::Linear(h, core_, Variable());
   if (chain_.tt_up) {
     // U[r0, (p, q)] = Σ_r1 G3[r0, p, r1]·G4[r1, q]; col (p, q) is the
     // o1-major flat output index.
     return autograd::Matmul(
         h, autograd::Reshape(
-               autograd::Matmul(autograd::Reshape(f.up, Shape{r * o1_, r}),
-                                f.up_tt),
+               autograd::Matmul(autograd::Reshape(ops.up, Shape{r * o1_, r}),
+                                branches_[0].up_tt),
                Shape{r, out_}));
   }
-  return MixRank(h, f.up);
+  return autograd::Linear(h, ops.up, Variable());
 }
 
 Variable TnAdapter::Forward(const Variable& x) {
@@ -346,49 +368,31 @@ Variable TnAdapter::Forward(const Variable& x) {
     }
   }
   if (merged_) return base_->Forward(x);
-  if (conv_ != nullptr && chain_.weight == BranchWeight::kNone) {
-    // A single conv chain is one node: the base conv and D share one GEMM
-    // per sample, and the tail runs inside the op.
+  // The linear lowering runs the base layer ahead of the chain.
+  const Variable base_y = conv_ == nullptr ? base_->Forward(x) : Variable();
+  Operands ops;
+  if (chain_.weight == BranchWeight::kNone) {
     const Factors& f = branches_[0];
     const Variable gen =
         mapping_ != nullptr ? Generated(f, features) : Variable();
-    return autograd::AdaptedConv2d(
-        x, conv_->weight(), conv_->bias(), DownWeight(f),
-        chain_.seeded ? gen : Variable(), core_,
-        chain_.generated_up ? gen : f.up, scaling_, conv_->geom());
-  }
-  Variable y = base_->Forward(x);
-
-  Variable gate;  // [N, E]
-  if (chain_.weight == BranchWeight::kGate) {
-    gate = autograd::SoftmaxLastDim(gate_->Forward(features));
-    if (conv_ == nullptr) gate = AlignSeedToRows(gate, x.dim(0));
-  }
-  for (int e = 0; e < chain_.branches; ++e) {
-    Variable mask;
-    if (chain_.weight == BranchWeight::kTaskMask) {
-      int64_t count = 0;
-      mask = TaskMask(bound_task_ids(), x.dim(0), e, &count);
-      if (count == 0) continue;
+    ops.seed = chain_.seeded ? gen : Variable();
+    ops.down = DownWeight(f);
+    ops.up = chain_.generated_up ? gen : f.up;
+  } else {
+    ops = StackBranches(features, x.dim(0));
+    if (!ops.down.defined()) {  // no branch has a row in the batch
+      return conv_ == nullptr ? base_y : base_->Forward(x);
     }
-    const Factors& f = branches_[static_cast<size_t>(e)];
-    Variable d = BranchDelta(f, x, features);
-    switch (chain_.weight) {
-      case BranchWeight::kNone:
-        break;
-      case BranchWeight::kScale:
-        d = autograd::MulScalarVar(d, f.scale);
-        break;
-      case BranchWeight::kTaskMask:
-        d = autograd::ScaleRows(d, mask);
-        break;
-      case BranchWeight::kGate:
-        d = autograd::ScaleRows(d, GateColumn(gate, e, chain_.branches));
-        break;
-    }
-    y = autograd::Add(y, autograd::Scale(d, scaling_));
   }
-  return y;
+  if (conv_ != nullptr) {
+    // The base conv and D share one GEMM per sample, and the tail runs
+    // inside the op.
+    return autograd::AdaptedConv2d(x, conv_->weight(), conv_->bias(),
+                                   ops.down, ops.seed, core_, ops.up,
+                                   scaling_, conv_->geom());
+  }
+  return autograd::Add(base_y,
+                       autograd::Scale(LinearDelta(x, ops), scaling_));
 }
 
 int64_t TnAdapter::AdapterParamCount() const {

@@ -19,11 +19,11 @@
 //   kMetaTt       (conv: tt_channel·   yes  -          (conv: tt_out)
 //                  tt_spatial)
 //   kMetaLoraTr   core_a (R² rows)     -    -          generated M_n
-//   kMultiLora    lora_a{e}            -    -          lora_b{e}
-//   kMoeLora      lora_a{e}            -    -          lora_b{e}
+//   kMultiLora    [lora_a{e}; …]       W·P  -          [lora_b{e} …]
+//   kMoeLora      [lora_a{e}; …]       W·P  -          [lora_b{e} …]
 //
 // Every kind has one branch (E = 1, w_e = 1) except Multi-LoRA and
-// MoE-LoRA: see "Branch sums" below.
+// MoE-LoRA, whose branches stack into one chain: see "Branch sums" below.
 //
 // The last zero-initialized factor pins the pre-trained start point: G when
 // the chain has one (U is then Gaussian, since a zero U on a zero G would
@@ -36,14 +36,18 @@
 //     [R, R] contracted with core_b [R, O, R], so a warm no-grad forward
 //     skips both the mapping net and the B contraction.
 //
-// Branch sums: E = num_tasks branches, each with its own factor set, are
-// added to y one by one as Add(y, Scale(w_e·d_e, alpha/R)). Multi-LoRA
-// splits the rank budget (each branch has rank max(1, R / E)) and weights a
-// branch by a learned scalar (kSum) or by the oracle task mask
-// (kOracleRouting, needs SetTaskIds; branches with no sample in the batch
-// are skipped). MoE-LoRA gives every expert the full rank and weights it by
-// one column of softmax(gate(features)), the gate being an nn::Linear child
-// "gate" over the bound features.
+// Branch sums: E = num_tasks branches, each with its own factor set, run
+// as one seeded chain over the stacked factors:
+//   Σ_e w_{n,e}·U_e·D_e·x = [U_1 … U_E]·diag(c_n)·[D_1; …; D_E]·x,
+// where c = W·P repeats branch e's weight w_{n,e} over its R rank channels
+// (P [E, E·R] is a constant 0/1 expansion). Multi-LoRA splits the rank
+// budget (each branch has rank max(1, R / E)) and weights a branch by a
+// learned scalar (kSum: W is the scale{e} row) or by the oracle task mask
+// (kOracleRouting, needs SetTaskIds: W is one-hot per row, and a branch
+// with no row in the batch stays out of the stack, so its factors get no
+// gradient). MoE-LoRA gives every expert the full rank and weights it by
+// softmax(gate(features)), the gate being an nn::Linear child "gate" over
+// the bound features.
 //
 // Linear and conv are two lowerings of the same chain:
 //   - Linear runs it as GEMMs. Dense factors go through Linear (x·Wᵀ, with
@@ -53,15 +57,13 @@
 //     token for token-wise layers; TR applies M_n with BatchedMatmul.
 //   - Conv (Eq. 5, Fig. 3) makes D a conv to R channels with the base
 //     geometry, applies c per channel, and runs G and U as 1×1 convs; TR
-//     applies M_n as a per-sample 1×1 conv. A single-branch chain runs
-//     all of it, base conv included, as one autograd::AdaptedConv2d: W and
-//     D are row-stacked into one GEMM per sample (the im2col panels are
-//     packed once), and the tail runs inside the op with the kernels of
-//     ScaleChannels, Conv2d and PerSamplePointwiseConv, so y and every
-//     parameter gradient are those of the op sequence; x's gradient is
-//     one GEMM over [W; D]ᵀ. Branch sums keep the op sequence per branch
-//     (D as a Conv2d, U as a 1×1 Conv2d), because their branch weights
-//     need the graph.
+//     applies M_n as a per-sample 1×1 conv. Every conv chain, a branch
+//     sum's stack included, runs all of it, base conv included, as one
+//     autograd::AdaptedConv2d: W and D are row-stacked into one GEMM per
+//     sample (the im2col panels are packed once), and the tail runs inside
+//     the op with the kernels of ScaleChannels, Conv2d and
+//     PerSamplePointwiseConv, so y and every parameter gradient are those
+//     of the op sequence; x's gradient is one GEMM over [W; D]ᵀ.
 //
 // Which factors a chain has is derived from (AdapterKind, multi_lora_mode,
 // base kind) and is not user-settable. Parameter names, Rng draw order and
@@ -144,7 +146,7 @@ class TnAdapter : public Adapter {
   MappingNet* mapping_net() { return mapping_; }
 
  private:
-  /// How a branch's delta is weighted before it joins the sum.
+  /// What weights the branches of a sum: W of the seed c = W·P.
   enum class BranchWeight {
     kNone,      // one unweighted branch
     kScale,     // a learned scalar per branch (Multi-LoRA kSum)
@@ -181,20 +183,26 @@ class TnAdapter : public Adapter {
   /// owner; none of D and U on a member).
   void InitBranch(int e, Rng& rng, const SharedFactors* share);
 
+  /// The factors one forward runs: one branch's, or a branch sum's
+  /// stacked into one chain.
+  struct Operands {
+    Variable down;  // D in its lowering's layout (see DownWeight)
+    Variable seed;  // c [rows or feature rows, R'], or undefined
+    Variable up;    // U [O, R'], TR's M_n, or the first TT core of U
+  };
   /// The generated factor of a chain with a mapping net, served through
   /// the conditioning cache: the seed c [N, R], or TR's recovery M_n.
   Variable Generated(const Factors& f, const Variable& features);
-  /// The delta U·[G]·[diag(c)]·D·x of one branch, before scaling: any
-  /// linear chain, and each branch of a conv branch sum (a plain D → U
-  /// chain). A single conv chain runs as one AdaptedConv2d instead.
-  Variable BranchDelta(const Factors& f, const Variable& x,
-                       const Variable& features);
+  /// A branch sum as one chain over `rows` rows: D = [D_e; …] [E'·R, …],
+  /// U = [U_e …] [O, E'·R] and c = W·P [rows, E'·R], over the E' branches
+  /// in the graph (under oracle routing, those with a row in the batch).
+  /// Undefined operands when no branch has a row.
+  Operands StackBranches(const Variable& features, int64_t rows);
+  /// The linear lowering's U·[G]·[diag(c)]·D·x, before scaling.
+  Variable LinearDelta(const Variable& x, const Operands& ops) const;
   /// D in the layout its lowering consumes: linear dense [R, I] (Linear),
-  /// linear TT or TR [I, R] (Matmul), conv [R, I, K, K] (Conv2d).
+  /// linear TT or TR [I, R] (Matmul), conv [R, I, K, K].
   Variable DownWeight(const Factors& f) const;
-  /// h·Wᵀ over the rank channels: Linear, or a 1×1 conv for the conv
-  /// lowering. W is G [R, R] or a dense U [O, R].
-  Variable MixRank(const Variable& h, const Variable& w) const;
   /// TR's recovery M[n, (r0, r1), o] = Σ_r2 C[n, r2, r0]·B[r1, o, r2] from
   /// generated cores C [N, R, R]: [N, R², O] for the linear lowering,
   /// [N, O, R²] for the conv one.

@@ -67,12 +67,6 @@ TEST(GradCheck, ScaleChannels) {
   }, {Rand({2, 3, 2, 2}, 11), Rand({2, 3}, 12)});
 }
 
-TEST(GradCheck, ScaleRows) {
-  ExpectGradOk([](const std::vector<Variable>& v) {
-    return SumAll(Mul(ScaleRows(v[0], v[1]), v[0]));
-  }, {Rand({3, 4}, 13), Rand({3}, 14)});
-}
-
 TEST(GradCheck, Relu) {
   // Shift away from 0 to avoid the kink.
   ExpectGradOk([](const std::vector<Variable>& v) {
@@ -286,12 +280,6 @@ TEST(GradCheck, BatchNormEval) {
                              1e-5f);
     return SumAll(Mul(y, y));
   }, {Rand({2, 2, 2, 2}, 54), Rand({2}, 55, 0.5f, 1.5f), Rand({2}, 56)});
-}
-
-TEST(GradCheck, MulScalarVar) {
-  ExpectGradOk([](const std::vector<Variable>& v) {
-    return SumAll(Mul(MulScalarVar(v[0], v[1]), v[0]));
-  }, {Rand({3, 4}, 70), Rand({1}, 71, 0.5f, 1.5f)});
 }
 
 TEST(GradCheck, RepeatRowsInterleaved) {

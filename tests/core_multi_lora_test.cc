@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
@@ -96,22 +98,42 @@ TEST(MultiLoraLinearTest, ParamCountScalesWithTasks) {
   EXPECT_EQ(four.AdapterParamCount(), 2 * two.AdapterParamCount());
 }
 
-TEST(MultiLoraLinearTest, GradientsOnlyReachActiveBranches) {
-  TnAdapter ml(BaseLinear(), Opts(3));
+// Task 2 has no row in the batch: its branch stays out of the graph and
+// gets no gradient, in either lowering.
+class MultiLoraRoutingTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(MultiLoraRoutingTest, GradientsOnlyReachActiveBranches) {
+  const bool conv = GetParam();
+  std::unique_ptr<TnAdapter> owned =
+      conv ? std::make_unique<TnAdapter>(BaseConv(), Opts(3))
+           : std::make_unique<TnAdapter>(BaseLinear(), Opts(3));
+  TnAdapter& ml = *owned;
   Rng rng(4);
-  Variable x(RandomNormal(Shape{4, 6}, rng), false);
+  Variable x(RandomNormal(conv ? Shape{4, 2, 5, 5} : Shape{4, 6}, rng),
+             false);
   ml.SetTaskIds({0, 0, 1, 1});  // task 2 absent from the batch
   Variable y = ml.Forward(x);
   ASSERT_TRUE(autograd::Backward(autograd::SumAll(autograd::Mul(y, y))).ok());
+  int checked = 0;
   for (auto& np : ml.NamedParameters()) {
     if (np.name == "lora_a2" || np.name == "lora_b2") {
       EXPECT_FALSE(np.variable->grad().defined()) << np.name;
+      ++checked;
     }
-    if (np.name == "lora_a0" || np.name == "lora_b0") {
+    if (np.name == "lora_a0" || np.name == "lora_b0" || np.name == "lora_a1" ||
+        np.name == "lora_b1") {
       EXPECT_TRUE(np.variable->grad().defined()) << np.name;
+      ++checked;
     }
   }
+  EXPECT_EQ(checked, 6);
 }
+
+INSTANTIATE_TEST_SUITE_P(Lowerings, MultiLoraRoutingTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "conv" : "linear");
+                         });
 
 TEST(MultiLoraConvTest, RoutesSamplesToOwnBranch) {
   TnAdapter ml(BaseConv(), Opts(2));

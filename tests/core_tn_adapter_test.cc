@@ -8,7 +8,9 @@
 // and redraws the fresh-init state from Rng(seed) in the family's draw
 // order. Forward output, input and parameter gradients, the cold and warm
 // no-grad outputs (conditioning-cache miss and hit) and the fresh StateDict
-// must match byte for byte.
+// must match byte for byte. A branch sum's op sequence is the stacked
+// chain; its per-branch sum is replayed as well and must match within
+// kBranchSumTol.
 //
 // Properties: zero-init start point, factored forward == materialized ΔW
 // (per sample for generated kinds), AdapterParamCount == the tn_cost closed
@@ -54,6 +56,9 @@ constexpr int64_t kInCh = 2, kOutCh = 4, kKernel = 3;
 // rank budget: each branch has rank max(1, kRank / kTasks).
 constexpr int kTasks = 2;
 constexpr int64_t kBranchRank = kRank / kTasks;
+// The stacked chain contracts all branches' rank channels in one sum, the
+// per-branch replay adds one delta per branch: the two round differently.
+constexpr float kBranchSumTol = 1e-5f;
 
 enum class Family { kLora, kCp, kLotrOwner, kLotrMember, kMetaLotr, kTt,
                     kMetaTt, kTr, kMultiSum, kMultiOracle, kMoe };
@@ -95,6 +100,11 @@ bool Conditioned(Family f) { return Generates(f) || f == Family::kMoe; }
 bool Branched(Family f) {
   return f == Family::kMultiSum || f == Family::kMultiOracle ||
          f == Family::kMoe;
+}
+
+/// The rank of one branch: Multi-LoRA splits the budget, MoE does not.
+int64_t BranchRank(Family f) {
+  return f == Family::kMoe ? kRank : kBranchRank;
 }
 
 bool Lotr(Family f) {
@@ -238,11 +248,11 @@ ConvGeom Pointwise() {
   return pw;
 }
 
-/// Where a single conv chain's op sequence meets the adapter's stacked
-/// GEMM: the base conv's output y and the down conv's output h are cut
-/// into leaves, so after backward their gradients are the two row blocks
-/// the stacked input-gradient GEMM contracts with [W; D]ᵀ. `down` is D as
-/// the replay used it.
+/// Where a conv chain's op sequence meets the adapter's stacked GEMM: the
+/// base conv's output y and the down conv's output h are cut into leaves,
+/// so after backward their gradients are the two row blocks the stacked
+/// input-gradient GEMM contracts with [W; D]ᵀ. `down` is D as the replay
+/// used it.
 struct ConvTap {
   Variable y, h;
   Tensor down;
@@ -290,14 +300,24 @@ Variable ReplayTr(const Case& c, TnAdapter& a, const Variable& x,
   return autograd::Reshape(d, Shape{n, out});
 }
 
-/// The deleted MultiLora{Linear,Conv} and MoeLora{Linear,Conv} forwards:
-/// each branch's LoRA delta, weighted, added to y in branch order.
+/// `w` ([1] or [N]) broadcast over `shape` ([N, ...]) through the graph.
+Variable Broadcast(const Variable& w, const Shape& shape) {
+  const int64_t m = w.numel();
+  return autograd::Reshape(
+      autograd::RepeatRowsInterleaved(autograd::Reshape(w, Shape{m, 1}),
+                                      shape.numel() / m),
+      shape);
+}
+
+/// The branch sum as the deleted MultiLora{Linear,Conv} and
+/// MoeLora{Linear,Conv} ran it: each branch's LoRA delta, weighted, added
+/// to y in branch order. The independent reference for the stacked chain.
 Variable ReplayBranches(const Case& c, TnAdapter& a, const Variable& x,
                         const Variable& features, Variable y) {
   auto p = [&](const std::string& name) { return Param(a, name); };
   const float scaling = kAlpha / kRank;
   const int64_t n = x.dim(0);
-  const int64_t br = c.family == Family::kMoe ? kRank : kBranchRank;
+  const int64_t br = BranchRank(c.family);
   Variable gate;
   if (c.family == Family::kMoe) {
     gate = autograd::SoftmaxLastDim(a.Child("gate")->Forward(features));
@@ -327,21 +347,64 @@ Variable ReplayBranches(const Case& c, TnAdapter& a, const Variable& x,
       Variable h = autograd::Linear(x, p("lora_a" + id), Variable());
       d = autograd::Linear(h, p("lora_b" + id), Variable());
     }
+    Variable weight;  // [1] or [N]
     if (c.family == Family::kMultiSum) {
-      d = autograd::MulScalarVar(d, p("scale" + id));
+      weight = p("scale" + id);
     } else if (c.family == Family::kMultiOracle) {
-      d = autograd::ScaleRows(d, Variable(mask, false));
+      weight = Variable(mask, false);
     } else {
       Tensor onehot{Shape{kTasks, 1}};
       onehot.flat(e) = 1.0f;
-      Variable col = autograd::Reshape(
+      weight = autograd::Reshape(
           autograd::Matmul(gate, Variable(onehot, false)),
           Shape{gate.dim(0)});
-      d = autograd::ScaleRows(d, col);
     }
+    d = autograd::Mul(d, Broadcast(weight, d.shape()));
     y = autograd::Add(y, autograd::Scale(d, scaling));
   }
   return y;
+}
+
+/// A branch sum's factors stacked: D = [lora_a0; lora_a1] and
+/// U = [lora_b0 lora_b1], and its seed c = W·P over `n` rows, the branch
+/// weights W repeated over each branch's rank channels.
+struct StackedBranches {
+  Variable down, up, seed;
+};
+
+StackedBranches StackBranches(const Case& c, TnAdapter& a,
+                              const Variable& features, int64_t n) {
+  auto p = [&](const std::string& name) { return Param(a, name); };
+  const int64_t br = BranchRank(c.family);
+  StackedBranches s;
+  std::vector<Variable> downs, ups_t;
+  for (int e = 0; e < kTasks; ++e) {
+    const std::string id = std::to_string(e);
+    downs.push_back(p("lora_a" + id));
+    ups_t.push_back(autograd::Permute(p("lora_b" + id), {1, 0}));
+  }
+  s.down = autograd::ConcatRows(downs);
+  s.up = autograd::Permute(autograd::ConcatRows(ups_t), {1, 0});
+  Variable w;  // [1 or rows, kTasks]
+  if (c.family == Family::kMultiSum) {
+    w = autograd::Reshape(autograd::ConcatRows({p("scale0"), p("scale1")}),
+                          Shape{1, kTasks});
+  } else if (c.family == Family::kMultiOracle) {
+    Tensor mask{Shape{n, kTasks}};
+    for (int64_t i = 0; i < n; ++i) mask.flat(i * kTasks + i % kTasks) = 1.0f;
+    w = Variable(mask, false);
+  } else {
+    w = autograd::SoftmaxLastDim(a.Child("gate")->Forward(features));
+  }
+  Tensor expand{Shape{kTasks, kTasks * br}};
+  for (int64_t e = 0; e < kTasks; ++e) {
+    for (int64_t j = 0; j < br; ++j) {
+      expand.flat(e * kTasks * br + e * br + j) = 1.0f;
+    }
+  }
+  s.seed = autograd::RepeatRowsInterleaved(
+      autograd::Matmul(w, Variable(expand, false)), n / w.dim(0));
+  return s;
 }
 
 Variable Replay(const Case& c, Built& b, const Variable& x,
@@ -357,10 +420,12 @@ Variable Replay(const Case& c, Built& b, const Variable& x,
     return autograd::Add(
         y, autograd::Scale(ReplayTr(c, a, x, features, tap), scaling));
   }
-  if (Branched(c.family)) return ReplayBranches(c, a, x, features, y);
-  // MetaLoRA-CP generates (and, for linear, row-aligns) its seed before
-  // the down projection; Meta-LoTR and Meta-TT after it.
-  Variable seed;
+  // A branch sum builds its stacked factors and seed, and MetaLoRA-CP
+  // generates (and, for linear, row-aligns) its seed, before the down
+  // projection; Meta-LoTR and Meta-TT generate after it.
+  StackedBranches stacked;
+  if (Branched(c.family)) stacked = StackBranches(c, a, features, x.dim(0));
+  Variable seed = stacked.seed;
   auto generate = [&] {
     seed = a.mapping_net()->Forward(features);
     if (!c.conv) {
@@ -369,7 +434,7 @@ Variable Replay(const Case& c, Built& b, const Variable& x,
   };
   if (c.family == Family::kCp) generate();
   auto apply_seed = [&](Variable h) {
-    if (!Seeded(c.family)) return h;
+    if (!Seeded(c.family) && !Branched(c.family)) return h;
     if (!seed.defined()) generate();
     return c.conv ? autograd::ScaleChannels(h, seed) : autograd::Mul(h, seed);
   };
@@ -392,6 +457,9 @@ Variable Replay(const Case& c, Built& b, const Variable& x,
       Variable h = apply_seed(autograd::Linear(x, p("lotr_down"), Variable()));
       h = autograd::Linear(h, p("lotr_core"), Variable());
       d = autograd::Linear(h, p("lotr_up"), Variable());
+    } else if (Branched(c.family)) {
+      Variable h = apply_seed(autograd::Linear(x, stacked.down, Variable()));
+      d = autograd::Linear(h, stacked.up, Variable());
     } else {
       Variable h = apply_seed(autograd::Linear(x, p("lora_a"), Variable()));
       d = autograd::Linear(h, p("lora_b"), Variable());
@@ -408,6 +476,9 @@ Variable Replay(const Case& c, Built& b, const Variable& x,
     } else if (Lotr(c.family)) {
       down = p("lotr_down");
       up = p("lotr_up");
+    } else if (Branched(c.family)) {
+      down = stacked.down;
+      up = stacked.up;
     } else {
       down = p("lora_a");
       up = p("lora_b");
@@ -423,8 +494,9 @@ Variable Replay(const Case& c, Built& b, const Variable& x,
           h, autograd::Reshape(p("lotr_core"), Shape{r, r, 1, 1}), Variable(),
           pw);
     }
-    d = autograd::Conv2d(h, autograd::Reshape(up, Shape{kOutCh, r, 1, 1}),
-                         Variable(), pw);
+    d = autograd::Conv2d(
+        h, autograd::Reshape(up, Shape{kOutCh, up.dim(1), 1, 1}), Variable(),
+        pw);
   }
   return autograd::Add(y, autograd::Scale(d, scaling));
 }
@@ -629,8 +701,8 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
   const Pass want_pass = RunPass(
       b, x0, [&](const Variable& x) { return Replay(c, b, x, features); });
   EXPECT_TRUE(BytesEqual(got_pass.y, want_pass.y)) << "forward output";
-  if (c.conv && !Branched(c.family)) {
-    // A single conv chain's input gradient is one GEMM over [W; D]ᵀ:
+  if (c.conv) {
+    // A conv chain's input gradient is one GEMM over [W; D]ᵀ:
     // replayed byte for byte through the stacked kernel from the output
     // gradients the op sequence gives the base and down convs, and close
     // to the op sequence's sum of two conv input gradients.
@@ -658,6 +730,29 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
     ASSERT_EQ(got_pass.grads.count(name), 1u) << name;
     EXPECT_TRUE(BytesEqual(got_pass.grads.at(name), g)) << name;
   }
+  auto replay_branches = [&](const Variable& x) {
+    return ReplayBranches(c, *b.adapter, x, features,
+                          b.adapter->base()->Forward(x));
+  };
+  auto close = [](const Tensor& got, const Tensor& want) {
+    return AllClose(got, want, kBranchSumTol, kBranchSumTol);
+  };
+  if (Branched(c.family)) {
+    const Pass sum_pass = RunPass(b, x0, replay_branches);
+    EXPECT_TRUE(close(got_pass.y, sum_pass.y))
+        << "forward output vs the branch sum, max diff "
+        << MaxAbsDiff(got_pass.y, sum_pass.y);
+    EXPECT_TRUE(close(got_pass.x_grad, sum_pass.x_grad))
+        << "input gradient vs the branch sum, max diff "
+        << MaxAbsDiff(got_pass.x_grad, sum_pass.x_grad);
+    ASSERT_EQ(got_pass.grads.size(), sum_pass.grads.size());
+    for (const auto& [name, g] : sum_pass.grads) {
+      ASSERT_EQ(got_pass.grads.count(name), 1u) << name;
+      EXPECT_TRUE(close(got_pass.grads.at(name), g))
+          << name << " vs the branch sum, max diff "
+          << MaxAbsDiff(got_pass.grads.at(name), g);
+    }
+  }
 
   // No-grad: the cold forward fills the conditioning cache, the warm one
   // hits it; both match the replay.
@@ -668,6 +763,10 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
   const Tensor warm = b.adapter->Forward(x).value().Clone();
   EXPECT_TRUE(BytesEqual(cold, want_y)) << "cold no-grad output";
   EXPECT_TRUE(BytesEqual(warm, want_y)) << "warm no-grad output";
+  if (Branched(c.family)) {
+    EXPECT_TRUE(close(cold, replay_branches(x).value()))
+        << "no-grad output vs the branch sum";
+  }
   if (Generates(c.family)) {
     EXPECT_EQ(b.adapter->conditioning_cache()->stats().hits, 1);
   } else {
@@ -985,10 +1084,38 @@ TEST(FrozenBaseConvTest, SkippedBaseGradientLeavesAdapterGradientsIdentical) {
   }
 }
 
-std::vector<Case> Cases(const std::vector<Family>& families) {
+/// Every conv chain, a branch sum of four branches included, records one
+/// AdaptedConv2d and no Conv2d: base conv, D, seed, G and U are one node.
+class ConvTnAdapterTest : public TnAdapterTest {};
+
+TEST_P(ConvTnAdapterTest, ForwardIsOneAdaptedConv2d) {
+  const Case c = GetParam();
+  Built b = Build(c);
+  if (Branched(c.family)) {
+    AdapterOptions o = Opts(c);
+    o.num_tasks = 4;
+    b.adapter = std::make_unique<TnAdapter>(BaseConv(), o);
+  }
+  b.adapter->SetFeatures(Features(4, 2));
+  b.adapter->SetTaskIds({0, 1, 2, 3});
+  const Variable x(Input(c, 4, 1), /*requires_grad=*/true);
+  autograd::RuntimeContext ctx;
+  ctx.set_profiling(true);
+  {
+    autograd::RuntimeContextScope scope(&ctx);
+    b.adapter->Forward(x);
+  }
+  const std::map<std::string, autograd::OpProfile>& ops = ctx.op_profiles();
+  ASSERT_EQ(ops.count("AdaptedConv2d"), 1u);
+  EXPECT_EQ(ops.at("AdaptedConv2d").calls, 1);
+  EXPECT_EQ(ops.count("Conv2d"), 0u);
+}
+
+std::vector<Case> Cases(const std::vector<Family>& families,
+                        const std::vector<bool>& lowerings = {false, true}) {
   std::vector<Case> cases;
   for (Family f : families) {
-    for (bool conv : {false, true}) cases.push_back({f, conv});
+    for (bool conv : lowerings) cases.push_back({f, conv});
   }
   return cases;
 }
@@ -1000,6 +1127,15 @@ INSTANTIATE_TEST_SUITE_P(
                                Family::kTt, Family::kMetaTt, Family::kTr,
                                Family::kMultiSum, Family::kMultiOracle,
                                Family::kMoe})),
+    CaseName);
+INSTANTIATE_TEST_SUITE_P(
+    Chains, ConvTnAdapterTest,
+    ::testing::ValuesIn(Cases({Family::kLora, Family::kCp, Family::kLotrOwner,
+                               Family::kLotrMember, Family::kMetaLotr,
+                               Family::kTt, Family::kMetaTt, Family::kTr,
+                               Family::kMultiSum, Family::kMultiOracle,
+                               Family::kMoe},
+                              {true})),
     CaseName);
 INSTANTIATE_TEST_SUITE_P(
     Chains, SingleBranchTnAdapterTest,

@@ -298,6 +298,48 @@ TEST(TrainerTest, ConditioningTableTrainsLikePerBatchExtract) {
   }
 }
 
+// Oracle-routed Multi-LoRA adapted on rows of task 0 alone: branch 1 never
+// enters the graph, so Adam (with weight decay) leaves its bytes as they
+// were, while branch 0 trains.
+TEST(TrainerTest, AbsentBranchParametersStayUnchanged) {
+  Backbone bb = MakeResNetBackbone(TinyResNet());
+  data::MultiTaskDataset data = TinyData(16, 9);  // every row is task 0
+  core::AdapterOptions aopts;
+  aopts.kind = core::AdapterKind::kMultiLora;
+  aopts.multi_lora_mode = core::MultiLoraMode::kOracleRouting;
+  aopts.rank = 2;
+  aopts.num_tasks = 2;
+  auto injection = core::InjectAdapters(bb.module.get(), aopts);
+  ASSERT_TRUE(injection.ok()) << injection.status().ToString();
+  const auto before = bb.module->StateDict();
+
+  AdaptContext ctx;
+  ctx.injection = injection.value();
+  TrainOptions o;
+  o.epochs = 1;
+  o.batch_size = 16;
+  o.weight_decay = 1e-2;
+  ASSERT_TRUE(AdaptModel(bb, data, o, &ctx).ok());
+
+  const auto after = bb.module->StateDict();
+  auto ends_with = [](const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  int absent = 0, trained = 0;
+  for (const auto& [name, t] : before) {
+    if (ends_with(name, "/lora_a1") || ends_with(name, "/lora_b1")) {
+      ExpectSameBytes(t, after.at(name), name);
+      ++absent;
+    }
+    if (ends_with(name, "/lora_b0") && !AllClose(t, after.at(name), 0, 0)) {
+      ++trained;
+    }
+  }
+  EXPECT_GT(absent, 0);
+  EXPECT_GT(trained, 0);
+}
+
 TEST(TrainerTest, TrainStatsArePopulated) {
   Backbone bb = MakeResNetBackbone(TinyResNet());
   data::MultiTaskDataset data = TinyData(32, 8);
