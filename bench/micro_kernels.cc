@@ -90,6 +90,50 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Apply(ConvShapes);
 
+// The adapter's real backward mix (AdaptedConv2d at stage 1): the frozen
+// 8→8 base stacked with the rank-R down-projection D, input gradient for
+// both, and a weight gradient for D alone. Args are (rank): 2 as in the
+// `adapt` workload, 8 for a wider chain.
+void BM_Conv2dBackwardFrozenBase(benchmark::State& state) {
+  const int64_t rank = state.range(0);
+  Rng rng(3);
+  const ConvGeom g{3, 3, 1, 1};
+  const Tensor x = RandomNormal(Shape{32, 8, 16, 16}, rng);
+  const Tensor w = RandomNormal(Shape{8, 8, 3, 3}, rng);
+  const Tensor d = RandomNormal(Shape{rank, 8, 3, 3}, rng);
+  const Tensor gy = RandomNormal(Shape{32, 8, 16, 16}, rng);
+  const Tensor gh = RandomNormal(Shape{32, rank, 16, 16}, rng);
+  const Tensor* weights[] = {&w, &d};
+  const Tensor* grad_outputs[] = {&gy, &gh};
+  for (auto _ : state) {
+    Tensor gx = Tensor::Zeros(x.shape()), gd = Tensor::Zeros(d.shape());
+    Tensor* grad_weights[] = {nullptr, &gd};
+    Conv2dBackward(x, weights, grad_outputs, g, &gx, grad_weights, nullptr);
+    benchmark::DoNotOptimize(gx.data());
+    benchmark::DoNotOptimize(gd.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Conv2dBackwardFrozenBase)->ArgName("rank")->Arg(2)->Arg(8);
+
+// ReLU's backward at the stage-1 activation shape [32, 8, 16, 16]: the
+// gradient g · mask(x > 0) of one Relu node (its forward is untimed).
+void BM_ReluBackward(benchmark::State& state) {
+  Rng rng(4);
+  const Tensor x = RandomNormal(Shape{32, 8, 16, 16}, rng);
+  const Tensor g = RandomNormal(x.shape(), rng);
+  for (auto _ : state) {
+    state.PauseTiming();
+    autograd::Variable xv(x, /*requires_grad=*/true);
+    autograd::Variable y = autograd::Relu(xv);
+    state.ResumeTiming();
+    ML_CHECK_OK(autograd::BackwardWithGrad(y, g));
+    benchmark::DoNotOptimize(xv.grad().data());
+  }
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_ReluBackward);
+
 // One training step of a conv adapter at the `adapt` workload's stage-1
 // shape: 8 → 8 channels, 3×3, 16×16, batch 32, with x needing its gradient
 // as inside the network. Forward, sum-of-squares loss and backward through

@@ -109,7 +109,13 @@ Status BackwardWithGrad(const Variable& root, const Tensor& seed) {
       continue;
     }
 
-    std::vector<Tensor> input_grads = v->producer->Backward(ctx, grad);
+    std::vector<Tensor> input_grads;
+    {
+      // Under profiling, one backward row per op (RecordBackward).
+      ProfileScope prof(ctx, v->producer->name(), /*backward=*/true);
+      input_grads = v->producer->Backward(ctx, grad);
+      for (const Tensor& t : input_grads) prof.add_output(t);
+    }
     const auto& inputs = v->producer->inputs();
     ML_CHECK_EQ(input_grads.size(), inputs.size())
         << "op " << v->producer->name()

@@ -154,8 +154,9 @@ class RepeatRowsInterleavedOp final : public Op {
   int64_t n_, k_, rest_;
 };
 
-// Elementwise op whose derivative is a function of the saved *input*.
-template <float (*Dfn)(float)>
+// Elementwise op whose gradient is a function of the output gradient and
+// the saved *input*: GradFn(g, x, &ga).
+template <void (*GradFn)(const Tensor&, const Tensor&, Tensor*)>
 class UnaryFromInputOp final : public Op {
  public:
   UnaryFromInputOp(const char* name, Tensor input)
@@ -163,8 +164,7 @@ class UnaryFromInputOp final : public Op {
 
   std::vector<Tensor> Backward(RuntimeContext& ctx, const Tensor& g) override {
     Tensor ga = ctx.AllocBackwardUninit(g.shape());
-    ZipInto(g, input_.get(), [](float gv, float x) { return gv * Dfn(x); },
-            &ga);
+    GradFn(g, input_.get(), &ga);
     return {ga};
   }
 
@@ -337,7 +337,39 @@ Variable RepeatRowsInterleaved(const Variable& a, int64_t k) {
 
 namespace {
 
-inline float ReluBwd(float x) { return x > 0 ? 1.0f : 0.0f; }
+// ga = g · Dfn(x), elementwise.
+template <float (*Dfn)(float)>
+void ChainRuleInto(const Tensor& g, const Tensor& x, Tensor* ga) {
+  ZipInto(g, x, [](float gv, float xv) { return gv * Dfn(xv); }, ga);
+}
+
+// ReLU's gradient g · mask(x > 0), with the mask a 1.0f or 0.0f factor
+// chosen per lane with no branch and then multiplied. Multiplying, not
+// AND-ing g with the comparison, keeps the scalar g * (x > 0 ? 1 : 0)
+// byte for byte: a negative g on a dead unit gives −0, and a NaN or
+// infinite g gives NaN there.
+void ReluGradInto(const Tensor& g, const Tensor& x, Tensor* ga) {
+  CheckSameShape(g, x, "ReluGradInto");
+  CheckSameShape(g, *ga, "ReluGradInto(out)");
+  const float* pg = g.data();
+  const float* px = x.data();
+  float* po = ga->data();
+  const int64_t n = g.numel();
+  int64_t i = 0;
+#if defined(__GNUC__) || defined(__clang__)
+  typedef float V4f __attribute__((vector_size(16)));
+  const V4f one = {1.0f, 1.0f, 1.0f, 1.0f};
+  for (; i + 4 <= n; i += 4) {
+    V4f gv, xv;
+    __builtin_memcpy(&gv, pg + i, sizeof(gv));
+    __builtin_memcpy(&xv, px + i, sizeof(xv));
+    const V4f out = gv * (xv > V4f{} ? one : V4f{});
+    __builtin_memcpy(po + i, &out, sizeof(out));
+  }
+#endif
+  for (; i < n; ++i) po[i] = pg[i] * (px[i] > 0.0f ? 1.0f : 0.0f);
+}
+
 inline float SquareBwd(float x) { return 2.0f * x; }
 inline float TanhBwdFromOutput(float y) { return 1.0f - y * y; }
 inline float SigmoidBwdFromOutput(float y) { return y * (1.0f - y); }
@@ -361,15 +393,16 @@ inline float GeluBwd(float x) {
 }
 
 // Shared facade body for elementwise activations saving their input.
-template <float (*Dfn)(float), typename FwdFn>
+template <void (*GradFn)(const Tensor&, const Tensor&, Tensor*),
+          typename FwdFn>
 Variable UnaryFromInput(const Variable& a, const char* name, FwdFn fwd) {
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, name);
   Tensor out = ctx.AllocResultUninit(a.shape());
   MapInto(a.value(), fwd, &out);
   prof.set_output(out);
-  return MakeOpResult<UnaryFromInputOp<Dfn>>(std::move(out), {a}, name,
-                                             a.value());
+  return MakeOpResult<UnaryFromInputOp<GradFn>>(std::move(out), {a}, name,
+                                                a.value());
 }
 
 // Shared facade body for elementwise activations saving their output.
@@ -388,12 +421,12 @@ Variable UnaryFromOutput(const Variable& a, const char* name, FwdFn fwd) {
 }  // namespace
 
 Variable Relu(const Variable& a) {
-  return UnaryFromInput<ReluBwd>(a, "Relu",
-                                 [](float v) { return v > 0 ? v : 0.0f; });
+  return UnaryFromInput<ReluGradInto>(
+      a, "Relu", [](float v) { return v > 0 ? v : 0.0f; });
 }
 
 Variable Gelu(const Variable& a) {
-  return UnaryFromInput<GeluBwd>(a, "Gelu", GeluFwd);
+  return UnaryFromInput<ChainRuleInto<GeluBwd>>(a, "Gelu", GeluFwd);
 }
 
 Variable Tanh(const Variable& a) {
@@ -407,8 +440,8 @@ Variable Sigmoid(const Variable& a) {
 }
 
 Variable Square(const Variable& a) {
-  return UnaryFromInput<SquareBwd>(a, "Square",
-                                   [](float v) { return v * v; });
+  return UnaryFromInput<ChainRuleInto<SquareBwd>>(
+      a, "Square", [](float v) { return v * v; });
 }
 
 Variable Exp(const Variable& a) {

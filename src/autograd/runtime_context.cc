@@ -92,14 +92,20 @@ int64_t MonotonicNanos() {
 }
 }  // namespace
 
-ProfileScope::ProfileScope(RuntimeContext& ctx, const char* name)
-    : ctx_(ctx), name_(name), enabled_(ctx.profiling()) {
+ProfileScope::ProfileScope(RuntimeContext& ctx, const char* name,
+                           bool backward)
+    : ctx_(ctx), name_(name), enabled_(ctx.profiling()), backward_(backward) {
   if (enabled_) start_nanos_ = MonotonicNanos();
 }
 
 ProfileScope::~ProfileScope() {
   if (!enabled_) return;
-  ctx_.RecordForward(name_, output_bytes_, MonotonicNanos() - start_nanos_);
+  const int64_t nanos = MonotonicNanos() - start_nanos_;
+  if (backward_) {
+    ctx_.RecordBackward(name_, output_bytes_, nanos);
+  } else {
+    ctx_.RecordForward(name_, output_bytes_, nanos);
+  }
 }
 
 namespace {
@@ -140,23 +146,17 @@ void PrintArenaTrailer(const RuntimeContext& ctx, std::ostream& os) {
   }
 }
 
-}  // namespace
-
-void PrintOpProfileTable(const RuntimeContext& ctx, std::ostream& os) {
-  const auto& profiles = ctx.op_profiles();
-  os << "gemm isa: " << GemmIsaName(ActiveGemmIsa()) << "\n";
-  if (profiles.empty()) {
-    os << "(no op profiles recorded — was set_profiling(true) active?)\n";
-    PrintArenaTrailer(ctx, os);
-    return;
-  }
+// One profile map as a table, sorted by total time descending.
+void PrintProfileRows(const std::map<std::string, OpProfile>& profiles,
+                      const char* title, const char* bytes_header,
+                      std::ostream& os) {
   std::vector<std::pair<std::string, OpProfile>> rows(profiles.begin(),
                                                       profiles.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.second.nanos > b.second.nanos;
   });
-  TablePrinter table("op profile");
-  table.SetHeader({"op", "calls", "total ms", "us/call", "out MiB"});
+  TablePrinter table(title);
+  table.SetHeader({"op", "calls", "total ms", "us/call", bytes_header});
   char buf[32];
   for (const auto& [name, p] : rows) {
     std::vector<std::string> row;
@@ -176,6 +176,21 @@ void PrintOpProfileTable(const RuntimeContext& ctx, std::ostream& os) {
     table.AddRow(std::move(row));
   }
   table.Print(os);
+}
+
+}  // namespace
+
+void PrintOpProfileTable(const RuntimeContext& ctx, std::ostream& os) {
+  os << "gemm isa: " << GemmIsaName(ActiveGemmIsa()) << "\n";
+  if (ctx.op_profiles().empty()) {
+    os << "(no op profiles recorded — was set_profiling(true) active?)\n";
+  } else {
+    PrintProfileRows(ctx.op_profiles(), "op profile", "out MiB", os);
+  }
+  if (!ctx.backward_profiles().empty()) {
+    PrintProfileRows(ctx.backward_profiles(), "backward op profile",
+                     "grad MiB", os);
+  }
   PrintArenaTrailer(ctx, os);
 }
 

@@ -272,10 +272,14 @@ class RuntimeContext {
 
   /// Called once per facade op invocation.
   void RecordForward(const char* name, int64_t output_bytes, int64_t nanos) {
-    OpProfile& p = op_profiles_[name];
-    ++p.calls;
-    p.output_bytes += output_bytes;
-    p.nanos += nanos;
+    Book(&op_profiles_[name], output_bytes, nanos);
+  }
+
+  /// Called once per Op::Backward run while profiling: the op's backward
+  /// time and the bytes of the gradients it returned. Kept apart from the
+  /// forward rows, so op_profiles() stays a forward-only profile.
+  void RecordBackward(const char* name, int64_t grad_bytes, int64_t nanos) {
+    Book(&backward_profiles_[name], grad_bytes, nanos);
   }
 
   /// Folds the counters of a child context (a ParallelApplyNoGrad task that
@@ -292,10 +296,10 @@ class RuntimeContext {
       gemm_dispatch_[i] += child.gemm_dispatch_[i];
     }
     for (const auto& [name, p] : child.op_profiles_) {
-      OpProfile& mine = op_profiles_[name];
-      mine.calls += p.calls;
-      mine.output_bytes += p.output_bytes;
-      mine.nanos += p.nanos;
+      Book(&op_profiles_[name], p.output_bytes, p.nanos, p.calls);
+    }
+    for (const auto& [name, p] : child.backward_profiles_) {
+      Book(&backward_profiles_[name], p.output_bytes, p.nanos, p.calls);
     }
   }
 
@@ -323,6 +327,11 @@ class RuntimeContext {
   const std::map<std::string, OpProfile>& op_profiles() const {
     return op_profiles_;
   }
+  /// Per-op backward rows (RecordBackward); empty unless profiling was on
+  /// during a Backward sweep.
+  const std::map<std::string, OpProfile>& backward_profiles() const {
+    return backward_profiles_;
+  }
 
   /// Clears counters (not the arena).
   void ResetStats() {
@@ -334,9 +343,17 @@ class RuntimeContext {
     pin_bytes_ = 0;
     for (int i = 0; i < kNumOpPrecisions; ++i) gemm_dispatch_[i] = 0;
     op_profiles_.clear();
+    backward_profiles_.clear();
   }
 
  private:
+  static void Book(OpProfile* p, int64_t bytes, int64_t nanos,
+                   int64_t calls = 1) {
+    p->calls += calls;
+    p->output_bytes += bytes;
+    p->nanos += nanos;
+  }
+
   bool grad_enabled_ = true;
   bool profiling_ = false;
   bool arena_serves_grad_ = false;
@@ -352,6 +369,7 @@ class RuntimeContext {
   int64_t pin_count_ = 0;
   int64_t pin_bytes_ = 0;
   std::map<std::string, OpProfile> op_profiles_;
+  std::map<std::string, OpProfile> backward_profiles_;
 };
 
 /// RAII: makes `ctx` the thread's current context for the scope's lifetime.
@@ -369,10 +387,12 @@ class RuntimeContextScope {
 /// RAII hook placed at the top of each facade op: while profiling is
 /// enabled on `ctx`, times the op body and books one RecordForward entry at
 /// scope exit. Call set_output(out) once the result tensor exists so the
-/// entry carries its byte size. Free when profiling is off.
+/// entry carries its byte size. Free when profiling is off. With
+/// `backward`, it times an Op::Backward run and books RecordBackward
+/// instead; add_output(grad) counts each returned gradient's bytes.
 class ProfileScope {
  public:
-  ProfileScope(RuntimeContext& ctx, const char* name);
+  ProfileScope(RuntimeContext& ctx, const char* name, bool backward = false);
   ~ProfileScope();
   ProfileScope(const ProfileScope&) = delete;
   ProfileScope& operator=(const ProfileScope&) = delete;
@@ -382,17 +402,25 @@ class ProfileScope {
       output_bytes_ = out.numel() * static_cast<int64_t>(sizeof(float));
     }
   }
+  void add_output(const Tensor& out) {
+    if (enabled_ && out.defined()) {
+      output_bytes_ += out.numel() * static_cast<int64_t>(sizeof(float));
+    }
+  }
 
  private:
   RuntimeContext& ctx_;
   const char* name_;
   bool enabled_;
+  bool backward_;
   int64_t output_bytes_ = 0;
   int64_t start_nanos_ = 0;
 };
 
 /// Renders ctx.op_profiles() as a table (op, calls, total ms, us/call,
-/// output MiB), sorted by total time descending, under a line naming the
+/// output MiB), sorted by total time descending, then ctx.backward_profiles()
+/// the same way (gradient MiB) when a profiled Backward ran, under a line
+/// naming the
 /// GEMM ISA this process runs (ActiveGemmIsa), followed by an allocator
 /// trailer (arena hit rate, heap fallbacks, leaf pins, and — when the ctx
 /// has an arena — its generation and block hit/miss counters). The sink for

@@ -268,15 +268,19 @@ Variable TnAdapter::Generated(const Factors& f, const Variable& features) {
 TnAdapter::Operands TnAdapter::StackBranches(const Variable& features,
                                              int64_t rows) {
   const int64_t r = chain_.rank;
-  // The branches in the graph, and W [·, E'] over them: one row per row of
-  // x (task mask), per feature row (gate), or a single row (scales).
+  // The branches in the graph, and W [·, E'] over them: one row per bound
+  // task id (task mask) or feature row (gate), or a single row (scales).
+  // AlignSeedToRows below repeats them to x's rows: a layer that runs on
+  // [B·S, D] token rows (the Mixer's) sees each sample's row S times.
   std::vector<int> in_graph;
   Variable w;
   if (chain_.weight == BranchWeight::kTaskMask) {
     const std::vector<int64_t>& ids = bound_task_ids();
-    ML_CHECK_EQ(static_cast<int64_t>(ids.size()), rows)
+    const int64_t bound = static_cast<int64_t>(ids.size());
+    ML_CHECK(bound > 0 && rows % bound == 0)
         << "oracle-routed Multi-LoRA needs SetTaskIds with the batch's "
-           "task ids";
+           "task ids: x has "
+        << rows << " rows, " << bound << " ids are bound";
     for (int e = 0; e < chain_.branches; ++e) {
       if (std::find(ids.begin(), ids.end(), e) != ids.end()) {
         in_graph.push_back(e);
@@ -284,8 +288,8 @@ TnAdapter::Operands TnAdapter::StackBranches(const Variable& features,
     }
     if (in_graph.empty()) return {};
     const int64_t cols = static_cast<int64_t>(in_graph.size());
-    Tensor mask{Shape{rows, cols}};
-    for (int64_t i = 0; i < rows; ++i) {
+    Tensor mask{Shape{bound, cols}};
+    for (int64_t i = 0; i < bound; ++i) {
       for (int64_t j = 0; j < cols; ++j) {
         if (ids[static_cast<size_t>(i)] == in_graph[static_cast<size_t>(j)]) {
           mask.flat(i * cols + j) = 1.0f;

@@ -43,9 +43,10 @@
 // (P [E, E·R] is a constant 0/1 expansion). Multi-LoRA splits the rank
 // budget (each branch has rank max(1, R / E)) and weights a branch by a
 // learned scalar (kSum: W is the scale{e} row) or by the oracle task mask
-// (kOracleRouting, needs SetTaskIds: W is one-hot per row, and a branch
-// with no row in the batch stays out of the stack, so its factors get no
-// gradient). MoE-LoRA gives every expert the full rank and weights it by
+// (kOracleRouting, needs SetTaskIds: W is one-hot per bound task id,
+// repeated to x's rows like a seed, so token-wise layers route too, and a
+// branch with no row in the batch stays out of the stack, so its factors
+// get no gradient). MoE-LoRA gives every expert the full rank and weights it by
 // softmax(gate(features)), the gate being an nn::Linear child "gate" over
 // the bound features.
 //

@@ -89,6 +89,10 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
 ///   - grad_weights[i]: one GEMM per sample over the stacked output
 ///     gradients of the rows from the first to the last weight that wants
 ///     a gradient; each row's chain is the one-weight chain, byte for byte.
+///     Its colsᵀ panels are packed by register transposes at stride 1,
+///     and a rank-thin product (a rank-R pointwise U's gradient with R
+///     columns, or Uᵀ·g's R rows in grad_input) runs as GEMV chains;
+///     neither changes a byte.
 ///   - grad_bias [O_0]: the first weight's bias.
 void Conv2dBackward(const Tensor& input,
                     std::span<const Tensor* const> weights,

@@ -229,6 +229,147 @@ void MicroKernelPortable(const float* ap, const float* bp, int64_t kc,
 
 #endif  // portable back-end
 
+// The trans_b im2col pack of a stride-1 conv (the weight gradient's colsᵀ)
+// by register transposes instead of per-element gathers. Panel column j
+// is row r = (ch, kh, kw) of cols and k step p an output position, so
+// kV consecutive steps on one output row read kV consecutive floats of
+// each row's image run: kV panel columns by kV steps are kV contiguous
+// loads, one kV×kV transpose and kV stores (Block::Run). A row's last
+// steps short of kV, and columns past the last whole group of kV, keep
+// the gather. Pure data movement: the panels are byte for byte
+// PackIm2ColB's.
+template <typename Block>
+METALORA_ALWAYS_INLINE inline void PackIm2ColBTransposed(
+    const gemm_detail::Im2ColOperand& op, int64_t pc, int64_t kc, int64_t jc,
+    int64_t nc, float* bp) {
+  constexpr int64_t kV = Block::kV;
+  const int64_t panels = (nc + kGemmNR - 1) / kGemmNR;
+  for (int64_t t = 0; t < panels; ++t) {
+    const int64_t col0 = jc + t * kGemmNR;
+    const int64_t cols = std::min(kGemmNR, nc - t * kGemmNR);
+    const int64_t grouped = cols / kV * kV;
+    float* dst = bp + t * kc * kGemmNR;
+    int64_t table[kGemmNR];
+    for (int64_t j = 0; j < cols; ++j) table[j] = op.RowOffset(col0 + j);
+    auto gather = [&](const float* src, float* d) {
+      for (int64_t j = grouped; j < cols; ++j) d[j] = src[table[j]];
+      for (int64_t j = cols; j < kGemmNR; ++j) d[j] = 0.0f;
+    };
+    // One output row's run of steps at a time: its offsets are contiguous.
+    for (int64_t p = 0; p < kc;) {
+      const int64_t s = pc + p;
+      const int64_t run = std::min(op.wo - s % op.wo, kc - p);
+      const float* src = op.input + op.ColOffset(s);
+      float* d = dst + p * kGemmNR;
+      int64_t q = 0;
+      for (; q + kV <= run; q += kV) {
+        for (int64_t j = 0; j < grouped; j += kV) {
+          Block::Run(src + q, table + j, d + q * kGemmNR + j);
+        }
+        for (int64_t v = 0; v < kV; ++v) {
+          gather(src + q + v, d + (q + v) * kGemmNR);
+        }
+      }
+      for (; q < run; ++q) {
+        float* dq = d + q * kGemmNR;
+        for (int64_t j = 0; j < grouped; ++j) dq[j] = src[q + table[j]];
+        gather(src + q, dq);
+      }
+      p += run;
+    }
+  }
+}
+
+#if METALORA_GEMM_AVX2_CLONES
+
+// 8×8 block: row jj of the block is src + rows[jj], 8 floats; step v of
+// the panel gets element v of every row. Written in the vector
+// extensions, it compiles to AVX unpacks, shuffles and lane permutes once
+// inlined into the AVX2 clone below.
+typedef float V8f __attribute__((vector_size(32)));
+
+struct Transpose8x8Avx2 {
+  static constexpr int64_t kV = 8;
+  METALORA_ALWAYS_INLINE static void Run(const float* src,
+                                         const int64_t* rows, float* d) {
+    // No V8f crosses a call: outside an AVX function that is an ABI
+    // change (-Wpsabi), so loads and stores are plain memcpys.
+    V8f r0, r1, r2, r3, r4, r5, r6, r7;
+    __builtin_memcpy(&r0, src + rows[0], sizeof(V8f));
+    __builtin_memcpy(&r1, src + rows[1], sizeof(V8f));
+    __builtin_memcpy(&r2, src + rows[2], sizeof(V8f));
+    __builtin_memcpy(&r3, src + rows[3], sizeof(V8f));
+    __builtin_memcpy(&r4, src + rows[4], sizeof(V8f));
+    __builtin_memcpy(&r5, src + rows[5], sizeof(V8f));
+    __builtin_memcpy(&r6, src + rows[6], sizeof(V8f));
+    __builtin_memcpy(&r7, src + rows[7], sizeof(V8f));
+    // Pairs, then quads, interleaved within each 128-bit lane.
+    const V8f t0 = __builtin_shufflevector(r0, r1, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t1 = __builtin_shufflevector(r0, r1, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f t2 = __builtin_shufflevector(r2, r3, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t3 = __builtin_shufflevector(r2, r3, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f t4 = __builtin_shufflevector(r4, r5, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t5 = __builtin_shufflevector(r4, r5, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f t6 = __builtin_shufflevector(r6, r7, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t7 = __builtin_shufflevector(r6, r7, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f u0 = __builtin_shufflevector(t0, t2, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u1 = __builtin_shufflevector(t0, t2, 2, 3, 10, 11, 6, 7, 14, 15);
+    const V8f u2 = __builtin_shufflevector(t1, t3, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u3 = __builtin_shufflevector(t1, t3, 2, 3, 10, 11, 6, 7, 14, 15);
+    const V8f u4 = __builtin_shufflevector(t4, t6, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u5 = __builtin_shufflevector(t4, t6, 2, 3, 10, 11, 6, 7, 14, 15);
+    const V8f u6 = __builtin_shufflevector(t5, t7, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u7 = __builtin_shufflevector(t5, t7, 2, 3, 10, 11, 6, 7, 14, 15);
+    // Low lanes hold steps 0-3, high lanes steps 4-7.
+    const V8f o0 = __builtin_shufflevector(u0, u4, 0, 1, 2, 3, 8, 9, 10, 11);
+    const V8f o1 = __builtin_shufflevector(u1, u5, 0, 1, 2, 3, 8, 9, 10, 11);
+    const V8f o2 = __builtin_shufflevector(u2, u6, 0, 1, 2, 3, 8, 9, 10, 11);
+    const V8f o3 = __builtin_shufflevector(u3, u7, 0, 1, 2, 3, 8, 9, 10, 11);
+    const V8f o4 = __builtin_shufflevector(u0, u4, 4, 5, 6, 7, 12, 13, 14, 15);
+    const V8f o5 = __builtin_shufflevector(u1, u5, 4, 5, 6, 7, 12, 13, 14, 15);
+    const V8f o6 = __builtin_shufflevector(u2, u6, 4, 5, 6, 7, 12, 13, 14, 15);
+    const V8f o7 = __builtin_shufflevector(u3, u7, 4, 5, 6, 7, 12, 13, 14, 15);
+    __builtin_memcpy(d + 0 * kGemmNR, &o0, sizeof(V8f));
+    __builtin_memcpy(d + 1 * kGemmNR, &o1, sizeof(V8f));
+    __builtin_memcpy(d + 2 * kGemmNR, &o2, sizeof(V8f));
+    __builtin_memcpy(d + 3 * kGemmNR, &o3, sizeof(V8f));
+    __builtin_memcpy(d + 4 * kGemmNR, &o4, sizeof(V8f));
+    __builtin_memcpy(d + 5 * kGemmNR, &o5, sizeof(V8f));
+    __builtin_memcpy(d + 6 * kGemmNR, &o6, sizeof(V8f));
+    __builtin_memcpy(d + 7 * kGemmNR, &o7, sizeof(V8f));
+  }
+};
+
+METALORA_AVX2_FMA_TARGET void PackIm2ColBTransposedAvx2(
+    const gemm_detail::Im2ColOperand& op, int64_t pc, int64_t kc, int64_t jc,
+    int64_t nc, float* bp) {
+  PackIm2ColBTransposed<Transpose8x8Avx2>(op, pc, kc, jc, nc, bp);
+}
+
+#endif  // METALORA_GEMM_AVX2_CLONES
+
+#if defined(__GNUC__) || defined(__clang__)
+
+// The portable 4×4 block, in the vector extensions' shuffles.
+struct Transpose4x4Portable {
+  static constexpr int64_t kV = 4;
+  METALORA_ALWAYS_INLINE static void Run(const float* src,
+                                         const int64_t* rows, float* d) {
+    const V4f r0 = V4Load(src + rows[0]), r1 = V4Load(src + rows[1]);
+    const V4f r2 = V4Load(src + rows[2]), r3 = V4Load(src + rows[3]);
+    const V4f t0 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+    const V4f t1 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+    const V4f t2 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+    const V4f t3 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+    V4Store(d + 0 * kGemmNR, __builtin_shufflevector(t0, t2, 0, 1, 4, 5));
+    V4Store(d + 1 * kGemmNR, __builtin_shufflevector(t0, t2, 2, 3, 6, 7));
+    V4Store(d + 2 * kGemmNR, __builtin_shufflevector(t1, t3, 0, 1, 4, 5));
+    V4Store(d + 3 * kGemmNR, __builtin_shufflevector(t1, t3, 2, 3, 6, 7));
+  }
+};
+
+#endif
+
 // Full tiles write straight to C; tail tiles run the same kernel on a
 // padded scratch tile (padded operand entries are zero, so the extra
 // lanes compute garbage-free zeros) and copy the valid region out.
@@ -254,14 +395,30 @@ void MicroTile(const float* ap, const float* bp, int64_t kc, float* c,
     for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = tile[r * kGemmNR + j];
 }
 
-// GEMV fast path (m == 1): packing would double the memory traffic of an
-// already bandwidth-bound kernel, so run the row dots directly. The
-// vector operand is contiguous under both storage layouts ([k,1] and
-// [1,k]). Accumulation order per element is p = 0..k-1, same as the
-// blocked path and the reference. Rows run kGemvRows at a time so their
-// independent chains overlap instead of each waiting out the add (or
-// fused multiply-add) latency of the one before.
-constexpr int64_t kGemvRows = 8;
+// GEMV fast path (y = op(A)·x): packing would double the memory traffic
+// of an already bandwidth-bound kernel, so run the row dots directly.
+// Accumulation order per element is p = 0..k-1, same as the blocked path
+// and the reference. Rows run kRows at a time so their independent chains
+// overlap instead of each waiting out the add (or fused multiply-add)
+// latency of the one before: 32 when A is stored [k, n] (the rows of one
+// p are contiguous, so that is four vector chains), else 8, then a 4, 2
+// and 1 tail.
+template <bool kFused, int64_t kRows>
+METALORA_ALWAYS_INLINE inline void GemvBlock(const float* a, bool trans_a,
+                                             const float* x, float* y,
+                                             int64_t n, int64_t k, int64_t i,
+                                             bool accumulate) {
+  float acc[kRows];
+  for (int64_t r = 0; r < kRows; ++r) acc[r] = accumulate ? y[i + r] : 0.0f;
+  for (int64_t p = 0; p < k; ++p) {
+    const float xp = x[p];
+    for (int64_t r = 0; r < kRows; ++r) {
+      const float av = trans_a ? a[p * n + i + r] : a[(i + r) * k + p];
+      acc[r] = MulAddStep<kFused>(av, xp, acc[r]);
+    }
+  }
+  for (int64_t r = 0; r < kRows; ++r) y[i + r] = acc[r];
+}
 
 template <bool kFused>
 METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
@@ -269,27 +426,23 @@ METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
                                             int64_t n, int64_t k,
                                             bool accumulate) {
   int64_t i = 0;
-  for (; i + kGemvRows <= n; i += kGemvRows) {
-    float acc[kGemvRows];
-    for (int64_t r = 0; r < kGemvRows; ++r) {
-      acc[r] = accumulate ? y[i + r] : 0.0f;
+  if (trans_a) {
+    for (; i + 32 <= n; i += 32) {
+      GemvBlock<kFused, 32>(a, /*trans_a=*/true, x, y, n, k, i, accumulate);
     }
-    for (int64_t p = 0; p < k; ++p) {
-      const float xp = x[p];
-      for (int64_t r = 0; r < kGemvRows; ++r) {
-        const float av = trans_a ? a[p * n + i + r] : a[(i + r) * k + p];
-        acc[r] = MulAddStep<kFused>(av, xp, acc[r]);
-      }
-    }
-    for (int64_t r = 0; r < kGemvRows; ++r) y[i + r] = acc[r];
   }
-  for (; i < n; ++i) {
-    float acc = accumulate ? y[i] : 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      acc = MulAddStep<kFused>(a[AIndex(trans_a, n, k, i, p)], x[p], acc);
-    }
-    y[i] = acc;
+  for (; i + 8 <= n; i += 8) {
+    GemvBlock<kFused, 8>(a, trans_a, x, y, n, k, i, accumulate);
   }
+  if (i + 4 <= n) {
+    GemvBlock<kFused, 4>(a, trans_a, x, y, n, k, i, accumulate);
+    i += 4;
+  }
+  if (i + 2 <= n) {
+    GemvBlock<kFused, 2>(a, trans_a, x, y, n, k, i, accumulate);
+    i += 2;
+  }
+  if (i < n) GemvBlock<kFused, 1>(a, trans_a, x, y, n, k, i, accumulate);
 }
 
 #if METALORA_GEMM_AVX2_CLONES
@@ -310,6 +463,102 @@ void GemvPath(const float* a, bool trans_a, const float* x, float* y,
   }
 #endif
   GemvRows<false>(a, trans_a, x, y, n, k, accumulate);
+}
+
+// Rank-thin products run as GEMV chains instead of padding to MR×NR
+// micro-tiles: a thin op(B) as one GEMV per column of C, a thin op(A) as
+// one GEMV over op(B)ᵀ per row of C. Every output keeps the blocked path's
+// p = 0..k-1 chain, so the route never changes a byte. The low-rank
+// chains make these shapes: the U gradient [O, R], the R-row Uᵀ·g, the
+// R×R core. A GEMV beats the padded tiles only while its matrix is
+// contiguous across the outputs it runs at once, so "thin" depends on
+// the layout (measured over n, k ≤ 512):
+//   - columns: m ≤ 4 when A is stored [k, n], m ≤ 2 when it is [n, k];
+//   - rows: n ≤ 2 when B is stored [k, m].
+// The callers run m == 1 and n == 1 (any layout) as one inline GEMV
+// ahead of these, so a one-row or one-column product pays no routing.
+constexpr int64_t kThinCols = 4;
+constexpr int64_t kThinColsRowMajorA = 2;
+constexpr int64_t kThinRows = 2;
+
+bool ThinColumns(int64_t m, bool trans_a) {
+  return m <= (trans_a ? kThinCols : kThinColsRowMajorA);
+}
+
+bool ThinRows(int64_t n, bool trans_b) {
+  return n <= kThinRows && !trans_b;
+}
+
+// The GEMV routes' gathered vector operand and strided output column.
+thread_local gemm_detail::AlignedBuffer<float> tls_gemv_x;
+thread_local gemm_detail::AlignedBuffer<float> tls_gemv_y;
+
+// C[:, j] (+)= op(A) · op(B)[:, j] for every j < m, with `column(j)`
+// returning op(B)'s column j as k contiguous floats; each column of C
+// goes through scratch. Out of line, like GemmThin, to keep it out of the
+// engine's callers.
+template <typename ColumnFn>
+[[gnu::noinline]] void GemvColumns(const float* a, bool trans_a,
+                                   const ColumnFn& column, float* c,
+                                   int64_t n, int64_t k, int64_t m,
+                                   bool accumulate) {
+  tls_gemv_y.Reserve(n);
+  float* y = tls_gemv_y.data();
+  for (int64_t j = 0; j < m; ++j) {
+    if (accumulate) {
+      for (int64_t i = 0; i < n; ++i) y[i] = c[i * m + j];
+    }
+    GemvPath(a, trans_a, column(j), y, n, k, accumulate);
+    for (int64_t i = 0; i < n; ++i) c[i * m + j] = y[i];
+  }
+}
+
+// Column j of a dense op(B): contiguous in place when B is stored [m, k],
+// else gathered into scratch.
+auto DenseColumn(const float* b, bool trans_b, int64_t k, int64_t m) {
+  return [=](int64_t j) -> const float* {
+    if (trans_b) return b + j * k;
+    tls_gemv_x.Reserve(k);
+    float* x = tls_gemv_x.data();
+    for (int64_t p = 0; p < k; ++p) x[p] = b[p * m + j];
+    return x;
+  };
+}
+
+// C[i, :] (+)= op(A)[i, :] · op(B) for every i < n: one GEMV over op(B)ᵀ
+// per row, with op(A)'s row as the vector (gathered when A is stored
+// [k, n]).
+void GemvRowsOfC(const float* a, bool trans_a, const float* b, bool trans_b,
+                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float* x = a + i * k;
+    if (trans_a) {
+      tls_gemv_x.Reserve(k);
+      float* row = tls_gemv_x.data();
+      for (int64_t p = 0; p < k; ++p) row[p] = a[p * n + i];
+      x = row;
+    }
+    GemvPath(b, !trans_b, x, c + i * m, m, k, accumulate);
+  }
+}
+
+// Runs a thin dense product as GEMV chains and returns true, or returns
+// false for the blocked engine. Out of line, so GemmPacked, which inlines
+// the engine, compiles as it did without the GEMV routes (inlined, they
+// cost small-k engine products about 10%).
+[[gnu::noinline]] bool GemmThin(const float* a, bool trans_a, const float* b,
+                                bool trans_b, float* c, int64_t n, int64_t k,
+                                int64_t m, bool accumulate) {
+  if (ThinColumns(m, trans_a)) {
+    GemvColumns(a, trans_a, DenseColumn(b, trans_b, k, m), c, n, k, m,
+                accumulate);
+    return true;
+  }
+  if (ThinRows(n, trans_b)) {
+    GemvRowsOfC(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+    return true;
+  }
+  return false;
 }
 
 // Tile publication: readers acquire-load a pointer to an immutable triple,
@@ -416,8 +665,7 @@ auto DensePackB(const float* b, bool trans_b, int64_t k, int64_t m) {
 auto Im2ColPackB(const gemm_detail::Im2ColOperand& b, bool trans_b) {
   return [&b, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
                        float* bp) {
-    gemm_detail::PackIm2ColB(b, trans_b, pc, kc, jc, nc, bp,
-                             [](float v) { return v; });
+    gemm_detail::PackIm2ColBFp32(b, trans_b, pc, kc, jc, nc, bp);
   };
 }
 
@@ -523,12 +771,10 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
     return;
   }
   if (n == 1) {
-    // One output row is a GEMV over op(B)ᵀ with op(A)'s row as the vector:
-    // each output keeps the blocked path's p = 0..k-1 chain, and no panel
-    // of B is packed for a single row. It runs on the caller.
     GemvPath(b, !trans_b, a, c, m, k, accumulate);
     return;
   }
+  if (GemmThin(a, trans_a, b, trans_b, c, n, k, m, accumulate)) return;
   AutotuneIfLarge(n, k, m);
   GemmPackedTiled(DensePackA(a, trans_a, n, k), DensePackB(b, trans_b, k, m),
                   c, n, k, m, accumulate,
@@ -537,12 +783,33 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
 
 namespace gemm_detail {
 
-const float* Im2ColVector(const Im2ColOperand& op, bool trans_b) {
+void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
+                     int64_t kc, int64_t jc, int64_t nc, float* bp) {
+  if (trans_b && op.stride == 1) {
+#if METALORA_GEMM_AVX2_CLONES
+    if (FusedMulAdd()) {
+      PackIm2ColBTransposedAvx2(op, pc, kc, jc, nc, bp);
+      return;
+    }
+#endif
+#if defined(__GNUC__) || defined(__clang__)
+    PackIm2ColBTransposed<Transpose4x4Portable>(op, pc, kc, jc, nc, bp);
+    return;
+#endif
+  }
+  PackIm2ColB(op, trans_b, pc, kc, jc, nc, bp, [](float v) { return v; });
+}
+
+const float* Im2ColVector(const Im2ColOperand& op, bool trans_b, int64_t j) {
   thread_local AlignedBuffer<float> x;
   const int64_t k = trans_b ? op.cols() : op.rows();
   x.Reserve(k);
-  for (int64_t p = 0; p < k; ++p) {
-    x.data()[p] = op.input[trans_b ? op.ColOffset(p) : op.RowOffset(p)];
+  if (trans_b) {
+    const float* src = op.input + op.RowOffset(j);
+    for (int64_t p = 0; p < k; ++p) x.data()[p] = src[op.ColOffset(p)];
+  } else {
+    const float* src = op.input + op.ColOffset(j);
+    for (int64_t p = 0; p < k; ++p) x.data()[p] = src[op.RowOffset(p)];
   }
   return x.data();
 }
@@ -554,7 +821,14 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
   ML_DCHECK(n >= 0 && k > 0 && m > 0);
   if (n == 0) return;
   if (m == 1) {
-    GemvPath(a, trans_a, Im2ColVector(b, trans_b), c, n, k, accumulate);
+    GemvPath(a, trans_a, Im2ColVector(b, trans_b, 0), c, n, k, accumulate);
+    return;
+  }
+  if (ThinColumns(m, trans_a)) {
+    // op(B) is an im2col operand, so only the column route applies.
+    GemvColumns(
+        a, trans_a, [&](int64_t j) { return Im2ColVector(b, trans_b, j); },
+        c, n, k, m, accumulate);
     return;
   }
   AutotuneIfLarge(n, k, m);
@@ -570,7 +844,9 @@ PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
   packed.trans_a = trans_a;
   packed.n = n;
   packed.k = k;
-  if (m == 1) return packed;  // GEMV-shaped: the GEMV reads `a`
+  // A thin run reads `a` unpacked: its GEMV chains, or its few rows packed
+  // per product by the engine.
+  if (ThinColumns(m, trans_a) || n <= kThinRows) return packed;
   AutotuneIfLarge(n, k, m);
   packed.tiles = *g_tiles.load(std::memory_order_acquire);
   tls_pack_shared_a.Reserve(packed.padded_n() * k);
@@ -587,8 +863,8 @@ PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
 void GemmPacked(const PackedA& a, const float* b, bool trans_b, float* c,
                 int64_t m, bool accumulate) {
   if (a.panels == nullptr) {
-    ML_DCHECK(m == 1);
-    GemvPath(a.a, a.trans_a, b, c, a.n, a.k, accumulate);
+    metalora::GemmPacked(a.a, a.trans_a, b, trans_b, c, a.n, a.k, m,
+                         accumulate);
     return;
   }
   GemmPackedTiled(SharedPackA(a), DensePackB(b, trans_b, a.k, m), c, a.n,
@@ -600,9 +876,9 @@ void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
   const int64_t m = trans_b ? b.rows() : b.cols();
   ML_DCHECK((trans_b ? b.cols() : b.rows()) == a.k);
   if (a.panels == nullptr) {
-    ML_DCHECK(m == 1);
-    GemvPath(a.a, a.trans_a, Im2ColVector(b, trans_b), c, a.n, a.k,
-             accumulate);
+    // Thin: the column route, or the engine packing op(A)'s few rows on
+    // the spot (an im2col operand is not a dense op(B)ᵀ to run rows over).
+    GemmPackedIm2Col(a.a, a.trans_a, b, trans_b, c, a.n, accumulate);
     return;
   }
   GemmPackedTiled(SharedPackA(a), Im2ColPackB(b, trans_b), c, a.n, a.k, m,

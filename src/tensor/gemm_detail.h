@@ -100,7 +100,9 @@ struct Im2ColOperand {
 /// element with `cvt` (identity for fp32, RNE rounding for bf16). Each
 /// panel builds a table of its columns' offsets once; a k step then
 /// gathers through it. A full panel whose offsets are contiguous (at
-/// stride 1, one inside one output row) copies as a run.
+/// stride 1, one inside one output row) copies as a run. This gather is
+/// the bf16 tier's packer and the reference for the fp32 one
+/// (PackIm2ColBFp32), which packs stride-1 colsᵀ panels by transposes.
 template <typename T, typename Convert>
 void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
                  int64_t kc, int64_t jc, int64_t nc, T* bp, Convert cvt) {
@@ -110,7 +112,7 @@ void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
     const int64_t col0 = jc + t * kGemmNR;
     const int64_t cols = std::min(kGemmNR, nc - t * kGemmNR);
     T* dst = bp + t * kc * kGemmNR;
-    int64_t table[kGemmNR];
+    int64_t table[kGemmNR] = {};
     if (trans_b) {
       // Panel columns are rows (ch, kh, kw) of cols; k steps walk the
       // output positions (oh, ow), whose offset advances by `stride`
@@ -170,10 +172,18 @@ void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
   }
 }
 
-/// The single column of an m == 1 im2col operand (one output position
-/// without trans_b, one (ch, kh, kw) row with it), gathered contiguously
-/// into per-thread scratch for the GEMV paths.
-const float* Im2ColVector(const Im2ColOperand& op, bool trans_b);
+/// The fp32 engine's im2col B packer: PackIm2ColB's panels, byte for
+/// byte. With trans_b at stride 1 (a weight gradient's colsᵀ) it packs by
+/// kV×kV register transposes of contiguous image runs (8×8 on the AVX2
+/// ISA, 4×4 on the portable one) instead of per-element gathers.
+void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
+                     int64_t kc, int64_t jc, int64_t nc, float* bp);
+
+/// Column j of an im2col op(B) (output position j without trans_b, row
+/// (ch, kh, kw) = j of cols with it), gathered contiguously into
+/// per-thread scratch for the GEMV paths. It stays valid until the thread
+/// gathers again.
+const float* Im2ColVector(const Im2ColOperand& op, bool trans_b, int64_t j);
 
 /// C[n,m] (+)= op(A) · op(B) with B lowered from `b` at pack time:
 /// op(B) is cols [rows, cols] or, with trans_b, colsᵀ. Bit-identical to
@@ -187,8 +197,10 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
 /// micro-panel of op(A) (see BlockOffset), byte for byte what PackA
 /// writes for those rows. The engines read their A blocks from it
 /// instead of packing them, and every GEMM of the run uses `tiles`,
-/// snapshotted at pack time. A run of GEMV-shaped products (m == 1)
-/// packs nothing: `panels` is null and the GEMV reads `a`. The panels
+/// snapshotted at pack time. A thin run packs nothing (fp32: the thin
+/// columns of gemm.cc's GEMV routing, or n ≤ 2 rows; bf16: m == 1):
+/// `panels` is null, and its GEMVs read `a` or the engine packs its few
+/// rows per product. The panels
 /// live in the packing thread's scratch and stay valid until that thread
 /// packs again.
 struct PackedA {
@@ -206,7 +218,8 @@ struct PackedA {
   }
 };
 
-/// Packs op(A) [n, k] for a run of fp32 products with m columns.
+/// Packs op(A) [n, k] for a run of fp32 products with m columns (or,
+/// for a thin run, records `a` unpacked).
 PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
                   int64_t m);
 

@@ -522,7 +522,7 @@ void GemmPackedBf16Im2Col(const PackedA& a, const Im2ColOperand& b,
   ML_DCHECK((trans_b ? b.cols() : b.rows()) == a.k);
   if (a.panels == nullptr) {
     ML_DCHECK(m == 1);
-    Bf16GemvPath(a.a, a.trans_a, Im2ColVector(b, trans_b), c, a.n, a.k,
+    Bf16GemvPath(a.a, a.trans_a, Im2ColVector(b, trans_b, 0), c, a.n, a.k,
                  accumulate);
     return;
   }

@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "autograd/graph.h"
 #include "autograd/ops.h"
@@ -324,6 +327,71 @@ TEST(OpsTest, LayerNormNormalizesLastDim) {
     }
     EXPECT_NEAR(sum / 16.0, 0.0, 1e-4);
     EXPECT_NEAR(sum_sq / 16.0, 1.0, 2e-2);
+  }
+}
+
+// ReLU's gradient runs branch-free, several lanes at a time, and must stay
+// byte for byte the scalar g · (x > 0 ? 1 : 0): every pair of ±0, NaN,
+// ±inf, a denormal and ordinary values in g and x (a negative g on a dead
+// unit is −0, a NaN or infinite g there is NaN), at lengths on both sides
+// of the vector widths so the scalar tail runs too.
+TEST(ReluGradientTest, MatchesTheScalarMaskBytewise) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f,  -0.0f, nan,   inf,      -inf,
+                            1.5f, -2.25f, 1e-40f};
+  constexpr int64_t kS = sizeof(specials) / sizeof(specials[0]);
+  for (int64_t len : {1, 2, 3, 4, 5, 7, 8, 9, 15, 63, 64, 65, 67}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    Tensor x{Shape{len}}, g{Shape{len}};
+    for (int64_t i = 0; i < len; ++i) {
+      x.flat(i) = specials[i % kS];
+      g.flat(i) = specials[(i / kS + (len < kS * kS ? i : 0)) % kS];
+    }
+    Variable xv(x, /*requires_grad=*/true);
+    ASSERT_TRUE(BackwardWithGrad(Relu(xv), g).ok());
+    std::vector<float> want(static_cast<size_t>(len));
+    for (int64_t i = 0; i < len; ++i) {
+      want[static_cast<size_t>(i)] =
+          g.flat(i) * (x.flat(i) > 0 ? 1.0f : 0.0f);
+    }
+    ASSERT_EQ(std::memcmp(want.data(), xv.grad().data(),
+                          want.size() * sizeof(float)),
+              0);
+  }
+}
+
+// Under profiling, a Backward sweep books one backward row per op type,
+// apart from the forward rows; without profiling it books none.
+TEST(BackwardProfileTest, RowsOnlyUnderProfiling) {
+  for (bool profiling : {false, true}) {
+    RuntimeContext ctx;
+    ctx.set_profiling(profiling);
+    {
+      RuntimeContextScope scope(&ctx);
+      Variable x(Tensor::Ones(Shape{4, 3}), /*requires_grad=*/true);
+      Variable y = SumAll(Relu(Scale(x, 2.0f)));
+      ASSERT_TRUE(Backward(y).ok());
+    }
+    if (!profiling) {
+      EXPECT_TRUE(ctx.op_profiles().empty());
+      EXPECT_TRUE(ctx.backward_profiles().empty());
+      continue;
+    }
+    const auto& fwd = ctx.op_profiles();
+    const auto& bwd = ctx.backward_profiles();
+    for (const char* op : {"Scale", "Relu", "SumAll"}) {
+      ASSERT_EQ(bwd.count(op), 1u) << op;
+      EXPECT_EQ(bwd.at(op).calls, 1) << op;
+      EXPECT_EQ(fwd.at(op).calls, 1) << op;
+    }
+    EXPECT_EQ(bwd.size(), 3u);
+    EXPECT_EQ(bwd.at("Relu").output_bytes, 12 * int64_t{sizeof(float)});
+    std::ostringstream table;
+    PrintOpProfileTable(ctx, table);
+    EXPECT_NE(table.str().find("backward op profile"), std::string::npos);
+    ctx.ResetStats();
+    EXPECT_TRUE(ctx.backward_profiles().empty());
   }
 }
 

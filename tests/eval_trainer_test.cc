@@ -340,6 +340,62 @@ TEST(TrainerTest, AbsentBranchParametersStayUnchanged) {
   EXPECT_GT(trained, 0);
 }
 
+// The Mixer's token-wise adapted linears see [B·S, D] rows while the
+// trainer binds B task ids: oracle routing aligns the task mask to the
+// rows as the seed is. One step on rows of tasks 0 and 1 out of 3 trains
+// both present branches and leaves the absent one's bytes as they were.
+TEST(TrainerTest, OracleMultiLoraAdaptsTheMixer) {
+  nn::MlpMixerConfig mc;
+  mc.image_size = 16;
+  mc.patch_size = 4;
+  mc.hidden_dim = 16;
+  mc.token_mlp_dim = 8;
+  mc.channel_mlp_dim = 32;
+  mc.num_blocks = 1;
+  mc.num_classes = 3;
+  mc.seed = 1;
+  Backbone bb = MakeMixerBackbone(mc);
+  data::MultiTaskDataset data = TinyData(16, 10);
+  for (size_t i = 0; i < data.task_ids.size(); ++i) {
+    data.task_ids[i] = static_cast<int64_t>(i % 2);
+  }
+  core::AdapterOptions aopts;
+  aopts.kind = core::AdapterKind::kMultiLora;
+  aopts.multi_lora_mode = core::MultiLoraMode::kOracleRouting;
+  aopts.rank = 2;
+  aopts.num_tasks = 3;
+  auto injection = core::InjectAdapters(bb.module.get(), aopts);
+  ASSERT_TRUE(injection.ok()) << injection.status().ToString();
+  const auto before = bb.module->StateDict();
+
+  AdaptContext ctx;
+  ctx.injection = injection.value();
+  TrainOptions o;
+  o.epochs = 1;
+  o.batch_size = 16;
+  o.weight_decay = 1e-2;
+  ASSERT_TRUE(AdaptModel(bb, data, o, &ctx).ok());
+
+  const auto after = bb.module->StateDict();
+  auto ends_with = [](const std::string& s, const std::string& suffix) {
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  int absent = 0, trained0 = 0, trained1 = 0;
+  for (const auto& [name, t] : before) {
+    if (ends_with(name, "/lora_a2") || ends_with(name, "/lora_b2")) {
+      ExpectSameBytes(t, after.at(name), name);
+      ++absent;
+    }
+    const bool moved = !AllClose(t, after.at(name), 0, 0);
+    if (ends_with(name, "/lora_b0") && moved) ++trained0;
+    if (ends_with(name, "/lora_b1") && moved) ++trained1;
+  }
+  EXPECT_GT(absent, 0);
+  EXPECT_GT(trained0, 0);
+  EXPECT_GT(trained1, 0);
+}
+
 TEST(TrainerTest, TrainStatsArePopulated) {
   Backbone bb = MakeResNetBackbone(TinyResNet());
   data::MultiTaskDataset data = TinyData(32, 8);

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "tensor/autocast.h"
 #include "tensor/conv_ops.h"
+#include "tensor/gemm_detail.h"
 #include "tensor/lowp.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
@@ -113,6 +116,71 @@ TEST(GemmPackedTest, OneRowRunsAsGemvOnTheCaller) {
                      accumulate);
           EXPECT_EQ(PackedEngineRuns(), before);
         }
+      }
+    }
+  }
+}
+
+// The routing rule for rank-thin products (tensor/gemm.cc): one GEMV per
+// column of C for an op(B) of at most 4 columns when A is stored [k, n]
+// (2 when A is row-major), one GEMV over op(B)ᵀ per row of C for a single
+// row, or for 2 rows when B is stored [k, m].
+bool ThinColumns(int64_t m, bool trans_a) { return m <= (trans_a ? 4 : 2); }
+bool RunsAsGemv(int64_t n, int64_t m, bool trans_a, bool trans_b) {
+  return ThinColumns(m, trans_a) || n == 1 || (n == 2 && !trans_b);
+}
+
+// Rank-thin products with n or m in 1..4, in every layout, with and
+// without accumulation, across a kGemmKC panel and with extents that hit
+// every GEMV block and tail: bit-identical to the reference, and the
+// blocked engine runs exactly when the routing rule says. A PackAOnce
+// operand of a thin run packs nothing and routes the same way.
+TEST(GemmPackedTest, RankThinShapesRunAsGemvChains) {
+  for (int64_t thin : {1, 2, 3, 4}) {
+    for (int64_t wide : {int64_t{1}, int64_t{7}, int64_t{15}, int64_t{40},
+                         kGemmKC + 45}) {
+      for (int64_t k : {int64_t{1}, int64_t{17}, kGemmKC + 3}) {
+        for (int layout = 0; layout < 4; ++layout) {
+          for (bool accumulate : {false, true}) {
+            const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
+            for (const auto& [n, m] : {std::pair{wide, thin},
+                                       std::pair{thin, wide}}) {
+              const int64_t before = PackedEngineRuns();
+              CheckShape(n, k, m, ta, tb, accumulate);
+              EXPECT_EQ(PackedEngineRuns() - before,
+                        RunsAsGemv(n, m, ta, tb) ? 0 : 1)
+                  << "n=" << n << " k=" << k << " m=" << m << " ta=" << ta
+                  << " tb=" << tb;
+            }
+          }
+        }
+      }
+    }
+  }
+  Rng rng(5);
+  for (const auto& [n, m] : {std::pair<int64_t, int64_t>{13, 3}, {2, 40}}) {
+    const int64_t k = 29;
+    for (int layout = 0; layout < 4; ++layout) {
+      for (bool accumulate : {false, true}) {
+        const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
+        Tensor a = RandomNormal(ta ? Shape{k, n} : Shape{n, k}, rng);
+        Tensor b = RandomNormal(tb ? Shape{m, k} : Shape{k, m}, rng);
+        Tensor c_ref = RandomNormal(Shape{n, m}, rng);
+        Tensor c_got = c_ref.Clone();
+        GemmReference(a.data(), ta, b.data(), tb, c_ref.data(), n, k, m,
+                      accumulate);
+        const int64_t before = PackedEngineRuns();
+        const gemm_detail::PackedA packed =
+            gemm_detail::PackAOnce(a.data(), ta, n, k, m);
+        EXPECT_EQ(packed.panels == nullptr, ThinColumns(m, ta) || n <= 2);
+        gemm_detail::GemmPacked(packed, b.data(), tb, c_got.data(), m,
+                                accumulate);
+        EXPECT_EQ(PackedEngineRuns() - before,
+                  RunsAsGemv(n, m, ta, tb) ? 0 : 1);
+        ExpectBitIdentical(c_ref.ToVector(), c_got.ToVector(),
+                           "PackAOnce n=" + std::to_string(n) +
+                               " m=" + std::to_string(m) +
+                               " layout=" + std::to_string(layout));
       }
     }
   }
@@ -336,6 +404,157 @@ TEST(GemmConvTest, PaddedStridedGeometriesBitIdentical) {
             std::to_string(geo.g.kernel_h) + " s=" +
             std::to_string(geo.g.stride) + " p=" +
             std::to_string(geo.g.padding));
+  }
+}
+
+// The zero-padded image [c, h + 2p, w + 2p] an im2col operand reads.
+Tensor PadImage(const Tensor& x, int64_t p) {
+  const int64_t c = x.dim(0), h = x.dim(1), w = x.dim(2);
+  Tensor out = Tensor::Zeros(Shape{c, h + 2 * p, w + 2 * p});
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t i = 0; i < h; ++i) {
+      for (int64_t j = 0; j < w; ++j) {
+        out.flat((ch * (h + 2 * p) + i + p) * (w + 2 * p) + j + p) =
+            x.flat((ch * h + i) * w + j);
+      }
+    }
+  }
+  return out;
+}
+
+gemm_detail::Im2ColOperand OperandOf(const Tensor& padded, int64_t h,
+                                     int64_t w, const ConvGeom& g) {
+  return {padded.data(),
+          padded.dim(0),
+          padded.dim(1),
+          padded.dim(2),
+          g.kernel_h,
+          g.kernel_w,
+          g.stride,
+          g.OutExtent(h, g.kernel_h),
+          g.OutExtent(w, g.kernel_w)};
+}
+
+// The fp32 engine's im2col packer against the per-element gather
+// (PackIm2ColB), byte for byte, over whole panels including their zero
+// padding. With trans_b at stride 1 it packs by register transposes of
+// image runs; the blocks below start mid output-row (pc), end mid-row and
+// mid-transpose (kc), start mid-panel (jc) and leave column tails (nc) on
+// both sides of a transpose group. Stride 2 and trans_b off keep the
+// gather and must match it too.
+TEST(GemmConvTest, TransposedWeightGradientPanelsMatchTheGather) {
+  struct Geo {
+    int64_t c, h, w;
+    ConvGeom g;
+  };
+  const Geo geos[] = {
+      {1, 5, 5, {3, 3, 1, 1}},    {3, 9, 7, {3, 3, 1, 1}},
+      {2, 16, 16, {3, 3, 1, 1}},  {4, 7, 11, {1, 1, 1, 0}},
+      {5, 6, 19, {1, 1, 1, 1}},   {3, 10, 12, {3, 3, 1, 0}},
+      {3, 9, 9, {3, 3, 2, 1}},    {2, 12, 10, {3, 3, 2, 0}},
+      {8, 16, 16, {3, 3, 1, 1}},
+  };
+  Rng rng(41);
+  for (const Geo& geo : geos) {
+    const Tensor padded = PadImage(
+        RandomNormal(Shape{geo.c, geo.h, geo.w}, rng), geo.g.padding);
+    const gemm_detail::Im2ColOperand op =
+        OperandOf(padded, geo.h, geo.w, geo.g);
+    for (bool trans_b : {true, false}) {
+      const int64_t k = trans_b ? op.cols() : op.rows();
+      const int64_t m = trans_b ? op.rows() : op.cols();
+      for (int64_t pc : {int64_t{0}, int64_t{1}, op.wo - 1, op.wo + 3}) {
+        for (int64_t kc : {int64_t{1}, int64_t{7}, int64_t{9}, int64_t{17},
+                           k - pc}) {
+          for (int64_t jc : {int64_t{0}, int64_t{1}, int64_t{5}}) {
+            for (int64_t nc : {int64_t{3}, int64_t{9}, int64_t{17},
+                               int64_t{33}, m - jc}) {
+              if (pc >= k || kc < 1 || pc + kc > k || jc >= m || nc < 1 ||
+                  jc + nc > m) {
+                continue;
+              }
+              const int64_t len = (nc + kGemmNR - 1) / kGemmNR * kc * kGemmNR;
+              std::vector<float> want(static_cast<size_t>(len), 7.0f);
+              std::vector<float> got(static_cast<size_t>(len), -7.0f);
+              gemm_detail::PackIm2ColB(op, trans_b, pc, kc, jc, nc,
+                                       want.data(),
+                                       [](float v) { return v; });
+              gemm_detail::PackIm2ColBFp32(op, trans_b, pc, kc, jc, nc,
+                                           got.data());
+              ASSERT_EQ(std::memcmp(want.data(), got.data(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << "c=" << geo.c << " h=" << geo.h << " w=" << geo.w
+                  << " k=" << geo.g.kernel_h << " s=" << geo.g.stride
+                  << " p=" << geo.g.padding << " trans_b=" << trans_b
+                  << " pc=" << pc << " kc=" << kc << " jc=" << jc
+                  << " nc=" << nc;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A thin im2col op(B) (ThinColumns) runs as one GEMV per column, from a
+// dense op(A) and from a PackAOnce one: bit-identical to the reference
+// over Im2Col's materialized columns, with no run of the blocked engine;
+// every other product here runs the engine, bit-identical too.
+// The U gradient of a rank-R pointwise chain (trans_b, R rows of cols) and
+// convs with at most 4 output positions are such products.
+TEST(GemmConvTest, RankThinIm2ColProductsRunAsGemvChains) {
+  struct Geo {
+    int64_t c, h, w;
+    ConvGeom g;
+    bool trans_b;
+  };
+  const Geo geos[] = {
+      {1, 6, 5, ConvGeom::Pointwise(), true},
+      {2, 7, 7, ConvGeom::Pointwise(), true},
+      {4, 5, 9, ConvGeom::Pointwise(), true},
+      {3, 7, 6, {1, 1, 2, 1}, true},
+      {2, 4, 4, {3, 3, 1, 0}, false},  // 2×2 output positions
+      {3, 5, 3, {3, 3, 1, 0}, false},  // 3×1
+      {2, 3, 3, {3, 3, 1, 1}, false},  // 3×3: 9 columns, the engine
+  };
+  Rng rng(43);
+  for (const Geo& geo : geos) {
+    const Tensor x = RandomNormal(Shape{geo.c, geo.h, geo.w}, rng);
+    const Tensor padded = PadImage(x, geo.g.padding);
+    const gemm_detail::Im2ColOperand op =
+        OperandOf(padded, geo.h, geo.w, geo.g);
+    Tensor cols{Shape{op.rows(), op.cols()}};
+    Im2Col(x.data(), geo.c, geo.h, geo.w, geo.g, cols.data());
+    const int64_t k = geo.trans_b ? op.cols() : op.rows();
+    const int64_t m = geo.trans_b ? op.rows() : op.cols();
+    for (int64_t n : {1, 2, 8, 13}) {
+      for (bool trans_a : {false, true}) {
+        for (bool accumulate : {false, true}) {
+          const Tensor a =
+              RandomNormal(trans_a ? Shape{k, n} : Shape{n, k}, rng);
+          Tensor c_ref = RandomNormal(Shape{n, m}, rng);
+          Tensor c_dense = c_ref.Clone(), c_shared = c_ref.Clone();
+          GemmReference(a.data(), trans_a, cols.data(), geo.trans_b,
+                        c_ref.data(), n, k, m, accumulate);
+          const int64_t before = PackedEngineRuns();
+          gemm_detail::GemmPackedIm2Col(a.data(), trans_a, op, geo.trans_b,
+                                        c_dense.data(), n, accumulate);
+          gemm_detail::GemmPackedIm2Col(
+              gemm_detail::PackAOnce(a.data(), trans_a, n, k, m), op,
+              geo.trans_b, c_shared.data(), accumulate);
+          EXPECT_EQ(PackedEngineRuns() - before,
+                    ThinColumns(m, trans_a) ? 0 : 2);
+          const std::string what =
+              "c=" + std::to_string(geo.c) + " n=" + std::to_string(n) +
+              " m=" + std::to_string(m) + (trans_a ? " transA" : "") +
+              (accumulate ? " accumulate" : "");
+          ExpectBitIdentical(c_ref.ToVector(), c_dense.ToVector(), what);
+          ExpectBitIdentical(c_ref.ToVector(), c_shared.ToVector(),
+                             "shared " + what);
+        }
+      }
+    }
   }
 }
 
