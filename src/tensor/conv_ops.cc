@@ -209,14 +209,12 @@ void Conv2dForwardInto(const Tensor& input,
   const int64_t col_rows = c * g.kernel_h * g.kernel_w;
   // The stack viewed as [rows, C*Kh*Kw]; per sample: out_n = W_mat · cols,
   // with cols lowered from the sample as the GEMM packs it. W_mat is the
-  // same for every sample, so it is packed once for the whole call (bf16
-  // tier for kBf16, and for kInt8 too: conv caps at bf16).
-  const bool fp32 = precision == OpPrecision::kFp32;
-  const float* wdata = StackWeights(weights, rows, col_rows);
+  // same for every sample, so it is packed once for the whole call, at
+  // the format the products run in (bf16 for kBf16, and for kInt8 too:
+  // conv caps at bf16).
   const gemm_detail::PackedA wmat =
-      fp32 ? gemm_detail::PackAOnce(wdata, false, rows, col_rows, out_spatial)
-           : gemm_detail::PackAOnceBf16(wdata, false, rows, col_rows,
-                                        out_spatial);
+      gemm_detail::PackAOnce(StackWeights(weights, rows, col_rows), false,
+                             rows, col_rows, out_spatial, precision);
   // A lone weight's GEMM writes its output in place; a stack's writes one
   // sample's rows into scratch, which is then split row block by block.
   const bool in_place = weights.size() == 1;
@@ -228,13 +226,8 @@ void Conv2dForwardInto(const Tensor& input,
                           : tls_stack_rows.data();
     // Overwriting C starts every chain at +0, exactly like accumulating
     // into a zeroed output.
-    if (fp32) {
-      gemm_detail::GemmPackedIm2Col(wmat, cols, false, c_n,
-                                    /*accumulate=*/false);
-    } else {
-      gemm_detail::GemmPackedBf16Im2Col(wmat, cols, false, c_n,
-                                        /*accumulate=*/false);
-    }
+    gemm_detail::GemmPackedIm2Col(wmat, cols, false, c_n,
+                                  /*accumulate=*/false);
     const float* src = c_n;
     for (size_t b = 0; b < weights.size(); ++b) {
       const int64_t o = weights[b]->dim(0);

@@ -7,10 +7,12 @@
 #include <cstring>
 #include <limits>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
 #include "tensor/gemm_detail.h"
+#include "tensor/lowp.h"
 
 #if METALORA_GEMM_AVX2_CLONES
 #include <immintrin.h>
@@ -24,23 +26,89 @@ using gemm_detail::AIndex;
 using gemm_detail::BIndex;
 using gemm_detail::MulAddStep;
 
-// Packing scratch, per thread, aligned to a cache line so vector
-// loads from packed panels never straddle lines (std::vector only
+// The engine is one template over how B panels are stored: `float` for
+// fp32, `Bf16` (16-bit words) for the bf16 tier. Everything else — panel
+// layouts, tiling, the p = 0..k-1 chains, GEMV routes, dispatch — is
+// shared. bf16 rounds both operands to bfloat16 (round-to-nearest-even)
+// and accumulates in fp32: B panels hold the 16-bit values and the
+// micro-kernels widen them on load (a 16-bit shift, exact); A panels hold
+// the rounded values pre-widened to fp32, so the kernels broadcast a float
+// instead of converting a scalar per (row, p) step (A is the small operand,
+// so the doubled A footprint costs nothing while B, the bandwidth term,
+// stays 2 bytes an element). The GEMV routes and the reference round both
+// operands on load. Format<B> holds what differs.
+using Bf16 = uint16_t;
+
+template <typename B>
+struct Format;
+
+template <>
+struct Format<float> {
+  static constexpr OpPrecision kPrecision = OpPrecision::kFp32;
+  static float Round(float v) { return v; }
+  static float Store(float v) { return v; }
+  // Candidate triples for the sweep: the compile-time default plus
+  // variants that shift the L2/L3 balance (shallower/deeper k panels,
+  // narrower/wider row and column blocks). MC stays a multiple of kGemmMR
+  // and NC of kGemmNR so panel math never changes shape, only extent.
+  static constexpr GemmTiles kTileCandidates[] = {
+      {96, 256, 1024}, {48, 256, 2048}, {192, 256, 512},
+      {96, 512, 1024}, {144, 128, 2048},
+  };
+  // The GEMV routes' thin limits (see ThinColumns).
+  static constexpr int64_t kThinCols = 4;
+  static constexpr int64_t kThinColsRowMajorA = 2;
+  static constexpr int64_t kThinRows = 2;
+};
+
+template <>
+struct Format<Bf16> {
+  static constexpr OpPrecision kPrecision = OpPrecision::kBf16;
+  static float Round(float v) { return lowp::RoundToBf16(v); }
+  static Bf16 Store(float v) { return lowp::Bf16FromF32(v); }
+  // Skewed toward deeper k panels than fp32's: bf16 panels are half the
+  // bytes, so twice the depth fits the same cache footprint.
+  static constexpr GemmTiles kTileCandidates[] = {
+      {96, 256, 1024}, {96, 512, 2048}, {48, 512, 2048},
+      {192, 256, 1024}, {144, 1024, 2048},
+  };
+  // A bf16 GEMV rounds each element of A as it loads it, a scalar step
+  // when A is row-major, so there a 2-column route lost to the engine
+  // (median 1.07× its time over n, k ≤ 512) and only m == 1 routes.
+  static constexpr int64_t kThinCols = 4;
+  static constexpr int64_t kThinColsRowMajorA = 1;
+  static constexpr int64_t kThinRows = 2;
+};
+
+// Packing scratch, per thread and per format, aligned to a cache line so
+// vector loads from packed panels never straddle lines (std::vector only
 // guarantees alignof(float) and relied on allocator luck). Every GEMM
 // runs on its caller's thread, and callers are long-lived, so the
 // buffers amortize to zero allocations in steady state — the same
 // grow-once-reuse-forever contract as the autograd WorkspaceArena, held
 // here because the tensor layer sits below autograd and cannot see it.
 // The shared-A buffer holds a whole op(A) packed once by PackAOnce for a
-// run of GEMMs; it stays valid until the same thread packs again.
-thread_local gemm_detail::AlignedBuffer<float> tls_pack_a;
-thread_local gemm_detail::AlignedBuffer<float> tls_pack_b;
-thread_local gemm_detail::AlignedBuffer<float> tls_pack_shared_a;
+// run of GEMMs; it stays valid until the same thread packs again at that
+// format. (Function-local: GCC 12 never destroys a thread_local variable
+// template, so its buffers would leak at thread exit.)
+template <typename B>
+struct PackScratch {
+  gemm_detail::AlignedBuffer<float> a;
+  gemm_detail::AlignedBuffer<B> b;
+  gemm_detail::AlignedBuffer<float> shared_a;
+};
+
+template <typename B>
+PackScratch<B>& Scratch() {
+  thread_local PackScratch<B> scratch;
+  return scratch;
+}
 
 // Packs the mc×kc block of op(A) at (ic, pc) into micro-panels of kGemmMR
 // rows: panel q holds rows [q·MR, q·MR+MR) as kc steps of MR contiguous
 // floats (ap[q·kc·MR + p·MR + r]), zero-padded past mc so the micro-kernel
 // never branches on the row tail.
+template <typename B>
 void PackA(const float* a, bool trans_a, int64_t n, int64_t k, int64_t ic,
            int64_t mc, int64_t pc, int64_t kc, float* ap) {
   const int64_t panels = (mc + kGemmMR - 1) / kGemmMR;
@@ -53,13 +121,15 @@ void PackA(const float* a, bool trans_a, int64_t n, int64_t k, int64_t ic,
       for (int64_t p = 0; p < kc; ++p) {
         const float* src = a + (pc + p) * n + row0;
         float* d = dst + p * kGemmMR;
-        for (int64_t r = 0; r < rows; ++r) d[r] = src[r];
+        for (int64_t r = 0; r < rows; ++r) d[r] = Format<B>::Round(src[r]);
         for (int64_t r = rows; r < kGemmMR; ++r) d[r] = 0.0f;
       }
     } else {
       for (int64_t p = 0; p < kc; ++p) {
         float* d = dst + p * kGemmMR;
-        for (int64_t r = 0; r < rows; ++r) d[r] = a[(row0 + r) * k + pc + p];
+        for (int64_t r = 0; r < rows; ++r) {
+          d[r] = Format<B>::Round(a[(row0 + r) * k + pc + p]);
+        }
         for (int64_t r = rows; r < kGemmMR; ++r) d[r] = 0.0f;
       }
     }
@@ -68,43 +138,60 @@ void PackA(const float* a, bool trans_a, int64_t n, int64_t k, int64_t ic,
 
 // Packs the kc×nc block of op(B) at (pc, jc) into micro-panels of kGemmNR
 // columns: panel t holds columns [t·NR, t·NR+NR) as kc steps of NR
-// contiguous floats (bp[t·kc·NR + p·NR + j]), zero-padded past nc.
+// contiguous values (bp[t·kc·NR + p·NR + j]), zero-padded past nc.
+template <typename B>
 void PackB(const float* b, bool trans_b, int64_t k, int64_t m, int64_t pc,
-           int64_t kc, int64_t jc, int64_t nc, float* bp) {
+           int64_t kc, int64_t jc, int64_t nc, B* bp) {
   const int64_t panels = (nc + kGemmNR - 1) / kGemmNR;
   for (int64_t t = 0; t < panels; ++t) {
     const int64_t col0 = jc + t * kGemmNR;
     const int64_t cols = std::min(kGemmNR, nc - t * kGemmNR);
-    float* dst = bp + t * kc * kGemmNR;
+    B* dst = bp + t * kc * kGemmNR;
     if (trans_b) {
       for (int64_t p = 0; p < kc; ++p) {
-        float* d = dst + p * kGemmNR;
-        for (int64_t j = 0; j < cols; ++j) d[j] = b[(col0 + j) * k + pc + p];
-        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = 0.0f;
+        B* d = dst + p * kGemmNR;
+        for (int64_t j = 0; j < cols; ++j) {
+          d[j] = Format<B>::Store(b[(col0 + j) * k + pc + p]);
+        }
+        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = B{};
       }
     } else {
       // Source columns are contiguous in j: one memcpy-shaped copy per k.
       for (int64_t p = 0; p < kc; ++p) {
         const float* src = b + (pc + p) * m + col0;
-        float* d = dst + p * kGemmNR;
-        for (int64_t j = 0; j < cols; ++j) d[j] = src[j];
-        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = 0.0f;
+        B* d = dst + p * kGemmNR;
+        for (int64_t j = 0; j < cols; ++j) d[j] = Format<B>::Store(src[j]);
+        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = B{};
       }
     }
   }
 }
 
-using MicroKernelFn = void (*)(const float* ap, const float* bp, int64_t kc,
+template <typename B>
+using MicroKernelFn = void (*)(const float* ap, const B* bp, int64_t kc,
                                float* c, int64_t ldc, bool accumulate);
 
 #if METALORA_GEMM_AVX2_CLONES
 
+// 8 B values as 8 fp32 lanes. A bf16 value is zero-extended to 32 bits
+// and shifted into the high half (exact: bf16 is a prefix of fp32).
+METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const float* p) {
+  return _mm256_loadu_ps(p);
+}
+METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const Bf16* p) {
+  const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
+}
+
 // AVX2+FMA micro-kernel: 6 rows × 2 ymm columns of accumulators (12 of
 // the 16 vector registers), one broadcast and two B loads per k step.
-METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap,
-                                              const float* bp, int64_t kc,
-                                              float* c, int64_t ldc,
-                                              bool accumulate) {
+// The broadcast takes A's value, not its address: with
+// _mm256_broadcast_ss(av + r), GCC 12 kept the accumulators in memory and
+// stored all 12 on every k step.
+template <typename B>
+METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap, const B* bp,
+                                              int64_t kc, float* c,
+                                              int64_t ldc, bool accumulate) {
   __m256 acc[kGemmMR][2];
   if (accumulate) {
     for (int64_t r = 0; r < kGemmMR; ++r) {
@@ -118,11 +205,11 @@ METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap,
     }
   }
   for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bp + p * kGemmNR);
-    const __m256 b1 = _mm256_loadu_ps(bp + p * kGemmNR + 8);
+    const __m256 b0 = LoadB8(bp + p * kGemmNR);
+    const __m256 b1 = LoadB8(bp + p * kGemmNR + 8);
     const float* av = ap + p * kGemmMR;
     for (int64_t r = 0; r < kGemmMR; ++r) {
-      const __m256 ar = _mm256_broadcast_ss(av + r);
+      const __m256 ar = _mm256_set1_ps(av[r]);
       acc[r][0] = _mm256_fmadd_ps(ar, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(ar, b1, acc[r][1]);
     }
@@ -147,6 +234,8 @@ METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap,
 // accumulation stays a single mul-then-add chain in p order, matching
 // GemmReference bit-for-bit; the halves touch disjoint columns.
 typedef float V4f __attribute__((vector_size(16)));
+typedef uint16_t V4u16 __attribute__((vector_size(8)));
+typedef uint32_t V4u32 __attribute__((vector_size(16)));
 
 inline V4f V4Load(const float* p) {
   V4f v;
@@ -156,8 +245,21 @@ inline V4f V4Load(const float* p) {
 inline void V4Store(float* p, V4f v) { __builtin_memcpy(p, &v, sizeof(v)); }
 inline V4f V4Splat(float s) { return V4f{s, s, s, s}; }
 
+// 4 B values as 4 fp32 lanes; bf16 widens by a 16-bit shift, which
+// GCC/Clang lower to pmovzxwd/pslld-class instructions.
+inline V4f LoadB4(const float* p) { return V4Load(p); }
+inline V4f LoadB4(const Bf16* p) {
+  V4u16 h;
+  __builtin_memcpy(&h, p, sizeof(h));
+  const V4u32 w = __builtin_convertvector(h, V4u32) << 16;
+  V4f f;
+  __builtin_memcpy(&f, &w, sizeof(f));
+  return f;
+}
+
+template <typename B>
 void MicroKernelPortable(const float* __restrict__ ap,
-                         const float* __restrict__ bp, int64_t kc,
+                         const B* __restrict__ bp, int64_t kc,
                          float* __restrict__ c, int64_t ldc,
                          bool accumulate) {
   static_assert(kGemmMR == 6 && kGemmNR == 16,
@@ -175,10 +277,10 @@ void MicroKernelPortable(const float* __restrict__ ap,
       c00 = c01 = c10 = c11 = c20 = c21 = V4f{};
       c30 = c31 = c40 = c41 = c50 = c51 = V4f{};
     }
-    const float* bh = bp + j0;
+    const B* bh = bp + j0;
     for (int64_t p = 0; p < kc; ++p) {
-      const V4f b0 = V4Load(bh + p * kGemmNR);
-      const V4f b1 = V4Load(bh + p * kGemmNR + 4);
+      const V4f b0 = LoadB4(bh + p * kGemmNR);
+      const V4f b1 = LoadB4(bh + p * kGemmNR + 4);
       const float* av = ap + p * kGemmMR;
       V4f ar;
       ar = V4Splat(av[0]), c00 += ar * b0, c01 += ar * b1;
@@ -199,10 +301,14 @@ void MicroKernelPortable(const float* __restrict__ ap,
 
 #else
 
+inline float WidenB(float v) { return v; }
+inline float WidenB(Bf16 v) { return lowp::F32FromBf16(v); }
+
 // Scalar fallback for compilers without vector extensions. Fixed-bound
 // loops over a local accumulator tile; same p-ordered accumulation chain.
-void MicroKernelPortable(const float* ap, const float* bp, int64_t kc,
-                         float* c, int64_t ldc, bool accumulate) {
+template <typename B>
+void MicroKernelPortable(const float* ap, const B* bp, int64_t kc, float* c,
+                         int64_t ldc, bool accumulate) {
   constexpr int64_t kHalf = kGemmNR / 2;
   for (int64_t j0 = 0; j0 < kGemmNR; j0 += kHalf) {
     float acc[kGemmMR][kHalf];
@@ -213,13 +319,13 @@ void MicroKernelPortable(const float* ap, const float* bp, int64_t kc,
       for (int64_t r = 0; r < kGemmMR; ++r)
         for (int64_t j = 0; j < kHalf; ++j) acc[r][j] = 0.0f;
     }
-    const float* bh = bp + j0;
+    const B* bh = bp + j0;
     for (int64_t p = 0; p < kc; ++p) {
       const float* av = ap + p * kGemmMR;
-      const float* bv = bh + p * kGemmNR;
+      const B* bv = bh + p * kGemmNR;
       for (int64_t r = 0; r < kGemmMR; ++r) {
         const float ar = av[r];
-        for (int64_t j = 0; j < kHalf; ++j) acc[r][j] += ar * bv[j];
+        for (int64_t j = 0; j < kHalf; ++j) acc[r][j] += ar * WidenB(bv[j]);
       }
     }
     for (int64_t r = 0; r < kGemmMR; ++r)
@@ -375,8 +481,8 @@ struct Transpose4x4Portable {
 // lanes compute garbage-free zeros) and copy the valid region out.
 // The kernel is a template argument, so the ISA is chosen once per GEMM
 // call and each micro-tile makes a direct call.
-template <MicroKernelFn kKernel>
-void MicroTile(const float* ap, const float* bp, int64_t kc, float* c,
+template <typename B, MicroKernelFn<B> kKernel>
+void MicroTile(const float* ap, const B* bp, int64_t kc, float* c,
                int64_t ldc, int64_t mr, int64_t nr, bool accumulate) {
   if (mr == kGemmMR && nr == kGemmNR) {
     kKernel(ap, bp, kc, c, ldc, accumulate);
@@ -396,14 +502,14 @@ void MicroTile(const float* ap, const float* bp, int64_t kc, float* c,
 }
 
 // GEMV fast path (y = op(A)·x): packing would double the memory traffic
-// of an already bandwidth-bound kernel, so run the row dots directly.
-// Accumulation order per element is p = 0..k-1, same as the blocked path
-// and the reference. Rows run kRows at a time so their independent chains
-// overlap instead of each waiting out the add (or fused multiply-add)
-// latency of the one before: 32 when A is stored [k, n] (the rows of one
-// p are contiguous, so that is four vector chains), else 8, then a 4, 2
-// and 1 tail.
-template <bool kFused, int64_t kRows>
+// of an already bandwidth-bound kernel, so run the row dots directly,
+// rounding both operands on load at bf16. Accumulation order per element
+// is p = 0..k-1, same as the blocked path and the reference. Rows run
+// kRows at a time so their independent chains overlap instead of each
+// waiting out the add (or fused multiply-add) latency of the one before:
+// 32 when A is stored [k, n] (the rows of one p are contiguous, so that is
+// four vector chains), else 8, then a 4, 2 and 1 tail.
+template <typename B, bool kFused, int64_t kRows>
 METALORA_ALWAYS_INLINE inline void GemvBlock(const float* a, bool trans_a,
                                              const float* x, float* y,
                                              int64_t n, int64_t k, int64_t i,
@@ -411,16 +517,16 @@ METALORA_ALWAYS_INLINE inline void GemvBlock(const float* a, bool trans_a,
   float acc[kRows];
   for (int64_t r = 0; r < kRows; ++r) acc[r] = accumulate ? y[i + r] : 0.0f;
   for (int64_t p = 0; p < k; ++p) {
-    const float xp = x[p];
+    const float xp = Format<B>::Round(x[p]);
     for (int64_t r = 0; r < kRows; ++r) {
       const float av = trans_a ? a[p * n + i + r] : a[(i + r) * k + p];
-      acc[r] = MulAddStep<kFused>(av, xp, acc[r]);
+      acc[r] = MulAddStep<kFused>(Format<B>::Round(av), xp, acc[r]);
     }
   }
   for (int64_t r = 0; r < kRows; ++r) y[i + r] = acc[r];
 }
 
-template <bool kFused>
+template <typename B, bool kFused>
 METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
                                             const float* x, float* y,
                                             int64_t n, int64_t k,
@@ -428,41 +534,44 @@ METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
   int64_t i = 0;
   if (trans_a) {
     for (; i + 32 <= n; i += 32) {
-      GemvBlock<kFused, 32>(a, /*trans_a=*/true, x, y, n, k, i, accumulate);
+      GemvBlock<B, kFused, 32>(a, /*trans_a=*/true, x, y, n, k, i,
+                               accumulate);
     }
   }
   for (; i + 8 <= n; i += 8) {
-    GemvBlock<kFused, 8>(a, trans_a, x, y, n, k, i, accumulate);
+    GemvBlock<B, kFused, 8>(a, trans_a, x, y, n, k, i, accumulate);
   }
   if (i + 4 <= n) {
-    GemvBlock<kFused, 4>(a, trans_a, x, y, n, k, i, accumulate);
+    GemvBlock<B, kFused, 4>(a, trans_a, x, y, n, k, i, accumulate);
     i += 4;
   }
   if (i + 2 <= n) {
-    GemvBlock<kFused, 2>(a, trans_a, x, y, n, k, i, accumulate);
+    GemvBlock<B, kFused, 2>(a, trans_a, x, y, n, k, i, accumulate);
     i += 2;
   }
-  if (i < n) GemvBlock<kFused, 1>(a, trans_a, x, y, n, k, i, accumulate);
+  if (i < n) GemvBlock<B, kFused, 1>(a, trans_a, x, y, n, k, i, accumulate);
 }
 
 #if METALORA_GEMM_AVX2_CLONES
+template <typename B>
 METALORA_AVX2_FMA_TARGET void GemvRowsAvx2(const float* a, bool trans_a,
                                            const float* x, float* y,
                                            int64_t n, int64_t k,
                                            bool accumulate) {
-  GemvRows<true>(a, trans_a, x, y, n, k, accumulate);
+  GemvRows<B, true>(a, trans_a, x, y, n, k, accumulate);
 }
 #endif
 
+template <typename B>
 void GemvPath(const float* a, bool trans_a, const float* x, float* y,
               int64_t n, int64_t k, bool accumulate) {
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemvRowsAvx2(a, trans_a, x, y, n, k, accumulate);
+    GemvRowsAvx2<B>(a, trans_a, x, y, n, k, accumulate);
     return;
   }
 #endif
-  GemvRows<false>(a, trans_a, x, y, n, k, accumulate);
+  GemvRows<B, false>(a, trans_a, x, y, n, k, accumulate);
 }
 
 // Rank-thin products run as GEMV chains instead of padding to MR×NR
@@ -472,21 +581,22 @@ void GemvPath(const float* a, bool trans_a, const float* x, float* y,
 // chains make these shapes: the U gradient [O, R], the R-row Uᵀ·g, the
 // R×R core. A GEMV beats the padded tiles only while its matrix is
 // contiguous across the outputs it runs at once, so "thin" depends on
-// the layout (measured over n, k ≤ 512):
-//   - columns: m ≤ 4 when A is stored [k, n], m ≤ 2 when it is [n, k];
+// the layout and, at bf16, on the format (Format<B>'s limits, measured
+// over n, k ≤ 512):
+//   - columns: m ≤ 4 when A is stored [k, n], m ≤ 2 when it is [n, k]
+//     (bf16: m == 1);
 //   - rows: n ≤ 2 when B is stored [k, m].
 // The callers run m == 1 and n == 1 (any layout) as one inline GEMV
 // ahead of these, so a one-row or one-column product pays no routing.
-constexpr int64_t kThinCols = 4;
-constexpr int64_t kThinColsRowMajorA = 2;
-constexpr int64_t kThinRows = 2;
-
+template <typename B>
 bool ThinColumns(int64_t m, bool trans_a) {
-  return m <= (trans_a ? kThinCols : kThinColsRowMajorA);
+  return m <= (trans_a ? Format<B>::kThinCols
+                       : Format<B>::kThinColsRowMajorA);
 }
 
+template <typename B>
 bool ThinRows(int64_t n, bool trans_b) {
-  return n <= kThinRows && !trans_b;
+  return n <= Format<B>::kThinRows && !trans_b;
 }
 
 // The GEMV routes' gathered vector operand and strided output column.
@@ -497,7 +607,7 @@ thread_local gemm_detail::AlignedBuffer<float> tls_gemv_y;
 // returning op(B)'s column j as k contiguous floats; each column of C
 // goes through scratch. Out of line, like GemmThin, to keep it out of the
 // engine's callers.
-template <typename ColumnFn>
+template <typename B, typename ColumnFn>
 [[gnu::noinline]] void GemvColumns(const float* a, bool trans_a,
                                    const ColumnFn& column, float* c,
                                    int64_t n, int64_t k, int64_t m,
@@ -508,7 +618,7 @@ template <typename ColumnFn>
     if (accumulate) {
       for (int64_t i = 0; i < n; ++i) y[i] = c[i * m + j];
     }
-    GemvPath(a, trans_a, column(j), y, n, k, accumulate);
+    GemvPath<B>(a, trans_a, column(j), y, n, k, accumulate);
     for (int64_t i = 0; i < n; ++i) c[i * m + j] = y[i];
   }
 }
@@ -528,6 +638,7 @@ auto DenseColumn(const float* b, bool trans_b, int64_t k, int64_t m) {
 // C[i, :] (+)= op(A)[i, :] · op(B) for every i < n: one GEMV over op(B)ᵀ
 // per row, with op(A)'s row as the vector (gathered when A is stored
 // [k, n]).
+template <typename B>
 void GemvRowsOfC(const float* a, bool trans_a, const float* b, bool trans_b,
                  float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
   for (int64_t i = 0; i < n; ++i) {
@@ -538,7 +649,7 @@ void GemvRowsOfC(const float* a, bool trans_a, const float* b, bool trans_b,
       for (int64_t p = 0; p < k; ++p) row[p] = a[p * n + i];
       x = row;
     }
-    GemvPath(b, !trans_b, x, c + i * m, m, k, accumulate);
+    GemvPath<B>(b, !trans_b, x, c + i * m, m, k, accumulate);
   }
 }
 
@@ -546,28 +657,39 @@ void GemvRowsOfC(const float* a, bool trans_a, const float* b, bool trans_b,
 // false for the blocked engine. Out of line, so GemmPacked, which inlines
 // the engine, compiles as it did without the GEMV routes (inlined, they
 // cost small-k engine products about 10%).
+template <typename B>
 [[gnu::noinline]] bool GemmThin(const float* a, bool trans_a, const float* b,
                                 bool trans_b, float* c, int64_t n, int64_t k,
                                 int64_t m, bool accumulate) {
-  if (ThinColumns(m, trans_a)) {
-    GemvColumns(a, trans_a, DenseColumn(b, trans_b, k, m), c, n, k, m,
-                accumulate);
+  if (ThinColumns<B>(m, trans_a)) {
+    GemvColumns<B>(a, trans_a, DenseColumn(b, trans_b, k, m), c, n, k, m,
+                   accumulate);
     return true;
   }
-  if (ThinRows(n, trans_b)) {
-    GemvRowsOfC(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+  if (ThinRows<B>(n, trans_b)) {
+    GemvRowsOfC<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
     return true;
   }
   return false;
 }
 
-// Tile publication: readers acquire-load a pointer to an immutable triple,
-// so the sweep can swap in its winner while other threads are mid-GEMM
-// without a data race. Until the sweep runs, everyone sees the defaults.
+// Tile publication, one state per format: readers acquire-load a pointer
+// to an immutable triple, so the sweep can swap in its winner while other
+// threads are mid-GEMM without a data race. Until the sweep runs, everyone
+// sees the defaults.
 constexpr GemmTiles kDefaultTiles{};
-std::atomic<const GemmTiles*> g_tiles{&kDefaultTiles};
-std::atomic<bool> g_autotuned{false};
-std::once_flag g_autotune_once;
+struct TileState {
+  std::atomic<const GemmTiles*> tiles{&kDefaultTiles};
+  std::atomic<bool> autotuned{false};
+  std::once_flag once;
+};
+template <typename B>
+TileState tile_state;
+
+template <typename B>
+const GemmTiles& Tiles() {
+  return *tile_state<B>.tiles.load(std::memory_order_acquire);
+}
 
 // First GEMM at or above this flop count (2·n·k·m) triggers the sweep:
 // roughly a 204³ product. Unit-test and sanitizer workloads stay below it.
@@ -576,39 +698,38 @@ constexpr double kAutotuneFlopThreshold = 1.7e7;
 // One blocked GEMM with an explicit tile triple, on one ISA's kernel.
 // `pack_a(ic, mc, pc, kc)` returns the mc×kc block of op(A) at (ic, pc)
 // in PackA's panel layout: packed on the spot into the executing thread's
-// scratch for a dense matrix, or read from a PackAOnce operand. `pack_b(pc,
-// kc, jc, nc, bp)` packs the kc×nc block of op(B) at (pc, jc) into PackB's
-// panel layout: PackB itself for a dense matrix, or PackIm2ColB for a
-// conv input lowered as it is packed. Row blocks start on MR-row panel
-// boundaries of op(A), and k panels accumulate through C in p order, so
-// the blocking never changes an output element's accumulation chain.
-template <MicroKernelFn kKernel, typename PackAFn, typename PackBFn>
+// scratch for a dense matrix, or read from a PackAOnce operand.
+// `pack_b(pc, kc, jc, nc)` returns the kc×nc block of op(B) at (pc, jc) in
+// PackB's panel layout: PackB or PackIm2ColB (a conv input lowered as it
+// is packed) into scratch, or a prepacked weight's own panels. Row blocks
+// start on MR-row panel boundaries of op(A), and k panels accumulate
+// through C in p order, so the blocking never changes an output element's
+// accumulation chain.
+template <typename B, MicroKernelFn<B> kKernel, typename PackAFn,
+          typename PackBFn>
 void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
                        float* c, int64_t n, int64_t k, int64_t m,
                        bool accumulate, const GemmTiles& tiles) {
   for (int64_t jc = 0; jc < m; jc += tiles.nc) {
     const int64_t nc = std::min(tiles.nc, m - jc);
-    const int64_t b_panels = (nc + kGemmNR - 1) / kGemmNR;
     for (int64_t pc = 0; pc < k; pc += tiles.kc) {
       const int64_t kc = std::min(tiles.kc, k - pc);
       // Panels after the first accumulate onto the partial sums already
       // stored in C; storing and reloading float32 is exact, so the
       // per-element accumulation chain stays p = 0..k-1 in order.
       const bool acc_panel = accumulate || pc > 0;
-      tls_pack_b.Reserve(b_panels * kc * kGemmNR);
-      pack_b(pc, kc, jc, nc, tls_pack_b.data());
-      const float* bp = tls_pack_b.data();
+      const B* bp = pack_b(pc, kc, jc, nc);
       for (int64_t ic = 0; ic < n; ic += tiles.mc) {
         const int64_t mc = std::min(tiles.mc, n - ic);
         const float* ap = pack_a(ic, mc, pc, kc);
         for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
           const int64_t nr = std::min(kGemmNR, nc - jr);
-          const float* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
+          const B* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
           for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
             const int64_t mr = std::min(kGemmMR, mc - ir);
-            MicroTile<kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR, bpanel,
-                               kc, c + (ic + ir) * m + jc + jr, m, mr, nr,
-                               acc_panel);
+            MicroTile<B, kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR, bpanel,
+                                  kc, c + (ic + ir) * m + jc + jr, m, mr, nr,
+                                  acc_panel);
           }
         }
       }
@@ -618,30 +739,31 @@ void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
 
 thread_local int64_t tls_packed_engine_runs = 0;
 
-// Every fp32 GEMM and the autotune sweep land here; the blocked engine
-// reads the ISA once per call.
-template <typename PackAFn, typename PackBFn>
+// Every blocked GEMM and the autotune sweeps land here; the blocked
+// engine reads the ISA once per call.
+template <typename B, typename PackAFn, typename PackBFn>
 void GemmPackedTiled(const PackAFn& pack_a, const PackBFn& pack_b, float* c,
                      int64_t n, int64_t k, int64_t m, bool accumulate,
                      const GemmTiles& tiles) {
   ++tls_packed_engine_runs;
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemmPackedTiledOn<MicroKernelAvx2>(pack_a, pack_b, c, n, k, m,
-                                       accumulate, tiles);
+    GemmPackedTiledOn<B, MicroKernelAvx2<B>>(pack_a, pack_b, c, n, k, m,
+                                             accumulate, tiles);
     return;
   }
 #endif
-  GemmPackedTiledOn<MicroKernelPortable>(pack_a, pack_b, c, n, k, m,
-                                         accumulate, tiles);
+  GemmPackedTiledOn<B, MicroKernelPortable<B>>(pack_a, pack_b, c, n, k, m,
+                                               accumulate, tiles);
 }
 
 // The dense A source: PackA into the calling thread's scratch.
+template <typename B>
 auto DensePackA(const float* a, bool trans_a, int64_t n, int64_t k) {
   return [=](int64_t ic, int64_t mc, int64_t pc, int64_t kc) {
-    gemm_detail::AlignedBuffer<float>& abuf = tls_pack_a;
+    gemm_detail::AlignedBuffer<float>& abuf = Scratch<B>().a;
     abuf.Reserve((mc + kGemmMR - 1) / kGemmMR * kc * kGemmMR);
-    PackA(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
+    PackA<B>(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
     return static_cast<const float*>(abuf.data());
   };
 }
@@ -654,34 +776,55 @@ auto SharedPackA(const gemm_detail::PackedA& a) {
   };
 }
 
-// The dense B packer: PackB over a stored [k,m] (or [m,k]) matrix.
+// The B sources that pack into the calling thread's scratch: `pack(pc,
+// kc, jc, nc, bp)` writes the block's panels to bp.
+template <typename B, typename PackFn>
+auto ScratchPackB(const PackFn& pack) {
+  return [pack](int64_t pc, int64_t kc, int64_t jc, int64_t nc) {
+    gemm_detail::AlignedBuffer<B>& bbuf = Scratch<B>().b;
+    bbuf.Reserve((nc + kGemmNR - 1) / kGemmNR * kc * kGemmNR);
+    pack(pc, kc, jc, nc, bbuf.data());
+    return static_cast<const B*>(bbuf.data());
+  };
+}
+
+// The dense B source: PackB over a stored [k,m] (or [m,k]) matrix.
+template <typename B>
 auto DensePackB(const float* b, bool trans_b, int64_t k, int64_t m) {
-  return [=](int64_t pc, int64_t kc, int64_t jc, int64_t nc, float* bp) {
-    PackB(b, trans_b, k, m, pc, kc, jc, nc, bp);
-  };
+  return ScratchPackB<B>(
+      [=](int64_t pc, int64_t kc, int64_t jc, int64_t nc, B* bp) {
+        PackB<B>(b, trans_b, k, m, pc, kc, jc, nc, bp);
+      });
 }
 
-// The im2col B packer: a conv input lowered as it is packed.
-auto Im2ColPackB(const gemm_detail::Im2ColOperand& b, bool trans_b) {
-  return [&b, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
-                       float* bp) {
-    gemm_detail::PackIm2ColBFp32(b, trans_b, pc, kc, jc, nc, bp);
-  };
+// The im2col B source: a conv input lowered as it is packed (the fp32
+// packer transposes image runs where it can, see PackIm2ColBFp32).
+template <typename B>
+auto Im2ColPackB(const gemm_detail::Im2ColOperand& op, bool trans_b) {
+  return ScratchPackB<B>(
+      [&op, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc, B* bp) {
+        if constexpr (std::is_same_v<B, float>) {
+          gemm_detail::PackIm2ColBFp32(op, trans_b, pc, kc, jc, nc, bp);
+        } else {
+          auto store = [](float v) { return Format<B>::Store(v); };
+          gemm_detail::PackIm2ColB(op, trans_b, pc, kc, jc, nc, bp, store);
+        }
+      });
 }
 
-// Candidate triples for the sweep: the compile-time default plus variants
-// that shift the L2/L3 balance (shallower/deeper k panels, narrower/wider
-// row and column blocks). MC stays a multiple of kGemmMR and NC of kGemmNR
-// so panel math never changes shape, only extent.
-constexpr GemmTiles kTileCandidates[] = {
-    {96, 256, 1024}, {48, 256, 2048}, {192, 256, 512},
-    {96, 512, 1024}, {144, 128, 2048},
-};
+// The B source of a prepacked bf16 weight: its panels as packed, one
+// full-depth k block (pc = 0, kc = k).
+auto PrepackedB(const lowp::Bf16PackedWeight& w) {
+  return [&w](int64_t /*pc = 0*/, int64_t, int64_t jc, int64_t) {
+    return w.panels.data() + jc / kGemmNR * w.k * kGemmNR;
+  };
+}
 
 // Times each candidate on one 256³ product (one warm-up + two timed reps,
 // best rep wins) and publishes the fastest triple. ~500 MFLOP total: tens
-// of milliseconds, paid once per process and only by workloads that run
-// GEMMs large enough for tiling to matter.
+// of milliseconds, paid once per process and format, and only by
+// workloads that run GEMMs large enough for tiling to matter.
+template <typename B>
 void RunAutotuneSweep() {
   constexpr int64_t kDim = 256;
   std::vector<float> a(static_cast<size_t>(kDim * kDim));
@@ -693,13 +836,13 @@ void RunAutotuneSweep() {
   }
   const GemmTiles* best = &kDefaultTiles;
   double best_nanos = std::numeric_limits<double>::infinity();
-  for (const GemmTiles& t : kTileCandidates) {
+  for (const GemmTiles& t : Format<B>::kTileCandidates) {
     double fastest = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
-      GemmPackedTiled(DensePackA(a.data(), false, kDim, kDim),
-                      DensePackB(b.data(), false, kDim, kDim), c.data(), kDim,
-                      kDim, kDim, /*accumulate=*/false, t);
+      GemmPackedTiled<B>(DensePackA<B>(a.data(), false, kDim, kDim),
+                         DensePackB<B>(b.data(), false, kDim, kDim),
+                         c.data(), kDim, kDim, kDim, /*accumulate=*/false, t);
       const auto t1 = std::chrono::steady_clock::now();
       const double ns =
           std::chrono::duration<double, std::nano>(t1 - t0).count();
@@ -710,56 +853,33 @@ void RunAutotuneSweep() {
       best = &t;
     }
   }
-  g_tiles.store(best, std::memory_order_release);
-  g_autotuned.store(true, std::memory_order_release);
+  tile_state<B>.tiles.store(best, std::memory_order_release);
+  tile_state<B>.autotuned.store(true, std::memory_order_release);
 }
 
-}  // namespace
-
-int64_t PackedEngineRuns() { return tls_packed_engine_runs; }
-
-// The bf16 tier keeps its own tile state next to its blocked loop in
-// gemm_lowp.cc (the sweep has to time that loop); the public API branches
-// per precision here. Int8 has no tile choice (single-pass prepacked
-// pipeline) and reports the fp32 slot.
-GemmTiles CurrentGemmTiles(OpPrecision precision) {
-  if (precision == OpPrecision::kBf16) {
-    return gemm_detail::Bf16CurrentGemmTiles();
-  }
-  return *g_tiles.load(std::memory_order_acquire);
+template <typename B>
+const GemmTiles& Autotune() {
+  std::call_once(tile_state<B>.once, RunAutotuneSweep<B>);
+  return Tiles<B>();
 }
 
-GemmTiles AutotuneGemmTiles(OpPrecision precision) {
-  if (precision == OpPrecision::kBf16) {
-    return gemm_detail::Bf16AutotuneGemmTiles();
-  }
-  std::call_once(g_autotune_once, RunAutotuneSweep);
-  return CurrentGemmTiles(OpPrecision::kFp32);
-}
-
-bool GemmTilesAutotuned(OpPrecision precision) {
-  if (precision == OpPrecision::kBf16) {
-    return gemm_detail::Bf16GemmTilesAutotuned();
-  }
-  return g_autotuned.load(std::memory_order_acquire);
-}
-
-namespace {
-
-// The first GEMM large enough for tiling to matter runs the sweep.
+// The first GEMM of a format large enough for tiling to matter runs its
+// sweep.
+template <typename B>
 void AutotuneIfLarge(int64_t n, int64_t k, int64_t m) {
-  if (!g_autotuned.load(std::memory_order_acquire) &&
+  if (!tile_state<B>.autotuned.load(std::memory_order_acquire) &&
       2.0 * static_cast<double>(n) * static_cast<double>(k) *
               static_cast<double>(m) >=
           kAutotuneFlopThreshold) {
-    AutotuneGemmTiles();
+    Autotune<B>();
   }
 }
 
-}  // namespace
-
-void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
-                float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
+// The dispatcher of both formats: empty and k == 0 products, one-column
+// and one-row GEMVs, the thin routes, then the blocked engine.
+template <typename B>
+void Gemm(const float* a, bool trans_a, const float* b, bool trans_b,
+          float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
   ML_DCHECK(n >= 0 && k >= 0 && m >= 0);
   if (n == 0 || m == 0) return;
   if (k == 0) {
@@ -767,19 +887,169 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
     return;
   }
   if (m == 1) {
-    GemvPath(a, trans_a, b, c, n, k, accumulate);
+    GemvPath<B>(a, trans_a, b, c, n, k, accumulate);
     return;
   }
   if (n == 1) {
-    GemvPath(b, !trans_b, a, c, m, k, accumulate);
+    GemvPath<B>(b, !trans_b, a, c, m, k, accumulate);
     return;
   }
-  if (GemmThin(a, trans_a, b, trans_b, c, n, k, m, accumulate)) return;
-  AutotuneIfLarge(n, k, m);
-  GemmPackedTiled(DensePackA(a, trans_a, n, k), DensePackB(b, trans_b, k, m),
-                  c, n, k, m, accumulate,
-                  *g_tiles.load(std::memory_order_acquire));
+  if (GemmThin<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate)) return;
+  AutotuneIfLarge<B>(n, k, m);
+  GemmPackedTiled<B>(DensePackA<B>(a, trans_a, n, k),
+                     DensePackB<B>(b, trans_b, k, m), c, n, k, m, accumulate,
+                     Tiles<B>());
 }
+
+// The im2col counterpart: op(B) is an im2col operand, so only the column
+// route applies.
+template <typename B>
+void GemmIm2Col(const float* a, bool trans_a,
+                const gemm_detail::Im2ColOperand& b, bool trans_b, float* c,
+                int64_t n, bool accumulate) {
+  const int64_t k = trans_b ? b.cols() : b.rows();
+  const int64_t m = trans_b ? b.rows() : b.cols();
+  ML_DCHECK(n >= 0 && k > 0 && m > 0);
+  if (n == 0) return;
+  if (m == 1) {
+    GemvPath<B>(a, trans_a, gemm_detail::Im2ColVector(b, trans_b, 0), c, n,
+                k, accumulate);
+    return;
+  }
+  if (ThinColumns<B>(m, trans_a)) {
+    GemvColumns<B>(
+        a, trans_a,
+        [&](int64_t j) { return gemm_detail::Im2ColVector(b, trans_b, j); },
+        c, n, k, m, accumulate);
+    return;
+  }
+  AutotuneIfLarge<B>(n, k, m);
+  GemmPackedTiled<B>(DensePackA<B>(a, trans_a, n, k),
+                     Im2ColPackB<B>(b, trans_b), c, n, k, m, accumulate,
+                     Tiles<B>());
+}
+
+template <typename B>
+gemm_detail::PackedA PackAOnceAt(const float* a, bool trans_a, int64_t n,
+                                 int64_t k, int64_t m) {
+  ML_DCHECK(n > 0 && k > 0 && m > 0);
+  gemm_detail::PackedA packed;
+  packed.a = a;
+  packed.trans_a = trans_a;
+  packed.n = n;
+  packed.k = k;
+  packed.precision = Format<B>::kPrecision;
+  // A thin run reads `a` unpacked: its GEMV chains, or its few rows packed
+  // per product by the engine.
+  if (ThinColumns<B>(m, trans_a) || n <= Format<B>::kThinRows) {
+    return packed;
+  }
+  AutotuneIfLarge<B>(n, k, m);
+  packed.tiles = Tiles<B>();
+  gemm_detail::AlignedBuffer<float>& shared = Scratch<B>().shared_a;
+  shared.Reserve(packed.padded_n() * k);
+  float* panels = shared.data();
+  for (int64_t pc = 0; pc < k; pc += packed.tiles.kc) {
+    const int64_t kc = std::min(packed.tiles.kc, k - pc);
+    PackA<B>(a, trans_a, n, k, 0, n, pc, kc,
+             panels + packed.BlockOffset(0, pc, kc));
+  }
+  packed.panels = panels;
+  return packed;
+}
+
+template <typename B>
+void GemmSharedA(const gemm_detail::PackedA& a, const float* b, bool trans_b,
+                 float* c, int64_t m, bool accumulate) {
+  GemmPackedTiled<B>(SharedPackA(a), DensePackB<B>(b, trans_b, a.k, m), c,
+                     a.n, a.k, m, accumulate, a.tiles);
+}
+
+template <typename B>
+void GemmSharedAIm2Col(const gemm_detail::PackedA& a,
+                       const gemm_detail::Im2ColOperand& b, bool trans_b,
+                       float* c, bool accumulate) {
+  if (a.panels == nullptr) {
+    // Thin: the column route, or the engine packing op(A)'s few rows on
+    // the spot (an im2col operand is not a dense op(B)ᵀ to run rows over).
+    GemmIm2Col<B>(a.a, a.trans_a, b, trans_b, c, a.n, accumulate);
+    return;
+  }
+  const int64_t m = trans_b ? b.rows() : b.cols();
+  GemmPackedTiled<B>(SharedPackA(a), Im2ColPackB<B>(b, trans_b), c, a.n, a.k,
+                     m, accumulate, a.tiles);
+}
+
+}  // namespace
+
+int64_t PackedEngineRuns() { return tls_packed_engine_runs; }
+
+// Int8 has no tile choice (single-pass prepacked pipeline) and reports
+// the fp32 slot.
+GemmTiles CurrentGemmTiles(OpPrecision precision) {
+  return precision == OpPrecision::kBf16 ? Tiles<Bf16>() : Tiles<float>();
+}
+
+GemmTiles AutotuneGemmTiles(OpPrecision precision) {
+  return precision == OpPrecision::kBf16 ? Autotune<Bf16>()
+                                         : Autotune<float>();
+}
+
+bool GemmTilesAutotuned(OpPrecision precision) {
+  const TileState& state = precision == OpPrecision::kBf16
+                               ? tile_state<Bf16>
+                               : tile_state<float>;
+  return state.autotuned.load(std::memory_order_acquire);
+}
+
+void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
+                float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
+  Gemm<float>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+}
+
+void GemmPackedBf16(const float* a, bool trans_a, const float* b, bool trans_b,
+                    float* c, int64_t n, int64_t k, int64_t m,
+                    bool accumulate) {
+  Gemm<Bf16>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+}
+
+namespace lowp {
+
+Bf16PackedWeight PackBf16Weight(const float* b, bool trans_b, int64_t k,
+                                int64_t m) {
+  ML_CHECK(k >= 0 && m >= 0);
+  Bf16PackedWeight w;
+  w.k = k;
+  w.m = m;
+  const int64_t panels = (m + kGemmNR - 1) / kGemmNR;
+  w.panels.resize(static_cast<size_t>(panels * k * kGemmNR));
+  // One full-depth pack (pc = 0, kc = k): the layout the engine reads
+  // with the tiles {kGemmMC, k, m} below.
+  if (k > 0 && m > 0) {
+    PackB<Bf16>(b, trans_b, k, m, 0, k, 0, m, w.panels.data());
+  }
+  return w;
+}
+
+void GemmBf16Prepacked(const float* a, const Bf16PackedWeight& w, float* c,
+                       int64_t n, bool accumulate) {
+  const int64_t k = w.k;
+  const int64_t m = w.m;
+  ML_DCHECK(n >= 0);
+  if (n == 0 || m == 0) return;
+  if (k == 0) {
+    if (!accumulate) std::fill(c, c + n * m, 0.0f);
+    return;
+  }
+  // The engine over the prepacked panels: one full-depth k block and one
+  // column block, with row blocks of kGemmMC bounding the A scratch. The
+  // chains are the dynamic GemmPackedBf16's, so the bytes are too.
+  GemmPackedTiled<Bf16>(DensePackA<Bf16>(a, /*trans_a=*/false, n, k),
+                        PrepackedB(w), c, n, k, m, accumulate,
+                        GemmTiles{kGemmMC, k, m});
+}
+
+}  // namespace lowp
 
 namespace gemm_detail {
 
@@ -816,80 +1086,41 @@ const float* Im2ColVector(const Im2ColOperand& op, bool trans_b, int64_t j) {
 
 void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
                       bool trans_b, float* c, int64_t n, bool accumulate) {
-  const int64_t k = trans_b ? b.cols() : b.rows();
-  const int64_t m = trans_b ? b.rows() : b.cols();
-  ML_DCHECK(n >= 0 && k > 0 && m > 0);
-  if (n == 0) return;
-  if (m == 1) {
-    GemvPath(a, trans_a, Im2ColVector(b, trans_b, 0), c, n, k, accumulate);
-    return;
-  }
-  if (ThinColumns(m, trans_a)) {
-    // op(B) is an im2col operand, so only the column route applies.
-    GemvColumns(
-        a, trans_a, [&](int64_t j) { return Im2ColVector(b, trans_b, j); },
-        c, n, k, m, accumulate);
-    return;
-  }
-  AutotuneIfLarge(n, k, m);
-  GemmPackedTiled(DensePackA(a, trans_a, n, k), Im2ColPackB(b, trans_b), c, n,
-                  k, m, accumulate, *g_tiles.load(std::memory_order_acquire));
+  GemmIm2Col<float>(a, trans_a, b, trans_b, c, n, accumulate);
 }
 
 PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
-                  int64_t m) {
-  ML_DCHECK(n > 0 && k > 0 && m > 0);
-  PackedA packed;
-  packed.a = a;
-  packed.trans_a = trans_a;
-  packed.n = n;
-  packed.k = k;
-  // A thin run reads `a` unpacked: its GEMV chains, or its few rows packed
-  // per product by the engine.
-  if (ThinColumns(m, trans_a) || n <= kThinRows) return packed;
-  AutotuneIfLarge(n, k, m);
-  packed.tiles = *g_tiles.load(std::memory_order_acquire);
-  tls_pack_shared_a.Reserve(packed.padded_n() * k);
-  float* panels = tls_pack_shared_a.data();
-  for (int64_t pc = 0; pc < k; pc += packed.tiles.kc) {
-    const int64_t kc = std::min(packed.tiles.kc, k - pc);
-    PackA(a, trans_a, n, k, 0, n, pc, kc,
-           panels + packed.BlockOffset(0, pc, kc));
-  }
-  packed.panels = panels;
-  return packed;
+                  int64_t m, OpPrecision precision) {
+  return (precision == OpPrecision::kFp32 ? PackAOnceAt<float>
+                                          : PackAOnceAt<Bf16>)(a, trans_a, n,
+                                                               k, m);
 }
 
 void GemmPacked(const PackedA& a, const float* b, bool trans_b, float* c,
                 int64_t m, bool accumulate) {
+  const bool bf16 = a.precision == OpPrecision::kBf16;
   if (a.panels == nullptr) {
-    metalora::GemmPacked(a.a, a.trans_a, b, trans_b, c, a.n, a.k, m,
-                         accumulate);
+    (bf16 ? GemmPackedBf16 : metalora::GemmPacked)(a.a, a.trans_a, b, trans_b,
+                                                   c, a.n, a.k, m, accumulate);
     return;
   }
-  GemmPackedTiled(SharedPackA(a), DensePackB(b, trans_b, a.k, m), c, a.n,
-                  a.k, m, accumulate, a.tiles);
+  (bf16 ? GemmSharedA<Bf16> : GemmSharedA<float>)(a, b, trans_b, c, m,
+                                                  accumulate);
 }
 
 void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
                       float* c, bool accumulate) {
-  const int64_t m = trans_b ? b.rows() : b.cols();
   ML_DCHECK((trans_b ? b.cols() : b.rows()) == a.k);
-  if (a.panels == nullptr) {
-    // Thin: the column route, or the engine packing op(A)'s few rows on
-    // the spot (an im2col operand is not a dense op(B)ᵀ to run rows over).
-    GemmPackedIm2Col(a.a, a.trans_a, b, trans_b, c, a.n, accumulate);
-    return;
-  }
-  GemmPackedTiled(SharedPackA(a), Im2ColPackB(b, trans_b), c, a.n, a.k, m,
-                  accumulate, a.tiles);
+  (a.precision == OpPrecision::kBf16 ? GemmSharedAIm2Col<Bf16>
+                                     : GemmSharedAIm2Col<float>)(
+      a, b, trans_b, c, accumulate);
 }
 
 }  // namespace gemm_detail
 
 namespace {
 
-template <bool kFused>
+template <typename B, bool kFused>
 METALORA_ALWAYS_INLINE inline void ReferenceLoop(const float* a, bool trans_a,
                                                  const float* b, bool trans_b,
                                                  float* c, int64_t n,
@@ -899,8 +1130,9 @@ METALORA_ALWAYS_INLINE inline void ReferenceLoop(const float* a, bool trans_a,
     for (int64_t j = 0; j < m; ++j) {
       float acc = accumulate ? c[i * m + j] : 0.0f;
       for (int64_t p = 0; p < k; ++p) {
-        acc = MulAddStep<kFused>(a[AIndex(trans_a, n, k, i, p)],
-                                 b[BIndex(trans_b, k, m, p, j)], acc);
+        acc = MulAddStep<kFused>(
+            Format<B>::Round(a[AIndex(trans_a, n, k, i, p)]),
+            Format<B>::Round(b[BIndex(trans_b, k, m, p, j)]), acc);
       }
       c[i * m + j] = acc;
     }
@@ -908,14 +1140,27 @@ METALORA_ALWAYS_INLINE inline void ReferenceLoop(const float* a, bool trans_a,
 }
 
 #if METALORA_GEMM_AVX2_CLONES
+template <typename B>
 METALORA_AVX2_FMA_TARGET void ReferenceLoopFused(const float* a, bool trans_a,
                                                  const float* b, bool trans_b,
                                                  float* c, int64_t n,
                                                  int64_t k, int64_t m,
                                                  bool accumulate) {
-  ReferenceLoop<true>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+  ReferenceLoop<B, true>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
 }
 #endif
+
+template <typename B>
+void Reference(const float* a, bool trans_a, const float* b, bool trans_b,
+               float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
+#if METALORA_GEMM_AVX2_CLONES
+  if (gemm_detail::FusedMulAdd()) {
+    ReferenceLoopFused<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+    return;
+  }
+#endif
+  ReferenceLoop<B, false>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+}
 
 GemmIsa DetectGemmIsa() {
 #if METALORA_GEMM_AVX2_CLONES
@@ -941,13 +1186,13 @@ const char* GemmIsaName(GemmIsa isa) {
 void GemmReference(const float* a, bool trans_a, const float* b, bool trans_b,
                    float* c, int64_t n, int64_t k, int64_t m,
                    bool accumulate) {
-#if METALORA_GEMM_AVX2_CLONES
-  if (gemm_detail::FusedMulAdd()) {
-    ReferenceLoopFused(a, trans_a, b, trans_b, c, n, k, m, accumulate);
-    return;
-  }
-#endif
-  ReferenceLoop<false>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+  Reference<float>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+}
+
+void GemmReferenceBf16(const float* a, bool trans_a, const float* b,
+                       bool trans_b, float* c, int64_t n, int64_t k, int64_t m,
+                       bool accumulate) {
+  Reference<Bf16>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
 }
 
 }  // namespace metalora

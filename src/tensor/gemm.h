@@ -15,32 +15,35 @@
 // The micro-kernel is a kGemmMR × kGemmNR register accumulator tile
 // driven over a kGemmKC-deep panel (BLIS/oneDNN design). A portable
 // version (GCC/Clang vector extensions, else scalar) is always built. On
-// x86 an AVX2+FMA clone of every kernel (fp32, bf16, int8) is compiled
-// too, per function with a target attribute, so the binary needs no ISA
-// flag and stays portable. ActiveGemmIsa() picks one ISA per process from
-// cpuid; each GEMM call reads it once and runs that ISA's kernels for the
-// whole call. Building with -DMETALORA_DISABLE_AVX2 leaves the clones out,
-// so CI can exercise the portable kernels on any runner; when such a
-// build also passes -mfma, pair it with -ffp-contract=off so the compiler
-// cannot fuse the portable mul-then-add.
+// x86 an AVX2+FMA clone of every kernel (the engine's and the int8
+// path's) is compiled too, per function with a target attribute, so the
+// binary needs no ISA flag and stays portable. ActiveGemmIsa() picks one
+// ISA per process from cpuid; each GEMM call reads it once and runs that
+// ISA's kernels for the whole call. Building with -DMETALORA_DISABLE_AVX2
+// leaves the clones out, so CI can exercise the portable kernels on any
+// runner; when such a build also passes -mfma, pair it with
+// -ffp-contract=off so the compiler cannot fuse the portable mul-then-add.
 //
-// Precision tiers: the engine's fp32 path below is untouched by the
-// low-precision tier and keeps its bit-identity contract. GemmPackedBf16
-// mirrors GemmPacked with bf16 *storage* (round-to-nearest-even at pack
-// time) and fp32 accumulation; its oracle is GemmReferenceBf16, and the
-// two are bit-identical in the same process. The int8 tier lives in
-// tensor/lowp.h (it only exists in prepacked-weight form). Cache tiles
-// are learned per precision — bf16 panels are half the bytes, so the
-// best kc/nc differ from fp32's.
+// Precision tiers: one engine, two B formats. The engine is a template
+// over how B panels are stored: fp32 (GemmPacked), or bf16
+// (GemmPackedBf16), which rounds both operands to bfloat16
+// (round-to-nearest-even) as they are packed, widens B on load and
+// accumulates in fp32. Both formats share the panel layouts, the tiling,
+// the GEMV routes and the dispatch; each has its own oracle
+// (GemmReference, GemmReferenceBf16), bit-identical to it in the same
+// process. The int8 tier lives in tensor/lowp.h (it only exists in
+// prepacked-weight form). Cache tiles are learned per format — bf16
+// panels are half the bytes, so the best kc/nc differ from fp32's.
 //
 // Determinism contract: for every output element the accumulation runs
 // p = 0..k-1 in order into a single accumulator (k-panels store and
 // reload the partial sum, which is exact), so GemmPacked is bit-identical
 // to GemmReference within one process (one ISA) — there is no
 // reassociation and no split partial sums. The AVX2+FMA ISA fuses each
-// step and the portable one does not, so fp32 bits differ between ISAs. Tail tiles compute into a padded scratch tile with
-// zero-padded operands and copy the valid region out, which preserves
-// the same per-element operation sequence.
+// step and the portable one does not, so fp32 bits differ between ISAs.
+// Tail tiles compute into a padded scratch tile with zero-padded operands
+// and copy the valid region out, which preserves the same per-element
+// operation sequence.
 #ifndef METALORA_TENSOR_GEMM_H_
 #define METALORA_TENSOR_GEMM_H_
 
@@ -112,9 +115,11 @@ bool GemmTilesAutotuned(OpPrecision precision = OpPrecision::kFp32);
 void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate);
 
-/// How many fp32 GEMMs the calling thread has run through the blocked
-/// (packed-panel) engine, counting the autotune sweep's timing runs. The
-/// GEMV paths do not count. Lets tests tell which path a kernel took.
+/// How many GEMMs the calling thread has run through the blocked
+/// (packed-panel) engine, of either format (fp32 or bf16, the prepacked
+/// bf16 weights included), counting the autotune sweeps' timing runs. The
+/// GEMV paths and the int8 path do not count. Lets tests tell which path a
+/// kernel took.
 int64_t PackedEngineRuns();
 
 /// Retained naive reference: a serial i-j-p triple loop with one scalar
@@ -124,13 +129,11 @@ int64_t PackedEngineRuns();
 void GemmReference(const float* a, bool trans_a, const float* b, bool trans_b,
                    float* c, int64_t n, int64_t k, int64_t m, bool accumulate);
 
-/// bf16-storage GemmPacked: operands are rounded to bfloat16
-/// (round-to-nearest-even) as they are packed, the micro-kernel widens
-/// them back to fp32 on load and accumulates in fp32 in the same
-/// p = 0..k-1 order as the fp32 engine. Bit-identical to
-/// GemmReferenceBf16 in the same process; differs from the fp32 product
-/// only by the input rounding. Implemented for all three back-ends
-/// (AVX2+FMA clone, vector-extension, scalar).
+/// GemmPacked at bf16 storage: the same engine and routes, with operands
+/// rounded to bfloat16 (round-to-nearest-even) as they are packed or
+/// loaded, widened back to fp32 and accumulated in fp32 in the same
+/// p = 0..k-1 order. Bit-identical to GemmReferenceBf16 in the same
+/// process; differs from the fp32 product only by the input rounding.
 void GemmPackedBf16(const float* a, bool trans_a, const float* b, bool trans_b,
                     float* c, int64_t n, int64_t k, int64_t m,
                     bool accumulate);

@@ -1,5 +1,6 @@
-// Internal helpers shared by the packed GEMM translation units
-// (gemm.cc: fp32 engine + autotune state; gemm_lowp.cc: bf16/int8 tier).
+// Internal helpers of the packed GEMM engine (gemm.cc: the one blocked
+// engine over both B formats, fp32 and bf16; gemm_lowp.cc: the int8
+// prepacked path and the shadow registry; conv_ops.cc: the conv lowering).
 // Not part of the public tensor API — include only from src/tensor.
 #ifndef METALORA_TENSOR_GEMM_DETAIL_H_
 #define METALORA_TENSOR_GEMM_DETAIL_H_
@@ -14,13 +15,6 @@
 
 namespace metalora {
 namespace gemm_detail {
-
-// Per-precision tile state for the bf16 tier, implemented in gemm_lowp.cc
-// next to the bf16 blocked loop its sweep has to time. gemm.cc routes the
-// public per-precision tile API here for OpPrecision::kBf16.
-GemmTiles Bf16CurrentGemmTiles();
-GemmTiles Bf16AutotuneGemmTiles();
-bool Bf16GemmTilesAutotuned();
 
 /// Grow-only scratch buffer aligned to a cache line (64 bytes), so vector
 /// loads from packed panels never straddle lines and never depend on
@@ -192,21 +186,22 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
                       bool trans_b, float* c, int64_t n, bool accumulate);
 
 /// op(A) [n, k] shared by a run of GEMMs — one conv call's per-sample
-/// products with its weight — packed once for the whole run. `panels`
-/// holds, for each k block of `tiles.kc` at depth pc, every MR-row
-/// micro-panel of op(A) (see BlockOffset), byte for byte what PackA
-/// writes for those rows. The engines read their A blocks from it
-/// instead of packing them, and every GEMM of the run uses `tiles`,
-/// snapshotted at pack time. A thin run packs nothing (fp32: the thin
-/// columns of gemm.cc's GEMV routing, or n ≤ 2 rows; bf16: m == 1):
-/// `panels` is null, and its GEMVs read `a` or the engine packs its few
-/// rows per product. The panels
-/// live in the packing thread's scratch and stay valid until that thread
-/// packs again.
+/// products with its weight — packed once for the whole run, in one
+/// format: `precision` is kFp32, or kBf16 with the values rounded to
+/// bf16. `panels` holds, for each k block of `tiles.kc` at depth pc, every
+/// MR-row micro-panel of op(A) (see BlockOffset), byte for byte what the
+/// engine's PackA writes for those rows at that format. The engine reads
+/// its A blocks from it instead of packing them, and every GEMM of the run
+/// uses `tiles`, that format's triple snapshotted at pack time. A thin run
+/// (the thin columns of gemm.cc's GEMV routing, or n ≤ 2 rows) packs
+/// nothing: `panels` is null, and its GEMVs read `a` or the engine packs
+/// its few rows per product. The panels live in the packing thread's
+/// scratch and stay valid until that thread packs again at that format.
 struct PackedA {
   const float* a = nullptr;
   bool trans_a = false;
   int64_t n = 0, k = 0;
+  OpPrecision precision = OpPrecision::kFp32;
   const float* panels = nullptr;
   GemmTiles tiles;
 
@@ -218,29 +213,21 @@ struct PackedA {
   }
 };
 
-/// Packs op(A) [n, k] for a run of fp32 products with m columns (or,
-/// for a thin run, records `a` unpacked).
+/// Packs op(A) [n, k] for a run of products with m columns at
+/// `precision` (or, for a thin run, records `a` unpacked). kInt8 packs at
+/// bf16: int8 has no dynamically packed form, and convs cap at bf16.
 PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
-                  int64_t m);
-
-/// Packs op(A) for a run of bf16-storage products (PackABf16's rounded
-/// values, the bf16 tile triple).
-PackedA PackAOnceBf16(const float* a, bool trans_a, int64_t n, int64_t k,
-                      int64_t m);
+                  int64_t m, OpPrecision precision = OpPrecision::kFp32);
 
 /// C[n,m] (+)= op(A) · op(B) over a PackAOnce operand: bit-identical to
-/// GemmPacked(a.a, a.trans_a, b, trans_b, ...).
+/// GemmPacked (or GemmPackedBf16, per a.precision) over a.a.
 void GemmPacked(const PackedA& a, const float* b, bool trans_b, float* c,
                 int64_t m, bool accumulate);
 
-/// GemmPackedIm2Col over a PackAOnce operand.
+/// GemmPackedIm2Col over a PackAOnce operand, at its format (bf16:
+/// bit-identical to GemmPackedBf16 over Im2Col's materialized columns).
 void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
                       float* c, bool accumulate);
-
-/// The bf16-storage tier over a PackAOnceBf16 operand: bit-identical to
-/// GemmPackedBf16 over Im2Col's materialized columns.
-void GemmPackedBf16Im2Col(const PackedA& a, const Im2ColOperand& b,
-                          bool trans_b, float* c, bool accumulate);
 
 // Whether this build carries the AVX2+FMA kernel clones: x86 GCC/Clang
 // without METALORA_DISABLE_AVX2. The clones are compiled per function

@@ -86,7 +86,7 @@ inline int8_t QuantizeValue(float value, float inv_scale) {
 /// A weight prepacked to bf16 in the engine's column-panel layout:
 /// ceil(m/kGemmNR) panels, each k steps of kGemmNR contiguous values,
 /// zero-padded past m. Always packs op(B) of the x·op(B) product, i.e.
-/// the transpose is absorbed exactly like PackB in the fp32 engine.
+/// the transpose is absorbed exactly like the engine's PackB.
 struct Bf16PackedWeight {
   int64_t k = 0;  // reduction depth
   int64_t m = 0;  // output channels

@@ -35,8 +35,23 @@ void ExpectBitIdentical(const std::vector<float>& ref,
   }
 }
 
+using GemmFn = void (*)(const float* a, bool trans_a, const float* b,
+                       bool trans_b, float* c, int64_t n, int64_t k, int64_t m,
+                       bool accumulate);
+
+// The packed engine's entry point at one format, and its serial oracle.
+GemmFn PackedAt(OpPrecision precision) {
+  return precision == OpPrecision::kBf16 ? GemmPackedBf16 : GemmPacked;
+}
+GemmFn ReferenceAt(OpPrecision precision) {
+  return precision == OpPrecision::kBf16 ? GemmReferenceBf16 : GemmReference;
+}
+
+// The engine's two B formats.
+constexpr OpPrecision kFormats[] = {OpPrecision::kFp32, OpPrecision::kBf16};
+
 void CheckShape(int64_t n, int64_t k, int64_t m, bool trans_a, bool trans_b,
-                bool accumulate) {
+                bool accumulate, OpPrecision precision = OpPrecision::kFp32) {
   Rng rng(static_cast<uint64_t>(n * 10007 + k * 101 + m * 7 +
                                 (trans_a ? 2 : 0) + (trans_b ? 1 : 0)));
   Tensor a = RandomNormal(trans_a ? Shape{k, n} : Shape{n, k}, rng);
@@ -44,15 +59,16 @@ void CheckShape(int64_t n, int64_t k, int64_t m, bool trans_a, bool trans_b,
   Tensor seed = RandomNormal(Shape{n, m}, rng);
   Tensor c_ref = seed.Clone();
   Tensor c_packed = seed.Clone();
-  GemmReference(a.data(), trans_a, b.data(), trans_b, c_ref.data(), n, k, m,
-                accumulate);
-  GemmPacked(a.data(), trans_a, b.data(), trans_b, c_packed.data(), n, k, m,
-             accumulate);
+  ReferenceAt(precision)(a.data(), trans_a, b.data(), trans_b, c_ref.data(),
+                         n, k, m, accumulate);
+  PackedAt(precision)(a.data(), trans_a, b.data(), trans_b, c_packed.data(),
+                      n, k, m, accumulate);
   const std::string what = "n=" + std::to_string(n) + " k=" +
                            std::to_string(k) + " m=" + std::to_string(m) +
                            (trans_a ? " transA" : "") +
                            (trans_b ? " transB" : "") +
-                           (accumulate ? " accumulate" : "");
+                           (accumulate ? " accumulate" : "") + " " +
+                           OpPrecisionName(precision);
   ExpectBitIdentical(c_ref.ToVector(), c_packed.ToVector(), what);
 }
 
@@ -105,16 +121,19 @@ TEST(GemmPackedTest, LoraAdapterShapes) {
 
 TEST(GemmPackedTest, OneRowRunsAsGemvOnTheCaller) {
   // n == 1 is a GEMV over op(B)ᵀ: bit-identical to the reference in every
-  // layout, with k past one kGemmKC panel so the blocked path's partial-sum
-  // reload would be in play, and without a run of the blocked engine.
-  for (int64_t k : {int64_t{1}, int64_t{37}, kGemmKC + 45}) {
-    for (int64_t m : {int64_t{2}, int64_t{33}, int64_t{1024}}) {
-      for (int layout = 0; layout < 4; ++layout) {
-        for (bool accumulate : {false, true}) {
-          const int64_t before = PackedEngineRuns();
-          CheckShape(/*n=*/1, k, m, (layout & 2) != 0, (layout & 1) != 0,
-                     accumulate);
-          EXPECT_EQ(PackedEngineRuns(), before);
+  // layout and both formats, with k past one kGemmKC panel so the blocked
+  // path's partial-sum reload would be in play, and without a run of the
+  // blocked engine.
+  for (OpPrecision precision : kFormats) {
+    for (int64_t k : {int64_t{1}, int64_t{37}, kGemmKC + 45}) {
+      for (int64_t m : {int64_t{2}, int64_t{33}, int64_t{1024}}) {
+        for (int layout = 0; layout < 4; ++layout) {
+          for (bool accumulate : {false, true}) {
+            const int64_t before = PackedEngineRuns();
+            CheckShape(/*n=*/1, k, m, (layout & 2) != 0, (layout & 1) != 0,
+                       accumulate, precision);
+            EXPECT_EQ(PackedEngineRuns(), before);
+          }
         }
       }
     }
@@ -123,34 +142,41 @@ TEST(GemmPackedTest, OneRowRunsAsGemvOnTheCaller) {
 
 // The routing rule for rank-thin products (tensor/gemm.cc): one GEMV per
 // column of C for an op(B) of at most 4 columns when A is stored [k, n]
-// (2 when A is row-major), one GEMV over op(B)ᵀ per row of C for a single
-// row, or for 2 rows when B is stored [k, m].
-bool ThinColumns(int64_t m, bool trans_a) { return m <= (trans_a ? 4 : 2); }
-bool RunsAsGemv(int64_t n, int64_t m, bool trans_a, bool trans_b) {
-  return ThinColumns(m, trans_a) || n == 1 || (n == 2 && !trans_b);
+// (2 when A is row-major, 1 at bf16), one GEMV over op(B)ᵀ per row of C
+// for a single row, or for 2 rows when B is stored [k, m].
+bool ThinColumns(int64_t m, bool trans_a, OpPrecision precision) {
+  return m <= (trans_a ? 4 : precision == OpPrecision::kBf16 ? 1 : 2);
+}
+bool RunsAsGemv(int64_t n, int64_t m, bool trans_a, bool trans_b,
+                OpPrecision precision) {
+  return ThinColumns(m, trans_a, precision) || n == 1 ||
+         (n == 2 && !trans_b);
 }
 
-// Rank-thin products with n or m in 1..4, in every layout, with and
-// without accumulation, across a kGemmKC panel and with extents that hit
-// every GEMV block and tail: bit-identical to the reference, and the
-// blocked engine runs exactly when the routing rule says. A PackAOnce
-// operand of a thin run packs nothing and routes the same way.
+// Rank-thin products with n or m in 1..4, in every layout and both
+// formats, with and without accumulation, across a kGemmKC panel and with
+// extents that hit every GEMV block and tail: bit-identical to the
+// reference, and the blocked engine runs exactly when the routing rule
+// says. A PackAOnce operand of a thin run packs nothing and routes the
+// same way.
 TEST(GemmPackedTest, RankThinShapesRunAsGemvChains) {
-  for (int64_t thin : {1, 2, 3, 4}) {
-    for (int64_t wide : {int64_t{1}, int64_t{7}, int64_t{15}, int64_t{40},
-                         kGemmKC + 45}) {
-      for (int64_t k : {int64_t{1}, int64_t{17}, kGemmKC + 3}) {
-        for (int layout = 0; layout < 4; ++layout) {
-          for (bool accumulate : {false, true}) {
-            const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
-            for (const auto& [n, m] : {std::pair{wide, thin},
-                                       std::pair{thin, wide}}) {
-              const int64_t before = PackedEngineRuns();
-              CheckShape(n, k, m, ta, tb, accumulate);
-              EXPECT_EQ(PackedEngineRuns() - before,
-                        RunsAsGemv(n, m, ta, tb) ? 0 : 1)
-                  << "n=" << n << " k=" << k << " m=" << m << " ta=" << ta
-                  << " tb=" << tb;
+  for (OpPrecision precision : kFormats) {
+    for (int64_t thin : {1, 2, 3, 4}) {
+      for (int64_t wide : {int64_t{1}, int64_t{7}, int64_t{15}, int64_t{40},
+                           kGemmKC + 45}) {
+        for (int64_t k : {int64_t{1}, int64_t{17}, kGemmKC + 3}) {
+          for (int layout = 0; layout < 4; ++layout) {
+            for (bool accumulate : {false, true}) {
+              const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
+              for (const auto& [n, m] : {std::pair{wide, thin},
+                                         std::pair{thin, wide}}) {
+                const int64_t before = PackedEngineRuns();
+                CheckShape(n, k, m, ta, tb, accumulate, precision);
+                EXPECT_EQ(PackedEngineRuns() - before,
+                          RunsAsGemv(n, m, ta, tb, precision) ? 0 : 1)
+                    << "n=" << n << " k=" << k << " m=" << m << " ta=" << ta
+                    << " tb=" << tb << " " << OpPrecisionName(precision);
+              }
             }
           }
         }
@@ -158,29 +184,34 @@ TEST(GemmPackedTest, RankThinShapesRunAsGemvChains) {
     }
   }
   Rng rng(5);
-  for (const auto& [n, m] : {std::pair<int64_t, int64_t>{13, 3}, {2, 40}}) {
-    const int64_t k = 29;
-    for (int layout = 0; layout < 4; ++layout) {
-      for (bool accumulate : {false, true}) {
-        const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
-        Tensor a = RandomNormal(ta ? Shape{k, n} : Shape{n, k}, rng);
-        Tensor b = RandomNormal(tb ? Shape{m, k} : Shape{k, m}, rng);
-        Tensor c_ref = RandomNormal(Shape{n, m}, rng);
-        Tensor c_got = c_ref.Clone();
-        GemmReference(a.data(), ta, b.data(), tb, c_ref.data(), n, k, m,
-                      accumulate);
-        const int64_t before = PackedEngineRuns();
-        const gemm_detail::PackedA packed =
-            gemm_detail::PackAOnce(a.data(), ta, n, k, m);
-        EXPECT_EQ(packed.panels == nullptr, ThinColumns(m, ta) || n <= 2);
-        gemm_detail::GemmPacked(packed, b.data(), tb, c_got.data(), m,
-                                accumulate);
-        EXPECT_EQ(PackedEngineRuns() - before,
-                  RunsAsGemv(n, m, ta, tb) ? 0 : 1);
-        ExpectBitIdentical(c_ref.ToVector(), c_got.ToVector(),
-                           "PackAOnce n=" + std::to_string(n) +
-                               " m=" + std::to_string(m) +
-                               " layout=" + std::to_string(layout));
+  for (OpPrecision precision : kFormats) {
+    for (const auto& [n, m] :
+         {std::pair<int64_t, int64_t>{13, 3}, {2, 40}, {13, 40}}) {
+      const int64_t k = 29;
+      for (int layout = 0; layout < 4; ++layout) {
+        for (bool accumulate : {false, true}) {
+          const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
+          Tensor a = RandomNormal(ta ? Shape{k, n} : Shape{n, k}, rng);
+          Tensor b = RandomNormal(tb ? Shape{m, k} : Shape{k, m}, rng);
+          Tensor c_ref = RandomNormal(Shape{n, m}, rng);
+          Tensor c_got = c_ref.Clone();
+          ReferenceAt(precision)(a.data(), ta, b.data(), tb, c_ref.data(), n,
+                                 k, m, accumulate);
+          const int64_t before = PackedEngineRuns();
+          const gemm_detail::PackedA packed =
+              gemm_detail::PackAOnce(a.data(), ta, n, k, m, precision);
+          EXPECT_EQ(packed.panels == nullptr,
+                    ThinColumns(m, ta, precision) || n <= 2);
+          gemm_detail::GemmPacked(packed, b.data(), tb, c_got.data(), m,
+                                  accumulate);
+          EXPECT_EQ(PackedEngineRuns() - before,
+                    RunsAsGemv(n, m, ta, tb, precision) ? 0 : 1);
+          ExpectBitIdentical(c_ref.ToVector(), c_got.ToVector(),
+                             "PackAOnce n=" + std::to_string(n) +
+                                 " m=" + std::to_string(m) +
+                                 " layout=" + std::to_string(layout) + " " +
+                                 OpPrecisionName(precision));
+        }
       }
     }
   }
@@ -498,11 +529,12 @@ TEST(GemmConvTest, TransposedWeightGradientPanelsMatchTheGather) {
 }
 
 // A thin im2col op(B) (ThinColumns) runs as one GEMV per column, from a
-// dense op(A) and from a PackAOnce one: bit-identical to the reference
-// over Im2Col's materialized columns, with no run of the blocked engine;
-// every other product here runs the engine, bit-identical too.
-// The U gradient of a rank-R pointwise chain (trans_b, R rows of cols) and
-// convs with at most 4 output positions are such products.
+// dense op(A) and from a PackAOnce one (the bf16 tier has only the
+// latter): bit-identical to the format's reference over Im2Col's
+// materialized columns, with no run of the blocked engine; every other
+// product here runs the engine, bit-identical too. The U gradient of a
+// rank-R pointwise chain (trans_b, R rows of cols) and convs with at most
+// 4 output positions are such products.
 TEST(GemmConvTest, RankThinIm2ColProductsRunAsGemvChains) {
   struct Geo {
     int64_t c, h, w;
@@ -519,39 +551,51 @@ TEST(GemmConvTest, RankThinIm2ColProductsRunAsGemvChains) {
       {2, 3, 3, {3, 3, 1, 1}, false},  // 3×3: 9 columns, the engine
   };
   Rng rng(43);
-  for (const Geo& geo : geos) {
-    const Tensor x = RandomNormal(Shape{geo.c, geo.h, geo.w}, rng);
-    const Tensor padded = PadImage(x, geo.g.padding);
-    const gemm_detail::Im2ColOperand op =
-        OperandOf(padded, geo.h, geo.w, geo.g);
-    Tensor cols{Shape{op.rows(), op.cols()}};
-    Im2Col(x.data(), geo.c, geo.h, geo.w, geo.g, cols.data());
-    const int64_t k = geo.trans_b ? op.cols() : op.rows();
-    const int64_t m = geo.trans_b ? op.rows() : op.cols();
-    for (int64_t n : {1, 2, 8, 13}) {
-      for (bool trans_a : {false, true}) {
-        for (bool accumulate : {false, true}) {
-          const Tensor a =
-              RandomNormal(trans_a ? Shape{k, n} : Shape{n, k}, rng);
-          Tensor c_ref = RandomNormal(Shape{n, m}, rng);
-          Tensor c_dense = c_ref.Clone(), c_shared = c_ref.Clone();
-          GemmReference(a.data(), trans_a, cols.data(), geo.trans_b,
-                        c_ref.data(), n, k, m, accumulate);
-          const int64_t before = PackedEngineRuns();
-          gemm_detail::GemmPackedIm2Col(a.data(), trans_a, op, geo.trans_b,
-                                        c_dense.data(), n, accumulate);
-          gemm_detail::GemmPackedIm2Col(
-              gemm_detail::PackAOnce(a.data(), trans_a, n, k, m), op,
-              geo.trans_b, c_shared.data(), accumulate);
-          EXPECT_EQ(PackedEngineRuns() - before,
-                    ThinColumns(m, trans_a) ? 0 : 2);
-          const std::string what =
-              "c=" + std::to_string(geo.c) + " n=" + std::to_string(n) +
-              " m=" + std::to_string(m) + (trans_a ? " transA" : "") +
-              (accumulate ? " accumulate" : "");
-          ExpectBitIdentical(c_ref.ToVector(), c_dense.ToVector(), what);
-          ExpectBitIdentical(c_ref.ToVector(), c_shared.ToVector(),
-                             "shared " + what);
+  for (OpPrecision precision : kFormats) {
+    for (const Geo& geo : geos) {
+      const Tensor x = RandomNormal(Shape{geo.c, geo.h, geo.w}, rng);
+      const Tensor padded = PadImage(x, geo.g.padding);
+      const gemm_detail::Im2ColOperand op =
+          OperandOf(padded, geo.h, geo.w, geo.g);
+      Tensor cols{Shape{op.rows(), op.cols()}};
+      Im2Col(x.data(), geo.c, geo.h, geo.w, geo.g, cols.data());
+      const int64_t k = geo.trans_b ? op.cols() : op.rows();
+      const int64_t m = geo.trans_b ? op.rows() : op.cols();
+      for (int64_t n : {1, 2, 8, 13}) {
+        for (bool trans_a : {false, true}) {
+          for (bool accumulate : {false, true}) {
+            const Tensor a =
+                RandomNormal(trans_a ? Shape{k, n} : Shape{n, k}, rng);
+            Tensor c_ref = RandomNormal(Shape{n, m}, rng);
+            Tensor c_dense = c_ref.Clone(), c_shared = c_ref.Clone();
+            ReferenceAt(precision)(a.data(), trans_a, cols.data(),
+                                   geo.trans_b, c_ref.data(), n, k, m,
+                                   accumulate);
+            const bool fp32 = precision == OpPrecision::kFp32;
+            const int64_t before = PackedEngineRuns();
+            if (fp32) {
+              gemm_detail::GemmPackedIm2Col(a.data(), trans_a, op,
+                                            geo.trans_b, c_dense.data(), n,
+                                            accumulate);
+            }
+            gemm_detail::GemmPackedIm2Col(
+                gemm_detail::PackAOnce(a.data(), trans_a, n, k, m, precision),
+                op, geo.trans_b, c_shared.data(), accumulate);
+            EXPECT_EQ(PackedEngineRuns() - before,
+                      ThinColumns(m, trans_a, precision) ? 0
+                      : fp32                             ? 2
+                                                         : 1);
+            const std::string what =
+                "c=" + std::to_string(geo.c) + " n=" + std::to_string(n) +
+                " m=" + std::to_string(m) + (trans_a ? " transA" : "") +
+                (accumulate ? " accumulate" : "") + " " +
+                OpPrecisionName(precision);
+            if (fp32) {
+              ExpectBitIdentical(c_ref.ToVector(), c_dense.ToVector(), what);
+            }
+            ExpectBitIdentical(c_ref.ToVector(), c_shared.ToVector(),
+                               "shared " + what);
+          }
         }
       }
     }

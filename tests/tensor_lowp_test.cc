@@ -220,6 +220,8 @@ TEST(GemmBf16Test, BlockedShapesCrossPanelBoundaries) {
   CheckBf16Shape(97, 300, 33, false, false, false);
   CheckBf16Shape(13, 513, 160, false, true, false);
   CheckBf16Shape(97, 257, 33, false, false, true);
+  // Three kGemmMC row blocks over one full-depth prepacked k block.
+  CheckBf16Shape(200, 300, 33, false, true, false);
 }
 
 TEST(GemmBf16Test, GemvPathMatchesReference) {
