@@ -134,16 +134,19 @@ void BM_ReluBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_ReluBackward);
 
-// One training step of a conv adapter at the `adapt` workload's stage-1
-// shape: 8 → 8 channels, 3×3, 16×16, batch 32, with x needing its gradient
+// One training step of a conv adapter at an `adapt` workload shape:
+// C → C channels, 3×3, side × side, batch 32, with x needing its gradient
 // as inside the network. Forward, sum-of-squares loss and backward through
-// the frozen base conv and the chain. Args are (kind, rank): MetaLoRA-CP
-// (D, the generated seed, U and the mapping net), and the branch sums over
-// four branches, Multi-LoRA kSum (rank split to 1 per branch, weighted by
-// learned scales) and MoE-LoRA (rank 2 per expert, gated), each one
-// AdaptedConv2d over the stacked branches.
+// the frozen base conv and the chain. Args are (kind, rank, C, side):
+// MetaLoRA-CP (D, the generated seed, U and the mapping net) at stage 1
+// (8 at 16²), stage 2 (16 at 8²) and stage 3 (32 at 4²), where the
+// rank-thin products' share of the step grows, and at stage 1 the branch
+// sums over four branches, Multi-LoRA kSum (rank split to 1 per branch,
+// weighted by learned scales) and MoE-LoRA (rank 2 per expert, gated),
+// each one AdaptedConv2d over the stacked branches.
 void BM_AdaptedConvStep(benchmark::State& state) {
   const auto kind = static_cast<core::AdapterKind>(state.range(0));
+  const int64_t ch = state.range(2), side = state.range(3);
   Rng rng(16);
   core::AdapterOptions opts;
   opts.kind = kind;
@@ -152,13 +155,13 @@ void BM_AdaptedConvStep(benchmark::State& state) {
   opts.num_tasks = 4;
   opts.seed = 1;
   core::TnAdapter adapter(
-      std::make_unique<nn::Conv2d>(8, 8, 3, 1, 1, false, rng), opts);
+      std::make_unique<nn::Conv2d>(ch, ch, 3, 1, 1, false, rng), opts);
   for (auto& np : adapter.NamedParameters()) {
     if (np.name.rfind("lora_b", 0) == 0) {
       FillNormal(np.variable->mutable_value(), rng, 0.0f, 0.5f);
     }
   }
-  const Tensor x = RandomNormal(Shape{32, 8, 16, 16}, rng);
+  const Tensor x = RandomNormal(Shape{32, ch, side, side}, rng);
   adapter.SetFeatures(nn::Variable(RandomNormal(Shape{32, 32}, rng), false));
   state.SetLabel(core::AdapterKindName(kind));
   for (auto _ : state) {
@@ -170,11 +173,13 @@ void BM_AdaptedConvStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdaptedConvStep)
-    ->ArgNames({"kind", "rank"})
-    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 2})
-    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 8})
-    ->Args({static_cast<int64_t>(core::AdapterKind::kMultiLora), 2})
-    ->Args({static_cast<int64_t>(core::AdapterKind::kMoeLora), 2});
+    ->ArgNames({"kind", "rank", "ch", "side"})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 2, 8, 16})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 8, 8, 16})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 2, 16, 8})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMetaLoraCp), 2, 32, 4})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMultiLora), 2, 8, 16})
+    ->Args({static_cast<int64_t>(core::AdapterKind::kMoeLora), 2, 8, 16});
 
 void BM_Contraction3rdOrder(benchmark::State& state) {
   const int64_t d = state.range(0);

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 
+#include "tensor/conv_thin.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_detail.h"
 #include "tensor/matmul.h"
@@ -207,27 +208,38 @@ void Conv2dForwardInto(const Tensor& input,
 
   const int64_t out_spatial = ho * wo;
   const int64_t col_rows = c * g.kernel_h * g.kernel_w;
-  // The stack viewed as [rows, C*Kh*Kw]; per sample: out_n = W_mat · cols,
-  // with cols lowered from the sample as the GEMM packs it. W_mat is the
-  // same for every sample, so it is packed once for the whole call, at
+  const float* wstack = StackWeights(weights, rows, col_rows);
+  // A shallow fp32 pointwise conv (U·h over R channels, TR's R×R core)
+  // runs as vector chains over the sample's rows (conv_thin.h). Otherwise
+  // the stack is viewed as [rows, C*Kh*Kw] and per sample out_n = W_mat ·
+  // cols, with cols lowered from the sample as the GEMM packs it. W_mat is
+  // the same for every sample, so it is packed once for the whole call, at
   // the format the products run in (bf16 for kBf16, and for kInt8 too:
   // conv caps at bf16).
-  const gemm_detail::PackedA wmat =
-      gemm_detail::PackAOnce(StackWeights(weights, rows, col_rows), false,
-                             rows, col_rows, out_spatial, precision);
+  const bool shallow = precision == OpPrecision::kFp32 &&
+                       ConvIsPointwise(g) &&
+                       conv_thin::PointwiseForwardTakes(c);
+  gemm_detail::PackedA wmat;
+  if (!shallow) {
+    wmat = gemm_detail::PackAOnce(wstack, false, rows, col_rows, out_spatial,
+                                  precision);
+  }
   // A lone weight's GEMM writes its output in place; a stack's writes one
   // sample's rows into scratch, which is then split row block by block.
   const bool in_place = weights.size() == 1;
   if (!in_place) tls_stack_rows.Reserve(rows * out_spatial);
   for (int64_t i = 0; i < n; ++i) {
-    const Im2ColOperand cols =
-        LowerSample(input.data() + i * c * h * w, c, h, w, g);
+    const float* in_n = input.data() + i * c * h * w;
     float* c_n = in_place ? outs[0]->data() + i * rows * out_spatial
                           : tls_stack_rows.data();
     // Overwriting C starts every chain at +0, exactly like accumulating
     // into a zeroed output.
-    gemm_detail::GemmPackedIm2Col(wmat, cols, false, c_n,
-                                  /*accumulate=*/false);
+    if (shallow) {
+      conv_thin::PointwiseForward(wstack, rows, in_n, c, out_spatial, c_n);
+    } else {
+      gemm_detail::GemmPackedIm2Col(wmat, LowerSample(in_n, c, h, w, g),
+                                    false, c_n, /*accumulate=*/false);
+    }
     const float* src = c_n;
     for (size_t b = 0; b < weights.size(); ++b) {
       const int64_t o = weights[b]->dim(0);
@@ -309,6 +321,8 @@ void Conv2dBackward(const Tensor& input,
   // scratch from the stacked output gradient and is split at the end.
   const bool wgrad = wanted > 0;
   const bool wgrad_in_place = wanted == 1;
+  const conv_thin::WeightGradientRoute wgrad_route =
+      conv_thin::PickWeightGradientRoute(hi - lo, col_rows, g);
   if (wgrad && !wgrad_in_place) {
     tls_stack_gw.Reserve((hi - lo) * col_rows);
     std::fill(tls_stack_gw.data(), tls_stack_gw.data() + (hi - lo) * col_rows,
@@ -348,8 +362,11 @@ void Conv2dBackward(const Tensor& input,
     }
 
     if (wgrad) {
-      // dW [hi − lo, col_rows] += gout [hi − lo, S] · colsᵀ, cols lowered
-      // at pack time. Its A is this sample's gout, so it packs per sample.
+      // dW [hi − lo, col_rows] += gout [hi − lo, S] · colsᵀ. A rank-thin
+      // product runs as vector chains (conv_thin.h): few rows (D's
+      // gradient) over a channels-last copy of the sample, few columns
+      // (U's) over its rows. Otherwise the engine runs it with cols lowered
+      // at pack time; its A is this sample's gout, so it packs per sample.
       const int64_t o = weights[first]->dim(0);
       const float* gout =
           wgrad_in_place
@@ -357,10 +374,22 @@ void Conv2dBackward(const Tensor& input,
               : gstack + lo * out_spatial;
       float* dst =
           wgrad_in_place ? grad_weights[first]->data() : tls_stack_gw.data();
-      gemm_detail::GemmPackedIm2Col(gout, /*trans_a=*/false,
-                                    LowerSample(in_n, c, h, w, g),
-                                    /*trans_b=*/true, dst, hi - lo,
-                                    /*accumulate=*/true);
+      switch (wgrad_route) {
+        case conv_thin::WeightGradientRoute::kFewRows:
+          conv_thin::WeightGradientFewRows(gout, hi - lo, in_n, c, h, w, g,
+                                           dst);
+          break;
+        case conv_thin::WeightGradientRoute::kFewColumns:
+          conv_thin::WeightGradientFewColumns(
+              gout, hi - lo, LowerSample(in_n, c, h, w, g), dst);
+          break;
+        case conv_thin::WeightGradientRoute::kEngine:
+          gemm_detail::GemmPackedIm2Col(gout, /*trans_a=*/false,
+                                        LowerSample(in_n, c, h, w, g),
+                                        /*trans_b=*/true, dst, hi - lo,
+                                        /*accumulate=*/true);
+          break;
+      }
     }
 
     if (grad_input) {

@@ -61,10 +61,13 @@ bool ConvIsPointwise(const ConvGeom& g);
 /// W_i's rows; every element is written (no pre-zeroing). `bias` [O_0], or
 /// undefined for none, belongs to the first weight. Each row keeps the
 /// accumulation chain it has in a conv by its own weight alone, so the
-/// outputs are byte-identical to separate calls. `precision` selects the
-/// GEMM's tier: kBf16 runs the bf16-storage engine (kInt8 is treated as
-/// kBf16 — conv has no quantized-shadow form); the bias epilogue is fp32 in
-/// every tier.
+/// outputs are byte-identical to separate calls. An fp32 pointwise conv
+/// over at most 32 input channels (U·h over R channels, TR's R×R core)
+/// skips the pack and runs each output as one vector FMA chain from +0
+/// over the input rows (conv_thin.h), the engine's chain byte for byte.
+/// `precision` selects the GEMM's tier: kBf16 runs the bf16-storage engine
+/// (kInt8 is treated as kBf16 — conv has no quantized-shadow form); the
+/// bias epilogue is fp32 in every tier.
 void Conv2dForwardInto(const Tensor& input,
                        std::span<const Tensor* const> weights,
                        const Tensor& bias, const ConvGeom& g,
@@ -86,13 +89,16 @@ Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
 /// null one is skipped with its GEMMs.
 ///   - grad_input: one GEMM per sample over the stack,
 ///     [W_0; W_1; ...]ᵀ · [g_0; g_1; ...] with k = ΣO_i, and one fold.
-///   - grad_weights[i]: one GEMM per sample over the stacked output
+///   - grad_weights[i]: one product per sample over the stacked output
 ///     gradients of the rows from the first to the last weight that wants
 ///     a gradient; each row's chain is the one-weight chain, byte for byte.
-///     Its colsᵀ panels are packed by register transposes at stride 1,
-///     and a rank-thin product (a rank-R pointwise U's gradient with R
-///     columns, or Uᵀ·g's R rows in grad_input) runs as GEMV chains;
-///     neither changes a byte.
+///     A rank-thin product skips the engine (conv_thin.h): at most 8 rows
+///     (D's gradient) run 8-channel FMA chains over a channels-last copy
+///     of the sample, at most 8 columns C·Kh·Kw (a rank-R pointwise U's
+///     gradient) run 8-row chains fed by register transposes of the output
+///     gradient. Otherwise the engine packs its colsᵀ panels by register
+///     transposes at stride 1. Uᵀ·g's R rows in grad_input run as GEMV
+///     chains. None of this changes a byte.
 ///   - grad_bias [O_0]: the first weight's bias.
 void Conv2dBackward(const Tensor& input,
                     std::span<const Tensor* const> weights,

@@ -233,17 +233,12 @@ METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap, const B* bp,
 // the kernel slower than the naive loop.) Per output element the
 // accumulation stays a single mul-then-add chain in p order, matching
 // GemmReference bit-for-bit; the halves touch disjoint columns.
-typedef float V4f __attribute__((vector_size(16)));
+using gemm_detail::V4f;
+using gemm_detail::V4Load;
+using gemm_detail::V4Splat;
+using gemm_detail::V4Store;
 typedef uint16_t V4u16 __attribute__((vector_size(8)));
 typedef uint32_t V4u32 __attribute__((vector_size(16)));
-
-inline V4f V4Load(const float* p) {
-  V4f v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-inline void V4Store(float* p, V4f v) { __builtin_memcpy(p, &v, sizeof(v)); }
-inline V4f V4Splat(float s) { return V4f{s, s, s, s}; }
 
 // 4 B values as 4 fp32 lanes; bf16 widens by a 16-bit shift, which
 // GCC/Clang lower to pmovzxwd/pslld-class instructions.
@@ -388,63 +383,7 @@ METALORA_ALWAYS_INLINE inline void PackIm2ColBTransposed(
 
 #if METALORA_GEMM_AVX2_CLONES
 
-// 8×8 block: row jj of the block is src + rows[jj], 8 floats; step v of
-// the panel gets element v of every row. Written in the vector
-// extensions, it compiles to AVX unpacks, shuffles and lane permutes once
-// inlined into the AVX2 clone below.
-typedef float V8f __attribute__((vector_size(32)));
-
-struct Transpose8x8Avx2 {
-  static constexpr int64_t kV = 8;
-  METALORA_ALWAYS_INLINE static void Run(const float* src,
-                                         const int64_t* rows, float* d) {
-    // No V8f crosses a call: outside an AVX function that is an ABI
-    // change (-Wpsabi), so loads and stores are plain memcpys.
-    V8f r0, r1, r2, r3, r4, r5, r6, r7;
-    __builtin_memcpy(&r0, src + rows[0], sizeof(V8f));
-    __builtin_memcpy(&r1, src + rows[1], sizeof(V8f));
-    __builtin_memcpy(&r2, src + rows[2], sizeof(V8f));
-    __builtin_memcpy(&r3, src + rows[3], sizeof(V8f));
-    __builtin_memcpy(&r4, src + rows[4], sizeof(V8f));
-    __builtin_memcpy(&r5, src + rows[5], sizeof(V8f));
-    __builtin_memcpy(&r6, src + rows[6], sizeof(V8f));
-    __builtin_memcpy(&r7, src + rows[7], sizeof(V8f));
-    // Pairs, then quads, interleaved within each 128-bit lane.
-    const V8f t0 = __builtin_shufflevector(r0, r1, 0, 8, 1, 9, 4, 12, 5, 13);
-    const V8f t1 = __builtin_shufflevector(r0, r1, 2, 10, 3, 11, 6, 14, 7, 15);
-    const V8f t2 = __builtin_shufflevector(r2, r3, 0, 8, 1, 9, 4, 12, 5, 13);
-    const V8f t3 = __builtin_shufflevector(r2, r3, 2, 10, 3, 11, 6, 14, 7, 15);
-    const V8f t4 = __builtin_shufflevector(r4, r5, 0, 8, 1, 9, 4, 12, 5, 13);
-    const V8f t5 = __builtin_shufflevector(r4, r5, 2, 10, 3, 11, 6, 14, 7, 15);
-    const V8f t6 = __builtin_shufflevector(r6, r7, 0, 8, 1, 9, 4, 12, 5, 13);
-    const V8f t7 = __builtin_shufflevector(r6, r7, 2, 10, 3, 11, 6, 14, 7, 15);
-    const V8f u0 = __builtin_shufflevector(t0, t2, 0, 1, 8, 9, 4, 5, 12, 13);
-    const V8f u1 = __builtin_shufflevector(t0, t2, 2, 3, 10, 11, 6, 7, 14, 15);
-    const V8f u2 = __builtin_shufflevector(t1, t3, 0, 1, 8, 9, 4, 5, 12, 13);
-    const V8f u3 = __builtin_shufflevector(t1, t3, 2, 3, 10, 11, 6, 7, 14, 15);
-    const V8f u4 = __builtin_shufflevector(t4, t6, 0, 1, 8, 9, 4, 5, 12, 13);
-    const V8f u5 = __builtin_shufflevector(t4, t6, 2, 3, 10, 11, 6, 7, 14, 15);
-    const V8f u6 = __builtin_shufflevector(t5, t7, 0, 1, 8, 9, 4, 5, 12, 13);
-    const V8f u7 = __builtin_shufflevector(t5, t7, 2, 3, 10, 11, 6, 7, 14, 15);
-    // Low lanes hold steps 0-3, high lanes steps 4-7.
-    const V8f o0 = __builtin_shufflevector(u0, u4, 0, 1, 2, 3, 8, 9, 10, 11);
-    const V8f o1 = __builtin_shufflevector(u1, u5, 0, 1, 2, 3, 8, 9, 10, 11);
-    const V8f o2 = __builtin_shufflevector(u2, u6, 0, 1, 2, 3, 8, 9, 10, 11);
-    const V8f o3 = __builtin_shufflevector(u3, u7, 0, 1, 2, 3, 8, 9, 10, 11);
-    const V8f o4 = __builtin_shufflevector(u0, u4, 4, 5, 6, 7, 12, 13, 14, 15);
-    const V8f o5 = __builtin_shufflevector(u1, u5, 4, 5, 6, 7, 12, 13, 14, 15);
-    const V8f o6 = __builtin_shufflevector(u2, u6, 4, 5, 6, 7, 12, 13, 14, 15);
-    const V8f o7 = __builtin_shufflevector(u3, u7, 4, 5, 6, 7, 12, 13, 14, 15);
-    __builtin_memcpy(d + 0 * kGemmNR, &o0, sizeof(V8f));
-    __builtin_memcpy(d + 1 * kGemmNR, &o1, sizeof(V8f));
-    __builtin_memcpy(d + 2 * kGemmNR, &o2, sizeof(V8f));
-    __builtin_memcpy(d + 3 * kGemmNR, &o3, sizeof(V8f));
-    __builtin_memcpy(d + 4 * kGemmNR, &o4, sizeof(V8f));
-    __builtin_memcpy(d + 5 * kGemmNR, &o5, sizeof(V8f));
-    __builtin_memcpy(d + 6 * kGemmNR, &o6, sizeof(V8f));
-    __builtin_memcpy(d + 7 * kGemmNR, &o7, sizeof(V8f));
-  }
-};
+using gemm_detail::Transpose8x8Avx2;
 
 METALORA_AVX2_FMA_TARGET void PackIm2ColBTransposedAvx2(
     const gemm_detail::Im2ColOperand& op, int64_t pc, int64_t kc, int64_t jc,
@@ -455,25 +394,7 @@ METALORA_AVX2_FMA_TARGET void PackIm2ColBTransposedAvx2(
 #endif  // METALORA_GEMM_AVX2_CLONES
 
 #if defined(__GNUC__) || defined(__clang__)
-
-// The portable 4×4 block, in the vector extensions' shuffles.
-struct Transpose4x4Portable {
-  static constexpr int64_t kV = 4;
-  METALORA_ALWAYS_INLINE static void Run(const float* src,
-                                         const int64_t* rows, float* d) {
-    const V4f r0 = V4Load(src + rows[0]), r1 = V4Load(src + rows[1]);
-    const V4f r2 = V4Load(src + rows[2]), r3 = V4Load(src + rows[3]);
-    const V4f t0 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
-    const V4f t1 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
-    const V4f t2 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
-    const V4f t3 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
-    V4Store(d + 0 * kGemmNR, __builtin_shufflevector(t0, t2, 0, 1, 4, 5));
-    V4Store(d + 1 * kGemmNR, __builtin_shufflevector(t0, t2, 2, 3, 6, 7));
-    V4Store(d + 2 * kGemmNR, __builtin_shufflevector(t1, t3, 0, 1, 4, 5));
-    V4Store(d + 3 * kGemmNR, __builtin_shufflevector(t1, t3, 2, 3, 6, 7));
-  }
-};
-
+using gemm_detail::Transpose4x4Portable;
 #endif
 
 // Full tiles write straight to C; tail tiles run the same kernel on a

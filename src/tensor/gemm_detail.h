@@ -233,6 +233,13 @@ void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
 // without METALORA_DISABLE_AVX2. The clones are compiled per function
 // with METALORA_AVX2_FMA_TARGET, never with a global ISA flag, and only
 // run when ActiveGemmIsa() picks them at run time.
+//
+// Contraction hazard: under the default flags (-ffp-contract=fast), GCC 12
+// contracts a plain `y + a * s` into a vfmadd inside a
+// METALORA_AVX2_FMA_TARGET function, so an expression that must round its
+// product (an fp32 epilogue such as ScaleInto followed by AddInto) must
+// stay outside these functions, and a kernel that wants a fused step says
+// so with an FMA intrinsic or std::fmaf rather than relying on it.
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__)) &&  \
     !defined(METALORA_DISABLE_AVX2)
@@ -247,6 +254,120 @@ void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
 #else
 #define METALORA_ALWAYS_INLINE
 #endif
+
+#if defined(__GNUC__) || defined(__clang__)
+
+// 4 fp32 lanes in the GCC/Clang generic vector extensions: SSE on baseline
+// x86-64, NEON on AArch64. Loads and stores are memcpys (no alignment).
+typedef float V4f __attribute__((vector_size(16)));
+
+inline V4f V4Load(const float* p) {
+  V4f v;
+  __builtin_memcpy(&v, p, sizeof(v));
+  return v;
+}
+inline void V4Store(float* p, V4f v) { __builtin_memcpy(p, &v, sizeof(v)); }
+inline V4f V4Splat(float s) { return V4f{s, s, s, s}; }
+
+// Register transposes of kV×kV float blocks: InRegisters turns r0..r(kV-1)
+// from rows into steps (afterwards r_v holds element v of every row); Run
+// loads row jj from src + rows[jj] and stores step v of a packed panel at
+// d + v·kGemmNR. The blocks are named variables, not an array: GCC 12 kept
+// an array of them in memory.
+
+// The portable 4×4 block, in the vector extensions' shuffles.
+struct Transpose4x4Portable {
+  static constexpr int64_t kV = 4;
+  METALORA_ALWAYS_INLINE static void InRegisters(V4f& r0, V4f& r1, V4f& r2,
+                                                 V4f& r3) {
+    const V4f t0 = __builtin_shufflevector(r0, r1, 0, 4, 1, 5);
+    const V4f t1 = __builtin_shufflevector(r0, r1, 2, 6, 3, 7);
+    const V4f t2 = __builtin_shufflevector(r2, r3, 0, 4, 1, 5);
+    const V4f t3 = __builtin_shufflevector(r2, r3, 2, 6, 3, 7);
+    r0 = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+    r1 = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+    r2 = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+    r3 = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+  }
+  METALORA_ALWAYS_INLINE static void Run(const float* src,
+                                         const int64_t* rows, float* d) {
+    V4f r0 = V4Load(src + rows[0]), r1 = V4Load(src + rows[1]);
+    V4f r2 = V4Load(src + rows[2]), r3 = V4Load(src + rows[3]);
+    InRegisters(r0, r1, r2, r3);
+    V4Store(d + 0 * kGemmNR, r0);
+    V4Store(d + 1 * kGemmNR, r1);
+    V4Store(d + 2 * kGemmNR, r2);
+    V4Store(d + 3 * kGemmNR, r3);
+  }
+};
+
+#endif  // vector extensions
+
+#if METALORA_GEMM_AVX2_CLONES
+
+// 8 fp32 lanes. A V8f never crosses a call by value: outside an AVX
+// function that is an ABI change (-Wpsabi), so the 8×8 block takes its
+// registers by reference and loads and stores by memcpy. Written in the
+// vector extensions, it compiles to AVX unpacks, shuffles and lane
+// permutes once inlined into an AVX2 clone.
+typedef float V8f __attribute__((vector_size(32)));
+
+struct Transpose8x8Avx2 {
+  static constexpr int64_t kV = 8;
+  METALORA_ALWAYS_INLINE static void InRegisters(V8f& r0, V8f& r1, V8f& r2,
+                                                 V8f& r3, V8f& r4, V8f& r5,
+                                                 V8f& r6, V8f& r7) {
+    // Pairs, then quads, interleaved within each 128-bit lane.
+    const V8f t0 = __builtin_shufflevector(r0, r1, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t1 = __builtin_shufflevector(r0, r1, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f t2 = __builtin_shufflevector(r2, r3, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t3 = __builtin_shufflevector(r2, r3, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f t4 = __builtin_shufflevector(r4, r5, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t5 = __builtin_shufflevector(r4, r5, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f t6 = __builtin_shufflevector(r6, r7, 0, 8, 1, 9, 4, 12, 5, 13);
+    const V8f t7 = __builtin_shufflevector(r6, r7, 2, 10, 3, 11, 6, 14, 7, 15);
+    const V8f u0 = __builtin_shufflevector(t0, t2, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u1 = __builtin_shufflevector(t0, t2, 2, 3, 10, 11, 6, 7, 14, 15);
+    const V8f u2 = __builtin_shufflevector(t1, t3, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u3 = __builtin_shufflevector(t1, t3, 2, 3, 10, 11, 6, 7, 14, 15);
+    const V8f u4 = __builtin_shufflevector(t4, t6, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u5 = __builtin_shufflevector(t4, t6, 2, 3, 10, 11, 6, 7, 14, 15);
+    const V8f u6 = __builtin_shufflevector(t5, t7, 0, 1, 8, 9, 4, 5, 12, 13);
+    const V8f u7 = __builtin_shufflevector(t5, t7, 2, 3, 10, 11, 6, 7, 14, 15);
+    // Low lanes hold steps 0-3, high lanes steps 4-7.
+    r0 = __builtin_shufflevector(u0, u4, 0, 1, 2, 3, 8, 9, 10, 11);
+    r1 = __builtin_shufflevector(u1, u5, 0, 1, 2, 3, 8, 9, 10, 11);
+    r2 = __builtin_shufflevector(u2, u6, 0, 1, 2, 3, 8, 9, 10, 11);
+    r3 = __builtin_shufflevector(u3, u7, 0, 1, 2, 3, 8, 9, 10, 11);
+    r4 = __builtin_shufflevector(u0, u4, 4, 5, 6, 7, 12, 13, 14, 15);
+    r5 = __builtin_shufflevector(u1, u5, 4, 5, 6, 7, 12, 13, 14, 15);
+    r6 = __builtin_shufflevector(u2, u6, 4, 5, 6, 7, 12, 13, 14, 15);
+    r7 = __builtin_shufflevector(u3, u7, 4, 5, 6, 7, 12, 13, 14, 15);
+  }
+  METALORA_ALWAYS_INLINE static void Run(const float* src,
+                                         const int64_t* rows, float* d) {
+    V8f r0, r1, r2, r3, r4, r5, r6, r7;
+    __builtin_memcpy(&r0, src + rows[0], sizeof(V8f));
+    __builtin_memcpy(&r1, src + rows[1], sizeof(V8f));
+    __builtin_memcpy(&r2, src + rows[2], sizeof(V8f));
+    __builtin_memcpy(&r3, src + rows[3], sizeof(V8f));
+    __builtin_memcpy(&r4, src + rows[4], sizeof(V8f));
+    __builtin_memcpy(&r5, src + rows[5], sizeof(V8f));
+    __builtin_memcpy(&r6, src + rows[6], sizeof(V8f));
+    __builtin_memcpy(&r7, src + rows[7], sizeof(V8f));
+    InRegisters(r0, r1, r2, r3, r4, r5, r6, r7);
+    __builtin_memcpy(d + 0 * kGemmNR, &r0, sizeof(V8f));
+    __builtin_memcpy(d + 1 * kGemmNR, &r1, sizeof(V8f));
+    __builtin_memcpy(d + 2 * kGemmNR, &r2, sizeof(V8f));
+    __builtin_memcpy(d + 3 * kGemmNR, &r3, sizeof(V8f));
+    __builtin_memcpy(d + 4 * kGemmNR, &r4, sizeof(V8f));
+    __builtin_memcpy(d + 5 * kGemmNR, &r5, sizeof(V8f));
+    __builtin_memcpy(d + 6 * kGemmNR, &r6, sizeof(V8f));
+    __builtin_memcpy(d + 7 * kGemmNR, &r7, sizeof(V8f));
+  }
+};
+
+#endif  // METALORA_GEMM_AVX2_CLONES
 
 // True when this process runs the fused (AVX2+FMA) kernels. Every engine,
 // GEMV path and reference branches on this one decision, once per call.

@@ -11,6 +11,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "tensor/conv_ops.h"
+#include "tensor/conv_thin.h"
 #include "tensor/gemm.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -122,9 +123,10 @@ bool BytesEqual(const Tensor& a, const Tensor& b) {
 // Conv2d's backward computes only the gradients the graph consumes. For
 // each requires-grad pattern of (x, w) — the bias follows w, as under a
 // frozen base conv — the defined gradients must be byte-equal to the
-// all-gradients kernel, the others undefined, and the skipped GEMMs must
-// not run: the two halves' counts of blocked-engine GEMMs must add up to
-// the full pass's.
+// all-gradients kernel, the others undefined, and the skipped products
+// must not run: the two halves' counts of products (blocked-engine GEMMs
+// and rank-thin conv routes, which take this 5-row weight gradient) must
+// add up to the full pass's.
 TEST(BackwardTest, Conv2dComputesOnlyTheGradientsItsInputsNeed) {
   Rng rng(17);
   const ConvGeom g{3, 3, 2, 1};
@@ -149,9 +151,9 @@ TEST(BackwardTest, Conv2dComputesOnlyTheGradientsItsInputsNeed) {
     Variable w(w0.Clone(), p.w);
     Variable b(b0.Clone(), p.w);
     Variable y = Conv2d(x, w, b, g);
-    const int64_t before = PackedEngineRuns();
+    const int64_t before = PackedEngineRuns() + conv_thin::RouteRuns();
     ASSERT_TRUE(BackwardWithGrad(y, gy).ok());
-    calls[run++] = PackedEngineRuns() - before;
+    calls[run++] = PackedEngineRuns() + conv_thin::RouteRuns() - before;
     ASSERT_EQ(x.grad().defined(), p.x);
     ASSERT_EQ(w.grad().defined(), p.w);
     ASSERT_EQ(b.grad().defined(), p.w);

@@ -34,6 +34,7 @@
 #include "core/tn_adapter.h"
 #include "tensor/autocast.h"
 #include "tensor/conv_ops.h"
+#include "tensor/conv_thin.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
 #include "tn/tn_cost.h"
@@ -1081,6 +1082,61 @@ TEST(FrozenBaseConvTest, SkippedBaseGradientLeavesAdapterGradientsIdentical) {
   for (const auto& [name, g] : frozen.grads) {
     ASSERT_EQ(all.grads.count(name), 1u) << name;
     EXPECT_TRUE(BytesEqual(all.grads.at(name), g)) << name;
+  }
+}
+
+// The `adapt` workload's adapted conv: MetaLoRA-CP at rank 2 over an
+// 8 → 8, 3×3 base at 16², N = 4. The fused node runs d = U·h through the
+// shallow pointwise route and, in backward, D's weight gradient (2 rows)
+// through the few-rows route and U's (8 rows over 2 columns) through the
+// few-columns route, one product per sample each; output and every
+// parameter gradient must equal the op sequence's byte for byte, and the
+// input gradient (one stacked GEMM over [W; D]ᵀ) must be close to its sum
+// of two conv input gradients.
+TEST(AdaptShapeConvTest, MetaLoraCpRankTwoTakesTheRankThinRoutesBitwise) {
+  constexpr int64_t kCh = 8, kSide = 16, kBatch = 4, kR = 2;
+  AdapterOptions opts = Opts(Case{Family::kCp, /*conv=*/true});
+  opts.rank = kR;
+  Built b;
+  {
+    Rng rng(2);
+    b.adapter = std::make_unique<TnAdapter>(
+        std::make_unique<nn::Conv2d>(kCh, kCh, kKernel, 1, 1, /*bias=*/false,
+                                     rng),
+        opts);
+  }
+  PerturbAll(b, 0.3f);
+  Rng rng(5);
+  const Tensor x0 =
+      RandomUniform(Shape{kBatch, kCh, kSide, kSide}, rng, -1.0f, 1.0f);
+  const Variable features = Features(kBatch, 6);
+  b.adapter->SetFeatures(features);
+  auto replay = [&](const Variable& x) {
+    TnAdapter& a = *b.adapter;
+    const Variable y = a.base()->Forward(x);
+    const Variable seed = a.mapping_net()->Forward(features);
+    const Variable h = autograd::ScaleChannels(
+        autograd::Conv2d(x, Param(a, "lora_a"), Variable(), kGeom), seed);
+    const Variable d = autograd::Conv2d(
+        h, autograd::Reshape(Param(a, "lora_b"), Shape{kCh, kR, 1, 1}),
+        Variable(), Pointwise());
+    return autograd::Add(y, autograd::Scale(d, kAlpha / kR));
+  };
+
+  const int64_t routes = conv_thin::RouteRuns();
+  const Pass got =
+      RunPass(b, x0, [&](const Variable& x) { return b.adapter->Forward(x); });
+  EXPECT_EQ(conv_thin::RouteRuns() - routes, 3 * kBatch);
+  const Pass want = RunPass(b, x0, replay);
+  EXPECT_TRUE(BytesEqual(got.y, want.y)) << "forward output";
+  EXPECT_TRUE(AllClose(got.x_grad, want.x_grad, 1e-5f, 1e-5f))
+      << "input gradient, max diff " << MaxAbsDiff(got.x_grad, want.x_grad);
+  ASSERT_EQ(got.grads.size(), want.grads.size());
+  EXPECT_EQ(got.grads.count("lora_a"), 1u);
+  EXPECT_EQ(got.grads.count("lora_b"), 1u);
+  for (const auto& [name, g] : want.grads) {
+    ASSERT_EQ(got.grads.count(name), 1u) << name;
+    EXPECT_TRUE(BytesEqual(got.grads.at(name), g)) << name;
   }
 }
 

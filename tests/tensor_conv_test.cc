@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tensor/conv_thin.h"
 #include "tensor/gemm.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -158,7 +159,7 @@ void ExpectSameBits(const float* want, const float* got, int64_t count,
 
 // The serial route the conv kernels replace, built from its parts: per
 // sample, Im2Col into materialized columns, the packed GEMMs over them,
-// and Col2Im onto a zeroed plane.
+// the bias (when defined) and Col2Im onto a zeroed plane.
 struct RouteResult {
   Tensor out, gx, gw;
 };
@@ -184,7 +185,7 @@ RouteResult SerialRoute(const Tensor& x, const Tensor& wgt, const Tensor& bias,
       GemmPackedBf16(wgt.data(), false, cols.data(), false, out_n, o, rows, s,
                      /*accumulate=*/true);
     }
-    for (int64_t oc = 0; oc < o; ++oc) {
+    for (int64_t oc = 0; bias.defined() && oc < o; ++oc) {
       for (int64_t j = 0; j < s; ++j) out_n[oc * s + j] += bias.flat(oc);
     }
     const float* gout = gy.data() + i * o * s;
@@ -317,6 +318,144 @@ TEST(ConvLoweringTest, OneByOneOutputTakesTheGemvPathBitwise) {
   const int64_t before = PackedEngineRuns();
   Conv2dForwardInto(x, wgt, Tensor(), g, &out);
   EXPECT_EQ(PackedEngineRuns(), before);
+}
+
+// One conv through the kernels against the serial route, byte for byte:
+// the fp32 forward with no bias (a bias would hide the sign of a zero
+// output) and the weight gradient alone, counting the blocked-engine GEMMs
+// and the rank-thin routes each ran. x, W and gy hold zeros of both signs.
+struct ProductRuns {
+  int64_t forward_engine, forward_routes, wgrad_engine, wgrad_routes;
+};
+
+ProductRuns ExpectRankThinConvMatchesSerialRoute(int64_t n, int64_t c,
+                                                 int64_t o, int64_t h,
+                                                 int64_t w, const ConvGeom& g,
+                                                 uint64_t seed,
+                                                 const std::string& what) {
+  Rng rng(seed);
+  Tensor x = RandomNormal(Shape{n, c, h, w}, rng);
+  Tensor wgt = RandomNormal(Shape{o, c, g.kernel_h, g.kernel_w}, rng);
+  Tensor gy = RandomNormal(
+      Shape{n, o, g.OutExtent(h, g.kernel_h), g.OutExtent(w, g.kernel_w)},
+      rng);
+  for (int64_t i = 0; i < x.numel(); i += 5) x.flat(i) = 0.0f;
+  for (int64_t i = 2; i < x.numel(); i += 7) x.flat(i) = -0.0f;
+  for (int64_t i = 1; i < wgt.numel(); i += 6) wgt.flat(i) = -0.0f;
+  for (int64_t i = 0; i < gy.numel(); i += 3) gy.flat(i) = -0.0f;
+  const RouteResult want =
+      SerialRoute(x, wgt, Tensor(), gy, g, OpPrecision::kFp32);
+  ProductRuns runs{};
+  Tensor out = Tensor::Zeros(gy.shape());
+  int64_t engine = PackedEngineRuns(), routes = conv_thin::RouteRuns();
+  Conv2dForwardInto(x, wgt, Tensor(), g, &out);
+  runs.forward_engine = PackedEngineRuns() - engine;
+  runs.forward_routes = conv_thin::RouteRuns() - routes;
+  ExpectSameBits(want.out.data(), out.data(), out.numel(), "forward " + what);
+  Tensor gw = Tensor::Zeros(wgt.shape());
+  engine = PackedEngineRuns();
+  routes = conv_thin::RouteRuns();
+  Conv2dBackward(x, wgt, gy, g, nullptr, &gw, nullptr);
+  runs.wgrad_engine = PackedEngineRuns() - engine;
+  runs.wgrad_routes = conv_thin::RouteRuns() - routes;
+  ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
+                 "grad_weight " + what);
+  return runs;
+}
+
+// The rank-thin conv routes (conv_thin.h) take D's weight gradient (few
+// rows: O ≤ 8), U's (few columns: C·Kh·Kw ≤ 8) and the forward of a
+// shallow pointwise conv (C ≤ 32). O and C run over the ranks R ∈ {1, 2,
+// 3, 8} and the widths 6, 13 and 32 around them (tails of the 8-lane
+// vectors and 8-row blocks, several blocks), with kernels 1/3/5, strides
+// 1/2, paddings 0/1/2, planes 16², 8², 4² and 7×5 (output rows not a
+// multiple of 8), and N of 1 and 3 (a weight-gradient chain runs on across
+// samples). Every product is byte-equal to the serial route; each routed
+// one runs no engine GEMM, and each other one runs the engine per sample
+// (or the GEMV for S ≤ 2 outputs), so a route that silently fell back
+// would fail here.
+TEST(ConvLoweringTest, RankThinProductsMatchTheSerialRouteBitwise) {
+  const int64_t planes[][2] = {{16, 16}, {8, 8}, {4, 4}, {7, 5}};
+  int checked = 0, wgrad_routed = 0, forward_routed = 0;
+  for (int64_t o : {1, 2, 3, 6, 8, 13, 32}) {
+    for (int64_t c : {1, 2, 3, 8, 13, 32}) {
+      for (int64_t k : {1, 3, 5}) {
+        for (int64_t stride : {1, 2}) {
+          for (int64_t pad : {0, 1, 2}) {
+            for (const auto& hw : planes) {
+              const int64_t h = hw[0], w = hw[1];
+              if (h + 2 * pad < k || w + 2 * pad < k) continue;
+              const int64_t n = checked % 2 == 0 ? 3 : 1;
+              const ConvGeom g{k, k, stride, pad};
+              const int64_t s = g.OutExtent(h, k) * g.OutExtent(w, k);
+              const std::string what =
+                  "o=" + std::to_string(o) + " c=" + std::to_string(c) +
+                  " k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                  " p=" + std::to_string(pad) + " h=" + std::to_string(h) +
+                  " w=" + std::to_string(w) + " n=" + std::to_string(n);
+              const ProductRuns runs = ExpectRankThinConvMatchesSerialRoute(
+                  n, c, o, h, w, g, static_cast<uint64_t>(checked + 7), what);
+              if (HasFatalFailure()) return;
+              const bool forward_route = ConvIsPointwise(g);
+              const bool wgrad_route = o <= 8 || c * k * k <= 8;
+              EXPECT_EQ(runs.forward_routes, forward_route ? n : 0) << what;
+              EXPECT_EQ(runs.forward_engine, forward_route || s <= 2 ? 0 : n)
+                  << what;
+              EXPECT_EQ(runs.wgrad_routes, wgrad_route ? n : 0) << what;
+              EXPECT_EQ(runs.wgrad_engine, wgrad_route ? 0 : n) << what;
+              forward_routed += forward_route;
+              wgrad_routed += wgrad_route;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 2500);
+  EXPECT_GT(forward_routed, 150);
+  EXPECT_GT(wgrad_routed, 1500);
+}
+
+// Just past each limit the engine runs: 9 weight-gradient rows over 9
+// columns (a 1×1 over 9 channels, and a 3×3 over one), a kernel 7 wide
+// (the few-rows passes stop at 5), a pointwise forward over 33 channels
+// and a bf16 one over 2. Just inside, the routes run: 8 rows, 8 columns
+// and 32 channels. All byte-equal to the serial route.
+TEST(ConvLoweringTest, ProductsPastTheRankThinLimitsRunTheEngine) {
+  struct Limit {
+    int64_t o, c, k;
+    bool wgrad_route;
+  };
+  const Limit limits[] = {{9, 9, 1, false}, {9, 1, 3, false},
+                          {2, 1, 7, false}, {8, 9, 1, true},
+                          {9, 8, 1, true},  {8, 2, 3, true}};
+  for (const Limit& l : limits) {
+    const ConvGeom g{l.k, l.k, 1, l.k / 2};
+    const std::string what = "o=" + std::to_string(l.o) +
+                             " c=" + std::to_string(l.c) +
+                             " k=" + std::to_string(l.k);
+    const ProductRuns runs =
+        ExpectRankThinConvMatchesSerialRoute(2, l.c, l.o, 9, 8, g, 61, what);
+    EXPECT_EQ(runs.wgrad_routes, l.wgrad_route ? 2 : 0) << what;
+    EXPECT_EQ(runs.wgrad_engine, l.wgrad_route ? 0 : 2) << what;
+  }
+  for (int64_t c : {32, 33}) {
+    const std::string what = "pointwise c=" + std::to_string(c);
+    const ProductRuns runs = ExpectRankThinConvMatchesSerialRoute(
+        2, c, 5, 6, 6, ConvGeom::Pointwise(), 62, what);
+    EXPECT_EQ(runs.forward_routes, c <= 32 ? 2 : 0) << what;
+    EXPECT_EQ(runs.forward_engine, c <= 32 ? 0 : 2) << what;
+  }
+  Rng rng(63);
+  Tensor x = RandomNormal(Shape{2, 2, 6, 6}, rng);
+  Tensor wgt = RandomNormal(Shape{5, 2, 1, 1}, rng);
+  Tensor out = Tensor::Zeros(Shape{2, 5, 6, 6});
+  const int64_t engine = PackedEngineRuns(), routes = conv_thin::RouteRuns();
+  Conv2dForwardInto(x, wgt, Tensor(), ConvGeom::Pointwise(), &out,
+                    OpPrecision::kBf16);
+  EXPECT_EQ(conv_thin::RouteRuns(), routes);
+  EXPECT_EQ(PackedEngineRuns(), engine + 2);
 }
 
 // [a[i]; b[i]] for every sample i of a [N, A, ...] and b [N, B, ...] with
