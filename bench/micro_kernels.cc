@@ -1,8 +1,11 @@
 // google-benchmark micro-kernels backing every experiment binary: matmul,
-// conv2d, tensor contraction, CP/TR reconstruction, adapter forward passes,
-// and the autograd round trip.
+// the GEMM tiers, conv2d, tensor contraction, CP/TR reconstruction, adapter
+// forward passes, and the autograd round trip.
 #include <benchmark/benchmark.h>
 
+#include <functional>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "autograd/graph.h"
@@ -13,8 +16,11 @@
 #include "nn/attention.h"
 #include "nn/resnet.h"
 #include "tensor/conv_ops.h"
+#include "tensor/gemm.h"
+#include "tensor/lowp.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
+#include "tensor/tensor_ops.h"
 #include "tn/contraction.h"
 #include "tn/cp_als.h"
 #include "tn/cp_format.h"
@@ -36,6 +42,104 @@ void BM_Matmul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128);
+
+// The GEMM tiers on the library's hot shapes: LoRA rank-R projections run
+// as x·Wᵀ (like autograd::Linear), a conv-as-GEMM panel W·cols, KNN
+// distance blocks Q·Rᵀ (m past one kGemmNC column block), a weight
+// gradient gᵀ·x (trans_a), square controls, the memory-bound serving shape
+// (6 activation rows against a 2048×2048 frozen weight) and an odd tail.
+struct GemmShape {
+  const char* name;
+  int64_t n, k, m;
+  bool trans_a, trans_b;
+};
+
+constexpr GemmShape kGemmShapes[] = {
+    {"square_256", 256, 256, 256, false, false},
+    {"square_512", 512, 512, 512, false, false},
+    {"lora_down_r8", 64, 1024, 8, false, true},
+    {"lora_up_r8", 64, 8, 1024, false, true},
+    {"lora_down_r1", 64, 1024, 1, false, true},
+    {"conv3x3_gemm", 64, 576, 196, false, false},
+    {"knn_dist", 128, 64, 2048, false, true},
+    {"backward_dW_transA", 256, 64, 256, true, false},
+    {"serve_linear_6x2048", 6, 2048, 2048, false, true},
+    {"odd_tail_7x131x61", 7, 131, 61, false, true},
+};
+
+// The serial reference, the fp32 and bf16 packed engines, and the bf16 and
+// int8 prepacked weights (packed once, outside the timed loop, as serving
+// does).
+constexpr const char* kGemmTiers[] = {"reference", "fp32", "bf16",
+                                      "bf16-prepacked", "int8-prepacked"};
+
+void GemmArgs(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"shape", "tier"});
+  for (int64_t s = 0; s < static_cast<int64_t>(std::size(kGemmShapes)); ++s) {
+    for (int64_t t = 0; t < static_cast<int64_t>(std::size(kGemmTiers));
+         ++t) {
+      b->Args({s, t});
+    }
+  }
+}
+
+// C = op(A)·op(B) at one shape and tier, reported as GF/s (2·n·k·m per
+// iteration). The prepacked forms take A row-major, so on the trans_a
+// shape they multiply op(A) materialized. Asserts nothing: the tiers'
+// bytes are tensor_gemm_test's and tensor_lowp_test's contract.
+void BM_Gemm(benchmark::State& state) {
+  const GemmShape& s = kGemmShapes[state.range(0)];
+  const std::string tier = kGemmTiers[state.range(1)];
+  Rng rng(static_cast<uint64_t>(s.n * 131 + s.k * 17 + s.m));
+  const Tensor a =
+      RandomNormal(s.trans_a ? Shape{s.k, s.n} : Shape{s.n, s.k}, rng);
+  const Tensor b =
+      RandomNormal(s.trans_b ? Shape{s.m, s.k} : Shape{s.k, s.m}, rng);
+  const Tensor a_rows = s.trans_a ? Transpose2D(a) : a;
+  Tensor c{Shape{s.n, s.m}};
+  std::function<void()> run;
+  lowp::Bf16PackedWeight bf16_w;
+  lowp::Int8PackedWeight int8_w;
+  if (tier == "reference") {
+    run = [&] {
+      GemmReference(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n,
+                    s.k, s.m, /*accumulate=*/false);
+    };
+  } else if (tier == "fp32") {
+    run = [&] {
+      GemmPacked(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n, s.k,
+                 s.m, /*accumulate=*/false);
+    };
+  } else if (tier == "bf16") {
+    run = [&] {
+      GemmPackedBf16(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n,
+                     s.k, s.m, /*accumulate=*/false);
+    };
+  } else if (tier == "bf16-prepacked") {
+    bf16_w = lowp::PackBf16Weight(b.data(), s.trans_b, s.k, s.m);
+    run = [&] {
+      lowp::GemmBf16Prepacked(a_rows.data(), bf16_w, c.data(), s.n,
+                              /*accumulate=*/false);
+    };
+  } else {
+    int8_w = lowp::PackInt8Weight(b.data(), s.trans_b, s.k, s.m);
+    run = [&] {
+      lowp::GemmInt8Prepacked(a_rows.data(), int8_w, c.data(), s.n,
+                              /*accumulate=*/false);
+    };
+  }
+  for (auto _ : state) {
+    run();
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(s.name) + " " + tier);
+  // Printed as GFLOP=<value>/s: a rate of 1e9 flops per second.
+  state.counters["GFLOP"] = benchmark::Counter(
+      2e-9 * static_cast<double>(s.n * s.k * s.m),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_Gemm)->Apply(GemmArgs);
 
 // The conv layers of the end-to-end `adapt` workload (bench/suite): a
 // ResNet-8 at base width 8 on 16×16 images, batch 32, with a rank-2

@@ -1,14 +1,9 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <limits>
-#include <mutex>
 #include <type_traits>
-#include <vector>
 
 #include "common/check.h"
 #include "tensor/gemm_detail.h"
@@ -47,14 +42,6 @@ struct Format<float> {
   static constexpr OpPrecision kPrecision = OpPrecision::kFp32;
   static float Round(float v) { return v; }
   static float Store(float v) { return v; }
-  // Candidate triples for the sweep: the compile-time default plus
-  // variants that shift the L2/L3 balance (shallower/deeper k panels,
-  // narrower/wider row and column blocks). MC stays a multiple of kGemmMR
-  // and NC of kGemmNR so panel math never changes shape, only extent.
-  static constexpr GemmTiles kTileCandidates[] = {
-      {96, 256, 1024}, {48, 256, 2048}, {192, 256, 512},
-      {96, 512, 1024}, {144, 128, 2048},
-  };
   // The GEMV routes' thin limits (see ThinColumns).
   static constexpr int64_t kThinCols = 4;
   static constexpr int64_t kThinColsRowMajorA = 2;
@@ -66,12 +53,6 @@ struct Format<Bf16> {
   static constexpr OpPrecision kPrecision = OpPrecision::kBf16;
   static float Round(float v) { return lowp::RoundToBf16(v); }
   static Bf16 Store(float v) { return lowp::Bf16FromF32(v); }
-  // Skewed toward deeper k panels than fp32's: bf16 panels are half the
-  // bytes, so twice the depth fits the same cache footprint.
-  static constexpr GemmTiles kTileCandidates[] = {
-      {96, 256, 1024}, {96, 512, 2048}, {48, 512, 2048},
-      {192, 256, 1024}, {144, 1024, 2048},
-  };
   // A bf16 GEMV rounds each element of A as it loads it, a scalar step
   // when A is row-major, so there a 2-column route lost to the engine
   // (median 1.07× its time over n, k ≤ 512) and only m == 1 routes.
@@ -594,28 +575,6 @@ template <typename B>
   return false;
 }
 
-// Tile publication, one state per format: readers acquire-load a pointer
-// to an immutable triple, so the sweep can swap in its winner while other
-// threads are mid-GEMM without a data race. Until the sweep runs, everyone
-// sees the defaults.
-constexpr GemmTiles kDefaultTiles{};
-struct TileState {
-  std::atomic<const GemmTiles*> tiles{&kDefaultTiles};
-  std::atomic<bool> autotuned{false};
-  std::once_flag once;
-};
-template <typename B>
-TileState tile_state;
-
-template <typename B>
-const GemmTiles& Tiles() {
-  return *tile_state<B>.tiles.load(std::memory_order_acquire);
-}
-
-// First GEMM at or above this flop count (2·n·k·m) triggers the sweep:
-// roughly a 204³ product. Unit-test and sanitizer workloads stay below it.
-constexpr double kAutotuneFlopThreshold = 1.7e7;
-
 // One blocked GEMM with an explicit tile triple, on one ISA's kernel.
 // `pack_a(ic, mc, pc, kc)` returns the mc×kc block of op(A) at (ic, pc)
 // in PackA's panel layout: packed on the spot into the executing thread's
@@ -660,8 +619,8 @@ void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
 
 thread_local int64_t tls_packed_engine_runs = 0;
 
-// Every blocked GEMM and the autotune sweeps land here; the blocked
-// engine reads the ISA once per call.
+// Every blocked GEMM lands here; the blocked engine reads the ISA once per
+// call.
 template <typename B, typename PackAFn, typename PackBFn>
 void GemmPackedTiled(const PackAFn& pack_a, const PackBFn& pack_b, float* c,
                      int64_t n, int64_t k, int64_t m, bool accumulate,
@@ -741,61 +700,6 @@ auto PrepackedB(const lowp::Bf16PackedWeight& w) {
   };
 }
 
-// Times each candidate on one 256³ product (one warm-up + two timed reps,
-// best rep wins) and publishes the fastest triple. ~500 MFLOP total: tens
-// of milliseconds, paid once per process and format, and only by
-// workloads that run GEMMs large enough for tiling to matter.
-template <typename B>
-void RunAutotuneSweep() {
-  constexpr int64_t kDim = 256;
-  std::vector<float> a(static_cast<size_t>(kDim * kDim));
-  std::vector<float> b(a.size());
-  std::vector<float> c(a.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<float>((i % 13) - 6) * 0.25f;
-    b[i] = static_cast<float>((i % 7) - 3) * 0.5f;
-  }
-  const GemmTiles* best = &kDefaultTiles;
-  double best_nanos = std::numeric_limits<double>::infinity();
-  for (const GemmTiles& t : Format<B>::kTileCandidates) {
-    double fastest = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      GemmPackedTiled<B>(DensePackA<B>(a.data(), false, kDim, kDim),
-                         DensePackB<B>(b.data(), false, kDim, kDim),
-                         c.data(), kDim, kDim, kDim, /*accumulate=*/false, t);
-      const auto t1 = std::chrono::steady_clock::now();
-      const double ns =
-          std::chrono::duration<double, std::nano>(t1 - t0).count();
-      if (rep > 0) fastest = std::min(fastest, ns);
-    }
-    if (fastest < best_nanos) {
-      best_nanos = fastest;
-      best = &t;
-    }
-  }
-  tile_state<B>.tiles.store(best, std::memory_order_release);
-  tile_state<B>.autotuned.store(true, std::memory_order_release);
-}
-
-template <typename B>
-const GemmTiles& Autotune() {
-  std::call_once(tile_state<B>.once, RunAutotuneSweep<B>);
-  return Tiles<B>();
-}
-
-// The first GEMM of a format large enough for tiling to matter runs its
-// sweep.
-template <typename B>
-void AutotuneIfLarge(int64_t n, int64_t k, int64_t m) {
-  if (!tile_state<B>.autotuned.load(std::memory_order_acquire) &&
-      2.0 * static_cast<double>(n) * static_cast<double>(k) *
-              static_cast<double>(m) >=
-          kAutotuneFlopThreshold) {
-    Autotune<B>();
-  }
-}
-
 // The dispatcher of both formats: empty and k == 0 products, one-column
 // and one-row GEMVs, the thin routes, then the blocked engine.
 template <typename B>
@@ -816,14 +720,28 @@ void Gemm(const float* a, bool trans_a, const float* b, bool trans_b,
     return;
   }
   if (GemmThin<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate)) return;
-  AutotuneIfLarge<B>(n, k, m);
   GemmPackedTiled<B>(DensePackA<B>(a, trans_a, n, k),
                      DensePackB<B>(b, trans_b, k, m), c, n, k, m, accumulate,
-                     Tiles<B>());
+                     GemmTiles{});
+}
+
+// Column j of an im2col op(B) without trans_b (output position j: the
+// input values under the kernel placed there), gathered contiguously into
+// per-thread scratch for the GEMV routes. It stays valid until the thread
+// gathers again.
+const float* Im2ColColumn(const gemm_detail::Im2ColOperand& op, int64_t j) {
+  thread_local gemm_detail::AlignedBuffer<float> x;
+  const int64_t k = op.rows();
+  x.Reserve(k);
+  const float* src = op.input + op.ColOffset(j);
+  for (int64_t p = 0; p < k; ++p) x.data()[p] = src[op.RowOffset(p)];
+  return x.data();
 }
 
 // The im2col counterpart: op(B) is an im2col operand, so only the column
-// route applies.
+// route applies, and only to cols itself. A colsᵀ operand (trans_b) is a
+// conv weight gradient; conv_thin's few-columns kernel takes every one
+// with m ≤ 8 where it is built, so colsᵀ runs the engine.
 template <typename B>
 void GemmIm2Col(const float* a, bool trans_a,
                 const gemm_detail::Im2ColOperand& b, bool trans_b, float* c,
@@ -832,22 +750,19 @@ void GemmIm2Col(const float* a, bool trans_a,
   const int64_t m = trans_b ? b.rows() : b.cols();
   ML_DCHECK(n >= 0 && k > 0 && m > 0);
   if (n == 0) return;
-  if (m == 1) {
-    GemvPath<B>(a, trans_a, gemm_detail::Im2ColVector(b, trans_b, 0), c, n,
-                k, accumulate);
+  if (!trans_b && m == 1) {
+    GemvPath<B>(a, trans_a, Im2ColColumn(b, 0), c, n, k, accumulate);
     return;
   }
-  if (ThinColumns<B>(m, trans_a)) {
+  if (!trans_b && ThinColumns<B>(m, trans_a)) {
     GemvColumns<B>(
-        a, trans_a,
-        [&](int64_t j) { return gemm_detail::Im2ColVector(b, trans_b, j); },
-        c, n, k, m, accumulate);
+        a, trans_a, [&](int64_t j) { return Im2ColColumn(b, j); }, c, n, k,
+        m, accumulate);
     return;
   }
-  AutotuneIfLarge<B>(n, k, m);
   GemmPackedTiled<B>(DensePackA<B>(a, trans_a, n, k),
                      Im2ColPackB<B>(b, trans_b), c, n, k, m, accumulate,
-                     Tiles<B>());
+                     GemmTiles{});
 }
 
 template <typename B>
@@ -865,13 +780,11 @@ gemm_detail::PackedA PackAOnceAt(const float* a, bool trans_a, int64_t n,
   if (ThinColumns<B>(m, trans_a) || n <= Format<B>::kThinRows) {
     return packed;
   }
-  AutotuneIfLarge<B>(n, k, m);
-  packed.tiles = Tiles<B>();
   gemm_detail::AlignedBuffer<float>& shared = Scratch<B>().shared_a;
   shared.Reserve(packed.padded_n() * k);
   float* panels = shared.data();
-  for (int64_t pc = 0; pc < k; pc += packed.tiles.kc) {
-    const int64_t kc = std::min(packed.tiles.kc, k - pc);
+  for (int64_t pc = 0; pc < k; pc += kGemmKC) {
+    const int64_t kc = std::min(kGemmKC, k - pc);
     PackA<B>(a, trans_a, n, k, 0, n, pc, kc,
              panels + packed.BlockOffset(0, pc, kc));
   }
@@ -883,7 +796,7 @@ template <typename B>
 void GemmSharedA(const gemm_detail::PackedA& a, const float* b, bool trans_b,
                  float* c, int64_t m, bool accumulate) {
   GemmPackedTiled<B>(SharedPackA(a), DensePackB<B>(b, trans_b, a.k, m), c,
-                     a.n, a.k, m, accumulate, a.tiles);
+                     a.n, a.k, m, accumulate, GemmTiles{});
 }
 
 template <typename B>
@@ -898,30 +811,12 @@ void GemmSharedAIm2Col(const gemm_detail::PackedA& a,
   }
   const int64_t m = trans_b ? b.rows() : b.cols();
   GemmPackedTiled<B>(SharedPackA(a), Im2ColPackB<B>(b, trans_b), c, a.n, a.k,
-                     m, accumulate, a.tiles);
+                     m, accumulate, GemmTiles{});
 }
 
 }  // namespace
 
 int64_t PackedEngineRuns() { return tls_packed_engine_runs; }
-
-// Int8 has no tile choice (single-pass prepacked pipeline) and reports
-// the fp32 slot.
-GemmTiles CurrentGemmTiles(OpPrecision precision) {
-  return precision == OpPrecision::kBf16 ? Tiles<Bf16>() : Tiles<float>();
-}
-
-GemmTiles AutotuneGemmTiles(OpPrecision precision) {
-  return precision == OpPrecision::kBf16 ? Autotune<Bf16>()
-                                         : Autotune<float>();
-}
-
-bool GemmTilesAutotuned(OpPrecision precision) {
-  const TileState& state = precision == OpPrecision::kBf16
-                               ? tile_state<Bf16>
-                               : tile_state<float>;
-  return state.autotuned.load(std::memory_order_acquire);
-}
 
 void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
@@ -989,20 +884,6 @@ void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
 #endif
   }
   PackIm2ColB(op, trans_b, pc, kc, jc, nc, bp, [](float v) { return v; });
-}
-
-const float* Im2ColVector(const Im2ColOperand& op, bool trans_b, int64_t j) {
-  thread_local AlignedBuffer<float> x;
-  const int64_t k = trans_b ? op.cols() : op.rows();
-  x.Reserve(k);
-  if (trans_b) {
-    const float* src = op.input + op.RowOffset(j);
-    for (int64_t p = 0; p < k; ++p) x.data()[p] = src[op.ColOffset(p)];
-  } else {
-    const float* src = op.input + op.ColOffset(j);
-    for (int64_t p = 0; p < k; ++p) x.data()[p] = src[op.RowOffset(p)];
-  }
-  return x.data();
 }
 
 void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,

@@ -32,8 +32,8 @@
 // the GEMV routes and the dispatch; each has its own oracle
 // (GemmReference, GemmReferenceBf16), bit-identical to it in the same
 // process. The int8 tier lives in tensor/lowp.h (it only exists in
-// prepacked-weight form). Cache tiles are learned per format — bf16
-// panels are half the bytes, so the best kc/nc differ from fp32's.
+// prepacked-weight form). Both formats walk the same fixed cache blocks,
+// kGemmMC/KC/NC.
 //
 // Determinism contract: for every output element the accumulation runs
 // p = 0..k-1 in order into a single accumulator (k-panels store and
@@ -81,30 +81,14 @@ inline constexpr int64_t kGemmNC = 1024;
 /// A cache-block triple for the packed engine. MR/NR are fixed by the
 /// micro-kernel's register tile; MC/KC/NC only change the panel walk order,
 /// not the per-element accumulation chain, so every triple produces
-/// bit-identical output (see the determinism contract above).
+/// bit-identical output (see the determinism contract above). Every
+/// dynamically packed GEMM runs the defaults; a prepacked bf16 weight runs
+/// one full-depth k block and one column block.
 struct GemmTiles {
   int64_t mc = kGemmMC;
   int64_t kc = kGemmKC;
   int64_t nc = kGemmNC;
 };
-
-/// The triple the packed engine currently runs with at `precision`: the
-/// compile-time default until that precision's autotune sweep has
-/// published a winner. Tiles exist for kFp32 and kBf16 (kInt8 runs a
-/// single-pass prepacked pipeline with no tile choice and maps to the
-/// fp32 slot, which it never uses).
-GemmTiles CurrentGemmTiles(OpPrecision precision = OpPrecision::kFp32);
-
-/// Runs the candidate sweep for `precision` now if it has not run yet
-/// (idempotent, thread-safe per precision) and returns the winning
-/// triple. The packed entry points trigger this lazily on their first
-/// call large enough that tiling matters, so small-matrix workloads
-/// (unit tests, sanitizer jobs) never pay for the sweep.
-GemmTiles AutotuneGemmTiles(OpPrecision precision = OpPrecision::kFp32);
-
-/// True once the sweep for `precision` has run and its winner is in
-/// effect.
-bool GemmTilesAutotuned(OpPrecision precision = OpPrecision::kFp32);
 
 /// C[n,m] (+)= op(A) · op(B) through the packed engine. With
 /// `accumulate` the product is added to the existing contents of C;
@@ -117,15 +101,14 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
 
 /// How many GEMMs the calling thread has run through the blocked
 /// (packed-panel) engine, of either format (fp32 or bf16, the prepacked
-/// bf16 weights included), counting the autotune sweeps' timing runs. The
-/// GEMV paths and the int8 path do not count. Lets tests tell which path a
-/// kernel took.
+/// bf16 weights included). The GEMV paths and the int8 path do not count.
+/// Lets tests tell which path a kernel took.
 int64_t PackedEngineRuns();
 
 /// Retained naive reference: a serial i-j-p triple loop with one scalar
 /// accumulator per output element. The correctness oracle for tests and
-/// the baseline for bench/gemm_kernels speedup assertions; GemmPacked
-/// must agree with it bit-for-bit in the same process.
+/// the baseline tier of micro_kernels' BM_Gemm; GemmPacked must agree
+/// with it bit-for-bit in the same process.
 void GemmReference(const float* a, bool trans_a, const float* b, bool trans_b,
                    float* c, int64_t n, int64_t k, int64_t m, bool accumulate);
 

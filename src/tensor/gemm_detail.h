@@ -173,12 +173,6 @@ void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
 void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
                      int64_t kc, int64_t jc, int64_t nc, float* bp);
 
-/// Column j of an im2col op(B) (output position j without trans_b, row
-/// (ch, kh, kw) = j of cols with it), gathered contiguously into
-/// per-thread scratch for the GEMV paths. It stays valid until the thread
-/// gathers again.
-const float* Im2ColVector(const Im2ColOperand& op, bool trans_b, int64_t j);
-
 /// C[n,m] (+)= op(A) · op(B) with B lowered from `b` at pack time:
 /// op(B) is cols [rows, cols] or, with trans_b, colsᵀ. Bit-identical to
 /// GemmPacked over Im2Col's materialized columns.
@@ -188,11 +182,10 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
 /// op(A) [n, k] shared by a run of GEMMs — one conv call's per-sample
 /// products with its weight — packed once for the whole run, in one
 /// format: `precision` is kFp32, or kBf16 with the values rounded to
-/// bf16. `panels` holds, for each k block of `tiles.kc` at depth pc, every
+/// bf16. `panels` holds, for each k block of kGemmKC at depth pc, every
 /// MR-row micro-panel of op(A) (see BlockOffset), byte for byte what the
 /// engine's PackA writes for those rows at that format. The engine reads
-/// its A blocks from it instead of packing them, and every GEMM of the run
-/// uses `tiles`, that format's triple snapshotted at pack time. A thin run
+/// its A blocks from it instead of packing them. A thin run
 /// (the thin columns of gemm.cc's GEMV routing, or n ≤ 2 rows) packs
 /// nothing: `panels` is null, and its GEMVs read `a` or the engine packs
 /// its few rows per product. The panels live in the packing thread's
@@ -203,7 +196,6 @@ struct PackedA {
   int64_t n = 0, k = 0;
   OpPrecision precision = OpPrecision::kFp32;
   const float* panels = nullptr;
-  GemmTiles tiles;
 
   /// Rows rounded up to whole MR-row panels.
   int64_t padded_n() const { return (n + kGemmMR - 1) / kGemmMR * kGemmMR; }

@@ -493,6 +493,14 @@ TEST(AdapterRegistry, PublishSwapsVersionAndOutputs) {
   const Tensor out_old_again =
       ForwardThroughHandle(*old_handle.value(), features, x);
   ExpectBitIdentical(out_old_again, out_v1);
+
+  // An evicted tenant reloads the version it was last published at.
+  ASSERT_TRUE(registry.Evict("t0").ok());
+  auto reloaded = registry.Acquire("t0");
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(reloaded.value()->version, 2u);
+  ExpectBitIdentical(ForwardThroughHandle(*reloaded.value(), features, x),
+                     out_v2);
   std::remove(path_v1.c_str());
   std::remove(path_v2.c_str());
 }

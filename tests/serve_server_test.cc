@@ -5,8 +5,10 @@
 // binary runs under the thread-sanitizer CI job).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <future>
@@ -361,8 +363,10 @@ TEST(AdapterServer, NewFamiliesBatchedMatchesSerialBitIdentical) {
 
 // The autocast option: a server running a low-precision tier must still be
 // bit-identical to a one-at-a-time twin under the same policy (per-row
-// scales / row-local rounding make batching invisible at every tier), and
-// its ServeStats must attribute the worker GEMMs to that tier.
+// scales / row-local rounding make batching invisible at every tier), its
+// ServeStats must attribute the worker GEMMs to that tier, and each served
+// output must stay within the tier's accuracy envelope around the twin's
+// fp32 forward.
 TEST(AdapterServer, AutocastTierMatchesOneAtATimeAndCountsDispatch) {
   for (OpPrecision prec : {OpPrecision::kBf16, OpPrecision::kInt8}) {
     SCOPED_TRACE(OpPrecisionName(prec));
@@ -403,16 +407,33 @@ TEST(AdapterServer, AutocastTierMatchesOneAtATimeAndCountsDispatch) {
     for (auto& f : futures) got.push_back(f.get());
     server.Shutdown();
 
-    // One-at-a-time twin under the identical policy.
+    // One-at-a-time twin under the identical policy, then in fp32. The
+    // envelope is the worst absolute deviation from the fp32 output over
+    // that output's max-abs (floored at 1e-3): elementwise relative error
+    // is meaningless on outputs near zero. The bounds are lenient, for
+    // gross quantization bugs (a wrong scale or channel), not rounding.
+    const double bound = prec == OpPrecision::kInt8 ? 0.5 : 0.1;
     autograd::RuntimeContext& ctx = autograd::RuntimeContext::Current();
     const AutocastPolicy saved = ctx.autocast();
-    ctx.set_autocast(opts.autocast);
     for (int i = 0; i < kRequests; ++i) {
       const uint64_t seed = 7000 + static_cast<uint64_t>(i);
+      ctx.set_autocast(opts.autocast);
       const Tensor want = SerialForward(twin, RandFeatures(1, seed),
                                         RandLinearInput(1, seed + 1));
-      ExpectBitIdentical(got[static_cast<size_t>(i)], want);
       twin.conditioning_cache()->Clear();
+      ctx.set_autocast(AutocastPolicy::Disabled());
+      const Tensor fp32 = SerialForward(twin, RandFeatures(1, seed),
+                                        RandLinearInput(1, seed + 1));
+      twin.conditioning_cache()->Clear();
+      const Tensor& served = got[static_cast<size_t>(i)];
+      ExpectBitIdentical(served, want);
+      double max_abs = 0.0, max_diff = 0.0;
+      for (int64_t j = 0; j < fp32.numel(); ++j) {
+        max_abs = std::max(max_abs, std::fabs(double{fp32.flat(j)}));
+        max_diff = std::max(max_diff, std::fabs(double{served.flat(j)} -
+                                                double{fp32.flat(j)}));
+      }
+      EXPECT_LE(max_diff / std::max(max_abs, 1e-3), bound) << "request " << i;
     }
     ctx.set_autocast(saved);
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -102,12 +101,15 @@ TEST(GemmPackedTest, OddShapesAccumulateBitIdentical) {
 }
 
 TEST(GemmPackedTest, BlockedShapesCrossPanelBoundaries) {
-  // Extents spanning multiple KC/MC/NR blocks so k-panel store/reload and
-  // B-panel reuse are exercised (KC=256, MC=96, NR=16).
+  // Extents spanning multiple KC/MC/NC/NR blocks so k-panel store/reload,
+  // B-panel reuse and the column-block offset into C are exercised
+  // (KC=256, MC=96, NC=1024, NR=16).
   CheckShape(97, 257, 33, false, false, false);
   CheckShape(97, 257, 33, false, false, true);
   CheckShape(192, 300, 17, true, false, false);
   CheckShape(13, 513, 160, false, true, false);
+  // m past kGemmNC: a second column block with a partial NR panel.
+  CheckShape(7, 300, kGemmNC + 19, false, false, true);
 }
 
 TEST(GemmPackedTest, LoraAdapterShapes) {
@@ -302,57 +304,6 @@ TEST(GemmThreadingTest, KernelsNeverTouchThePool) {
   EXPECT_EQ(ThreadPool::TotalTasksScheduled(), tasks);
 }
 
-// Tile autotune under concurrent first-callers: every thread that races
-// into AutotuneGemmTiles — explicitly, or implicitly by running a GEMM
-// over the lazy-trigger FLOP threshold — must come back with the same
-// published tile triple, and the sweep must run exactly once per
-// precision (std::call_once + release/acquire publication; TSan polices
-// the ordering). The test-suite GEMMs above are all below the lazy
-// threshold, so this is a genuine first-caller race, not a warm read.
-TEST(GemmAutotuneTest, ConcurrentFirstCallersAgreeOnTiles) {
-  constexpr int kThreads = 8;
-  std::vector<GemmTiles> fp32_tiles(kThreads);
-  std::vector<GemmTiles> bf16_tiles(kThreads);
-  Rng rng(99);
-  Tensor a = RandomNormal(Shape{256, 256}, rng);
-  Tensor b = RandomNormal(Shape{256, 256}, rng);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        if (t % 4 == 3) {
-          // Implicit path: a 256^3 product (3.3e7 FLOPs) crosses the lazy
-          // autotune threshold inside the GEMM entry point.
-          Tensor c{Shape{256, 256}};
-          GemmPackedBf16(a.data(), false, b.data(), false, c.data(), 256,
-                         256, 256, /*accumulate=*/false);
-        }
-        fp32_tiles[static_cast<size_t>(t)] =
-            AutotuneGemmTiles(OpPrecision::kFp32);
-        bf16_tiles[static_cast<size_t>(t)] =
-            AutotuneGemmTiles(OpPrecision::kBf16);
-      });
-    }
-    for (auto& th : threads) th.join();
-  }
-  EXPECT_TRUE(GemmTilesAutotuned(OpPrecision::kFp32));
-  EXPECT_TRUE(GemmTilesAutotuned(OpPrecision::kBf16));
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(fp32_tiles[static_cast<size_t>(t)].mc, fp32_tiles[0].mc);
-    EXPECT_EQ(fp32_tiles[static_cast<size_t>(t)].kc, fp32_tiles[0].kc);
-    EXPECT_EQ(fp32_tiles[static_cast<size_t>(t)].nc, fp32_tiles[0].nc);
-    EXPECT_EQ(bf16_tiles[static_cast<size_t>(t)].mc, bf16_tiles[0].mc);
-    EXPECT_EQ(bf16_tiles[static_cast<size_t>(t)].kc, bf16_tiles[0].kc);
-    EXPECT_EQ(bf16_tiles[static_cast<size_t>(t)].nc, bf16_tiles[0].nc);
-  }
-  // CurrentGemmTiles must serve exactly what the racers observed.
-  EXPECT_EQ(CurrentGemmTiles(OpPrecision::kFp32).kc, fp32_tiles[0].kc);
-  EXPECT_EQ(CurrentGemmTiles(OpPrecision::kBf16).kc, bf16_tiles[0].kc);
-  // Whatever tiles won, bit-identity still holds under them.
-  CheckShape(97, 257, 33, false, true, false);
-}
-
 // The ISA is picked from cpuid at run time: a build that carries the
 // AVX2+FMA clones must use them whenever the CPU has both features.
 TEST(GemmDispatchTest, SelectsAvx2FmaWhenCpuSupportsIt) {
@@ -528,13 +479,14 @@ TEST(GemmConvTest, TransposedWeightGradientPanelsMatchTheGather) {
   }
 }
 
-// A thin im2col op(B) (ThinColumns) runs as one GEMV per column, from a
-// dense op(A) and from a PackAOnce one (the bf16 tier has only the
+// A thin im2col op(B) = cols (ThinColumns) runs as one GEMV per column,
+// from a dense op(A) and from a PackAOnce one (the bf16 tier has only the
 // latter): bit-identical to the format's reference over Im2Col's
 // materialized columns, with no run of the blocked engine; every other
-// product here runs the engine, bit-identical too. The U gradient of a
-// rank-R pointwise chain (trans_b, R rows of cols) and convs with at most
-// 4 output positions are such products.
+// product here runs the engine, bit-identical too. Convs with at most 4
+// output positions are such products. A thin colsᵀ (trans_b: a weight
+// gradient with few (c, kh, kw) rows, which Conv2dBackward gives to
+// conv_thin's kernels instead) runs the engine.
 TEST(GemmConvTest, RankThinIm2ColProductsRunAsGemvChains) {
   struct Geo {
     int64_t c, h, w;
@@ -581,10 +533,9 @@ TEST(GemmConvTest, RankThinIm2ColProductsRunAsGemvChains) {
             gemm_detail::GemmPackedIm2Col(
                 gemm_detail::PackAOnce(a.data(), trans_a, n, k, m, precision),
                 op, geo.trans_b, c_shared.data(), accumulate);
-            EXPECT_EQ(PackedEngineRuns() - before,
-                      ThinColumns(m, trans_a, precision) ? 0
-                      : fp32                             ? 2
-                                                         : 1);
+            const bool gemv =
+                !geo.trans_b && ThinColumns(m, trans_a, precision);
+            EXPECT_EQ(PackedEngineRuns() - before, gemv ? 0 : fp32 ? 2 : 1);
             const std::string what =
                 "c=" + std::to_string(geo.c) + " n=" + std::to_string(n) +
                 " m=" + std::to_string(m) + (trans_a ? " transA" : "") +

@@ -222,6 +222,8 @@ TEST(GemmBf16Test, BlockedShapesCrossPanelBoundaries) {
   CheckBf16Shape(97, 257, 33, false, false, true);
   // Three kGemmMC row blocks over one full-depth prepacked k block.
   CheckBf16Shape(200, 300, 33, false, true, false);
+  // m past kGemmNC: the dynamic engine's second column block.
+  CheckBf16Shape(7, 300, kGemmNC + 19, false, true, false);
 }
 
 TEST(GemmBf16Test, GemvPathMatchesReference) {

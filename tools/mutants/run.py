@@ -72,7 +72,12 @@ def snippets(entry):
 
 
 def copy_tree(dest):
-    """Copies the working tree's tracked and unignored files to dest."""
+    """Copies the working tree's tracked and unignored files to dest.
+
+    Copies get fresh mtimes: a reused --work directory's build trees may
+    hold objects compiled from a mutant after the working tree's file was
+    last written, and would look current against its mtime.
+    """
     listed = run(["git", "ls-files", "-z", "--cached", "--others",
                   "--exclude-standard"], cwd=REPO)
     if listed.returncode != 0:
@@ -83,7 +88,7 @@ def copy_tree(dest):
             continue  # deleted in the working tree
         dst = dest / rel
         dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copy2(src, dst)
+        shutil.copy(src, dst)
 
 
 def build(build_dir, targets, jobs):
