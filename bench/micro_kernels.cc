@@ -170,15 +170,41 @@ ConvInputs MakeConvInputs(const benchmark::State& state) {
   return c;
 }
 
+// The forward shapes: every ConvShapes conv alone (rank 0), and the four
+// stage convs stacked with their adapter's rank-2 down conv D, the
+// [W; D] product (O + 2 rows) an AdaptedConv2d runs in `adapt`.
+void ConvForwardShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"in", "out", "hw", "rank"});
+  for (const auto& a : {std::vector<int64_t>{3, 8, 16, 0}, {8, 8, 16, 0},
+                        {16, 16, 8, 0}, {32, 32, 4, 0}, {8, 2, 16, 0},
+                        {32, 2, 4, 0}, {3, 8, 16, 2}, {8, 8, 16, 2},
+                        {16, 16, 8, 2}, {32, 32, 4, 2}}) {
+    b->Args(a);
+  }
+}
+
 void BM_Conv2dForward(benchmark::State& state) {
   const ConvInputs c = MakeConvInputs(state);
+  const int64_t rank = state.range(3);
+  Rng rng(4);
+  const Tensor d = RandomNormal(Shape{rank, state.range(0), 3, 3}, rng);
+  const Tensor* weights[] = {&c.w, &d};
   for (auto _ : state) {
-    Tensor y = Conv2dForward(c.x, c.w, Tensor(), c.g);
-    benchmark::DoNotOptimize(y.data());
+    if (rank == 0) {
+      Tensor y = Conv2dForward(c.x, c.w, Tensor(), c.g);
+      benchmark::DoNotOptimize(y.data());
+    } else {
+      Tensor y{c.gy.shape()};
+      Tensor h{Shape{32, rank, c.gy.dim(2), c.gy.dim(3)}};
+      Tensor* outs[] = {&y, &h};
+      Conv2dForwardInto(c.x, weights, Tensor(), c.g, outs);
+      benchmark::DoNotOptimize(y.data());
+      benchmark::DoNotOptimize(h.data());
+    }
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_Conv2dForward)->Apply(ConvShapes);
+BENCHMARK(BM_Conv2dForward)->Apply(ConvForwardShapes);
 
 // Input and weight gradients, as for a trainable conv; a frozen base conv
 // skips the weight half.

@@ -212,10 +212,11 @@ void Conv2dForwardInto(const Tensor& input,
   // A shallow fp32 pointwise conv (U·h over R channels, TR's R×R core)
   // runs as vector chains over the sample's rows (conv_thin.h). Otherwise
   // the stack is viewed as [rows, C*Kh*Kw] and per sample out_n = W_mat ·
-  // cols, with cols lowered from the sample as the GEMM packs it. W_mat is
-  // the same for every sample, so it is packed once for the whole call, at
-  // the format the products run in (bf16 for kBf16, and for kInt8 too:
-  // conv caps at bf16).
+  // cols, with cols lowered from the sample's padded image: read in the
+  // micro-kernel at stride 1 (the direct route), else as the GEMM packs
+  // it. W_mat is the same for every sample, so it is packed once for the
+  // whole call, at the format the products run in (bf16 for kBf16, and
+  // for kInt8 too: conv caps at bf16).
   const bool shallow = precision == OpPrecision::kFp32 &&
                        ConvIsPointwise(g) &&
                        conv_thin::PointwiseForwardTakes(c);

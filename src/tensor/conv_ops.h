@@ -1,8 +1,11 @@
 // 2-D convolution and pooling kernels (NCHW layout).
 //
 // Convolution lowers to the packed GEMM: each sample's input is padded once
-// and its im2col panels are packed straight from the padded image, so no
-// column matrix is materialized. Im2Col/Col2Im and a naive direct kernel
+// and the GEMM reads its im2col operand from the padded image, so no
+// column matrix is materialized. The fp32 forward of a stride-1 conv whose
+// output rows split into runs of 4 reads the image inside the micro-kernel
+// and packs none of it; other convs pack their im2col panels straight
+// from the image. Im2Col/Col2Im and a naive direct kernel
 // are kept as correctness references for tests. The conv kernels take a
 // row-stack of weights sharing one input, so an adapted conv's base weight
 // and down-projection run as one GEMM; a plain conv is the one-weight
@@ -56,15 +59,20 @@ bool ConvIsPointwise(const ConvGeom& g);
 /// Forward convolution of one input by a row-stack of weights
 /// W_0 [O_0, C, Kh, Kw], W_1 [O_1, C, Kh, Kw], ...: the weights are packed
 /// once per call as one [ΣO_i, C·Kh·Kw] matrix, and each sample runs one
-/// lowered GEMM over all ΣO_i rows, so the im2col panels are packed once
-/// however many weights share them. `outs[i]` [N, O_i, Ho, Wo] receives
-/// W_i's rows; every element is written (no pre-zeroing). `bias` [O_0], or
-/// undefined for none, belongs to the first weight. Each row keeps the
-/// accumulation chain it has in a conv by its own weight alone, so the
-/// outputs are byte-identical to separate calls. An fp32 pointwise conv
-/// over at most 32 input channels (U·h over R channels, TR's R×R core)
-/// skips the pack and runs each output as one vector FMA chain from +0
-/// over the input rows (conv_thin.h), the engine's chain byte for byte.
+/// lowered GEMM over all ΣO_i rows, so the im2col operand is lowered once
+/// however many weights share it. At fp32 and stride 1, when Wo % 4 == 0
+/// and Ho·Wo % 16 == 0, the micro-kernel reads it straight from the padded
+/// image through row and column offset tables built once per call (the
+/// direct route); otherwise its panels are packed from the image per
+/// sample. Both routes run the same chains. `outs[i]` [N, O_i, Ho, Wo]
+/// receives W_i's rows; every element is written (no pre-zeroing). `bias`
+/// [O_0], or undefined for none, belongs to the first weight. Each row
+/// keeps the accumulation chain it has in a conv by its own weight alone,
+/// so the outputs are byte-identical to separate calls. An fp32 pointwise
+/// conv over at most 32 input channels (U·h over R channels, TR's R×R
+/// core) skips the engine and runs each output as one vector FMA chain
+/// from +0 over the input rows (conv_thin.h), the engine's chain byte for
+/// byte.
 /// `precision` selects the GEMM's tier: kBf16 runs the bf16-storage engine
 /// (kInt8 is treated as kBf16 — conv has no quantized-shadow form); the
 /// bias epilogue is fp32 in every tier.

@@ -1,6 +1,7 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
@@ -148,9 +149,50 @@ void PackB(const float* b, bool trans_b, int64_t k, int64_t m, int64_t pc,
   }
 }
 
-template <typename B>
-using MicroKernelFn = void (*)(const float* ap, const B* bp, int64_t kc,
+// The engine's B panels come from three sources: packed fp32 or bf16
+// panels (a `const B*` at the panel's first value), or, for the direct
+// im2col route, an ImagePanel read straight from a zero-padded image. A
+// micro-kernel is a template over the panel type and loads B row p
+// through LoadB8/LoadB4, so every source runs the same FMA sequence.
+template <typename Panel>
+using MicroKernelFn = void (*)(const float* ap, Panel bp, int64_t kc,
                                float* c, int64_t ldc, bool accumulate);
+
+// A B panel of the direct im2col route (a stride-1 cols whose panels split
+// into runs of 4 on one output row): row p's quarter i, the 4 columns
+// [4i, 4i + 4) of the panel, is the 4 floats at quarter[i] + koff[p]
+// (quarter[i] = input + ColOffset of its first column, koff[p] = RowOffset
+// of row p). With kRuns8 (wo % 8 == 0) quarters 0-1 and 2-3 are each one
+// 8-float run of the image.
+template <bool kRuns8>
+struct ImagePanel {
+  const float* quarter[4];
+  const int64_t* koff;
+};
+
+// The micro-panel of a B block at column jr of the block: the panels of a
+// packed block lie kc·NR values apart.
+template <typename B>
+const B* PanelAt(const B* bp, int64_t jr, int64_t kc) {
+  return bp + jr / kGemmNR * kc * kGemmNR;
+}
+
+// A direct route's block at (pc, jc): the image, koff from row pc on, and
+// the ColOffset of every fourth column from column jc on.
+template <bool kRuns8>
+struct ImageBlock {
+  const float* input;
+  const int64_t* koff;
+  const int64_t* quarters;
+};
+
+template <bool kRuns8>
+ImagePanel<kRuns8> PanelAt(const ImageBlock<kRuns8>& b, int64_t jr,
+                           int64_t /*kc*/) {
+  const int64_t* q = b.quarters + jr / 4;
+  return {{b.input + q[0], b.input + q[1], b.input + q[2], b.input + q[3]},
+          b.koff};
+}
 
 #if METALORA_GEMM_AVX2_CLONES
 
@@ -164,13 +206,33 @@ METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const Bf16* p) {
   return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
 }
 
+// Half h (columns [8h, 8h + 8)) of B row p, from a packed panel or from
+// the image: one 8-float run, or two 4-float quarters.
+template <typename B>
+METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const B* bp, int64_t p,
+                                              int64_t h) {
+  return LoadB8(bp + p * kGemmNR + 8 * h);
+}
+template <bool kRuns8>
+METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const ImagePanel<kRuns8>& bp,
+                                              int64_t p, int64_t h) {
+  const int64_t off = bp.koff[p];
+  if constexpr (kRuns8) {
+    return _mm256_loadu_ps(bp.quarter[2 * h] + off);
+  } else {
+    return _mm256_insertf128_ps(
+        _mm256_castps128_ps256(_mm_loadu_ps(bp.quarter[2 * h] + off)),
+        _mm_loadu_ps(bp.quarter[2 * h + 1] + off), 1);
+  }
+}
+
 // AVX2+FMA micro-kernel: 6 rows × 2 ymm columns of accumulators (12 of
 // the 16 vector registers), one broadcast and two B loads per k step.
 // The broadcast takes A's value, not its address: with
 // _mm256_broadcast_ss(av + r), GCC 12 kept the accumulators in memory and
 // stored all 12 on every k step.
-template <typename B>
-METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap, const B* bp,
+template <typename Panel>
+METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap, Panel bp,
                                               int64_t kc, float* c,
                                               int64_t ldc, bool accumulate) {
   __m256 acc[kGemmMR][2];
@@ -186,8 +248,8 @@ METALORA_AVX2_FMA_TARGET void MicroKernelAvx2(const float* ap, const B* bp,
     }
   }
   for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = LoadB8(bp + p * kGemmNR);
-    const __m256 b1 = LoadB8(bp + p * kGemmNR + 8);
+    const __m256 b0 = LoadB8(bp, p, 0);
+    const __m256 b1 = LoadB8(bp, p, 1);
     const float* av = ap + p * kGemmMR;
     for (int64_t r = 0; r < kGemmMR; ++r) {
       const __m256 ar = _mm256_set1_ps(av[r]);
@@ -233,9 +295,19 @@ inline V4f LoadB4(const Bf16* p) {
   return f;
 }
 
+// Quarter q (columns [4q, 4q + 4)) of B row p, from a packed panel or from
+// the image.
 template <typename B>
-void MicroKernelPortable(const float* __restrict__ ap,
-                         const B* __restrict__ bp, int64_t kc,
+inline V4f LoadB4(const B* bp, int64_t p, int64_t q) {
+  return LoadB4(bp + p * kGemmNR + 4 * q);
+}
+template <bool kRuns8>
+inline V4f LoadB4(const ImagePanel<kRuns8>& bp, int64_t p, int64_t q) {
+  return V4Load(bp.quarter[q] + bp.koff[p]);
+}
+
+template <typename Panel>
+void MicroKernelPortable(const float* __restrict__ ap, Panel bp, int64_t kc,
                          float* __restrict__ c, int64_t ldc,
                          bool accumulate) {
   static_assert(kGemmMR == 6 && kGemmNR == 16,
@@ -253,10 +325,10 @@ void MicroKernelPortable(const float* __restrict__ ap,
       c00 = c01 = c10 = c11 = c20 = c21 = V4f{};
       c30 = c31 = c40 = c41 = c50 = c51 = V4f{};
     }
-    const B* bh = bp + j0;
+    const int64_t q0 = j0 / 4;
     for (int64_t p = 0; p < kc; ++p) {
-      const V4f b0 = LoadB4(bh + p * kGemmNR);
-      const V4f b1 = LoadB4(bh + p * kGemmNR + 4);
+      const V4f b0 = LoadB4(bp, p, q0);
+      const V4f b1 = LoadB4(bp, p, q0 + 1);
       const float* av = ap + p * kGemmMR;
       V4f ar;
       ar = V4Splat(av[0]), c00 += ar * b0, c01 += ar * b1;
@@ -282,8 +354,9 @@ inline float WidenB(Bf16 v) { return lowp::F32FromBf16(v); }
 
 // Scalar fallback for compilers without vector extensions. Fixed-bound
 // loops over a local accumulator tile; same p-ordered accumulation chain.
-template <typename B>
-void MicroKernelPortable(const float* ap, const B* bp, int64_t kc, float* c,
+// Packed panels only: these builds have no direct im2col route.
+template <typename Panel>
+void MicroKernelPortable(const float* ap, Panel bp, int64_t kc, float* c,
                          int64_t ldc, bool accumulate) {
   constexpr int64_t kHalf = kGemmNR / 2;
   for (int64_t j0 = 0; j0 < kGemmNR; j0 += kHalf) {
@@ -295,10 +368,10 @@ void MicroKernelPortable(const float* ap, const B* bp, int64_t kc, float* c,
       for (int64_t r = 0; r < kGemmMR; ++r)
         for (int64_t j = 0; j < kHalf; ++j) acc[r][j] = 0.0f;
     }
-    const B* bh = bp + j0;
+    const auto bh = bp + j0;
     for (int64_t p = 0; p < kc; ++p) {
       const float* av = ap + p * kGemmMR;
-      const B* bv = bh + p * kGemmNR;
+      const auto bv = bh + p * kGemmNR;
       for (int64_t r = 0; r < kGemmMR; ++r) {
         const float ar = av[r];
         for (int64_t j = 0; j < kHalf; ++j) acc[r][j] += ar * WidenB(bv[j]);
@@ -383,9 +456,9 @@ using gemm_detail::Transpose4x4Portable;
 // lanes compute garbage-free zeros) and copy the valid region out.
 // The kernel is a template argument, so the ISA is chosen once per GEMM
 // call and each micro-tile makes a direct call.
-template <typename B, MicroKernelFn<B> kKernel>
-void MicroTile(const float* ap, const B* bp, int64_t kc, float* c,
-               int64_t ldc, int64_t mr, int64_t nr, bool accumulate) {
+template <typename Panel, MicroKernelFn<Panel> kKernel>
+void MicroTile(const float* ap, Panel bp, int64_t kc, float* c, int64_t ldc,
+               int64_t mr, int64_t nr, bool accumulate) {
   if (mr == kGemmMR && nr == kGemmNR) {
     kKernel(ap, bp, kc, c, ldc, accumulate);
     return;
@@ -579,13 +652,14 @@ template <typename B>
 // `pack_a(ic, mc, pc, kc)` returns the mc×kc block of op(A) at (ic, pc)
 // in PackA's panel layout: packed on the spot into the executing thread's
 // scratch for a dense matrix, or read from a PackAOnce operand.
-// `pack_b(pc, kc, jc, nc)` returns the kc×nc block of op(B) at (pc, jc) in
-// PackB's panel layout: PackB or PackIm2ColB (a conv input lowered as it
-// is packed) into scratch, or a prepacked weight's own panels. Row blocks
-// start on MR-row panel boundaries of op(A), and k panels accumulate
-// through C in p order, so the blocking never changes an output element's
-// accumulation chain.
-template <typename B, MicroKernelFn<B> kKernel, typename PackAFn,
+// `pack_b(pc, kc, jc, nc)` returns the kc×nc block of op(B) at (pc, jc):
+// panels in PackB's layout (PackB or PackIm2ColB, a conv input lowered as
+// it is packed, into scratch, or a prepacked weight's own panels), or an
+// ImageBlock that names where the block's rows lie in a padded image.
+// PanelAt finds a micro-panel in either. Row blocks start on MR-row panel
+// boundaries of op(A), and k panels accumulate through C in p order, so
+// the blocking never changes an output element's accumulation chain.
+template <typename Panel, MicroKernelFn<Panel> kKernel, typename PackAFn,
           typename PackBFn>
 void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
                        float* c, int64_t n, int64_t k, int64_t m,
@@ -598,18 +672,18 @@ void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
       // stored in C; storing and reloading float32 is exact, so the
       // per-element accumulation chain stays p = 0..k-1 in order.
       const bool acc_panel = accumulate || pc > 0;
-      const B* bp = pack_b(pc, kc, jc, nc);
+      const auto bp = pack_b(pc, kc, jc, nc);
       for (int64_t ic = 0; ic < n; ic += tiles.mc) {
         const int64_t mc = std::min(tiles.mc, n - ic);
         const float* ap = pack_a(ic, mc, pc, kc);
         for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
           const int64_t nr = std::min(kGemmNR, nc - jr);
-          const B* bpanel = bp + (jr / kGemmNR) * kc * kGemmNR;
+          const Panel bpanel = PanelAt(bp, jr, kc);
           for (int64_t ir = 0; ir < mc; ir += kGemmMR) {
             const int64_t mr = std::min(kGemmMR, mc - ir);
-            MicroTile<B, kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR, bpanel,
-                                  kc, c + (ic + ir) * m + jc + jr, m, mr, nr,
-                                  acc_panel);
+            MicroTile<Panel, kKernel>(ap + (ir / kGemmMR) * kc * kGemmMR,
+                                      bpanel, kc, c + (ic + ir) * m + jc + jr,
+                                      m, mr, nr, acc_panel);
           }
         }
       }
@@ -620,21 +694,23 @@ void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
 thread_local int64_t tls_packed_engine_runs = 0;
 
 // Every blocked GEMM lands here; the blocked engine reads the ISA once per
-// call.
-template <typename B, typename PackAFn, typename PackBFn>
+// call. The panel type, and with it the kernels' B loads, follows from
+// what pack_b returns.
+template <typename PackAFn, typename PackBFn>
 void GemmPackedTiled(const PackAFn& pack_a, const PackBFn& pack_b, float* c,
                      int64_t n, int64_t k, int64_t m, bool accumulate,
                      const GemmTiles& tiles) {
+  using Panel = decltype(PanelAt(pack_b(0, 0, 0, 0), 0, 0));
   ++tls_packed_engine_runs;
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemmPackedTiledOn<B, MicroKernelAvx2<B>>(pack_a, pack_b, c, n, k, m,
-                                             accumulate, tiles);
+    GemmPackedTiledOn<Panel, MicroKernelAvx2<Panel>>(pack_a, pack_b, c, n, k,
+                                                     m, accumulate, tiles);
     return;
   }
 #endif
-  GemmPackedTiledOn<B, MicroKernelPortable<B>>(pack_a, pack_b, c, n, k, m,
-                                               accumulate, tiles);
+  GemmPackedTiledOn<Panel, MicroKernelPortable<Panel>>(pack_a, pack_b, c, n,
+                                                       k, m, accumulate, tiles);
 }
 
 // The dense A source: PackA into the calling thread's scratch.
@@ -692,6 +768,94 @@ auto Im2ColPackB(const gemm_detail::Im2ColOperand& op, bool trans_b) {
       });
 }
 
+// The direct im2col route's offset tables for one conv geometry: koff[p] =
+// RowOffset(p) for every row of cols, and quarters[s / 4] = ColOffset(s)
+// for every fourth column s. They depend on the geometry alone, not on the
+// sample, so a conv call builds them at its first sample and its other
+// samples read them (per thread; rebuilt when the geometry changes, as it
+// does from layer to layer). The build divides only over the first
+// channel's kernel footprint: a 288-row table took 3.6 us with a division
+// per row and 0.6 us this way, on a 4-core x86-64 host.
+struct ImageOffsets {
+  std::array<int64_t, 7> geometry{};
+  gemm_detail::AlignedBuffer<int64_t> koff, quarters;
+};
+
+const ImageOffsets& ImageOffsetsOf(const gemm_detail::Im2ColOperand& op) {
+  thread_local ImageOffsets t;
+  const std::array<int64_t, 7> geometry = {
+      op.c, op.h, op.w, op.kernel_h, op.kernel_w, op.ho, op.wo};
+  if (t.koff.data() != nullptr && t.geometry == geometry) return t;
+  const int64_t k = op.rows(), m = op.cols();
+  t.koff.Reserve(k);
+  t.quarters.Reserve(m / 4);
+  // Channel ch's rows are channel 0's, one plane further on.
+  int64_t* koff = t.koff.data();
+  const int64_t footprint = op.kernel_h * op.kernel_w;
+  for (int64_t r = 0; r < footprint; ++r) koff[r] = op.RowOffset(r);
+  for (int64_t r = footprint; r < k; ++r) {
+    koff[r] = koff[r - footprint] + op.h * op.w;
+  }
+  // ColOffset at stride 1, one output row at a time.
+  int64_t* quarter = t.quarters.data();
+  for (int64_t oh = 0; oh < op.ho; ++oh) {
+    for (int64_t ow = 0; ow < op.wo; ow += 4) *quarter++ = oh * op.w + ow;
+  }
+  t.geometry = geometry;
+  return t;
+}
+
+// The direct B source: nothing is packed; a block names where its rows lie
+// in the image.
+template <bool kRuns8>
+auto ImageB(const float* input, const ImageOffsets& t) {
+  return [input, &t](int64_t pc, int64_t, int64_t jc, int64_t) {
+    return ImageBlock<kRuns8>{input, t.koff.data() + pc,
+                              t.quarters.data() + jc / 4};
+  };
+}
+
+thread_local int64_t tls_direct_im2col_runs = 0;
+
+// Whether the fp32 engine reads op(B) = cols straight from the image: a
+// stride-1 conv whose 16-column panels are all whole and split into runs
+// of 4 floats on one output row (wo % 4 == 0). Stride 2 (no runs), colsᵀ,
+// the bf16 tier and partial last panels keep PackIm2ColB. No size limit:
+// the route beat the pack on every `adapt` plane, 16², 8² and 4² (quarter
+// loads), on both ISAs.
+bool DirectRouteTakes(const gemm_detail::Im2ColOperand& op, bool trans_b) {
+  return !trans_b && op.stride == 1 && op.wo % 4 == 0 &&
+         op.cols() % kGemmNR == 0;
+}
+
+// The engine over an im2col op(B), with op(A) from pack_a: straight from
+// the image where DirectRouteTakes it (one 8-float load per panel half
+// when wo % 8 == 0, else two quarters), else from packed panels.
+template <typename B, typename PackAFn>
+void GemmIm2ColEngine(const PackAFn& pack_a,
+                      const gemm_detail::Im2ColOperand& b, bool trans_b,
+                      float* c, int64_t n, int64_t k, int64_t m,
+                      bool accumulate) {
+#if defined(__GNUC__) || defined(__clang__)
+  if constexpr (std::is_same_v<B, float>) {
+    if (DirectRouteTakes(b, trans_b)) {
+      ++tls_direct_im2col_runs;
+      const ImageOffsets& t = ImageOffsetsOf(b);
+      if (b.wo % 8 == 0) {
+        GemmPackedTiled(pack_a, ImageB<true>(b.input, t), c, n, k, m,
+                        accumulate, GemmTiles{});
+      } else {
+        GemmPackedTiled(pack_a, ImageB<false>(b.input, t), c, n, k, m,
+                        accumulate, GemmTiles{});
+      }
+      return;
+    }
+  }
+#endif
+  GemmPackedTiled(pack_a, Im2ColPackB<B>(b, trans_b), c, n, k, m, accumulate,
+                  GemmTiles{});
+}
+
 // The B source of a prepacked bf16 weight: its panels as packed, one
 // full-depth k block (pc = 0, kc = k).
 auto PrepackedB(const lowp::Bf16PackedWeight& w) {
@@ -720,9 +884,9 @@ void Gemm(const float* a, bool trans_a, const float* b, bool trans_b,
     return;
   }
   if (GemmThin<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate)) return;
-  GemmPackedTiled<B>(DensePackA<B>(a, trans_a, n, k),
-                     DensePackB<B>(b, trans_b, k, m), c, n, k, m, accumulate,
-                     GemmTiles{});
+  GemmPackedTiled(DensePackA<B>(a, trans_a, n, k),
+                  DensePackB<B>(b, trans_b, k, m), c, n, k, m, accumulate,
+                  GemmTiles{});
 }
 
 // Column j of an im2col op(B) without trans_b (output position j: the
@@ -760,9 +924,8 @@ void GemmIm2Col(const float* a, bool trans_a,
         m, accumulate);
     return;
   }
-  GemmPackedTiled<B>(DensePackA<B>(a, trans_a, n, k),
-                     Im2ColPackB<B>(b, trans_b), c, n, k, m, accumulate,
-                     GemmTiles{});
+  GemmIm2ColEngine<B>(DensePackA<B>(a, trans_a, n, k), b, trans_b, c, n, k,
+                      m, accumulate);
 }
 
 template <typename B>
@@ -795,8 +958,8 @@ gemm_detail::PackedA PackAOnceAt(const float* a, bool trans_a, int64_t n,
 template <typename B>
 void GemmSharedA(const gemm_detail::PackedA& a, const float* b, bool trans_b,
                  float* c, int64_t m, bool accumulate) {
-  GemmPackedTiled<B>(SharedPackA(a), DensePackB<B>(b, trans_b, a.k, m), c,
-                     a.n, a.k, m, accumulate, GemmTiles{});
+  GemmPackedTiled(SharedPackA(a), DensePackB<B>(b, trans_b, a.k, m), c, a.n,
+                  a.k, m, accumulate, GemmTiles{});
 }
 
 template <typename B>
@@ -810,8 +973,8 @@ void GemmSharedAIm2Col(const gemm_detail::PackedA& a,
     return;
   }
   const int64_t m = trans_b ? b.rows() : b.cols();
-  GemmPackedTiled<B>(SharedPackA(a), Im2ColPackB<B>(b, trans_b), c, a.n, a.k,
-                     m, accumulate, GemmTiles{});
+  GemmIm2ColEngine<B>(SharedPackA(a), b, trans_b, c, a.n, a.k, m,
+                      accumulate);
 }
 
 }  // namespace
@@ -857,12 +1020,20 @@ void GemmBf16Prepacked(const float* a, const Bf16PackedWeight& w, float* c,
     if (!accumulate) std::fill(c, c + n * m, 0.0f);
     return;
   }
+  if (m == 1) {
+    // One column: gathered out of its padded panel once (widened, exact)
+    // for the bf16 GEMV route, the dynamic GemmPackedBf16's m == 1 chains.
+    tls_gemv_x.Reserve(k);
+    float* x = tls_gemv_x.data();
+    for (int64_t p = 0; p < k; ++p) x[p] = F32FromBf16(w.panels[p * kGemmNR]);
+    GemvPath<Bf16>(a, /*trans_a=*/false, x, c, n, k, accumulate);
+    return;
+  }
   // The engine over the prepacked panels: one full-depth k block and one
   // column block, with row blocks of kGemmMC bounding the A scratch. The
   // chains are the dynamic GemmPackedBf16's, so the bytes are too.
-  GemmPackedTiled<Bf16>(DensePackA<Bf16>(a, /*trans_a=*/false, n, k),
-                        PrepackedB(w), c, n, k, m, accumulate,
-                        GemmTiles{kGemmMC, k, m});
+  GemmPackedTiled(DensePackA<Bf16>(a, /*trans_a=*/false, n, k), PrepackedB(w),
+                  c, n, k, m, accumulate, GemmTiles{kGemmMC, k, m});
 }
 
 }  // namespace lowp
@@ -890,6 +1061,8 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
                       bool trans_b, float* c, int64_t n, bool accumulate) {
   GemmIm2Col<float>(a, trans_a, b, trans_b, c, n, accumulate);
 }
+
+int64_t DirectIm2ColRuns() { return tls_direct_im2col_runs; }
 
 PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
                   int64_t m, OpPrecision precision) {

@@ -32,6 +32,7 @@ class AlignedBuffer {
   AlignedBuffer& operator=(const AlignedBuffer&) = delete;
 
   T* data() { return data_; }
+  const T* data() const { return data_; }
   int64_t capacity() const { return cap_; }
 
   /// Ensures capacity for at least `n` elements. Old contents are dropped
@@ -64,13 +65,16 @@ inline int64_t BIndex(bool trans_b, int64_t k, int64_t m, int64_t p,
   return trans_b ? j * k + p : p * m + j;
 }
 
-/// A conv input as a GEMM B operand, lowered while it is packed: the
-/// im2col column matrix cols[rows, cols] of one sample, read straight
-/// from a zero-padded image instead of a materialized buffer. Row
-/// r = (ch, kh, kw), column s = (oh, ow), and
+/// A conv input as a GEMM B operand: the im2col column matrix
+/// cols[rows, cols] of one sample, read straight from a zero-padded image
+/// instead of a materialized buffer. Row r = (ch, kh, kw), column
+/// s = (oh, ow), and
 ///   cols(r, s) = input[RowOffset(r) + ColOffset(s)],
-/// with no bounds test: the padding is already in the image. The packed
-/// panels hold exactly the bytes PackB would pack from Im2Col's columns.
+/// with no bounds test: the padding is already in the image. The engine
+/// either packs it (PackIm2ColB, PackIm2ColBFp32: exactly the bytes PackB
+/// would pack from Im2Col's columns) or, on the direct route (see
+/// GemmPackedIm2Col), loads each panel row from the image in the
+/// micro-kernel.
 struct Im2ColOperand {
   const float* input;  // zero-padded image [c, h, w]
   int64_t c, h, w;     // channels and padded extents
@@ -97,6 +101,8 @@ struct Im2ColOperand {
 /// stride 1, one inside one output row) copies as a run. This gather is
 /// the bf16 tier's packer and the reference for the fp32 one
 /// (PackIm2ColBFp32), which packs stride-1 colsᵀ panels by transposes.
+/// The fp32 forward packs only what the direct route leaves: stride 2,
+/// output widths not a multiple of 4, partial last panels.
 template <typename T, typename Convert>
 void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
                  int64_t kc, int64_t jc, int64_t nc, T* bp, Convert cvt) {
@@ -173,11 +179,19 @@ void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
 void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
                      int64_t kc, int64_t jc, int64_t nc, float* bp);
 
-/// C[n,m] (+)= op(A) · op(B) with B lowered from `b` at pack time:
-/// op(B) is cols [rows, cols] or, with trans_b, colsᵀ. Bit-identical to
-/// GemmPacked over Im2Col's materialized columns.
+/// C[n,m] (+)= op(A) · op(B) with B lowered from `b`: op(B) is cols
+/// [rows, cols] or, with trans_b, colsᵀ. Bit-identical to GemmPacked over
+/// Im2Col's materialized columns. The fp32 engine reads a stride-1 cols
+/// whose panels are whole runs of 4 floats (wo % 4 == 0, cols % 16 == 0)
+/// straight from the image (the direct route); everything else is packed
+/// by PackIm2ColB or PackIm2ColBFp32.
 void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
                       bool trans_b, float* c, int64_t n, bool accumulate);
+
+/// How many im2col products the calling thread has run on the direct
+/// route, with no B pack. They count in PackedEngineRuns() too: the
+/// blocked engine runs them. A test hook, like PackedEngineRuns().
+int64_t DirectIm2ColRuns();
 
 /// op(A) [n, k] shared by a run of GEMMs — one conv call's per-sample
 /// products with its weight — packed once for the whole run, in one

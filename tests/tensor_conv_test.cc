@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -13,6 +14,7 @@
 #include "common/rng.h"
 #include "tensor/conv_thin.h"
 #include "tensor/gemm.h"
+#include "tensor/gemm_detail.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
 
@@ -198,12 +200,13 @@ RouteResult SerialRoute(const Tensor& x, const Tensor& wgt, const Tensor& bias,
   return r;
 }
 
-// The conv kernels lower each sample while the GEMM packs it and fold the
-// input gradient through a padded plane; forward (fp32 and bf16),
-// grad_weight and grad_input must be byte-equal to the serial route. The
-// geometries cover kernels 1/3/5, strides 1-3, padding 0/1/2/k,
-// non-square planes, output rows wider than one 16-column panel but not
-// a multiple of it, planes smaller than the kernel (whole rows and
+// The conv kernels lower each sample while the GEMM packs it (or read it
+// straight from the padded image: the 16², 8² and 4² planes at stride 1)
+// and fold the input gradient through a padded plane; forward (fp32 and
+// bf16), grad_weight and grad_input must be byte-equal to the serial
+// route. The geometries cover kernels 1/3/5, strides 1-3, padding
+// 0/1/2/k, non-square planes, output rows wider than one 16-column panel
+// but not a multiple of it, planes smaller than the kernel (whole rows and
 // columns of padding), one input channel, N of 1 and 3, and O below and
 // above the 6-row micro-tile. Zeros of both signs in every operand check
 // that the padded fold absorbs −0 exactly like Col2Im's +0 + col_grad.
@@ -212,7 +215,8 @@ TEST(ConvLoweringTest, MatchesIm2ColGemmCol2ImRouteBitwise) {
     int64_t n, c, o;
   };
   const Sizes sizes[] = {{1, 1, 1}, {3, 1, 7}, {1, 3, 13}, {3, 2, 2}};
-  const int64_t planes[][2] = {{7, 5}, {5, 9}, {2, 3}, {11, 21}, {18, 17}};
+  const int64_t planes[][2] = {{7, 5},   {5, 9},   {2, 3}, {11, 21},
+                               {18, 17}, {16, 16}, {8, 8}, {4, 4}};
   int checked = 0;
   for (int64_t k : {1, 3, 5}) {
     for (int64_t stride : {1, 2, 3}) {
@@ -456,6 +460,126 @@ TEST(ConvLoweringTest, ProductsPastTheRankThinLimitsRunTheEngine) {
                     OpPrecision::kBf16);
   EXPECT_EQ(conv_thin::RouteRuns(), routes);
   EXPECT_EQ(PackedEngineRuns(), engine + 2);
+}
+
+// One conv forward with no bias against the serial route, byte for byte,
+// into a NaN-filled output (every element must be written), counting the
+// products it ran on the direct route and on the blocked engine (which
+// runs the direct ones too). x and W hold zeros of both signs.
+struct ForwardRuns {
+  int64_t direct, engine;
+};
+
+ForwardRuns ExpectForwardMatchesSerialRoute(int64_t n, int64_t c, int64_t o,
+                                            int64_t h, int64_t w,
+                                            const ConvGeom& g,
+                                            OpPrecision precision,
+                                            uint64_t seed,
+                                            const std::string& what) {
+  Rng rng(seed);
+  Tensor x = RandomNormal(Shape{n, c, h, w}, rng);
+  Tensor wgt = RandomNormal(Shape{o, c, g.kernel_h, g.kernel_w}, rng);
+  for (int64_t i = 0; i < x.numel(); i += 5) x.flat(i) = 0.0f;
+  for (int64_t i = 2; i < x.numel(); i += 7) x.flat(i) = -0.0f;
+  for (int64_t i = 1; i < wgt.numel(); i += 6) wgt.flat(i) = -0.0f;
+  const Shape out_shape{n, o, g.OutExtent(h, g.kernel_h),
+                        g.OutExtent(w, g.kernel_w)};
+  const RouteResult want =
+      SerialRoute(x, wgt, Tensor(), Tensor::Zeros(out_shape), g, precision);
+  Tensor out =
+      Tensor::Full(out_shape, std::numeric_limits<float>::quiet_NaN());
+  const int64_t direct = gemm_detail::DirectIm2ColRuns();
+  const int64_t engine = PackedEngineRuns();
+  Conv2dForwardInto(x, wgt, Tensor(), g, &out, precision);
+  const ForwardRuns runs{gemm_detail::DirectIm2ColRuns() - direct,
+                         PackedEngineRuns() - engine};
+  ExpectSameBits(want.out.data(), out.data(), out.numel(),
+                 "forward " + std::string(OpPrecisionName(precision)) + " " +
+                     what);
+  return runs;
+}
+
+// The direct route reads a stride-1 conv's fp32 im2col panels straight
+// from the padded image when they are whole runs of 4 floats (Wo % 4 == 0,
+// Ho·Wo % 16 == 0): one 8-float load per panel half at output widths 8,
+// 16 and 32, two quarters at 4 and 12. Widths 5 and 7, stride 2 and the
+// partial last panels pack. Kernels 1/3/5, strides 1/2, paddings 0/1/2,
+// C ∈ {1, 3, 8, 32}, O from 1 to 34 (the per-product few-row A of O ≤ 2,
+// the shared packed weight over one to six row panels) and N alternating
+// 1/3. Every forward is byte-equal to the serial route, and the counters
+// show each product's route: direct, packed, or neither (conv_thin's
+// pointwise forward, the GEMV columns of Ho·Wo ≤ 2).
+TEST(ConvLoweringTest, DirectImageRouteMatchesTheSerialRouteBitwise) {
+  const int64_t planes[][2] = {{16, 16}, {8, 8}, {4, 4}, {6, 12},
+                               {4, 32},  {5, 5}, {7, 7}};
+  const int64_t outs[] = {1, 2, 3, 6, 7, 10, 13, 18, 34};
+  int checked = 0, direct = 0, packed = 0;
+  for (const auto& hw : planes) {
+    for (int64_t k : {1, 3, 5}) {
+      for (int64_t stride : {1, 2}) {
+        for (int64_t pad : {0, 1, 2}) {
+          for (int64_t c : {1, 3, 8, 32}) {
+            const int64_t h = hw[0], w = hw[1];
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            const ConvGeom g{k, k, stride, pad};
+            const int64_t ho = g.OutExtent(h, k), wo = g.OutExtent(w, k);
+            const int64_t o = outs[checked % std::size(outs)];
+            const int64_t n = checked % 2 == 0 ? 3 : 1;
+            const std::string what =
+                "k=" + std::to_string(k) + " s=" + std::to_string(stride) +
+                " p=" + std::to_string(pad) + " h=" + std::to_string(h) +
+                " w=" + std::to_string(w) + " c=" + std::to_string(c) +
+                " o=" + std::to_string(o) + " n=" + std::to_string(n);
+            const ForwardRuns runs = ExpectForwardMatchesSerialRoute(
+                n, c, o, h, w, g, OpPrecision::kFp32,
+                static_cast<uint64_t>(checked + 71), what);
+            if (HasFatalFailure()) return;
+            const bool pointwise = ConvIsPointwise(g);  // C ≤ 32: conv_thin
+            const bool gemv = ho * wo <= 2;
+            const bool takes = !pointwise && stride == 1 && wo % 4 == 0 &&
+                               ho * wo % kGemmNR == 0;
+            EXPECT_EQ(runs.direct, takes ? n : 0) << what;
+            EXPECT_EQ(runs.engine, pointwise || gemv ? 0 : n) << what;
+            direct += takes;
+            packed += !takes && !pointwise && !gemv;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 400);
+  EXPECT_GT(direct, 50);
+  EXPECT_GT(packed, 150);
+}
+
+// Off the direct route the engine packs its panels, byte for byte too:
+// stride 2 over output rows of 8, a partial last panel (20 columns), an
+// output width of 6 and the bf16 tier. Just inside, stride 1 at the same
+// planes (and 32 columns of width 4) read the image.
+TEST(ConvLoweringTest, ProductsOffTheDirectRoutePackTheirPanels) {
+  struct Case {
+    int64_t h, w;
+    ConvGeom g;
+    OpPrecision precision;
+    bool direct;
+    const char* what;
+  };
+  const OpPrecision fp32 = OpPrecision::kFp32, bf16 = OpPrecision::kBf16;
+  const Case cases[] = {
+      {16, 16, {3, 3, 2, 1}, fp32, false, "stride 2, wo = 8"},
+      {16, 16, {3, 3, 1, 1}, fp32, true, "stride 1, wo = 16"},
+      {5, 4, {3, 3, 1, 1}, fp32, false, "wo = 4, 20 columns"},
+      {8, 4, {3, 3, 1, 1}, fp32, true, "wo = 4, 32 columns"},
+      {8, 6, {3, 3, 1, 1}, fp32, false, "wo = 6, 48 columns"},
+      {16, 16, {3, 3, 1, 1}, bf16, false, "bf16, wo = 16"},
+  };
+  for (const Case& t : cases) {
+    const ForwardRuns runs = ExpectForwardMatchesSerialRoute(
+        2, 8, 10, t.h, t.w, t.g, t.precision, 81, t.what);
+    EXPECT_EQ(runs.direct, t.direct ? 2 : 0) << t.what;
+    EXPECT_EQ(runs.engine, 2) << t.what;
+  }
 }
 
 // [a[i]; b[i]] for every sample i of a [N, A, ...] and b [N, B, ...] with

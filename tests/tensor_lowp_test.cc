@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -224,6 +225,36 @@ TEST(GemmBf16Test, BlockedShapesCrossPanelBoundaries) {
   CheckBf16Shape(200, 300, 33, false, true, false);
   // m past kGemmNC: the dynamic engine's second column block.
   CheckBf16Shape(7, 300, kGemmNC + 19, false, true, false);
+}
+
+// A one-column prepacked weight runs the bf16 GEMV route over its column,
+// gathered out of the padded panel, instead of the engine: byte-equal to
+// the reference (zeros of both signs included), with no engine run.
+TEST(GemmBf16Test, PrepackedOneColumnRunsTheGemvRoute) {
+  for (int64_t n : {1, 6, 64}) {
+    for (int64_t k : {1, 17, 300}) {
+      for (bool accumulate : {false, true}) {
+        Rng rng(static_cast<uint64_t>(n * 31 + k));
+        Tensor a = RandomNormal(Shape{n, k}, rng);
+        Tensor b = RandomNormal(Shape{k, 1}, rng);
+        for (int64_t i = 0; i < a.numel(); i += 5) a.flat(i) = -0.0f;
+        for (int64_t i = 1; i < b.numel(); i += 4) b.flat(i) = -0.0f;
+        Tensor c_ref = RandomNormal(Shape{n, 1}, rng);
+        Tensor c_pre = c_ref.Clone();
+        GemmReferenceBf16(a.data(), false, b.data(), false, c_ref.data(), n, k,
+                          1, accumulate);
+        const lowp::Bf16PackedWeight w =
+            lowp::PackBf16Weight(b.data(), false, k, 1);
+        const int64_t before = PackedEngineRuns();
+        lowp::GemmBf16Prepacked(a.data(), w, c_pre.data(), n, accumulate);
+        EXPECT_EQ(PackedEngineRuns(), before);
+        EXPECT_EQ(std::memcmp(c_ref.data(), c_pre.data(),
+                              static_cast<size_t>(n) * sizeof(float)),
+                  0)
+            << "n=" << n << " k=" << k << " accumulate=" << accumulate;
+      }
+    }
+  }
 }
 
 TEST(GemmBf16Test, GemvPathMatchesReference) {
