@@ -67,11 +67,10 @@ constexpr GemmShape kGemmShapes[] = {
     {"odd_tail_7x131x61", 7, 131, 61, false, true},
 };
 
-// The serial reference, the fp32 and bf16 packed engines, and the bf16 and
-// int8 prepacked weights (packed once, outside the timed loop, as serving
-// does).
+// The serial reference, the fp32 and bf16 packed engines, and the bf16
+// prepacked weight (packed once, outside the timed loop, as serving does).
 constexpr const char* kGemmTiers[] = {"reference", "fp32", "bf16",
-                                      "bf16-prepacked", "int8-prepacked"};
+                                      "bf16-prepacked"};
 
 void GemmArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"shape", "tier"});
@@ -84,8 +83,8 @@ void GemmArgs(benchmark::internal::Benchmark* b) {
 }
 
 // C = op(A)·op(B) at one shape and tier, reported as GF/s (2·n·k·m per
-// iteration). The prepacked forms take A row-major, so on the trans_a
-// shape they multiply op(A) materialized. Asserts nothing: the tiers'
+// iteration). The prepacked form takes A row-major, so on the trans_a
+// shape it multiplies op(A) materialized. Asserts nothing: the tiers'
 // bytes are tensor_gemm_test's and tensor_lowp_test's contract.
 void BM_Gemm(benchmark::State& state) {
   const GemmShape& s = kGemmShapes[state.range(0)];
@@ -99,7 +98,6 @@ void BM_Gemm(benchmark::State& state) {
   Tensor c{Shape{s.n, s.m}};
   std::function<void()> run;
   lowp::Bf16PackedWeight bf16_w;
-  lowp::Int8PackedWeight int8_w;
   if (tier == "reference") {
     run = [&] {
       GemmReference(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n,
@@ -115,16 +113,10 @@ void BM_Gemm(benchmark::State& state) {
       GemmPackedBf16(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n,
                      s.k, s.m, /*accumulate=*/false);
     };
-  } else if (tier == "bf16-prepacked") {
+  } else {
     bf16_w = lowp::PackBf16Weight(b.data(), s.trans_b, s.k, s.m);
     run = [&] {
       lowp::GemmBf16Prepacked(a_rows.data(), bf16_w, c.data(), s.n,
-                              /*accumulate=*/false);
-    };
-  } else {
-    int8_w = lowp::PackInt8Weight(b.data(), s.trans_b, s.k, s.m);
-    run = [&] {
-      lowp::GemmInt8Prepacked(a_rows.data(), int8_w, c.data(), s.n,
                               /*accumulate=*/false);
     };
   }

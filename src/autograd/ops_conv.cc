@@ -278,8 +278,7 @@ Variable AdaptedConv2d(const Variable& x, const Variable& weight,
   if (t.up.rank() == 3) {
     // A per-sample U runs at the GEMM tier, as PerSamplePointwiseConv
     // picks it.
-    const OpPrecision up_prec =
-        ForwardGemmPrecision(ctx, /*int8_capable=*/false);
+    const OpPrecision up_prec = ctx.PrecisionFor(OpCategory::kGemm);
     ctx.RecordGemmDispatch(up_prec);
     d = ctx.AllocResult(y_shape);
     PerSamplePointwiseConvInto(t.h2, t.up, &d, up_prec);

@@ -12,12 +12,6 @@
 namespace metalora {
 namespace autograd {
 
-OpPrecision ForwardGemmPrecision(RuntimeContext& ctx, bool int8_capable) {
-  OpPrecision p = ctx.PrecisionFor(OpCategory::kGemm);
-  if (p == OpPrecision::kInt8 && !int8_capable) p = OpPrecision::kBf16;
-  return p;
-}
-
 namespace {
 
 class MatmulOp final : public Op {
@@ -141,8 +135,7 @@ class PerSamplePointwiseConvOp final : public Op {
 Variable Matmul(const Variable& a, const Variable& b) {
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "Matmul");
-  // Plain A·B has no frozen x·Wᵀ weight, so int8 downgrades to bf16.
-  const OpPrecision prec = ForwardGemmPrecision(ctx, /*int8_capable=*/false);
+  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
   ctx.RecordGemmDispatch(prec);
   Tensor out = ctx.AllocResult(Shape{a.dim(0), b.dim(1)});
   if (prec == OpPrecision::kBf16) {
@@ -166,24 +159,15 @@ Variable Linear(const Variable& x, const Variable& weight,
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "Linear");
   // y = x · Wᵀ (+ b). Linear is the primary low-precision site: its
-  // weight layout is exactly what the quantized-shadow registry packs, so
-  // int8/bf16 resolve to pack-once prepacked forms when the weight was
-  // registered (adapter publish / precision eval), and bf16 falls back to
-  // dynamic packing otherwise. Bias addition stays fp32 (epilogue).
+  // weight layout is exactly what the shadow registry packs, so bf16 runs
+  // the pack-once prepacked form when the weight was registered (adapter
+  // publish / precision eval), and dynamic packing otherwise. Bias
+  // addition stays fp32 (epilogue).
   const int64_t rows = x.dim(0);
   const int64_t in = weight.dim(1);
   const int64_t out_ch = weight.dim(0);
-  OpPrecision prec = ForwardGemmPrecision(ctx, /*int8_capable=*/true);
+  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
   Tensor out = ctx.AllocResultUninit(Shape{rows, out_ch});
-  if (prec == OpPrecision::kInt8) {
-    const auto shadow = lowp::FindInt8Shadow(weight.value().data(), in, out_ch);
-    if (shadow != nullptr) {
-      GemmInt8Prepacked(x.value().data(), *shadow, out.data(), rows,
-                        /*accumulate=*/false);
-    } else {
-      prec = OpPrecision::kBf16;  // no quantized shadow: bf16 fallback
-    }
-  }
   if (prec == OpPrecision::kBf16) {
     const auto shadow = lowp::FindBf16Shadow(weight.value().data(), in, out_ch);
     if (shadow != nullptr) {
@@ -193,7 +177,7 @@ Variable Linear(const Variable& x, const Variable& weight,
       GemmPackedBf16(x.value().data(), false, weight.value().data(), true,
                      out.data(), rows, in, out_ch, /*accumulate=*/false);
     }
-  } else if (prec == OpPrecision::kFp32) {
+  } else {
     MatmulTransBInto(x.value(), weight.value(), &out);
   }
   ctx.RecordGemmDispatch(prec);
@@ -222,7 +206,7 @@ Variable BatchedMatmul(const Variable& a, const Variable& b) {
   ML_CHECK_EQ(a.dim(2), b.dim(1));
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "BatchedMatmul");
-  const OpPrecision prec = ForwardGemmPrecision(ctx, /*int8_capable=*/false);
+  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
   ctx.RecordGemmDispatch(prec);
   Tensor out = ctx.AllocResult(Shape{a.dim(0), a.dim(1), b.dim(2)});
   if (prec == OpPrecision::kBf16) {
@@ -243,7 +227,7 @@ Variable BatchedMatmul(const Variable& a, const Variable& b) {
 Variable PerSamplePointwiseConv(const Variable& x, const Variable& w) {
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "PerSamplePointwiseConv");
-  const OpPrecision prec = ForwardGemmPrecision(ctx, /*int8_capable=*/false);
+  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
   ctx.RecordGemmDispatch(prec);
   // The kernel accumulates: zeroed output required.
   Tensor out = ctx.AllocResult(Shape{x.dim(0), w.dim(1), x.dim(2), x.dim(3)});

@@ -114,13 +114,10 @@ namespace {
 // whenever any GEMM ran, profiling or not — the counters are always on.
 void PrintPrecisionTrailer(const RuntimeContext& ctx, std::ostream& os) {
   int64_t total = 0;
-  for (int i = 0; i < kNumOpPrecisions; ++i) {
-    total += ctx.gemm_dispatch(static_cast<OpPrecision>(i));
-  }
+  for (const OpPrecision p : kOpPrecisions) total += ctx.gemm_dispatch(p);
   if (total == 0) return;
   os << "gemm dispatch:";
-  for (int i = 0; i < kNumOpPrecisions; ++i) {
-    const OpPrecision p = static_cast<OpPrecision>(i);
+  for (const OpPrecision p : kOpPrecisions) {
     os << " " << OpPrecisionName(p) << " " << ctx.gemm_dispatch(p);
   }
   os << "\n";

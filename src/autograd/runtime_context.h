@@ -169,8 +169,7 @@ class RuntimeContext {
 
   /// Books one eligible-GEMM dispatch at `precision`. Always on (one
   /// array increment); the --profile table and serving stats report the
-  /// per-precision totals. int8 facades that fall back (no shadow
-  /// registered) book the precision that actually ran.
+  /// per-precision totals.
   void RecordGemmDispatch(OpPrecision precision) {
     ++gemm_dispatch_[static_cast<int>(precision)];
   }

@@ -1,7 +1,7 @@
 // Low-precision shadow registration for whole modules.
 //
 // The tensor-level shadow registry (tensor/lowp.h) maps one frozen fp32
-// weight to its prepacked bf16/int8 forms; this helper walks a module tree
+// weight to its prepacked bf16 form; this helper walks a module tree
 // and registers every rank-2 parameter in one sweep. It is the bridge
 // between "an adapter instance was just built/loaded and will never be
 // mutated" (serve/adapter_registry.h's LoadInstance, eval-time snapshots
@@ -9,10 +9,10 @@
 // consult.
 //
 // Only rank-2 parameters are registered — those are the x·Wᵀ Linear
-// weights the int8/bf16 prepacked paths can serve. Conv filters and bias
-// vectors are skipped (conv autocasts at most to bf16, which needs no
-// prepack to be correct, and bias epilogues stay fp32). A parameter that
-// is registered but never looked up costs only its shadow bytes.
+// weights the bf16 prepacked path can serve. Conv filters and bias
+// vectors are skipped (a bf16 conv packs its weight per call, and bias
+// epilogues stay fp32). A parameter that is registered but never looked
+// up costs only its shadow bytes.
 //
 // Contract: the module's parameters must stay frozen (no in-place updates)
 // while the returned handles are alive. Drop the handles before resuming
@@ -29,7 +29,7 @@
 namespace metalora {
 namespace core {
 
-/// Registers bf16+int8 shadows for every rank-2 parameter in the subtree.
+/// Registers bf16 shadows for every rank-2 parameter in the subtree.
 /// Returns one RAII handle per registered weight; the shadows (and the
 /// packs' claim on the weights' storage) release when the vector dies.
 std::vector<lowp::ShadowHandle> RegisterModuleShadows(nn::Module& module);

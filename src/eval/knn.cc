@@ -8,7 +8,6 @@
 #include "autograd/parallel.h"
 #include "autograd/runtime_context.h"
 #include "tensor/gemm.h"
-#include "tensor/lowp.h"
 #include "tensor/matmul.h"
 
 namespace metalora {
@@ -69,21 +68,10 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
 
   // The distance GEMM bypasses the op facades, so the autocast policy is
   // resolved here explicitly (GEMM category; the top-k selection and norm
-  // reductions stay fp64/fp32 — reductions are pinned). Under int8 the
-  // reference matrix plays the frozen-weight role: quantize it once per
-  // call (per-reference-row scales) and reuse the pack for every query
-  // block, exactly the quantize-once serving pattern.
+  // reductions stay fp64/fp32 — reductions are pinned).
   autograd::RuntimeContext& caller = autograd::RuntimeContext::Current();
   const OpPrecision gemm_prec = caller.PrecisionFor(OpCategory::kGemm);
   caller.RecordGemmDispatch(gemm_prec);
-  std::shared_ptr<const lowp::Int8PackedWeight> ref_pack;
-  if (gemm_prec == OpPrecision::kInt8) {
-    ref_pack = lowp::FindInt8Shadow(ref_features.data(), d, m);
-    if (ref_pack == nullptr) {
-      ref_pack = std::make_shared<lowp::Int8PackedWeight>(
-          lowp::PackInt8Weight(ref_features.data(), /*trans_b=*/true, d, m));
-    }
-  }
 
   KnnResult result;
   result.predictions.resize(static_cast<size_t>(n));
@@ -95,10 +83,7 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
       0, n, kQueryBlock,
       [&](int64_t lo, int64_t hi, autograd::RuntimeContext& ctx) {
         Tensor dots = ctx.arena()->AllocateUninitialized(Shape{hi - lo, m});
-        if (gemm_prec == OpPrecision::kInt8) {
-          GemmInt8Prepacked(pq + lo * d, *ref_pack, dots.data(), hi - lo,
-                            /*accumulate=*/false);
-        } else if (gemm_prec == OpPrecision::kBf16) {
+        if (gemm_prec == OpPrecision::kBf16) {
           GemmPackedBf16(pq + lo * d, false, ref_features.data(), true,
                          dots.data(), hi - lo, d, m, /*accumulate=*/false);
         } else {

@@ -42,9 +42,9 @@ Result<std::shared_ptr<ResidentAdapter>> AdapterRegistry::LoadInstance(
   auto handle = std::make_shared<ResidentAdapter>();
   handle->conditioning_cache = adapter->conditioning_cache();
   if (register_shadows) {
-    // Quantize-once: the instance is immutable from here on, so its bf16/
-    // int8 packs are computed exactly once per load/Publish and reused by
-    // every request routed to this version.
+    // Pack-once: the instance is immutable from here on, so its bf16
+    // packs are computed exactly once per load/Publish and reused by every
+    // request routed to this version.
     handle->precision_shadows = core::RegisterModuleShadows(*adapter);
   }
   handle->adapter = std::move(adapter);

@@ -64,14 +64,14 @@ struct AdapterRegistryOptions {
   /// non-resident tenant at the budget evicts the least-recently-used
   /// resident one.
   int64_t residency_budget = 32;
-  /// Register bf16+int8 shadows (tensor/lowp.h) for every rank-2 parameter
-  /// of each instance as it loads — the quantize-once half of the int8
-  /// serving path: scales and packs are computed at load/Publish time, and
-  /// workers running under a low-precision autocast policy find them by
-  /// weight pointer. Instances are immutable after load, so the shadows
-  /// can never go stale; they drop with the instance (eviction, swap).
-  /// Costs ~3 bytes/element of resident rank-2 weight; off by default so
-  /// fp32-only deployments pay nothing.
+  /// Register bf16 shadows (tensor/lowp.h) for every rank-2 parameter of
+  /// each instance as it loads — the pack-once half of the bf16 serving
+  /// path: packs are computed at load/Publish time, and workers running
+  /// under Serving(kBf16) find them by weight pointer. Instances are
+  /// immutable after load, so the shadows can never go stale; they drop
+  /// with the instance (eviction, swap). Costs ~2 bytes/element of
+  /// resident rank-2 weight; off by default so fp32-only deployments pay
+  /// nothing.
   bool register_precision_shadows = false;
 };
 

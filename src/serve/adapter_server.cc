@@ -256,10 +256,11 @@ void AdapterServer::WorkerLoop() {
     arena.NextGeneration();
     ExecuteBatch(std::move(batch));
     std::lock_guard<std::mutex> lock(stats_mu_);
-    for (int p = 0; p < kNumOpPrecisions; ++p) {
-      const int64_t now = ctx.gemm_dispatch(static_cast<OpPrecision>(p));
-      stats_.gemm_dispatch[p] += now - folded[p];
-      folded[p] = now;
+    for (const OpPrecision p : kOpPrecisions) {
+      const int i = static_cast<int>(p);
+      const int64_t now = ctx.gemm_dispatch(p);
+      stats_.gemm_dispatch[i] += now - folded[i];
+      folded[i] = now;
     }
   }
 }

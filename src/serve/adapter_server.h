@@ -68,10 +68,10 @@ struct AdapterServerOptions {
   /// Autocast policy installed on every worker's RuntimeContext (workers
   /// run no-grad, so the policy actually takes effect). Default-disabled:
   /// all forwards fp32, byte-identical to pre-tier behavior. Set to
-  /// AutocastPolicy::Serving(precision) for the low-precision serving
-  /// path; pair int8 with a registry whose register_precision_shadows is
-  /// on, or the Linear facade downgrades int8 -> bf16 (no prepacked
-  /// scales). Per-precision dispatch counts land in ServeStats.
+  /// AutocastPolicy::Serving(kBf16) for the low-precision serving path;
+  /// a registry whose register_precision_shadows is on gives the Linear
+  /// facade prepacked bf16 weights, else it packs them per call.
+  /// Per-precision dispatch counts land in ServeStats.
   AutocastPolicy autocast;
   /// Test hook: runs on the worker thread before each batch executes.
   /// Lets tests stall the pipeline deterministically (backpressure,

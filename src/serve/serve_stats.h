@@ -48,9 +48,9 @@ struct ServeStats {
 
   /// Forward-GEMM dispatches per resolved precision, folded in from the
   /// worker contexts after every batch (indexed by OpPrecision). Under the
-  /// default (disabled) autocast policy only the fp32 slot moves; under a
-  /// serving preset these show how many GEMMs actually ran low-precision
-  /// versus fell back (e.g. int8 downgrading where no shadow exists).
+  /// default (disabled) autocast policy only the fp32 slot moves; under
+  /// Serving(kBf16) these show how many GEMMs ran at bf16. Slot 2 always
+  /// reads 0 (see kNumOpPrecisions): the end-to-end benchmark still reads it.
   int64_t gemm_dispatch[kNumOpPrecisions] = {0, 0, 0};
 
   // One sample per completed request: submit-to-completion wall time.

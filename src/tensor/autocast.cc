@@ -8,8 +8,6 @@ const char* OpPrecisionName(OpPrecision precision) {
       return "fp32";
     case OpPrecision::kBf16:
       return "bf16";
-    case OpPrecision::kInt8:
-      return "int8";
   }
   return "unknown";
 }
@@ -21,10 +19,6 @@ bool ParseOpPrecision(const std::string& text, OpPrecision* out) {
   }
   if (text == "bf16" || text == "bfloat16") {
     *out = OpPrecision::kBf16;
-    return true;
-  }
-  if (text == "int8" || text == "i8") {
-    *out = OpPrecision::kInt8;
     return true;
   }
   return false;

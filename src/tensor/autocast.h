@@ -29,15 +29,23 @@ namespace metalora {
 enum class OpPrecision : int {
   kFp32 = 0,  // fp32 storage, fp32 accumulation (bit-identical engine)
   kBf16 = 1,  // bf16 storage (RNE on pack), fp32 accumulation
-  kInt8 = 2,  // int8 storage (per-channel scales), int32 accumulation
 };
+
+/// The two tiers above, in index order: what loops over tiers walk.
+inline constexpr OpPrecision kOpPrecisions[] = {OpPrecision::kFp32,
+                                                OpPrecision::kBf16};
+
+/// Width of the per-precision dispatch counters (RuntimeContext,
+/// ServeStats::gemm_dispatch): one slot per tier plus slot 2, which always
+/// reads 0. The end-to-end benchmark (bench/suite) exports slot 2 as
+/// tensor.gemm.dispatch.int8; the slot can go when that metric does.
 inline constexpr int kNumOpPrecisions = 3;
 
-/// Stable lowercase name ("fp32" / "bf16" / "int8") for logs and JSON.
+/// Stable lowercase name ("fp32" / "bf16") for logs and JSON.
 const char* OpPrecisionName(OpPrecision precision);
 
 /// Parses the names accepted by the bench `--precision=` flags. Returns
-/// false (and leaves *out untouched) on anything else.
+/// false (and leaves *out untouched) on anything else, "int8" included.
 bool ParseOpPrecision(const std::string& text, OpPrecision* out);
 
 /// Op categories that exist for precision resolution. Only kGemm and kConv
@@ -57,9 +65,7 @@ struct AutocastPolicy {
   bool enabled = false;
   /// Requested precision for matmul/linear/batched-matmul GEMMs.
   OpPrecision gemm = OpPrecision::kFp32;
-  /// Requested precision for conv im2col GEMMs. Int8 requires
-  /// quantize-at-publish per-channel scales, which only exist for rank-2
-  /// weights, so conv caps at bf16 (Resolve() downgrades int8 -> bf16).
+  /// Requested precision for conv im2col GEMMs.
   OpPrecision conv = OpPrecision::kFp32;
 
   OpPrecision Resolve(OpCategory category) const {
@@ -68,7 +74,7 @@ struct AutocastPolicy {
       case OpCategory::kGemm:
         return gemm;
       case OpCategory::kConv:
-        return conv == OpPrecision::kInt8 ? OpPrecision::kBf16 : conv;
+        return conv;
       case OpCategory::kReduction:
       case OpCategory::kNormalization:
         return OpPrecision::kFp32;  // pinned: never eligible
@@ -80,15 +86,15 @@ struct AutocastPolicy {
   static AutocastPolicy Disabled() { return AutocastPolicy{}; }
 
   /// The serving preset wired through AdapterServer worker contexts and the
-  /// bench --precision flags: GEMMs at `precision`, convs at min(precision,
-  /// bf16), everything else fp32. Serving(kFp32) is the disabled policy, so
+  /// bench --precision flags: GEMMs and convs at `precision`, everything
+  /// else fp32. Serving(kFp32) is the disabled policy, so
   /// `--precision=fp32` exercises the identical code path as no flag.
   static AutocastPolicy Serving(OpPrecision precision) {
     AutocastPolicy policy;
     if (precision == OpPrecision::kFp32) return policy;
     policy.enabled = true;
     policy.gemm = precision;
-    policy.conv = OpPrecision::kBf16;
+    policy.conv = precision;
     return policy;
   }
 };

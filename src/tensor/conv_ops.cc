@@ -215,8 +215,7 @@ void Conv2dForwardInto(const Tensor& input,
   // cols, with cols lowered from the sample's padded image: read in the
   // micro-kernel at stride 1 (the direct route), else as the GEMM packs
   // it. W_mat is the same for every sample, so it is packed once for the
-  // whole call, at the format the products run in (bf16 for kBf16, and
-  // for kInt8 too: conv caps at bf16).
+  // whole call, at the format the products run in.
   const bool shallow = precision == OpPrecision::kFp32 &&
                        ConvIsPointwise(g) &&
                        conv_thin::PointwiseForwardTakes(c);

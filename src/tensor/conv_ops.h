@@ -73,9 +73,8 @@ bool ConvIsPointwise(const ConvGeom& g);
 /// core) skips the engine and runs each output as one vector FMA chain
 /// from +0 over the input rows (conv_thin.h), the engine's chain byte for
 /// byte.
-/// `precision` selects the GEMM's tier: kBf16 runs the bf16-storage engine
-/// (kInt8 is treated as kBf16 — conv has no quantized-shadow form); the
-/// bias epilogue is fp32 in every tier.
+/// `precision` selects the GEMM's tier: kBf16 runs the bf16-storage
+/// engine; the bias epilogue is fp32 in every tier.
 void Conv2dForwardInto(const Tensor& input,
                        std::span<const Tensor* const> weights,
                        const Tensor& bias, const ConvGeom& g,
@@ -123,7 +122,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
 /// Per-sample pointwise (1×1) conv with per-sample weights:
 ///   out[n] [O, S] += w[n] [O, Q] · x[n] [Q, S]
 /// for x [N, Q, H, W] and w [N, O, Q]. `out` [N, O, H, W] must be zeroed.
-/// kBf16 (or kInt8) runs the bf16-storage GEMM with dynamic packing.
+/// kBf16 runs the bf16-storage GEMM with dynamic packing.
 void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out,
                                 OpPrecision precision = OpPrecision::kFp32);
 

@@ -578,36 +578,28 @@ bool ThinRows(int64_t n, bool trans_b) {
 thread_local gemm_detail::AlignedBuffer<float> tls_gemv_x;
 thread_local gemm_detail::AlignedBuffer<float> tls_gemv_y;
 
-// C[:, j] (+)= op(A) · op(B)[:, j] for every j < m, with `column(j)`
-// returning op(B)'s column j as k contiguous floats; each column of C
-// goes through scratch. Out of line, like GemmThin, to keep it out of the
-// engine's callers.
-template <typename B, typename ColumnFn>
-[[gnu::noinline]] void GemvColumns(const float* a, bool trans_a,
-                                   const ColumnFn& column, float* c,
-                                   int64_t n, int64_t k, int64_t m,
-                                   bool accumulate) {
+// C[:, j] (+)= op(A) · op(B)[:, j] for every j < m, with op(B)'s column j
+// read in place when B is stored [m, k], else gathered into scratch; each
+// column of C goes through scratch.
+template <typename B>
+void GemvColumns(const float* a, bool trans_a, const float* b, bool trans_b,
+                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
   tls_gemv_y.Reserve(n);
   float* y = tls_gemv_y.data();
   for (int64_t j = 0; j < m; ++j) {
+    const float* x = b + j * k;
+    if (!trans_b) {
+      tls_gemv_x.Reserve(k);
+      float* column = tls_gemv_x.data();
+      for (int64_t p = 0; p < k; ++p) column[p] = b[p * m + j];
+      x = column;
+    }
     if (accumulate) {
       for (int64_t i = 0; i < n; ++i) y[i] = c[i * m + j];
     }
-    GemvPath<B>(a, trans_a, column(j), y, n, k, accumulate);
+    GemvPath<B>(a, trans_a, x, y, n, k, accumulate);
     for (int64_t i = 0; i < n; ++i) c[i * m + j] = y[i];
   }
-}
-
-// Column j of a dense op(B): contiguous in place when B is stored [m, k],
-// else gathered into scratch.
-auto DenseColumn(const float* b, bool trans_b, int64_t k, int64_t m) {
-  return [=](int64_t j) -> const float* {
-    if (trans_b) return b + j * k;
-    tls_gemv_x.Reserve(k);
-    float* x = tls_gemv_x.data();
-    for (int64_t p = 0; p < k; ++p) x[p] = b[p * m + j];
-    return x;
-  };
 }
 
 // C[i, :] (+)= op(A)[i, :] · op(B) for every i < n: one GEMV over op(B)ᵀ
@@ -637,8 +629,7 @@ template <typename B>
                                 bool trans_b, float* c, int64_t n, int64_t k,
                                 int64_t m, bool accumulate) {
   if (ThinColumns<B>(m, trans_a)) {
-    GemvColumns<B>(a, trans_a, DenseColumn(b, trans_b, k, m), c, n, k, m,
-                   accumulate);
+    GemvColumns<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
     return true;
   }
   if (ThinRows<B>(n, trans_b)) {
@@ -889,23 +880,12 @@ void Gemm(const float* a, bool trans_a, const float* b, bool trans_b,
                   GemmTiles{});
 }
 
-// Column j of an im2col op(B) without trans_b (output position j: the
-// input values under the kernel placed there), gathered contiguously into
-// per-thread scratch for the GEMV routes. It stays valid until the thread
-// gathers again.
-const float* Im2ColColumn(const gemm_detail::Im2ColOperand& op, int64_t j) {
-  thread_local gemm_detail::AlignedBuffer<float> x;
-  const int64_t k = op.rows();
-  x.Reserve(k);
-  const float* src = op.input + op.ColOffset(j);
-  for (int64_t p = 0; p < k; ++p) x.data()[p] = src[op.RowOffset(p)];
-  return x.data();
-}
-
-// The im2col counterpart: op(B) is an im2col operand, so only the column
-// route applies, and only to cols itself. A colsᵀ operand (trans_b) is a
-// conv weight gradient; conv_thin's few-columns kernel takes every one
-// with m ≤ 8 where it is built, so colsᵀ runs the engine.
+// The im2col counterpart of Gemm: op(B) is an im2col operand, and every
+// product runs the engine. Column GEMVs over cols would only take convs
+// with at most 2 output positions, and no ResNet-8 or Mixer plane is that
+// small; a colsᵀ operand (trans_b) is a conv weight gradient, and
+// conv_thin's few-columns kernel takes every one with m ≤ 8 where it is
+// built.
 template <typename B>
 void GemmIm2Col(const float* a, bool trans_a,
                 const gemm_detail::Im2ColOperand& b, bool trans_b, float* c,
@@ -914,16 +894,6 @@ void GemmIm2Col(const float* a, bool trans_a,
   const int64_t m = trans_b ? b.rows() : b.cols();
   ML_DCHECK(n >= 0 && k > 0 && m > 0);
   if (n == 0) return;
-  if (!trans_b && m == 1) {
-    GemvPath<B>(a, trans_a, Im2ColColumn(b, 0), c, n, k, accumulate);
-    return;
-  }
-  if (!trans_b && ThinColumns<B>(m, trans_a)) {
-    GemvColumns<B>(
-        a, trans_a, [&](int64_t j) { return Im2ColColumn(b, j); }, c, n, k,
-        m, accumulate);
-    return;
-  }
   GemmIm2ColEngine<B>(DensePackA<B>(a, trans_a, n, k), b, trans_b, c, n, k,
                       m, accumulate);
 }
@@ -967,8 +937,8 @@ void GemmSharedAIm2Col(const gemm_detail::PackedA& a,
                        const gemm_detail::Im2ColOperand& b, bool trans_b,
                        float* c, bool accumulate) {
   if (a.panels == nullptr) {
-    // Thin: the column route, or the engine packing op(A)'s few rows on
-    // the spot (an im2col operand is not a dense op(B)ᵀ to run rows over).
+    // Thin: the engine packs op(A) on the spot (an im2col operand is not a
+    // dense op(B)ᵀ to run rows or columns over).
     GemmIm2Col<B>(a.a, a.trans_a, b, trans_b, c, a.n, accumulate);
     return;
   }

@@ -15,9 +15,9 @@
 // The micro-kernel is a kGemmMR × kGemmNR register accumulator tile
 // driven over a kGemmKC-deep panel (BLIS/oneDNN design). A portable
 // version (GCC/Clang vector extensions, else scalar) is always built. On
-// x86 an AVX2+FMA clone of every kernel (the engine's and the int8
-// path's) is compiled too, per function with a target attribute, so the
-// binary needs no ISA flag and stays portable. ActiveGemmIsa() picks one
+// x86 an AVX2+FMA clone of every kernel is compiled too, per function
+// with a target attribute, so the binary needs no ISA flag and stays
+// portable. ActiveGemmIsa() picks one
 // ISA per process from cpuid; each GEMM call reads it once and runs that
 // ISA's kernels for the whole call. Building with -DMETALORA_DISABLE_AVX2
 // leaves the clones out, so CI can exercise the portable kernels on any
@@ -31,8 +31,8 @@
 // accumulates in fp32. Both formats share the panel layouts, the tiling,
 // the GEMV routes and the dispatch; each has its own oracle
 // (GemmReference, GemmReferenceBf16), bit-identical to it in the same
-// process. The int8 tier lives in tensor/lowp.h (it only exists in
-// prepacked-weight form). Both formats walk the same fixed cache blocks,
+// process. A prepacked bf16 weight (tensor/lowp.h) is the bf16 format's
+// B panels packed once. Both formats walk the same fixed cache blocks,
 // kGemmMC/KC/NC.
 //
 // Determinism contract: for every output element the accumulation runs
@@ -101,7 +101,7 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
 
 /// How many GEMMs the calling thread has run through the blocked
 /// (packed-panel) engine, of either format (fp32 or bf16, the prepacked
-/// bf16 weights included). The GEMV paths and the int8 path do not count.
+/// bf16 weights included). The GEMV paths do not count.
 /// Lets tests tell which path a kernel took.
 int64_t PackedEngineRuns();
 

@@ -1,6 +1,6 @@
 // Internal helpers of the packed GEMM engine (gemm.cc: the one blocked
-// engine over both B formats, fp32 and bf16; gemm_lowp.cc: the int8
-// prepacked path and the shadow registry; conv_ops.cc: the conv lowering).
+// engine over both B formats, fp32 and bf16; conv_ops.cc: the conv
+// lowering).
 // Not part of the public tensor API — include only from src/tensor.
 #ifndef METALORA_TENSOR_GEMM_DETAIL_H_
 #define METALORA_TENSOR_GEMM_DETAIL_H_
@@ -202,7 +202,7 @@ int64_t DirectIm2ColRuns();
 /// its A blocks from it instead of packing them. A thin run
 /// (the thin columns of gemm.cc's GEMV routing, or n ≤ 2 rows) packs
 /// nothing: `panels` is null, and its GEMVs read `a` or the engine packs
-/// its few rows per product. The panels live in the packing thread's
+/// its rows per product (an im2col op(B) always runs the engine). The panels live in the packing thread's
 /// scratch and stay valid until that thread packs again at that format.
 struct PackedA {
   const float* a = nullptr;
@@ -220,8 +220,7 @@ struct PackedA {
 };
 
 /// Packs op(A) [n, k] for a run of products with m columns at
-/// `precision` (or, for a thin run, records `a` unpacked). kInt8 packs at
-/// bf16: int8 has no dynamically packed form, and convs cap at bf16.
+/// `precision` (or, for a thin run, records `a` unpacked).
 PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
                   int64_t m, OpPrecision precision = OpPrecision::kFp32);
 

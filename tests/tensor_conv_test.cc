@@ -310,9 +310,9 @@ TEST(ConvLoweringTest, WeightPackedOnceAcrossCacheBlocksBitwise) {
                                "s=2 p=0");
 }
 
-// A 1×1 output is a GEMV per sample: the weight is read in place, nothing
-// is packed, and the blocked engine never runs.
-TEST(ConvLoweringTest, OneByOneOutputTakesTheGemvPathBitwise) {
+// A 1×1 output runs the blocked engine over one column per sample, byte
+// for byte the serial route.
+TEST(ConvLoweringTest, OneByOneOutputRunsTheEngineBitwise) {
   const ConvGeom g{3, 3, 1, 0};
   ExpectConvMatchesSerialRoute(3, 5, 7, 3, 3, g, 33, "1x1 output");
   Rng rng(34);
@@ -321,7 +321,7 @@ TEST(ConvLoweringTest, OneByOneOutputTakesTheGemvPathBitwise) {
   Tensor out = Tensor::Zeros(Shape{2, 7, 1, 1});
   const int64_t before = PackedEngineRuns();
   Conv2dForwardInto(x, wgt, Tensor(), g, &out);
-  EXPECT_EQ(PackedEngineRuns(), before);
+  EXPECT_EQ(PackedEngineRuns(), before + 2);
 }
 
 // One conv through the kernels against the serial route, byte for byte:
@@ -375,9 +375,8 @@ ProductRuns ExpectRankThinConvMatchesSerialRoute(int64_t n, int64_t c,
 // 1/2, paddings 0/1/2, planes 16², 8², 4² and 7×5 (output rows not a
 // multiple of 8), and N of 1 and 3 (a weight-gradient chain runs on across
 // samples). Every product is byte-equal to the serial route; each routed
-// one runs no engine GEMM, and each other one runs the engine per sample
-// (or the GEMV for S ≤ 2 outputs), so a route that silently fell back
-// would fail here.
+// one runs no engine GEMM, and each other one runs the engine per sample,
+// so a route that silently fell back would fail here.
 TEST(ConvLoweringTest, RankThinProductsMatchTheSerialRouteBitwise) {
   const int64_t planes[][2] = {{16, 16}, {8, 8}, {4, 4}, {7, 5}};
   int checked = 0, wgrad_routed = 0, forward_routed = 0;
@@ -391,7 +390,6 @@ TEST(ConvLoweringTest, RankThinProductsMatchTheSerialRouteBitwise) {
               if (h + 2 * pad < k || w + 2 * pad < k) continue;
               const int64_t n = checked % 2 == 0 ? 3 : 1;
               const ConvGeom g{k, k, stride, pad};
-              const int64_t s = g.OutExtent(h, k) * g.OutExtent(w, k);
               const std::string what =
                   "o=" + std::to_string(o) + " c=" + std::to_string(c) +
                   " k=" + std::to_string(k) + " s=" + std::to_string(stride) +
@@ -403,8 +401,7 @@ TEST(ConvLoweringTest, RankThinProductsMatchTheSerialRouteBitwise) {
               const bool forward_route = ConvIsPointwise(g);
               const bool wgrad_route = o <= 8 || c * k * k <= 8;
               EXPECT_EQ(runs.forward_routes, forward_route ? n : 0) << what;
-              EXPECT_EQ(runs.forward_engine, forward_route || s <= 2 ? 0 : n)
-                  << what;
+              EXPECT_EQ(runs.forward_engine, forward_route ? 0 : n) << what;
               EXPECT_EQ(runs.wgrad_routes, wgrad_route ? n : 0) << what;
               EXPECT_EQ(runs.wgrad_engine, wgrad_route ? 0 : n) << what;
               forward_routed += forward_route;
@@ -508,7 +505,7 @@ ForwardRuns ExpectForwardMatchesSerialRoute(int64_t n, int64_t c, int64_t o,
 // the shared packed weight over one to six row panels) and N alternating
 // 1/3. Every forward is byte-equal to the serial route, and the counters
 // show each product's route: direct, packed, or neither (conv_thin's
-// pointwise forward, the GEMV columns of Ho·Wo ≤ 2).
+// pointwise forward).
 TEST(ConvLoweringTest, DirectImageRouteMatchesTheSerialRouteBitwise) {
   const int64_t planes[][2] = {{16, 16}, {8, 8}, {4, 4}, {6, 12},
                                {4, 32},  {5, 5}, {7, 7}};
@@ -535,13 +532,12 @@ TEST(ConvLoweringTest, DirectImageRouteMatchesTheSerialRouteBitwise) {
                 static_cast<uint64_t>(checked + 71), what);
             if (HasFatalFailure()) return;
             const bool pointwise = ConvIsPointwise(g);  // C ≤ 32: conv_thin
-            const bool gemv = ho * wo <= 2;
             const bool takes = !pointwise && stride == 1 && wo % 4 == 0 &&
                                ho * wo % kGemmNR == 0;
             EXPECT_EQ(runs.direct, takes ? n : 0) << what;
-            EXPECT_EQ(runs.engine, pointwise || gemv ? 0 : n) << what;
+            EXPECT_EQ(runs.engine, pointwise ? 0 : n) << what;
             direct += takes;
-            packed += !takes && !pointwise && !gemv;
+            packed += !takes && !pointwise;
             ++checked;
           }
         }
@@ -606,11 +602,11 @@ Tensor StackSamples(const Tensor& a, const Tensor& b) {
 // route over the stacked weight and output gradient. Kernels 1×1 and 3×3,
 // strides 1 and 2, padding 0 and 1, R' = 1, 2, 4 and 9 (O + R' = 16
 // crosses a 6-row panel boundary that O = 7 alone does not), N = 1 and
-// 3, and 1×1 outputs (S = 1, the GEMV route).
+// 3, and 1×1 outputs (S = 1: the input gradient's GEMV route).
 TEST(ConvStackTest, StackedKernelsMatchOneWeightCallsBitwise) {
   const int64_t c = 3, o = 7;
   const int64_t planes[][2] = {{6, 5}, {3, 3}, {1, 1}};
-  int checked = 0, gemv = 0;
+  int checked = 0, one_by_one = 0;
   for (int64_t k : {1, 3}) {
     for (int64_t stride : {1, 2}) {
       for (int64_t pad : {0, 1}) {
@@ -696,7 +692,7 @@ TEST(ConvStackTest, StackedKernelsMatchOneWeightCallsBitwise) {
                 ExpectSameBits(route.gx.data(), gx.data(), gx.numel(),
                                "grad input" + tag);
               }
-              gemv += ho * wo == 1;
+              one_by_one += ho * wo == 1;
               ++checked;
             }
           }
@@ -705,7 +701,7 @@ TEST(ConvStackTest, StackedKernelsMatchOneWeightCallsBitwise) {
     }
   }
   EXPECT_GT(checked, 100);
-  EXPECT_GT(gemv, 10);
+  EXPECT_GT(one_by_one, 10);
 }
 
 TEST(ConvBackwardTest, GradBiasIsOutputSum) {

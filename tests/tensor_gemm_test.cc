@@ -291,14 +291,6 @@ TEST(GemmThreadingTest, KernelsNeverTouchThePool) {
                           lowp::PackBf16Weight(b.data(), false, k, m),
                           c16.data(), n, false);
   ExpectBitIdentical(c16_ref.ToVector(), c16.ToVector(), "bf16 prepacked");
-  Tensor c8{Shape{n, m}};
-  Tensor c8_ref{Shape{n, m}};
-  lowp::GemmInt8Prepacked(a.data(),
-                          lowp::PackInt8Weight(b.data(), false, k, m),
-                          c8.data(), n, false);
-  lowp::GemmReferenceInt8(a.data(), b.data(), false, c8_ref.data(), n, k, m,
-                          false);
-  ExpectBitIdentical(c8_ref.ToVector(), c8.ToVector(), "int8 prepacked");
 
   EXPECT_EQ(ThreadPool::TotalParallelForCalls(), calls);
   EXPECT_EQ(ThreadPool::TotalTasksScheduled(), tasks);
@@ -479,15 +471,14 @@ TEST(GemmConvTest, TransposedWeightGradientPanelsMatchTheGather) {
   }
 }
 
-// A thin im2col op(B) = cols (ThinColumns) runs as one GEMV per column,
-// from a dense op(A) and from a PackAOnce one (the bf16 tier has only the
-// latter): bit-identical to the format's reference over Im2Col's
-// materialized columns, with no run of the blocked engine; every other
-// product here runs the engine, bit-identical too. Convs with at most 4
-// output positions are such products. A thin colsᵀ (trans_b: a weight
-// gradient with few (c, kh, kw) rows, which Conv2dBackward gives to
-// conv_thin's kernels instead) runs the engine.
-TEST(GemmConvTest, RankThinIm2ColProductsRunAsGemvChains) {
+// Rank-thin im2col products run the blocked engine, from a dense op(A)
+// and from a PackAOnce one (the bf16 tier has only the latter), whether
+// op(B) is a thin cols (a conv with 4 or 3 output positions) or a thin
+// colsᵀ (trans_b: a weight gradient with few (c, kh, kw) rows, which
+// Conv2dBackward gives to conv_thin's kernels instead): bit-identical to
+// the format's reference over Im2Col's materialized columns, with one
+// engine run per product.
+TEST(GemmConvTest, RankThinIm2ColProductsRunTheEngine) {
   struct Geo {
     int64_t c, h, w;
     ConvGeom g;
@@ -533,9 +524,7 @@ TEST(GemmConvTest, RankThinIm2ColProductsRunAsGemvChains) {
             gemm_detail::GemmPackedIm2Col(
                 gemm_detail::PackAOnce(a.data(), trans_a, n, k, m, precision),
                 op, geo.trans_b, c_shared.data(), accumulate);
-            const bool gemv =
-                !geo.trans_b && ThinColumns(m, trans_a, precision);
-            EXPECT_EQ(PackedEngineRuns() - before, gemv ? 0 : fp32 ? 2 : 1);
+            EXPECT_EQ(PackedEngineRuns() - before, fp32 ? 2 : 1);
             const std::string what =
                 "c=" + std::to_string(geo.c) + " n=" + std::to_string(n) +
                 " m=" + std::to_string(m) + (trans_a ? " transA" : "") +

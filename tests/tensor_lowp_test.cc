@@ -21,7 +21,6 @@ namespace {
 
 using lowp::Bf16FromF32;
 using lowp::F32FromBf16;
-using lowp::QuantizeValue;
 using lowp::RoundToBf16;
 
 // ---------------------------------------------------------------------------
@@ -78,33 +77,6 @@ TEST(Bf16ConversionTest, SpecialValues) {
   EXPECT_FALSE(std::isinf(RoundToBf16(3.0e38f)));
 }
 
-TEST(Int8QuantizeTest, MaxAbsScaleAndClamp) {
-  const float chan[] = {0.5f, -2.54f, 1.0f, 0.0f};
-  const float scale = lowp::MaxAbsScale(chan, 4, 1);
-  EXPECT_FLOAT_EQ(scale, 2.54f / 127.0f);  // maxabs / 127 = 0.02
-  const float inv = 1.0f / scale;
-  EXPECT_EQ(QuantizeValue(-2.54f, inv), -127);
-  EXPECT_EQ(QuantizeValue(2.54f, inv), 127);
-  EXPECT_EQ(QuantizeValue(1.0f, inv), 50);
-  EXPECT_EQ(QuantizeValue(0.0f, inv), 0);
-  // Values past the scale clamp instead of wrapping.
-  EXPECT_EQ(QuantizeValue(100.0f, inv), 127);
-  EXPECT_EQ(QuantizeValue(-100.0f, inv), -127);
-}
-
-TEST(Int8QuantizeTest, ZeroChannelQuantizesToExactZero) {
-  const float chan[] = {0.0f, 0.0f, 0.0f};
-  const float scale = lowp::MaxAbsScale(chan, 3, 1);
-  EXPECT_EQ(scale, 0.0f);
-  EXPECT_EQ(QuantizeValue(0.0f, 0.0f), 0);
-}
-
-TEST(Int8QuantizeTest, StridedChannelWalk) {
-  // Column 1 of a row-major [3, 2] matrix: stride 2 from base + 1.
-  const float b[] = {1.0f, -8.0f, 2.0f, 4.0f, 3.0f, 0.5f};
-  EXPECT_FLOAT_EQ(lowp::MaxAbsScale(b + 1, 3, 2), 8.0f / 127.0f);
-}
-
 // ---------------------------------------------------------------------------
 // Packed layouts
 // ---------------------------------------------------------------------------
@@ -128,23 +100,6 @@ TEST(PackWeightTest, Bf16PanelLayoutAndPadding) {
   EXPECT_EQ(F32FromBf16(packed.panels[kGemmNR + 0]), 2.0f);
   EXPECT_EQ(F32FromBf16(packed.panels[kGemmNR + 1]), 4.0f);
   EXPECT_EQ(F32FromBf16(packed.panels[kGemmNR + 2]), 6.0f);
-}
-
-TEST(PackWeightTest, Int8PerChannelScales) {
-  const float w[] = {1.27f, -1.27f,  // channel 0: scale 0.01
-                     0.0f,  0.0f,    // channel 1: all-zero, scale 0
-                     12.7f, 6.35f};  // channel 2: scale 0.1
-  lowp::Int8PackedWeight packed =
-      lowp::PackInt8Weight(w, /*trans_b=*/true, /*k=*/2, /*m=*/3);
-  ASSERT_EQ(packed.scales.size(), 3u);
-  EXPECT_FLOAT_EQ(packed.scales[0], 0.01f);
-  EXPECT_EQ(packed.scales[1], 0.0f);
-  EXPECT_FLOAT_EQ(packed.scales[2], 0.1f);
-  EXPECT_EQ(packed.panels[0], 127);   // channel 0, p=0
-  EXPECT_EQ(packed.panels[1], 0);     // channel 1, p=0
-  EXPECT_EQ(packed.panels[2], 127);   // channel 2, p=0
-  EXPECT_EQ(packed.panels[kGemmNR + 0], -127);
-  EXPECT_EQ(packed.panels[kGemmNR + 2], 64);  // 6.35/0.1 = 63.5 -> even 64
 }
 
 // ---------------------------------------------------------------------------
@@ -285,56 +240,6 @@ TEST(GemmBf16Test, DiffersFromFp32OnInexactInputs) {
   EXPECT_EQ(c_bf16, RoundToBf16(a));
 }
 
-void CheckInt8Shape(int64_t n, int64_t k, int64_t m, bool trans_b) {
-  Rng rng(static_cast<uint64_t>(n * 104729 + k * 43 + m * 11 +
-                                (trans_b ? 1 : 0)));
-  Tensor a = RandomNormal(Shape{n, k}, rng);
-  Tensor b = RandomNormal(trans_b ? Shape{m, k} : Shape{k, m}, rng);
-  Tensor seed = RandomNormal(Shape{n, m}, rng);
-  Tensor c_ref = seed.Clone();
-  Tensor c_pre = seed.Clone();
-  lowp::GemmReferenceInt8(a.data(), b.data(), trans_b, c_ref.data(), n, k, m,
-                          /*accumulate=*/true);
-  lowp::Int8PackedWeight w = lowp::PackInt8Weight(b.data(), trans_b, k, m);
-  lowp::GemmInt8Prepacked(a.data(), w, c_pre.data(), n, /*accumulate=*/true);
-  ExpectBitIdentical(c_ref.ToVector(), c_pre.ToVector(),
-                     "int8 n=" + std::to_string(n) + " k=" +
-                         std::to_string(k) + " m=" + std::to_string(m) +
-                         (trans_b ? " transB" : ""));
-}
-
-TEST(GemmInt8Test, OddShapesBitIdenticalToReference) {
-  for (int64_t n : kOddExtents) {
-    for (int64_t m : kOddExtents) {
-      CheckInt8Shape(n, /*k=*/33, m, /*trans_b=*/true);
-      CheckInt8Shape(n, /*k=*/33, m, /*trans_b=*/false);
-    }
-  }
-  CheckInt8Shape(7, 513, 65, /*trans_b=*/true);
-}
-
-TEST(GemmInt8Test, QuantizationErrorIsBounded) {
-  // Not a bit contract — a sanity envelope that per-channel dequantized
-  // products land near the fp32 truth (gross scale bugs explode this).
-  Rng rng(77);
-  const int64_t n = 5, k = 64, m = 32;
-  Tensor a = RandomNormal(Shape{n, k}, rng);
-  Tensor b = RandomNormal(Shape{m, k}, rng);
-  Tensor c_fp32{Shape{n, m}};
-  Tensor c_int8{Shape{n, m}};
-  GemmReference(a.data(), false, b.data(), true, c_fp32.data(), n, k, m,
-                false);
-  lowp::GemmReferenceInt8(a.data(), b.data(), true, c_int8.data(), n, k, m,
-                          false);
-  float max_abs = 0.0f, max_diff = 0.0f;
-  for (int64_t i = 0; i < n * m; ++i) {
-    max_abs = std::max(max_abs, std::fabs(c_fp32.data()[i]));
-    max_diff = std::max(max_diff,
-                        std::fabs(c_fp32.data()[i] - c_int8.data()[i]));
-  }
-  EXPECT_LT(max_diff, 0.1f * max_abs);
-}
-
 // ---------------------------------------------------------------------------
 // Shadow registry
 // ---------------------------------------------------------------------------
@@ -348,15 +253,12 @@ TEST(ShadowRegistryTest, RegisterLookupRelease) {
     EXPECT_TRUE(handle.valid());
     EXPECT_EQ(lowp::ShadowCount(), before + 1);
     auto bf16 = lowp::FindBf16Shadow(w.data(), /*k=*/16, /*m=*/24);
-    auto int8 = lowp::FindInt8Shadow(w.data(), /*k=*/16, /*m=*/24);
     ASSERT_NE(bf16, nullptr);
-    ASSERT_NE(int8, nullptr);
     EXPECT_EQ(bf16->k, 16);
     EXPECT_EQ(bf16->m, 24);
-    EXPECT_EQ(int8->scales.size(), 24u);
     // Shape mismatch is a miss, not a wrong answer.
     EXPECT_EQ(lowp::FindBf16Shadow(w.data(), 24, 16), nullptr);
-    EXPECT_EQ(lowp::FindInt8Shadow(w.data(), 16, 23), nullptr);
+    EXPECT_EQ(lowp::FindBf16Shadow(w.data(), 16, 23), nullptr);
   }
   EXPECT_EQ(lowp::ShadowCount(), before);
   EXPECT_EQ(lowp::FindBf16Shadow(w.data(), 16, 24), nullptr);
@@ -384,14 +286,14 @@ TEST(ShadowRegistryTest, LookupSurvivesConcurrentRelease) {
   // the serving path may be mid-GEMM on it.
   Rng rng(33);
   Tensor w = RandomNormal(Shape{12, 6}, rng);
-  std::shared_ptr<const lowp::Int8PackedWeight> pack;
+  std::shared_ptr<const lowp::Bf16PackedWeight> pack;
   {
     lowp::ShadowHandle handle = lowp::RegisterWeightShadow(w);
-    pack = lowp::FindInt8Shadow(w.data(), 6, 12);
+    pack = lowp::FindBf16Shadow(w.data(), 6, 12);
     ASSERT_NE(pack, nullptr);
   }
   EXPECT_EQ(pack->m, 12);
-  EXPECT_EQ(pack->scales.size(), 12u);
+  EXPECT_EQ(pack->panels.size(), static_cast<size_t>(6 * kGemmNR));
 }
 
 TEST(ShadowRegistryTest, MoveTransfersOwnership) {
@@ -414,13 +316,10 @@ TEST(ShadowRegistryTest, MoveTransfersOwnership) {
 TEST(AlignedBufferTest, SixtyFourByteAlignment) {
   gemm_detail::AlignedBuffer<uint16_t> b16;
   gemm_detail::AlignedBuffer<float> bf;
-  gemm_detail::AlignedBuffer<int8_t> b8;
   b16.Reserve(37);  // odd sizes must still align (and round up the bytes)
   bf.Reserve(129);
-  b8.Reserve(1);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(b16.data()) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(bf.data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b8.data()) % 64, 0u);
   // Growth re-aligns.
   bf.Reserve(100001);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(bf.data()) % 64, 0u);
@@ -438,26 +337,19 @@ TEST(AutocastPolicyTest, DefaultIsDisabledEverywhereFp32) {
     EXPECT_EQ(policy.Resolve(cat), OpPrecision::kFp32);
   }
   // Per-category requests are inert while the master switch is off.
-  policy.gemm = OpPrecision::kInt8;
+  policy.gemm = OpPrecision::kBf16;
   EXPECT_EQ(policy.Resolve(OpCategory::kGemm), OpPrecision::kFp32);
 }
 
 TEST(AutocastPolicyTest, ReductionsAndNormalizationStayPinned) {
   AutocastPolicy policy;
   policy.enabled = true;
-  policy.gemm = OpPrecision::kInt8;
+  policy.gemm = OpPrecision::kBf16;
   policy.conv = OpPrecision::kBf16;
-  EXPECT_EQ(policy.Resolve(OpCategory::kGemm), OpPrecision::kInt8);
+  EXPECT_EQ(policy.Resolve(OpCategory::kGemm), OpPrecision::kBf16);
   EXPECT_EQ(policy.Resolve(OpCategory::kConv), OpPrecision::kBf16);
   EXPECT_EQ(policy.Resolve(OpCategory::kReduction), OpPrecision::kFp32);
   EXPECT_EQ(policy.Resolve(OpCategory::kNormalization), OpPrecision::kFp32);
-}
-
-TEST(AutocastPolicyTest, ConvCapsInt8AtBf16) {
-  AutocastPolicy policy;
-  policy.enabled = true;
-  policy.conv = OpPrecision::kInt8;
-  EXPECT_EQ(policy.Resolve(OpCategory::kConv), OpPrecision::kBf16);
 }
 
 TEST(AutocastPolicyTest, ServingPreset) {
@@ -468,25 +360,23 @@ TEST(AutocastPolicyTest, ServingPreset) {
   EXPECT_TRUE(bf16.enabled);
   EXPECT_EQ(bf16.Resolve(OpCategory::kGemm), OpPrecision::kBf16);
   EXPECT_EQ(bf16.Resolve(OpCategory::kConv), OpPrecision::kBf16);
-  const AutocastPolicy int8 = AutocastPolicy::Serving(OpPrecision::kInt8);
-  EXPECT_EQ(int8.Resolve(OpCategory::kGemm), OpPrecision::kInt8);
-  EXPECT_EQ(int8.Resolve(OpCategory::kConv), OpPrecision::kBf16);
 }
 
 TEST(AutocastPolicyTest, ParseAndName) {
   OpPrecision p = OpPrecision::kFp32;
   EXPECT_TRUE(ParseOpPrecision("bf16", &p));
   EXPECT_EQ(p, OpPrecision::kBf16);
-  EXPECT_TRUE(ParseOpPrecision("int8", &p));
-  EXPECT_EQ(p, OpPrecision::kInt8);
   EXPECT_TRUE(ParseOpPrecision("fp32", &p));
   EXPECT_EQ(p, OpPrecision::kFp32);
   p = OpPrecision::kBf16;
   EXPECT_FALSE(ParseOpPrecision("fp16", &p));
   EXPECT_EQ(p, OpPrecision::kBf16);  // untouched on failure
+  // An old --precision=int8 flag fails loudly instead of running bf16.
+  EXPECT_FALSE(ParseOpPrecision("int8", &p));
+  EXPECT_FALSE(ParseOpPrecision("i8", &p));
+  EXPECT_EQ(p, OpPrecision::kBf16);
   EXPECT_STREQ(OpPrecisionName(OpPrecision::kFp32), "fp32");
   EXPECT_STREQ(OpPrecisionName(OpPrecision::kBf16), "bf16");
-  EXPECT_STREQ(OpPrecisionName(OpPrecision::kInt8), "int8");
 }
 
 TEST(RuntimeContextAutocastTest, GradEnabledForcesFp32) {
