@@ -3,7 +3,6 @@
 // forward passes, and the autograd round trip.
 #include <benchmark/benchmark.h>
 
-#include <functional>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "nn/resnet.h"
 #include "tensor/conv_ops.h"
 #include "tensor/gemm.h"
-#include "tensor/lowp.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor_ops.h"
@@ -67,10 +65,8 @@ constexpr GemmShape kGemmShapes[] = {
     {"odd_tail_7x131x61", 7, 131, 61, false, true},
 };
 
-// The serial reference, the fp32 and bf16 packed engines, and the bf16
-// prepacked weight (packed once, outside the timed loop, as serving does).
-constexpr const char* kGemmTiers[] = {"reference", "fp32", "bf16",
-                                      "bf16-prepacked"};
+// The serial reference and the packed engine.
+constexpr const char* kGemmTiers[] = {"reference", "fp32"};
 
 void GemmArgs(benchmark::internal::Benchmark* b) {
   b->ArgNames({"shape", "tier"});
@@ -83,9 +79,8 @@ void GemmArgs(benchmark::internal::Benchmark* b) {
 }
 
 // C = op(A)·op(B) at one shape and tier, reported as GF/s (2·n·k·m per
-// iteration). The prepacked form takes A row-major, so on the trans_a
-// shape it multiplies op(A) materialized. Asserts nothing: the tiers'
-// bytes are tensor_gemm_test's and tensor_lowp_test's contract.
+// iteration). Asserts nothing: the tiers' bytes are tensor_gemm_test's
+// contract.
 void BM_Gemm(benchmark::State& state) {
   const GemmShape& s = kGemmShapes[state.range(0)];
   const std::string tier = kGemmTiers[state.range(1)];
@@ -94,34 +89,11 @@ void BM_Gemm(benchmark::State& state) {
       RandomNormal(s.trans_a ? Shape{s.k, s.n} : Shape{s.n, s.k}, rng);
   const Tensor b =
       RandomNormal(s.trans_b ? Shape{s.m, s.k} : Shape{s.k, s.m}, rng);
-  const Tensor a_rows = s.trans_a ? Transpose2D(a) : a;
   Tensor c{Shape{s.n, s.m}};
-  std::function<void()> run;
-  lowp::Bf16PackedWeight bf16_w;
-  if (tier == "reference") {
-    run = [&] {
-      GemmReference(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n,
-                    s.k, s.m, /*accumulate=*/false);
-    };
-  } else if (tier == "fp32") {
-    run = [&] {
-      GemmPacked(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n, s.k,
-                 s.m, /*accumulate=*/false);
-    };
-  } else if (tier == "bf16") {
-    run = [&] {
-      GemmPackedBf16(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n,
-                     s.k, s.m, /*accumulate=*/false);
-    };
-  } else {
-    bf16_w = lowp::PackBf16Weight(b.data(), s.trans_b, s.k, s.m);
-    run = [&] {
-      lowp::GemmBf16Prepacked(a_rows.data(), bf16_w, c.data(), s.n,
-                              /*accumulate=*/false);
-    };
-  }
+  const auto gemm = tier == "reference" ? GemmReference : GemmPacked;
   for (auto _ : state) {
-    run();
+    gemm(a.data(), s.trans_a, b.data(), s.trans_b, c.data(), s.n, s.k, s.m,
+         /*accumulate=*/false);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }

@@ -123,8 +123,7 @@ Variable Conv2d(const Variable& x, const Variable& weight,
 /// and float order of ScaleChannels, 1×1 Conv2d or PerSamplePointwiseConv,
 /// Scale and Add, so y and every parameter gradient equal that op
 /// sequence's byte for byte. x's gradient is one GEMM over [W; D]ᵀ, so its
-/// rounding differs from summing two convs' input gradients. Conv GEMMs run
-/// at the autocast conv tier, a per-sample U at the GEMM tier.
+/// rounding differs from summing two convs' input gradients.
 Variable AdaptedConv2d(const Variable& x, const Variable& weight,
                        const Variable& bias, const Variable& down,
                        const Variable& seed, const Variable& core,

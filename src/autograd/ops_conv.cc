@@ -218,13 +218,10 @@ Variable Conv2d(const Variable& x, const Variable& weight,
   const bool has_bias = bias.defined();
   const int64_t ho = geom.OutExtent(x.dim(2), geom.kernel_h);
   const int64_t wo = geom.OutExtent(x.dim(3), geom.kernel_w);
-  // The im2col GEMM consults the autocast policy's conv category (resolves
-  // to fp32 whenever gradients are recorded); backward is always fp32.
-  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kConv);
-  ctx.RecordGemmDispatch(prec);
+  ctx.RecordGemmDispatch();
   Tensor out = ctx.AllocResultUninit(Shape{x.dim(0), weight.dim(0), ho, wo});
   Conv2dForwardInto(x.value(), weight.value(),
-                    has_bias ? bias.value() : Tensor(), geom, &out, prec);
+                    has_bias ? bias.value() : Tensor(), geom, &out);
   prof.set_output(out);
   std::vector<Variable> inputs =
       has_bias ? std::vector<Variable>{x, weight, bias}
@@ -243,9 +240,6 @@ Variable AdaptedConv2d(const Variable& x, const Variable& weight,
   const int64_t wo = geom.OutExtent(x.dim(3), geom.kernel_w);
   const Shape y_shape{x.dim(0), weight.dim(0), ho, wo};
   const Shape h_shape{x.dim(0), down.dim(0), ho, wo};
-  // Every conv GEMM runs at the autocast conv tier, as Conv2d picks it
-  // (fp32 whenever gradients are recorded).
-  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kConv);
   AdaptedConvTensors t;
   t.x = x.value();
   t.w = weight.value();
@@ -258,9 +252,9 @@ Variable AdaptedConv2d(const Variable& x, const Variable& weight,
   {
     const Tensor* weights[] = {&t.w, &t.down};
     Tensor* outs[] = {&y, &t.h0};
-    ctx.RecordGemmDispatch(prec);
+    ctx.RecordGemmDispatch();
     Conv2dForwardInto(t.x, weights, bias.defined() ? bias.value() : Tensor(),
-                      geom, outs, prec);
+                      geom, outs);
   }
   t.h1 = t.h0;
   if (t.seed.defined()) {
@@ -269,24 +263,21 @@ Variable AdaptedConv2d(const Variable& x, const Variable& weight,
   }
   t.h2 = t.h1;
   if (t.core.defined()) {
-    ctx.RecordGemmDispatch(prec);
+    ctx.RecordGemmDispatch();
     t.h2 = ctx.AllocResultUninit(h_shape);
     Conv2dForwardInto(t.h1, PointwiseWeight(t.core), Tensor(),
-                      ConvGeom::Pointwise(), &t.h2, prec);
+                      ConvGeom::Pointwise(), &t.h2);
   }
   Tensor d;
   if (t.up.rank() == 3) {
-    // A per-sample U runs at the GEMM tier, as PerSamplePointwiseConv
-    // picks it.
-    const OpPrecision up_prec = ctx.PrecisionFor(OpCategory::kGemm);
-    ctx.RecordGemmDispatch(up_prec);
+    ctx.RecordGemmDispatch();
     d = ctx.AllocResult(y_shape);
-    PerSamplePointwiseConvInto(t.h2, t.up, &d, up_prec);
+    PerSamplePointwiseConvInto(t.h2, t.up, &d);
   } else {
-    ctx.RecordGemmDispatch(prec);
+    ctx.RecordGemmDispatch();
     d = ctx.AllocResultUninit(y_shape);
     Conv2dForwardInto(t.h2, PointwiseWeight(t.up), Tensor(),
-                      ConvGeom::Pointwise(), &d, prec);
+                      ConvGeom::Pointwise(), &d);
   }
   ScaleInto(d, scale, &d);
   AddInto(y, d, &y);

@@ -5,7 +5,6 @@
 #include "autograd/ops.h"
 #include "tensor/conv_ops.h"
 #include "tensor/gemm.h"
-#include "tensor/lowp.h"
 #include "tensor/matmul.h"
 #include "tensor/tensor_ops.h"
 
@@ -135,16 +134,9 @@ class PerSamplePointwiseConvOp final : public Op {
 Variable Matmul(const Variable& a, const Variable& b) {
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "Matmul");
-  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
-  ctx.RecordGemmDispatch(prec);
+  ctx.RecordGemmDispatch();
   Tensor out = ctx.AllocResult(Shape{a.dim(0), b.dim(1)});
-  if (prec == OpPrecision::kBf16) {
-    GemmPackedBf16(a.value().data(), false, b.value().data(), false,
-                   out.data(), a.dim(0), a.dim(1), b.dim(1),
-                   /*accumulate=*/true);
-  } else {
-    MatmulInto(a.value(), b.value(), &out);
-  }
+  MatmulInto(a.value(), b.value(), &out);
   prof.set_output(out);
   return MakeOpResult<MatmulOp>(std::move(out), {a, b}, a.value(), b.value());
 }
@@ -158,29 +150,10 @@ Variable Linear(const Variable& x, const Variable& weight,
       << weight.shape().ToString();
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "Linear");
-  // y = x · Wᵀ (+ b). Linear is the primary low-precision site: its
-  // weight layout is exactly what the shadow registry packs, so bf16 runs
-  // the pack-once prepacked form when the weight was registered (adapter
-  // publish / precision eval), and dynamic packing otherwise. Bias
-  // addition stays fp32 (epilogue).
-  const int64_t rows = x.dim(0);
-  const int64_t in = weight.dim(1);
-  const int64_t out_ch = weight.dim(0);
-  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
-  Tensor out = ctx.AllocResultUninit(Shape{rows, out_ch});
-  if (prec == OpPrecision::kBf16) {
-    const auto shadow = lowp::FindBf16Shadow(weight.value().data(), in, out_ch);
-    if (shadow != nullptr) {
-      GemmBf16Prepacked(x.value().data(), *shadow, out.data(), rows,
-                        /*accumulate=*/false);
-    } else {
-      GemmPackedBf16(x.value().data(), false, weight.value().data(), true,
-                     out.data(), rows, in, out_ch, /*accumulate=*/false);
-    }
-  } else {
-    MatmulTransBInto(x.value(), weight.value(), &out);
-  }
-  ctx.RecordGemmDispatch(prec);
+  // y = x · Wᵀ (+ b), the bias added after the GEMM.
+  Tensor out = ctx.AllocResultUninit(Shape{x.dim(0), weight.dim(0)});
+  MatmulTransBInto(x.value(), weight.value(), &out);
+  ctx.RecordGemmDispatch();
   const bool has_bias = bias.defined();
   if (has_bias) {
     ML_CHECK_EQ(bias.rank(), 1);
@@ -206,19 +179,9 @@ Variable BatchedMatmul(const Variable& a, const Variable& b) {
   ML_CHECK_EQ(a.dim(2), b.dim(1));
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "BatchedMatmul");
-  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
-  ctx.RecordGemmDispatch(prec);
+  ctx.RecordGemmDispatch();
   Tensor out = ctx.AllocResult(Shape{a.dim(0), a.dim(1), b.dim(2)});
-  if (prec == OpPrecision::kBf16) {
-    const int64_t batch = a.dim(0), n = a.dim(1), k = a.dim(2), m = b.dim(2);
-    for (int64_t s = 0; s < batch; ++s) {
-      GemmPackedBf16(a.value().data() + s * n * k, false,
-                     b.value().data() + s * k * m, false,
-                     out.data() + s * n * m, n, k, m, /*accumulate=*/true);
-    }
-  } else {
-    BatchedMatmulRawInto(a.value(), b.value(), false, false, &out);
-  }
+  BatchedMatmulRawInto(a.value(), b.value(), false, false, &out);
   prof.set_output(out);
   return MakeOpResult<BatchedMatmulOp>(std::move(out), {a, b}, a.value(),
                                        b.value());
@@ -227,11 +190,10 @@ Variable BatchedMatmul(const Variable& a, const Variable& b) {
 Variable PerSamplePointwiseConv(const Variable& x, const Variable& w) {
   RuntimeContext& ctx = RuntimeContext::Current();
   ProfileScope prof(ctx, "PerSamplePointwiseConv");
-  const OpPrecision prec = ctx.PrecisionFor(OpCategory::kGemm);
-  ctx.RecordGemmDispatch(prec);
+  ctx.RecordGemmDispatch();
   // The kernel accumulates: zeroed output required.
   Tensor out = ctx.AllocResult(Shape{x.dim(0), w.dim(1), x.dim(2), x.dim(3)});
-  PerSamplePointwiseConvInto(x.value(), w.value(), &out, prec);
+  PerSamplePointwiseConvInto(x.value(), w.value(), &out);
   prof.set_output(out);
   return MakeOpResult<PerSamplePointwiseConvOp>(std::move(out), {x, w},
                                                 x.value(), w.value());

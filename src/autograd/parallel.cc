@@ -60,11 +60,9 @@ void ParallelApplyNoGrad(
   };
   std::vector<std::unique_ptr<ChunkState>> slots(static_cast<size_t>(nblocks));
   RuntimeContext& caller = RuntimeContext::Current();
-  const AutocastPolicy autocast = caller.autocast();
   p.ParallelFor(0, nblocks, [&](int64_t blk_lo, int64_t blk_hi) {
     auto state = std::make_unique<ChunkState>();
     state->ctx.set_grad_enabled(false);
-    state->ctx.set_autocast(autocast);
     state->arena = AcquireScratchArena();
     state->ctx.set_arena(state->arena.get());
     RuntimeContextScope scope(&state->ctx);

@@ -110,23 +110,17 @@ ProfileScope::~ProfileScope() {
 
 namespace {
 
-// One line of per-precision eligible-GEMM dispatch counts. Printed
-// whenever any GEMM ran, profiling or not — the counters are always on.
-void PrintPrecisionTrailer(const RuntimeContext& ctx, std::ostream& os) {
-  int64_t total = 0;
-  for (const OpPrecision p : kOpPrecisions) total += ctx.gemm_dispatch(p);
-  if (total == 0) return;
-  os << "gemm dispatch:";
-  for (const OpPrecision p : kOpPrecisions) {
-    os << " " << OpPrecisionName(p) << " " << ctx.gemm_dispatch(p);
-  }
-  os << "\n";
+// One line with the GEMM dispatch count. Printed whenever any GEMM ran,
+// profiling or not — the counter is always on.
+void PrintDispatchTrailer(const RuntimeContext& ctx, std::ostream& os) {
+  if (ctx.gemm_dispatches() == 0) return;
+  os << "gemm dispatch: " << ctx.gemm_dispatches() << "\n";
 }
 
 // Allocator trailer under the per-op table: arena vs heap service counts,
 // leaf pins, and the arena's own block behavior when one is installed.
 void PrintArenaTrailer(const RuntimeContext& ctx, std::ostream& os) {
-  PrintPrecisionTrailer(ctx, os);
+  PrintDispatchTrailer(ctx, os);
   const int64_t total = ctx.arena_served() + ctx.heap_served();
   if (total == 0 && ctx.pin_count() == 0) return;
   char buf[64];

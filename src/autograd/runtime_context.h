@@ -22,7 +22,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "tensor/autocast.h"
 #include "tensor/tensor.h"
 
 namespace metalora {
@@ -152,30 +151,11 @@ class RuntimeContext {
   bool profiling() const { return profiling_; }
   void set_profiling(bool enabled) { profiling_ = enabled; }
 
-  /// Autocast policy for this execution (see tensor/autocast.h). Default
-  /// is the disabled policy: everything fp32, bit-identical engine.
-  /// Copied into the per-task contexts ParallelApplyNoGrad creates.
-  const AutocastPolicy& autocast() const { return autocast_; }
-  void set_autocast(const AutocastPolicy& policy) { autocast_ = policy; }
-
-  /// The precision an eligible op should run at under this context: fp32
-  /// whenever gradients are being recorded (training is always full
-  /// precision, preserving the trainer's bit-identity contract) or the
-  /// policy is disabled; otherwise the policy's per-category choice.
-  OpPrecision PrecisionFor(OpCategory category) const {
-    if (grad_enabled_ || !autocast_.enabled) return OpPrecision::kFp32;
-    return autocast_.Resolve(category);
-  }
-
-  /// Books one eligible-GEMM dispatch at `precision`. Always on (one
-  /// array increment); the --profile table and serving stats report the
-  /// per-precision totals.
-  void RecordGemmDispatch(OpPrecision precision) {
-    ++gemm_dispatch_[static_cast<int>(precision)];
-  }
-  int64_t gemm_dispatch(OpPrecision precision) const {
-    return gemm_dispatch_[static_cast<int>(precision)];
-  }
+  /// Books one GEMM dispatch of a matmul, linear, conv or KNN facade.
+  /// Always on (one increment); the --profile table and serving stats
+  /// report the total.
+  void RecordGemmDispatch() { ++gemm_dispatches_; }
+  int64_t gemm_dispatches() const { return gemm_dispatches_; }
 
   /// When set (and an arena is installed), the arena also serves
   /// grad-recording forward intermediates and backward scratch. Only safe
@@ -291,9 +271,7 @@ class RuntimeContext {
     heap_served_ += child.heap_served_;
     pin_count_ += child.pin_count_;
     pin_bytes_ += child.pin_bytes_;
-    for (int i = 0; i < kNumOpPrecisions; ++i) {
-      gemm_dispatch_[i] += child.gemm_dispatch_[i];
-    }
+    gemm_dispatches_ += child.gemm_dispatches_;
     for (const auto& [name, p] : child.op_profiles_) {
       Book(&op_profiles_[name], p.output_bytes, p.nanos, p.calls);
     }
@@ -340,7 +318,7 @@ class RuntimeContext {
     heap_served_ = 0;
     pin_count_ = 0;
     pin_bytes_ = 0;
-    for (int i = 0; i < kNumOpPrecisions; ++i) gemm_dispatch_[i] = 0;
+    gemm_dispatches_ = 0;
     op_profiles_.clear();
     backward_profiles_.clear();
   }
@@ -359,8 +337,7 @@ class RuntimeContext {
   int replica_id_ = 0;
   WorkspaceArena* arena_ = nullptr;
   GradSink* grad_sink_ = nullptr;
-  AutocastPolicy autocast_;
-  int64_t gemm_dispatch_[kNumOpPrecisions] = {0, 0, 0};
+  int64_t gemm_dispatches_ = 0;
   int64_t nodes_recorded_ = 0;
   int64_t saved_bytes_recorded_ = 0;
   int64_t arena_served_ = 0;

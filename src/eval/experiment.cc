@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "autograd/runtime_context.h"
 #include "common/logging.h"
 #include "data/task_suite.h"
 #include "eval/knn.h"
@@ -15,30 +14,6 @@ namespace eval {
 namespace {
 
 using core::AdapterKind;
-
-/// Installs an autocast policy (and the no-grad state it needs to take
-/// effect) on the current RuntimeContext for the enclosing scope.
-class ScopedEvalPrecision {
- public:
-  explicit ScopedEvalPrecision(OpPrecision precision)
-      : ctx_(autograd::RuntimeContext::Current()),
-        saved_grad_(ctx_.grad_enabled()),
-        saved_policy_(ctx_.autocast()) {
-    ctx_.set_grad_enabled(false);
-    ctx_.set_autocast(AutocastPolicy::Serving(precision));
-  }
-  ~ScopedEvalPrecision() {
-    ctx_.set_autocast(saved_policy_);
-    ctx_.set_grad_enabled(saved_grad_);
-  }
-  ScopedEvalPrecision(const ScopedEvalPrecision&) = delete;
-  ScopedEvalPrecision& operator=(const ScopedEvalPrecision&) = delete;
-
- private:
-  autograd::RuntimeContext& ctx_;
-  bool saved_grad_;
-  AutocastPolicy saved_policy_;
-};
 
 Backbone BuildBackbone(const ExperimentConfig& c, BackboneKind kind,
                        uint64_t seed) {
@@ -223,22 +198,6 @@ Result<SingleRunResult> AdaptAndScore(const ExperimentConfig& c,
           total > 0 ? static_cast<double>(correct) / total : 0.0;
     }
   }
-
-  // Low-precision re-scores: same extracted features, same reference set,
-  // only the distance GEMM inside KnnClassify runs at the reduced
-  // precision (the serving degradation Table-1's epsilon contract bounds).
-  for (OpPrecision prec : c.extra_eval_precisions) {
-    if (prec == OpPrecision::kFp32) continue;
-    ScopedEvalPrecision scope(prec);
-    for (int k : c.knn_ks) {
-      KnnOptions ko;
-      ko.k = k;
-      ML_ASSIGN_OR_RETURN(
-          KnnResult knn,
-          KnnClassify(ref, env.train.labels, query, env.test.labels, ko));
-      result.knn_lowp[prec][k] = knn.accuracy;
-    }
-  }
   return result;
 }
 
@@ -273,11 +232,6 @@ Result<Table1Result> RunTable1Experiment(
       MethodSummary& summary = table.methods[m];
       for (const auto& [k, acc] : run.knn) {
         summary.accuracies[k].push_back(acc);
-      }
-      for (const auto& [prec, by_k] : run.knn_lowp) {
-        for (const auto& [k, acc] : by_k) {
-          summary.mean_accuracy_lowp[prec][k] += acc / config.num_seeds;
-        }
       }
       summary.trainable_params = run.trainable_params;
       summary.total_params = run.total_params;

@@ -14,7 +14,6 @@
 #include "core/adapter_config.h"
 #include "eval/trainer.h"
 #include "eval/ttest.h"
-#include "tensor/autocast.h"
 
 namespace metalora {
 namespace eval {
@@ -58,13 +57,6 @@ struct ExperimentConfig {
   int num_seeds = 3;
   uint64_t seed = 42;
   bool verbose = false;
-  /// Extra precisions to re-score the KNN protocol at (fp32 entries are
-  /// ignored — the primary numbers are always fp32). Adaptation/training
-  /// is untouched; only the distance GEMM in KnnClassify runs under an
-  /// AutocastPolicy::Serving(p) scope, mirroring how a low-precision
-  /// serving deployment would degrade Table-1 accuracy. Results land in
-  /// SingleRunResult::knn_lowp / MethodSummary::mean_accuracy_lowp.
-  std::vector<OpPrecision> extra_eval_precisions;
 };
 
 /// Aggregated results of one adaptation method.
@@ -79,9 +71,6 @@ struct MethodSummary {
   int64_t trainable_params = 0;
   int64_t total_params = 0;
   double adapt_seconds = 0.0;  // mean over seeds
-  /// precision -> (K -> mean accuracy) for each requested
-  /// extra_eval_precision; empty when none were requested.
-  std::map<OpPrecision, std::map<int, double>> mean_accuracy_lowp;
 };
 
 struct Table1Result {
@@ -104,9 +93,6 @@ Result<Table1Result> RunTable1Experiment(
 struct SingleRunResult {
   /// K -> accuracy on the full test split.
   std::map<int, double> knn;
-  /// precision -> (K -> accuracy) under a low-precision autocast scope
-  /// (config.extra_eval_precisions); same features, same reference set.
-  std::map<OpPrecision, std::map<int, double>> knn_lowp;
   /// task id -> (K -> accuracy on that task's test samples).
   std::map<int64_t, std::map<int, double>> per_task;
   int64_t trainable_params = 0;

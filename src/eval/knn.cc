@@ -66,12 +66,9 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
   // scratch arena per worker; the block buffer is recycled between blocks.
   constexpr int64_t kQueryBlock = 256;
 
-  // The distance GEMM bypasses the op facades, so the autocast policy is
-  // resolved here explicitly (GEMM category; the top-k selection and norm
-  // reductions stay fp64/fp32 — reductions are pinned).
-  autograd::RuntimeContext& caller = autograd::RuntimeContext::Current();
-  const OpPrecision gemm_prec = caller.PrecisionFor(OpCategory::kGemm);
-  caller.RecordGemmDispatch(gemm_prec);
+  // The distance GEMM bypasses the op facades, so its dispatch is booked
+  // here.
+  autograd::RuntimeContext::Current().RecordGemmDispatch();
 
   KnnResult result;
   result.predictions.resize(static_cast<size_t>(n));
@@ -83,13 +80,8 @@ Result<KnnResult> KnnClassify(const Tensor& ref_features,
       0, n, kQueryBlock,
       [&](int64_t lo, int64_t hi, autograd::RuntimeContext& ctx) {
         Tensor dots = ctx.arena()->AllocateUninitialized(Shape{hi - lo, m});
-        if (gemm_prec == OpPrecision::kBf16) {
-          GemmPackedBf16(pq + lo * d, false, ref_features.data(), true,
-                         dots.data(), hi - lo, d, m, /*accumulate=*/false);
-        } else {
-          MatmulTransBInto(query_features.SliceRows(lo, hi), ref_features,
-                           &dots);
-        }
+        MatmulTransBInto(query_features.SliceRows(lo, hi), ref_features,
+                         &dots);
         const float* pd = dots.data();
         int64_t correct = 0;
         // The k nearest so far, ascending in (dist, index) — the order

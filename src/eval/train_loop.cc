@@ -385,8 +385,8 @@ Result<TrainStats> TrainLoop(Backbone& backbone,
 
   // The conditioning table: the extractor is frozen and maps each row on
   // its own, so every training row is embedded once, here, and each step
-  // gathers its rows — the bytes a per-batch Extract would produce. A
-  // fresh context, as Extract uses, keeps the caller's autocast out.
+  // gathers its rows — the bytes a per-batch Extract would produce. It
+  // runs in a fresh context, as Extract does.
   Tensor cond;
   if (adapting && ctx->extractor != nullptr) {
     autograd::RuntimeContext extract_ctx;

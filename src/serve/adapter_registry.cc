@@ -4,7 +4,6 @@
 
 #include "autograd/variable.h"
 #include "common/check.h"
-#include "core/precision_shadows.h"
 
 namespace metalora {
 namespace serve {
@@ -33,7 +32,7 @@ Status AdapterRegistry::Register(const std::string& name,
 
 Result<std::shared_ptr<ResidentAdapter>> AdapterRegistry::LoadInstance(
     const core::AdapterSpec& spec, const std::string& path,
-    uint64_t version, bool register_shadows) {
+    uint64_t version) {
   ML_ASSIGN_OR_RETURN(std::unique_ptr<core::Adapter> adapter,
                       core::BuildAdapter(spec));
   ML_RETURN_IF_ERROR(adapter->LoadCheckpoint(path));
@@ -41,12 +40,6 @@ Result<std::shared_ptr<ResidentAdapter>> AdapterRegistry::LoadInstance(
   adapter->SetTraining(false);
   auto handle = std::make_shared<ResidentAdapter>();
   handle->conditioning_cache = adapter->conditioning_cache();
-  if (register_shadows) {
-    // Pack-once: the instance is immutable from here on, so its bf16
-    // packs are computed exactly once per load/Publish and reused by every
-    // request routed to this version.
-    handle->precision_shadows = core::RegisterModuleShadows(*adapter);
-  }
   handle->adapter = std::move(adapter);
   handle->version = version;
   return handle;
@@ -110,8 +103,7 @@ Result<std::shared_ptr<ResidentAdapter>> AdapterRegistry::Acquire(
     path = entry->checkpoint_path;
     version = entry->version;
   }
-  auto loaded =
-      LoadInstance(spec, path, version, options_.register_precision_shadows);
+  auto loaded = LoadInstance(spec, path, version);
   std::lock_guard<std::mutex> lock(mu_);
   stats_.request_misses += request_rows;
   if (!loaded.ok()) {
@@ -144,8 +136,7 @@ Status AdapterRegistry::Publish(const std::string& name,
   }
   // Loaded off to the side: the current version keeps serving while the
   // new checkpoint streams in, and keeps serving untouched if it is torn.
-  auto loaded = LoadInstance(spec, checkpoint_path, new_version,
-                             options_.register_precision_shadows);
+  auto loaded = LoadInstance(spec, checkpoint_path, new_version);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!loaded.ok()) {

@@ -54,7 +54,6 @@
 #include "common/status.h"
 #include "core/adapter_config.h"
 #include "core/adapter_factory.h"
-#include "tensor/lowp.h"
 
 namespace metalora {
 namespace serve {
@@ -64,15 +63,6 @@ struct AdapterRegistryOptions {
   /// non-resident tenant at the budget evicts the least-recently-used
   /// resident one.
   int64_t residency_budget = 32;
-  /// Register bf16 shadows (tensor/lowp.h) for every rank-2 parameter of
-  /// each instance as it loads — the pack-once half of the bf16 serving
-  /// path: packs are computed at load/Publish time, and workers running
-  /// under Serving(kBf16) find them by weight pointer. Instances are
-  /// immutable after load, so the shadows can never go stale; they drop
-  /// with the instance (eviction, swap). Costs ~2 bytes/element of
-  /// resident rank-2 weight; off by default so fp32-only deployments pay
-  /// nothing.
-  bool register_precision_shadows = false;
 };
 
 /// One resident (loaded) adapter version. Immutable after load except for
@@ -84,11 +74,6 @@ struct ResidentAdapter {
   core::ConditioningCache* conditioning_cache = nullptr;
   /// The entry's publish counter at load time (1 for the initial version).
   uint64_t version = 0;
-  /// Low-precision shadow registrations for this instance's rank-2
-  /// parameters (empty unless AdapterRegistryOptions::
-  /// register_precision_shadows). RAII: the packs unregister when this
-  /// instance's last reference drops.
-  std::vector<lowp::ShadowHandle> precision_shadows;
   /// Serializes SetFeatures + Forward on this instance (adapters bind
   /// features statefully). During a hot-swap the old and new instances have
   /// independent locks, so draining forwards never block the new version.
@@ -171,11 +156,10 @@ class AdapterRegistry {
   };
 
   /// Builds + loads one instance (no locks held by caller requirement:
-  /// called outside mu_). `register_shadows` packs low-precision shadows
-  /// for the fresh instance's rank-2 parameters.
+  /// called outside mu_).
   static Result<std::shared_ptr<ResidentAdapter>> LoadInstance(
       const core::AdapterSpec& spec, const std::string& path,
-      uint64_t version, bool register_shadows);
+      uint64_t version);
 
   /// Installs `handle` as `entry`'s resident version, evicting LRU
   /// residents (never `entry` itself) while over budget. Caller holds mu_.

@@ -244,11 +244,10 @@ void AdapterServer::WorkerLoop() {
   autograd::RuntimeContext ctx;
   ctx.set_grad_enabled(false);
   ctx.set_arena(&arena);
-  ctx.set_autocast(options_.autocast);
   autograd::RuntimeContextScope scope(&ctx);
-  // Per-precision GEMM dispatch counts, folded into stats_ incrementally
-  // (delta since the last fold) so stats() stays fresh while workers live.
-  int64_t folded[kNumOpPrecisions] = {0, 0, 0};
+  // The GEMM dispatch count, folded into stats_ incrementally (delta since
+  // the last fold) so stats() stays fresh while workers live.
+  int64_t folded = 0;
   for (;;) {
     Batch batch;
     if (batch_queue_.Pop(&batch) != QueuePopStatus::kItem) return;
@@ -256,12 +255,9 @@ void AdapterServer::WorkerLoop() {
     arena.NextGeneration();
     ExecuteBatch(std::move(batch));
     std::lock_guard<std::mutex> lock(stats_mu_);
-    for (const OpPrecision p : kOpPrecisions) {
-      const int i = static_cast<int>(p);
-      const int64_t now = ctx.gemm_dispatch(p);
-      stats_.gemm_dispatch[i] += now - folded[i];
-      folded[i] = now;
-    }
+    const int64_t now = ctx.gemm_dispatches();
+    stats_.gemm_dispatch[0] += now - folded;
+    folded = now;
   }
 }
 

@@ -46,7 +46,6 @@
 #include "core/conditioning_cache.h"
 #include "serve/adapter_registry.h"
 #include "serve/serve_stats.h"
-#include "tensor/autocast.h"
 #include "tensor/tensor.h"
 
 namespace metalora {
@@ -65,14 +64,6 @@ struct AdapterServerOptions {
   int64_t queue_capacity = 64;
   /// Assembled-batch queue bound between the batcher and the workers.
   int64_t batch_queue_capacity = 16;
-  /// Autocast policy installed on every worker's RuntimeContext (workers
-  /// run no-grad, so the policy actually takes effect). Default-disabled:
-  /// all forwards fp32, byte-identical to pre-tier behavior. Set to
-  /// AutocastPolicy::Serving(kBf16) for the low-precision serving path;
-  /// a registry whose register_precision_shadows is on gives the Linear
-  /// facade prepacked bf16 weights, else it packs them per call.
-  /// Per-precision dispatch counts land in ServeStats.
-  AutocastPolicy autocast;
   /// Test hook: runs on the worker thread before each batch executes.
   /// Lets tests stall the pipeline deterministically (backpressure,
   /// shutdown-with-in-flight coverage). Leave empty in production.

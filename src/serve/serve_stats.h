@@ -3,17 +3,22 @@
 // The server books one latency sample per completed request plus counters
 // for every pipeline stage: queue depth high-water marks (the backpressure
 // gauges), batch-size and flush-cause accounting for the micro-batcher,
-// hit/miss/eviction totals for the adapters' conditioning caches, and
-// per-precision GEMM dispatch counts.
+// hit/miss/eviction totals for the adapters' conditioning caches, and the
+// GEMM dispatch count.
 #ifndef METALORA_SERVE_SERVE_STATS_H_
 #define METALORA_SERVE_SERVE_STATS_H_
 
 #include <cstdint>
 #include <vector>
 
-#include "tensor/autocast.h"
-
 namespace metalora {
+
+/// Width of ServeStats::gemm_dispatch. The slots exist only for the
+/// end-to-end benchmark (bench/suite), which reads three of them as
+/// tensor.gemm.dispatch.{fp32,bf16,int8}; every GEMM is fp32, so slots 1
+/// and 2 always read 0.
+inline constexpr int kNumOpPrecisions = 3;
+
 namespace serve {
 
 struct ServeStats {
@@ -46,11 +51,8 @@ struct ServeStats {
   int64_t result_cache_hits = 0, result_cache_misses = 0;
   int64_t plan_hits = 0, plan_misses = 0, plan_fallbacks = 0;
 
-  /// Forward-GEMM dispatches per resolved precision, folded in from the
-  /// worker contexts after every batch (indexed by OpPrecision). Under the
-  /// default (disabled) autocast policy only the fp32 slot moves; under
-  /// Serving(kBf16) these show how many GEMMs ran at bf16. Slot 2 always
-  /// reads 0 (see kNumOpPrecisions): the end-to-end benchmark still reads it.
+  /// Forward-GEMM dispatches, folded into slot 0 from the worker contexts
+  /// after every batch. Slots 1 and 2 always read 0 (see kNumOpPrecisions).
   int64_t gemm_dispatch[kNumOpPrecisions] = {0, 0, 0};
 
   // One sample per completed request: submit-to-completion wall time.

@@ -32,7 +32,7 @@ namespace serve {
 struct ShardRouterOptions {
   /// Number of AdapterServer instances to spread tenants across.
   int num_shards = 2;
-  /// Applied to every shard (workers, queues, batching, autocast).
+  /// Applied to every shard (workers, queues, batching).
   AdapterServerOptions server_options;
 };
 

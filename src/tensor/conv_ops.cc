@@ -189,7 +189,7 @@ int64_t TotalRows(std::span<const Tensor* const> weights, int64_t c,
 void Conv2dForwardInto(const Tensor& input,
                        std::span<const Tensor* const> weights,
                        const Tensor& bias, const ConvGeom& g,
-                       std::span<Tensor* const> outs, OpPrecision precision) {
+                       std::span<Tensor* const> outs) {
   ML_CHECK_EQ(input.rank(), 4);
   ML_CHECK_EQ(weights.size(), outs.size());
   const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
@@ -209,20 +209,18 @@ void Conv2dForwardInto(const Tensor& input,
   const int64_t out_spatial = ho * wo;
   const int64_t col_rows = c * g.kernel_h * g.kernel_w;
   const float* wstack = StackWeights(weights, rows, col_rows);
-  // A shallow fp32 pointwise conv (U·h over R channels, TR's R×R core)
+  // A shallow pointwise conv (U·h over R channels, TR's R×R core)
   // runs as vector chains over the sample's rows (conv_thin.h). Otherwise
   // the stack is viewed as [rows, C*Kh*Kw] and per sample out_n = W_mat ·
   // cols, with cols lowered from the sample's padded image: read in the
   // micro-kernel at stride 1 (the direct route), else as the GEMM packs
   // it. W_mat is the same for every sample, so it is packed once for the
-  // whole call, at the format the products run in.
-  const bool shallow = precision == OpPrecision::kFp32 &&
-                       ConvIsPointwise(g) &&
-                       conv_thin::PointwiseForwardTakes(c);
+  // whole call.
+  const bool shallow =
+      ConvIsPointwise(g) && conv_thin::PointwiseForwardTakes(c);
   gemm_detail::PackedA wmat;
   if (!shallow) {
-    wmat = gemm_detail::PackAOnce(wstack, false, rows, col_rows, out_spatial,
-                                  precision);
+    wmat = gemm_detail::PackAOnce(wstack, false, rows, col_rows, out_spatial);
   }
   // A lone weight's GEMM writes its output in place; a stack's writes one
   // sample's rows into scratch, which is then split row block by block.
@@ -258,11 +256,10 @@ void Conv2dForwardInto(const Tensor& input,
 }
 
 void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
-                       const Tensor& bias, const ConvGeom& g, Tensor* out,
-                       OpPrecision precision) {
+                       const Tensor& bias, const ConvGeom& g, Tensor* out) {
   const Tensor* weights[] = {&weight};
   Tensor* outs[] = {out};
-  Conv2dForwardInto(input, weights, bias, g, outs, precision);
+  Conv2dForwardInto(input, weights, bias, g, outs);
 }
 
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
@@ -436,8 +433,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
                  grad_bias);
 }
 
-void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out,
-                                OpPrecision precision) {
+void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out) {
   ML_CHECK_EQ(x.rank(), 4);
   ML_CHECK_EQ(w.rank(), 3);
   const int64_t n = x.dim(0), q = x.dim(1), spatial = x.dim(2) * x.dim(3);
@@ -452,15 +448,7 @@ void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out,
     const float* xs = px + s * q * spatial;
     const float* ws = pw + s * o * q;
     float* ys = py + s * o * spatial;
-    if (precision != OpPrecision::kFp32) {
-      // The generated per-sample ΔW weights live in bf16 happily (LoTR's
-      // low-intrinsic-rank argument); dynamic packing, weights change
-      // per request.
-      GemmPackedBf16(ws, false, xs, false, ys, o, q, spatial,
-                     /*accumulate=*/true);
-    } else {
-      MatmulAccumulateRaw(ws, xs, ys, o, q, spatial);
-    }
+    MatmulAccumulateRaw(ws, xs, ys, o, q, spatial);
   }
 }
 

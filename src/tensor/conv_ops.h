@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "tensor/autocast.h"
 #include "tensor/tensor.h"
 
 namespace metalora {
@@ -60,7 +59,7 @@ bool ConvIsPointwise(const ConvGeom& g);
 /// W_0 [O_0, C, Kh, Kw], W_1 [O_1, C, Kh, Kw], ...: the weights are packed
 /// once per call as one [ΣO_i, C·Kh·Kw] matrix, and each sample runs one
 /// lowered GEMM over all ΣO_i rows, so the im2col operand is lowered once
-/// however many weights share it. At fp32 and stride 1, when Wo % 4 == 0
+/// however many weights share it. At stride 1, when Wo % 4 == 0
 /// and Ho·Wo % 16 == 0, the micro-kernel reads it straight from the padded
 /// image through row and column offset tables built once per call (the
 /// direct route); otherwise its panels are packed from the image per
@@ -68,23 +67,19 @@ bool ConvIsPointwise(const ConvGeom& g);
 /// receives W_i's rows; every element is written (no pre-zeroing). `bias`
 /// [O_0], or undefined for none, belongs to the first weight. Each row
 /// keeps the accumulation chain it has in a conv by its own weight alone,
-/// so the outputs are byte-identical to separate calls. An fp32 pointwise
+/// so the outputs are byte-identical to separate calls. A pointwise
 /// conv over at most 32 input channels (U·h over R channels, TR's R×R
 /// core) skips the engine and runs each output as one vector FMA chain
 /// from +0 over the input rows (conv_thin.h), the engine's chain byte for
 /// byte.
-/// `precision` selects the GEMM's tier: kBf16 runs the bf16-storage
-/// engine; the bias epilogue is fp32 in every tier.
 void Conv2dForwardInto(const Tensor& input,
                        std::span<const Tensor* const> weights,
                        const Tensor& bias, const ConvGeom& g,
-                       std::span<Tensor* const> outs,
-                       OpPrecision precision = OpPrecision::kFp32);
+                       std::span<Tensor* const> outs);
 
 /// The one-weight stack: a plain conv into a [N, O, Ho, Wo] `out`.
 void Conv2dForwardInto(const Tensor& input, const Tensor& weight,
-                       const Tensor& bias, const ConvGeom& g, Tensor* out,
-                       OpPrecision precision = OpPrecision::kFp32);
+                       const Tensor& bias, const ConvGeom& g, Tensor* out);
 
 /// Same, allocating the output. Returns [N, O, Ho, Wo].
 Tensor Conv2dForward(const Tensor& input, const Tensor& weight,
@@ -122,9 +117,7 @@ void Conv2dBackward(const Tensor& input, const Tensor& weight,
 /// Per-sample pointwise (1×1) conv with per-sample weights:
 ///   out[n] [O, S] += w[n] [O, Q] · x[n] [Q, S]
 /// for x [N, Q, H, W] and w [N, O, Q]. `out` [N, O, H, W] must be zeroed.
-/// kBf16 runs the bf16-storage GEMM with dynamic packing.
-void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out,
-                                OpPrecision precision = OpPrecision::kFp32);
+void PerSamplePointwiseConvInto(const Tensor& x, const Tensor& w, Tensor* out);
 
 /// Its gradients for output gradient `g` [N, O, H, W], accumulated into
 /// zeroed caller-provided tensors; a null one is skipped.

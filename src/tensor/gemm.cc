@@ -4,11 +4,9 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 
 #include "common/check.h"
 #include "tensor/gemm_detail.h"
-#include "tensor/lowp.h"
 
 #if METALORA_GEMM_AVX2_CLONES
 #include <immintrin.h>
@@ -22,67 +20,28 @@ using gemm_detail::AIndex;
 using gemm_detail::BIndex;
 using gemm_detail::MulAddStep;
 
-// The engine is one template over how B panels are stored: `float` for
-// fp32, `Bf16` (16-bit words) for the bf16 tier. Everything else — panel
-// layouts, tiling, the p = 0..k-1 chains, GEMV routes, dispatch — is
-// shared. bf16 rounds both operands to bfloat16 (round-to-nearest-even)
-// and accumulates in fp32: B panels hold the 16-bit values and the
-// micro-kernels widen them on load (a 16-bit shift, exact); A panels hold
-// the rounded values pre-widened to fp32, so the kernels broadcast a float
-// instead of converting a scalar per (row, p) step (A is the small operand,
-// so the doubled A footprint costs nothing while B, the bandwidth term,
-// stays 2 bytes an element). The GEMV routes and the reference round both
-// operands on load. Format<B> holds what differs.
-using Bf16 = uint16_t;
+// The GEMV routes' thin limits (see ThinColumns).
+constexpr int64_t kThinCols = 4;
+constexpr int64_t kThinColsRowMajorA = 2;
+constexpr int64_t kThinRows = 2;
 
-template <typename B>
-struct Format;
-
-template <>
-struct Format<float> {
-  static constexpr OpPrecision kPrecision = OpPrecision::kFp32;
-  static float Round(float v) { return v; }
-  static float Store(float v) { return v; }
-  // The GEMV routes' thin limits (see ThinColumns).
-  static constexpr int64_t kThinCols = 4;
-  static constexpr int64_t kThinColsRowMajorA = 2;
-  static constexpr int64_t kThinRows = 2;
-};
-
-template <>
-struct Format<Bf16> {
-  static constexpr OpPrecision kPrecision = OpPrecision::kBf16;
-  static float Round(float v) { return lowp::RoundToBf16(v); }
-  static Bf16 Store(float v) { return lowp::Bf16FromF32(v); }
-  // A bf16 GEMV rounds each element of A as it loads it, a scalar step
-  // when A is row-major, so there a 2-column route lost to the engine
-  // (median 1.07× its time over n, k ≤ 512) and only m == 1 routes.
-  static constexpr int64_t kThinCols = 4;
-  static constexpr int64_t kThinColsRowMajorA = 1;
-  static constexpr int64_t kThinRows = 2;
-};
-
-// Packing scratch, per thread and per format, aligned to a cache line so
-// vector loads from packed panels never straddle lines (std::vector only
-// guarantees alignof(float) and relied on allocator luck). Every GEMM
+// Packing scratch, per thread, aligned to a cache line so vector loads
+// from packed panels never straddle lines (std::vector only guarantees
+// alignof(float) and relied on allocator luck). Every GEMM
 // runs on its caller's thread, and callers are long-lived, so the
 // buffers amortize to zero allocations in steady state — the same
 // grow-once-reuse-forever contract as the autograd WorkspaceArena, held
 // here because the tensor layer sits below autograd and cannot see it.
 // The shared-A buffer holds a whole op(A) packed once by PackAOnce for a
-// run of GEMMs; it stays valid until the same thread packs again at that
-// format. (Function-local: GCC 12 never destroys a thread_local variable
-// template, so its buffers would leak at thread exit.)
-template <typename B>
+// run of GEMMs; it stays valid until the same thread packs again.
 struct PackScratch {
   gemm_detail::AlignedBuffer<float> a;
-  gemm_detail::AlignedBuffer<B> b;
+  gemm_detail::AlignedBuffer<float> b;
   gemm_detail::AlignedBuffer<float> shared_a;
 };
 
-template <typename B>
-PackScratch<B>& Scratch() {
-  thread_local PackScratch<B> scratch;
+PackScratch& Scratch() {
+  thread_local PackScratch scratch;
   return scratch;
 }
 
@@ -90,7 +49,6 @@ PackScratch<B>& Scratch() {
 // rows: panel q holds rows [q·MR, q·MR+MR) as kc steps of MR contiguous
 // floats (ap[q·kc·MR + p·MR + r]), zero-padded past mc so the micro-kernel
 // never branches on the row tail.
-template <typename B>
 void PackA(const float* a, bool trans_a, int64_t n, int64_t k, int64_t ic,
            int64_t mc, int64_t pc, int64_t kc, float* ap) {
   const int64_t panels = (mc + kGemmMR - 1) / kGemmMR;
@@ -103,15 +61,13 @@ void PackA(const float* a, bool trans_a, int64_t n, int64_t k, int64_t ic,
       for (int64_t p = 0; p < kc; ++p) {
         const float* src = a + (pc + p) * n + row0;
         float* d = dst + p * kGemmMR;
-        for (int64_t r = 0; r < rows; ++r) d[r] = Format<B>::Round(src[r]);
+        for (int64_t r = 0; r < rows; ++r) d[r] = src[r];
         for (int64_t r = rows; r < kGemmMR; ++r) d[r] = 0.0f;
       }
     } else {
       for (int64_t p = 0; p < kc; ++p) {
         float* d = dst + p * kGemmMR;
-        for (int64_t r = 0; r < rows; ++r) {
-          d[r] = Format<B>::Round(a[(row0 + r) * k + pc + p]);
-        }
+        for (int64_t r = 0; r < rows; ++r) d[r] = a[(row0 + r) * k + pc + p];
         for (int64_t r = rows; r < kGemmMR; ++r) d[r] = 0.0f;
       }
     }
@@ -120,40 +76,37 @@ void PackA(const float* a, bool trans_a, int64_t n, int64_t k, int64_t ic,
 
 // Packs the kc×nc block of op(B) at (pc, jc) into micro-panels of kGemmNR
 // columns: panel t holds columns [t·NR, t·NR+NR) as kc steps of NR
-// contiguous values (bp[t·kc·NR + p·NR + j]), zero-padded past nc.
-template <typename B>
+// contiguous floats (bp[t·kc·NR + p·NR + j]), zero-padded past nc.
 void PackB(const float* b, bool trans_b, int64_t k, int64_t m, int64_t pc,
-           int64_t kc, int64_t jc, int64_t nc, B* bp) {
+           int64_t kc, int64_t jc, int64_t nc, float* bp) {
   const int64_t panels = (nc + kGemmNR - 1) / kGemmNR;
   for (int64_t t = 0; t < panels; ++t) {
     const int64_t col0 = jc + t * kGemmNR;
     const int64_t cols = std::min(kGemmNR, nc - t * kGemmNR);
-    B* dst = bp + t * kc * kGemmNR;
+    float* dst = bp + t * kc * kGemmNR;
     if (trans_b) {
       for (int64_t p = 0; p < kc; ++p) {
-        B* d = dst + p * kGemmNR;
-        for (int64_t j = 0; j < cols; ++j) {
-          d[j] = Format<B>::Store(b[(col0 + j) * k + pc + p]);
-        }
-        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = B{};
+        float* d = dst + p * kGemmNR;
+        for (int64_t j = 0; j < cols; ++j) d[j] = b[(col0 + j) * k + pc + p];
+        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = 0.0f;
       }
     } else {
       // Source columns are contiguous in j: one memcpy-shaped copy per k.
       for (int64_t p = 0; p < kc; ++p) {
         const float* src = b + (pc + p) * m + col0;
-        B* d = dst + p * kGemmNR;
-        for (int64_t j = 0; j < cols; ++j) d[j] = Format<B>::Store(src[j]);
-        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = B{};
+        float* d = dst + p * kGemmNR;
+        for (int64_t j = 0; j < cols; ++j) d[j] = src[j];
+        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = 0.0f;
       }
     }
   }
 }
 
-// The engine's B panels come from three sources: packed fp32 or bf16
-// panels (a `const B*` at the panel's first value), or, for the direct
-// im2col route, an ImagePanel read straight from a zero-padded image. A
+// The engine's B panels come from two sources: packed panels (a
+// `const float*` at the panel's first value), or, for the direct im2col
+// route, an ImagePanel read straight from a zero-padded image. A
 // micro-kernel is a template over the panel type and loads B row p
-// through LoadB8/LoadB4, so every source runs the same FMA sequence.
+// through LoadB8/LoadB4, so both sources run the same FMA sequence.
 template <typename Panel>
 using MicroKernelFn = void (*)(const float* ap, Panel bp, int64_t kc,
                                float* c, int64_t ldc, bool accumulate);
@@ -171,9 +124,8 @@ struct ImagePanel {
 };
 
 // The micro-panel of a B block at column jr of the block: the panels of a
-// packed block lie kc·NR values apart.
-template <typename B>
-const B* PanelAt(const B* bp, int64_t jr, int64_t kc) {
+// packed block lie kc·NR floats apart.
+inline const float* PanelAt(const float* bp, int64_t jr, int64_t kc) {
   return bp + jr / kGemmNR * kc * kGemmNR;
 }
 
@@ -196,22 +148,11 @@ ImagePanel<kRuns8> PanelAt(const ImageBlock<kRuns8>& b, int64_t jr,
 
 #if METALORA_GEMM_AVX2_CLONES
 
-// 8 B values as 8 fp32 lanes. A bf16 value is zero-extended to 32 bits
-// and shifted into the high half (exact: bf16 is a prefix of fp32).
-METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const float* p) {
-  return _mm256_loadu_ps(p);
-}
-METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const Bf16* p) {
-  const __m128i h = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(h), 16));
-}
-
 // Half h (columns [8h, 8h + 8)) of B row p, from a packed panel or from
 // the image: one 8-float run, or two 4-float quarters.
-template <typename B>
-METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const B* bp, int64_t p,
+METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const float* bp, int64_t p,
                                               int64_t h) {
-  return LoadB8(bp + p * kGemmNR + 8 * h);
+  return _mm256_loadu_ps(bp + p * kGemmNR + 8 * h);
 }
 template <bool kRuns8>
 METALORA_AVX2_FMA_TARGET inline __m256 LoadB8(const ImagePanel<kRuns8>& bp,
@@ -280,26 +221,11 @@ using gemm_detail::V4f;
 using gemm_detail::V4Load;
 using gemm_detail::V4Splat;
 using gemm_detail::V4Store;
-typedef uint16_t V4u16 __attribute__((vector_size(8)));
-typedef uint32_t V4u32 __attribute__((vector_size(16)));
-
-// 4 B values as 4 fp32 lanes; bf16 widens by a 16-bit shift, which
-// GCC/Clang lower to pmovzxwd/pslld-class instructions.
-inline V4f LoadB4(const float* p) { return V4Load(p); }
-inline V4f LoadB4(const Bf16* p) {
-  V4u16 h;
-  __builtin_memcpy(&h, p, sizeof(h));
-  const V4u32 w = __builtin_convertvector(h, V4u32) << 16;
-  V4f f;
-  __builtin_memcpy(&f, &w, sizeof(f));
-  return f;
-}
 
 // Quarter q (columns [4q, 4q + 4)) of B row p, from a packed panel or from
 // the image.
-template <typename B>
-inline V4f LoadB4(const B* bp, int64_t p, int64_t q) {
-  return LoadB4(bp + p * kGemmNR + 4 * q);
+inline V4f LoadB4(const float* bp, int64_t p, int64_t q) {
+  return V4Load(bp + p * kGemmNR + 4 * q);
 }
 template <bool kRuns8>
 inline V4f LoadB4(const ImagePanel<kRuns8>& bp, int64_t p, int64_t q) {
@@ -349,9 +275,6 @@ void MicroKernelPortable(const float* __restrict__ ap, Panel bp, int64_t kc,
 
 #else
 
-inline float WidenB(float v) { return v; }
-inline float WidenB(Bf16 v) { return lowp::F32FromBf16(v); }
-
 // Scalar fallback for compilers without vector extensions. Fixed-bound
 // loops over a local accumulator tile; same p-ordered accumulation chain.
 // Packed panels only: these builds have no direct im2col route.
@@ -374,7 +297,7 @@ void MicroKernelPortable(const float* ap, Panel bp, int64_t kc, float* c,
       const auto bv = bh + p * kGemmNR;
       for (int64_t r = 0; r < kGemmMR; ++r) {
         const float ar = av[r];
-        for (int64_t j = 0; j < kHalf; ++j) acc[r][j] += ar * WidenB(bv[j]);
+        for (int64_t j = 0; j < kHalf; ++j) acc[r][j] += ar * bv[j];
       }
     }
     for (int64_t r = 0; r < kGemmMR; ++r)
@@ -477,14 +400,14 @@ void MicroTile(const float* ap, Panel bp, int64_t kc, float* c, int64_t ldc,
 }
 
 // GEMV fast path (y = op(A)·x): packing would double the memory traffic
-// of an already bandwidth-bound kernel, so run the row dots directly,
-// rounding both operands on load at bf16. Accumulation order per element
-// is p = 0..k-1, same as the blocked path and the reference. Rows run
-// kRows at a time so their independent chains overlap instead of each
-// waiting out the add (or fused multiply-add) latency of the one before:
-// 32 when A is stored [k, n] (the rows of one p are contiguous, so that is
-// four vector chains), else 8, then a 4, 2 and 1 tail.
-template <typename B, bool kFused, int64_t kRows>
+// of an already bandwidth-bound kernel, so run the row dots directly.
+// Accumulation order per element is p = 0..k-1, same as the blocked path
+// and the reference. Rows run kRows at a time so their independent chains
+// overlap instead of each waiting out the add (or fused multiply-add)
+// latency of the one before: 32 when A is stored [k, n] (the rows of one p
+// are contiguous, so that is four vector chains), else 8, then a 4, 2 and
+// 1 tail.
+template <bool kFused, int64_t kRows>
 METALORA_ALWAYS_INLINE inline void GemvBlock(const float* a, bool trans_a,
                                              const float* x, float* y,
                                              int64_t n, int64_t k, int64_t i,
@@ -492,16 +415,16 @@ METALORA_ALWAYS_INLINE inline void GemvBlock(const float* a, bool trans_a,
   float acc[kRows];
   for (int64_t r = 0; r < kRows; ++r) acc[r] = accumulate ? y[i + r] : 0.0f;
   for (int64_t p = 0; p < k; ++p) {
-    const float xp = Format<B>::Round(x[p]);
+    const float xp = x[p];
     for (int64_t r = 0; r < kRows; ++r) {
       const float av = trans_a ? a[p * n + i + r] : a[(i + r) * k + p];
-      acc[r] = MulAddStep<kFused>(Format<B>::Round(av), xp, acc[r]);
+      acc[r] = MulAddStep<kFused>(av, xp, acc[r]);
     }
   }
   for (int64_t r = 0; r < kRows; ++r) y[i + r] = acc[r];
 }
 
-template <typename B, bool kFused>
+template <bool kFused>
 METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
                                             const float* x, float* y,
                                             int64_t n, int64_t k,
@@ -509,44 +432,41 @@ METALORA_ALWAYS_INLINE inline void GemvRows(const float* a, bool trans_a,
   int64_t i = 0;
   if (trans_a) {
     for (; i + 32 <= n; i += 32) {
-      GemvBlock<B, kFused, 32>(a, /*trans_a=*/true, x, y, n, k, i,
-                               accumulate);
+      GemvBlock<kFused, 32>(a, /*trans_a=*/true, x, y, n, k, i, accumulate);
     }
   }
   for (; i + 8 <= n; i += 8) {
-    GemvBlock<B, kFused, 8>(a, trans_a, x, y, n, k, i, accumulate);
+    GemvBlock<kFused, 8>(a, trans_a, x, y, n, k, i, accumulate);
   }
   if (i + 4 <= n) {
-    GemvBlock<B, kFused, 4>(a, trans_a, x, y, n, k, i, accumulate);
+    GemvBlock<kFused, 4>(a, trans_a, x, y, n, k, i, accumulate);
     i += 4;
   }
   if (i + 2 <= n) {
-    GemvBlock<B, kFused, 2>(a, trans_a, x, y, n, k, i, accumulate);
+    GemvBlock<kFused, 2>(a, trans_a, x, y, n, k, i, accumulate);
     i += 2;
   }
-  if (i < n) GemvBlock<B, kFused, 1>(a, trans_a, x, y, n, k, i, accumulate);
+  if (i < n) GemvBlock<kFused, 1>(a, trans_a, x, y, n, k, i, accumulate);
 }
 
 #if METALORA_GEMM_AVX2_CLONES
-template <typename B>
 METALORA_AVX2_FMA_TARGET void GemvRowsAvx2(const float* a, bool trans_a,
                                            const float* x, float* y,
                                            int64_t n, int64_t k,
                                            bool accumulate) {
-  GemvRows<B, true>(a, trans_a, x, y, n, k, accumulate);
+  GemvRows<true>(a, trans_a, x, y, n, k, accumulate);
 }
 #endif
 
-template <typename B>
 void GemvPath(const float* a, bool trans_a, const float* x, float* y,
               int64_t n, int64_t k, bool accumulate) {
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
-    GemvRowsAvx2<B>(a, trans_a, x, y, n, k, accumulate);
+    GemvRowsAvx2(a, trans_a, x, y, n, k, accumulate);
     return;
   }
 #endif
-  GemvRows<B, false>(a, trans_a, x, y, n, k, accumulate);
+  GemvRows<false>(a, trans_a, x, y, n, k, accumulate);
 }
 
 // Rank-thin products run as GEMV chains instead of padding to MR×NR
@@ -556,23 +476,16 @@ void GemvPath(const float* a, bool trans_a, const float* x, float* y,
 // chains make these shapes: the U gradient [O, R], the R-row Uᵀ·g, the
 // R×R core. A GEMV beats the padded tiles only while its matrix is
 // contiguous across the outputs it runs at once, so "thin" depends on
-// the layout and, at bf16, on the format (Format<B>'s limits, measured
-// over n, k ≤ 512):
-//   - columns: m ≤ 4 when A is stored [k, n], m ≤ 2 when it is [n, k]
-//     (bf16: m == 1);
+// the layout (limits measured over n, k ≤ 512):
+//   - columns: m ≤ 4 when A is stored [k, n], m ≤ 2 when it is [n, k];
 //   - rows: n ≤ 2 when B is stored [k, m].
 // The callers run m == 1 and n == 1 (any layout) as one inline GEMV
 // ahead of these, so a one-row or one-column product pays no routing.
-template <typename B>
 bool ThinColumns(int64_t m, bool trans_a) {
-  return m <= (trans_a ? Format<B>::kThinCols
-                       : Format<B>::kThinColsRowMajorA);
+  return m <= (trans_a ? kThinCols : kThinColsRowMajorA);
 }
 
-template <typename B>
-bool ThinRows(int64_t n, bool trans_b) {
-  return n <= Format<B>::kThinRows && !trans_b;
-}
+bool ThinRows(int64_t n, bool trans_b) { return n <= kThinRows && !trans_b; }
 
 // The GEMV routes' gathered vector operand and strided output column.
 thread_local gemm_detail::AlignedBuffer<float> tls_gemv_x;
@@ -581,7 +494,6 @@ thread_local gemm_detail::AlignedBuffer<float> tls_gemv_y;
 // C[:, j] (+)= op(A) · op(B)[:, j] for every j < m, with op(B)'s column j
 // read in place when B is stored [m, k], else gathered into scratch; each
 // column of C goes through scratch.
-template <typename B>
 void GemvColumns(const float* a, bool trans_a, const float* b, bool trans_b,
                  float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
   tls_gemv_y.Reserve(n);
@@ -597,7 +509,7 @@ void GemvColumns(const float* a, bool trans_a, const float* b, bool trans_b,
     if (accumulate) {
       for (int64_t i = 0; i < n; ++i) y[i] = c[i * m + j];
     }
-    GemvPath<B>(a, trans_a, x, y, n, k, accumulate);
+    GemvPath(a, trans_a, x, y, n, k, accumulate);
     for (int64_t i = 0; i < n; ++i) c[i * m + j] = y[i];
   }
 }
@@ -605,7 +517,6 @@ void GemvColumns(const float* a, bool trans_a, const float* b, bool trans_b,
 // C[i, :] (+)= op(A)[i, :] · op(B) for every i < n: one GEMV over op(B)ᵀ
 // per row, with op(A)'s row as the vector (gathered when A is stored
 // [k, n]).
-template <typename B>
 void GemvRowsOfC(const float* a, bool trans_a, const float* b, bool trans_b,
                  float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
   for (int64_t i = 0; i < n; ++i) {
@@ -616,7 +527,7 @@ void GemvRowsOfC(const float* a, bool trans_a, const float* b, bool trans_b,
       for (int64_t p = 0; p < k; ++p) row[p] = a[p * n + i];
       x = row;
     }
-    GemvPath<B>(b, !trans_b, x, c + i * m, m, k, accumulate);
+    GemvPath(b, !trans_b, x, c + i * m, m, k, accumulate);
   }
 }
 
@@ -624,29 +535,29 @@ void GemvRowsOfC(const float* a, bool trans_a, const float* b, bool trans_b,
 // false for the blocked engine. Out of line, so GemmPacked, which inlines
 // the engine, compiles as it did without the GEMV routes (inlined, they
 // cost small-k engine products about 10%).
-template <typename B>
 [[gnu::noinline]] bool GemmThin(const float* a, bool trans_a, const float* b,
                                 bool trans_b, float* c, int64_t n, int64_t k,
                                 int64_t m, bool accumulate) {
-  if (ThinColumns<B>(m, trans_a)) {
-    GemvColumns<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+  if (ThinColumns(m, trans_a)) {
+    GemvColumns(a, trans_a, b, trans_b, c, n, k, m, accumulate);
     return true;
   }
-  if (ThinRows<B>(n, trans_b)) {
-    GemvRowsOfC<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+  if (ThinRows(n, trans_b)) {
+    GemvRowsOfC(a, trans_a, b, trans_b, c, n, k, m, accumulate);
     return true;
   }
   return false;
 }
 
-// One blocked GEMM with an explicit tile triple, on one ISA's kernel.
+// One blocked GEMM on one ISA's kernel, over the fixed cache blocks
+// kGemmMC/KC/NC.
 // `pack_a(ic, mc, pc, kc)` returns the mc×kc block of op(A) at (ic, pc)
 // in PackA's panel layout: packed on the spot into the executing thread's
 // scratch for a dense matrix, or read from a PackAOnce operand.
 // `pack_b(pc, kc, jc, nc)` returns the kc×nc block of op(B) at (pc, jc):
 // panels in PackB's layout (PackB or PackIm2ColB, a conv input lowered as
-// it is packed, into scratch, or a prepacked weight's own panels), or an
-// ImageBlock that names where the block's rows lie in a padded image.
+// it is packed, into scratch), or an ImageBlock that names where the
+// block's rows lie in a padded image.
 // PanelAt finds a micro-panel in either. Row blocks start on MR-row panel
 // boundaries of op(A), and k panels accumulate through C in p order, so
 // the blocking never changes an output element's accumulation chain.
@@ -654,18 +565,18 @@ template <typename Panel, MicroKernelFn<Panel> kKernel, typename PackAFn,
           typename PackBFn>
 void GemmPackedTiledOn(const PackAFn& pack_a, const PackBFn& pack_b,
                        float* c, int64_t n, int64_t k, int64_t m,
-                       bool accumulate, const GemmTiles& tiles) {
-  for (int64_t jc = 0; jc < m; jc += tiles.nc) {
-    const int64_t nc = std::min(tiles.nc, m - jc);
-    for (int64_t pc = 0; pc < k; pc += tiles.kc) {
-      const int64_t kc = std::min(tiles.kc, k - pc);
+                       bool accumulate) {
+  for (int64_t jc = 0; jc < m; jc += kGemmNC) {
+    const int64_t nc = std::min(kGemmNC, m - jc);
+    for (int64_t pc = 0; pc < k; pc += kGemmKC) {
+      const int64_t kc = std::min(kGemmKC, k - pc);
       // Panels after the first accumulate onto the partial sums already
       // stored in C; storing and reloading float32 is exact, so the
       // per-element accumulation chain stays p = 0..k-1 in order.
       const bool acc_panel = accumulate || pc > 0;
       const auto bp = pack_b(pc, kc, jc, nc);
-      for (int64_t ic = 0; ic < n; ic += tiles.mc) {
-        const int64_t mc = std::min(tiles.mc, n - ic);
+      for (int64_t ic = 0; ic < n; ic += kGemmMC) {
+        const int64_t mc = std::min(kGemmMC, n - ic);
         const float* ap = pack_a(ic, mc, pc, kc);
         for (int64_t jr = 0; jr < nc; jr += kGemmNR) {
           const int64_t nr = std::min(kGemmNR, nc - jr);
@@ -689,28 +600,26 @@ thread_local int64_t tls_packed_engine_runs = 0;
 // what pack_b returns.
 template <typename PackAFn, typename PackBFn>
 void GemmPackedTiled(const PackAFn& pack_a, const PackBFn& pack_b, float* c,
-                     int64_t n, int64_t k, int64_t m, bool accumulate,
-                     const GemmTiles& tiles) {
+                     int64_t n, int64_t k, int64_t m, bool accumulate) {
   using Panel = decltype(PanelAt(pack_b(0, 0, 0, 0), 0, 0));
   ++tls_packed_engine_runs;
 #if METALORA_GEMM_AVX2_CLONES
   if (gemm_detail::FusedMulAdd()) {
     GemmPackedTiledOn<Panel, MicroKernelAvx2<Panel>>(pack_a, pack_b, c, n, k,
-                                                     m, accumulate, tiles);
+                                                     m, accumulate);
     return;
   }
 #endif
   GemmPackedTiledOn<Panel, MicroKernelPortable<Panel>>(pack_a, pack_b, c, n,
-                                                       k, m, accumulate, tiles);
+                                                       k, m, accumulate);
 }
 
 // The dense A source: PackA into the calling thread's scratch.
-template <typename B>
 auto DensePackA(const float* a, bool trans_a, int64_t n, int64_t k) {
   return [=](int64_t ic, int64_t mc, int64_t pc, int64_t kc) {
-    gemm_detail::AlignedBuffer<float>& abuf = Scratch<B>().a;
+    gemm_detail::AlignedBuffer<float>& abuf = Scratch().a;
     abuf.Reserve((mc + kGemmMR - 1) / kGemmMR * kc * kGemmMR);
-    PackA<B>(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
+    PackA(a, trans_a, n, k, ic, mc, pc, kc, abuf.data());
     return static_cast<const float*>(abuf.data());
   };
 }
@@ -725,37 +634,31 @@ auto SharedPackA(const gemm_detail::PackedA& a) {
 
 // The B sources that pack into the calling thread's scratch: `pack(pc,
 // kc, jc, nc, bp)` writes the block's panels to bp.
-template <typename B, typename PackFn>
+template <typename PackFn>
 auto ScratchPackB(const PackFn& pack) {
   return [pack](int64_t pc, int64_t kc, int64_t jc, int64_t nc) {
-    gemm_detail::AlignedBuffer<B>& bbuf = Scratch<B>().b;
+    gemm_detail::AlignedBuffer<float>& bbuf = Scratch().b;
     bbuf.Reserve((nc + kGemmNR - 1) / kGemmNR * kc * kGemmNR);
     pack(pc, kc, jc, nc, bbuf.data());
-    return static_cast<const B*>(bbuf.data());
+    return static_cast<const float*>(bbuf.data());
   };
 }
 
 // The dense B source: PackB over a stored [k,m] (or [m,k]) matrix.
-template <typename B>
 auto DensePackB(const float* b, bool trans_b, int64_t k, int64_t m) {
-  return ScratchPackB<B>(
-      [=](int64_t pc, int64_t kc, int64_t jc, int64_t nc, B* bp) {
-        PackB<B>(b, trans_b, k, m, pc, kc, jc, nc, bp);
+  return ScratchPackB(
+      [=](int64_t pc, int64_t kc, int64_t jc, int64_t nc, float* bp) {
+        PackB(b, trans_b, k, m, pc, kc, jc, nc, bp);
       });
 }
 
-// The im2col B source: a conv input lowered as it is packed (the fp32
-// packer transposes image runs where it can, see PackIm2ColBFp32).
-template <typename B>
+// The im2col B source: a conv input lowered as it is packed (the packer
+// transposes image runs where it can, see PackIm2ColBFast).
 auto Im2ColPackB(const gemm_detail::Im2ColOperand& op, bool trans_b) {
-  return ScratchPackB<B>(
-      [&op, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc, B* bp) {
-        if constexpr (std::is_same_v<B, float>) {
-          gemm_detail::PackIm2ColBFp32(op, trans_b, pc, kc, jc, nc, bp);
-        } else {
-          auto store = [](float v) { return Format<B>::Store(v); };
-          gemm_detail::PackIm2ColB(op, trans_b, pc, kc, jc, nc, bp, store);
-        }
+  return ScratchPackB(
+      [&op, trans_b](int64_t pc, int64_t kc, int64_t jc, int64_t nc,
+                     float* bp) {
+        gemm_detail::PackIm2ColBFast(op, trans_b, pc, kc, jc, nc, bp);
       });
 }
 
@@ -808,10 +711,10 @@ auto ImageB(const float* input, const ImageOffsets& t) {
 
 thread_local int64_t tls_direct_im2col_runs = 0;
 
-// Whether the fp32 engine reads op(B) = cols straight from the image: a
+// Whether the engine reads op(B) = cols straight from the image: a
 // stride-1 conv whose 16-column panels are all whole and split into runs
-// of 4 floats on one output row (wo % 4 == 0). Stride 2 (no runs), colsᵀ,
-// the bf16 tier and partial last panels keep PackIm2ColB. No size limit:
+// of 4 floats on one output row (wo % 4 == 0). Stride 2 (no runs), colsᵀ
+// and partial last panels keep the pack. No size limit:
 // the route beat the pack on every `adapt` plane, 16², 8² and 4² (quarter
 // loads), on both ISAs.
 bool DirectRouteTakes(const gemm_detail::Im2ColOperand& op, bool trans_b) {
@@ -822,44 +725,36 @@ bool DirectRouteTakes(const gemm_detail::Im2ColOperand& op, bool trans_b) {
 // The engine over an im2col op(B), with op(A) from pack_a: straight from
 // the image where DirectRouteTakes it (one 8-float load per panel half
 // when wo % 8 == 0, else two quarters), else from packed panels.
-template <typename B, typename PackAFn>
+template <typename PackAFn>
 void GemmIm2ColEngine(const PackAFn& pack_a,
                       const gemm_detail::Im2ColOperand& b, bool trans_b,
                       float* c, int64_t n, int64_t k, int64_t m,
                       bool accumulate) {
 #if defined(__GNUC__) || defined(__clang__)
-  if constexpr (std::is_same_v<B, float>) {
-    if (DirectRouteTakes(b, trans_b)) {
-      ++tls_direct_im2col_runs;
-      const ImageOffsets& t = ImageOffsetsOf(b);
-      if (b.wo % 8 == 0) {
-        GemmPackedTiled(pack_a, ImageB<true>(b.input, t), c, n, k, m,
-                        accumulate, GemmTiles{});
-      } else {
-        GemmPackedTiled(pack_a, ImageB<false>(b.input, t), c, n, k, m,
-                        accumulate, GemmTiles{});
-      }
-      return;
+  if (DirectRouteTakes(b, trans_b)) {
+    ++tls_direct_im2col_runs;
+    const ImageOffsets& t = ImageOffsetsOf(b);
+    if (b.wo % 8 == 0) {
+      GemmPackedTiled(pack_a, ImageB<true>(b.input, t), c, n, k, m,
+                      accumulate);
+    } else {
+      GemmPackedTiled(pack_a, ImageB<false>(b.input, t), c, n, k, m,
+                      accumulate);
     }
+    return;
   }
 #endif
-  GemmPackedTiled(pack_a, Im2ColPackB<B>(b, trans_b), c, n, k, m, accumulate,
-                  GemmTiles{});
+  GemmPackedTiled(pack_a, Im2ColPackB(b, trans_b), c, n, k, m, accumulate);
 }
 
-// The B source of a prepacked bf16 weight: its panels as packed, one
-// full-depth k block (pc = 0, kc = k).
-auto PrepackedB(const lowp::Bf16PackedWeight& w) {
-  return [&w](int64_t /*pc = 0*/, int64_t, int64_t jc, int64_t) {
-    return w.panels.data() + jc / kGemmNR * w.k * kGemmNR;
-  };
-}
+}  // namespace
 
-// The dispatcher of both formats: empty and k == 0 products, one-column
-// and one-row GEMVs, the thin routes, then the blocked engine.
-template <typename B>
-void Gemm(const float* a, bool trans_a, const float* b, bool trans_b,
-          float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
+int64_t PackedEngineRuns() { return tls_packed_engine_runs; }
+
+// The dispatcher: empty and k == 0 products, one-column and one-row GEMVs,
+// the thin routes, then the blocked engine.
+void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
+                float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
   ML_DCHECK(n >= 0 && k >= 0 && m >= 0);
   if (n == 0 || m == 0) return;
   if (k == 0) {
@@ -867,150 +762,21 @@ void Gemm(const float* a, bool trans_a, const float* b, bool trans_b,
     return;
   }
   if (m == 1) {
-    GemvPath<B>(a, trans_a, b, c, n, k, accumulate);
+    GemvPath(a, trans_a, b, c, n, k, accumulate);
     return;
   }
   if (n == 1) {
-    GemvPath<B>(b, !trans_b, a, c, m, k, accumulate);
+    GemvPath(b, !trans_b, a, c, m, k, accumulate);
     return;
   }
-  if (GemmThin<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate)) return;
-  GemmPackedTiled(DensePackA<B>(a, trans_a, n, k),
-                  DensePackB<B>(b, trans_b, k, m), c, n, k, m, accumulate,
-                  GemmTiles{});
+  if (GemmThin(a, trans_a, b, trans_b, c, n, k, m, accumulate)) return;
+  GemmPackedTiled(DensePackA(a, trans_a, n, k), DensePackB(b, trans_b, k, m),
+                  c, n, k, m, accumulate);
 }
-
-// The im2col counterpart of Gemm: op(B) is an im2col operand, and every
-// product runs the engine. Column GEMVs over cols would only take convs
-// with at most 2 output positions, and no ResNet-8 or Mixer plane is that
-// small; a colsᵀ operand (trans_b) is a conv weight gradient, and
-// conv_thin's few-columns kernel takes every one with m ≤ 8 where it is
-// built.
-template <typename B>
-void GemmIm2Col(const float* a, bool trans_a,
-                const gemm_detail::Im2ColOperand& b, bool trans_b, float* c,
-                int64_t n, bool accumulate) {
-  const int64_t k = trans_b ? b.cols() : b.rows();
-  const int64_t m = trans_b ? b.rows() : b.cols();
-  ML_DCHECK(n >= 0 && k > 0 && m > 0);
-  if (n == 0) return;
-  GemmIm2ColEngine<B>(DensePackA<B>(a, trans_a, n, k), b, trans_b, c, n, k,
-                      m, accumulate);
-}
-
-template <typename B>
-gemm_detail::PackedA PackAOnceAt(const float* a, bool trans_a, int64_t n,
-                                 int64_t k, int64_t m) {
-  ML_DCHECK(n > 0 && k > 0 && m > 0);
-  gemm_detail::PackedA packed;
-  packed.a = a;
-  packed.trans_a = trans_a;
-  packed.n = n;
-  packed.k = k;
-  packed.precision = Format<B>::kPrecision;
-  // A thin run reads `a` unpacked: its GEMV chains, or its few rows packed
-  // per product by the engine.
-  if (ThinColumns<B>(m, trans_a) || n <= Format<B>::kThinRows) {
-    return packed;
-  }
-  gemm_detail::AlignedBuffer<float>& shared = Scratch<B>().shared_a;
-  shared.Reserve(packed.padded_n() * k);
-  float* panels = shared.data();
-  for (int64_t pc = 0; pc < k; pc += kGemmKC) {
-    const int64_t kc = std::min(kGemmKC, k - pc);
-    PackA<B>(a, trans_a, n, k, 0, n, pc, kc,
-             panels + packed.BlockOffset(0, pc, kc));
-  }
-  packed.panels = panels;
-  return packed;
-}
-
-template <typename B>
-void GemmSharedA(const gemm_detail::PackedA& a, const float* b, bool trans_b,
-                 float* c, int64_t m, bool accumulate) {
-  GemmPackedTiled(SharedPackA(a), DensePackB<B>(b, trans_b, a.k, m), c, a.n,
-                  a.k, m, accumulate, GemmTiles{});
-}
-
-template <typename B>
-void GemmSharedAIm2Col(const gemm_detail::PackedA& a,
-                       const gemm_detail::Im2ColOperand& b, bool trans_b,
-                       float* c, bool accumulate) {
-  if (a.panels == nullptr) {
-    // Thin: the engine packs op(A) on the spot (an im2col operand is not a
-    // dense op(B)ᵀ to run rows or columns over).
-    GemmIm2Col<B>(a.a, a.trans_a, b, trans_b, c, a.n, accumulate);
-    return;
-  }
-  const int64_t m = trans_b ? b.rows() : b.cols();
-  GemmIm2ColEngine<B>(SharedPackA(a), b, trans_b, c, a.n, a.k, m,
-                      accumulate);
-}
-
-}  // namespace
-
-int64_t PackedEngineRuns() { return tls_packed_engine_runs; }
-
-void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
-                float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
-  Gemm<float>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
-}
-
-void GemmPackedBf16(const float* a, bool trans_a, const float* b, bool trans_b,
-                    float* c, int64_t n, int64_t k, int64_t m,
-                    bool accumulate) {
-  Gemm<Bf16>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
-}
-
-namespace lowp {
-
-Bf16PackedWeight PackBf16Weight(const float* b, bool trans_b, int64_t k,
-                                int64_t m) {
-  ML_CHECK(k >= 0 && m >= 0);
-  Bf16PackedWeight w;
-  w.k = k;
-  w.m = m;
-  const int64_t panels = (m + kGemmNR - 1) / kGemmNR;
-  w.panels.resize(static_cast<size_t>(panels * k * kGemmNR));
-  // One full-depth pack (pc = 0, kc = k): the layout the engine reads
-  // with the tiles {kGemmMC, k, m} below.
-  if (k > 0 && m > 0) {
-    PackB<Bf16>(b, trans_b, k, m, 0, k, 0, m, w.panels.data());
-  }
-  return w;
-}
-
-void GemmBf16Prepacked(const float* a, const Bf16PackedWeight& w, float* c,
-                       int64_t n, bool accumulate) {
-  const int64_t k = w.k;
-  const int64_t m = w.m;
-  ML_DCHECK(n >= 0);
-  if (n == 0 || m == 0) return;
-  if (k == 0) {
-    if (!accumulate) std::fill(c, c + n * m, 0.0f);
-    return;
-  }
-  if (m == 1) {
-    // One column: gathered out of its padded panel once (widened, exact)
-    // for the bf16 GEMV route, the dynamic GemmPackedBf16's m == 1 chains.
-    tls_gemv_x.Reserve(k);
-    float* x = tls_gemv_x.data();
-    for (int64_t p = 0; p < k; ++p) x[p] = F32FromBf16(w.panels[p * kGemmNR]);
-    GemvPath<Bf16>(a, /*trans_a=*/false, x, c, n, k, accumulate);
-    return;
-  }
-  // The engine over the prepacked panels: one full-depth k block and one
-  // column block, with row blocks of kGemmMC bounding the A scratch. The
-  // chains are the dynamic GemmPackedBf16's, so the bytes are too.
-  GemmPackedTiled(DensePackA<Bf16>(a, /*trans_a=*/false, n, k), PrepackedB(w),
-                  c, n, k, m, accumulate, GemmTiles{kGemmMC, k, m});
-}
-
-}  // namespace lowp
 
 namespace gemm_detail {
 
-void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
+void PackIm2ColBFast(const Im2ColOperand& op, bool trans_b, int64_t pc,
                      int64_t kc, int64_t jc, int64_t nc, float* bp) {
   if (trans_b && op.stride == 1) {
 #if METALORA_GEMM_AVX2_CLONES
@@ -1024,48 +790,79 @@ void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
     return;
 #endif
   }
-  PackIm2ColB(op, trans_b, pc, kc, jc, nc, bp, [](float v) { return v; });
+  PackIm2ColB(op, trans_b, pc, kc, jc, nc, bp);
 }
 
+// The im2col counterpart of GemmPacked: op(B) is an im2col operand, and
+// every product runs the engine. Column GEMVs over cols would only take
+// convs with at most 2 output positions, and no ResNet-8 or Mixer plane is
+// that small; a colsᵀ operand (trans_b) is a conv weight gradient, and
+// conv_thin's few-columns kernel takes every one with m ≤ 8 where it is
+// built.
 void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
                       bool trans_b, float* c, int64_t n, bool accumulate) {
-  GemmIm2Col<float>(a, trans_a, b, trans_b, c, n, accumulate);
+  const int64_t k = trans_b ? b.cols() : b.rows();
+  const int64_t m = trans_b ? b.rows() : b.cols();
+  ML_DCHECK(n >= 0 && k > 0 && m > 0);
+  if (n == 0) return;
+  GemmIm2ColEngine(DensePackA(a, trans_a, n, k), b, trans_b, c, n, k, m,
+                   accumulate);
 }
 
 int64_t DirectIm2ColRuns() { return tls_direct_im2col_runs; }
 
 PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
-                  int64_t m, OpPrecision precision) {
-  return (precision == OpPrecision::kFp32 ? PackAOnceAt<float>
-                                          : PackAOnceAt<Bf16>)(a, trans_a, n,
-                                                               k, m);
+                  int64_t m) {
+  ML_DCHECK(n > 0 && k > 0 && m > 0);
+  PackedA packed;
+  packed.a = a;
+  packed.trans_a = trans_a;
+  packed.n = n;
+  packed.k = k;
+  // A thin run reads `a` unpacked: its GEMV chains, or its few rows packed
+  // per product by the engine.
+  if (ThinColumns(m, trans_a) || n <= kThinRows) return packed;
+  AlignedBuffer<float>& shared = Scratch().shared_a;
+  shared.Reserve(packed.padded_n() * k);
+  float* panels = shared.data();
+  for (int64_t pc = 0; pc < k; pc += kGemmKC) {
+    const int64_t kc = std::min(kGemmKC, k - pc);
+    PackA(a, trans_a, n, k, 0, n, pc, kc,
+          panels + packed.BlockOffset(0, pc, kc));
+  }
+  packed.panels = panels;
+  return packed;
 }
 
 void GemmPacked(const PackedA& a, const float* b, bool trans_b, float* c,
                 int64_t m, bool accumulate) {
-  const bool bf16 = a.precision == OpPrecision::kBf16;
   if (a.panels == nullptr) {
-    (bf16 ? GemmPackedBf16 : metalora::GemmPacked)(a.a, a.trans_a, b, trans_b,
-                                                   c, a.n, a.k, m, accumulate);
+    metalora::GemmPacked(a.a, a.trans_a, b, trans_b, c, a.n, a.k, m,
+                         accumulate);
     return;
   }
-  (bf16 ? GemmSharedA<Bf16> : GemmSharedA<float>)(a, b, trans_b, c, m,
-                                                  accumulate);
+  GemmPackedTiled(SharedPackA(a), DensePackB(b, trans_b, a.k, m), c, a.n,
+                  a.k, m, accumulate);
 }
 
 void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
                       float* c, bool accumulate) {
   ML_DCHECK((trans_b ? b.cols() : b.rows()) == a.k);
-  (a.precision == OpPrecision::kBf16 ? GemmSharedAIm2Col<Bf16>
-                                     : GemmSharedAIm2Col<float>)(
-      a, b, trans_b, c, accumulate);
+  if (a.panels == nullptr) {
+    // Thin: the engine packs op(A) on the spot (an im2col operand is not a
+    // dense op(B)ᵀ to run rows or columns over).
+    GemmPackedIm2Col(a.a, a.trans_a, b, trans_b, c, a.n, accumulate);
+    return;
+  }
+  const int64_t m = trans_b ? b.rows() : b.cols();
+  GemmIm2ColEngine(SharedPackA(a), b, trans_b, c, a.n, a.k, m, accumulate);
 }
 
 }  // namespace gemm_detail
 
 namespace {
 
-template <typename B, bool kFused>
+template <bool kFused>
 METALORA_ALWAYS_INLINE inline void ReferenceLoop(const float* a, bool trans_a,
                                                  const float* b, bool trans_b,
                                                  float* c, int64_t n,
@@ -1075,9 +872,8 @@ METALORA_ALWAYS_INLINE inline void ReferenceLoop(const float* a, bool trans_a,
     for (int64_t j = 0; j < m; ++j) {
       float acc = accumulate ? c[i * m + j] : 0.0f;
       for (int64_t p = 0; p < k; ++p) {
-        acc = MulAddStep<kFused>(
-            Format<B>::Round(a[AIndex(trans_a, n, k, i, p)]),
-            Format<B>::Round(b[BIndex(trans_b, k, m, p, j)]), acc);
+        acc = MulAddStep<kFused>(a[AIndex(trans_a, n, k, i, p)],
+                                 b[BIndex(trans_b, k, m, p, j)], acc);
       }
       c[i * m + j] = acc;
     }
@@ -1085,27 +881,14 @@ METALORA_ALWAYS_INLINE inline void ReferenceLoop(const float* a, bool trans_a,
 }
 
 #if METALORA_GEMM_AVX2_CLONES
-template <typename B>
 METALORA_AVX2_FMA_TARGET void ReferenceLoopFused(const float* a, bool trans_a,
                                                  const float* b, bool trans_b,
                                                  float* c, int64_t n,
                                                  int64_t k, int64_t m,
                                                  bool accumulate) {
-  ReferenceLoop<B, true>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+  ReferenceLoop<true>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
 }
 #endif
-
-template <typename B>
-void Reference(const float* a, bool trans_a, const float* b, bool trans_b,
-               float* c, int64_t n, int64_t k, int64_t m, bool accumulate) {
-#if METALORA_GEMM_AVX2_CLONES
-  if (gemm_detail::FusedMulAdd()) {
-    ReferenceLoopFused<B>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
-    return;
-  }
-#endif
-  ReferenceLoop<B, false>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
-}
 
 GemmIsa DetectGemmIsa() {
 #if METALORA_GEMM_AVX2_CLONES
@@ -1131,13 +914,13 @@ const char* GemmIsaName(GemmIsa isa) {
 void GemmReference(const float* a, bool trans_a, const float* b, bool trans_b,
                    float* c, int64_t n, int64_t k, int64_t m,
                    bool accumulate) {
-  Reference<float>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
-}
-
-void GemmReferenceBf16(const float* a, bool trans_a, const float* b,
-                       bool trans_b, float* c, int64_t n, int64_t k, int64_t m,
-                       bool accumulate) {
-  Reference<Bf16>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+#if METALORA_GEMM_AVX2_CLONES
+  if (gemm_detail::FusedMulAdd()) {
+    ReferenceLoopFused(a, trans_a, b, trans_b, c, n, k, m, accumulate);
+    return;
+  }
+#endif
+  ReferenceLoop<false>(a, trans_a, b, trans_b, c, n, k, m, accumulate);
 }
 
 }  // namespace metalora

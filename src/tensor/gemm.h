@@ -24,16 +24,9 @@
 // runner; when such a build also passes -mfma, pair it with
 // -ffp-contract=off so the compiler cannot fuse the portable mul-then-add.
 //
-// Precision tiers: one engine, two B formats. The engine is a template
-// over how B panels are stored: fp32 (GemmPacked), or bf16
-// (GemmPackedBf16), which rounds both operands to bfloat16
-// (round-to-nearest-even) as they are packed, widens B on load and
-// accumulates in fp32. Both formats share the panel layouts, the tiling,
-// the GEMV routes and the dispatch; each has its own oracle
-// (GemmReference, GemmReferenceBf16), bit-identical to it in the same
-// process. A prepacked bf16 weight (tensor/lowp.h) is the bf16 format's
-// B panels packed once. Both formats walk the same fixed cache blocks,
-// kGemmMC/KC/NC.
+// One engine, one format: A and B panels hold fp32 values, and every
+// product (dense, im2col, shared packed A) walks the same fixed cache
+// blocks, kGemmMC/KC/NC.
 //
 // Determinism contract: for every output element the accumulation runs
 // p = 0..k-1 in order into a single accumulator (k-panels store and
@@ -48,8 +41,6 @@
 #define METALORA_TENSOR_GEMM_H_
 
 #include <cstdint>
-
-#include "tensor/autocast.h"
 
 namespace metalora {
 
@@ -78,18 +69,6 @@ inline constexpr int64_t kGemmKC = 256;
 /// Column cache block: m-extent of one packed B panel.
 inline constexpr int64_t kGemmNC = 1024;
 
-/// A cache-block triple for the packed engine. MR/NR are fixed by the
-/// micro-kernel's register tile; MC/KC/NC only change the panel walk order,
-/// not the per-element accumulation chain, so every triple produces
-/// bit-identical output (see the determinism contract above). Every
-/// dynamically packed GEMM runs the defaults; a prepacked bf16 weight runs
-/// one full-depth k block and one column block.
-struct GemmTiles {
-  int64_t mc = kGemmMC;
-  int64_t kc = kGemmKC;
-  int64_t nc = kGemmNC;
-};
-
 /// C[n,m] (+)= op(A) · op(B) through the packed engine. With
 /// `accumulate` the product is added to the existing contents of C;
 /// without it C is overwritten (C may be uninitialized). Runs on the
@@ -100,8 +79,7 @@ void GemmPacked(const float* a, bool trans_a, const float* b, bool trans_b,
                 float* c, int64_t n, int64_t k, int64_t m, bool accumulate);
 
 /// How many GEMMs the calling thread has run through the blocked
-/// (packed-panel) engine, of either format (fp32 or bf16, the prepacked
-/// bf16 weights included). The GEMV paths do not count.
+/// (packed-panel) engine. The GEMV paths do not count.
 /// Lets tests tell which path a kernel took.
 int64_t PackedEngineRuns();
 
@@ -111,22 +89,6 @@ int64_t PackedEngineRuns();
 /// with it bit-for-bit in the same process.
 void GemmReference(const float* a, bool trans_a, const float* b, bool trans_b,
                    float* c, int64_t n, int64_t k, int64_t m, bool accumulate);
-
-/// GemmPacked at bf16 storage: the same engine and routes, with operands
-/// rounded to bfloat16 (round-to-nearest-even) as they are packed or
-/// loaded, widened back to fp32 and accumulated in fp32 in the same
-/// p = 0..k-1 order. Bit-identical to GemmReferenceBf16 in the same
-/// process; differs from the fp32 product only by the input rounding.
-void GemmPackedBf16(const float* a, bool trans_a, const float* b, bool trans_b,
-                    float* c, int64_t n, int64_t k, int64_t m,
-                    bool accumulate);
-
-/// Serial oracle for the bf16 tier: rounds every operand to bf16, widens,
-/// and runs the fp32 reference chain. GemmPackedBf16 (and the prepacked
-/// bf16 path in tensor/lowp.h) must agree with it bit-for-bit.
-void GemmReferenceBf16(const float* a, bool trans_a, const float* b,
-                       bool trans_b, float* c, int64_t n, int64_t k, int64_t m,
-                       bool accumulate);
 
 }  // namespace metalora
 

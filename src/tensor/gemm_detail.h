@@ -1,6 +1,5 @@
 // Internal helpers of the packed GEMM engine (gemm.cc: the one blocked
-// engine over both B formats, fp32 and bf16; conv_ops.cc: the conv
-// lowering).
+// engine; conv_ops.cc: the conv lowering).
 // Not part of the public tensor API — include only from src/tensor.
 #ifndef METALORA_TENSOR_GEMM_DETAIL_H_
 #define METALORA_TENSOR_GEMM_DETAIL_H_
@@ -71,7 +70,7 @@ inline int64_t BIndex(bool trans_b, int64_t k, int64_t m, int64_t p,
 /// s = (oh, ow), and
 ///   cols(r, s) = input[RowOffset(r) + ColOffset(s)],
 /// with no bounds test: the padding is already in the image. The engine
-/// either packs it (PackIm2ColB, PackIm2ColBFp32: exactly the bytes PackB
+/// either packs it (PackIm2ColB, PackIm2ColBFast: exactly the bytes PackB
 /// would pack from Im2Col's columns) or, on the direct route (see
 /// GemmPackedIm2Col), loads each panel row from the image in the
 /// micro-kernel.
@@ -94,24 +93,22 @@ struct Im2ColOperand {
 };
 
 /// Packs the kc×nc block at (pc, jc) of op(B) = cols (or colsᵀ with
-/// trans_b) into the NR-column micro-panels PackB writes, converting each
-/// element with `cvt` (identity for fp32, RNE rounding for bf16). Each
-/// panel builds a table of its columns' offsets once; a k step then
-/// gathers through it. A full panel whose offsets are contiguous (at
-/// stride 1, one inside one output row) copies as a run. This gather is
-/// the bf16 tier's packer and the reference for the fp32 one
-/// (PackIm2ColBFp32), which packs stride-1 colsᵀ panels by transposes.
-/// The fp32 forward packs only what the direct route leaves: stride 2,
-/// output widths not a multiple of 4, partial last panels.
-template <typename T, typename Convert>
-void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
-                 int64_t kc, int64_t jc, int64_t nc, T* bp, Convert cvt) {
+/// trans_b) into the NR-column micro-panels PackB writes. Each panel
+/// builds a table of its columns' offsets once; a k step then gathers
+/// through it. A full panel whose offsets are contiguous (at stride 1, one
+/// inside one output row) copies as a run. This gather is the reference
+/// for the engine's packer (PackIm2ColBFast), which packs stride-1 colsᵀ
+/// panels by transposes. The forward packs only what the direct route
+/// leaves: stride 2, output widths not a multiple of 4, partial last
+/// panels.
+inline void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
+                        int64_t kc, int64_t jc, int64_t nc, float* bp) {
   const int64_t panels = (nc + kGemmNR - 1) / kGemmNR;
   const int64_t kk = op.kernel_h * op.kernel_w;
   for (int64_t t = 0; t < panels; ++t) {
     const int64_t col0 = jc + t * kGemmNR;
     const int64_t cols = std::min(kGemmNR, nc - t * kGemmNR);
-    T* dst = bp + t * kc * kGemmNR;
+    float* dst = bp + t * kc * kGemmNR;
     int64_t table[kGemmNR] = {};
     if (trans_b) {
       // Panel columns are rows (ch, kh, kw) of cols; k steps walk the
@@ -123,9 +120,9 @@ void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
       const int64_t row_jump = op.stride * op.w - (op.wo - 1) * op.stride;
       for (int64_t p = 0; p < kc; ++p) {
         const float* src = op.input + off;
-        T* d = dst + p * kGemmNR;
-        for (int64_t j = 0; j < cols; ++j) d[j] = cvt(src[table[j]]);
-        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = T{};
+        float* d = dst + p * kGemmNR;
+        for (int64_t j = 0; j < cols; ++j) d[j] = src[table[j]];
+        for (int64_t j = cols; j < kGemmNR; ++j) d[j] = 0.0f;
         if (++ow < op.wo) {
           off += op.stride;
         } else {
@@ -148,13 +145,13 @@ void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
       int64_t off = op.RowOffset(pc);
       for (int64_t p = 0; p < kc; ++p) {
         const float* src = op.input + off;
-        T* d = dst + p * kGemmNR;
+        float* d = dst + p * kGemmNR;
         if (run) {
           src += table[0];
-          for (int64_t j = 0; j < kGemmNR; ++j) d[j] = cvt(src[j]);
+          for (int64_t j = 0; j < kGemmNR; ++j) d[j] = src[j];
         } else {
-          for (int64_t j = 0; j < cols; ++j) d[j] = cvt(src[table[j]]);
-          for (int64_t j = cols; j < kGemmNR; ++j) d[j] = T{};
+          for (int64_t j = 0; j < cols; ++j) d[j] = src[table[j]];
+          for (int64_t j = cols; j < kGemmNR; ++j) d[j] = 0.0f;
         }
         if (++kw < op.kernel_w) {
           ++off;
@@ -172,19 +169,19 @@ void PackIm2ColB(const Im2ColOperand& op, bool trans_b, int64_t pc,
   }
 }
 
-/// The fp32 engine's im2col B packer: PackIm2ColB's panels, byte for
-/// byte. With trans_b at stride 1 (a weight gradient's colsᵀ) it packs by
-/// kV×kV register transposes of contiguous image runs (8×8 on the AVX2
-/// ISA, 4×4 on the portable one) instead of per-element gathers.
-void PackIm2ColBFp32(const Im2ColOperand& op, bool trans_b, int64_t pc,
+/// The engine's im2col B packer: PackIm2ColB's panels, byte for byte.
+/// With trans_b at stride 1 (a weight gradient's colsᵀ) it packs by kV×kV
+/// register transposes of contiguous image runs (8×8 on the AVX2 ISA, 4×4
+/// on the portable one) instead of per-element gathers.
+void PackIm2ColBFast(const Im2ColOperand& op, bool trans_b, int64_t pc,
                      int64_t kc, int64_t jc, int64_t nc, float* bp);
 
 /// C[n,m] (+)= op(A) · op(B) with B lowered from `b`: op(B) is cols
 /// [rows, cols] or, with trans_b, colsᵀ. Bit-identical to GemmPacked over
-/// Im2Col's materialized columns. The fp32 engine reads a stride-1 cols
-/// whose panels are whole runs of 4 floats (wo % 4 == 0, cols % 16 == 0)
+/// Im2Col's materialized columns. The engine reads a stride-1 cols whose
+/// panels are whole runs of 4 floats (wo % 4 == 0, cols % 16 == 0)
 /// straight from the image (the direct route); everything else is packed
-/// by PackIm2ColB or PackIm2ColBFp32.
+/// by PackIm2ColBFast.
 void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
                       bool trans_b, float* c, int64_t n, bool accumulate);
 
@@ -194,21 +191,19 @@ void GemmPackedIm2Col(const float* a, bool trans_a, const Im2ColOperand& b,
 int64_t DirectIm2ColRuns();
 
 /// op(A) [n, k] shared by a run of GEMMs — one conv call's per-sample
-/// products with its weight — packed once for the whole run, in one
-/// format: `precision` is kFp32, or kBf16 with the values rounded to
-/// bf16. `panels` holds, for each k block of kGemmKC at depth pc, every
-/// MR-row micro-panel of op(A) (see BlockOffset), byte for byte what the
-/// engine's PackA writes for those rows at that format. The engine reads
-/// its A blocks from it instead of packing them. A thin run
-/// (the thin columns of gemm.cc's GEMV routing, or n ≤ 2 rows) packs
-/// nothing: `panels` is null, and its GEMVs read `a` or the engine packs
-/// its rows per product (an im2col op(B) always runs the engine). The panels live in the packing thread's
-/// scratch and stay valid until that thread packs again at that format.
+/// products with its weight — packed once for the whole run. `panels`
+/// holds, for each k block of kGemmKC at depth pc, every MR-row
+/// micro-panel of op(A) (see BlockOffset), byte for byte what the engine's
+/// PackA writes for those rows. The engine reads its A blocks from it
+/// instead of packing them. A thin run (the thin columns of gemm.cc's GEMV
+/// routing, or n ≤ 2 rows) packs nothing: `panels` is null, and its GEMVs
+/// read `a` or the engine packs its rows per product (an im2col op(B)
+/// always runs the engine). The panels live in the packing thread's
+/// scratch and stay valid until that thread packs again.
 struct PackedA {
   const float* a = nullptr;
   bool trans_a = false;
   int64_t n = 0, k = 0;
-  OpPrecision precision = OpPrecision::kFp32;
   const float* panels = nullptr;
 
   /// Rows rounded up to whole MR-row panels.
@@ -219,18 +214,17 @@ struct PackedA {
   }
 };
 
-/// Packs op(A) [n, k] for a run of products with m columns at
-/// `precision` (or, for a thin run, records `a` unpacked).
+/// Packs op(A) [n, k] for a run of products with m columns (or, for a
+/// thin run, records `a` unpacked).
 PackedA PackAOnce(const float* a, bool trans_a, int64_t n, int64_t k,
-                  int64_t m, OpPrecision precision = OpPrecision::kFp32);
+                  int64_t m);
 
 /// C[n,m] (+)= op(A) · op(B) over a PackAOnce operand: bit-identical to
-/// GemmPacked (or GemmPackedBf16, per a.precision) over a.a.
+/// GemmPacked over a.a.
 void GemmPacked(const PackedA& a, const float* b, bool trans_b, float* c,
                 int64_t m, bool accumulate);
 
-/// GemmPackedIm2Col over a PackAOnce operand, at its format (bf16:
-/// bit-identical to GemmPackedBf16 over Im2Col's materialized columns).
+/// GemmPackedIm2Col over a PackAOnce operand.
 void GemmPackedIm2Col(const PackedA& a, const Im2ColOperand& b, bool trans_b,
                       float* c, bool accumulate);
 

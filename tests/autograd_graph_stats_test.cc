@@ -95,6 +95,30 @@ TEST(RuntimeContextTest, ArenaFastPathAvoidsHeap) {
   EXPECT_GT(arena.used_bytes(), 0);
 }
 
+// The GEMM dispatch counter books one per GEMM facade call, with or
+// without gradients, merges from child contexts and clears on ResetStats.
+TEST(RuntimeContextTest, GemmDispatchCounterCountsFacadeCalls) {
+  RuntimeContext ctx;
+  RuntimeContextScope scope(&ctx);
+  Variable x(Tensor::Ones(Shape{3, 4}), /*requires_grad=*/true);
+  Variable w(Tensor::Ones(Shape{5, 4}), /*requires_grad=*/true);
+  Linear(x, w, Variable());
+  EXPECT_EQ(ctx.gemm_dispatches(), 1);
+  {
+    NoGradGuard guard;
+    Matmul(x, Permute(w, {1, 0}));
+    Linear(x, w, Variable());
+  }
+  EXPECT_EQ(ctx.gemm_dispatches(), 3);
+  RuntimeContext child;
+  child.RecordGemmDispatch();
+  child.RecordGemmDispatch();
+  ctx.MergeChildStats(child);
+  EXPECT_EQ(ctx.gemm_dispatches(), 5);
+  ctx.ResetStats();
+  EXPECT_EQ(ctx.gemm_dispatches(), 0);
+}
+
 TEST(WorkspaceArenaTest, ResetReclaimsCapacity) {
   WorkspaceArena arena(/*initial_floats=*/16);
   Tensor t1 = arena.Allocate(Shape{4});

@@ -32,7 +32,6 @@
 #include "autograd/runtime_context.h"
 #include "common/rng.h"
 #include "core/tn_adapter.h"
-#include "tensor/autocast.h"
 #include "tensor/conv_ops.h"
 #include "tensor/conv_thin.h"
 #include "tensor/random_init.h"
@@ -773,17 +772,6 @@ TEST_P(TnAdapterTest, ReplayIsBitIdentical) {
   } else {
     EXPECT_EQ(b.adapter->conditioning_cache(), nullptr);
   }
-
-  // The serving tier: convs and GEMMs at bf16. The generated factors are
-  // recomputed under the tier, so the cache is cleared first.
-  autograd::RuntimeContext& ctx = autograd::RuntimeContext::Current();
-  const AutocastPolicy saved = ctx.autocast();
-  ctx.set_autocast(AutocastPolicy::Serving(OpPrecision::kBf16));
-  if (Generates(c.family)) b.adapter->conditioning_cache()->Clear();
-  const Tensor want_tier = Replay(c, b, x, features).value().Clone();
-  const Tensor got_tier = b.adapter->Forward(x).value().Clone();
-  EXPECT_TRUE(BytesEqual(got_tier, want_tier)) << "bf16 no-grad output";
-  ctx.set_autocast(saved);
 }
 
 TEST_P(TnAdapterTest, StartsAtPretrainedPoint) {

@@ -25,7 +25,6 @@
 #include "serve/adapter_registry.h"
 #include "serve/adapter_server.h"
 #include "serve/shard_router.h"
-#include "tensor/lowp.h"
 #include "tensor/random_init.h"
 
 namespace metalora {
@@ -338,50 +337,6 @@ TEST(AdapterRegistry, RegisterLoadsNothingAcquireLoadsOnce) {
   EXPECT_EQ(stats.request_misses, 3);
   EXPECT_EQ(stats.request_hits, 2);
   EXPECT_EQ(stats.resident, 1);
-  std::remove(path.c_str());
-}
-
-// Opting into precision shadows packs every rank-2 parameter to bf16 once at
-// load time and holds the shadows exactly as long as the instance is
-// resident. Default options never touch the registry.
-TEST(AdapterRegistry, PrecisionShadowOptInRegistersAtLoad) {
-  const AdapterSpec spec = TenantSpec(71);
-  const std::string path = "/tmp/ml_registry_shadows.bin";
-  WriteCheckpoint(spec, /*perturb_seed=*/71, path);
-  const int64_t before = lowp::ShadowCount();
-  {
-    AdapterRegistryOptions ropts;
-    ropts.register_precision_shadows = true;
-    AdapterRegistry registry(ropts);
-    ASSERT_TRUE(registry.Register("t0", spec, path).ok());
-    EXPECT_EQ(lowp::ShadowCount(), before);  // lazy: nothing until Acquire
-    {
-      auto handle = registry.Acquire("t0");
-      ASSERT_TRUE(handle.ok()) << handle.status().message();
-      EXPECT_GT(lowp::ShadowCount(), before);
-      int64_t rank2_params = 0;
-      for (const auto& np : handle.value()->adapter->NamedParameters()) {
-        const Tensor& v = np.variable->value();
-        if (!v.defined() || v.rank() != 2 || v.numel() == 0) continue;
-        ++rank2_params;
-        // Linear layout: [out, in] served as x·Wᵀ, so k=in, m=out.
-        EXPECT_NE(lowp::FindBf16Shadow(v.data(), v.dim(1), v.dim(0)), nullptr)
-            << np.name;
-      }
-      EXPECT_GT(rank2_params, 0);
-    }
-  }
-  // Registry gone, resident instance gone: every shadow released.
-  EXPECT_EQ(lowp::ShadowCount(), before);
-
-  // Default options: the load path must not register anything.
-  {
-    AdapterRegistry registry(AdapterRegistryOptions{});
-    ASSERT_TRUE(registry.Register("t0", spec, path).ok());
-    auto handle = registry.Acquire("t0");
-    ASSERT_TRUE(handle.ok());
-    EXPECT_EQ(lowp::ShadowCount(), before);
-  }
   std::remove(path.c_str());
 }
 

@@ -5,10 +5,8 @@
 // binary runs under the thread-sanitizer CI job).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <future>
@@ -23,15 +21,12 @@
 #include "autograd/variable.h"
 #include "common/bounded_queue.h"
 #include "common/rng.h"
-#include "core/precision_shadows.h"
 #include "core/tn_adapter.h"
 #include "eval/batch_assembly.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "optim/adam.h"
 #include "serve/adapter_server.h"
-#include "tensor/autocast.h"
-#include "tensor/lowp.h"
 #include "tensor/random_init.h"
 
 namespace metalora {
@@ -361,81 +356,33 @@ TEST(AdapterServer, NewFamiliesBatchedMatchesSerialBitIdentical) {
   EXPECT_EQ(server.stats().requests_failed, 0);
 }
 
-// The autocast option: a server running the bf16 tier must still be
-// bit-identical to a one-at-a-time twin under the same policy (row-local
-// rounding makes batching invisible), its ServeStats must attribute the
-// worker GEMMs to bf16, and each served output must stay within the tier's
-// accuracy envelope around the twin's fp32 forward.
-TEST(AdapterServer, AutocastTierMatchesOneAtATimeAndCountsDispatch) {
+// ServeStats::gemm_dispatch: every worker GEMM lands in slot 0, and slots
+// 1 and 2, which exist only for the end-to-end benchmark's
+// tensor.gemm.dispatch.{bf16,int8} metrics, stay 0.
+TEST(AdapterServer, GemmDispatchesLandInTheFp32Slot) {
   core::TnAdapter served(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
-  core::TnAdapter twin(BaseLinear(), MetaOpts(AdapterKind::kMetaLoraCp));
   RandomizeFactors(served, 61);
-  RandomizeFactors(twin, 61);
   served.SetTraining(false);
-  twin.SetTraining(false);
-  // Pack-once-at-publish: both instances carry shadows so both take the
-  // prepacked serving path.
-  std::vector<lowp::ShadowHandle> served_shadows =
-      core::RegisterModuleShadows(served);
-  std::vector<lowp::ShadowHandle> twin_shadows =
-      core::RegisterModuleShadows(twin);
-  EXPECT_FALSE(served_shadows.empty());
-
   AdapterServerOptions opts;
   opts.max_batch_size = 4;
   opts.flush_deadline_us = 500;
   opts.num_workers = 2;
-  opts.autocast = AutocastPolicy::Serving(OpPrecision::kBf16);
   AdapterServer server(opts);
   const int sid = server.RegisterSession(&served, served.conditioning_cache());
   server.Start();
-
-  constexpr int kRequests = 12;
   std::vector<std::future<Tensor>> futures;
-  futures.reserve(kRequests);
-  for (int i = 0; i < kRequests; ++i) {
+  for (int i = 0; i < 12; ++i) {
     const uint64_t seed = 7000 + static_cast<uint64_t>(i);
     futures.push_back(server.Submit(sid, RandFeatures(1, seed),
                                     RandLinearInput(1, seed + 1)));
   }
-  std::vector<Tensor> got;
-  got.reserve(kRequests);
-  for (auto& f : futures) got.push_back(f.get());
+  for (auto& f : futures) f.get();
   server.Shutdown();
 
-  // One-at-a-time twin under the identical policy, then in fp32. The
-  // envelope is the worst absolute deviation from the fp32 output over
-  // that output's max-abs (floored at 1e-3): elementwise relative error
-  // is meaningless on outputs near zero. The bound is lenient, for gross
-  // tier bugs (a wrong operand or channel), not rounding.
-  autograd::RuntimeContext& ctx = autograd::RuntimeContext::Current();
-  const AutocastPolicy saved = ctx.autocast();
-  for (int i = 0; i < kRequests; ++i) {
-    const uint64_t seed = 7000 + static_cast<uint64_t>(i);
-    ctx.set_autocast(opts.autocast);
-    const Tensor want = SerialForward(twin, RandFeatures(1, seed),
-                                      RandLinearInput(1, seed + 1));
-    twin.conditioning_cache()->Clear();
-    ctx.set_autocast(AutocastPolicy::Disabled());
-    const Tensor fp32 = SerialForward(twin, RandFeatures(1, seed),
-                                      RandLinearInput(1, seed + 1));
-    twin.conditioning_cache()->Clear();
-    const Tensor& served = got[static_cast<size_t>(i)];
-    ExpectBitIdentical(served, want);
-    double max_abs = 0.0, max_diff = 0.0;
-    for (int64_t j = 0; j < fp32.numel(); ++j) {
-      max_abs = std::max(max_abs, std::fabs(double{fp32.flat(j)}));
-      max_diff = std::max(max_diff, std::fabs(double{served.flat(j)} -
-                                              double{fp32.flat(j)}));
-    }
-    EXPECT_LE(max_diff / std::max(max_abs, 1e-3), 0.1) << "request " << i;
-  }
-  ctx.set_autocast(saved);
-
-  // Dispatch attribution: the bf16 tier ran, and the counters' spare
-  // slot 2 (see kNumOpPrecisions) stayed 0.
   const ServeStats stats = server.stats();
-  EXPECT_GT(stats.gemm_dispatch[static_cast<int>(OpPrecision::kBf16)], 0);
+  EXPECT_GT(stats.batches_executed, 0);
+  EXPECT_GE(stats.gemm_dispatch[0], stats.batches_executed);
+  EXPECT_EQ(stats.gemm_dispatch[1], 0);
   EXPECT_EQ(stats.gemm_dispatch[2], 0);
 }
 

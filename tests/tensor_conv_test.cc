@@ -167,8 +167,7 @@ struct RouteResult {
 };
 
 RouteResult SerialRoute(const Tensor& x, const Tensor& wgt, const Tensor& bias,
-                        const Tensor& gy, const ConvGeom& g,
-                        OpPrecision precision) {
+                        const Tensor& gy, const ConvGeom& g) {
   const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const int64_t o = wgt.dim(0);
   const int64_t rows = c * g.kernel_h * g.kernel_w;
@@ -180,13 +179,8 @@ RouteResult SerialRoute(const Tensor& x, const Tensor& wgt, const Tensor& bias,
   for (int64_t i = 0; i < n; ++i) {
     Im2Col(x.data() + i * c * h * w, c, h, w, g, cols.data());
     float* out_n = r.out.data() + i * o * s;
-    if (precision == OpPrecision::kFp32) {
-      GemmPacked(wgt.data(), false, cols.data(), false, out_n, o, rows, s,
-                 /*accumulate=*/true);
-    } else {
-      GemmPackedBf16(wgt.data(), false, cols.data(), false, out_n, o, rows, s,
-                     /*accumulate=*/true);
-    }
+    GemmPacked(wgt.data(), false, cols.data(), false, out_n, o, rows, s,
+               /*accumulate=*/true);
     for (int64_t oc = 0; bias.defined() && oc < o; ++oc) {
       for (int64_t j = 0; j < s; ++j) out_n[oc * s + j] += bias.flat(oc);
     }
@@ -202,13 +196,13 @@ RouteResult SerialRoute(const Tensor& x, const Tensor& wgt, const Tensor& bias,
 
 // The conv kernels lower each sample while the GEMM packs it (or read it
 // straight from the padded image: the 16², 8² and 4² planes at stride 1)
-// and fold the input gradient through a padded plane; forward (fp32 and
-// bf16), grad_weight and grad_input must be byte-equal to the serial
-// route. The geometries cover kernels 1/3/5, strides 1-3, padding
-// 0/1/2/k, non-square planes, output rows wider than one 16-column panel
-// but not a multiple of it, planes smaller than the kernel (whole rows and
-// columns of padding), one input channel, N of 1 and 3, and O below and
-// above the 6-row micro-tile. Zeros of both signs in every operand check
+// and fold the input gradient through a padded plane; forward,
+// grad_weight and grad_input must be byte-equal to the serial route. The
+// geometries cover kernels 1/3/5, strides 1-3, padding 0/1/2/k,
+// non-square planes, output rows wider than one 16-column panel but not a
+// multiple of it, planes smaller than the kernel (whole rows and columns
+// of padding), one input channel, N of 1 and 3, and O below and above the
+// 6-row micro-tile. Zeros of both signs in every operand check
 // that the padded fold absorbs −0 exactly like Col2Im's +0 + col_grad.
 TEST(ConvLoweringTest, MatchesIm2ColGemmCol2ImRouteBitwise) {
   struct Sizes {
@@ -242,25 +236,18 @@ TEST(ConvLoweringTest, MatchesIm2ColGemmCol2ImRouteBitwise) {
             for (int64_t i = 1; i < wgt.numel(); i += 6) wgt.flat(i) = -0.0f;
             for (int64_t i = 0; i < gy.numel(); i += 3) gy.flat(i) = -0.0f;
 
-            for (OpPrecision precision :
-                 {OpPrecision::kFp32, OpPrecision::kBf16}) {
-              const RouteResult want =
-                  SerialRoute(x, wgt, bias, gy, g, precision);
-              Tensor out = Tensor::Zeros(gy.shape());
-              Conv2dForwardInto(x, wgt, bias, g, &out, precision);
-              ExpectSameBits(want.out.data(), out.data(), out.numel(),
-                             "forward " +
-                                 std::string(OpPrecisionName(precision)) +
-                                 " " + what);
-              if (precision != OpPrecision::kFp32) continue;
-              Tensor gx = Tensor::Zeros(x.shape());
-              Tensor gw = Tensor::Zeros(wgt.shape());
-              Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr);
-              ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
-                             "grad_weight " + what);
-              ExpectSameBits(want.gx.data(), gx.data(), gx.numel(),
-                             "grad_input " + what);
-            }
+            const RouteResult want = SerialRoute(x, wgt, bias, gy, g);
+            Tensor out = Tensor::Zeros(gy.shape());
+            Conv2dForwardInto(x, wgt, bias, g, &out);
+            ExpectSameBits(want.out.data(), out.data(), out.numel(),
+                           "forward " + what);
+            Tensor gx = Tensor::Zeros(x.shape());
+            Tensor gw = Tensor::Zeros(wgt.shape());
+            Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr);
+            ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
+                           "grad_weight " + what);
+            ExpectSameBits(want.gx.data(), gx.data(), gx.numel(),
+                           "grad_input " + what);
             ++checked;
           }
         }
@@ -270,8 +257,8 @@ TEST(ConvLoweringTest, MatchesIm2ColGemmCol2ImRouteBitwise) {
   EXPECT_GT(checked, 500);
 }
 
-// Forward (fp32 and bf16), grad_weight and grad_input of one case,
-// byte-equal to the serial route.
+// Forward, grad_weight and grad_input of one case, byte-equal to the
+// serial route.
 void ExpectConvMatchesSerialRoute(int64_t n, int64_t c, int64_t o, int64_t h,
                                   int64_t w, const ConvGeom& g, uint64_t seed,
                                   const std::string& what) {
@@ -282,21 +269,14 @@ void ExpectConvMatchesSerialRoute(int64_t n, int64_t c, int64_t o, int64_t h,
   Tensor gy = RandomNormal(
       Shape{n, o, g.OutExtent(h, g.kernel_h), g.OutExtent(w, g.kernel_w)},
       rng);
-  for (OpPrecision precision : {OpPrecision::kFp32, OpPrecision::kBf16}) {
-    const RouteResult want = SerialRoute(x, wgt, bias, gy, g, precision);
-    Tensor out = Tensor::Zeros(gy.shape());
-    Conv2dForwardInto(x, wgt, bias, g, &out, precision);
-    ExpectSameBits(want.out.data(), out.data(), out.numel(),
-                   "forward " + std::string(OpPrecisionName(precision)) +
-                       " " + what);
-    if (precision != OpPrecision::kFp32) continue;
-    Tensor gx = Tensor::Zeros(x.shape()), gw = Tensor::Zeros(wgt.shape());
-    Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr);
-    ExpectSameBits(want.gw.data(), gw.data(), gw.numel(),
-                   "grad_weight " + what);
-    ExpectSameBits(want.gx.data(), gx.data(), gx.numel(),
-                   "grad_input " + what);
-  }
+  const RouteResult want = SerialRoute(x, wgt, bias, gy, g);
+  Tensor out = Tensor::Zeros(gy.shape());
+  Conv2dForwardInto(x, wgt, bias, g, &out);
+  ExpectSameBits(want.out.data(), out.data(), out.numel(), "forward " + what);
+  Tensor gx = Tensor::Zeros(x.shape()), gw = Tensor::Zeros(wgt.shape());
+  Conv2dBackward(x, wgt, gy, g, &gx, &gw, nullptr);
+  ExpectSameBits(want.gw.data(), gw.data(), gw.numel(), "grad_weight " + what);
+  ExpectSameBits(want.gx.data(), gx.data(), gx.numel(), "grad_input " + what);
 }
 
 // The conv kernels pack the weight once per call for all N samples. With
@@ -347,8 +327,7 @@ ProductRuns ExpectRankThinConvMatchesSerialRoute(int64_t n, int64_t c,
   for (int64_t i = 2; i < x.numel(); i += 7) x.flat(i) = -0.0f;
   for (int64_t i = 1; i < wgt.numel(); i += 6) wgt.flat(i) = -0.0f;
   for (int64_t i = 0; i < gy.numel(); i += 3) gy.flat(i) = -0.0f;
-  const RouteResult want =
-      SerialRoute(x, wgt, Tensor(), gy, g, OpPrecision::kFp32);
+  const RouteResult want = SerialRoute(x, wgt, Tensor(), gy, g);
   ProductRuns runs{};
   Tensor out = Tensor::Zeros(gy.shape());
   int64_t engine = PackedEngineRuns(), routes = conv_thin::RouteRuns();
@@ -420,9 +399,9 @@ TEST(ConvLoweringTest, RankThinProductsMatchTheSerialRouteBitwise) {
 
 // Just past each limit the engine runs: 9 weight-gradient rows over 9
 // columns (a 1×1 over 9 channels, and a 3×3 over one), a kernel 7 wide
-// (the few-rows passes stop at 5), a pointwise forward over 33 channels
-// and a bf16 one over 2. Just inside, the routes run: 8 rows, 8 columns
-// and 32 channels. All byte-equal to the serial route.
+// (the few-rows passes stop at 5) and a pointwise forward over 33
+// channels. Just inside, the routes run: 8 rows, 8 columns and 32
+// channels. All byte-equal to the serial route.
 TEST(ConvLoweringTest, ProductsPastTheRankThinLimitsRunTheEngine) {
   struct Limit {
     int64_t o, c, k;
@@ -448,15 +427,6 @@ TEST(ConvLoweringTest, ProductsPastTheRankThinLimitsRunTheEngine) {
     EXPECT_EQ(runs.forward_routes, c <= 32 ? 2 : 0) << what;
     EXPECT_EQ(runs.forward_engine, c <= 32 ? 0 : 2) << what;
   }
-  Rng rng(63);
-  Tensor x = RandomNormal(Shape{2, 2, 6, 6}, rng);
-  Tensor wgt = RandomNormal(Shape{5, 2, 1, 1}, rng);
-  Tensor out = Tensor::Zeros(Shape{2, 5, 6, 6});
-  const int64_t engine = PackedEngineRuns(), routes = conv_thin::RouteRuns();
-  Conv2dForwardInto(x, wgt, Tensor(), ConvGeom::Pointwise(), &out,
-                    OpPrecision::kBf16);
-  EXPECT_EQ(conv_thin::RouteRuns(), routes);
-  EXPECT_EQ(PackedEngineRuns(), engine + 2);
 }
 
 // One conv forward with no bias against the serial route, byte for byte,
@@ -469,9 +439,7 @@ struct ForwardRuns {
 
 ForwardRuns ExpectForwardMatchesSerialRoute(int64_t n, int64_t c, int64_t o,
                                             int64_t h, int64_t w,
-                                            const ConvGeom& g,
-                                            OpPrecision precision,
-                                            uint64_t seed,
+                                            const ConvGeom& g, uint64_t seed,
                                             const std::string& what) {
   Rng rng(seed);
   Tensor x = RandomNormal(Shape{n, c, h, w}, rng);
@@ -482,21 +450,19 @@ ForwardRuns ExpectForwardMatchesSerialRoute(int64_t n, int64_t c, int64_t o,
   const Shape out_shape{n, o, g.OutExtent(h, g.kernel_h),
                         g.OutExtent(w, g.kernel_w)};
   const RouteResult want =
-      SerialRoute(x, wgt, Tensor(), Tensor::Zeros(out_shape), g, precision);
+      SerialRoute(x, wgt, Tensor(), Tensor::Zeros(out_shape), g);
   Tensor out =
       Tensor::Full(out_shape, std::numeric_limits<float>::quiet_NaN());
   const int64_t direct = gemm_detail::DirectIm2ColRuns();
   const int64_t engine = PackedEngineRuns();
-  Conv2dForwardInto(x, wgt, Tensor(), g, &out, precision);
+  Conv2dForwardInto(x, wgt, Tensor(), g, &out);
   const ForwardRuns runs{gemm_detail::DirectIm2ColRuns() - direct,
                          PackedEngineRuns() - engine};
-  ExpectSameBits(want.out.data(), out.data(), out.numel(),
-                 "forward " + std::string(OpPrecisionName(precision)) + " " +
-                     what);
+  ExpectSameBits(want.out.data(), out.data(), out.numel(), "forward " + what);
   return runs;
 }
 
-// The direct route reads a stride-1 conv's fp32 im2col panels straight
+// The direct route reads a stride-1 conv's im2col panels straight
 // from the padded image when they are whole runs of 4 floats (Wo % 4 == 0,
 // Ho·Wo % 16 == 0): one 8-float load per panel half at output widths 8,
 // 16 and 32, two quarters at 4 and 12. Widths 5 and 7, stride 2 and the
@@ -528,8 +494,7 @@ TEST(ConvLoweringTest, DirectImageRouteMatchesTheSerialRouteBitwise) {
                 " w=" + std::to_string(w) + " c=" + std::to_string(c) +
                 " o=" + std::to_string(o) + " n=" + std::to_string(n);
             const ForwardRuns runs = ExpectForwardMatchesSerialRoute(
-                n, c, o, h, w, g, OpPrecision::kFp32,
-                static_cast<uint64_t>(checked + 71), what);
+                n, c, o, h, w, g, static_cast<uint64_t>(checked + 71), what);
             if (HasFatalFailure()) return;
             const bool pointwise = ConvIsPointwise(g);  // C ≤ 32: conv_thin
             const bool takes = !pointwise && stride == 1 && wo % 4 == 0 &&
@@ -551,28 +516,25 @@ TEST(ConvLoweringTest, DirectImageRouteMatchesTheSerialRouteBitwise) {
 
 // Off the direct route the engine packs its panels, byte for byte too:
 // stride 2 over output rows of 8, a partial last panel (20 columns), an
-// output width of 6 and the bf16 tier. Just inside, stride 1 at the same
-// planes (and 32 columns of width 4) read the image.
+// output width of 6. Just inside, stride 1 at the same planes (and 32
+// columns of width 4) read the image.
 TEST(ConvLoweringTest, ProductsOffTheDirectRoutePackTheirPanels) {
   struct Case {
     int64_t h, w;
     ConvGeom g;
-    OpPrecision precision;
     bool direct;
     const char* what;
   };
-  const OpPrecision fp32 = OpPrecision::kFp32, bf16 = OpPrecision::kBf16;
   const Case cases[] = {
-      {16, 16, {3, 3, 2, 1}, fp32, false, "stride 2, wo = 8"},
-      {16, 16, {3, 3, 1, 1}, fp32, true, "stride 1, wo = 16"},
-      {5, 4, {3, 3, 1, 1}, fp32, false, "wo = 4, 20 columns"},
-      {8, 4, {3, 3, 1, 1}, fp32, true, "wo = 4, 32 columns"},
-      {8, 6, {3, 3, 1, 1}, fp32, false, "wo = 6, 48 columns"},
-      {16, 16, {3, 3, 1, 1}, bf16, false, "bf16, wo = 16"},
+      {16, 16, {3, 3, 2, 1}, false, "stride 2, wo = 8"},
+      {16, 16, {3, 3, 1, 1}, true, "stride 1, wo = 16"},
+      {5, 4, {3, 3, 1, 1}, false, "wo = 4, 20 columns"},
+      {8, 4, {3, 3, 1, 1}, true, "wo = 4, 32 columns"},
+      {8, 6, {3, 3, 1, 1}, false, "wo = 6, 48 columns"},
   };
   for (const Case& t : cases) {
-    const ForwardRuns runs = ExpectForwardMatchesSerialRoute(
-        2, 8, 10, t.h, t.w, t.g, t.precision, 81, t.what);
+    const ForwardRuns runs =
+        ExpectForwardMatchesSerialRoute(2, 8, 10, t.h, t.w, t.g, 81, t.what);
     EXPECT_EQ(runs.direct, t.direct ? 2 : 0) << t.what;
     EXPECT_EQ(runs.engine, 2) << t.what;
   }
@@ -595,8 +557,8 @@ Tensor StackSamples(const Tensor& a, const Tensor& b) {
 }
 
 // The row-stacked kernels over [W; D], as an adapted conv runs its base
-// weight and down-projection: every row of the outputs (fp32 and bf16)
-// and of both weight gradients, and the bias gradient, equal separate
+// weight and down-projection: every row of the outputs and of both
+// weight gradients, and the bias gradient, equal separate
 // one-weight calls byte for byte, with W's gradient wanted, frozen, or
 // alone. The stacked input gradient equals the Im2Col → GEMM → Col2Im
 // route over the stacked weight and output gradient. Kernels 1×1 and 3×3,
@@ -633,25 +595,17 @@ TEST(ConvStackTest, StackedKernelsMatchOneWeightCallsBitwise) {
               for (int64_t i = 1; i < gh.numel(); i += 5) gh.flat(i) = -0.0f;
               const Tensor* weights[] = {&wgt, &down};
 
-              for (OpPrecision precision :
-                   {OpPrecision::kFp32, OpPrecision::kBf16}) {
-                const std::string tier =
-                    std::string(OpPrecisionName(precision)) + " " + what;
-                Tensor y_one{gy.shape()}, h_one{gh.shape()};
-                Conv2dForwardInto(x, wgt, bias, g, &y_one, precision);
-                Conv2dForwardInto(x, down, Tensor(), g, &h_one, precision);
-                // NaN-filled outputs: the stacked kernel must write them
-                // whole.
-                const float nan = std::numeric_limits<float>::quiet_NaN();
-                Tensor y = Tensor::Full(gy.shape(), nan);
-                Tensor hd = Tensor::Full(gh.shape(), nan);
-                Tensor* outs[] = {&y, &hd};
-                Conv2dForwardInto(x, weights, bias, g, outs, precision);
-                ExpectSameBits(y_one.data(), y.data(), y.numel(),
-                               "y " + tier);
-                ExpectSameBits(h_one.data(), hd.data(), hd.numel(),
-                               "h " + tier);
-              }
+              Tensor y_one{gy.shape()}, h_one{gh.shape()};
+              Conv2dForwardInto(x, wgt, bias, g, &y_one);
+              Conv2dForwardInto(x, down, Tensor(), g, &h_one);
+              // NaN-filled outputs: the stacked kernel must write them whole.
+              const float nan = std::numeric_limits<float>::quiet_NaN();
+              Tensor y = Tensor::Full(gy.shape(), nan);
+              Tensor hd = Tensor::Full(gh.shape(), nan);
+              Tensor* outs[] = {&y, &hd};
+              Conv2dForwardInto(x, weights, bias, g, outs);
+              ExpectSameBits(y_one.data(), y.data(), y.numel(), "y " + what);
+              ExpectSameBits(h_one.data(), hd.data(), hd.numel(), "h " + what);
 
               Tensor gw_one = Tensor::Zeros(wgt.shape());
               Tensor gd_one = Tensor::Zeros(down.shape());
@@ -665,7 +619,7 @@ TEST(ConvStackTest, StackedKernelsMatchOneWeightCallsBitwise) {
                                         .Reshape(Shape{o + r, c, k, k});
               const RouteResult route =
                   SerialRoute(x, wstack, Tensor::Zeros(Shape{o + r}),
-                              StackSamples(gy, gh), g, OpPrecision::kFp32);
+                              StackSamples(gy, gh), g);
               for (int wanted = 0; wanted < 3; ++wanted) {
                 // Both weight gradients, D's alone (a frozen base) and W's
                 // alone.

@@ -10,10 +10,8 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "tensor/autocast.h"
 #include "tensor/conv_ops.h"
 #include "tensor/gemm_detail.h"
-#include "tensor/lowp.h"
 #include "tensor/matmul.h"
 #include "tensor/random_init.h"
 #include "tensor/tensor.h"
@@ -34,23 +32,8 @@ void ExpectBitIdentical(const std::vector<float>& ref,
   }
 }
 
-using GemmFn = void (*)(const float* a, bool trans_a, const float* b,
-                       bool trans_b, float* c, int64_t n, int64_t k, int64_t m,
-                       bool accumulate);
-
-// The packed engine's entry point at one format, and its serial oracle.
-GemmFn PackedAt(OpPrecision precision) {
-  return precision == OpPrecision::kBf16 ? GemmPackedBf16 : GemmPacked;
-}
-GemmFn ReferenceAt(OpPrecision precision) {
-  return precision == OpPrecision::kBf16 ? GemmReferenceBf16 : GemmReference;
-}
-
-// The engine's two B formats.
-constexpr OpPrecision kFormats[] = {OpPrecision::kFp32, OpPrecision::kBf16};
-
 void CheckShape(int64_t n, int64_t k, int64_t m, bool trans_a, bool trans_b,
-                bool accumulate, OpPrecision precision = OpPrecision::kFp32) {
+                bool accumulate) {
   Rng rng(static_cast<uint64_t>(n * 10007 + k * 101 + m * 7 +
                                 (trans_a ? 2 : 0) + (trans_b ? 1 : 0)));
   Tensor a = RandomNormal(trans_a ? Shape{k, n} : Shape{n, k}, rng);
@@ -58,16 +41,15 @@ void CheckShape(int64_t n, int64_t k, int64_t m, bool trans_a, bool trans_b,
   Tensor seed = RandomNormal(Shape{n, m}, rng);
   Tensor c_ref = seed.Clone();
   Tensor c_packed = seed.Clone();
-  ReferenceAt(precision)(a.data(), trans_a, b.data(), trans_b, c_ref.data(),
-                         n, k, m, accumulate);
-  PackedAt(precision)(a.data(), trans_a, b.data(), trans_b, c_packed.data(),
-                      n, k, m, accumulate);
+  GemmReference(a.data(), trans_a, b.data(), trans_b, c_ref.data(), n, k, m,
+                accumulate);
+  GemmPacked(a.data(), trans_a, b.data(), trans_b, c_packed.data(), n, k, m,
+             accumulate);
   const std::string what = "n=" + std::to_string(n) + " k=" +
                            std::to_string(k) + " m=" + std::to_string(m) +
                            (trans_a ? " transA" : "") +
                            (trans_b ? " transB" : "") +
-                           (accumulate ? " accumulate" : "") + " " +
-                           OpPrecisionName(precision);
+                           (accumulate ? " accumulate" : "");
   ExpectBitIdentical(c_ref.ToVector(), c_packed.ToVector(), what);
 }
 
@@ -123,19 +105,17 @@ TEST(GemmPackedTest, LoraAdapterShapes) {
 
 TEST(GemmPackedTest, OneRowRunsAsGemvOnTheCaller) {
   // n == 1 is a GEMV over op(B)ᵀ: bit-identical to the reference in every
-  // layout and both formats, with k past one kGemmKC panel so the blocked
-  // path's partial-sum reload would be in play, and without a run of the
-  // blocked engine.
-  for (OpPrecision precision : kFormats) {
-    for (int64_t k : {int64_t{1}, int64_t{37}, kGemmKC + 45}) {
-      for (int64_t m : {int64_t{2}, int64_t{33}, int64_t{1024}}) {
-        for (int layout = 0; layout < 4; ++layout) {
-          for (bool accumulate : {false, true}) {
-            const int64_t before = PackedEngineRuns();
-            CheckShape(/*n=*/1, k, m, (layout & 2) != 0, (layout & 1) != 0,
-                       accumulate, precision);
-            EXPECT_EQ(PackedEngineRuns(), before);
-          }
+  // layout, with k past one kGemmKC panel so the blocked path's
+  // partial-sum reload would be in play, and without a run of the blocked
+  // engine.
+  for (int64_t k : {int64_t{1}, int64_t{37}, kGemmKC + 45}) {
+    for (int64_t m : {int64_t{2}, int64_t{33}, int64_t{1024}}) {
+      for (int layout = 0; layout < 4; ++layout) {
+        for (bool accumulate : {false, true}) {
+          const int64_t before = PackedEngineRuns();
+          CheckShape(/*n=*/1, k, m, (layout & 2) != 0, (layout & 1) != 0,
+                     accumulate);
+          EXPECT_EQ(PackedEngineRuns(), before);
         }
       }
     }
@@ -144,41 +124,35 @@ TEST(GemmPackedTest, OneRowRunsAsGemvOnTheCaller) {
 
 // The routing rule for rank-thin products (tensor/gemm.cc): one GEMV per
 // column of C for an op(B) of at most 4 columns when A is stored [k, n]
-// (2 when A is row-major, 1 at bf16), one GEMV over op(B)ᵀ per row of C
-// for a single row, or for 2 rows when B is stored [k, m].
-bool ThinColumns(int64_t m, bool trans_a, OpPrecision precision) {
-  return m <= (trans_a ? 4 : precision == OpPrecision::kBf16 ? 1 : 2);
-}
-bool RunsAsGemv(int64_t n, int64_t m, bool trans_a, bool trans_b,
-                OpPrecision precision) {
-  return ThinColumns(m, trans_a, precision) || n == 1 ||
-         (n == 2 && !trans_b);
+// (2 when A is row-major), one GEMV over op(B)ᵀ per row of C for a single
+// row, or for 2 rows when B is stored [k, m].
+bool ThinColumns(int64_t m, bool trans_a) { return m <= (trans_a ? 4 : 2); }
+bool RunsAsGemv(int64_t n, int64_t m, bool trans_a, bool trans_b) {
+  return ThinColumns(m, trans_a) || n == 1 || (n == 2 && !trans_b);
 }
 
-// Rank-thin products with n or m in 1..4, in every layout and both
-// formats, with and without accumulation, across a kGemmKC panel and with
+// Rank-thin products with n or m in 1..4, in every layout, with and
+// without accumulation, across a kGemmKC panel and with
 // extents that hit every GEMV block and tail: bit-identical to the
 // reference, and the blocked engine runs exactly when the routing rule
 // says. A PackAOnce operand of a thin run packs nothing and routes the
 // same way.
 TEST(GemmPackedTest, RankThinShapesRunAsGemvChains) {
-  for (OpPrecision precision : kFormats) {
-    for (int64_t thin : {1, 2, 3, 4}) {
-      for (int64_t wide : {int64_t{1}, int64_t{7}, int64_t{15}, int64_t{40},
-                           kGemmKC + 45}) {
-        for (int64_t k : {int64_t{1}, int64_t{17}, kGemmKC + 3}) {
-          for (int layout = 0; layout < 4; ++layout) {
-            for (bool accumulate : {false, true}) {
-              const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
-              for (const auto& [n, m] : {std::pair{wide, thin},
-                                         std::pair{thin, wide}}) {
-                const int64_t before = PackedEngineRuns();
-                CheckShape(n, k, m, ta, tb, accumulate, precision);
-                EXPECT_EQ(PackedEngineRuns() - before,
-                          RunsAsGemv(n, m, ta, tb, precision) ? 0 : 1)
-                    << "n=" << n << " k=" << k << " m=" << m << " ta=" << ta
-                    << " tb=" << tb << " " << OpPrecisionName(precision);
-              }
+  for (int64_t thin : {1, 2, 3, 4}) {
+    for (int64_t wide : {int64_t{1}, int64_t{7}, int64_t{15}, int64_t{40},
+                         kGemmKC + 45}) {
+      for (int64_t k : {int64_t{1}, int64_t{17}, kGemmKC + 3}) {
+        for (int layout = 0; layout < 4; ++layout) {
+          for (bool accumulate : {false, true}) {
+            const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
+            for (const auto& [n, m] : {std::pair{wide, thin},
+                                       std::pair{thin, wide}}) {
+              const int64_t before = PackedEngineRuns();
+              CheckShape(n, k, m, ta, tb, accumulate);
+              EXPECT_EQ(PackedEngineRuns() - before,
+                        RunsAsGemv(n, m, ta, tb) ? 0 : 1)
+                  << "n=" << n << " k=" << k << " m=" << m << " ta=" << ta
+                  << " tb=" << tb;
             }
           }
         }
@@ -186,34 +160,30 @@ TEST(GemmPackedTest, RankThinShapesRunAsGemvChains) {
     }
   }
   Rng rng(5);
-  for (OpPrecision precision : kFormats) {
-    for (const auto& [n, m] :
-         {std::pair<int64_t, int64_t>{13, 3}, {2, 40}, {13, 40}}) {
-      const int64_t k = 29;
-      for (int layout = 0; layout < 4; ++layout) {
-        for (bool accumulate : {false, true}) {
-          const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
-          Tensor a = RandomNormal(ta ? Shape{k, n} : Shape{n, k}, rng);
-          Tensor b = RandomNormal(tb ? Shape{m, k} : Shape{k, m}, rng);
-          Tensor c_ref = RandomNormal(Shape{n, m}, rng);
-          Tensor c_got = c_ref.Clone();
-          ReferenceAt(precision)(a.data(), ta, b.data(), tb, c_ref.data(), n,
-                                 k, m, accumulate);
-          const int64_t before = PackedEngineRuns();
-          const gemm_detail::PackedA packed =
-              gemm_detail::PackAOnce(a.data(), ta, n, k, m, precision);
-          EXPECT_EQ(packed.panels == nullptr,
-                    ThinColumns(m, ta, precision) || n <= 2);
-          gemm_detail::GemmPacked(packed, b.data(), tb, c_got.data(), m,
-                                  accumulate);
-          EXPECT_EQ(PackedEngineRuns() - before,
-                    RunsAsGemv(n, m, ta, tb, precision) ? 0 : 1);
-          ExpectBitIdentical(c_ref.ToVector(), c_got.ToVector(),
-                             "PackAOnce n=" + std::to_string(n) +
-                                 " m=" + std::to_string(m) +
-                                 " layout=" + std::to_string(layout) + " " +
-                                 OpPrecisionName(precision));
-        }
+  for (const auto& [n, m] :
+       {std::pair<int64_t, int64_t>{13, 3}, {2, 40}, {13, 40}}) {
+    const int64_t k = 29;
+    for (int layout = 0; layout < 4; ++layout) {
+      for (bool accumulate : {false, true}) {
+        const bool ta = (layout & 2) != 0, tb = (layout & 1) != 0;
+        Tensor a = RandomNormal(ta ? Shape{k, n} : Shape{n, k}, rng);
+        Tensor b = RandomNormal(tb ? Shape{m, k} : Shape{k, m}, rng);
+        Tensor c_ref = RandomNormal(Shape{n, m}, rng);
+        Tensor c_got = c_ref.Clone();
+        GemmReference(a.data(), ta, b.data(), tb, c_ref.data(), n, k, m,
+                      accumulate);
+        const int64_t before = PackedEngineRuns();
+        const gemm_detail::PackedA packed =
+            gemm_detail::PackAOnce(a.data(), ta, n, k, m);
+        EXPECT_EQ(packed.panels == nullptr, ThinColumns(m, ta) || n <= 2);
+        gemm_detail::GemmPacked(packed, b.data(), tb, c_got.data(), m,
+                                accumulate);
+        EXPECT_EQ(PackedEngineRuns() - before,
+                  RunsAsGemv(n, m, ta, tb) ? 0 : 1);
+        ExpectBitIdentical(c_ref.ToVector(), c_got.ToVector(),
+                           "PackAOnce n=" + std::to_string(n) +
+                               " m=" + std::to_string(m) +
+                               " layout=" + std::to_string(layout));
       }
     }
   }
@@ -279,18 +249,6 @@ TEST(GemmThreadingTest, KernelsNeverTouchThePool) {
   Tensor y = Conv2dForward(x, w, Tensor(), g);
   Tensor gx = Tensor::Zeros(x.shape()), gw = Tensor::Zeros(w.shape());
   Conv2dBackward(x, w, Tensor::Ones(y.shape()), g, &gx, &gw, nullptr);
-
-  Tensor c16{Shape{n, m}};
-  Tensor c16_ref{Shape{n, m}};
-  GemmPackedBf16(a.data(), false, b.data(), false, c16.data(), n, k, m,
-                 false);
-  GemmReferenceBf16(a.data(), false, b.data(), false, c16_ref.data(), n, k,
-                    m, false);
-  ExpectBitIdentical(c16_ref.ToVector(), c16.ToVector(), "bf16 packed");
-  lowp::GemmBf16Prepacked(a.data(),
-                          lowp::PackBf16Weight(b.data(), false, k, m),
-                          c16.data(), n, false);
-  ExpectBitIdentical(c16_ref.ToVector(), c16.ToVector(), "bf16 prepacked");
 
   EXPECT_EQ(ThreadPool::TotalParallelForCalls(), calls);
   EXPECT_EQ(ThreadPool::TotalTasksScheduled(), tasks);
@@ -409,7 +367,7 @@ gemm_detail::Im2ColOperand OperandOf(const Tensor& padded, int64_t h,
           g.OutExtent(w, g.kernel_w)};
 }
 
-// The fp32 engine's im2col packer against the per-element gather
+// The engine's im2col packer against the per-element gather
 // (PackIm2ColB), byte for byte, over whole panels including their zero
 // padding. With trans_b at stride 1 it packs by register transposes of
 // image runs; the blocks below start mid output-row (pc), end mid-row and
@@ -451,9 +409,8 @@ TEST(GemmConvTest, TransposedWeightGradientPanelsMatchTheGather) {
               std::vector<float> want(static_cast<size_t>(len), 7.0f);
               std::vector<float> got(static_cast<size_t>(len), -7.0f);
               gemm_detail::PackIm2ColB(op, trans_b, pc, kc, jc, nc,
-                                       want.data(),
-                                       [](float v) { return v; });
-              gemm_detail::PackIm2ColBFp32(op, trans_b, pc, kc, jc, nc,
+                                       want.data());
+              gemm_detail::PackIm2ColBFast(op, trans_b, pc, kc, jc, nc,
                                            got.data());
               ASSERT_EQ(std::memcmp(want.data(), got.data(),
                                     want.size() * sizeof(float)),
@@ -472,12 +429,11 @@ TEST(GemmConvTest, TransposedWeightGradientPanelsMatchTheGather) {
 }
 
 // Rank-thin im2col products run the blocked engine, from a dense op(A)
-// and from a PackAOnce one (the bf16 tier has only the latter), whether
-// op(B) is a thin cols (a conv with 4 or 3 output positions) or a thin
-// colsᵀ (trans_b: a weight gradient with few (c, kh, kw) rows, which
-// Conv2dBackward gives to conv_thin's kernels instead): bit-identical to
-// the format's reference over Im2Col's materialized columns, with one
-// engine run per product.
+// and from a PackAOnce one, whether op(B) is a thin cols (a conv with 4 or
+// 3 output positions) or a thin colsᵀ (trans_b: a weight gradient with few
+// (c, kh, kw) rows, which Conv2dBackward gives to conv_thin's kernels
+// instead): bit-identical to the reference over Im2Col's materialized
+// columns, with one engine run per product.
 TEST(GemmConvTest, RankThinIm2ColProductsRunTheEngine) {
   struct Geo {
     int64_t c, h, w;
@@ -494,52 +450,52 @@ TEST(GemmConvTest, RankThinIm2ColProductsRunTheEngine) {
       {2, 3, 3, {3, 3, 1, 1}, false},  // 3×3: 9 columns, the engine
   };
   Rng rng(43);
-  for (OpPrecision precision : kFormats) {
-    for (const Geo& geo : geos) {
-      const Tensor x = RandomNormal(Shape{geo.c, geo.h, geo.w}, rng);
-      const Tensor padded = PadImage(x, geo.g.padding);
-      const gemm_detail::Im2ColOperand op =
-          OperandOf(padded, geo.h, geo.w, geo.g);
-      Tensor cols{Shape{op.rows(), op.cols()}};
-      Im2Col(x.data(), geo.c, geo.h, geo.w, geo.g, cols.data());
-      const int64_t k = geo.trans_b ? op.cols() : op.rows();
-      const int64_t m = geo.trans_b ? op.rows() : op.cols();
-      for (int64_t n : {1, 2, 8, 13}) {
-        for (bool trans_a : {false, true}) {
-          for (bool accumulate : {false, true}) {
-            const Tensor a =
-                RandomNormal(trans_a ? Shape{k, n} : Shape{n, k}, rng);
-            Tensor c_ref = RandomNormal(Shape{n, m}, rng);
-            Tensor c_dense = c_ref.Clone(), c_shared = c_ref.Clone();
-            ReferenceAt(precision)(a.data(), trans_a, cols.data(),
-                                   geo.trans_b, c_ref.data(), n, k, m,
-                                   accumulate);
-            const bool fp32 = precision == OpPrecision::kFp32;
-            const int64_t before = PackedEngineRuns();
-            if (fp32) {
-              gemm_detail::GemmPackedIm2Col(a.data(), trans_a, op,
-                                            geo.trans_b, c_dense.data(), n,
-                                            accumulate);
-            }
-            gemm_detail::GemmPackedIm2Col(
-                gemm_detail::PackAOnce(a.data(), trans_a, n, k, m, precision),
-                op, geo.trans_b, c_shared.data(), accumulate);
-            EXPECT_EQ(PackedEngineRuns() - before, fp32 ? 2 : 1);
-            const std::string what =
-                "c=" + std::to_string(geo.c) + " n=" + std::to_string(n) +
-                " m=" + std::to_string(m) + (trans_a ? " transA" : "") +
-                (accumulate ? " accumulate" : "") + " " +
-                OpPrecisionName(precision);
-            if (fp32) {
-              ExpectBitIdentical(c_ref.ToVector(), c_dense.ToVector(), what);
-            }
-            ExpectBitIdentical(c_ref.ToVector(), c_shared.ToVector(),
-                               "shared " + what);
-          }
+  for (const Geo& geo : geos) {
+    const Tensor x = RandomNormal(Shape{geo.c, geo.h, geo.w}, rng);
+    const Tensor padded = PadImage(x, geo.g.padding);
+    const gemm_detail::Im2ColOperand op =
+        OperandOf(padded, geo.h, geo.w, geo.g);
+    Tensor cols{Shape{op.rows(), op.cols()}};
+    Im2Col(x.data(), geo.c, geo.h, geo.w, geo.g, cols.data());
+    const int64_t k = geo.trans_b ? op.cols() : op.rows();
+    const int64_t m = geo.trans_b ? op.rows() : op.cols();
+    for (int64_t n : {1, 2, 8, 13}) {
+      for (bool trans_a : {false, true}) {
+        for (bool accumulate : {false, true}) {
+          const Tensor a =
+              RandomNormal(trans_a ? Shape{k, n} : Shape{n, k}, rng);
+          Tensor c_ref = RandomNormal(Shape{n, m}, rng);
+          Tensor c_dense = c_ref.Clone(), c_shared = c_ref.Clone();
+          GemmReference(a.data(), trans_a, cols.data(), geo.trans_b,
+                        c_ref.data(), n, k, m, accumulate);
+          const int64_t before = PackedEngineRuns();
+          gemm_detail::GemmPackedIm2Col(a.data(), trans_a, op, geo.trans_b,
+                                        c_dense.data(), n, accumulate);
+          gemm_detail::GemmPackedIm2Col(
+              gemm_detail::PackAOnce(a.data(), trans_a, n, k, m), op,
+              geo.trans_b, c_shared.data(), accumulate);
+          EXPECT_EQ(PackedEngineRuns() - before, 2);
+          const std::string what =
+              "c=" + std::to_string(geo.c) + " n=" + std::to_string(n) +
+              " m=" + std::to_string(m) + (trans_a ? " transA" : "") +
+              (accumulate ? " accumulate" : "");
+          ExpectBitIdentical(c_ref.ToVector(), c_dense.ToVector(), what);
+          ExpectBitIdentical(c_ref.ToVector(), c_shared.ToVector(),
+                             "shared " + what);
         }
       }
     }
   }
+}
+
+// Packing scratch is cache-line aligned, at odd sizes too, and stays
+// aligned when it grows.
+TEST(AlignedBufferTest, SixtyFourByteAlignment) {
+  gemm_detail::AlignedBuffer<float> bf;
+  bf.Reserve(129);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(bf.data()) % 64, 0u);
+  bf.Reserve(100001);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(bf.data()) % 64, 0u);
 }
 
 }  // namespace
